@@ -1,0 +1,1 @@
+"""Repo-wide end-to-end benchmark (see README.md in this directory)."""
