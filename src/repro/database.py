@@ -671,15 +671,31 @@ class Database:
             # leaves storage untouched; after this checkpoint the
             # statement runs to completion.
             governor.checkpoint(stage="dml")
-        with self.tracer.span("execute"):
+        counters = self.storage.counters
+        before = counters.snapshot()
+        with self.tracer.span("execute") as span:
             if isinstance(stmt, sql_ast.InsertStmt):
                 affected = dml.execute_insert(self.storage, stmt)
             elif isinstance(stmt, sql_ast.DeleteStmt):
                 affected = dml.execute_delete(self.storage, stmt)
             else:
                 affected = dml.execute_update(self.storage, stmt)
+            work = {name: count - before[name]
+                    for name, count in counters.snapshot().items()}
+            span.set(rows=affected)
+            # How the statement found its rows: a heap scan for the
+            # victims, else index lookups (victims, unique-key probes);
+            # absent when it read nothing (an append with no unique key).
+            if work["rows_scanned"]:
+                span.set(access="scan")
+            elif work["index_lookups"]:
+                span.set(access="index")
         done = time.perf_counter()
         self.metrics.inc("statements.dml")
+        self.metrics.inc("storage.dml_rows_changed", work["rows_changed"])
+        self.metrics.inc("storage.index_entries_maintained",
+                         work["index_entries_maintained"])
+        self.metrics.inc("storage.chunks_patched", work["chunks_patched"])
         return StatementResult(
             rows=[(affected,)],
             optimizer_used="mysql",

@@ -118,24 +118,30 @@ def best_local_access(block: QueryBlock, entry: TableEntry,
     return best
 
 
-def _range_plan(block: QueryBlock, entry: TableEntry, index: Index,
-                conjuncts: List[ast.Expr], table_rows: float,
-                estimator: SelectivityEstimator,
-                cost_model: MySQLCostModel) -> Optional[AccessPlan]:
-    """Range plan over an index: constant eq prefix plus one range column."""
+def match_index_prefix(index: Index, table_schema, entry_id: int,
+                       conjuncts: List[ast.Expr]
+                       ) -> Tuple[List[object], Optional[_RangeBound],
+                                  List[ast.Expr]]:
+    """Match constant conjuncts against an index's leading columns.
+
+    Returns ``(eq_prefix, range_bound, consumed)``: the equality values
+    for the longest constant-bound leading prefix, the merged bound on
+    the first column after it (None without one), and the conjuncts
+    used, in the order they were matched.  Shared by the SELECT range
+    planner below and by DML victim location (``repro.dml``).
+    """
     consumed: List[ast.Expr] = []
     consumed_ids = set()
     eq_prefix: List[object] = []
-    selectivity = 1.0
     range_bound: Optional[_RangeBound] = None
     for column_name in index.column_names:
-        position = entry.table_schema.column_position(column_name)
+        position = table_schema.column_position(column_name)
         eq_bound = None
         column_bounds: List[_RangeBound] = []
         for conjunct in conjuncts:
             if id(conjunct) in consumed_ids:
                 continue
-            bound = extract_range(conjunct, entry.entry_id, position)
+            bound = extract_range(conjunct, entry_id, position)
             if bound is None:
                 continue
             if bound.low == bound.high and bound.low is not None:
@@ -146,40 +152,54 @@ def _range_plan(block: QueryBlock, entry: TableEntry, index: Index,
             consumed.append(eq_bound.conjunct)
             consumed_ids.add(id(eq_bound.conjunct))
             eq_prefix.append(eq_bound.low)
-            selectivity *= estimator.conjunct_selectivity(
-                block, eq_bound.conjunct)
             continue
         if column_bounds:
-            merged = column_bounds[0]
+            range_bound = column_bounds[0]
             for extra in column_bounds[1:]:
-                merged = _merge_bounds(merged, extra)
-            for bound in column_bounds:
-                consumed.append(bound.conjunct)
-                consumed_ids.add(id(bound.conjunct))
-                selectivity *= estimator.conjunct_selectivity(
-                    block, bound.conjunct)
-            range_bound = merged
+                range_bound = _merge_bounds(range_bound, extra)
+            consumed.extend(bound.conjunct for bound in column_bounds)
         break
-    if not consumed:
-        return None
-    matched = max(1.0, table_rows * selectivity)
+    return eq_prefix, range_bound, consumed
+
+
+def index_key_bounds(eq_prefix: List[object],
+                     range_bound: Optional[_RangeBound]
+                     ) -> Tuple[Optional[tuple], Optional[tuple], bool, bool]:
+    """``(low, high, low_inclusive, high_inclusive)`` index-key bounds
+    for an equality prefix plus an optional range on the next column."""
     prefix = tuple(eq_prefix)
     if range_bound is None:
-        low = high = prefix
-        low_inclusive = high_inclusive = True
+        return prefix, prefix, True, True
+    if range_bound.low is not None:
+        low = prefix + (range_bound.low,)
+        low_inclusive = range_bound.low_inclusive
     else:
-        if range_bound.low is not None:
-            low = prefix + (range_bound.low,)
-            low_inclusive = range_bound.low_inclusive
-        else:
-            low = prefix if prefix else None
-            low_inclusive = True
-        if range_bound.high is not None:
-            high = prefix + (range_bound.high,)
-            high_inclusive = range_bound.high_inclusive
-        else:
-            high = prefix if prefix else None
-            high_inclusive = True
+        low = prefix if prefix else None
+        low_inclusive = True
+    if range_bound.high is not None:
+        high = prefix + (range_bound.high,)
+        high_inclusive = range_bound.high_inclusive
+    else:
+        high = prefix if prefix else None
+        high_inclusive = True
+    return low, high, low_inclusive, high_inclusive
+
+
+def _range_plan(block: QueryBlock, entry: TableEntry, index: Index,
+                conjuncts: List[ast.Expr], table_rows: float,
+                estimator: SelectivityEstimator,
+                cost_model: MySQLCostModel) -> Optional[AccessPlan]:
+    """Range plan over an index: constant eq prefix plus one range column."""
+    eq_prefix, range_bound, consumed = match_index_prefix(
+        index, entry.table_schema, entry.entry_id, conjuncts)
+    if not consumed:
+        return None
+    selectivity = 1.0
+    for conjunct in consumed:
+        selectivity *= estimator.conjunct_selectivity(block, conjunct)
+    matched = max(1.0, table_rows * selectivity)
+    low, high, low_inclusive, high_inclusive = index_key_bounds(
+        eq_prefix, range_bound)
     return AccessPlan(
         method=AccessMethod.INDEX_RANGE,
         index_name=index.name,

@@ -1,13 +1,13 @@
 """Native columnar table representation with per-chunk zone maps.
 
 The heap (:class:`repro.storage.table.HeapTable`) remains the source of
-truth for row storage — DML rewrites it, indexes point into it — but the
-batch engine used to re-chunk ``heap.rows`` with a fresh list slice on
-every scan.  The :class:`ColumnStore` keeps the same rows *pre-chunked*
-into fixed-size :class:`ColumnChunk` units of ``chunk_size`` rows (the
-executor's batch size), so a batched scan hands each chunk's row list to
-a ``RowBatch`` with zero copying, plus a native per-column decomposition
-of every chunk:
+truth for row storage — DML edits it row by row, indexes point into it —
+but the batch engine used to re-chunk ``heap.rows`` with a fresh list
+slice on every scan.  The :class:`ColumnStore` keeps the same rows
+*pre-chunked* into fixed-size :class:`ColumnChunk` units of
+``chunk_size`` rows (the executor's batch size), so a batched scan hands
+each chunk's row list to a ``RowBatch`` with zero copying, plus a native
+per-column decomposition of every chunk:
 
 * ``columns[i]`` — the chunk's values for column *i* as a plain list
   (what ANALYZE reads, column at a time, without gathering);
@@ -15,11 +15,18 @@ of every chunk:
 * ``mins[i]`` / ``maxs[i]`` — the zone map: min/max over the chunk's
   non-NULL values, ``None`` when the chunk has no non-NULL value.
 
-Zone-map maintenance contract: maps are updated incrementally on every
-insert (append-only, so min/max only widen) and rebuilt from the column
-values on ANALYZE (``rebuild_zone_maps``), which is also when a store
+Sync contract: chunk *i* is heap rows ``[i * chunk_size, (i + 1) *
+chunk_size)`` and every chunk but the last is full.  Inserts append
+(min/max only widen); UPDATE overwrites one slot (:meth:`ColumnStore
+.set_row`); DELETE follows the heap's move-last-into-the-hole
+(``set_row`` on the victim's slot, then :meth:`ColumnStore.pop_row`), so
+a single-row write touches at most two chunks.  Zone maps of touched
+chunks stay *exact* — a column is rescanned only when the value that
+left was its min or max and no equal value remains — so ``can_skip``
+answers what a fresh :meth:`ColumnStore.rebuild` would.  Only a store
 that drifted from its heap (rows inserted behind the engine's back)
-resynchronises.
+is rebuilt chunk by chunk; ANALYZE recomputes all zone maps
+(``rebuild_zone_maps``).
 
 Chunk skipping: scans pass a list of *zone predicates* — pre-extracted
 ``(kind, position, ...)`` tuples derived from a scan's filter conjuncts
@@ -80,6 +87,53 @@ class ColumnChunk:
                         mins[position] = value
                     if value > maxs[position]:
                         maxs[position] = value
+
+    def set_row(self, offset: int, row: tuple) -> None:
+        """Overwrite the row at ``offset``, keeping zone maps exact."""
+        old_row = self.rows[offset]
+        self.rows[offset] = row
+        bit = 1 << offset
+        for position, value in enumerate(row):
+            old = old_row[position]
+            if old is value:
+                continue
+            self.columns[position][offset] = value
+            if value is None:
+                self.null_bits[position] |= bit
+            else:
+                self.null_bits[position] &= ~bit
+            self._rezone(position, old, value)
+
+    def pop(self) -> None:
+        """Drop the last row, keeping zone maps exact."""
+        row = self.rows.pop()
+        keep = (1 << len(self.rows)) - 1
+        for position, old in enumerate(row):
+            self.columns[position].pop()
+            self.null_bits[position] &= keep
+            self._rezone(position, old, None)
+
+    def _rezone(self, position: int, old, new) -> None:
+        """``old`` left column ``position`` and ``new`` (already stored)
+        took its place; None stands for NULL or no value."""
+        low = self.mins[position]
+        if old is not None \
+                and (old == low or old == self.maxs[position]) \
+                and old not in self.columns[position]:
+            # The last copy of an extreme left: only a rescan is exact.
+            values = self.columns[position]
+            if self.null_bits[position]:
+                values = [value for value in values if value is not None]
+            self.mins[position] = min(values) if values else None
+            self.maxs[position] = max(values) if values else None
+        elif new is not None:
+            if low is None:
+                self.mins[position] = new
+                self.maxs[position] = new
+            elif new < low:
+                self.mins[position] = new
+            elif new > self.maxs[position]:
+                self.maxs[position] = new
 
     def null_count(self, position: int) -> int:
         return self.null_bits[position].bit_count()
@@ -180,7 +234,7 @@ class ColumnStore:
     """All of one table's chunks, aligned with its heap's row order.
 
     Chunk *i* holds heap rows ``[i * chunk_size, (i + 1) * chunk_size)``
-    in insertion order, so a chunked scan visits exactly the rows a heap
+    in heap order, so a chunked scan visits exactly the rows a heap
     scan would, in the same order.
     """
 
@@ -212,8 +266,20 @@ class ColumnStore:
                 chunks.append(chunk)
             chunk.append(row)
 
+    def set_row(self, row_id: int, row: tuple) -> None:
+        """Overwrite heap row ``row_id`` in its chunk."""
+        self.chunks[row_id // self.chunk_size].set_row(
+            row_id % self.chunk_size, row)
+
+    def pop_row(self) -> None:
+        """Drop the last heap row (and its chunk, once empty)."""
+        chunk = self.chunks[-1]
+        chunk.pop()
+        if not chunk.rows:
+            self.chunks.pop()
+
     def rebuild(self, rows: Sequence[tuple]) -> None:
-        """Replace the store's contents (DELETE/UPDATE heap rewrite)."""
+        """Replace the store's contents with ``rows``, re-chunked."""
         self.chunks = []
         self.append_rows(rows)
 

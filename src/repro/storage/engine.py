@@ -4,6 +4,20 @@ Stands in for InnoDB on top of Taurus Page Stores.  Execution-time access
 counts are tracked so benchmarks can report work done (rows read, index
 lookups) in addition to wall-clock time; the counters also make failure
 diagnosis in tests deterministic.
+
+Write contract.  Every write goes through :meth:`StorageEngine.load_rows`
+(append), :meth:`~StorageEngine.update_rows` (overwrite in place) or
+:meth:`~StorageEngine.delete_rows` (move the last row into the hole),
+and each keeps three structures in step: the heap, every index of the
+table, and the column store.  Writes are row-level — per index one bisect and
+a C-level list shift, per touched chunk an exact zone-map patch — so a
+statement costs O(rows changed * log N) whatever the table holds, and
+delete-all or a table-wide UPDATE take the same path as a point write.
+The one exception is an append that is large against what the indexes
+already hold (:data:`BULK_LOAD_DIVISOR`, judged from the row counts
+``load_rows`` can see): it re-sorts each index once, which leaves the
+same entries.  Callers validate before they call: these methods cannot
+fail half-way.
 """
 
 from __future__ import annotations
@@ -31,6 +45,13 @@ ROWS_PER_PAGE = 64
 #: gap between one buffered random page access and one scanned row.
 LOOKUP_PENALTY_LOOPS = 1500
 
+#: ``load_rows`` re-sorts the indexes once, instead of inserting entry
+#: by entry, when it appends at least one row per this many rows already
+#: indexed (always, then, for a load into an empty table).  One re-sort
+#: costs about a microsecond per table row, one inserted entry about
+#: ten (a bisect and two list shifts), so the two meet near a tenth.
+BULK_LOAD_DIVISOR = 10
+
 
 @dataclass
 class AccessCounters:
@@ -46,20 +67,19 @@ class AccessCounters:
     #: counter parity holds because both engines consult the same zone
     #: maps with the same predicates.
     chunks_skipped: int = 0
+    #: Write-side work: rows inserted, overwritten or deleted; index
+    #: entries written, removed or re-pointed; column-store chunks
+    #: edited.  A bulk load charges every entry it re-sorted.
+    rows_changed: int = 0
+    index_entries_maintained: int = 0
+    chunks_patched: int = 0
 
     def reset(self) -> None:
-        self.rows_scanned = 0
-        self.index_lookups = 0
-        self.index_rows_read = 0
-        self.chunks_skipped = 0
+        for name in vars(self):
+            setattr(self, name, 0)
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "rows_scanned": self.rows_scanned,
-            "index_lookups": self.index_lookups,
-            "index_rows_read": self.index_rows_read,
-            "chunks_skipped": self.chunks_skipped,
-        }
+        return dict(vars(self))
 
 
 class StorageEngine:
@@ -113,36 +133,95 @@ class StorageEngine:
     # -- DML ------------------------------------------------------------------
 
     def load_rows(self, table_name: str, rows: Sequence[Sequence]) -> None:
-        """Bulk-load rows, then rebuild the table's indexes.
+        """Append rows (bulk load and SQL INSERT alike).
 
         Bumps the catalog version: cached plans were costed against the
         old row counts, so INSERT (and bulk loads) invalidate them.
         """
         heap = self.heap(table_name)
+        store = self.store(table_name)
         before = len(heap.rows)
         heap.insert_many(rows)
-        store = self._stores.get(table_name.lower())
-        if store is not None:
+        added = heap.rows[before:]
+        counters = self.counters
+        counters.rows_changed += len(added)
+        if store is not None and added:
             # Incremental zone-map maintenance: append exactly the rows
             # the heap accepted (insert_many validated each width).
-            store.append_rows(heap.rows[before:])
+            store.append_rows(added)
+            counters.chunks_patched += (
+                len(store.chunks) - before // store.chunk_size)
+        bulk = len(added) * BULK_LOAD_DIVISOR >= before
         for index in self._indexes[table_name.lower()].values():
-            index.build()
+            if bulk:
+                index.build()
+                counters.index_entries_maintained += index.entry_count
+            else:
+                for row_id, row in enumerate(added, before):
+                    counters.index_entries_maintained += \
+                        index.insert_entry(row, row_id)
         self.catalog.bump_version()
 
-    def replace_rows(self, table_name: str,
-                     rows: Sequence[Sequence]) -> None:
-        """Replace the table's contents (DELETE/UPDATE rewrite the heap).
+    def update_rows(self, table_name: str, row_ids: Sequence[int],
+                    new_rows: Sequence[Row]) -> None:
+        """Overwrite heap row ``row_ids[i]`` with ``new_rows[i]``.
 
-        Bumps the catalog version so cached statement plans invalidate.
+        Only indexes whose key actually changes are touched.  Bumps the
+        catalog version (once) so cached statement plans invalidate.
         """
         heap = self.heap(table_name)
-        heap.rows = [tuple(row) for row in rows]
-        store = self._stores.get(table_name.lower())
-        if store is not None:
-            store.rebuild(heap.rows)
-        for index in self._indexes[table_name.lower()].values():
-            index.build()
+        store = self.store(table_name)
+        indexes = self._indexes[table_name.lower()].values()
+        counters = self.counters
+        counters.rows_changed += len(row_ids)
+        rows = heap.rows
+        patched = set()
+        for row_id, new in zip(row_ids, new_rows):
+            old = rows[row_id]
+            for index in indexes:
+                if index.key_of(old) != index.key_of(new):
+                    counters.index_entries_maintained += (
+                        index.remove_entry(old, row_id)
+                        + index.insert_entry(new, row_id))
+            rows[row_id] = new
+            if store is not None:
+                store.set_row(row_id, new)
+                patched.add(row_id // store.chunk_size)
+        counters.chunks_patched += len(patched)
+        self.catalog.bump_version()
+
+    def delete_rows(self, table_name: str, row_ids: Sequence[int]) -> None:
+        """Delete the rows at ``row_ids`` (distinct heap positions).
+
+        Victims go in descending order and each hole is filled with the
+        heap's last row, so per victim only two rows' index entries and
+        at most two chunks change, no other row id moves, and the
+        column store keeps every chunk but the last full.  Bumps the
+        catalog version (once).
+        """
+        heap = self.heap(table_name)
+        store = self.store(table_name)
+        indexes = self._indexes[table_name.lower()].values()
+        counters = self.counters
+        counters.rows_changed += len(row_ids)
+        patched = set()
+        for row_id in sorted(row_ids, reverse=True):
+            victim = heap.rows[row_id]
+            last_id = len(heap.rows) - 1
+            moved = heap.remove(row_id)
+            for index in indexes:
+                counters.index_entries_maintained += \
+                    index.remove_entry(victim, row_id)
+                if moved is not None:
+                    counters.index_entries_maintained += \
+                        index.repoint_entry(moved, last_id, row_id)
+            if store is not None:
+                if moved is not None:
+                    store.set_row(row_id, moved)
+                    patched.add(row_id // store.chunk_size)
+                store.pop_row()
+                patched.add(last_id // store.chunk_size)
+        counters.chunks_patched += len(patched)
         self.catalog.bump_version()
 
     # -- access ---------------------------------------------------------------
@@ -167,7 +246,7 @@ class StorageEngine:
         Returns None when the column store is disabled.  A store that
         drifted from the heap (rows inserted behind the engine's back,
         e.g. straight onto ``heap.rows`` in a test) is rebuilt here, so
-        scans never see a stale chunking.
+        neither a scan nor a row-level write sees a stale chunking.
         """
         store = self._stores.get(table_name.lower())
         if store is None:
@@ -211,14 +290,25 @@ class StorageEngine:
         """Fetch rows via an index point/prefix lookup."""
         heap = self.heap(table_name)
         index = self.index(table_name, index_name)
-        if len(key) == len(index.definition.column_names):
-            row_ids = index.lookup(key)
-        else:
-            row_ids = index.lookup_prefix(key)
+        row_ids = index.lookup(key)
         self._charge_lookup()
         self.counters.index_lookups += 1
         self.counters.index_rows_read += len(row_ids)
         return [heap.rows[row_id] for row_id in row_ids]
+
+    def index_range_row_ids(self, table_name: str, index_name: str,
+                            low: Optional[Tuple], high: Optional[Tuple],
+                            low_inclusive: bool = True,
+                            high_inclusive: bool = True) -> List[int]:
+        """Heap positions of the rows an index range covers — what DML
+        needs to locate its victims and probe unique keys.  Charged
+        like the read paths: one lookup, one row read per entry."""
+        row_ids = self.index(table_name, index_name).range_scan(
+            low, high, low_inclusive, high_inclusive)
+        self._charge_lookup()
+        self.counters.index_lookups += 1
+        self.counters.index_rows_read += len(row_ids)
+        return row_ids
 
     def index_range_rows(self, table_name: str, index_name: str,
                          low: Optional[Tuple], high: Optional[Tuple],

@@ -2,14 +2,20 @@
 
 Rows are Python tuples whose positions match the table schema's column
 positions.  The heap stands in for InnoDB's clustered storage; sequential
-scans iterate in insertion order, which lets the paper's observation about
+scans iterate in heap order, which lets the paper's observation about
 "sequential prefetch" on table scans (Section 6.1) be modelled by a lower
 per-row scan cost in both cost models.
+
+A row id is a heap position.  The heap stays dense: deleting a row moves
+the last row into the freed slot (:meth:`HeapTable.remove`), so exactly
+one other row id changes and none are renumbered.  Heap order is
+therefore insertion order only until the first DELETE — no scan order
+was ever promised without ORDER BY.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
@@ -26,16 +32,29 @@ class HeapTable:
 
     def insert(self, row: Sequence) -> int:
         """Append one row; returns its row id (heap position)."""
-        if len(row) != len(self.schema.columns):
-            raise StorageError(
-                f"row width {len(row)} != {len(self.schema.columns)} "
-                f"for table {self.schema.name!r}")
-        self.rows.append(tuple(row))
+        self.insert_many([row])
         return len(self.rows) - 1
 
     def insert_many(self, rows: Sequence[Sequence]) -> None:
-        for row in rows:
-            self.insert(row)
+        """Append rows, all or none: every width is checked first."""
+        width = len(self.schema.columns)
+        staged = [tuple(row) for row in rows]
+        for row in staged:
+            if len(row) != width:
+                raise StorageError(
+                    f"row width {len(row)} != {width} "
+                    f"for table {self.schema.name!r}")
+        self.rows.extend(staged)
+
+    def remove(self, row_id: int) -> Optional[Row]:
+        """Delete the row at ``row_id`` by moving the last row into its
+        slot; returns the moved row (now stored at ``row_id``), or None
+        when the victim was the last row and nothing moved."""
+        last = self.rows.pop()
+        if row_id == len(self.rows):
+            return None
+        self.rows[row_id] = last
+        return last
 
     def fetch(self, row_id: int) -> Row:
         return self.rows[row_id]

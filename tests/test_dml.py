@@ -62,6 +62,37 @@ class TestInsert:
             db.run("INSERT INTO accounts (id, owner, balance) "
                    "VALUES (10, NULL, 1)")
 
+    def test_insert_omitting_not_null_column_rejected(self, db):
+        with pytest.raises(ExecutionError, match="'balance'"):
+            db.run("INSERT INTO accounts (id, owner) VALUES (10, 'x')")
+        assert db.execute("SELECT COUNT(*) FROM accounts") == [(3,)]
+
+    def test_insert_duplicate_primary_key_rejected(self, db):
+        with pytest.raises(ExecutionError, match="duplicate entry 1 "):
+            db.run("INSERT INTO accounts (id, owner, balance) "
+                   "VALUES (1, 'dup', 5)")
+        assert db.execute("SELECT owner FROM accounts WHERE id = 1") \
+            == [("ada",)]
+
+    def test_insert_duplicate_within_statement_is_atomic(self, db):
+        version = db.catalog.version
+        with pytest.raises(ExecutionError, match="duplicate entry 31 "):
+            db.run("INSERT INTO accounts (id, owner, balance) "
+                   "VALUES (30, 'a', 1), (31, 'b', 2), (31, 'c', 3)")
+        assert db.execute("SELECT COUNT(*) FROM accounts") == [(3,)]
+        assert db.execute("SELECT COUNT(*) FROM accounts "
+                          "WHERE id >= 30") == [(0,)]
+        assert db.catalog.version == version
+
+    def test_bulk_load_does_not_enforce_unique_keys(self, db):
+        db.load("accounts", [(1, "twin", 0.0, None)])
+        assert db.execute("SELECT COUNT(*) FROM accounts "
+                          "WHERE id = 1") == [(2,)]
+        # Rows whose key a statement leaves alone are never blamed for
+        # duplicates that were loaded in bulk.
+        assert db.run("UPDATE accounts SET balance = 1 "
+                      "WHERE id = 1").rows == [(2,)]
+
     def test_inserted_rows_visible_to_indexes(self, db):
         db.run("INSERT INTO accounts (id, owner, balance) "
                "VALUES (11, 'ada', 7)")
@@ -93,11 +124,35 @@ class TestDelete:
         assert result.rows == [(2,)]
         assert db.execute("SELECT id FROM accounts") == [(3,)]
 
-    def test_indexes_rebuilt_after_delete(self, db):
+    def test_indexes_maintained_after_delete(self, db):
         db.run("DELETE FROM accounts WHERE owner = 'ada'")
         rows = db.execute("SELECT COUNT(*) FROM accounts "
                           "WHERE owner = 'ada'")
         assert rows == [(0,)]
+        # The row that filled the hole is found where it now lives.
+        assert db.execute("SELECT id FROM accounts WHERE owner = 'cay'") \
+            == [(3,)]
+        heap = db.storage.heap("accounts")
+        for name in ("PRIMARY", "owner_idx"):
+            index = db.storage.index("accounts", name)
+            assert sorted(index.ordered_row_ids()) \
+                == list(range(len(heap.rows)))
+            assert [index.key_of(heap.rows[row_id])
+                    for row_id in index.ordered_row_ids()] \
+                == sorted(index.key_of(row) for row in heap.rows)
+
+    def test_delete_located_through_index_scans_nothing(self, db):
+        db.load("accounts", [(100 + i, f"o{i}", 1.0, None)
+                             for i in range(200)])
+        db.storage.counters.reset()
+        result = db.run("DELETE FROM accounts WHERE id = 150", trace=True)
+        assert result.rows == [(1,)]
+        assert db.storage.counters.rows_scanned == 0
+        assert db.storage.counters.index_lookups == 1
+        from repro.observability import find_spans
+        span = find_spans(result.trace, "execute")[0]
+        assert span.attributes["access"] == "index"
+        assert span.attributes["rows"] == 1
 
 
 class TestUpdate:
@@ -123,6 +178,26 @@ class TestUpdate:
         db.load("pair", [(1, 2)])
         db.run("UPDATE pair SET a = b, b = a")
         assert db.execute("SELECT a, b FROM pair") == [(2, 1)]
+
+    def test_update_to_duplicate_primary_key_rejected(self, db):
+        with pytest.raises(ExecutionError, match="duplicate entry 1 "):
+            db.run("UPDATE accounts SET id = 1 WHERE id = 2")
+        assert db.execute("SELECT id FROM accounts WHERE owner = 'bob'") \
+            == [(2,)]
+
+    def test_update_may_shift_keys_onto_rows_it_also_moves(self, db):
+        # 1->2, 2->3, 3->4: every new key is vacated by the statement.
+        assert db.run("UPDATE accounts SET id = id + 1").rows == [(3,)]
+        assert sorted(db.execute("SELECT id, owner FROM accounts")) \
+            == [(2, "ada"), (3, "bob"), (4, "cay")]
+        assert db.execute("SELECT owner FROM accounts WHERE id = 3") \
+            == [("bob",)]
+
+    def test_update_not_null_violation_is_atomic(self, db):
+        with pytest.raises(ExecutionError):
+            db.run("UPDATE accounts SET balance = NULL WHERE id >= 2")
+        assert db.execute("SELECT balance FROM accounts WHERE id = 2") \
+            == [(250.0,)]
 
     def test_update_multiple_assignments(self, db):
         db.run("UPDATE accounts SET owner = 'zed', balance = 1 "

@@ -237,3 +237,53 @@ def test_parallel_scan_dispatches_more_morsels_than_workers():
     # pool load-balances instead of running one static partition each.
     assert morsels > workers
     assert db.metrics.count("executor.parallel_workers") >= 2
+
+
+def _single_row_write_work(n_rows):
+    """Per-statement work counters of a single-row DELETE and UPDATE by
+    primary key on an ``n_rows`` table with three indexes."""
+    from repro.catalog import Column, Index, TableSchema
+    from repro.mysql_types import MySQLType
+
+    db = Database()
+    db.create_table(TableSchema("w", [
+        Column.of("id", MySQLType.LONGLONG, nullable=False),
+        Column.of("grp", MySQLType.LONG, nullable=False),
+        Column.of("val", MySQLType.DOUBLE, nullable=False),
+    ], [Index("PRIMARY", ("id",), primary=True),
+        Index("grp_idx", ("grp",)),
+        Index("grp_val", ("grp", "val"))]))
+    db.load("w", [(i, i % 97, float(i % 1013)) for i in range(n_rows)])
+    names = ("storage.dml_rows_changed", "storage.index_entries_maintained",
+             "storage.chunks_patched")
+    work = {}
+    for label, sql in (
+            ("delete", f"DELETE FROM w WHERE id = {n_rows // 3}"),
+            ("update", f"UPDATE w SET grp = 5, val = 0.5 "
+                       f"WHERE id = {n_rows // 2}")):
+        db.storage.counters.reset()
+        before = [db.metrics.count(name) for name in names]
+        assert db.run(sql).rows == [(1,)]
+        counts = dict(db.storage.counters.snapshot())
+        counts.update(
+            (name, db.metrics.count(name) - start)
+            for name, start in zip(names, before))
+        work[label] = counts
+    return work
+
+
+def test_single_row_dml_cost_does_not_grow_with_the_table():
+    """Row-level DML gate: a primary-key DELETE/UPDATE locates its row
+    through the index and edits heap, indexes and column store in
+    place — the same handful of entries and chunks at 20k and 40k rows."""
+    small = _single_row_write_work(20_000)
+    large = _single_row_write_work(40_000)
+    for work in (small, large):
+        for label in ("delete", "update"):
+            counts = work[label]
+            assert counts["rows_scanned"] == 0, (label, counts)
+            assert counts["index_lookups"] == 1, (label, counts)
+            assert counts["storage.dml_rows_changed"] == 1
+            assert counts["storage.index_entries_maintained"] <= 2 * 3
+            assert counts["storage.chunks_patched"] <= 2
+    assert small == large

@@ -332,19 +332,59 @@ class TestZoneMaps:
         engine.analyze_table("t")
         assert store.chunks[0].mins[0] == 0
 
-    def test_replace_rows_rebuilds_store(self):
+    def test_delete_all_empties_store_and_reinsert_is_exact(self):
+        # Ported from the replace_rows test: delete-all leaves an empty
+        # store, and a row inserted afterwards gets exact zone maps.
         engine = make_column_engine(batch_size=4)
         engine.load_rows("t", [(i, i, float(i)) for i in range(8)])
-        engine.replace_rows("t", [(99, 1, 1.0)])
+        engine.delete_rows("t", range(8))
+        assert engine.store("t").row_count == 0
+        engine.load_rows("t", [(99, 1, 1.0)])
         store = engine.store("t")
         assert store.row_count == 1
         assert store.chunks[0].mins[0] == 99
 
+    def test_row_level_delete_patches_two_chunks(self):
+        engine = make_column_engine(batch_size=4)
+        engine.load_rows("t", [(i, i, float(i)) for i in range(40)])
+        engine.counters.reset()
+        engine.delete_rows("t", [0])
+        # Row 39 filled the hole: only the first and last chunk changed,
+        # and their zone maps are what a rebuild would compute.
+        assert engine.counters.chunks_patched == 2
+        store = engine.store("t")
+        assert store.row_count == 39
+        assert store.chunks[0].rows[0] == (39, 39, 39.0)
+        assert (store.chunks[0].mins[0], store.chunks[0].maxs[0]) == (1, 39)
+        assert (store.chunks[-1].mins[0], store.chunks[-1].maxs[0]) \
+            == (36, 38)
+        assert [len(chunk) for chunk in store.chunks] == [4] * 9 + [3]
+        assert engine.index("t", "PRIMARY").lookup((39,)) == [0]
+        assert engine.index("t", "PRIMARY").lookup((0,)) == []
+
+    def test_row_level_update_patches_one_chunk(self):
+        engine = make_column_engine(batch_size=4)
+        engine.load_rows("t", [(i, i, float(i)) for i in range(40)])
+        engine.counters.reset()
+        engine.update_rows("t", [5], [(105, None, 5.0)])
+        assert engine.counters.chunks_patched == 1
+        chunk = engine.store("t").chunks[1]
+        assert (chunk.mins[0], chunk.maxs[0]) == (4, 105)
+        assert (chunk.mins[1], chunk.maxs[1]) == (4, 7)
+        assert chunk.null_count(1) == 1
+        # One entry out, one in, the row id unchanged.
+        assert engine.counters.index_entries_maintained == 2
+        assert engine.index("t", "PRIMARY").lookup((5,)) == []
+        assert engine.index("t", "PRIMARY").lookup((105,)) == [5]
+        # A write that leaves the key alone leaves the index alone.
+        engine.update_rows("t", [6], [(6, 60, 6.0)])
+        assert engine.counters.index_entries_maintained == 2
+
     def test_store_self_heals_on_heap_drift(self):
         engine = make_column_engine(batch_size=4)
         engine.load_rows("t", [(i, i, float(i)) for i in range(8)])
-        # Mutate the heap behind the store's back (as row-level DML
-        # paths that bypass load_rows/replace_rows would).
+        # Mutate the heap behind the store's back (bypassing
+        # load_rows/update_rows/delete_rows).
         engine.heap("t").rows.append((100, 100, 100.0))
         store = engine.store("t")
         assert store.row_count == 9
