@@ -30,7 +30,7 @@ PROBES = [
 
 def _estimation_error(db, use_histograms):
     estimator = SelectivityEstimator(db.catalog, use_histograms)
-    heap = db.storage.heap("lineitem").rows
+    heap = list(db.storage.store("lineitem").scan())
     total_error = 0.0
     for condition, truth in PROBES:
         stmt = parse_statement(

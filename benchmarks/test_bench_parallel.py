@@ -7,16 +7,13 @@ plans; recorded per query are the execute-stage medians per worker
 count, the speedup over serial, morsel counts, and a *bit-exact*
 result-identity check against the serial run.
 
-Two further context rows ride along: the zone-map chunk-skip rate on a
-selective clustered-range query, and a same-run serial comparison
-against a database loaded identically with the column store disabled
-(the legacy heap-transpose path — i.e. the pre-change baseline).
+One further context row rides along: the zone-map chunk-skip rate on a
+selective clustered-range query.
 
 Assertions are split by what they depend on:
 
 * correctness (bit-identical results at every worker count, zone maps
-  pruning chunks, serial parity with the heap baseline) is asserted
-  unconditionally;
+  pruning chunks) is asserted unconditionally;
 * the >=2x speedup gate at 4 workers needs >=4 usable cores — on
   smaller hosts the honest scaling curve is still recorded in the
   artifact (with the core count), but the gate is skipped.
@@ -37,8 +34,7 @@ WORKER_COUNTS = (1, 2, 4, 8)
 
 #: Morsel size for the scaling runs: small enough that even the 0.25
 #: smoke scale splits lineitem into dozens of morsels (load balancing
-#: needs many more work units than workers).  The heap baseline uses
-#: the same size so the serial-parity comparison is like-for-like.
+#: needs many more work units than workers).
 BATCH_SIZE = 256
 
 #: TPC-H dates are uniform random per order, so date predicates cannot
@@ -65,11 +61,6 @@ def test_bench_parallel():
                                  orca_search="EXHAUSTIVE2",
                                  batch_size=BATCH_SIZE))
     load_tpch(db, scale=SCALE)
-    heap_db = Database(DatabaseConfig(complex_query_threshold=3,
-                                      orca_search="EXHAUSTIVE2",
-                                      batch_size=BATCH_SIZE,
-                                      columnstore_enabled=False))
-    load_tpch(heap_db, scale=SCALE)
 
     max_key = db.execute("SELECT MAX(l_orderkey) FROM lineitem")[0][0]
     zone_query = ZONE_QUERY_TEMPLATE.format(cutoff=int(max_key * 0.7))
@@ -81,7 +72,6 @@ def test_bench_parallel():
         worker_counts=list(WORKER_COUNTS),
         optimizer="orca",
         zone_query=zone_query,
-        baseline_db=heap_db,
         emit_json=str(path),
     )
     write_report("BENCH_parallel.txt", format_parallel_report(payload))
@@ -104,19 +94,6 @@ def test_bench_parallel():
     # Zone maps prune chunks on the selective clustered-range query.
     zone = recorded["zone_map"]
     assert zone is not None and zone["chunks_skipped"] > 0, zone
-
-    # Serial parity: the columnar scan path must not cost more than a
-    # sliver over the legacy heap path at workers=1 (it avoids the
-    # per-batch transposition, so it is usually *faster*).  Median over
-    # the suite to keep single-query scheduler noise out of the gate.
-    ratios = sorted(row["serial_vs_baseline"]
-                    for row in queries.values())
-    mid = len(ratios) // 2
-    suite_ratio = ratios[mid] if len(ratios) % 2 else \
-        0.5 * (ratios[mid - 1] + ratios[mid])
-    assert suite_ratio <= 1.05, (
-        f"serial columnstore path regressed {suite_ratio:.3f}x "
-        f"vs heap baseline: {ratios}")
 
     # Speedup gate — only meaningful with real cores to scale onto.
     cores = recorded["host_cores"]

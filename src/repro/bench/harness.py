@@ -553,7 +553,6 @@ def run_parallel_scaling(db: Database, queries: Dict[int, str],
                          samples: int = 5,
                          optimizer: str = "orca",
                          zone_query: Optional[str] = None,
-                         baseline_db: Optional[Database] = None,
                          progress: Optional[Callable[[str], None]] = None,
                          emit_json: Optional[str] = None) -> dict:
     """Morsel-parallel scaling curve over one workload.
@@ -566,10 +565,7 @@ def run_parallel_scaling(db: Database, queries: Dict[int, str],
     run at the highest worker count.
 
     ``zone_query`` (optional) is a selective query run once to record
-    the zone-map chunk-skip rate.  ``baseline_db`` (optional) is a
-    database loaded identically but with ``columnstore_enabled=False``
-    — its serial batch medians quantify what the columnar mirror itself
-    costs or saves against the legacy heap-transpose scan path.
+    the zone-map chunk-skip rate.
 
     The host's usable core count is recorded; a speedup gate should be
     conditioned on it (a single-core container cannot show one).
@@ -609,26 +605,12 @@ def run_parallel_scaling(db: Database, queries: Dict[int, str],
         speedups = {
             key: (serial_median / value if value > 0 else 1.0)
             for key, value in medians.items()}
-        entry = {
+        per_query[str(number)] = {
             "execute_median_seconds": medians,
             "speedup_vs_serial": speedups,
             "results_identical": identical,
             "morsels_at_max_workers": morsels,
         }
-        if baseline_db is not None:
-            baseline_db.run(sql, optimizer=optimizer,
-                            executor_mode="batch")  # prime
-            times = []
-            for __ in range(samples):
-                run = baseline_db.run(sql, optimizer=optimizer,
-                                      executor_mode="batch")
-                times.append(run.execute_seconds)
-            baseline_median = _median(times)
-            entry["heap_baseline_median_seconds"] = baseline_median
-            entry["serial_vs_baseline"] = (
-                serial_median / baseline_median
-                if baseline_median > 0 else 1.0)
-        per_query[str(number)] = entry
         if progress is not None:
             curve = " ".join(
                 f"{key}w={value * 1000:.1f}ms"

@@ -330,7 +330,7 @@ def format_parallel_report(payload: Dict[str, object]) -> str:
         header += f" {f'{workers}w exec(ms)':>12} |"
     for workers in counts[1:]:
         header += f" {f'x{workers}w':>6} |"
-    header += f" {'morsels':>7} | {'vs heap':>7}"
+    header += f" {'morsels':>7}"
     lines = [title, "=" * len(title), header]
     queries: Dict[str, Dict[str, object]] = payload["queries"]
     for number in sorted(queries, key=int):
@@ -341,22 +341,16 @@ def format_parallel_report(payload: Dict[str, object]) -> str:
             line += f" {value * 1000:>12.2f} |"
         for workers in counts[1:]:
             line += f" {row['speedup_vs_serial'][str(workers)]:>6.2f} |"
-        baseline = row.get("serial_vs_baseline")
-        line += f" {row['morsels_at_max_workers']:>7} |"
-        line += f" {baseline:>7.2f}" if baseline is not None \
-            else f" {'-':>7}"
+        line += f" {row['morsels_at_max_workers']:>7}"
         if not row["results_identical"]:
             line += "  RESULTS DIFFER"
         lines.append(line)
     zone = payload.get("zone_map")
-    lines.append("")
     if zone is not None:
+        lines.append("")
         lines.append(f"zone maps: {zone['chunks_skipped']} chunks "
                      f"skipped on `{zone['sql']}` "
                      f"({zone['rows_returned']} rows returned)")
-    lines.append("'vs heap' = serial columnstore median / legacy "
-                 "heap-scan median (same data, columnstore disabled); "
-                 "< 1.00 means the columnar path is faster.")
     return "\n".join(lines)
 
 

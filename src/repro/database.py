@@ -244,13 +244,9 @@ class DatabaseConfig:
     advisor_auto_analyze: bool = False
     #: Statements between auto-apply sweeps.
     advisor_interval_statements: int = 32
-    #: Rows per batch-engine RowBatch *and* per column-store chunk (one
-    #: chunk is one morsel, so this is also the morsel size).
+    #: Rows per batch-engine RowBatch *and* per table chunk (one chunk
+    #: is one morsel, so this is also the morsel size).
     batch_size: int = 1024
-    #: Maintain the native columnar mirror (per-column arrays + zone
-    #: maps) alongside the row heap.  Off = the legacy heap-transpose
-    #: scan path, kept as a same-run baseline for benchmarks.
-    columnstore_enabled: bool = True
     #: Default worker count for morsel-driven parallel execution; 1 =
     #: serial.  Per-statement override: ``run(sql, executor_workers=N)``.
     executor_workers: int = 1
@@ -412,8 +408,7 @@ class Database:
         self.config = config or DatabaseConfig()
         self.catalog = Catalog()
         self.storage = StorageEngine(
-            self.catalog, batch_size=self.config.batch_size,
-            columnstore_enabled=self.config.columnstore_enabled)
+            self.catalog, batch_size=self.config.batch_size)
         #: Process-wide counters / gauges / histograms; always on (a
         #: counter bump per statement costs nothing measurable).
         self.metrics = MetricsRegistry()
@@ -683,7 +678,7 @@ class Database:
             work = {name: count - before[name]
                     for name, count in counters.snapshot().items()}
             span.set(rows=affected)
-            # How the statement found its rows: a heap scan for the
+            # How the statement found its rows: a table scan for the
             # victims, else index lookups (victims, unique-key probes);
             # absent when it read nothing (an append with no unique key).
             if work["rows_scanned"]:

@@ -11,18 +11,18 @@ Every statement runs in three steps:
 1. **Locate.**  UPDATE/DELETE find their victims through an index when
    the WHERE conjuncts put literals on a leading prefix of one
    (equalities, then at most one range) and re-check the whole WHERE on
-   those candidates only; otherwise one predicate scan of the heap.
+   those candidates only; otherwise one predicate scan of the table.
 2. **Validate.**  Every new row is evaluated, coerced and checked — NOT
    NULL on every column (listed or omitted), unique keys against the
    table *and* against the statement's other rows — before the first
-   write, so a failing statement leaves heap, indexes and column store
-   untouched.
+   write, so a failing statement leaves table and indexes untouched.
 3. **Apply.**  One call to ``StorageEngine.load_rows`` / ``update_rows``
-   / ``delete_rows``, which keeps heap, indexes and column store in
-   step (see ``repro.storage.engine``) and bumps the catalog version
-   once.  Rows keep their heap positions across UPDATE; DELETE moves
-   the last row into each hole, so heap scan order after a DELETE is
-   not insertion order (no order was ever promised without ORDER BY).
+   / ``delete_rows``, which keeps the table and its indexes in step
+   (see ``repro.storage.engine``) and bumps the catalog version once —
+   unless no row changed, which leaves cached plans valid.  Rows keep
+   their row ids across UPDATE; DELETE moves the last row into each
+   hole, so scan order after a DELETE is not insertion order (no order
+   was ever promised without ORDER BY).
 
 Statistics are not maintained incrementally; run ``Database.analyze()``
 after bulk changes, as with MySQL's ANALYZE TABLE.
@@ -147,23 +147,22 @@ def _index_access(schema: TableSchema, where: ast.Expr
 
 def _locate(storage, schema: TableSchema,
             where: Optional[ast.Expr]) -> List[int]:
-    """Heap positions of the rows ``where`` selects, ascending."""
-    rows = storage.heap(schema.name).rows
+    """Row ids of the rows ``where`` selects, ascending."""
+    table = storage.store(schema.name)
     if where is None:
-        storage.counters.rows_scanned += len(rows)
-        return list(range(len(rows)))
+        storage.counters.rows_scanned += table.row_count
+        return list(range(table.row_count))
     where = _bind_to_table(where, schema)
     predicate = ExpressionCompiler().compile(where)
     access = _index_access(schema, where)
     if access is None:
-        storage.counters.rows_scanned += len(rows)
-        candidates = range(len(rows))
-    else:
-        index_name, bounds = access
-        candidates = sorted(storage.index_range_row_ids(
-            schema.name, index_name, *bounds))
-    return [row_id for row_id in candidates
-            if is_true(predicate([rows[row_id]]))]
+        storage.counters.rows_scanned += table.row_count
+        return [row_id for row_id, row in enumerate(table.scan())
+                if is_true(predicate([row]))]
+    index_name, bounds = access
+    return [row_id for row_id in sorted(storage.index_range_row_ids(
+                schema.name, index_name, *bounds))
+            if is_true(predicate([table.fetch(row_id)]))]
 
 
 # -- unique keys -----------------------------------------------------------------
@@ -175,7 +174,7 @@ def _check_unique(storage, schema: TableSchema, row_ids: Sequence[int],
     """Raise when applying the statement would leave two rows sharing a
     non-NULL key of a unique index.
 
-    ``old_rows[i]`` is the row ``new_rows[i]`` replaces at heap position
+    ``old_rows[i]`` is the row ``new_rows[i]`` replaces at row id
     ``row_ids[i]`` (INSERT passes no ids and None for every old row).
     A new key may collide with nothing the statement leaves in place:
     not with another new row, not with a stored row the statement does
@@ -255,8 +254,8 @@ def execute_update(storage, stmt: ast.UpdateStmt) -> int:
                  _compile(expr, schema))
                 for name, expr in stmt.assignments]
     row_ids = _locate(storage, schema, stmt.where)
-    heap_rows = storage.heap(stmt.table).rows
-    old_rows = [heap_rows[row_id] for row_id in row_ids]
+    fetch = storage.store(stmt.table).fetch
+    old_rows = [fetch(row_id) for row_id in row_ids]
     new_rows: List[tuple] = []
     for row in old_rows:
         values = list(row)

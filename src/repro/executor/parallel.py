@@ -219,15 +219,12 @@ class ParallelContext:
         """Zone-skip and morsel-plan one leaf scan.
 
         Returns ``(store, surviving_chunk_indexes)`` or None when the
-        scan cannot run parallel (no column store, chunking misaligned
-        with the batch size, or the table is too small to be worth a
-        pool).  Charges the storage counters for *every* chunk here —
-        including skipped ones — exactly as the serial scan does.
+        table is too small to be worth a pool.  Charges the storage
+        counters for *every* chunk here — including skipped ones —
+        exactly as the serial scan does.
         """
         storage = runtime.storage
         store = storage.store(scan.table_name)
-        if store is None or store.chunk_size != runtime.batch_size:
-            return None
         if store.row_count < self.min_table_rows \
                 or len(store.chunks) < 2:
             return None

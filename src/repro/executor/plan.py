@@ -56,15 +56,12 @@ class ExecutionRuntime:
     """Per-execution state shared across the whole plan tree."""
 
     def __init__(self, storage, context_size: int, governor=None,
-                 injector=None, batch_size: Optional[int] = None,
-                 parallel=None) -> None:
+                 injector=None, parallel=None) -> None:
         self.storage = storage
-        #: Rows per batch for this execution (``DatabaseConfig.batch_size``
-        #: through the facade; falls back to the storage engine's chunk
-        #: size so batches stay aligned with column-store chunks).
-        if batch_size is None:
-            batch_size = getattr(storage, "batch_size", None) or BATCH_SIZE
-        self.batch_size = batch_size
+        #: Rows per batch for this execution: the storage engine's chunk
+        #: size (``DatabaseConfig.batch_size`` through the facade), so
+        #: one table chunk is one batch.
+        self.batch_size = getattr(storage, "batch_size", BATCH_SIZE)
         #: Morsel-parallel execution context
         #: (:class:`repro.executor.parallel.ParallelContext`) or None for
         #: serial execution — the default and the only mode the row
@@ -398,7 +395,7 @@ class TableScanNode(_LeafNode):
                 yield from batches
                 return
         chunks = runtime.storage.table_scan_batches(
-            self.table_name, runtime.batch_size, predicates)
+            self.table_name, predicates)
         yield from _leaf_batches(self, runtime, chunks)
 
     def label(self) -> str:

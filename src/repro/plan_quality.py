@@ -16,7 +16,7 @@ actual)`` pairs from the always-on counters the executor maintains
 * a bounded-LRU :class:`MisestimationLedger` keyed like the plan cache,
   tracking breach streaks per statement and deciding when a cached plan
   has earned invalidation (K consecutive executions above threshold);
-* a per-table staleness estimate comparing live heap cardinality with
+* a per-table staleness estimate comparing live table cardinality with
   ANALYZE-time statistics, feeding a re-ANALYZE recommendation list.
 
 The Database facade wires these into ``planq.*`` metrics, the
@@ -353,7 +353,7 @@ class TableStaleness:
     stats_rows: int
     live_rows: int
     #: ``|live - stats| / max(1, stats)`` — 0.0 means statistics match
-    #: the heap exactly.
+    #: the table exactly.
     staleness: float
     recommend_analyze: bool
 
@@ -373,13 +373,13 @@ def stats_staleness(catalog, storage,
     """Per-table staleness, worst first.
 
     A table earns a re-ANALYZE recommendation when it holds rows but was
-    never analyzed, or when its live heap cardinality has drifted from
+    never analyzed, or when its live cardinality has drifted from
     the ANALYZE-time row count by more than ``threshold`` (fractional).
     """
     report: List[TableStaleness] = []
     for schema in catalog.tables():
         statistics = catalog.statistics(schema.name)
-        live = storage.heap(schema.name).row_count
+        live = storage.store(schema.name).row_count
         known = statistics.row_count
         analyzed = statistics.analyzed
         if analyzed:

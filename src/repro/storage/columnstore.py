@@ -1,13 +1,11 @@
-"""Native columnar table representation with per-chunk zone maps.
+"""The table: rows held once, as fixed-size chunks with zone maps.
 
-The heap (:class:`repro.storage.table.HeapTable`) remains the source of
-truth for row storage — DML edits it row by row, indexes point into it —
-but the batch engine used to re-chunk ``heap.rows`` with a fresh list
-slice on every scan.  The :class:`ColumnStore` keeps the same rows
-*pre-chunked* into fixed-size :class:`ColumnChunk` units of
-``chunk_size`` rows (the executor's batch size), so a batched scan hands
-each chunk's row list to a ``RowBatch`` with zero copying, plus a native
-per-column decomposition of every chunk:
+A :class:`ColumnStore` owns one table's schema and rows and is the only
+container that holds them (it stands in for InnoDB's clustered storage).
+Rows sit in :class:`ColumnChunk` units of ``chunk_size`` rows — the
+executor's batch size, so a batched scan hands a chunk's row list to a
+``RowBatch`` with zero copying and one chunk is one parallel morsel —
+and every chunk carries a per-column decomposition of its rows:
 
 * ``columns[i]`` — the chunk's values for column *i* as a plain list
   (what ANALYZE reads, column at a time, without gathering);
@@ -15,18 +13,19 @@ per-column decomposition of every chunk:
 * ``mins[i]`` / ``maxs[i]`` — the zone map: min/max over the chunk's
   non-NULL values, ``None`` when the chunk has no non-NULL value.
 
-Sync contract: chunk *i* is heap rows ``[i * chunk_size, (i + 1) *
-chunk_size)`` and every chunk but the last is full.  Inserts append
-(min/max only widen); UPDATE overwrites one slot (:meth:`ColumnStore
-.set_row`); DELETE follows the heap's move-last-into-the-hole
-(``set_row`` on the victim's slot, then :meth:`ColumnStore.pop_row`), so
-a single-row write touches at most two chunks.  Zone maps of touched
-chunks stay *exact* — a column is rescanned only when the value that
-left was its min or max and no equal value remains — so ``can_skip``
-answers what a fresh :meth:`ColumnStore.rebuild` would.  Only a store
-that drifted from its heap (rows inserted behind the engine's back)
-is rebuilt chunk by chunk; ANALYZE recomputes all zone maps
-(``rebuild_zone_maps``).
+A row id is a dense global position: row ``r`` is
+``chunks[r // chunk_size].rows[r % chunk_size]``, chunk *i* holds ids
+``[i * chunk_size, (i + 1) * chunk_size)`` and every chunk but the last
+is full.  Inserts append (min/max only widen); UPDATE overwrites one
+slot (:meth:`ColumnStore.set_row`); DELETE moves the last row into the
+freed slot (:meth:`ColumnStore.remove`), so exactly one other row id
+changes, none are renumbered, and a single-row write touches at most
+two chunks.  Scan order is therefore insertion order only until the
+first DELETE — no order was ever promised without ORDER BY.  Zone maps
+of touched chunks stay *exact* — a column is rescanned only when the
+value that left was its min or max and no equal value remains — so
+``can_skip`` answers what a table rebuilt from the same rows would;
+ANALYZE recomputes all zone maps (``rebuild_zone_maps``).
 
 Chunk skipping: scans pass a list of *zone predicates* — pre-extracted
 ``(kind, position, ...)`` tuples derived from a scan's filter conjuncts
@@ -40,6 +39,11 @@ filter), and any type error during the range test keeps the chunk.
 from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
+
+from repro.catalog.schema import TableSchema
+from repro.errors import StorageError
+
+Row = Tuple
 
 #: Default rows per chunk; mirrors the executor's default batch size so
 #: one chunk becomes exactly one RowBatch (and one parallel morsel).
@@ -231,21 +235,20 @@ class ColumnChunk:
 
 
 class ColumnStore:
-    """All of one table's chunks, aligned with its heap's row order.
+    """One table: its schema and all of its rows, in chunks.
 
-    Chunk *i* holds heap rows ``[i * chunk_size, (i + 1) * chunk_size)``
-    in heap order, so a chunked scan visits exactly the rows a heap
-    scan would, in the same order.
+    Indexes, DML, ANALYZE and every scan read this one structure; see
+    the module docstring for the row-id and chunk layout.
     """
 
-    __slots__ = ("chunk_size", "n_columns", "chunks")
+    __slots__ = ("schema", "chunk_size", "chunks")
 
-    def __init__(self, n_columns: int,
+    def __init__(self, schema: TableSchema,
                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        self.schema = schema
         self.chunk_size = chunk_size
-        self.n_columns = n_columns
         self.chunks: List[ColumnChunk] = []
 
     @property
@@ -255,47 +258,70 @@ class ColumnStore:
         return (self.chunk_size * (len(self.chunks) - 1)
                 + len(self.chunks[-1]))
 
-    def append_rows(self, rows: Sequence[tuple]) -> None:
-        """Append rows, filling the last partial chunk first."""
+    def fetch(self, row_id: int) -> Row:
+        return self.chunks[row_id // self.chunk_size].rows[
+            row_id % self.chunk_size]
+
+    def scan(self) -> Iterator[Row]:
+        """Every row, in row-id order."""
+        for chunk in self.chunks:
+            yield from chunk.rows
+
+    def append_rows(self, rows: Sequence[Sequence]) -> List[Row]:
+        """Append rows, all or none (every width is checked first),
+        filling the last partial chunk before opening a new one.
+        Returns the stored tuples; the first one's row id is the row
+        count before the call."""
+        width = len(self.schema.columns)
+        staged = [tuple(row) for row in rows]
+        for row in staged:
+            if len(row) != width:
+                raise StorageError(
+                    f"row width {len(row)} != {width} "
+                    f"for table {self.schema.name!r}")
         size = self.chunk_size
         chunks = self.chunks
         chunk = chunks[-1] if chunks and len(chunks[-1]) < size else None
-        for row in rows:
+        for row in staged:
             if chunk is None or len(chunk) >= size:
-                chunk = ColumnChunk(self.n_columns)
+                chunk = ColumnChunk(width)
                 chunks.append(chunk)
             chunk.append(row)
+        return staged
 
-    def set_row(self, row_id: int, row: tuple) -> None:
-        """Overwrite heap row ``row_id`` in its chunk."""
+    def set_row(self, row_id: int, row: Row) -> None:
+        """Overwrite row ``row_id`` in its chunk."""
         self.chunks[row_id // self.chunk_size].set_row(
             row_id % self.chunk_size, row)
 
-    def pop_row(self) -> None:
-        """Drop the last heap row (and its chunk, once empty)."""
-        chunk = self.chunks[-1]
-        chunk.pop()
-        if not chunk.rows:
+    def remove(self, row_id: int) -> Optional[Row]:
+        """Delete row ``row_id`` by moving the last row into its slot;
+        returns the moved row (now stored at ``row_id``), or None when
+        the victim was the last row and nothing moved."""
+        last = self.chunks[-1]
+        moved = None
+        if row_id != self.row_count - 1:
+            moved = last.rows[-1]
+            self.set_row(row_id, moved)
+        last.pop()
+        if not last.rows:
             self.chunks.pop()
-
-    def rebuild(self, rows: Sequence[tuple]) -> None:
-        """Replace the store's contents with ``rows``, re-chunked."""
-        self.chunks = []
-        self.append_rows(rows)
+        return moved
 
     def rebuild_zone_maps(self) -> None:
         for chunk in self.chunks:
             chunk.rebuild_zone_maps()
 
-    def column_values(self, position: int) -> Iterator:
+    def column_values(self, column_name: str) -> Iterator:
         """All values of one column, chunk by chunk, without a gather
-        copy — the iterator-friendly ANALYZE path."""
+        copy — ANALYZE consumes each column in a single pass."""
+        position = self.schema.column_position(column_name)
         for chunk in self.chunks:
             yield from chunk.columns[position]
 
     def scan_chunks(self, predicates: Optional[Sequence[tuple]] = None
-                    ) -> Iterator[Tuple[List[tuple], bool]]:
-        """Yield ``(chunk_rows, skipped)`` per chunk, in heap order.
+                    ) -> Iterator[Tuple[List[Row], bool]]:
+        """Yield ``(chunk_rows, skipped)`` per chunk, in row-id order.
 
         A skipped chunk's rows are still yielded (the caller charges
         ``rows_scanned`` for them to keep row/batch counter parity) but

@@ -8,16 +8,19 @@ diagnosis in tests deterministic.
 Write contract.  Every write goes through :meth:`StorageEngine.load_rows`
 (append), :meth:`~StorageEngine.update_rows` (overwrite in place) or
 :meth:`~StorageEngine.delete_rows` (move the last row into the hole),
-and each keeps three structures in step: the heap, every index of the
-table, and the column store.  Writes are row-level — per index one bisect and
-a C-level list shift, per touched chunk an exact zone-map patch — so a
-statement costs O(rows changed * log N) whatever the table holds, and
-delete-all or a table-wide UPDATE take the same path as a point write.
+and each keeps two structures in step: the table
+(:class:`repro.storage.columnstore.ColumnStore`, the one container that
+holds the rows) and every index of the table.  Writes are row-level —
+per index one bisect and a C-level list shift, per touched chunk an
+exact zone-map patch — so a statement costs O(rows changed * log N)
+whatever the table holds, and delete-all or a table-wide UPDATE take
+the same path as a point write.
 The one exception is an append that is large against what the indexes
 already hold (:data:`BULK_LOAD_DIVISOR`, judged from the row counts
 ``load_rows`` can see): it re-sorts each index once, which leaves the
 same entries.  Callers validate before they call: these methods cannot
-fail half-way.
+fail half-way.  A call that changes no row leaves the catalog version —
+and so every cached plan — alone.
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Index, TableSchema
 from repro.catalog.statistics import ColumnStatistics, TableStatistics
 from repro.errors import StorageError
-from repro.storage.columnstore import DEFAULT_CHUNK_SIZE, ColumnStore
+from repro.storage.columnstore import DEFAULT_CHUNK_SIZE, ColumnStore, Row
 from repro.storage.index import OrderedIndex
-from repro.storage.table import HeapTable, Row
 
 #: Rows per page used when converting row counts to page counts.
 ROWS_PER_PAGE = 64
@@ -68,8 +70,8 @@ class AccessCounters:
     #: maps with the same predicates.
     chunks_skipped: int = 0
     #: Write-side work: rows inserted, overwritten or deleted; index
-    #: entries written, removed or re-pointed; column-store chunks
-    #: edited.  A bulk load charges every entry it re-sorted.
+    #: entries written, removed or re-pointed; table chunks edited.  A
+    #: bulk load charges every entry it re-sorted.
     rows_changed: int = 0
     index_entries_maintained: int = 0
     chunks_patched: int = 0
@@ -83,28 +85,22 @@ class AccessCounters:
 
 
 class StorageEngine:
-    """Owns every heap table and index, keyed by lower-cased table name."""
+    """Owns every table and index, keyed by lower-cased table name."""
 
     def __init__(self, catalog: Catalog,
                  lookup_penalty: int = LOOKUP_PENALTY_LOOPS,
-                 batch_size: int = DEFAULT_CHUNK_SIZE,
-                 columnstore_enabled: bool = True) -> None:
+                 batch_size: int = DEFAULT_CHUNK_SIZE) -> None:
         if batch_size < 1:
             raise StorageError("batch_size must be >= 1")
         self.catalog = catalog
-        self._heaps: Dict[str, HeapTable] = {}
-        self._indexes: Dict[str, Dict[str, OrderedIndex]] = {}
-        #: Per-table chunked columnar mirrors of the heaps (zone maps,
-        #: zero-transposition batched scans); absent entirely when the
-        #: column store is disabled.
         self._stores: Dict[str, ColumnStore] = {}
+        self._indexes: Dict[str, Dict[str, OrderedIndex]] = {}
         self.counters = AccessCounters()
         #: Busy-loop iterations simulating one random B-tree descent.
         self.lookup_penalty = lookup_penalty
-        #: Rows per column-store chunk == the executor's batch size, so
-        #: one chunk is exactly one RowBatch (and one parallel morsel).
+        #: Rows per table chunk == the executor's batch size, so one
+        #: chunk is exactly one RowBatch (and one parallel morsel).
         self.batch_size = batch_size
-        self.columnstore_enabled = columnstore_enabled
 
     def _charge_lookup(self) -> None:
         for __ in range(self.lookup_penalty):
@@ -115,20 +111,17 @@ class StorageEngine:
     def create_table(self, schema: TableSchema) -> None:
         self.catalog.create_table(schema)
         key = schema.name.lower()
-        heap = HeapTable(schema)
-        self._heaps[key] = heap
+        store = ColumnStore(schema, self.batch_size)
+        self._stores[key] = store
         self._indexes[key] = {
-            index.name: OrderedIndex(index, heap) for index in schema.indexes}
-        if self.columnstore_enabled:
-            self._stores[key] = ColumnStore(len(schema.columns),
-                                            self.batch_size)
+            index.name: OrderedIndex(index, store)
+            for index in schema.indexes}
 
     def drop_table(self, name: str) -> None:
         self.catalog.drop_table(name)
         key = name.lower()
-        self._heaps.pop(key, None)
-        self._indexes.pop(key, None)
         self._stores.pop(key, None)
+        self._indexes.pop(key, None)
 
     # -- DML ------------------------------------------------------------------
 
@@ -138,19 +131,15 @@ class StorageEngine:
         Bumps the catalog version: cached plans were costed against the
         old row counts, so INSERT (and bulk loads) invalidate them.
         """
-        heap = self.heap(table_name)
         store = self.store(table_name)
-        before = len(heap.rows)
-        heap.insert_many(rows)
-        added = heap.rows[before:]
+        before = store.row_count
+        added = store.append_rows(rows)
+        if not added:
+            return
         counters = self.counters
         counters.rows_changed += len(added)
-        if store is not None and added:
-            # Incremental zone-map maintenance: append exactly the rows
-            # the heap accepted (insert_many validated each width).
-            store.append_rows(added)
-            counters.chunks_patched += (
-                len(store.chunks) - before // store.chunk_size)
+        counters.chunks_patched += (
+            len(store.chunks) - before // store.chunk_size)
         bulk = len(added) * BULK_LOAD_DIVISOR >= before
         for index in self._indexes[table_name.lower()].values():
             if bulk:
@@ -164,71 +153,68 @@ class StorageEngine:
 
     def update_rows(self, table_name: str, row_ids: Sequence[int],
                     new_rows: Sequence[Row]) -> None:
-        """Overwrite heap row ``row_ids[i]`` with ``new_rows[i]``.
+        """Overwrite row ``row_ids[i]`` with ``new_rows[i]``.
 
         Only indexes whose key actually changes are touched.  Bumps the
         catalog version (once) so cached statement plans invalidate.
         """
-        heap = self.heap(table_name)
+        if not row_ids:
+            return
         store = self.store(table_name)
         indexes = self._indexes[table_name.lower()].values()
         counters = self.counters
         counters.rows_changed += len(row_ids)
-        rows = heap.rows
         patched = set()
         for row_id, new in zip(row_ids, new_rows):
-            old = rows[row_id]
+            old = store.fetch(row_id)
             for index in indexes:
                 if index.key_of(old) != index.key_of(new):
                     counters.index_entries_maintained += (
                         index.remove_entry(old, row_id)
                         + index.insert_entry(new, row_id))
-            rows[row_id] = new
-            if store is not None:
-                store.set_row(row_id, new)
-                patched.add(row_id // store.chunk_size)
+            store.set_row(row_id, new)
+            patched.add(row_id // store.chunk_size)
         counters.chunks_patched += len(patched)
         self.catalog.bump_version()
 
     def delete_rows(self, table_name: str, row_ids: Sequence[int]) -> None:
-        """Delete the rows at ``row_ids`` (distinct heap positions).
+        """Delete the rows at ``row_ids`` (distinct row ids).
 
         Victims go in descending order and each hole is filled with the
-        heap's last row, so per victim only two rows' index entries and
-        at most two chunks change, no other row id moves, and the
-        column store keeps every chunk but the last full.  Bumps the
-        catalog version (once).
+        table's last row, so per victim only two rows' index entries and
+        at most two chunks change, no other row id moves, and every
+        chunk but the last stays full.  Bumps the catalog version
+        (once).
         """
-        heap = self.heap(table_name)
+        if not row_ids:
+            return
         store = self.store(table_name)
         indexes = self._indexes[table_name.lower()].values()
         counters = self.counters
         counters.rows_changed += len(row_ids)
         patched = set()
         for row_id in sorted(row_ids, reverse=True):
-            victim = heap.rows[row_id]
-            last_id = len(heap.rows) - 1
-            moved = heap.remove(row_id)
+            victim = store.fetch(row_id)
+            last_id = store.row_count - 1
+            moved = store.remove(row_id)
             for index in indexes:
                 counters.index_entries_maintained += \
                     index.remove_entry(victim, row_id)
                 if moved is not None:
                     counters.index_entries_maintained += \
                         index.repoint_entry(moved, last_id, row_id)
-            if store is not None:
-                if moved is not None:
-                    store.set_row(row_id, moved)
-                    patched.add(row_id // store.chunk_size)
-                store.pop_row()
-                patched.add(last_id // store.chunk_size)
+            if moved is not None:
+                patched.add(row_id // store.chunk_size)
+            patched.add(last_id // store.chunk_size)
         counters.chunks_patched += len(patched)
         self.catalog.bump_version()
 
     # -- access ---------------------------------------------------------------
 
-    def heap(self, table_name: str) -> HeapTable:
+    def store(self, table_name: str) -> ColumnStore:
+        """The table: schema plus rows (see ``repro.storage.columnstore``)."""
         try:
-            return self._heaps[table_name.lower()]
+            return self._stores[table_name.lower()]
         except KeyError:
             raise StorageError(f"no storage for table {table_name!r}") from None
 
@@ -240,22 +226,6 @@ class StorageEngine:
             raise StorageError(
                 f"no index {index_name!r} on table {table_name!r}") from None
 
-    def store(self, table_name: str) -> Optional[ColumnStore]:
-        """The table's column store, resynchronised with its heap.
-
-        Returns None when the column store is disabled.  A store that
-        drifted from the heap (rows inserted behind the engine's back,
-        e.g. straight onto ``heap.rows`` in a test) is rebuilt here, so
-        neither a scan nor a row-level write sees a stale chunking.
-        """
-        store = self._stores.get(table_name.lower())
-        if store is None:
-            return None
-        heap = self.heap(table_name)
-        if store.row_count != len(heap.rows):
-            store.rebuild(heap.rows)
-        return store
-
     def table_scan(self, table_name: str,
                    zone_predicates: Optional[Sequence[tuple]] = None
                    ) -> Iterator[Row]:
@@ -265,44 +235,32 @@ class StorageEngine:
         conjuncts) chunks whose zone maps prove no row can pass are
         skipped — still charged to ``rows_scanned`` (the logical scan
         covered them) plus one ``chunks_skipped``.  The row and batch
-        engines consult the same store with the same predicates, so
-        their counters stay identical.
+        engines walk the same chunks with the same predicates and
+        charge each chunk as it is reached, so their counters stay
+        identical.
         """
-        heap = self.heap(table_name)
-        counters = self.counters
-        if zone_predicates:
-            store = self.store(table_name)
-            if store is not None:
-                for chunk_rows, skipped in store.scan_chunks(
-                        zone_predicates):
-                    counters.rows_scanned += len(chunk_rows)
-                    if skipped:
-                        counters.chunks_skipped += 1
-                    else:
-                        yield from chunk_rows
-                return
-        for row in heap.rows:
-            counters.rows_scanned += 1
-            yield row
+        for chunk_rows in self.table_scan_batches(table_name,
+                                                  zone_predicates):
+            yield from chunk_rows
 
     def index_lookup_rows(self, table_name: str, index_name: str,
                           key: Tuple) -> List[Row]:
         """Fetch rows via an index point/prefix lookup."""
-        heap = self.heap(table_name)
+        fetch = self.store(table_name).fetch
         index = self.index(table_name, index_name)
         row_ids = index.lookup(key)
         self._charge_lookup()
         self.counters.index_lookups += 1
         self.counters.index_rows_read += len(row_ids)
-        return [heap.rows[row_id] for row_id in row_ids]
+        return [fetch(row_id) for row_id in row_ids]
 
     def index_range_row_ids(self, table_name: str, index_name: str,
                             low: Optional[Tuple], high: Optional[Tuple],
                             low_inclusive: bool = True,
                             high_inclusive: bool = True) -> List[int]:
-        """Heap positions of the rows an index range covers — what DML
-        needs to locate its victims and probe unique keys.  Charged
-        like the read paths: one lookup, one row read per entry."""
+        """Row ids of the rows an index range covers — what DML needs
+        to locate its victims and probe unique keys.  Charged like the
+        read paths: one lookup, one row read per entry."""
         row_ids = self.index(table_name, index_name).range_scan(
             low, high, low_inclusive, high_inclusive)
         self._charge_lookup()
@@ -314,66 +272,54 @@ class StorageEngine:
                          low: Optional[Tuple], high: Optional[Tuple],
                          low_inclusive: bool = True,
                          high_inclusive: bool = True) -> Iterator[Row]:
-        heap = self.heap(table_name)
+        fetch = self.store(table_name).fetch
         index = self.index(table_name, index_name)
         self._charge_lookup()
         self.counters.index_lookups += 1
         for row_id in index.range_scan(low, high, low_inclusive,
                                        high_inclusive):
             self.counters.index_rows_read += 1
-            yield heap.rows[row_id]
+            yield fetch(row_id)
 
     def index_ordered_rows(self, table_name: str, index_name: str,
                            descending: bool = False) -> Iterator[Row]:
         """Full ordered scan through an index (supplies sort order)."""
-        heap = self.heap(table_name)
+        fetch = self.store(table_name).fetch
         index = self.index(table_name, index_name)
         for row_id in index.ordered_row_ids(descending):
             self.counters.index_rows_read += 1
-            yield heap.rows[row_id]
+            yield fetch(row_id)
 
     # -- batched access ---------------------------------------------------------
     #
     # The batch executor's counterparts of the scans above.  Each charges
     # the same AccessCounters totals as its row-at-a-time twin when fully
     # consumed (one lookup per range start, one rows_scanned /
-    # index_rows_read per row); the only divergence is granularity — a
-    # chunk's rows are charged when the chunk is produced, so early
-    # termination (LIMIT) can over-charge by at most one batch.
+    # index_rows_read per row); the only divergence is granularity on
+    # the index paths — a batch's rows are charged before the batch is
+    # produced, so early termination (LIMIT) can over-charge by at most
+    # one batch.
 
-    def table_scan_batches(self, table_name: str, batch_size: int,
+    def table_scan_batches(self, table_name: str,
                            zone_predicates: Optional[Sequence[tuple]]
                            = None) -> Iterator[List[Row]]:
-        """Full scan emitting chunks of at most ``batch_size`` rows.
-
-        When the requested batch size matches the column store's chunk
-        size (always true through the Database, where both come from
-        ``config.batch_size``), chunks are the store's pre-built row
-        lists — zero slicing or transposition — and zone maps can skip
-        dead chunks (charged as in :meth:`table_scan`).
-        """
+        """Full scan emitting the table's chunks — its own row lists,
+        no slicing or transposition — minus those the zone maps prove
+        dead (charged as in :meth:`table_scan`)."""
         counters = self.counters
-        store = self.store(table_name)
-        if store is not None and store.chunk_size == batch_size:
-            for chunk_rows, skipped in store.scan_chunks(zone_predicates):
-                counters.rows_scanned += len(chunk_rows)
-                if skipped:
-                    counters.chunks_skipped += 1
-                else:
-                    yield chunk_rows
-            return
-        heap = self.heap(table_name)
-        rows = heap.rows
-        for start in range(0, len(rows), batch_size):
-            chunk = rows[start:start + batch_size]
-            counters.rows_scanned += len(chunk)
-            yield chunk
+        for chunk_rows, skipped in self.store(table_name).scan_chunks(
+                zone_predicates):
+            counters.rows_scanned += len(chunk_rows)
+            if skipped:
+                counters.chunks_skipped += 1
+            else:
+                yield chunk_rows
 
     def index_range_batches(self, table_name: str, index_name: str,
                             low: Optional[Tuple], high: Optional[Tuple],
                             low_inclusive: bool, high_inclusive: bool,
                             batch_size: int) -> Iterator[List[Row]]:
-        heap = self.heap(table_name)
+        fetch = self.store(table_name).fetch
         index = self.index(table_name, index_name)
         self._charge_lookup()
         self.counters.index_lookups += 1
@@ -382,7 +328,7 @@ class StorageEngine:
         for row_id in index.range_scan(low, high, low_inclusive,
                                        high_inclusive):
             counters.index_rows_read += 1
-            chunk.append(heap.rows[row_id])
+            chunk.append(fetch(row_id))
             if len(chunk) >= batch_size:
                 yield chunk
                 chunk = []
@@ -392,13 +338,13 @@ class StorageEngine:
     def index_ordered_batches(self, table_name: str, index_name: str,
                               descending: bool,
                               batch_size: int) -> Iterator[List[Row]]:
-        heap = self.heap(table_name)
+        fetch = self.store(table_name).fetch
         index = self.index(table_name, index_name)
         counters = self.counters
         chunk: List[Row] = []
         for row_id in index.ordered_row_ids(descending):
             counters.index_rows_read += 1
-            chunk.append(heap.rows[row_id])
+            chunk.append(fetch(row_id))
             if len(chunk) >= batch_size:
                 yield chunk
                 chunk = []
@@ -415,30 +361,18 @@ class StorageEngine:
         the restriction MySQL normally applies was lifted for the Orca
         integration (Section 5.5, lesson 5 of Section 7).
         """
-        heap = self.heap(table_name)
-        schema = heap.schema
-        unique_columns = schema.unique_columns()
-        statistics = TableStatistics(row_count=heap.row_count,
-                                     analyzed=True)
-        # One pass serves both consumers: statistics read each column
-        # through an iterator (the store's native column lists when
-        # available, a lazy per-row gather otherwise — never a second
-        # materialised copy), and the zone maps are rebuilt from the
-        # same store ANALYZE just walked.
         store = self.store(table_name)
+        schema = store.schema
+        unique_columns = schema.unique_columns()
+        statistics = TableStatistics(row_count=store.row_count,
+                                     analyzed=True)
         for column in schema.columns:
-            if store is not None:
-                values = store.column_values(
-                    schema.column_position(column.name))
-            else:
-                values = heap.column_values(column.name)
             statistics.columns[column.name] = ColumnStatistics.from_values(
-                values,
+                store.column_values(column.name),
                 unique=column.name in unique_columns,
                 with_histogram=with_histograms,
             )
-        if store is not None:
-            store.rebuild_zone_maps()
+        store.rebuild_zone_maps()
         self.catalog.set_statistics(table_name, statistics)
         return statistics
 
@@ -449,4 +383,4 @@ class StorageEngine:
     # -- cost-model inputs --------------------------------------------------------
 
     def page_count(self, table_name: str) -> int:
-        return max(1, self.heap(table_name).row_count // ROWS_PER_PAGE)
+        return max(1, self.store(table_name).row_count // ROWS_PER_PAGE)

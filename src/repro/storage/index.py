@@ -1,4 +1,4 @@
-"""Ordered indexes over heap tables.
+"""Ordered indexes over tables.
 
 An :class:`OrderedIndex` keeps ``(key, row_id)`` pairs sorted by key, which
 supports the three access patterns both optimizers care about:
@@ -18,7 +18,7 @@ it for a large append), while :meth:`~OrderedIndex.insert_entry` /
 :meth:`~OrderedIndex.remove_entry` / :meth:`~OrderedIndex.repoint_entry`
 bisect to one entry and shift the sorted lists in C (every INSERT,
 UPDATE and DELETE).  Both leave exactly the same ``(key, row_id)``
-sequence for the same heap.
+sequence for the same table.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import bisect
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Index
-from repro.storage.table import HeapTable
+from repro.storage.columnstore import ColumnStore
 
 
 class _AfterAll:
@@ -50,7 +50,7 @@ _AFTER = _AfterAll()
 class OrderedIndex:
     """A sorted (key, row_id) structure for one index definition."""
 
-    def __init__(self, definition: Index, table: HeapTable) -> None:
+    def __init__(self, definition: Index, table: ColumnStore) -> None:
         self.definition = definition
         self.table = table
         self._positions = [table.schema.column_position(name)
@@ -70,9 +70,9 @@ class OrderedIndex:
     # -- maintenance ---------------------------------------------------------
 
     def build(self) -> None:
-        """(Re)build the index from the current heap contents."""
+        """(Re)build the index from the table's current rows."""
         entries = []
-        for row_id, row in enumerate(self.table.rows):
+        for row_id, row in enumerate(self.table.scan()):
             key = self.key_of(row)
             if key is not None:
                 entries.append((key, row_id))
@@ -105,7 +105,7 @@ class OrderedIndex:
         return 1
 
     def repoint_entry(self, row: Sequence, old_id: int, new_id: int) -> int:
-        """``row`` moved from ``old_id`` to a lower ``new_id`` (the heap
+        """``row`` moved from ``old_id`` to a lower ``new_id`` (the table
         filled a deleted slot with its last row).
 
         The key is unchanged, so the entry only moves within its run of

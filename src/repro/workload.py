@@ -639,11 +639,11 @@ class Advisor:
         The probe reuses the existing MySQL cost model: today every
         execution filtering on the column pays a full table scan; with
         the index it would pay one B-tree lookup returning ``rows /
-        NDV`` matches.  Live heap cardinality (not possibly-stale
+        NDV`` matches.  Live table cardinality (not possibly-stale
         statistics) sizes the scan, so fast-growing tables rank
         realistically.
         """
-        rows = float(self.storage.heap(table).row_count)
+        rows = float(self.storage.store(table).row_count)
         if rows <= 0:
             return None
         ndv = self.catalog.statistics(table).ndv(column)

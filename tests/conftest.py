@@ -116,7 +116,7 @@ def brute_force(db, tables, predicate, project):
     """Reference evaluator: cartesian product + Python predicate."""
     import itertools
 
-    heaps = [db.storage.heap(t).rows for t in tables]
+    heaps = [list(db.storage.store(t).scan()) for t in tables]
     out = []
     for combo in itertools.product(*heaps):
         if predicate(*combo):

@@ -132,14 +132,14 @@ class TestDelete:
         # The row that filled the hole is found where it now lives.
         assert db.execute("SELECT id FROM accounts WHERE owner = 'cay'") \
             == [(3,)]
-        heap = db.storage.heap("accounts")
+        table = db.storage.store("accounts")
         for name in ("PRIMARY", "owner_idx"):
             index = db.storage.index("accounts", name)
             assert sorted(index.ordered_row_ids()) \
-                == list(range(len(heap.rows)))
-            assert [index.key_of(heap.rows[row_id])
+                == list(range(table.row_count))
+            assert [index.key_of(table.fetch(row_id))
                     for row_id in index.ordered_row_ids()] \
-                == sorted(index.key_of(row) for row in heap.rows)
+                == sorted(index.key_of(row) for row in table.scan())
 
     def test_delete_located_through_index_scans_nothing(self, db):
         db.load("accounts", [(100 + i, f"o{i}", 1.0, None)
@@ -226,6 +226,33 @@ class TestDmlRouting:
         with pytest.raises(ExecutionError):
             db.run("DELETE FROM accounts WHERE balance < "
                    "(SELECT AVG(balance) FROM accounts)")
+
+
+class TestNoOpDmlKeepsPlans:
+    """A statement that changes no row must not evict cached plans."""
+
+    @pytest.mark.parametrize("no_op", [
+        lambda db: db.run("DELETE FROM accounts WHERE id = 999999"),
+        lambda db: db.run("UPDATE accounts SET balance = 0 "
+                          "WHERE id = 999999"),
+        lambda db: db.load("accounts", []),
+    ], ids=["delete", "update", "empty_load"])
+    def test_zero_row_write_keeps_version_and_cached_plan(self, db, no_op):
+        sql = "SELECT owner FROM accounts WHERE balance > 50"
+        db.run(sql)
+        assert db.run(sql).plan_cache_hit
+        version = db.catalog.version
+        no_op(db)
+        assert db.catalog.version == version
+        assert db.run(sql).plan_cache_hit
+
+    def test_write_that_changes_a_row_still_invalidates(self, db):
+        sql = "SELECT owner FROM accounts WHERE balance > 50"
+        db.run(sql)
+        version = db.catalog.version
+        db.run("DELETE FROM accounts WHERE id = 1")
+        assert db.catalog.version == version + 1
+        assert not db.run(sql).plan_cache_hit
 
 
 class TestCostBasedRouting:

@@ -49,7 +49,7 @@ class TestWindowEdges:
             ORDER BY o_orderkey
             LIMIT 10""")
         totals = dict((o[0], o[3])
-                      for o in db.storage.heap("orders").rows)
+                      for o in db.storage.store("orders").scan())
         expected = 0.0
         for orderkey, running in rows:
             expected += totals[orderkey]

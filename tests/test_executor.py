@@ -65,9 +65,9 @@ class TestJoins:
             SELECT c_custkey, o_orderkey FROM customer
             LEFT JOIN orders ON c_custkey = o_custkey
                  AND o_totalprice > 9500""")
-        orders = mini_db.storage.heap("orders").rows
+        orders = list(mini_db.storage.store("orders").scan())
         expected = []
-        for c in mini_db.storage.heap("customer").rows:
+        for c in mini_db.storage.store("customer").scan():
             matches = [o for o in orders
                        if o[1] == c[0] and o[3] > 9500]
             if matches:
@@ -82,8 +82,8 @@ class TestJoins:
             WHERE EXISTS (SELECT * FROM orders
                           WHERE o_custkey = c_custkey
                             AND o_totalprice > 9000)""")
-        orders = mini_db.storage.heap("orders").rows
-        expected = [(c[0],) for c in mini_db.storage.heap("customer").rows
+        orders = list(mini_db.storage.store("orders").scan())
+        expected = [(c[0],) for c in mini_db.storage.store("customer").scan()
                     if any(o[1] == c[0] and o[3] > 9000 for o in orders)]
         assert sorted(rows) == sorted(expected)
 
@@ -92,8 +92,8 @@ class TestJoins:
             SELECT c_custkey FROM customer
             WHERE NOT EXISTS (SELECT * FROM orders
                               WHERE o_custkey = c_custkey)""")
-        orders = mini_db.storage.heap("orders").rows
-        expected = [(c[0],) for c in mini_db.storage.heap("customer").rows
+        orders = list(mini_db.storage.store("orders").scan())
+        expected = [(c[0],) for c in mini_db.storage.store("customer").scan()
                     if not any(o[1] == c[0] for o in orders)]
         assert sorted(rows) == sorted(expected)
 
@@ -129,7 +129,7 @@ class TestAggregation:
         rows = run_both(mini_db, """
             SELECT o_status, COUNT(*), SUM(o_totalprice)
             FROM orders GROUP BY o_status""")
-        heap = mini_db.storage.heap("orders").rows
+        heap = list(mini_db.storage.store("orders").scan())
         expected = {}
         for o in heap:
             entry = expected.setdefault(o[2], [0, 0.0])
@@ -156,7 +156,7 @@ class TestAggregation:
         rows = run_both(mini_db, """
             SELECT AVG(o_totalprice), MIN(o_totalprice),
                    MAX(o_totalprice) FROM orders""")
-        values = [o[3] for o in mini_db.storage.heap("orders").rows]
+        values = [o[3] for o in mini_db.storage.store("orders").scan()]
         assert rows[0][0] == pytest.approx(sum(values) / len(values))
         assert rows[0][1] == min(values)
         assert rows[0][2] == max(values)
@@ -164,7 +164,7 @@ class TestAggregation:
     def test_count_distinct(self, mini_db):
         rows = run_both(mini_db,
                         "SELECT COUNT(DISTINCT o_custkey) FROM orders")
-        distinct = {o[1] for o in mini_db.storage.heap("orders").rows}
+        distinct = {o[1] for o in mini_db.storage.store("orders").scan()}
         assert rows == [(len(distinct),)]
 
     def test_having(self, mini_db):
@@ -172,14 +172,14 @@ class TestAggregation:
             SELECT o_custkey, COUNT(*) AS cnt FROM orders
             GROUP BY o_custkey HAVING COUNT(*) >= 8""")
         counts = {}
-        for o in mini_db.storage.heap("orders").rows:
+        for o in mini_db.storage.store("orders").scan():
             counts[o[1]] = counts.get(o[1], 0) + 1
         expected = [(k, v) for k, v in counts.items() if v >= 8]
         assert sorted(rows) == sorted(expected)
 
     def test_stddev(self, mini_db):
         rows = run_both(mini_db, "SELECT STDDEV(o_totalprice) FROM orders")
-        values = [o[3] for o in mini_db.storage.heap("orders").rows]
+        values = [o[3] for o in mini_db.storage.store("orders").scan()]
         mean = sum(values) / len(values)
         variance = sum((v - mean) ** 2 for v in values) / len(values)
         assert rows[0][0] == pytest.approx(variance ** 0.5, rel=1e-6)
@@ -187,7 +187,7 @@ class TestAggregation:
     def test_expression_on_aggregate(self, mini_db):
         rows = run_both(mini_db, """
             SELECT SUM(o_totalprice) / COUNT(*) FROM orders""")
-        values = [o[3] for o in mini_db.storage.heap("orders").rows]
+        values = [o[3] for o in mini_db.storage.store("orders").scan()]
         assert rows[0][0] == pytest.approx(sum(values) / len(values))
 
 
@@ -197,7 +197,7 @@ class TestOrderingAndLimits:
             SELECT o_orderkey, o_totalprice FROM orders
             ORDER BY o_totalprice DESC LIMIT 5""")
         all_prices = sorted(
-            (o[3] for o in mini_db.storage.heap("orders").rows),
+            (o[3] for o in mini_db.storage.store("orders").scan()),
             reverse=True)
         assert [r[1] for r in rows] == all_prices[:5]
 
@@ -224,7 +224,7 @@ class TestOrderingAndLimits:
     def test_distinct(self, mini_db):
         rows = run_both(mini_db, "SELECT DISTINCT o_status FROM orders")
         assert len(rows) == len({o[2] for o in
-                                 mini_db.storage.heap("orders").rows})
+                                 list(mini_db.storage.store("orders").scan())})
 
 
 class TestSubqueriesAndSetOps:
@@ -232,7 +232,7 @@ class TestSubqueriesAndSetOps:
         rows = run_both(mini_db, """
             SELECT COUNT(*) FROM orders
             WHERE o_totalprice > (SELECT AVG(o_totalprice) FROM orders)""")
-        values = [o[3] for o in mini_db.storage.heap("orders").rows]
+        values = [o[3] for o in mini_db.storage.store("orders").scan()]
         avg = sum(values) / len(values)
         assert rows == [(sum(1 for v in values if v > avg),)]
 
@@ -242,8 +242,8 @@ class TestSubqueriesAndSetOps:
             WHERE p_partkey = l_partkey AND p_brand = 'Brand#1'
               AND l_quantity > (SELECT AVG(l_quantity) FROM lineitem
                                 WHERE l_partkey = p_partkey)""")
-        lines = mini_db.storage.heap("lineitem").rows
-        parts = {p[0] for p in mini_db.storage.heap("part").rows
+        lines = list(mini_db.storage.store("lineitem").scan())
+        parts = {p[0] for p in mini_db.storage.store("part").scan()
                  if p[1] == "Brand#1"}
         expected = 0
         for line in lines:
@@ -274,7 +274,7 @@ class TestSubqueriesAndSetOps:
                          FROM orders WHERE o_totalprice > 8000)
             SELECT b1.ck FROM big b1, big b2
             WHERE b1.ck = b2.ck AND b1.price < b2.price""")
-        big = [(o[1], o[3]) for o in mini_db.storage.heap("orders").rows
+        big = [(o[1], o[3]) for o in mini_db.storage.store("orders").scan()
                if o[3] > 8000]
         expected = [(a[0],) for a in big for b in big
                     if a[0] == b[0] and a[1] < b[1]]
@@ -287,7 +287,7 @@ class TestSubqueriesAndSetOps:
              FROM orders GROUP BY o_custkey) AS spend
             WHERE spend.total > 20000""")
         totals = {}
-        for o in mini_db.storage.heap("orders").rows:
+        for o in mini_db.storage.store("orders").scan():
             totals[o[1]] = totals.get(o[1], 0.0) + o[3]
         expected = [(k, pytest.approx(v)) for k, v in totals.items()
                     if v > 20000]
@@ -302,7 +302,7 @@ class TestWindowFunctions:
                    RANK() OVER (PARTITION BY o_status
                                 ORDER BY o_totalprice DESC) AS rk
             FROM orders""")
-        heap = mini_db.storage.heap("orders").rows
+        heap = list(mini_db.storage.store("orders").scan())
         for status, orderkey, rank in rows:
             prices = sorted((o[3] for o in heap if o[2] == status),
                             reverse=True)
@@ -327,7 +327,7 @@ class TestWindowFunctions:
                    (PARTITION BY o_status) AS total
             FROM orders""")
         totals = {}
-        for o in mini_db.storage.heap("orders").rows:
+        for o in mini_db.storage.store("orders").scan():
             totals[o[2]] = totals.get(o[2], 0.0) + o[3]
         for status, total in rows:
             assert total == pytest.approx(totals[status])

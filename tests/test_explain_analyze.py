@@ -43,7 +43,7 @@ class TestExplainAnalyze:
         text = db.explain_analyze("SELECT o_orderkey FROM orders",
                                   optimizer="mysql")
         counts = actual_rows(text)
-        assert db.storage.heap("orders").row_count in counts
+        assert db.storage.store("orders").row_count in counts
 
     def test_filter_reduces_actuals(self, db):
         text = db.explain_analyze(
@@ -52,7 +52,7 @@ class TestExplainAnalyze:
         lines = text.splitlines()
         scan_line = next(line for line in lines if "Table scan" in line)
         scanned = actual_rows(scan_line)[0]
-        truth = sum(1 for o in db.storage.heap("orders").rows
+        truth = sum(1 for o in db.storage.store("orders").scan()
                     if o[3] > 9000)
         assert scanned == truth
 
@@ -62,7 +62,7 @@ class TestExplainAnalyze:
             optimizer="mysql")
         agg_line = next(line for line in text.splitlines()
                         if "aggregate" in line.lower())
-        groups = len({o[2] for o in db.storage.heap("orders").rows})
+        groups = len({o[2] for o in db.storage.store("orders").scan()})
         assert actual_rows(agg_line)[0] == groups
 
     def test_subplan_instrumented(self, db):
@@ -89,7 +89,7 @@ class TestExplainAnalyze:
         match = re.search(r"rebinds=(\d+)", text)
         assert match is not None
         rebinds = int(match.group(1))
-        brand_parts = {p[0] for p in db.storage.heap("part").rows
+        brand_parts = {p[0] for p in db.storage.store("part").scan()
                        if p[1] == "Brand#1"}
         # One rebind per distinct correlated p_partkey, at most.
         assert 1 <= rebinds <= len(brand_parts)

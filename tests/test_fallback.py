@@ -138,4 +138,4 @@ class TestAccessCounters:
         db.storage.counters.reset()
         db.execute("SELECT COUNT(*) FROM orders", optimizer="mysql")
         assert db.storage.counters.rows_scanned == \
-            db.storage.heap("orders").row_count
+            db.storage.store("orders").row_count

@@ -117,4 +117,4 @@ class TestStatementResult:
 
     def test_execute_returns_rows(self, db):
         rows = db.execute("SELECT COUNT(*) FROM customer")
-        assert rows[0][0] == db.storage.heap("customer").row_count
+        assert rows[0][0] == db.storage.store("customer").row_count

@@ -43,7 +43,7 @@ class TestHistogramEstimation:
         estimator = SelectivityEstimator(db.catalog, use_histograms=True)
         block, conjunct = conjunct_for(db, "o_totalprice > 9000")
         sel = estimator.conjunct_selectivity(block, conjunct)
-        values = [o[3] for o in db.storage.heap("orders").rows]
+        values = [o[3] for o in db.storage.store("orders").scan()]
         actual = sum(1 for v in values if v > 9000) / len(values)
         assert sel == pytest.approx(actual, abs=0.08)
 
@@ -52,7 +52,7 @@ class TestHistogramEstimation:
         with_h = SelectivityEstimator(db.catalog, use_histograms=True)
         without_h = SelectivityEstimator(db.catalog, use_histograms=False)
         block, conjunct = conjunct_for(db, "o_totalprice > 9500")
-        values = [o[3] for o in db.storage.heap("orders").rows]
+        values = [o[3] for o in db.storage.store("orders").scan()]
         actual = sum(1 for v in values if v > 9500) / len(values)
         err_with = abs(with_h.conjunct_selectivity(block, conjunct)
                        - actual)
@@ -65,7 +65,7 @@ class TestHistogramEstimation:
         block, conjunct = conjunct_for(
             db, "o_totalprice BETWEEN 1000 AND 3000")
         sel = estimator.conjunct_selectivity(block, conjunct)
-        values = [o[3] for o in db.storage.heap("orders").rows]
+        values = [o[3] for o in db.storage.store("orders").scan()]
         actual = sum(1 for v in values if 1000 <= v <= 3000) / len(values)
         assert sel == pytest.approx(actual, abs=0.08)
 

@@ -1,4 +1,4 @@
-"""Tests for the storage engine: heaps, ordered indexes, access paths."""
+"""Tests for the storage engine: tables, ordered indexes, access paths."""
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,7 @@ def make_engine():
     return engine
 
 
-class TestHeap:
+class TestTable:
     def test_insert_and_scan(self):
         engine = make_engine()
         engine.load_rows("t", [(1, 10, 1.0), (2, 20, 2.0)])
@@ -44,7 +44,7 @@ class TestHeap:
     def test_unknown_table(self):
         engine = make_engine()
         with pytest.raises(StorageError):
-            engine.heap("nope")
+            engine.store("nope")
 
 
 class TestIndexLookup:
@@ -167,10 +167,9 @@ class TestAnalyze:
 # -- native column store ----------------------------------------------------------
 
 
-def make_column_engine(batch_size=8, enabled=True):
+def make_column_engine(batch_size=8):
     catalog = Catalog()
-    engine = StorageEngine(catalog, batch_size=batch_size,
-                           columnstore_enabled=enabled)
+    engine = StorageEngine(catalog, batch_size=batch_size)
     engine.create_table(TableSchema("t", [
         Column.of("k", MySQLType.LONGLONG, nullable=False),
         Column.of("grp", MySQLType.LONG),
@@ -186,7 +185,7 @@ class TestColumnStoreChunking:
         assert store.row_count == 0
         assert store.chunks == []
         assert list(engine.table_scan("t")) == []
-        assert list(engine.table_scan_batches("t", 8)) == []
+        assert list(engine.table_scan_batches("t")) == []
 
     def test_single_row(self):
         engine = make_column_engine()
@@ -195,7 +194,7 @@ class TestColumnStoreChunking:
         assert len(store.chunks) == 1
         assert store.chunks[0].rows == [(1, 10, 1.5)]
         assert store.chunks[0].columns == [[1], [10], [1.5]]
-        assert [list(c) for c in engine.table_scan_batches("t", 8)] \
+        assert [list(c) for c in engine.table_scan_batches("t")] \
             == [[(1, 10, 1.5)]]
 
     def test_exact_multiple_of_batch_size(self):
@@ -204,7 +203,7 @@ class TestColumnStoreChunking:
         engine.load_rows("t", rows)
         store = engine.store("t")
         assert [len(chunk.rows) for chunk in store.chunks] == [8, 8, 8]
-        chunks = [list(c) for c in engine.table_scan_batches("t", 8)]
+        chunks = [list(c) for c in engine.table_scan_batches("t")]
         assert [row for chunk in chunks for row in chunk] == rows
 
     def test_partial_last_chunk_fills_first(self):
@@ -223,7 +222,7 @@ class TestColumnStoreChunking:
         assert chunk.mins[1] is None and chunk.maxs[1] is None
         assert chunk.null_count(1) == 4
         assert list(engine.table_scan("t")) == rows
-        batched = [row for c in engine.table_scan_batches("t", 4)
+        batched = [row for c in engine.table_scan_batches("t")
                    for row in c]
         assert batched == rows
 
@@ -252,21 +251,10 @@ class TestZoneMaps:
         engine.load_rows("t", [(i, i, float(i)) for i in range(16)])
         engine.counters.reset()
         chunks = [list(c) for c in
-                  engine.table_scan_batches("t", 4, [("cmp", 0, ">=", 12)])]
+                  engine.table_scan_batches("t", [("cmp", 0, ">=", 12)])]
         assert engine.counters.chunks_skipped == 3
         assert [row for c in chunks for row in c] \
             == [(i, i, float(i)) for i in range(12, 16)]
-
-    def test_mismatched_batch_size_disables_store_path(self):
-        engine = make_column_engine(batch_size=4)
-        engine.load_rows("t", [(i, i, float(i)) for i in range(16)])
-        engine.counters.reset()
-        chunks = [list(c) for c in
-                  engine.table_scan_batches("t", 6, [("cmp", 0, "<", 0)])]
-        # Chunking misaligned with the requested batch size: the scan
-        # falls back to the heap and zone maps cannot apply.
-        assert engine.counters.chunks_skipped == 0
-        assert sum(len(c) for c in chunks) == 16
 
     def test_null_predicates(self):
         engine = make_column_engine(batch_size=4)
@@ -303,7 +291,7 @@ class TestZoneMaps:
         assert engine.counters.chunks_skipped == 1
         engine.counters.reset()
         batched = [row for c in engine.table_scan_batches(
-            "t", 4, [("notin", 1, [7, 9])]) for row in c]
+            "t", [("notin", 1, [7, 9])]) for row in c]
         assert engine.counters.chunks_skipped == 2
         assert batched == [(i, i, 0.0) for i in range(8, 12)]
 
@@ -319,7 +307,7 @@ class TestZoneMaps:
                         if i // 4 in (0, 3)]
         engine.counters.reset()
         batched = [row for c in engine.table_scan_batches(
-            "t", 4, [("notbetween", 0, 3, 12)]) for row in c]
+            "t", [("notbetween", 0, 3, 12)]) for row in c]
         assert engine.counters.chunks_skipped == 2
         assert [r[0] for r in batched] == [i for i in range(16)
                                            if i // 4 in (0, 3)]
@@ -379,23 +367,3 @@ class TestZoneMaps:
         # A write that leaves the key alone leaves the index alone.
         engine.update_rows("t", [6], [(6, 60, 6.0)])
         assert engine.counters.index_entries_maintained == 2
-
-    def test_store_self_heals_on_heap_drift(self):
-        engine = make_column_engine(batch_size=4)
-        engine.load_rows("t", [(i, i, float(i)) for i in range(8)])
-        # Mutate the heap behind the store's back (bypassing
-        # load_rows/update_rows/delete_rows).
-        engine.heap("t").rows.append((100, 100, 100.0))
-        store = engine.store("t")
-        assert store.row_count == 9
-        assert store.chunks[-1].maxs[0] == 100
-
-    def test_disabled_columnstore_still_scans(self):
-        engine = make_column_engine(batch_size=4, enabled=False)
-        rows = [(i, i, float(i)) for i in range(10)]
-        engine.load_rows("t", rows)
-        assert engine.store("t") is None
-        assert list(engine.table_scan("t", [("cmp", 0, "<", 2)])) == rows
-        assert [row for c in engine.table_scan_batches("t", 4)
-                for row in c] == rows
-        assert engine.counters.chunks_skipped == 0

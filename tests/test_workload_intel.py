@@ -248,7 +248,7 @@ class TestAdvisor:
         assert any(a["target"] == "orders" for a in actions)
         assert db.catalog.version > version
         stats = db.catalog.statistics("orders")
-        assert stats.row_count == db.storage.heap("orders").row_count
+        assert stats.row_count == db.storage.store("orders").row_count
         # Advice is consumed: a fresh pass no longer flags orders.
         assert not any(r.kind == "reanalyze" and r.target == "orders"
                        for r in db.advisor.recommendations())
@@ -288,7 +288,7 @@ class TestDatabaseIntegration:
                    use_plan_cache=False)
         assert db.metrics.count("advisor.applied.reanalyze") >= 1
         stats = db.catalog.statistics("orders")
-        assert stats.row_count == db.storage.heap("orders").row_count
+        assert stats.row_count == db.storage.store("orders").row_count
 
     def test_workload_tracking_can_be_disabled(self):
         db = build_mini_db(seed=23, orders=50)
