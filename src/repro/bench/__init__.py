@@ -9,7 +9,6 @@ from repro.bench.harness import (
     results_match,
     run_compile_suite,
     run_executor_comparison,
-    run_parallel_scaling,
     run_suite,
 )
 from repro.bench.joinorder import run_joinorder_bench
@@ -19,7 +18,6 @@ from repro.bench.report import (
     format_figure11,
     format_figure12,
     format_joinorder_report,
-    format_parallel_report,
     format_plan_cache_report,
     format_plan_quality_bench,
     format_table1,
@@ -35,7 +33,6 @@ __all__ = [
     "format_figure11",
     "format_figure12",
     "format_joinorder_report",
-    "format_parallel_report",
     "format_plan_cache_report",
     "format_plan_quality_bench",
     "format_table1",
@@ -47,7 +44,6 @@ __all__ = [
     "run_drift_scenario",
     "run_executor_comparison",
     "run_joinorder_bench",
-    "run_parallel_scaling",
     "run_suite",
     "summarize",
     "summarize_plan_quality",

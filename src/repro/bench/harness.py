@@ -545,99 +545,3 @@ def run_compile_suite(db: Database, queries: Dict[int, str],
             db.compile_only(queries[number], optimizer=optimizer)
         totals[label] = time.perf_counter() - start
     return totals
-
-
-def run_parallel_scaling(db: Database, queries: Dict[int, str],
-                         name: str,
-                         worker_counts: List[int] = (1, 2, 4, 8),
-                         samples: int = 5,
-                         optimizer: str = "orca",
-                         zone_query: Optional[str] = None,
-                         progress: Optional[Callable[[str], None]] = None,
-                         emit_json: Optional[str] = None) -> dict:
-    """Morsel-parallel scaling curve over one workload.
-
-    Each query runs ``samples`` times per worker count against the same
-    compiled plan (cache primed first, batch mode); recorded per query
-    are the execute-stage medians per worker count, the speedup of each
-    count over workers=1, a *bit-exact* result-identity check against
-    the serial run, and the morsel/zone-map work counters of the last
-    run at the highest worker count.
-
-    ``zone_query`` (optional) is a selective query run once to record
-    the zone-map chunk-skip rate.
-
-    The host's usable core count is recorded; a speedup gate should be
-    conditioned on it (a single-core container cannot show one).
-    """
-    import os as _os
-
-    try:
-        cores = len(_os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover — non-Linux
-        cores = _os.cpu_count() or 1
-    metrics = db.metrics
-    per_query = {}
-    for number in sorted(queries):
-        sql = queries[number]
-        db.run(sql, optimizer=optimizer, executor_mode="batch")  # prime
-        medians: Dict[str, float] = {}
-        serial_rows: Optional[List[tuple]] = None
-        identical = True
-        morsels = 0
-        for workers in worker_counts:
-            times: List[float] = []
-            for __ in range(samples):
-                before_morsels = metrics.count("executor.morsels")
-                run = db.run(sql, optimizer=optimizer,
-                             executor_mode="batch",
-                             executor_workers=workers)
-                times.append(run.execute_seconds)
-            medians[str(workers)] = _median(times)
-            if workers == min(worker_counts):
-                serial_rows = run.rows
-            elif run.rows != serial_rows:
-                identical = False
-            if workers == max(worker_counts):
-                morsels = int(metrics.count("executor.morsels")
-                              - before_morsels)
-        serial_median = medians[str(min(worker_counts))]
-        speedups = {
-            key: (serial_median / value if value > 0 else 1.0)
-            for key, value in medians.items()}
-        per_query[str(number)] = {
-            "execute_median_seconds": medians,
-            "speedup_vs_serial": speedups,
-            "results_identical": identical,
-            "morsels_at_max_workers": morsels,
-        }
-        if progress is not None:
-            curve = " ".join(
-                f"{key}w={value * 1000:.1f}ms"
-                for key, value in medians.items())
-            progress(f"{name} Q{number}: {curve}")
-    zone = None
-    if zone_query is not None:
-        counters = db.storage.counters
-        before_skipped = counters.chunks_skipped
-        run = db.run(zone_query, optimizer=optimizer,
-                     executor_mode="batch", use_plan_cache=False)
-        zone = {
-            "sql": zone_query,
-            "chunks_skipped": counters.chunks_skipped - before_skipped,
-            "rows_returned": len(run.rows),
-        }
-    payload = {
-        "suite": name,
-        "samples_per_query": samples,
-        "optimizer": optimizer,
-        "worker_counts": list(worker_counts),
-        "host_cores": cores,
-        "batch_size": db.config.batch_size,
-        "parallel_backend": db.config.parallel_backend,
-        "queries": per_query,
-        "zone_map": zone,
-    }
-    if emit_json is not None:
-        _write_json(emit_json, payload)
-    return payload

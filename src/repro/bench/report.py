@@ -312,48 +312,6 @@ def format_plan_cache_report(payload: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def format_parallel_report(payload: Dict[str, object]) -> str:
-    """Render a :func:`repro.bench.harness.run_parallel_scaling`
-    payload.
-
-    One row per query: the execute-stage median per worker count and
-    each count's speedup over serial, then the zone-map skip line and
-    the host core count (the context a speedup gate is conditioned on).
-    """
-    counts = payload["worker_counts"]
-    title = (f"{payload['suite']}: morsel-parallel scaling "
-             f"(batch size {payload['batch_size']}, "
-             f"backend {payload['parallel_backend']}, "
-             f"host cores {payload['host_cores']})")
-    header = f"{'query':>6} |"
-    for workers in counts:
-        header += f" {f'{workers}w exec(ms)':>12} |"
-    for workers in counts[1:]:
-        header += f" {f'x{workers}w':>6} |"
-    header += f" {'morsels':>7}"
-    lines = [title, "=" * len(title), header]
-    queries: Dict[str, Dict[str, object]] = payload["queries"]
-    for number in sorted(queries, key=int):
-        row = queries[number]
-        line = f"Q{number:>5} |"
-        for workers in counts:
-            value = row["execute_median_seconds"][str(workers)]
-            line += f" {value * 1000:>12.2f} |"
-        for workers in counts[1:]:
-            line += f" {row['speedup_vs_serial'][str(workers)]:>6.2f} |"
-        line += f" {row['morsels_at_max_workers']:>7}"
-        if not row["results_identical"]:
-            line += "  RESULTS DIFFER"
-        lines.append(line)
-    zone = payload.get("zone_map")
-    if zone is not None:
-        lines.append("")
-        lines.append(f"zone maps: {zone['chunks_skipped']} chunks "
-                     f"skipped on `{zone['sql']}` "
-                     f"({zone['rows_returned']} rows returned)")
-    return "\n".join(lines)
-
-
 def format_joinorder_report(payload: Dict[str, object]) -> str:
     """Render a :func:`repro.bench.joinorder.run_joinorder_bench`
     payload.

@@ -39,7 +39,6 @@ from repro.errors import (
     ResourceExhaustedError,
 )
 from repro.executor.executor import Executor
-from repro.executor.parallel import PARALLEL_BACKENDS
 from repro.flight import (
     FlightRecord,
     FlightRecorder,
@@ -247,16 +246,12 @@ class DatabaseConfig:
     #: Rows per batch-engine RowBatch *and* per table chunk (one chunk
     #: is one morsel, so this is also the morsel size).
     batch_size: int = 1024
-    #: Default worker count for morsel-driven parallel execution; 1 =
-    #: serial.  Per-statement override: ``run(sql, executor_workers=N)``.
+    #: Worker ceiling for morsel-driven parallel pre-aggregation; 1 =
+    #: serial.  With more, each eligible operator fans out to forked
+    #: workers only when the cost gate in :mod:`repro.executor.parallel`
+    #: says it pays, so a value > 1 is safe to leave on.  Per-statement
+    #: override: ``run(sql, executor_workers=N)``.
     executor_workers: int = 1
-    #: Worker pool backend: "fork" (processes; real parallelism) or
-    #: "thread" (portable, GIL-bound).  Platforms without ``os.fork``
-    #: degrade to "thread" automatically.
-    parallel_backend: str = "fork"
-    #: Tables with fewer rows than this never go parallel — pool setup
-    #: would cost more than the scan.
-    parallel_min_table_rows: int = 2048
     #: Flight recorder: keep a bounded ring of per-statement telemetry
     #: records (see :mod:`repro.flight`).  Cheap enough to leave on; the
     #: kill switch exists to measure the bookkeeping itself.
@@ -331,12 +326,6 @@ class DatabaseConfig:
             raise ReproError("batch_size must be >= 1")
         if self.executor_workers < 1:
             raise ReproError("executor_workers must be >= 1")
-        if self.parallel_backend not in PARALLEL_BACKENDS:
-            raise ReproError(
-                f"unknown parallel_backend {self.parallel_backend!r}; "
-                f"valid choices: {', '.join(PARALLEL_BACKENDS)}")
-        if self.parallel_min_table_rows < 1:
-            raise ReproError("parallel_min_table_rows must be >= 1")
         if self.flight_capacity < 1:
             raise ReproError("flight_capacity must be >= 1")
         if self.flight_snapshot_interval < 1:
@@ -893,14 +882,19 @@ class Database:
                 runtime = executor.last_runtime
                 exec_span.set(batches=runtime.batches,
                               batch_rows=runtime.batch_rows)
-            parallel = getattr(executor, "last_parallel", None)
+            parallel = executor.last_parallel
+            if parallel is not None:
+                exec_span.set(parallel_decision=parallel.decision)
+                if parallel.costed:
+                    exec_span.set(
+                        parallel_est_serial_ms=parallel.est_serial_ms,
+                        parallel_est_fanout_ms=parallel.est_fanout_ms)
             if parallel is not None and parallel.ops:
                 # Worker skew rides on the execute span (the grafted
                 # parallel_worker children carry the per-worker detail).
                 self._last_parallel = parallel
                 skew = parallel.skew()
                 exec_span.set(
-                    parallel_backend=parallel.backend,
                     parallel_workers=skew["workers"],
                     worker_min_morsels=skew["min_morsels"],
                     worker_max_morsels=skew["max_morsels"],
@@ -936,18 +930,6 @@ class Database:
                 reason=FallbackReason.EXEC_BATCH_UNSUPPORTED,
                 error_message=executor.batch_unsupported_reason,
                 sql=sql))
-        elif workers > 1 and executor.last_mode == "batch" \
-                and not low_memory_retry:
-            parallel = getattr(executor, "last_parallel", None)
-            if parallel is None or parallel.ops == 0:
-                # Parallelism was requested but no operator in this
-                # plan had a parallel-safe shape (or every eligible
-                # table was too small): the statement ran serial.
-                self.fallback_log.record_fallback(FallbackEvent(
-                    fingerprint=statement_fingerprint(sql),
-                    reason=FallbackReason.EXEC_NOT_PARALLEL_SAFE,
-                    error_message="no parallel-safe operator in plan",
-                    sql=sql))
         self.metrics.inc(f"statements.{used}")
         self.metrics.observe("statement.compile_seconds",
                              compiled - start)
@@ -1142,8 +1124,6 @@ class Database:
             return executor.execute(
                 mode=mode, metrics=self.metrics,
                 governor=governor, injector=injector, workers=workers,
-                parallel_backend=self.config.parallel_backend,
-                parallel_min_table_rows=self.config.parallel_min_table_rows,
                 tracer=self.tracer)
         except ReproError:
             raise
@@ -1256,8 +1236,9 @@ class Database:
         A "stage breakdown" footer shows where the statement spent its
         time (mirroring the paper's EXPLAIN cost copy-over, Section 6),
         which executor engine ran, and, for Orca plans, the memo
-        statistics.  With ``executor_workers > 1``, nodes that ran
-        morsel-parallel additionally show ``workers=N``.
+        statistics.  With ``executor_workers > 1`` the footer shows the
+        fan-out decision (``fanout`` / ``serial:cost`` / ``serial:shape``)
+        and nodes that ran morsel-parallel show ``workers=N``.
         """
         from repro.executor.explain import format_stage_footer
         from repro.executor.plan import DerivedMaterializeNode
@@ -1281,9 +1262,6 @@ class Database:
                         mode=mode, governor=governor,
                         workers=(executor_workers
                                  or self.config.executor_workers),
-                        parallel_backend=self.config.parallel_backend,
-                        parallel_min_table_rows=self.config
-                        .parallel_min_table_rows,
                         tracer=self.tracer)
                 done = time.perf_counter()
         finally:
@@ -1310,7 +1288,7 @@ class Database:
                 "join_budget_degradations", 0)
         worker_spans = [span.to_dict()
                         for span in find_spans(root, "parallel_worker")]
-        parallel = getattr(executor, "last_parallel", None)
+        parallel = executor.last_parallel
         worker_skew = parallel.skew() \
             if parallel is not None and parallel.ops else None
         footer = format_stage_footer(
@@ -1332,6 +1310,7 @@ class Database:
             join_budget_degradations=join_degradations,
             worker_spans=worker_spans or None,
             worker_skew=worker_skew,
+            parallel=parallel,
         )
         # Copy rebind counts (Section 7, Orca change 3) onto the
         # materialise nodes so the rendering can show them.

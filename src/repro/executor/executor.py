@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ExecutionError
 from repro.executor.batch import BatchUnsupported, lower_executor
-from repro.executor.parallel import DEFAULT_MIN_TABLE_ROWS, ParallelContext
+from repro.executor.parallel import ParallelContext
 from repro.executor.plan import (
     ExecutionRuntime,
     QueryPlan,
@@ -49,9 +49,9 @@ class Executor:
         #: Governor of the most recent execute(), for post-execution
         #: reporting (EXPLAIN ANALYZE footer, StatementResult stats).
         self.last_governor = None
-        #: ParallelContext of the most recent execute(), or None when it
-        #: ran serial.  ``last_parallel.ops == 0`` after a multi-worker
-        #: batch run means no plan shape was parallel-safe.
+        #: ParallelContext of the most recent execute(), or None when
+        #: one worker was requested.  ``last_parallel.ops == 0`` means
+        #: the statement ran serial; ``last_parallel.decision`` says why.
         self.last_parallel = None
         #: Workload-intelligence facts of the compiled plan, computed
         #: once and cached here because the plan cache shares one
@@ -130,10 +130,7 @@ class Executor:
 
     def execute(self, mode: str = "row",
                 metrics=None, governor=None, injector=None,
-                workers: int = 1, parallel_backend: str = "fork",
-                parallel_min_table_rows: int = DEFAULT_MIN_TABLE_ROWS,
-                tracer=None,
-                ) -> List[tuple]:
+                workers: int = 1, tracer=None) -> List[tuple]:
         """Run the statement and return all output rows.
 
         ``mode`` is the *requested* executor mode; ``last_mode`` reports
@@ -142,18 +139,17 @@ class Executor:
         per-statement :class:`repro.governor.ExecutionGovernor` (or
         None for unbounded execution) and ``injector`` an optional
         execution-stage fault injector; both ride on the runtime.
-        ``workers > 1`` enables morsel-driven parallelism for eligible
-        operators on the batch path (row mode always runs serial)."""
+        ``workers > 1`` lets eligible pre-aggregations on the batch path
+        fan out to forked workers when the cost gate says it pays (row
+        mode always runs serial)."""
         if self.top_plan is None:
             raise ExecutionError("no top-level plan registered")
         self.reset_actuals()
         chunks_skipped_before = self.storage.counters.chunks_skipped
         parallel = None
         if workers > 1 and mode == "batch" and self.ensure_batch_lowered():
-            parallel = ParallelContext(
-                workers, backend=parallel_backend,
-                min_table_rows=parallel_min_table_rows,
-                tracer=tracer, metrics=metrics)
+            parallel = ParallelContext(workers, tracer=tracer,
+                                       metrics=metrics)
         runtime = ExecutionRuntime(self.storage, self.context.entry_count,
                                    governor=governor, injector=injector,
                                    parallel=parallel)
@@ -174,7 +170,11 @@ class Executor:
                     metrics.inc("executor.batch_rows", runtime.batch_rows)
                     metrics.inc("exec.compiled_exprs",
                                 self.compiled_expr_count)
-                    if parallel is not None and parallel.ops:
+                    if parallel is not None:
+                        metrics.inc("executor.parallel_fanout",
+                                    parallel.ops)
+                        metrics.inc("executor.parallel_gated",
+                                    parallel.gated)
                         metrics.inc("executor.morsels", parallel.morsels)
                         metrics.inc("executor.parallel_workers",
                                     parallel.workers_spawned)

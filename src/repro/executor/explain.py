@@ -131,7 +131,8 @@ def format_stage_footer(optimizer_used: str, optimize_seconds: float,
                         join_units: int = 0,
                         join_budget_degradations: int = 0,
                         worker_spans: Optional[List[dict]] = None,
-                        worker_skew: Optional[dict] = None) -> str:
+                        worker_skew: Optional[dict] = None,
+                        parallel=None) -> str:
     """The EXPLAIN ANALYZE "stage breakdown" footer.
 
     Shows the optimize-vs-execute wall-clock split, the per-stage trace
@@ -150,7 +151,10 @@ def format_stage_footer(optimizer_used: str, optimize_seconds: float,
     dicts from the cross-process telemetry) adds one line per morsel
     worker — morsels, rows, busy milliseconds — and ``worker_skew``
     (:meth:`repro.executor.parallel.ParallelContext.skew`) the
-    distribution summary.
+    distribution summary.  ``parallel`` (the execution's
+    :class:`~repro.executor.parallel.ParallelContext`, present whenever
+    more than one worker was requested) adds the fan-out decision and,
+    when the gate costed an operator, its two estimates.
     """
     total = optimize_seconds + execute_seconds
     share = 100.0 * optimize_seconds / total if total > 0 else 0.0
@@ -184,6 +188,13 @@ def format_stage_footer(optimizer_used: str, optimize_seconds: float,
             strategy_line += (f", budget degradations "
                               f"{join_budget_degradations}")
         lines.append(strategy_line)
+    if parallel is not None:
+        decision_line = f"parallel: {parallel.decision}"
+        if parallel.costed:
+            decision_line += (
+                f" (estimated serial {parallel.est_serial_ms:.1f} ms, "
+                f"fan-out {parallel.est_fanout_ms:.1f} ms)")
+        lines.append(decision_line)
     if worker_spans:
         # One worker can contribute several spans (one per parallel
         # operator); fold them so the footer shows totals per worker.
@@ -195,7 +206,7 @@ def format_stage_footer(optimizer_used: str, optimize_seconds: float,
             totals[0] += attrs.get("morsels", 0)
             totals[1] += attrs.get("rows", 0)
             totals[2] += attrs.get("seconds", 0.0)
-        lines.append(f"parallel: {len(per_worker)} workers")
+        lines.append(f"  {len(per_worker)} workers")
         for worker in sorted(per_worker):
             morsels, rows, seconds = per_worker[worker]
             lines.append(f"  worker {worker}: {morsels} morsels, "

@@ -1,36 +1,35 @@
-"""Morsel-driven parallel execution over the column store.
+"""Morsel-driven parallel pre-aggregation that pays or stays serial.
 
 One :class:`ParallelContext` exists per batch-mode execution that
-requested more than one worker.  Leaf table scans are split into
-*morsels* — one column-store chunk each, so a morsel is exactly one
-RowBatch — and dispatched dynamically to a small worker pool: each
-worker pulls the next unclaimed chunk index from a shared dispenser
-(classic morsel-driven work stealing, so a slow morsel never stalls the
-others behind a static partition).  Three operator shapes run this way:
-
-* **scan** — workers apply the scan's compiled filter mask to their
-  chunks; the parent re-emits surviving batches *in chunk order*;
-* **pre-aggregation** — workers compute per-chunk, per-key partial
-  aggregate states; the parent folds them in chunk order through
-  ``_Accumulator.fold_partial``, replaying the serial float fold order
-  exactly, so results are bit-identical to a serial run;
-* **hash-join build** — workers build per-chunk key→rows fragments;
-  the parent concatenates buckets in chunk order, preserving the serial
-  build table's bucket row order.
-
+requested more than one worker.  Exactly one operator shape can fan
+out: **hash (or scalar) pre-aggregation over a bare table scan**.  The
+scan is split into *morsels* — one table chunk each — that forked
+workers pull from a shared dispenser; each worker computes per-chunk,
+per-key partial aggregate states, and the parent folds them in chunk
+order through ``_Accumulator.fold_partial``, replaying the serial float
+fold order exactly, so results are bit-identical to a serial run.
 Everything nondeterministic (which worker got which morsel, completion
-order) is erased at the merge: results are keyed by chunk index and
-folded in ascending index order.
+order) is erased at the merge.
 
-Backends
---------
+Whether an eligible operator fans out is a *costed, deterministic*
+decision (:func:`fanout_decision`): the work two processes could share
+must exceed what forking, copy-on-write faults and shipping partials
+back cost.  The four constants below were measured once on the
+benchmark host (``benchmarks/calibrate_fanout.py``; numbers in
+EXPERIMENTS.md); no clock is read at run time, so the same statement
+over the same data always takes the same side of the gate.  Staying
+serial is a decision, not a fallback — nothing is logged for it beyond
+the ``parallel_decision`` attribute on the ``execute`` span.
 
-``fork`` (default) uses ``os.fork`` + a pipe per worker: compiled batch
-expressions are closures and cannot be pickled, but a forked child
-inherits them for free; only plain result tuples travel back through
-the pipe.  ``thread`` uses ordinary threads — portable (and what
-``fork``-less platforms degrade to) but GIL-bound, so it demonstrates
-the machinery rather than a speedup.
+Why only this shape: it is the one whose shipped volume does not grow
+with the rows read (a few partial states per chunk).  Filtered scans
+and hash-join builds would pickle every surviving row back through a
+pipe — ~4 us/row to offload ~0.2 us/row of work — which no table size
+rescues, so those shapes do not exist.  Workers are forked per operator
+because compiled batch expressions are closures (a forked child
+inherits them for free) and a fork is a consistent copy-on-write
+snapshot of the tables; a platform without ``os.fork`` runs every
+statement serial.
 
 Governance
 ----------
@@ -48,12 +47,10 @@ charging from two processes would double-count.
 Telemetry
 ---------
 
-Each worker — forked or threaded — runs a :class:`WorkerTelemetry`: a
-lightweight child tracer (per-morsel records: chunk index, rows
-produced, wall seconds) plus a
-:class:`repro.observability.MetricsDelta`.  Forked workers pickle the
-telemetry back over the existing result pipes alongside the results;
-the coordinator then
+Each worker runs a :class:`WorkerTelemetry`: a lightweight child tracer
+(per-morsel records: chunk index, rows produced, wall seconds) plus a
+:class:`repro.observability.MetricsDelta`, pickled back over the result
+pipe alongside the partials.  The coordinator then
 
 * grafts one ``parallel_worker`` child span per worker under the open
   ``execute`` span (morsel/row counts, busy seconds, governor
@@ -64,8 +61,8 @@ the coordinator then
   (``executor.worker_morsels`` / ``executor.worker_rows`` counters,
   per-morsel ``executor.morsel_seconds`` and per-worker
   ``executor.worker_seconds`` histograms);
-* folds forked workers' governor-checkpoint counts back into the
-  parent governor (thread/inline workers already share it);
+* folds the workers' governor-checkpoint counts back into the parent
+  governor;
 * accumulates per-worker utilization (:meth:`ParallelContext.skew`,
   :meth:`ParallelContext.utilization`) for the execute-span skew
   attributes and ``db.top()``.
@@ -77,9 +74,8 @@ import multiprocessing
 import os
 import pickle
 import sys
-import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import (
     DeadlineExceededError,
@@ -88,30 +84,73 @@ from repro.errors import (
     StatementCancelledError,
 )
 from repro.executor.batch import RowBatch
-from repro.governor import BUCKET_OVERHEAD_BYTES, approx_row_bytes
+from repro.governor import approx_row_bytes
 from repro.observability import MetricsDelta, graft_span
 
-#: Backends a :class:`ParallelContext` accepts.
-PARALLEL_BACKENDS = ("fork", "thread")
+# -- the fan-out cost model -----------------------------------------------------
+#
+# Measured by ``benchmarks/calibrate_fanout.py`` on the benchmark host
+# (2 vCPU, CPython 3.11, TPC-H scale 4 resident); the table is in
+# EXPERIMENTS.md.  Tests reach the fork path on small tables by
+# monkeypatching these (``force_fanout`` in tests/conftest.py).
 
-#: Tables smaller than this stay serial: the pool setup costs more than
-#: the scan.  Mirrors ``DatabaseConfig.parallel_min_table_rows``.
-DEFAULT_MIN_TABLE_ROWS = 2048
+#: One worker's fixed cost: fork (page-table copy of a ~125 MB heap),
+#: pipe, telemetry pickle, reap, and the parent re-faulting the pages
+#: the fork write-protected.
+FORK_SECONDS = 4.5e-3
+#: Extra seconds per row *read in a forked child*: touching a row
+#: bumps refcounts, which copy-on-write-faults the pages it lives on.
+COW_SECONDS_PER_ROW = 0.38e-6
+#: Seconds per partial-state value pickled out, piped, unpickled and
+#: folded.
+SHIP_SECONDS_PER_VALUE = 0.5e-6
+#: Seconds one compiled expression (filter, group key or aggregate
+#: fold) spends per row — the cheapest shape measured, so predicted
+#: savings are a lower bound.
+EXPR_SECONDS_PER_ROW = 0.09e-6
+
+#: CPUs this process may run on (empty where the platform cannot say).
+#: Worker i pins itself to the i-th: left to the scheduler, short-lived
+#: children of a process that was just idle or single-threaded share
+#: the parent's CPU for the first second of fan-outs (measured: the
+#: same two workers take 2x the wall clock) — placement must not be
+#: luck.
+_CPUS = sorted(os.sched_getaffinity(0)) \
+    if hasattr(os, "sched_getaffinity") else []
+#: Workers beyond the usable CPUs only add forks.
+USABLE_CPUS = len(_CPUS) or os.cpu_count() or 1
 
 #: Bytes read from a worker pipe per ``os.read`` call.
 _PIPE_READ_SIZE = 1 << 20
 
 
-def _count_rows(rows_of: Callable[[object], int], value: object) -> int:
-    """Row count of one morsel result, for telemetry only.
+class FanoutDecision(NamedTuple):
+    fanout: bool
+    #: Estimated milliseconds for the operator run serial / fanned out.
+    serial_ms: float
+    fanout_ms: float
 
-    Defensive: a result shape the extractor cannot count (direct
-    ``_run_morsels`` callers with scalar tasks) records 0 rows instead
-    of failing the morsel — telemetry must never change execution."""
-    try:
-        return int(rows_of(value))
-    except (TypeError, IndexError, KeyError):
-        return 0
+
+def fanout_decision(rows: int, groups: float, exprs: int, workers: int,
+                    morsels: int) -> FanoutDecision:
+    """Does pre-aggregating ``rows`` rows on ``workers`` workers pay?
+
+    A pure function of its arguments and the module constants.
+    ``rows`` is the exact row count of the ``morsels`` chunks that
+    survived zone skipping, ``groups`` the optimizer's estimated group
+    count, ``exprs`` the compiled expressions each row passes through.
+    Fanning out divides the per-row work (and the copy-on-write
+    penalty, paid inside the workers) by ``workers`` but adds a fork
+    per worker and one shipped partial state per group per morsel.
+    """
+    work = rows * exprs * EXPR_SECONDS_PER_ROW
+    if workers < 2:
+        return FanoutDecision(False, work * 1e3, work * 1e3)
+    shipped = min(groups * morsels, rows) * exprs
+    fanned = (workers * FORK_SECONDS
+              + (work + rows * COW_SECONDS_PER_ROW) / workers
+              + shipped * SHIP_SECONDS_PER_VALUE)
+    return FanoutDecision(fanned < work, work * 1e3, fanned * 1e3)
 
 
 def _approx_result_bytes(value: object) -> int:
@@ -132,9 +171,9 @@ def _approx_result_bytes(value: object) -> int:
 class WorkerTelemetry:
     """One worker's child tracer + metrics delta for one operator.
 
-    Lives inside the worker (forked process or thread), records one
-    entry per morsel, and travels back to the coordinator — over the
-    result pipe for forked workers — as plain picklable state.
+    Lives inside the forked worker, records one entry per morsel, and
+    travels back to the coordinator over the result pipe as plain
+    picklable state.
     """
 
     __slots__ = ("worker_id", "morsels", "rows", "seconds",
@@ -166,43 +205,32 @@ class WorkerTelemetry:
         self.delta.inc("executor.worker_rows", rows)
         self.delta.observe("executor.morsel_seconds", seconds)
 
-    def __getstate__(self) -> tuple:
-        return (self.worker_id, self.morsels, self.rows, self.seconds,
-                self.checkpoints, self.peak_bytes, self.records,
-                self.delta)
-
-    def __setstate__(self, state: tuple) -> None:
-        (self.worker_id, self.morsels, self.rows, self.seconds,
-         self.checkpoints, self.peak_bytes, self.records,
-         self.delta) = state
-
 
 class ParallelContext:
-    """Per-execution parallel state: pool policy plus morsel counters."""
+    """Per-execution parallel state: the fan-out gate plus morsel
+    counters."""
 
-    def __init__(self, workers: int, backend: str = "fork",
-                 min_table_rows: int = DEFAULT_MIN_TABLE_ROWS,
-                 tracer=None, metrics=None) -> None:
+    def __init__(self, workers: int, tracer=None, metrics=None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {backend!r}; valid choices: "
-                f"{', '.join(PARALLEL_BACKENDS)}")
-        self.workers = workers
-        #: ``fork`` degrades to ``thread`` where fork is unavailable.
-        self.backend = backend if hasattr(os, "fork") else "thread"
-        self.min_table_rows = min_table_rows
+        #: Worker ceiling per operator.
+        self.workers = min(workers, USABLE_CPUS)
+        #: Without ``os.fork`` nothing ever fans out.
+        self.can_fork = hasattr(os, "fork")
         #: Tracer worker spans are grafted into (None / disabled = skip).
         self.tracer = tracer
         #: Parent :class:`MetricsRegistry` worker deltas merge into.
         self.metrics = metrics
         #: Chunks dispatched to workers this execution.
         self.morsels = 0
-        #: Parallel operators that actually ran (0 after a batch
-        #: execution means the plan had no parallel-safe shape — the
-        #: facade records ``FallbackReason.EXEC_NOT_PARALLEL_SAFE``).
+        #: Operators that fanned out.
         self.ops = 0
+        #: Eligible operators the cost gate kept serial.
+        self.gated = 0
+        #: Estimated serial / fanned-out milliseconds, summed over every
+        #: operator the gate costed (either way).
+        self.est_serial_ms = 0.0
+        self.est_fanout_ms = 0.0
         #: Largest worker count any single operator used.
         self.workers_spawned = 0
         #: Cumulative per-worker utilization across this execution's
@@ -212,101 +240,70 @@ class ParallelContext:
         #: ``(worker_id, chunk_index, rows, seconds)``.
         self.morsel_records: List[Tuple[int, int, int, float]] = []
 
-    # -- scan eligibility -------------------------------------------------------
+    @property
+    def costed(self) -> int:
+        """Operators the gate costed, whichever way it decided."""
+        return self.ops + self.gated
 
-    def _plan_scan(self, scan, runtime,
-                   predicates: Sequence[tuple]) -> Optional[tuple]:
-        """Zone-skip and morsel-plan one leaf scan.
+    @property
+    def decision(self) -> str:
+        """What this execution did about its parallelism request."""
+        if not self.can_fork:
+            return "serial:nofork"
+        if self.ops:
+            return "fanout"
+        return "serial:cost" if self.gated else "serial:shape"
 
-        Returns ``(store, surviving_chunk_indexes)`` or None when the
-        table is too small to be worth a pool.  Charges the storage
-        counters for *every* chunk here — including skipped ones —
-        exactly as the serial scan does.
-        """
-        storage = runtime.storage
-        store = storage.store(scan.table_name)
-        if store.row_count < self.min_table_rows \
-                or len(store.chunks) < 2:
-            return None
-        counters = storage.counters
-        survivors: List[int] = []
-        for index, chunk in enumerate(store.chunks):
-            counters.rows_scanned += len(chunk.rows)
-            if predicates and chunk.can_skip(predicates):
-                counters.chunks_skipped += 1
-            else:
-                survivors.append(index)
-        return store, survivors
-
-    def _note_op(self, n_morsels: int, *nodes) -> int:
-        """Account one parallel operator; returns its worker count."""
-        n_workers = min(self.workers, max(1, n_morsels))
-        self.morsels += n_morsels
-        self.ops += 1
-        if n_workers > self.workers_spawned:
-            self.workers_spawned = n_workers
-        for node in nodes:
-            node.px_workers = max(node.px_workers, n_workers)
-        return n_workers
-
-    # -- operator shapes --------------------------------------------------------
-
-    def scan_batches(self, scan, runtime,
-                     predicates: Sequence[tuple]
-                     ) -> Optional[Iterator[RowBatch]]:
-        """Parallel filtered leaf scan; None when not eligible."""
-        planned = self._plan_scan(scan, runtime, predicates)
-        if planned is None:
-            return None
-        store, survivors = planned
-        return self._scan_iter(scan, runtime, store, survivors)
-
-    def _scan_iter(self, scan, runtime, store,
-                   survivors: List[int]) -> Iterator[RowBatch]:
-        scan.actual_loops += 1
-        if runtime.injector is not None:
-            runtime.injector.fire("scan_io")
-        n_workers = self._note_op(len(survivors), scan)
-        chunks = store.chunks
-        entry_id = scan.entry_id
-        mask_fn = scan.bx_filter
-
-        def task(index: int) -> list:
-            rows = chunks[index].rows
-            batch = RowBatch({entry_id: rows}, len(rows))
-            batch = batch.filter_true(mask_fn(batch))
-            return batch.columns[entry_id] if batch.length else []
-
-        for rows in self._run_morsels(runtime, survivors, task, n_workers,
-                                      op="scan", rows_of=len):
-            if rows:
-                yield scan._note(runtime,
-                                 RowBatch({entry_id: rows}, len(rows)))
+    # -- pre-aggregation --------------------------------------------------------
 
     def agg_merge(self, agg, scan, runtime, accumulator_cls,
                   charge: bool = True) -> Optional[tuple]:
-        """Parallel pre-aggregation over a leaf scan.
+        """Parallel pre-aggregation over a leaf scan, when it pays.
 
         Workers return ``(kept_rows, [(key, [per-spec partials])])`` per
         chunk with keys in first-seen order; the parent replays the
         serial hash-aggregate loop from those partials in chunk order —
         same group creation order, same float fold order, same per-batch
-        governor charges.  Returns ``(groups, order, charged)`` or None
-        when the scan is not eligible.
+        governor charges.  Returns ``(groups, order, charged)``, or None
+        when the gate keeps the operator serial — in which case nothing
+        has been counted or charged and the caller's serial path runs
+        as if this method had not been called.
         """
-        planned = self._plan_scan(scan, runtime, scan.zone_predicates())
-        if planned is None:
+        if not self.can_fork:
             return None
-        store, survivors = planned
-        scan.actual_loops += 1
-        if runtime.injector is not None:
-            runtime.injector.fire("scan_io")
-        n_workers = self._note_op(len(survivors), agg, scan)
+        storage = runtime.storage
+        store = storage.store(scan.table_name)
         chunks = store.chunks
-        entry_id = scan.entry_id
+        predicates = scan.zone_predicates()
+        survivors = [index for index, chunk in enumerate(chunks)
+                     if not (predicates and chunk.can_skip(predicates))]
         mask_fn = scan.bx_filter
         specs = agg.specs
         bx_group = agg.bx_group
+        n_workers = min(self.workers, len(survivors))
+        decision = fanout_decision(
+            rows=sum(len(chunks[index].rows) for index in survivors),
+            groups=max(1.0, agg.rows) if bx_group else 1.0,
+            exprs=(mask_fn is not None) + len(bx_group) + len(specs),
+            workers=n_workers, morsels=len(survivors))
+        self.est_serial_ms += decision.serial_ms
+        self.est_fanout_ms += decision.fanout_ms
+        if not decision.fanout:
+            self.gated += 1
+            return None
+        # Charge the storage counters for *every* chunk — skipped ones
+        # included — exactly as the serial scan would have.
+        counters = storage.counters
+        counters.rows_scanned += store.row_count
+        counters.chunks_skipped += len(chunks) - len(survivors)
+        scan.actual_loops += 1
+        if runtime.injector is not None:
+            runtime.injector.fire("scan_io")
+        self.morsels += len(survivors)
+        self.ops += 1
+        self.workers_spawned = max(self.workers_spawned, n_workers)
+        agg.px_workers = scan.px_workers = n_workers
+        entry_id = scan.entry_id
         bx_args = agg.bx_args
         partial_of = accumulator_cls.partial_of
 
@@ -350,9 +347,7 @@ class ParallelContext:
                 merged.append((key, partials))
             return length, merged
 
-        results = self._run_morsels(runtime, survivors, task, n_workers,
-                                    op="agg_build",
-                                    rows_of=lambda r: r[0])
+        results = self._run_morsels(runtime, survivors, task, n_workers)
         groups: dict = {}
         order: List[tuple] = []
         gov = runtime.governor
@@ -388,104 +383,11 @@ class ParallelContext:
             raise
         return groups, order, charged
 
-    def join_build(self, join, scan, runtime) -> Optional[tuple]:
-        """Parallel (partitioned) hash-join build over a leaf scan.
-
-        Workers return per-chunk ``{key: [saved rows]}`` fragments; the
-        parent extends buckets in chunk order, so every bucket holds its
-        rows in exactly the order a serial build inserted them.
-        Returns ``(table, charged_bytes)`` or None when not eligible.
-        """
-        planned = self._plan_scan(scan, runtime, scan.zone_predicates())
-        if planned is None:
-            return None
-        store, survivors = planned
-        scan.actual_loops += 1
-        if runtime.injector is not None:
-            runtime.injector.fire("scan_io")
-        n_workers = self._note_op(len(survivors), join, scan)
-        chunks = store.chunks
-        entry_id = scan.entry_id
-        mask_fn = scan.bx_filter
-        build_entries = join._build_entries
-        bx_build_keys = join.bx_build_keys
-        single_key = len(bx_build_keys) == 1
-
-        def task(index: int) -> tuple:
-            rows = chunks[index].rows
-            batch = RowBatch({entry_id: rows}, len(rows))
-            if mask_fn is not None:
-                batch = batch.filter_true(mask_fn(batch))
-            length = batch.length
-            if not length:
-                return 0, None, []
-            key_cols = [fn(batch) for fn in bx_build_keys]
-            saved_cols = [batch.columns[e] for e in build_entries]
-            sample = tuple(col[0] for col in saved_cols) \
-                if saved_cols else ()
-            saved_rows = zip(*saved_cols) if saved_cols \
-                else iter([()] * length)
-            fragment: dict = {}
-            setdefault = fragment.setdefault
-            if single_key:
-                for key, saved in zip(key_cols[0], saved_rows):
-                    if key is not None:
-                        setdefault(key, []).append(saved)
-            else:
-                build_keys = zip(*key_cols) if key_cols \
-                    else iter([()] * length)
-                for key, saved in zip(build_keys, saved_rows):
-                    if None not in key:
-                        setdefault(key, []).append(saved)
-            return length, sample, list(fragment.items())
-
-        results = self._run_morsels(runtime, survivors, task, n_workers,
-                                    op="join_build",
-                                    rows_of=lambda r: r[0])
-        table: dict = {}
-        gov = runtime.governor
-        charged = 0
-        row_bytes = 0
-        try:
-            for length, sample, items in results:
-                if not length:
-                    continue
-                scan.actual_batches += 1
-                scan.actual_rows += length
-                runtime.note_counts(length)
-                for key, saved_list in items:
-                    bucket = table.get(key)
-                    if bucket is None:
-                        table[key] = saved_list
-                    else:
-                        bucket.extend(saved_list)
-                if gov is not None:
-                    # Same sampling as the serial build: the first
-                    # non-empty batch's first saved row, in chunk order.
-                    if row_bytes == 0:
-                        row_bytes = approx_row_bytes(sample) \
-                            + BUCKET_OVERHEAD_BYTES
-                    delta = length * row_bytes
-                    gov.charge(delta, "hash_join_build")
-                    charged += delta
-        except BaseException:
-            if gov is not None and charged:
-                gov.release(charged)
-            raise
-        return table, charged
-
     # -- telemetry --------------------------------------------------------------
 
-    def _merge_telemetry(self, op: str, telemetries: List[WorkerTelemetry],
-                         runtime, op_start: float,
-                         external_checkpoints: bool) -> None:
-        """Fold worker telemetry into the parent-side surfaces.
-
-        ``external_checkpoints`` is True when the workers ran in forked
-        processes whose governor-checkpoint counts the parent never saw
-        (thread/inline workers share the parent governor, so merging
-        theirs would double-count).
-        """
+    def _merge_telemetry(self, telemetries: List[WorkerTelemetry],
+                         runtime, op_start: float) -> None:
+        """Fold worker telemetry into the parent-side surfaces."""
         governor = runtime.governor
         tracer = self.tracer
         parent = tracer.current if tracer is not None \
@@ -500,7 +402,9 @@ class ParallelContext:
             for chunk_index, rows, seconds in wt.records:
                 self.morsel_records.append(
                     (wt.worker_id, chunk_index, rows, seconds))
-            if external_checkpoints and governor is not None:
+            if governor is not None:
+                # The parent governor never saw the children's
+                # checkpoints.
                 governor.note_worker_checkpoints(wt.checkpoints)
             if metrics is not None:
                 wt.delta.merge_into(metrics)
@@ -509,7 +413,7 @@ class ParallelContext:
                 graft_span(
                     parent, "parallel_worker",
                     start=op_start, end=op_start + wt.seconds,
-                    worker=wt.worker_id, op=op, backend=self.backend,
+                    worker=wt.worker_id, op="agg_build",
                     morsels=wt.morsels, rows=wt.rows,
                     seconds=wt.seconds, checkpoints=wt.checkpoints,
                     peak_bytes=wt.peak_bytes)
@@ -541,106 +445,16 @@ class ParallelContext:
     # -- dispatch ---------------------------------------------------------------
 
     def _run_morsels(self, runtime, indices: List[int],
-                     task: Callable[[int], object],
-                     n_workers: int, op: str = "scan",
-                     rows_of: Callable[[object], int] = len
-                     ) -> List[object]:
-        """Run ``task`` over every chunk index; results in index order.
+                     task: Callable[[int], tuple],
+                     n_workers: int) -> List[tuple]:
+        """Run ``task`` over every chunk index on ``n_workers`` forked
+        workers; results in index order.
 
         Dispatch is dynamic (a shared next-morsel dispenser) but the
-        returned list is ordered like ``indices``, so every downstream
-        merge is deterministic regardless of scheduling.  ``rows_of``
-        extracts the row count from one morsel's result for telemetry
-        (each operator shape returns a different result tuple)."""
+        returned list is ordered like ``indices``, so the downstream
+        merge is deterministic regardless of scheduling.  A task returns
+        ``(rows, partials)``; the row count feeds worker telemetry."""
         op_start = time.perf_counter()
-        if n_workers <= 1 or len(indices) <= 1:
-            # Degenerate pool: run inline (still a parallel operator for
-            # accounting — eligibility, zone skips, merges, *and worker
-            # telemetry* behave identically, there was just nothing to
-            # overlap).
-            governor = runtime.governor
-            telemetry = WorkerTelemetry(0)
-            results = []
-            for index in indices:
-                if governor is not None:
-                    governor.checkpoint(stage="parallel")
-                    telemetry.checkpoints += 1
-                started = time.perf_counter()
-                value = task(index)
-                telemetry.note_morsel(
-                    index, _count_rows(rows_of, value),
-                    time.perf_counter() - started,
-                    _approx_result_bytes(value))
-                results.append(value)
-            self._merge_telemetry(op, [telemetry], runtime, op_start,
-                                  external_checkpoints=False)
-            return results
-        if self.backend == "fork":
-            results, telemetries = self._fork_map(
-                runtime, indices, task, n_workers, rows_of)
-            self._merge_telemetry(op, telemetries, runtime, op_start,
-                                  external_checkpoints=True)
-        else:
-            results, telemetries = self._thread_map(
-                runtime, indices, task, n_workers, rows_of)
-            self._merge_telemetry(op, telemetries, runtime, op_start,
-                                  external_checkpoints=False)
-        return results
-
-    def _thread_map(self, runtime, indices: List[int],
-                    task: Callable[[int], object],
-                    n_workers: int,
-                    rows_of: Callable[[object], int]
-                    ) -> Tuple[List[object], List[WorkerTelemetry]]:
-        governor = runtime.governor
-        next_slot = [0]
-        lock = threading.Lock()
-        results: List[object] = [None] * len(indices)
-        failures: List[BaseException] = []
-        telemetries = [WorkerTelemetry(worker)
-                       for worker in range(n_workers)]
-
-        def worker_loop(worker_id: int) -> None:
-            telemetry = telemetries[worker_id]
-            while True:
-                with lock:
-                    if failures:
-                        return
-                    slot = next_slot[0]
-                    if slot >= len(indices):
-                        return
-                    next_slot[0] = slot + 1
-                try:
-                    if governor is not None:
-                        governor.checkpoint(stage="parallel")
-                        telemetry.checkpoints += 1
-                    started = time.perf_counter()
-                    value = task(indices[slot])
-                    telemetry.note_morsel(
-                        indices[slot], _count_rows(rows_of, value),
-                        time.perf_counter() - started,
-                        _approx_result_bytes(value))
-                    results[slot] = value
-                except BaseException as exc:  # noqa: BLE001 — shipped
-                    with lock:
-                        failures.append(exc)
-                    return
-
-        threads = [threading.Thread(target=worker_loop, args=(worker,))
-                   for worker in range(n_workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-        return results, telemetries
-
-    def _fork_map(self, runtime, indices: List[int],
-                  task: Callable[[int], object],
-                  n_workers: int,
-                  rows_of: Callable[[object], int]
-                  ) -> Tuple[List[object], List[WorkerTelemetry]]:
         governor = runtime.governor
         if governor is not None:
             # Back the cancel flag with fork-inheritable shared memory
@@ -664,10 +478,13 @@ class ParallelContext:
                     status = 0
                     try:
                         os.close(read_fd)
+                        if _CPUS:
+                            os.sched_setaffinity(
+                                0, {_CPUS[worker_id % len(_CPUS)]})
                         payload = pickle.dumps(
                             _worker_payload(worker_id, indices,
                                             dispenser, lock, task,
-                                            governor, rows_of),
+                                            governor),
                             pickle.HIGHEST_PROTOCOL)
                         _write_all(write_fd, payload)
                         os.close(write_fd)
@@ -693,7 +510,7 @@ class ParallelContext:
                     os.waitpid(pid, 0)
                 except ChildProcessError:
                     pass
-        results: List[object] = [None] * len(indices)
+        results: List[tuple] = [None] * len(indices)
         errors: List[tuple] = []
         telemetries: List[WorkerTelemetry] = []
         for payload in payloads:
@@ -710,17 +527,17 @@ class ParallelContext:
                 errors.append(error)
         if errors:
             raise _decode_error(_pick_error(errors))
-        return results, telemetries
+        self._merge_telemetry(telemetries, runtime, op_start)
+        return results
 
 
 def _worker_payload(worker_id: int, indices: List[int], dispenser, lock,
-                    task: Callable[[int], object], governor,
-                    rows_of: Callable[[object], int]) -> tuple:
+                    task: Callable[[int], tuple], governor) -> tuple:
     """One forked worker's whole run: pull morsels until the dispenser
     is empty or a bound trips; returns
     ``([(slot, result), ...], error, telemetry)`` with the error already
     encoded for transport and the telemetry picklable as-is."""
-    results: List[Tuple[int, object]] = []
+    results: List[Tuple[int, tuple]] = []
     error: Optional[tuple] = None
     telemetry = WorkerTelemetry(worker_id)
     total = len(indices)
@@ -737,9 +554,8 @@ def _worker_payload(worker_id: int, indices: List[int], dispenser, lock,
             started = time.perf_counter()
             value = task(indices[slot])
             telemetry.note_morsel(
-                indices[slot], _count_rows(rows_of, value),
-                time.perf_counter() - started,
-                _approx_result_bytes(value))
+                indices[slot], value[0], time.perf_counter() - started,
+                _approx_result_bytes(value[1]))
             results.append((slot, value))
         except BaseException as exc:  # noqa: BLE001 — shipped typed
             error = _encode_error(exc)

@@ -387,15 +387,8 @@ class TableScanNode(_LeafNode):
                 yield
 
     def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
-        predicates = self.zone_predicates()
-        parallel = runtime.parallel
-        if parallel is not None and self.bx_filter is not None:
-            batches = parallel.scan_batches(self, runtime, predicates)
-            if batches is not None:
-                yield from batches
-                return
         chunks = runtime.storage.table_scan_batches(
-            self.table_name, predicates)
+            self.table_name, self.zone_predicates())
         yield from _leaf_batches(self, runtime, chunks)
 
     def label(self) -> str:
@@ -953,11 +946,6 @@ class HashJoinNode(PlanNode):
     def _build_table_batches(self, runtime: ExecutionRuntime
                              ) -> Tuple[Dict[object, List[tuple]], int]:
         """Batch twin of :meth:`_build_table_rows` (charge per batch)."""
-        parallel = runtime.parallel
-        if parallel is not None and isinstance(self.build, TableScanNode):
-            built = parallel.join_build(self, self.build, runtime)
-            if built is not None:
-                return built
         build_entries = self._build_entries
         single_key = len(self.bx_build_keys) == 1
         table: Dict[object, List[tuple]] = {}

@@ -87,10 +87,6 @@ class FallbackReason(enum.Enum):
     #: Execution failed with a runtime error (injected scan I/O fault,
     #: storage error, contained executor bug) — aborted cleanly, typed.
     EXEC_RUNTIME_ERROR = "exec_runtime_error"
-    #: Parallel execution was requested (``executor_workers > 1``) but
-    #: no operator in the plan had a parallel-safe shape, so the whole
-    #: statement ran serial on the batch engine.
-    EXEC_NOT_PARALLEL_SAFE = "exec_not_parallel_safe"
 
 
 # -- statement fingerprinting ------------------------------------------------------

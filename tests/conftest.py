@@ -112,6 +112,19 @@ def mini_db():
     return build_mini_db()
 
 
+@pytest.fixture
+def force_fanout(monkeypatch):
+    """Make the fan-out gate say yes for every eligible non-empty
+    pre-aggregation, so tests reach the fork path on small tables: the
+    three cost constants drop to zero (any shared work then pays) and
+    the CPU ceiling is lifted so ``executor_workers=4`` means 4."""
+    from repro.executor import parallel
+    for constant in ("FORK_SECONDS", "COW_SECONDS_PER_ROW",
+                     "SHIP_SECONDS_PER_VALUE"):
+        monkeypatch.setattr(parallel, constant, 0.0)
+    monkeypatch.setattr(parallel, "USABLE_CPUS", 64)
+
+
 def brute_force(db, tables, predicate, project):
     """Reference evaluator: cartesian product + Python predicate."""
     import itertools

@@ -36,8 +36,7 @@ UNIQUE = (ID, CODE)
 
 
 def make_db():
-    db = Database(DatabaseConfig(batch_size=BATCH,
-                                 parallel_min_table_rows=1))
+    db = Database(DatabaseConfig(batch_size=BATCH))
     db.create_table(TableSchema("t", [
         Column.of("id", MySQLType.LONGLONG, nullable=False),
         Column.of("code", MySQLType.LONG),
@@ -370,39 +369,48 @@ def assert_structures_match_rebuild(db, shadow_rows):
         assert chunk.maxs == want.maxs, number
 
 
-def assert_scans_agree(db, shadow_rows, cut):
-    """Row, batch and two-worker scans under a zone-prunable predicate
+def assert_scans_agree(db, shadow_rows, cut, forked):
+    """Row and batch scans — and, when ``forked``, a batch and a
+    two-worker pre-aggregation — under a zone-prunable predicate
     (``seq`` grows with insertion, so whole chunks fall below ``cut``)."""
-    sql = f"SELECT id, code, grp, val, seq, note FROM t WHERE seq < {cut}"
+    where = f"FROM t WHERE seq < {cut}"
     want = sorted((row for row in shadow_rows
                    if row[SEQ] is not None and row[SEQ] < cut),
                   key=null_safe)
+    ids = [row[ID] for row in want]
+    want_agg = [(len(want), sum(row[SEQ] for row in want) if want else None,
+                 min(ids, default=None), max(ids, default=None))]
+    scan = f"SELECT id, code, grp, val, seq, note {where}"
+    agg = f"SELECT COUNT(*), SUM(seq), MIN(id), MAX(id) {where}"
+    runs = [(scan, want, {"executor_mode": "row"}),
+            (scan, want, {"executor_mode": "batch"})]
+    if forked:
+        runs += [(agg, want_agg, {"executor_mode": "batch"}),
+                 (agg, want_agg, {"executor_mode": "batch",
+                                  "executor_workers": 2})]
     counters = db.storage.counters
     skipped = []
-    for kwargs in ({"executor_mode": "row"},
-                   {"executor_mode": "batch"},
-                   {"executor_mode": "batch", "executor_workers": 2}):
+    for sql, expected, kwargs in runs:
         before = counters.chunks_skipped
         rows = db.run(sql, use_plan_cache=False, **kwargs).rows
         skipped.append(counters.chunks_skipped - before)
-        assert sorted(rows, key=null_safe) == want, kwargs
-    assert skipped[0] == skipped[1] == skipped[2], skipped
+        assert sorted(rows, key=null_safe) == expected, kwargs
+    assert len(set(skipped)) == 1, skipped
     return skipped[0]
 
 
 # -- the test --------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["thread", "fork"])
-def test_every_structure_matches_a_rebuild_after_every_statement(backend):
+def test_every_structure_matches_a_rebuild_after_every_statement(
+        force_fanout):
     rng = random.Random(20260925)
     db = make_db()
-    db.config.parallel_backend = backend
     # The table starts empty: the stream's own INSERTs fill it, so the
     # first rows take the same path as the rest.
     shadow = Shadow(rng)
     tally = Counter()
-    # The fork backend costs two forks per check; sample it.
-    scan_every = 1 if backend == "thread" else 10
+    # The forked pre-aggregation costs two forks per check; sample it.
+    fork_every = 10
 
     for number in range(STATEMENTS):
         sql, apply = shadow.next_statement()
@@ -431,10 +439,9 @@ def test_every_structure_matches_a_rebuild_after_every_statement(backend):
                   "many_rows" if expected >= 5 else "few_rows"] += 1
 
         assert_structures_match_rebuild(db, shadow.rows)
-        if number % scan_every == 0:
-            cut = rng.randrange(shadow.next_seq + 1)
-            tally["chunks_skipped"] += assert_scans_agree(
-                db, shadow.rows, cut)
+        cut = rng.randrange(shadow.next_seq + 1)
+        tally["chunks_skipped"] += assert_scans_agree(
+            db, shadow.rows, cut, forked=number % fork_every == 0)
 
     # The stream really covered what it claims to.
     assert tally["rejected"] >= 40, tally
@@ -443,6 +450,7 @@ def test_every_structure_matches_a_rebuild_after_every_statement(backend):
     assert tally["zero_rows"] >= 20, tally
     assert tally["many_rows"] >= 20, tally
     assert tally["chunks_skipped"] > 0, tally
+    assert db.metrics.count("executor.parallel_fanout") >= 10
     assert db.metrics.count("storage.dml_rows_changed") > 0
     assert db.metrics.count("storage.index_entries_maintained") > 0
     assert db.metrics.count("storage.chunks_patched") > 0

@@ -288,18 +288,18 @@ class TestDatabaseIntegration:
 
 class TestTopReport:
 
-    def test_top_sections_render(self):
+    def test_top_sections_render(self, force_fanout):
         db = build_mini_db(seed=7, orders=150,
                            config=DatabaseConfig(
                                complex_query_threshold=3,
-                               batch_size=32,
-                               parallel_min_table_rows=64))
-        db.run(SCAN_SQL, use_plan_cache=False)
-        db.run(SCAN_SQL, executor_workers=4, use_plan_cache=False)
+                               batch_size=32))
+        agg_sql = "SELECT COUNT(*) FROM orders WHERE o_totalprice > 100"
+        db.run(agg_sql, use_plan_cache=False)
+        db.run(agg_sql, executor_workers=4, use_plan_cache=False)
         payload = db.top_data()
         assert payload["statements_total"] == 2
         assert payload["active_count"] == 0
-        assert payload["hottest"], "workload repo should rank the scan"
+        assert payload["hottest"], "workload repo should rank the query"
         assert payload["workers"], "parallel utilization missing"
         assert payload["worker_skew"] is not None
         text = db.top(limit=5)

@@ -4,9 +4,9 @@ The tentpole promise is that telemetry sees *through* the fork
 boundary: a parallel statement's trace carries one ``parallel_worker``
 child span per morsel worker, the workers' counter/histogram deltas
 merge into the parent registry, forked governor checkpoints fold into
-the parent governor, and — the referee — a parallel run leaves exactly
-the same ``executor.batch_rows`` / ``storage.chunks_skipped`` totals a
-serial run does, on both pool backends and any worker count.
+the parent governor.  (Serial/parallel counter parity is gated in
+``tests/test_perf_smoke.py``.)  Every test here forces the fan-out gate
+open — the mini db is far too small to pay for a fork.
 """
 
 import pickle
@@ -20,10 +20,10 @@ from repro.observability import MetricsRegistry, find_spans
 from tests.conftest import build_mini_db
 from tests.test_parallel import parallel_config
 
-SCAN_SQL = ("SELECT o_orderkey, o_totalprice FROM orders "
-            "WHERE o_totalprice > 50")
-#: Leading-key range predicate so zone maps actually skip chunks.
-ZONE_SQL = "SELECT o_orderkey FROM orders WHERE o_orderkey <= 64"
+AGG_SQL = ("SELECT COUNT(*), SUM(o_totalprice) FROM orders "
+           "WHERE o_totalprice > 50")
+
+pytestmark = pytest.mark.usefixtures("force_fanout")
 
 
 @pytest.fixture(scope="module")
@@ -35,52 +35,41 @@ class TestWorkerSpans:
     """EXPLAIN ANALYZE / trace_export must see per-worker child spans."""
 
     def test_trace_contains_worker_spans(self, db):
-        result = db.run(SCAN_SQL, trace=True, executor_workers=4,
+        result = db.run(AGG_SQL, trace=True, executor_workers=4,
                         use_plan_cache=False)
         spans = find_spans(result.trace, "parallel_worker")
         assert spans, "no parallel_worker spans grafted into the trace"
         for span in spans:
             assert span.closed
             attrs = span.attributes
-            assert attrs["backend"] == "fork"
-            assert attrs["op"] in {"scan", "agg_build", "join_build"}
+            assert attrs["op"] == "agg_build"
             assert attrs["morsels"] >= 0
             assert attrs["seconds"] >= 0.0
         # The grafted spans carry the whole story: every morsel and
         # every scanned-and-kept row is attributed to some worker.
-        scan_spans = [s for s in spans if s.attributes["op"] == "scan"]
         parallel = db._last_parallel
-        assert sum(s.attributes["morsels"] for s in scan_spans) \
+        assert sum(s.attributes["morsels"] for s in spans) \
             == sum(u["morsels"] for u in parallel.utilization())
-        assert sum(s.attributes["rows"] for s in scan_spans) \
-            == len(result.rows)
+        kept = db.run("SELECT COUNT(*) FROM orders "
+                      "WHERE o_totalprice > 50").rows[0][0]
+        assert sum(s.attributes["rows"] for s in spans) == kept
 
     def test_execute_span_carries_skew_attributes(self, db):
-        result = db.run(SCAN_SQL, trace=True, executor_workers=4,
+        result = db.run(AGG_SQL, trace=True, executor_workers=4,
                         use_plan_cache=False)
         exec_span = find_spans(result.trace, "execute")[0]
         attrs = exec_span.attributes
-        assert attrs["parallel_backend"] == "fork"
+        assert attrs["parallel_decision"] == "fanout"
         assert attrs["parallel_workers"] == 4
         assert attrs["worker_min_morsels"] <= attrs["worker_max_morsels"]
         assert attrs["worker_stddev_morsels"] >= 0.0
         # Worker spans live under the execute span, inside the tree.
         assert find_spans(exec_span, "parallel_worker")
 
-    def test_thread_backend_spans(self):
-        db = build_mini_db(
-            seed=11, orders=150,
-            config=parallel_config(parallel_backend="thread"))
-        result = db.run(SCAN_SQL, trace=True, executor_workers=3,
-                        use_plan_cache=False)
-        spans = find_spans(result.trace, "parallel_worker")
-        assert spans
-        assert all(s.attributes["backend"] == "thread" for s in spans)
-
     def test_exported_trace_keeps_worker_spans(self, db):
         # find_spans works identically on the JSON export (satellite 1's
         # other half lives in test_observability.py).
-        result = db.run(SCAN_SQL, trace=True, executor_workers=2,
+        result = db.run(AGG_SQL, trace=True, executor_workers=2,
                         use_plan_cache=False)
         exported = result.trace.to_dict()
         spans = find_spans(exported, "parallel_worker")
@@ -88,8 +77,9 @@ class TestWorkerSpans:
         assert all(s["closed"] for s in spans)
 
     def test_explain_analyze_footer_shows_workers(self, db):
-        text = db.explain_analyze(SCAN_SQL, executor_workers=4)
-        assert "parallel:" in text and "workers" in text
+        text = db.explain_analyze(AGG_SQL, executor_workers=4)
+        assert "parallel: fanout (estimated serial" in text
+        assert "4 workers" in text
         assert "worker 0:" in text and "morsels" in text
         assert "skew: min" in text and "stddev" in text
 
@@ -103,7 +93,7 @@ class TestWorkerMetrics:
         before_rows = m.count("executor.worker_rows")
         before_seconds = m.histogram("executor.worker_seconds")
         before_seconds = before_seconds.count if before_seconds else 0
-        result = db.run(SCAN_SQL, executor_workers=2,
+        result = db.run(AGG_SQL, executor_workers=2,
                         use_plan_cache=False)
         parallel = db._last_parallel
         utilization = parallel.utilization()
@@ -135,45 +125,10 @@ class TestWorkerMetrics:
         assert registry.histogram("executor.morsel_seconds").count == 2
 
 
-class TestSerialParallelParity:
-    """Satellite 3: a parallel run must leave exactly the totals a
-    serial run does once the worker deltas merge — same batch rows,
-    same zone-map skips — for both backends and workers 1-4."""
-
-    @pytest.mark.parametrize("backend", ["fork", "thread"])
-    def test_counter_totals_match_serial(self, backend):
-        db = build_mini_db(
-            seed=23, orders=200,
-            config=parallel_config(parallel_backend=backend))
-
-        def run_counting(workers):
-            before_rows = db.metrics.count("executor.batch_rows")
-            before_skips = db.metrics.count("storage.chunks_skipped")
-            result = db.run(ZONE_SQL, executor_mode="batch",
-                            use_plan_cache=False,
-                            executor_workers=workers)
-            return (db.metrics.count("executor.batch_rows")
-                    - before_rows,
-                    db.metrics.count("storage.chunks_skipped")
-                    - before_skips,
-                    result.rows)
-
-        serial_rows, serial_skips, serial_result = run_counting(1)
-        assert serial_skips > 0, "zone maps skipped nothing — " \
-            "the parity run must exercise chunk skipping"
-        for workers in (2, 3, 4):
-            par_rows, par_skips, par_result = run_counting(workers)
-            assert par_result == serial_result
-            assert par_rows == serial_rows, \
-                f"batch_rows diverged at workers={workers}"
-            assert par_skips == serial_skips, \
-                f"chunks_skipped diverged at workers={workers}"
-
-
 class TestSkewAndUtilization:
 
     def test_skew_counts_idle_workers_as_zero(self):
-        context = ParallelContext(4, backend="thread")
+        context = ParallelContext(4)
         context.ops = 1
         context.workers_spawned = 4
         context.worker_stats = {0: [6, 60, 0.1], 1: [2, 20, 0.05]}
@@ -186,12 +141,12 @@ class TestSkewAndUtilization:
         assert skew["stddev_morsels"] == pytest.approx(6 ** 0.5)
 
     def test_no_parallel_op_means_no_skew(self):
-        context = ParallelContext(4, backend="thread")
+        context = ParallelContext(4)
         assert context.skew() is None
         assert context.utilization() == []
 
     def test_db_level_skew_and_utilization(self, db):
-        db.run(SCAN_SQL, executor_workers=4, use_plan_cache=False)
+        db.run(AGG_SQL, executor_workers=4, use_plan_cache=False)
         parallel = db._last_parallel
         assert parallel.ops >= 1
         skew = parallel.skew()
@@ -209,31 +164,14 @@ class TestSkewAndUtilization:
 
 
 class TestGovernorCheckpointFolding:
-    """Forked workers' checkpoint counts fold into the parent governor;
-    thread/inline workers share it, so theirs must NOT double-count."""
+    """Forked workers' checkpoint counts fold into the parent governor."""
 
     def test_fork_checkpoints_fold_into_parent(self):
         governor = ExecutionGovernor(timeout_seconds=30.0)
         runtime = SimpleNamespace(governor=governor)
-        context = ParallelContext(2, backend="fork")
+        context = ParallelContext(2)
         results = context._run_morsels(runtime, list(range(6)),
-                                       lambda i: [i], 2)
-        assert results == [[i] for i in range(6)]
+                                       lambda i: (1, [i]), 2)
+        assert results == [(1, [i]) for i in range(6)]
         # One checkpoint per morsel ran in the children; all 6 folded.
-        assert governor.checkpoints == 6
-
-    def test_thread_checkpoints_not_double_counted(self):
-        governor = ExecutionGovernor(timeout_seconds=30.0)
-        runtime = SimpleNamespace(governor=governor)
-        context = ParallelContext(2, backend="thread")
-        context._run_morsels(runtime, list(range(6)),
-                             lambda i: [i], 2)
-        assert governor.checkpoints == 6
-
-    def test_inline_checkpoints_not_double_counted(self):
-        governor = ExecutionGovernor(timeout_seconds=30.0)
-        runtime = SimpleNamespace(governor=governor)
-        context = ParallelContext(1, backend="fork")
-        context._run_morsels(runtime, list(range(6)),
-                             lambda i: [i], 1)
         assert governor.checkpoints == 6

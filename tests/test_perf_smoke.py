@@ -221,9 +221,8 @@ def test_wide_joins_stay_off_the_exponential_dp_path():
             + db.metrics.count("orca.join_strategy.goo")) >= 2
 
 
-def test_parallel_scan_dispatches_more_morsels_than_workers():
-    db = Database(DatabaseConfig(batch_size=32,
-                                 parallel_min_table_rows=64))
+def test_parallel_scan_dispatches_more_morsels_than_workers(force_fanout):
+    db = Database(DatabaseConfig(batch_size=32))
     load_tpch(db, scale=SCALE)
     workers = 4
     before = db.metrics.count("executor.morsels")
@@ -237,6 +236,37 @@ def test_parallel_scan_dispatches_more_morsels_than_workers():
     # pool load-balances instead of running one static partition each.
     assert morsels > workers
     assert db.metrics.count("executor.parallel_workers") >= 2
+
+
+def test_fanned_out_run_leaves_the_counters_a_serial_run_does(force_fanout):
+    """Serial/parallel counter parity: once the worker deltas merge, a
+    fanned-out pre-aggregation leaves exactly the ``executor.batch_rows``
+    and ``storage.chunks_skipped`` totals the serial run does, at any
+    worker count — with zone maps actually skipping chunks."""
+    db = Database(DatabaseConfig(batch_size=8))
+    load_tpch(db, scale=SCALE)
+    # Range over half the clustered key: wide enough to stay a table
+    # scan, and the other half's chunks are provably dead.
+    half = db.storage.store("orders").row_count // 2
+    sql = (f"SELECT COUNT(*), SUM(o_totalprice) FROM orders "
+           f"WHERE o_orderkey <= {half}")
+
+    def run_counting(workers):
+        names = ("executor.batch_rows", "storage.chunks_skipped",
+                 "executor.morsels")
+        before = [db.metrics.count(name) for name in names]
+        result = db.run(sql, executor_mode="batch", use_plan_cache=False,
+                        executor_workers=workers)
+        return [db.metrics.count(name) - start
+                for name, start in zip(names, before)], result.rows
+
+    (serial_rows, serial_skips, __), serial_result = run_counting(1)
+    assert serial_skips > 0, "the parity run must exercise chunk skipping"
+    for workers in (2, 3, 4):
+        (rows, skips, morsels), result = run_counting(workers)
+        assert morsels > 0, "the gate was forced open; this must fork"
+        assert result == serial_result
+        assert (rows, skips) == (serial_rows, serial_skips), workers
 
 
 def _single_row_write_work(n_rows):
