@@ -25,8 +25,8 @@ Stages the lifecycle the workload advisor exists for, on TPC-H data:
    regression.
 5. **Advice + apply** — the advisor now holds all three recommendation
    kinds (re-ANALYZE, index, plan regression); applying the actionable
-   ones re-ANALYZEs the drifted tables (bumping the catalog version,
-   so every cached plan recompiles) and purges the regressed
+   ones re-ANALYZEs the drifted tables (advancing their catalog
+   epochs, so cached plans over them recompile) and purges the regressed
    fingerprint's cached plans.
 6. **Recovered phase** — the mix runs again; Q-errors collapse back
    toward 1 and latency returns to the baseline's neighbourhood.

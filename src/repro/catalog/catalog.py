@@ -23,20 +23,28 @@ class Catalog:
         self.default_schema = schema
         self._tables: Dict[str, TableSchema] = {}
         self._statistics: Dict[str, TableStatistics] = {}
-        self._version = 0
+        #: Table key -> the epoch of what an optimizer can read about the
+        #: table (schema and statistics).  Every value comes from one
+        #: counter that only grows, so a table dropped and created again
+        #: never repeats a value a cached plan may still hold.
+        self._epochs: Dict[str, int] = {}
+        self._last_epoch = 0
 
-    # -- versioning ---------------------------------------------------------
+    # -- epochs ---------------------------------------------------------------
 
-    @property
-    def version(self) -> int:
-        """A counter bumped by every DDL, ANALYZE, and (via the storage
-        engine) DML change.  The statement plan cache records the version
-        each plan was compiled against and invalidates on mismatch."""
-        return self._version
+    def _advance_epoch(self, key: str) -> None:
+        self._last_epoch += 1
+        self._epochs[key] = self._last_epoch
 
-    def bump_version(self) -> int:
-        self._version += 1
-        return self._version
+    def epoch(self, name: str) -> Optional[int]:
+        """The table's current epoch; None when there is no such table.
+
+        CREATE and ``set_statistics`` (ANALYZE) advance it — row-level
+        writes and bulk loads do not, because neither optimizer reads
+        storage.  A cached plan records the epoch of every table it was
+        compiled against and is valid while all of them still match.
+        """
+        return self._epochs.get(name.lower())
 
     # -- tables -------------------------------------------------------------
 
@@ -46,7 +54,7 @@ class Catalog:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[key] = table
         self._statistics[key] = TableStatistics()
-        self.bump_version()
+        self._advance_epoch(key)
 
     def drop_table(self, name: str) -> None:
         key = name.lower()
@@ -54,7 +62,7 @@ class Catalog:
             raise CatalogError(f"unknown table {name!r}")
         del self._tables[key]
         del self._statistics[key]
-        self.bump_version()
+        del self._epochs[key]
 
     def table(self, name: str) -> TableSchema:
         key = name.lower()
@@ -82,4 +90,4 @@ class Catalog:
     def set_statistics(self, name: str, statistics: TableStatistics) -> None:
         self.table(name)
         self._statistics[name.lower()] = statistics
-        self.bump_version()
+        self._advance_epoch(name.lower())

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import bisect
 import datetime
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from operator import methodcaller
+from typing import Collection, Dict, Iterable, List, Mapping, Optional
 
 #: Number of leading bytes folded into the 64-bit string key (Section 7:
 #: "because of the fixed length, it cannot distinguish between two strings
@@ -33,12 +36,8 @@ def encode_string_key(value: str) -> int:
     agree on the first seven bytes map to the same key — the precise
     limitation the paper reports for its scheme.
     """
-    key = 0
     data = value.encode("utf-8", errors="replace")[:_STRING_KEY_PREFIX_BYTES]
-    for i in range(_STRING_KEY_PREFIX_BYTES):
-        byte = data[i] if i < len(data) else 0
-        key = (key << 8) | byte
-    return key
+    return int.from_bytes(data.ljust(_STRING_KEY_PREFIX_BYTES, b"\0"), "big")
 
 
 def _to_number(value) -> float:
@@ -205,48 +204,78 @@ SINGLETON_NDV_LIMIT = 64
 DEFAULT_BUCKETS = 32
 
 
-def build_histogram(values: Sequence, buckets: int = DEFAULT_BUCKETS,
+def build_histogram(values: Iterable, buckets: int = DEFAULT_BUCKETS,
                     singleton_limit: int = SINGLETON_NDV_LIMIT
                     ) -> Optional[Histogram]:
-    """Build the appropriate histogram for a column's non-null values.
+    """Build the appropriate histogram for a column's values (NULLs are
+    ignored); see :func:`histogram_from_counts`."""
+    counts = Counter(values)
+    counts.pop(None, None)
+    return histogram_from_counts(counts, buckets, singleton_limit)
+
+
+def histogram_from_counts(counts: Mapping[object, int],
+                          buckets: int = DEFAULT_BUCKETS,
+                          singleton_limit: int = SINGLETON_NDV_LIMIT
+                          ) -> Optional[Histogram]:
+    """Build the appropriate histogram from ``value -> occurrences`` of
+    a column's non-null values.
 
     Returns ``None`` for an empty column.  Few distinct values produce a
     :class:`SingletonHistogram`; otherwise an :class:`EquiHeightHistogram`
-    is built (numeric axis via :func:`_to_number`, so strings use the
+    is built (numeric axis as in :func:`_to_number`, so strings use the
     order-preserving prefix code).
     """
-    non_null = [value for value in values if value is not None]
-    if not non_null:
+    if not counts:
         return None
-    distinct = set(non_null)
-    total = float(len(non_null))
-    if len(distinct) <= singleton_limit:
-        counts: Dict[object, int] = {}
-        for value in non_null:
-            counts[value] = counts.get(value, 0) + 1
+    if len(counts) <= singleton_limit:
+        total = float(sum(counts.values()))
         return SingletonHistogram(
             {value: count / total for value, count in counts.items()})
-    return _build_equi_height(non_null, buckets)
+    return _build_equi_height(counts, buckets)
 
 
-def _build_equi_height(non_null: Sequence, buckets: int) -> EquiHeightHistogram:
-    points = sorted(_to_number(value) for value in non_null)
-    total = len(points)
+def _axis_points(values: Collection) -> Iterable[float]:
+    """:func:`_to_number` over ``values``, with the conversion chosen
+    once from the types present instead of once per value."""
+    types = set(map(type, values))
+    if types <= {int, float, bool}:
+        return map(float, values)
+    if types == {datetime.date}:
+        return map(float, map(methodcaller("toordinal"), values))
+    if types == {str}:
+        return map(float, map(encode_string_key, values))
+    return map(_to_number, values)
+
+
+def _build_equi_height(counts: Mapping[object, int],
+                       buckets: int) -> EquiHeightHistogram:
+    """Cut equal-mass buckets over the run-length-encoded sorted points.
+
+    Only the *distinct* values are placed on the axis and sorted.  A
+    run is every occurrence of one point — of one value, or of several
+    the axis cannot tell apart — and never straddles a bucket boundary.
+    """
+    runs: Dict[float, int] = {}
+    for point, count in zip(_axis_points(counts), counts.values()):
+        runs[point] = runs.get(point, 0) + count
+    points = sorted(runs)
+    #: ends[i]: how many values lie at or below points[i].
+    ends = list(accumulate(map(runs.__getitem__, points)))
+    total = ends[-1]
     per_bucket = max(1, total // buckets)
     lowers: List[float] = []
     uppers: List[float] = []
     cumulative: List[float] = []
     bucket_ndv: List[float] = []
-    start = 0
-    while start < total:
-        end = min(total, start + per_bucket)
-        # Extend the bucket so equal values never straddle a boundary.
-        while end < total and points[end] == points[end - 1]:
-            end += 1
-        segment = points[start:end]
-        lowers.append(segment[0])
-        uppers.append(segment[-1])
-        cumulative.append(end / total)
-        bucket_ndv.append(float(len(set(segment))))
-        start = end
+    first = 0
+    while first < len(points):
+        start = ends[first - 1] if first else 0
+        # The bucket ends with the run holding its per_bucket-th value.
+        last = bisect.bisect_left(ends, min(total, start + per_bucket))
+        lowers.append(points[first])
+        uppers.append(points[last])
+        cumulative.append(ends[last] / total)
+        bucket_ndv.append(float(last - first + 1))
+        first = last + 1
     return EquiHeightHistogram(lowers, uppers, cumulative, bucket_ndv)

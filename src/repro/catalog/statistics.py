@@ -10,10 +10,11 @@ carried alongside.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
-from repro.catalog.histogram import Histogram, build_histogram
+from repro.catalog.histogram import Histogram, histogram_from_counts
 
 
 @dataclass
@@ -32,25 +33,20 @@ class ColumnStatistics:
                     with_histogram: bool = True) -> "ColumnStatistics":
         """Compute statistics over a column's values (ANALYZE TABLE).
 
-        ``values`` may be any single-pass iterable — storage hands in
-        lazy column iterators so ANALYZE never materialises its own
-        copy of every column.
+        ``values`` may be any single-pass iterable.  It is consumed
+        once, into a ``value -> occurrences`` counter; null count, NDV,
+        min/max and the histogram are all read off that counter, so the
+        work after the count is proportional to the distinct values.
         """
-        total = 0
-        non_null = []
-        append = non_null.append
-        for value in values:
-            total += 1
-            if value is not None:
-                append(value)
-        distinct = set(non_null)
-        histogram = build_histogram(non_null) if with_histogram else None
+        counts = Counter(values)
+        null_count = counts.pop(None, 0)
         return ColumnStatistics(
-            null_count=total - len(non_null),
-            distinct_count=len(distinct),
-            min_value=min(non_null) if non_null else None,
-            max_value=max(non_null) if non_null else None,
-            histogram=histogram,
+            null_count=null_count,
+            distinct_count=len(counts),
+            min_value=min(counts) if counts else None,
+            max_value=max(counts) if counts else None,
+            histogram=histogram_from_counts(counts)
+            if with_histogram else None,
             unique=unique,
         )
 

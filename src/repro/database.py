@@ -181,9 +181,6 @@ class DatabaseConfig:
     #: Plan-quality feedback: a statement execution whose worst per-node
     #: Q-error exceeds this is a *breach* (1.0 = perfect estimate).
     planq_q_threshold: float = 16.0
-    #: Breaches in a row before the statement's cached plan is
-    #: invalidated (forcing re-optimization against current statistics).
-    planq_consecutive_breaches: int = 3
     #: Bounded size of the misestimation ledger (LRU beyond this).
     planq_ledger_capacity: int = 256
     #: Fractional live-vs-ANALYZE cardinality drift above which
@@ -238,8 +235,8 @@ class DatabaseConfig:
     workload_regression_min_samples: int = 3
     #: Opt-in apply hook: every ``advisor_interval_statements``
     #: statements, pending re-ANALYZE recommendations are applied
-    #: automatically (ANALYZE bumps the catalog version, so cached
-    #: plans recompile against the fresh statistics).
+    #: automatically (ANALYZE advances the table's catalog epoch, so
+    #: cached plans over it recompile against the fresh statistics).
     advisor_auto_analyze: bool = False
     #: Statements between auto-apply sweeps.
     advisor_interval_statements: int = 32
@@ -298,8 +295,6 @@ class DatabaseConfig:
         if self.planq_q_threshold < 1.0:
             raise ReproError("planq_q_threshold must be >= 1.0 "
                              "(1.0 is a perfect estimate)")
-        if self.planq_consecutive_breaches < 1:
-            raise ReproError("planq_consecutive_breaches must be >= 1")
         if self.slow_query_log_threshold_seconds < 0.0:
             raise ReproError(
                 "slow_query_log_threshold_seconds must be >= 0")
@@ -414,17 +409,17 @@ class Database:
             threshold=self.config.circuit_breaker_threshold,
             reset_seconds=self.config.circuit_breaker_reset_seconds)
         #: Statement plan cache, keyed by literal-preserving statement
-        #: digest and validated against the catalog version (DDL, DML,
-        #: and ANALYZE all invalidate).
+        #: digest and validated against the catalog epochs of the tables
+        #: the statement references (their DDL and ANALYZE invalidate;
+        #: DML does not).
         self.plan_cache = PlanCache(
             capacity=self.config.plan_cache_capacity,
             metrics=self.metrics)
-        #: Per-statement estimate-accuracy history; breach streaks feed
-        #: back into plan-cache invalidation (see plan_quality module).
+        #: Per-statement estimate-accuracy history (see plan_quality
+        #: module); it reports, the advisor's re-ANALYZE acts.
         self.misestimation_ledger = MisestimationLedger(
             capacity=self.config.planq_ledger_capacity,
-            q_threshold=self.config.planq_q_threshold,
-            consecutive_threshold=self.config.planq_consecutive_breaches)
+            q_threshold=self.config.planq_q_threshold)
         #: Per-fingerprint statement history + column usage; feeds the
         #: advisor (see the workload module docstring).
         self.workload = WorkloadRepository(
@@ -493,8 +488,15 @@ class Database:
         self.storage.load_rows(table_name, list(rows))
 
     def analyze(self, with_histograms: bool = True) -> None:
-        """ANALYZE every table (row counts, NDVs, histograms)."""
-        self.storage.analyze_all(with_histograms)
+        """ANALYZE every table whose rows changed since its last ANALYZE
+        (row counts, NDVs, histograms); the rest keep their statistics,
+        their catalog epoch and so the cached plans over them."""
+        with self.tracer.span("analyze") as span:
+            analyzed = len(self.storage.analyze_all(with_histograms))
+            skipped = len(self.catalog.table_names) - analyzed
+            span.set(tables_analyzed=analyzed, tables_skipped=skipped)
+        self.metrics.inc("analyze.tables_analyzed", analyzed)
+        self.metrics.inc("analyze.tables_skipped", skipped)
 
     # -- compilation -------------------------------------------------------------
 
@@ -522,6 +524,8 @@ class Database:
         tracer = self.tracer
         with tracer.span("prepare"):
             block, context = Resolver(self.catalog).resolve(stmt)
+            table_epochs = {table: self.catalog.epoch(table)
+                            for table in context.base_table_names()}
             prepare(block)
         if governor is not None:
             # Stage-boundary checkpoint: a cancelled/expired statement
@@ -569,6 +573,7 @@ class Database:
                                    self.storage).build()
         if governor is not None:
             governor.checkpoint(stage="refine")
+        executor.table_epochs = table_epochs
         return executor, used, fallback_reason, skeleton
 
     def _guarded_detour(self, stmt, block, context, sql: str,
@@ -764,8 +769,8 @@ class Database:
         :class:`repro.governor.CancelToken`.  A breached bound aborts
         the statement with the matching typed
         :class:`repro.errors.GovernorError` subclass and leaves
-        storage, the plan cache, metrics streaks, and the misestimation
-        ledger exactly as if the statement never ran — one exception:
+        storage, the plan cache, and the misestimation ledger's entries
+        exactly as if the statement never ran — one exception:
         a hash-aggregate memory breach first retries once in streaming
         mode (see ``config.governor_stream_agg_retry``).
 
@@ -818,7 +823,7 @@ class Database:
             except (GovernorError, ExecutionError) as exc:
                 # An aborted statement: classify, count, and unwind.
                 # Deliberately skipped: the plan-cache store, the
-                # misestimation ledger's streak, planq metrics, and the
+                # misestimation ledger's entry, planq metrics, and the
                 # compile/execute latency observations — the statement
                 # must leave the Database as if it never ran.
                 self._record_abort(sql, exc, governor, stmt_span,
@@ -849,8 +854,13 @@ class Database:
         cache_enabled = use_plan_cache and \
             self.config.plan_cache_enabled
         cache_key = statement_cache_key(sql, optimizer)
-        cached = self.plan_cache.lookup(
-            cache_key, self.catalog.version) if cache_enabled else None
+        # A key the cache holds but cannot serve is stale (an epoch
+        # moved); one it never saw, or evicted, is a plain miss.
+        status = "bypass"
+        cached = None
+        if cache_enabled:
+            status = "stale" if cache_key in self.plan_cache else "miss"
+            cached = self.plan_cache.lookup(cache_key, self.catalog)
         fallback_reason: Optional[FallbackReason] = None
         if cached is not None:
             # Hit: the refined executable plan is reused as-is; the
@@ -863,7 +873,6 @@ class Database:
                 route_span.set(plan_cache="hit", route=used,
                                policy=self.config.routing)
         else:
-            status = "miss" if cache_enabled else "bypass"
             executor, used, fallback_reason, skeleton = \
                 self._compile_select(stmt, optimizer, sql,
                                      cache_status=status,
@@ -902,7 +911,7 @@ class Database:
         done = time.perf_counter()
         quality = statement_quality(executor)
         self._record_plan_quality(sql, cache_key, quality, used,
-                                  cached is not None, exec_span)
+                                  exec_span)
         plan_hash = self._record_workload(
             sql, executor, used, cached is not None, fallback_reason,
             quality, done - start, len(rows))
@@ -919,7 +928,7 @@ class Database:
                 executor=executor,
                 skeleton=skeleton,
                 optimizer_used=used,
-                catalog_version=self.catalog.version,
+                table_epochs=executor.table_epochs,
                 fingerprint=statement_fingerprint(sql)))
         if mode == "batch" and executor.last_mode == "row":
             # The batch engine refused this plan; record the
@@ -1139,7 +1148,7 @@ class Database:
 
         Records a FallbackEvent with the execution-stage reason and
         bumps the governor counters; deliberately does NOT touch the
-        plan cache or the misestimation ledger's streaks (the abort
+        plan cache or the misestimation ledger's entries (the abort
         must not poison either — the ledger only counts it).
         """
         reason = classify_execution_exception(exc)
@@ -1185,20 +1194,15 @@ class Database:
 
     def _record_plan_quality(self, sql: str, cache_key: str,
                              quality: StatementQuality, used: str,
-                             plan_cache_hit: bool, exec_span) -> None:
-        """Fold one execution's estimate accuracy into the feedback loop.
-
-        Records the statement in the misestimation ledger, mirrors the
-        aggregates into ``planq.*`` metrics and the ``execute`` span,
-        and — when the ledger reports a completed breach streak — drops
-        the statement's plan-cache entry so the next run re-optimizes.
-        Only cache hits advance the breach streak: invalidation evicts
-        a cached plan, so the evidence has to come from executions that
-        plan actually served.
+                             exec_span) -> None:
+        """Record one execution's estimate accuracy in the misestimation
+        ledger and mirror the aggregates into ``planq.*`` metrics and
+        the ``execute`` span.  A breach is reported, never acted on
+        here: a plan whose inputs changed is already invalid at lookup,
+        and recompiling one whose inputs did not yields the same plan.
         """
-        entry, invalidate = self.misestimation_ledger.record(
-            cache_key, statement_fingerprint(sql), sql, quality, used,
-            cached=plan_cache_hit)
+        self.misestimation_ledger.record(
+            cache_key, statement_fingerprint(sql), sql, quality, used)
         metrics = self.metrics
         metrics.inc("planq.statements")
         metrics.observe("planq.root_q", quality.root_q)
@@ -1209,9 +1213,6 @@ class Database:
         exec_span.set(root_q=quality.root_q, max_q=quality.max_q,
                       worst_operator=quality.worst_operator,
                       planq_breach=breached)
-        if invalidate:
-            metrics.inc("planq.plan_invalidations")
-            self.plan_cache.invalidate(cache_key)
 
     def explain(self, sql: str, optimizer: str = "auto",
                 analyze: bool = False) -> str:

@@ -18,11 +18,11 @@ Every statement runs in three steps:
    write, so a failing statement leaves table and indexes untouched.
 3. **Apply.**  One call to ``StorageEngine.load_rows`` / ``update_rows``
    / ``delete_rows``, which keeps the table and its indexes in step
-   (see ``repro.storage.engine``) and bumps the catalog version once —
-   unless no row changed, which leaves cached plans valid.  Rows keep
-   their row ids across UPDATE; DELETE moves the last row into each
-   hole, so scan order after a DELETE is not insertion order (no order
-   was ever promised without ORDER BY).
+   (see ``repro.storage.engine``).  No write touches the catalog, so
+   cached plans stay valid and read the new rows on their next run.
+   Rows keep their row ids across UPDATE; DELETE moves the last row
+   into each hole, so scan order after a DELETE is not insertion order
+   (no order was ever promised without ORDER BY).
 
 Statistics are not maintained incrementally; run ``Database.analyze()``
 after bulk changes, as with MySQL's ANALYZE TABLE.

@@ -60,6 +60,10 @@ class Executor:
         #: Database's workload layer first sees this executor.
         self.workload_plan_hash: Optional[str] = None
         self.workload_touches: tuple = ()
+        #: Catalog epoch of every base table the statement binds, read
+        #: when it was resolved — what the plan cache validates a stored
+        #: plan against (set by the Database facade's compile step).
+        self.table_epochs: Dict[str, int] = {}
 
     # -- plan registry -----------------------------------------------------------
 

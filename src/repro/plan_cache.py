@@ -22,11 +22,18 @@ never share an entry.  The requested optimizer (``auto`` / ``mysql`` /
 ``orca``) is part of the key too, since it changes routing and thus the
 plan.
 
-Every entry records the catalog version it was compiled against
-(:attr:`repro.catalog.catalog.Catalog.version`).  DDL, ANALYZE, and DML
-all bump that counter, so a lookup that finds an entry compiled against
-an older version drops it and counts an *invalidation* — the plan may
-reference dropped tables, stale statistics, or pre-DML row counts.
+Every entry records what its plan was compiled from: the catalog epoch
+(:meth:`repro.catalog.catalog.Catalog.epoch`) of each base table the
+resolver bound, in any block of the statement — subqueries, derived
+tables and CTEs included.  Both optimizers read schemas and statistics
+and never storage, so those epochs are the plan's whole input: CREATE,
+DROP and ANALYZE of a *referenced* table change one and the next lookup
+drops the entry (an *invalidation*); row-level DML, bulk loads, and DDL
+or ANALYZE on any other table leave it valid.  A cached plan names its
+tables and reads current storage on every execution, so it returns
+fresh rows after any write; that its estimates drift from the data is
+what the staleness report and the advisor's re-ANALYZE are for, and
+that re-ANALYZE is what invalidates.
 
 Failed detours are never cached: the Database facade only stores a plan
 when compilation finished without a fallback, so circuit-broken
@@ -92,9 +99,10 @@ class PlanCacheEntry:
     skeleton: object
     #: Which optimizer produced the plan ("orca" or "mysql").
     optimizer_used: str
-    #: Catalog version the plan was compiled against; a lookup under a
-    #: newer version invalidates the entry.
-    catalog_version: int
+    #: Catalog epoch, at compile time, of every base table the statement
+    #: references; a lookup that finds any of them changed (or the table
+    #: gone) invalidates the entry.
+    table_epochs: Dict[str, int]
     #: The resilience fingerprint of the statement (literal-normalised),
     #: kept so reports can correlate cache entries with fallback history.
     fingerprint: Optional[str] = None
@@ -103,7 +111,7 @@ class PlanCacheEntry:
 
 
 class PlanCache:
-    """An LRU statement plan cache with version-based invalidation."""
+    """An LRU statement plan cache validated by per-table epochs."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  metrics=None) -> None:
@@ -132,16 +140,17 @@ class PlanCache:
 
     # -- cache protocol ---------------------------------------------------------
 
-    def lookup(self, key: str,
-               catalog_version: int) -> Optional[PlanCacheEntry]:
+    def lookup(self, key: str, catalog) -> Optional[PlanCacheEntry]:
         """The entry for ``key``, or None on a miss.
 
-        An entry compiled against an older catalog version is dropped
-        (counted as an invalidation *and* a miss — the statement will
-        recompile and re-store).
+        An entry whose tables' epochs in ``catalog`` are no longer the
+        ones it recorded is dropped (counted as an invalidation *and* a
+        miss — the statement will recompile and re-store).
         """
         entry = self._entries.get(key)
-        if entry is not None and entry.catalog_version != catalog_version:
+        if entry is not None and any(
+                catalog.epoch(table) != epoch
+                for table, epoch in entry.table_epochs.items()):
             del self._entries[key]
             self._count("invalidations")
             entry = None
@@ -161,20 +170,6 @@ class PlanCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self._count("evictions")
-
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry (counted as an invalidation) if present.
-
-        The plan-quality feedback loop calls this when a statement's
-        Q-error stays above threshold for a full breach streak: the
-        cached plan was built from estimates that reality keeps
-        contradicting, so the next execution must re-optimize.
-        """
-        if key not in self._entries:
-            return False
-        del self._entries[key]
-        self._count("invalidations")
-        return True
 
     def invalidate_fingerprint(self, fingerprint: str) -> int:
         """Drop every entry whose resilience fingerprint matches.

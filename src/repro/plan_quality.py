@@ -14,8 +14,8 @@ actual)`` pairs from the always-on counters the executor maintains
 * a per-statement :class:`StatementQuality` aggregate (root and max
   Q-error, the worst node and its operator kind);
 * a bounded-LRU :class:`MisestimationLedger` keyed like the plan cache,
-  tracking breach streaks per statement and deciding when a cached plan
-  has earned invalidation (K consecutive executions above threshold);
+  recording executions and breaches (Q-error above threshold) per
+  statement;
 * a per-table staleness estimate comparing live table cardinality with
   ANALYZE-time statistics, feeding a re-ANALYZE recommendation list.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "LedgerEntry",
@@ -177,8 +177,6 @@ class LedgerEntry:
     sql: str
     executions: int = 0
     breaches: int = 0
-    consecutive_breaches: int = 0
-    plan_invalidations: int = 0
     max_q: float = 1.0
     last_q: float = 1.0
     last_root_q: float = 1.0
@@ -192,8 +190,6 @@ class LedgerEntry:
             "sql": self.sql,
             "executions": self.executions,
             "breaches": self.breaches,
-            "consecutive_breaches": self.consecutive_breaches,
-            "plan_invalidations": self.plan_invalidations,
             "max_q": self.max_q,
             "last_q": self.last_q,
             "last_root_q": self.last_root_q,
@@ -205,39 +201,32 @@ class LedgerEntry:
 class MisestimationLedger:
     """Bounded-LRU record of per-statement estimate accuracy.
 
-    Keyed by the plan-cache key (literal-preserving, so the feedback
-    action can invalidate exactly the cached plan that misestimates);
-    each entry also carries the literal-normalised resilience
-    fingerprint for correlation with the fallback log.
+    Keyed by the plan-cache key (literal-preserving, one entry per
+    cached plan); each entry also carries the literal-normalised
+    resilience fingerprint for correlation with the fallback log.
 
-    The feedback rule: an execution whose max Q-error exceeds
-    ``q_threshold`` is a *breach*; ``consecutive_threshold`` breaches in
-    a row earn a plan-cache invalidation (and reset the streak, so a
-    plan that keeps misestimating is re-invalidated only after another
-    full streak — no per-execution thrash).  Only executions served
-    from the plan cache advance or reset the streak: the invalidation
-    evicts a *cached* plan, so the evidence must come from runs of that
-    cached plan — a cold run already re-optimizes and needs no
-    feedback action (breach totals still count every execution).
+    An execution whose max Q-error exceeds ``q_threshold`` is a
+    *breach*.  The ledger records and ranks breaches; it takes no
+    action on the plan cache.  A plan's inputs are the catalog epochs
+    of its tables: when statistics change the cached plan is already
+    invalid at its next lookup, and while they do not a recompile
+    returns the same plan — so the remedy for a breaching statement is
+    the re-ANALYZE the staleness report recommends, not a recompile.
     """
 
-    def __init__(self, capacity: int = 256, q_threshold: float = 16.0,
-                 consecutive_threshold: int = 3) -> None:
+    def __init__(self, capacity: int = 256,
+                 q_threshold: float = 16.0) -> None:
         if capacity < 1:
             raise ValueError("ledger capacity must be >= 1")
         if q_threshold < 1.0:
             raise ValueError("q_threshold must be >= 1.0 (perfect)")
-        if consecutive_threshold < 1:
-            raise ValueError("consecutive_threshold must be >= 1")
         self.capacity = capacity
         self.q_threshold = q_threshold
-        self.consecutive_threshold = consecutive_threshold
         self._entries: "OrderedDict[str, LedgerEntry]" = OrderedDict()
         #: Per-operator-kind aggregates across every recorded node.
         self._operators: Dict[str, Dict[str, float]] = {}
         self.evictions = 0
         self.total_breaches = 0
-        self.total_invalidations = 0
         self.total_aborted = 0
 
     def __len__(self) -> int:
@@ -247,18 +236,9 @@ class MisestimationLedger:
         return self._entries.get(cache_key)
 
     def record(self, cache_key: str, fingerprint: str, sql: str,
-               quality: StatementQuality, optimizer_used: str,
-               cached: bool = True) -> Tuple[LedgerEntry, bool]:
-        """Fold one execution in; returns ``(entry, invalidate_plan)``.
-
-        ``invalidate_plan`` is True when this execution completed a
-        breach streak and the statement's cached plan should be dropped.
-        ``cached`` says whether the execution was served from the plan
-        cache: only cached runs advance (or reset) the breach streak —
-        a freshly compiled plan that misestimates still counts toward
-        the breach totals but triggers no invalidation, since there is
-        no stale cached plan to evict.
-        """
+               quality: StatementQuality,
+               optimizer_used: str) -> LedgerEntry:
+        """Fold one execution in; returns the statement's entry."""
         entry = self._entries.get(cache_key)
         if entry is None:
             entry = LedgerEntry(cache_key=cache_key,
@@ -286,22 +266,10 @@ class MisestimationLedger:
                 stats["max_q"] = node.q
             if node.q > self.q_threshold:
                 stats["breaches"] += 1
-        breach = quality.max_q > self.q_threshold
-        if breach:
+        if quality.max_q > self.q_threshold:
             entry.breaches += 1
             self.total_breaches += 1
-        if cached:
-            if breach:
-                entry.consecutive_breaches += 1
-            else:
-                entry.consecutive_breaches = 0
-        invalidate = cached and breach and \
-            entry.consecutive_breaches >= self.consecutive_threshold
-        if invalidate:
-            entry.plan_invalidations += 1
-            entry.consecutive_breaches = 0
-            self.total_invalidations += 1
-        return entry, invalidate
+        return entry
 
     def worst_fingerprints(self, limit: int = 10) -> List[LedgerEntry]:
         """Entries ranked by worst-ever Q-error, descending."""
@@ -321,9 +289,8 @@ class MisestimationLedger:
         memory breach, runtime error).
 
         An aborted execution produces no trustworthy actual row counts
-        — its operators stopped early — so it must NOT advance or reset
-        any entry's breach streak, and it is deliberately not recorded
-        per-statement; only the total is kept for the report.
+        — its operators stopped early — so it is deliberately not
+        recorded per-statement; only the total is kept for the report.
         """
         self.total_aborted += 1
 
@@ -332,10 +299,8 @@ class MisestimationLedger:
             "size": len(self._entries),
             "capacity": self.capacity,
             "q_threshold": self.q_threshold,
-            "consecutive_threshold": self.consecutive_threshold,
             "evictions": self.evictions,
             "breaches": self.total_breaches,
-            "invalidations": self.total_invalidations,
             "aborted": self.total_aborted,
         }
 
@@ -410,11 +375,8 @@ def format_plan_quality_report(payload: dict) -> str:
     ledger = payload["ledger"]
     lines = ["Plan quality", "=" * 12,
              f"statements recorded: {ledger['size']} "
-             f"(threshold q > {ledger['q_threshold']:g}, "
-             f"{ledger['consecutive_threshold']} consecutive breaches "
-             f"invalidate)",
-             f"breaches: {ledger['breaches']}   "
-             f"plan invalidations: {ledger['invalidations']}"]
+             f"(threshold q > {ledger['q_threshold']:g})",
+             f"breaches: {ledger['breaches']}"]
     worst = payload["worst_fingerprints"]
     lines.append("worst statements (by max q):"
                  if worst else "worst statements: (none recorded)")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.errors import ResolutionError
@@ -252,6 +252,11 @@ class StatementContext:
     @property
     def entry_count(self) -> int:
         return len(self._entries)
+
+    def base_table_names(self) -> Set[str]:
+        """The catalog tables bound by any block of the statement."""
+        return {entry.name for entry in self._entries
+                if entry.kind is EntryKind.BASE}
 
     @property
     def blocks(self) -> List[QueryBlock]:

@@ -38,6 +38,7 @@ filter), and any type error during the range test keeps the chunk.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
@@ -148,20 +149,15 @@ class ColumnChunk:
         them canonical even if values were mutated in place)."""
         for position, column in enumerate(self.columns):
             bits = 0
-            low = high = None
-            for offset, value in enumerate(column):
-                if value is None:
-                    bits |= 1 << offset
-                elif low is None:
-                    low = high = value
-                else:
-                    if value < low:
-                        low = value
-                    elif value > high:
-                        high = value
+            values = column
+            if None in column:
+                for offset, value in enumerate(column):
+                    if value is None:
+                        bits |= 1 << offset
+                values = [value for value in column if value is not None]
             self.null_bits[position] = bits
-            self.mins[position] = low
-            self.maxs[position] = high
+            self.mins[position] = min(values) if values else None
+            self.maxs[position] = max(values) if values else None
 
     # -- zone-map predicate test --------------------------------------------------
 
@@ -313,11 +309,12 @@ class ColumnStore:
             chunk.rebuild_zone_maps()
 
     def column_values(self, column_name: str) -> Iterator:
-        """All values of one column, chunk by chunk, without a gather
-        copy — ANALYZE consumes each column in a single pass."""
+        """All values of one column: the chunks' own column lists
+        chained, with no gather copy and no Python-level frame per
+        value — ANALYZE consumes each column in a single pass."""
         position = self.schema.column_position(column_name)
-        for chunk in self.chunks:
-            yield from chunk.columns[position]
+        return chain.from_iterable(
+            chunk.columns[position] for chunk in self.chunks)
 
     def scan_chunks(self, predicates: Optional[Sequence[tuple]] = None
                     ) -> Iterator[Tuple[List[Row], bool]]:

@@ -19,8 +19,11 @@ The one exception is an append that is large against what the indexes
 already hold (:data:`BULK_LOAD_DIVISOR`, judged from the row counts
 ``load_rows`` can see): it re-sorts each index once, which leaves the
 same entries.  Callers validate before they call: these methods cannot
-fail half-way.  A call that changes no row leaves the catalog version —
-and so every cached plan — alone.
+fail half-way.  A write never touches the catalog: cached plans name
+their tables and read them afresh on every execution, and statistics
+move only at ANALYZE.  What a write does leave behind is one tick of the
+table's mutation count, which is how :meth:`StorageEngine.analyze_all`
+knows which tables have anything new to analyze.
 """
 
 from __future__ import annotations
@@ -95,6 +98,12 @@ class StorageEngine:
         self.catalog = catalog
         self._stores: Dict[str, ColumnStore] = {}
         self._indexes: Dict[str, Dict[str, OrderedIndex]] = {}
+        #: Writes that changed at least one row, per table.
+        self._mutations: Dict[str, int] = {}
+        #: What the last ANALYZE of each table saw: the table's mutation
+        #: count, ``with_histograms``, and the catalog epoch its
+        #: statistics were installed under.
+        self._analyzed: Dict[str, Tuple[int, bool, int]] = {}
         self.counters = AccessCounters()
         #: Busy-loop iterations simulating one random B-tree descent.
         self.lookup_penalty = lookup_penalty
@@ -113,6 +122,7 @@ class StorageEngine:
         key = schema.name.lower()
         store = ColumnStore(schema, self.batch_size)
         self._stores[key] = store
+        self._mutations[key] = 0
         self._indexes[key] = {
             index.name: OrderedIndex(index, store)
             for index in schema.indexes}
@@ -122,15 +132,13 @@ class StorageEngine:
         key = name.lower()
         self._stores.pop(key, None)
         self._indexes.pop(key, None)
+        self._mutations.pop(key, None)
+        self._analyzed.pop(key, None)
 
     # -- DML ------------------------------------------------------------------
 
     def load_rows(self, table_name: str, rows: Sequence[Sequence]) -> None:
-        """Append rows (bulk load and SQL INSERT alike).
-
-        Bumps the catalog version: cached plans were costed against the
-        old row counts, so INSERT (and bulk loads) invalidate them.
-        """
+        """Append rows (bulk load and SQL INSERT alike)."""
         store = self.store(table_name)
         before = store.row_count
         added = store.append_rows(rows)
@@ -149,14 +157,13 @@ class StorageEngine:
                 for row_id, row in enumerate(added, before):
                     counters.index_entries_maintained += \
                         index.insert_entry(row, row_id)
-        self.catalog.bump_version()
+        self._mutations[table_name.lower()] += 1
 
     def update_rows(self, table_name: str, row_ids: Sequence[int],
                     new_rows: Sequence[Row]) -> None:
         """Overwrite row ``row_ids[i]`` with ``new_rows[i]``.
 
-        Only indexes whose key actually changes are touched.  Bumps the
-        catalog version (once) so cached statement plans invalidate.
+        Only indexes whose key actually changes are touched.
         """
         if not row_ids:
             return
@@ -175,7 +182,7 @@ class StorageEngine:
             store.set_row(row_id, new)
             patched.add(row_id // store.chunk_size)
         counters.chunks_patched += len(patched)
-        self.catalog.bump_version()
+        self._mutations[table_name.lower()] += 1
 
     def delete_rows(self, table_name: str, row_ids: Sequence[int]) -> None:
         """Delete the rows at ``row_ids`` (distinct row ids).
@@ -183,8 +190,7 @@ class StorageEngine:
         Victims go in descending order and each hole is filled with the
         table's last row, so per victim only two rows' index entries and
         at most two chunks change, no other row id moves, and every
-        chunk but the last stays full.  Bumps the catalog version
-        (once).
+        chunk but the last stays full.
         """
         if not row_ids:
             return
@@ -207,7 +213,7 @@ class StorageEngine:
                 patched.add(row_id // store.chunk_size)
             patched.add(last_id // store.chunk_size)
         counters.chunks_patched += len(patched)
-        self.catalog.bump_version()
+        self._mutations[table_name.lower()] += 1
 
     # -- access ---------------------------------------------------------------
 
@@ -374,11 +380,30 @@ class StorageEngine:
             )
         store.rebuild_zone_maps()
         self.catalog.set_statistics(table_name, statistics)
+        key = table_name.lower()
+        self._analyzed[key] = (self._mutations[key], with_histograms,
+                               self.catalog.epoch(table_name))
         return statistics
 
-    def analyze_all(self, with_histograms: bool = True) -> None:
+    def analyze_all(self, with_histograms: bool = True) -> List[str]:
+        """ANALYZE every table that has something new to analyze;
+        returns the names of the tables it analyzed.
+
+        A table is skipped — statistics, catalog epoch and so the
+        cached plans over it all stay — when no write changed its rows
+        since its last ANALYZE, that ANALYZE had the same
+        ``with_histograms``, and the statistics it installed are still
+        the catalog's (nobody called ``set_statistics`` since).
+        """
+        analyzed = []
         for table in self.catalog.tables():
-            self.analyze_table(table.name, with_histograms)
+            key = table.name.lower()
+            if self._analyzed.get(key) != (
+                    self._mutations.get(key), with_histograms,
+                    self.catalog.epoch(key)):
+                self.analyze_table(table.name, with_histograms)
+                analyzed.append(table.name)
+        return analyzed
 
     # -- cost-model inputs --------------------------------------------------------
 

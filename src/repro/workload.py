@@ -734,8 +734,8 @@ class Advisor:
         """Apply actionable advice; returns one action record each.
 
         ``reanalyze`` runs ANALYZE (with histograms) on the table —
-        which also bumps the catalog version, so every cached plan
-        recompiles against the fresh statistics.  ``plan_regression``
+        which advances its catalog epoch, so the cached plans that
+        reference it recompile against the fresh statistics.  ``plan_regression``
         purges the fingerprint's cached plans and marks the regression
         handled.  ``index`` advice is never auto-applied.
         """

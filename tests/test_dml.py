@@ -75,14 +75,17 @@ class TestInsert:
             == [("ada",)]
 
     def test_insert_duplicate_within_statement_is_atomic(self, db):
-        version = db.catalog.version
+        epoch = db.catalog.epoch("accounts")
         with pytest.raises(ExecutionError, match="duplicate entry 31 "):
             db.run("INSERT INTO accounts (id, owner, balance) "
                    "VALUES (30, 'a', 1), (31, 'b', 2), (31, 'c', 3)")
         assert db.execute("SELECT COUNT(*) FROM accounts") == [(3,)]
         assert db.execute("SELECT COUNT(*) FROM accounts "
                           "WHERE id >= 30") == [(0,)]
-        assert db.catalog.version == version
+        # The rejected statement left no trace: same epoch, and ANALYZE
+        # still sees a table nobody wrote to.
+        assert db.catalog.epoch("accounts") == epoch
+        assert db.storage.analyze_all() == []
 
     def test_bulk_load_does_not_enforce_unique_keys(self, db):
         db.load("accounts", [(1, "twin", 0.0, None)])
@@ -228,8 +231,10 @@ class TestDmlRouting:
                    "(SELECT AVG(balance) FROM accounts)")
 
 
-class TestNoOpDmlKeepsPlans:
-    """A statement that changes no row must not evict cached plans."""
+class TestDmlKeepsPlans:
+    """Writes never touch the catalog: a cached plan outlives them and
+    reads the rows that are there now.  Only a write that changed a row
+    gives the next ANALYZE something to do."""
 
     @pytest.mark.parametrize("no_op", [
         lambda db: db.run("DELETE FROM accounts WHERE id = 999999"),
@@ -237,21 +242,30 @@ class TestNoOpDmlKeepsPlans:
                           "WHERE id = 999999"),
         lambda db: db.load("accounts", []),
     ], ids=["delete", "update", "empty_load"])
-    def test_zero_row_write_keeps_version_and_cached_plan(self, db, no_op):
+    def test_zero_row_write_changes_nothing(self, db, no_op):
         sql = "SELECT owner FROM accounts WHERE balance > 50"
         db.run(sql)
         assert db.run(sql).plan_cache_hit
-        version = db.catalog.version
+        epoch = db.catalog.epoch("accounts")
         no_op(db)
-        assert db.catalog.version == version
+        assert db.catalog.epoch("accounts") == epoch
         assert db.run(sql).plan_cache_hit
+        assert db.storage.analyze_all() == []
 
-    def test_write_that_changes_a_row_still_invalidates(self, db):
+    def test_write_that_changes_a_row_keeps_the_plan(self, db):
         sql = "SELECT owner FROM accounts WHERE balance > 50"
-        db.run(sql)
-        version = db.catalog.version
+        before = db.run(sql).rows
+        epoch = db.catalog.epoch("accounts")
         db.run("DELETE FROM accounts WHERE id = 1")
-        assert db.catalog.version == version + 1
+        assert db.catalog.epoch("accounts") == epoch
+        result = db.run(sql)
+        assert result.plan_cache_hit
+        assert sorted(result.rows) == sorted(
+            row for row in before if row != ("ada",))
+        # ... and the table now has something new to analyze, which is
+        # what invalidates.
+        assert db.storage.analyze_all() == ["accounts"]
+        assert db.catalog.epoch("accounts") > epoch
         assert not db.run(sql).plan_cache_hit
 
 

@@ -317,3 +317,70 @@ def test_single_row_dml_cost_does_not_grow_with_the_table():
             assert counts["storage.index_entries_maintained"] <= 2 * 3
             assert counts["storage.chunks_patched"] <= 2
     assert small == large
+
+
+# -- plans outlive writes; ANALYZE costs what changed --------------------------------
+
+
+def test_cached_join_plan_survives_single_row_writes():
+    """One Orca-routed join, run 20 times with 50 single-row writes to
+    the tables it reads in between: compiled once, served 19 times."""
+    db = Database()
+    load_tpch(db, scale=SCALE)
+    sql = TPCH_QUERIES[3]
+    reference = Database()
+    load_tpch(reference, scale=SCALE)
+    writes = 0
+    blocks_after_first = None
+    for run in range(20):
+        result = db.run(sql)
+        assert result.optimizer_used == "orca"
+        assert result.plan_cache_hit == (run > 0)
+        if blocks_after_first is None:
+            blocks_after_first = db.metrics.count("orca.blocks_optimized")
+            assert blocks_after_first > 0
+        # 50 writes spread over the 19 gaps between the 20 runs.
+        while writes < 50 * (run + 1) // 19 and run < 19:
+            key = 900000 + writes
+            statements = (
+                f"INSERT INTO orders VALUES ({key}, 1, 'O', 10.5, "
+                "'1995-01-01', '3-MEDIUM', 'Clerk#000000001', 0, 'smoke')",
+                f"UPDATE orders SET o_totalprice = {writes}.5 "
+                f"WHERE o_orderkey = {key - 1}",
+                f"DELETE FROM orders WHERE o_orderkey = {key - 2}",
+            )
+            for target in (db, reference):
+                target.run(statements[writes % 3])
+            writes += 1
+    assert writes == 50
+    assert db.metrics.count("plan_cache.hits") == 19
+    assert db.metrics.count("plan_cache.invalidations") == 0
+    assert db.metrics.count("orca.blocks_optimized") == blocks_after_first
+    # The 20th answer is the one a from-scratch compile gives now.
+    assert sorted(map(repr, result.rows)) == sorted(map(repr, reference.run(
+        sql, optimizer="mysql", executor_mode="row",
+        use_plan_cache=False).rows))
+
+
+def test_repeated_statements_never_recompile():
+    """The e2e ``repeat_tpch`` statement set: after the first round
+    every execution is a hit and nothing is ever invalidated — the
+    plan-quality ledger records breaches, it no longer evicts."""
+    db = Database()
+    load_tpch(db, scale=SCALE)
+    for __ in range(6):
+        for number in (1, 6, 12, 14, 3, 5, 10, 13):  # e2e REPEAT_QUERIES
+            db.run(TPCH_QUERIES[number])
+    assert db.metrics.count("plan_cache.misses") == 8
+    assert db.metrics.count("plan_cache.hits") == 40
+    assert db.metrics.count("plan_cache.invalidations") == 0
+
+
+def test_analyze_of_an_unchanged_database_analyzes_nothing():
+    db = Database()
+    load_tpch(db, scale=SCALE)       # loads and ANALYZEs
+    tables = len(db.catalog.table_names)
+    before = db.metrics.count("analyze.tables_analyzed")
+    db.analyze()
+    assert db.metrics.count("analyze.tables_analyzed") == before
+    assert db.metrics.count("analyze.tables_skipped") == tables

@@ -2,15 +2,19 @@
 
 Tentpole coverage for the optimize-stage cost work: a repeated
 statement is served from the cache (no memo search in its trace, same
-rows), every write path — INSERT, UPDATE, DELETE, and ANALYZE —
-invalidates, ``use_plan_cache=False`` bypasses, failed detours are
-never cached, and the branch-and-bound pruning in Orca's DP join
-search picks a plan of exactly the same cost as the unpruned search.
+rows), a cached plan outlives INSERT, UPDATE, DELETE and bulk loads
+(and returns the fresh rows) while DDL or ANALYZE of a table it
+references — and only of those — invalidates it,
+``use_plan_cache=False`` bypasses, failed detours are never cached,
+and the branch-and-bound pruning in Orca's DP join search picks a plan
+of exactly the same cost as the unpruned search.
 """
 
 import pytest
 
 from repro import Database, DatabaseConfig, FallbackReason, FaultInjector
+from repro.catalog import Catalog, Column, TableSchema, TableStatistics
+from repro.mysql_types import MySQLType
 from repro.observability import find_spans
 from repro.plan_cache import PlanCache, PlanCacheEntry, statement_cache_key
 from repro.resilience import statement_fingerprint
@@ -63,33 +67,64 @@ class TestStatementCacheKey:
 # -- the cache data structure -------------------------------------------------------
 
 
-def _entry(version: int = 0) -> PlanCacheEntry:
-    return PlanCacheEntry(executor=object(), skeleton=object(),
-                          optimizer_used="orca", catalog_version=version)
+def _table(name: str) -> TableSchema:
+    return TableSchema(name, [Column.of("a", MySQLType.LONGLONG)])
+
+
+def _catalog(*names: str) -> Catalog:
+    catalog = Catalog()
+    for name in names:
+        catalog.create_table(_table(name))
+    return catalog
+
+
+def _entry(catalog: Catalog = None, *tables: str) -> PlanCacheEntry:
+    return PlanCacheEntry(
+        executor=object(), skeleton=object(), optimizer_used="orca",
+        table_epochs={table: catalog.epoch(table) for table in tables})
 
 
 class TestPlanCacheLRU:
 
     def test_lru_eviction_and_counters(self):
+        catalog = _catalog()
         cache = PlanCache(capacity=2)
         cache.store("a", _entry())
         cache.store("b", _entry())
-        assert cache.lookup("a", 0) is not None  # "b" is now LRU
+        assert cache.lookup("a", catalog) is not None  # "b" is now LRU
         cache.store("c", _entry())
         assert cache.evictions == 1
-        assert cache.lookup("b", 0) is None
-        assert cache.lookup("a", 0) is not None
-        assert cache.lookup("c", 0) is not None
+        assert cache.lookup("b", catalog) is None
+        assert cache.lookup("a", catalog) is not None
+        assert cache.lookup("c", catalog) is not None
         stats = cache.stats()
         assert stats["size"] == 2
         assert stats["evictions"] == 1
 
-    def test_version_mismatch_invalidates(self):
+    def test_only_a_referenced_tables_epoch_invalidates(self):
+        catalog = _catalog("r", "s", "other")
         cache = PlanCache(capacity=4)
-        cache.store("a", _entry(version=3))
-        assert cache.lookup("a", 4) is None
+        cache.store("a", _entry(catalog, "r", "s"))
+        catalog.set_statistics("other", TableStatistics(row_count=5))
+        catalog.create_table(_table("newcomer"))
+        catalog.drop_table("other")
+        assert cache.lookup("a", catalog) is not None
+        assert cache.invalidations == 0
+        catalog.set_statistics("s", TableStatistics(row_count=5))
+        assert cache.lookup("a", catalog) is None
         assert cache.invalidations == 1
         assert "a" not in cache
+
+    def test_recreated_table_never_matches_an_old_epoch(self):
+        catalog = _catalog("r")
+        cache = PlanCache(capacity=4)
+        cache.store("a", _entry(catalog, "r"))
+        cache.store("b", _entry(catalog, "r"))
+        catalog.drop_table("r")
+        assert cache.lookup("a", catalog) is None
+        catalog.create_table(_table("r"))
+        assert cache.lookup("b", catalog) is None
+        assert cache.invalidations == 2
 
     def test_invalidate_all(self):
         cache = PlanCache(capacity=4)
@@ -177,51 +212,105 @@ class TestInvalidation:
         result = db.run(JOIN_SQL)
         assert not result.plan_cache_hit
         assert db.run(JOIN_SQL).plan_cache_hit
+        return result.rows[0][0]
 
-    def test_insert_invalidates(self, db):
-        self._prime(db)
-        db.run("INSERT INTO customer VALUES "
-               "(9001, 'Customer#9001', 'GOLD', 10.0, 'late arrival')")
-        result = db.run(JOIN_SQL)
-        assert not result.plan_cache_hit
-        assert db.plan_cache.invalidations >= 1
+    def _fresh(self, db):
+        return db.run(JOIN_SQL, optimizer="mysql", executor_mode="row",
+                      use_plan_cache=False).rows[0][0]
 
-    def test_update_invalidates(self, db):
-        self._prime(db)
-        db.run("UPDATE orders SET o_totalprice = 1.0 WHERE o_orderkey = 1")
-        assert not db.run(JOIN_SQL).plan_cache_hit
-
-    def test_delete_invalidates(self, db):
-        self._prime(db)
-        before = db.run(JOIN_SQL).rows
-        db.run("DELETE FROM lineitem WHERE l_orderkey = 1")
-        result = db.run(JOIN_SQL)
-        assert not result.plan_cache_hit
-        # ... and the recompiled plan sees the new data.
-        assert result.rows[0][0] <= before[0][0]
-
-    def test_analyze_invalidates(self, db):
-        self._prime(db)
-        db.analyze()
-        assert not db.run(JOIN_SQL).plan_cache_hit
-
-    def test_ddl_invalidates(self, db):
-        self._prime(db)
-        db.catalog.drop_table("part")
-        assert not db.run(JOIN_SQL).plan_cache_hit
-
-    def test_stale_entry_serves_fresh_rows_after_dml(self, db):
-        """The end-to-end correctness story: cached plan + DML + re-run
-        returns the rows the new data implies, not the old ones."""
-        self._prime(db)
-        before = db.run(JOIN_SQL).rows[0][0]
+    def test_insert_keeps_plan_and_returns_fresh_rows(self, db):
+        before = self._prime(db)
         db.run("INSERT INTO orders VALUES "
                "(99001, 1, 'O', 500.0, '1995-06-01', '1-PRIO', NULL)")
         db.run("INSERT INTO lineitem VALUES "
                "(99001, 1, 1, 5.0, 50.0, "
                "'1995-06-10', '1995-06-15', '1995-06-20')")
-        after = db.run(JOIN_SQL).rows[0][0]
-        assert after == before + 1
+        result = db.run(JOIN_SQL)
+        assert result.plan_cache_hit
+        assert result.rows[0][0] == before + 1 == self._fresh(db)
+        assert db.plan_cache.invalidations == 0
+
+    def test_update_keeps_plan_and_returns_fresh_rows(self, db):
+        before = self._prime(db)
+        # Re-home every line of order 1 to an order that does not exist.
+        moved = db.run("UPDATE lineitem SET l_orderkey = 424242 "
+                       "WHERE l_orderkey = 1").rows[0][0]
+        assert moved > 0
+        result = db.run(JOIN_SQL)
+        assert result.plan_cache_hit
+        assert result.rows[0][0] == before - moved == self._fresh(db)
+
+    def test_delete_keeps_plan_and_returns_fresh_rows(self, db):
+        before = self._prime(db)
+        gone = db.run("DELETE FROM lineitem WHERE l_orderkey = 1"
+                      ).rows[0][0]
+        assert gone > 0
+        result = db.run(JOIN_SQL)
+        assert result.plan_cache_hit
+        assert result.rows[0][0] == before - gone == self._fresh(db)
+
+    def test_bulk_load_keeps_plan_and_returns_fresh_rows(self, db):
+        self._prime(db)
+        lines = db.execute("SELECT * FROM lineitem")
+        db.load("lineitem", lines * 3)
+        result = db.run(JOIN_SQL)
+        assert result.plan_cache_hit
+        assert result.rows[0][0] == 4 * len(lines) == self._fresh(db)
+
+    def test_analyze_after_change_to_referenced_table_invalidates(self, db):
+        self._prime(db)
+        db.run("DELETE FROM lineitem WHERE l_orderkey = 1")
+        db.analyze()
+        result = db.run(JOIN_SQL, trace=True)
+        assert not result.plan_cache_hit
+        route = find_spans(result.trace, "route")[0]
+        assert route.attributes["plan_cache"] == "stale"
+        assert db.plan_cache.invalidations == 1
+        assert db.run(JOIN_SQL).plan_cache_hit
+
+    def test_analyze_and_ddl_on_unrelated_tables_keep_the_plan(self, db):
+        self._prime(db)
+        # JOIN_SQL reads customer, orders, lineitem — never part.
+        db.run("DELETE FROM part WHERE p_partkey = 1")
+        db.analyze()
+        assert db.run(JOIN_SQL).plan_cache_hit
+        db.storage.drop_table("part")
+        db.create_table(_table("scratch"))
+        assert db.run(JOIN_SQL).plan_cache_hit
+        assert db.plan_cache.invalidations == 0
+
+    def test_analyze_with_nothing_changed_keeps_the_plan(self, db):
+        self._prime(db)
+        db.analyze()
+        assert db.run(JOIN_SQL).plan_cache_hit
+
+    def test_drop_and_recreate_of_referenced_table_invalidates(self, db):
+        self._prime(db)
+        schema = db.catalog.table("lineitem")
+        rows = db.execute("SELECT * FROM lineitem")
+        db.storage.drop_table("lineitem")
+        db.create_table(schema)
+        db.load("lineitem", rows)
+        result = db.run(JOIN_SQL)
+        assert not result.plan_cache_hit
+        assert db.plan_cache.invalidations == 1
+        assert result.rows[0][0] == self._fresh(db)
+
+    def test_subquery_and_derived_tables_are_dependencies(self, db):
+        sql = ("SELECT COUNT(*) FROM customer WHERE c_custkey IN "
+               "(SELECT o_custkey FROM orders) AND c_custkey IN "
+               "(SELECT d.k FROM (SELECT p_partkey AS k FROM part) d)")
+        db.run(sql)
+        assert db.run(sql).plan_cache_hit
+        db.run("DELETE FROM part WHERE p_partkey = 1")
+        db.analyze()
+        assert not db.run(sql).plan_cache_hit
+        db.run("DELETE FROM orders WHERE o_orderkey = 1")
+        db.analyze()
+        assert not db.run(sql).plan_cache_hit
+        db.run("DELETE FROM lineitem WHERE l_orderkey = 2")
+        db.analyze()
+        assert db.run(sql).plan_cache_hit
 
 
 # -- failed detours are never cached --------------------------------------------------

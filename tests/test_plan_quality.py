@@ -3,10 +3,10 @@ estimate-to-actual loop the Database facade closes around them.
 
 Covers the Q-error math (including the zero-row smoothing and the
 per-loop normalisation for nested-loop inners), per-statement quality
-snapshots from both engines, the ledger's breach-streak feedback that
-invalidates cached plans, the stale-statistics scenario (load after
-ANALYZE) that drives it, and the export surfaces: Prometheus text
-format and the JSONL slow-query log.
+snapshots from both engines, the ledger's breach record (which keeps
+cached plans), the stale-statistics scenario (load after ANALYZE) and
+the report -> advisor -> re-ANALYZE path that heals it, and the export
+surfaces: Prometheus text format and the JSONL slow-query log.
 """
 
 import json
@@ -18,6 +18,7 @@ from repro import Database, DatabaseConfig
 from repro.catalog import Column, Index, TableSchema
 from repro.errors import ReproError
 from repro.mysql_types import MySQLType
+from repro.observability import find_spans
 from repro.plan_cache import statement_cache_key
 from repro.plan_quality import (
     MisestimationLedger,
@@ -202,44 +203,30 @@ def _quality(max_q: float, operator: str = "TableScan"
 
 
 class TestMisestimationLedger:
-    def test_breach_streak_invalidates(self):
-        ledger = MisestimationLedger(q_threshold=4.0,
-                                     consecutive_threshold=3)
-        outcomes = [ledger.record("k1", "f1", "select 1",
-                                  _quality(10.0), "mysql")[1]
-                    for __ in range(3)]
-        assert outcomes == [False, False, True]
-        entry = ledger.entry("k1")
-        assert entry.breaches == 3
-        assert entry.plan_invalidations == 1
-        # The streak resets after an invalidation: no per-execution
-        # thrash while the plan keeps misestimating.
-        assert entry.consecutive_breaches == 0
-
-    def test_uncached_runs_never_invalidate(self):
-        # Breaches on cold compiles count toward the totals but advance
-        # no streak: there is no cached plan for feedback to evict.
-        ledger = MisestimationLedger(q_threshold=4.0,
-                                     consecutive_threshold=2)
+    def test_breaches_are_recorded_never_acted_on(self):
+        ledger = MisestimationLedger(q_threshold=4.0)
         for __ in range(5):
-            __, invalidate = ledger.record(
-                "k1", "f1", "select 1", _quality(10.0), "mysql",
-                cached=False)
-            assert invalidate is False
-        entry = ledger.entry("k1")
+            entry = ledger.record("k1", "f1", "select 1",
+                                  _quality(10.0), "mysql")
+        # record() only records: it returns the statement's entry, not
+        # a verdict on its cached plan.
+        assert entry is ledger.entry("k1")
+        assert entry.executions == 5
         assert entry.breaches == 5
-        assert entry.consecutive_breaches == 0
-        assert entry.plan_invalidations == 0
+        assert ledger.stats()["breaches"] == 5
+        assert "invalidations" not in ledger.stats()
+        assert "plan_invalidations" not in entry.to_dict()
 
-    def test_good_execution_resets_streak(self):
-        ledger = MisestimationLedger(q_threshold=4.0,
-                                     consecutive_threshold=2)
+    def test_good_execution_keeps_the_breach_history(self):
+        ledger = MisestimationLedger(q_threshold=4.0)
         ledger.record("k1", "f1", "select 1", _quality(10.0), "mysql")
         ledger.record("k1", "f1", "select 1", _quality(1.0), "mysql")
-        __, invalidate = ledger.record("k1", "f1", "select 1",
-                                       _quality(10.0), "mysql")
-        assert invalidate is False
-        assert ledger.entry("k1").consecutive_breaches == 1
+        entry = ledger.record("k1", "f1", "select 1", _quality(10.0),
+                              "mysql")
+        assert entry.breaches == 2
+        assert entry.executions == 3
+        assert entry.max_q == 10.0
+        assert entry.last_q == 10.0
 
     def test_lru_eviction(self):
         ledger = MisestimationLedger(capacity=2)
@@ -266,8 +253,8 @@ class TestMisestimationLedger:
             MisestimationLedger(capacity=0)
         with pytest.raises(ValueError):
             MisestimationLedger(q_threshold=0.5)
-        with pytest.raises(ValueError):
-            MisestimationLedger(consecutive_threshold=0)
+        with pytest.raises(TypeError):
+            MisestimationLedger(consecutive_threshold=3)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +271,8 @@ def _feedback_db(**config_kwargs) -> Database:
 
 
 class TestStaleStatisticsFeedback:
-    def test_breach_streak_invalidates_cached_plan(self):
-        db = _feedback_db(planq_q_threshold=4.0,
-                          planq_consecutive_breaches=3)
+    def test_breaches_keep_the_cached_plan(self):
+        db = _feedback_db(planq_q_threshold=4.0)
         db.load("t", [(k, k % 7) for k in range(1, 11)])
         db.analyze()
         # Fault injection: grow the table 100x *after* ANALYZE, so the
@@ -295,29 +281,62 @@ class TestStaleStatisticsFeedback:
 
         sql = "SELECT a FROM t WHERE b >= 0"
         cache_key = statement_cache_key(sql, "auto")
-        invalidations_before = db.plan_cache.invalidations
-        # Run 1 compiles cold (a miss advances no streak — there is no
-        # cached plan to evict); runs 2-4 execute the cached stale plan
-        # and complete the 3-breach streak.
-        for __ in range(4):
+        # Run 1 compiles; every later run is served the same plan,
+        # breach or not: statistics have not moved, so a recompile
+        # could only return that plan again.
+        for number in range(6):
             result = db.run(sql)
+            assert result.plan_cache_hit == (number > 0)
             assert len(result.rows) == 1000
             assert result.plan_quality.max_q > 4.0
 
         entry = db.misestimation_ledger.entry(cache_key)
-        assert entry is not None
-        assert entry.breaches == 4
-        assert entry.plan_invalidations == 1
-        # The feedback action: the cached plan was dropped, so the next
-        # execution re-optimizes instead of reusing the stale plan.
-        assert cache_key not in db.plan_cache
-        assert db.plan_cache.invalidations == invalidations_before + 1
-        assert db.metrics.count("planq.plan_invalidations") == 1
-        assert db.metrics.count("planq.breaches") == 4
+        assert entry.breaches == 6
+        assert cache_key in db.plan_cache
+        assert db.plan_cache.misses == 1
+        assert db.plan_cache.invalidations == 0
+        assert db.metrics.count("planq.breaches") == 6
+        assert db.plan_quality_report()["ledger"]["breaches"] == 6
+
+    def test_reanalyze_heals_a_breaching_plan(self):
+        """The path the breach streak stood in for: stale statistics
+        are reported, the advisor re-ANALYZEs, and *that* is what makes
+        the next run recompile — against the new row count."""
+        db = _feedback_db(planq_q_threshold=4.0)
+        db.load("t", [(k, k % 7) for k in range(1, 11)])
+        db.analyze()
+        sql = "SELECT a FROM t WHERE b >= 0"
+        assert db.run(sql).plan_quality.max_q <= 4.0
+        db.load("t", [(k, k % 7) for k in range(11, 1001)])
+
+        stale = db.run(sql, trace=True)
+        assert stale.plan_cache_hit
+        assert sorted(stale.rows) == [(k,) for k in range(1, 1001)]
+        assert stale.plan_quality.max_q > 4.0
+        assert db.plan_quality_report()["reanalyze_recommendations"] \
+            == ["t"]
+
+        actions = db.advisor.apply()
+        assert [(a["kind"], a["target"]) for a in actions] \
+            == [("reanalyze", "t")]
+
+        healed = db.run(sql, trace=True)
+        assert not healed.plan_cache_hit
+        route = find_spans(healed.trace, "route")[0]
+        assert route.attributes["plan_cache"] == "stale"
+        assert db.plan_cache.invalidations == 1
+        assert sorted(healed.rows) == sorted(stale.rows)
+        assert healed.plan_quality.nodes[-1].estimated \
+            > 10 * stale.plan_quality.nodes[-1].estimated
+        assert healed.plan_quality.max_q <= 4.0
+        assert db.plan_quality_report()["reanalyze_recommendations"] \
+            == []
+        again = db.run(sql)
+        assert again.plan_cache_hit
+        assert again.plan_quality.max_q <= 4.0
 
     def test_report_recommends_reanalyze(self):
-        db = _feedback_db(planq_q_threshold=4.0,
-                          planq_consecutive_breaches=2)
+        db = _feedback_db(planq_q_threshold=4.0)
         db.load("t", [(k, k % 7) for k in range(1, 11)])
         db.analyze()
         db.load("t", [(k, k % 7) for k in range(11, 1001)])
@@ -352,8 +371,7 @@ class TestStaleStatisticsFeedback:
         assert "t" in report["reanalyze_recommendations"]
 
     def test_report_text_renders(self):
-        db = _feedback_db(planq_q_threshold=2.0,
-                          planq_consecutive_breaches=1)
+        db = _feedback_db(planq_q_threshold=2.0)
         db.load("t", [(k, k) for k in range(1, 6)])
         db.analyze()
         db.load("t", [(k, k) for k in range(6, 101)])
@@ -369,8 +387,8 @@ class TestStaleStatisticsFeedback:
     def test_config_validation(self):
         with pytest.raises(ReproError):
             DatabaseConfig(planq_q_threshold=0.5)
-        with pytest.raises(ReproError):
-            DatabaseConfig(planq_consecutive_breaches=0)
+        with pytest.raises(TypeError):
+            DatabaseConfig(planq_consecutive_breaches=3)
         with pytest.raises(ReproError):
             DatabaseConfig(slow_query_log_threshold_seconds=-1.0)
 

@@ -238,15 +238,19 @@ class TestAdvisor:
                 sort_keys=True))
         assert payloads[0] == payloads[1]
 
-    def test_apply_reanalyze_refreshes_stats_and_bumps_catalog(self):
+    def test_apply_reanalyze_refreshes_stats_and_advances_epoch(self):
         db = _stale_db()
         for __ in range(4):
             db.run("SELECT COUNT(*) FROM orders WHERE o_totalprice > 0",
                    use_plan_cache=False)
-        version = db.catalog.version
+        epochs = {table: db.catalog.epoch(table)
+                  for table in db.catalog.table_names}
         actions = db.advisor.apply(kinds=("reanalyze",))
         assert any(a["target"] == "orders" for a in actions)
-        assert db.catalog.version > version
+        # Exactly the re-analyzed tables moved; plans over the rest stay.
+        analyzed = {a["target"] for a in actions}
+        for table, epoch in epochs.items():
+            assert (db.catalog.epoch(table) > epoch) == (table in analyzed)
         stats = db.catalog.statistics("orders")
         assert stats.row_count == db.storage.store("orders").row_count
         # Advice is consumed: a fresh pass no longer flags orders.
