@@ -1,7 +1,7 @@
 """BENCH — the workload advisor on a drifting TPC-H workload.
 
 Produces ``benchmarks/results/BENCH_advisor.json`` (committed, so the
-PR carries the advisor evidence) and a text summary.  Three parts:
+PR carries the advisor evidence) and a text summary.  Two parts:
 
 * **Drift scenario** — the full story from :mod:`repro.bench.drift`:
   statistics go stale under churn, worst-node Q-errors breach, a
@@ -13,26 +13,18 @@ PR carries the advisor evidence) and a text summary.  Three parts:
   fresh-stats baseline.
 * **Advice dump** — the ranked recommendation list itself, so the
   artifact shows *what* the advisor said, not just that it helped.
-* **Tracking overhead** — the same query mix with workload tracking
-  enabled versus disabled; the bookkeeping must stay within
-  ``MAX_OVERHEAD_PERCENT`` of suite latency (the steady-state cost of
-  always-on intelligence).
 """
 
 import json
 
 from benchmarks.conftest import RESULTS_DIR, SCALE, write_report
-from repro.bench.drift import measure_tracking_overhead, run_drift_scenario
+from repro.bench.drift import run_drift_scenario
 
 SEED = 20260808
 
 #: Recovered suite p95 must land within this factor of the fresh-stats
 #: baseline after the advisor's re-ANALYZE advice is applied.
 MAX_P95_RATIO = 1.2
-
-#: Hard ceiling for the workload-tracking bookkeeping (the committed
-#: artifact records the actual figure, normally well under 1%).
-MAX_OVERHEAD_PERCENT = 5.0
 
 
 def _format_report(payload: dict) -> str:
@@ -69,18 +61,12 @@ def _format_report(payload: dict) -> str:
     for rec in payload["recommendations"][:8]:
         lines.append(f"  [{rec['kind']:<15}] {rec['target']:<24} "
                      f"score {rec['score']:>9.2f}")
-    overhead = payload["tracking_overhead"]
-    lines.append("")
-    lines.append(f"tracking overhead: {overhead['overhead_percent']:.2f}% "
-                 f"(ceiling {MAX_OVERHEAD_PERCENT}%)")
     return "\n".join(lines)
 
 
 def test_bench_advisor():
     payload = run_drift_scenario(scale=SCALE, seed=SEED,
                                  runs_per_query=5)
-    payload["tracking_overhead"] = measure_tracking_overhead(
-        scale=SCALE, seed=SEED, runs_per_query=5)
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_advisor.json").write_text(
@@ -106,9 +92,3 @@ def test_bench_advisor():
     # The staged reroute was caught and purged.
     assert len(payload["regression_staging"]["flagged"]) == 1
     assert any(a["kind"] == "plan_regression" for a in payload["actions"])
-
-    # Bookkeeping stays cheap.
-    overhead = payload["tracking_overhead"]["overhead_percent"]
-    assert overhead <= MAX_OVERHEAD_PERCENT, (
-        f"workload tracking costs {overhead:.2f}% suite latency "
-        f"(ceiling {MAX_OVERHEAD_PERCENT}%)")

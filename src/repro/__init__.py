@@ -26,6 +26,9 @@ optimizers and the bridge the paper describes between them:
 * :mod:`repro.observability` — per-statement span tracing
   (``db.run(sql, trace=True)``), the process-wide metrics registry
   (``db.metrics_report()``), and EXPLAIN ANALYZE stage breakdowns;
+* :mod:`repro.statement_log` — one record per statement in one bounded
+  log (``db.statements``) that every report and the advisor read, with
+  one p95 regression detector;
 * :mod:`repro.workloads` — TPC-H (22 queries) and TPC-DS-style (99
   queries) schemas, data generators, and query suites;
 * :mod:`repro.bench` — the harness regenerating the paper's Fig. 10-12

@@ -1,7 +1,6 @@
 """Benchmark harness reproducing the paper's tables and figures."""
 
-from repro.bench.drift import measure_tracking_overhead, run_drift_scenario
-from repro.bench.telemetry import measure_telemetry_overhead
+from repro.bench.drift import run_drift_scenario
 from repro.bench.harness import (
     BenchmarkResult,
     QueryTiming,
@@ -36,8 +35,6 @@ __all__ = [
     "format_plan_cache_report",
     "format_plan_quality_bench",
     "format_table1",
-    "measure_telemetry_overhead",
-    "measure_tracking_overhead",
     "plan_cache_report",
     "results_match",
     "run_compile_suite",

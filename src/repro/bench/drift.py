@@ -10,7 +10,7 @@ Stages the lifecycle the workload advisor exists for, on TPC-H data:
    a steady trickle of single-row DML under sampled stats maintenance,
    leaves the ANALYZE-time statistics badly stale.
 3. **Stale phase** — the mix runs against stale statistics: per-node
-   Q-errors breach, the misestimation ledger fills, and latency
+   Q-errors breach, the statement log records the breaches, and latency
    degrades wherever the optimizer's tiny-table plans meet big-table
    reality.
 4. **Regression staging** — one parameterized statement is rerouted
@@ -21,8 +21,8 @@ Stages the lifecycle the workload advisor exists for, on TPC-H data:
    the paper's OR-factorization pattern: Orca factors the common join
    key out of the disjunction and hash-joins; the greedy path cannot,
    and falls back to filtering the whole cross product.  The plan
-   hash changes *and* p95 regresses hard: the repository flags a plan
-   regression.
+   hash changes *and* p95 regresses hard: the statement log's detector
+   flags a plan regression.
 5. **Advice + apply** — the advisor now holds all three recommendation
    kinds (re-ANALYZE, index, plan regression); applying the actionable
    ones re-ANALYZEs the drifted tables (advancing their catalog
@@ -48,7 +48,6 @@ from repro.workloads.tpch.queries import TPCH_QUERIES
 __all__ = [
     "DRIFT_MIX",
     "REGRESSION_TEMPLATE",
-    "measure_tracking_overhead",
     "run_drift_scenario",
 ]
 
@@ -144,10 +143,7 @@ def _load_fraction(db: Database, data: Dict[str, List[tuple]],
 
 
 def _make_config(**overrides) -> DatabaseConfig:
-    config = DatabaseConfig(
-        slow_query_log_threshold_seconds=10.0,
-        workload_regression_factor=1.5,
-    )
+    config = DatabaseConfig(slow_query_log_threshold_seconds=10.0)
     for key, value in overrides.items():
         setattr(config, key, value)
     return config
@@ -209,7 +205,7 @@ def run_drift_scenario(scale: float = 0.2, seed: int = 42,
     fast = [regression_run("orca") for __ in range(regression_runs)]
     slow = [regression_run("mysql") for __ in range(regression_runs)]
     regressions = [r.to_dict()
-                   for r in db.workload.unresolved_regressions()]
+                   for r in db.statements.unresolved_regressions()]
 
     # -- advice ----------------------------------------------------------------
     recommendations = [rec.to_dict()
@@ -274,50 +270,5 @@ def run_drift_scenario(scale: float = 0.2, seed: int = 42,
             "recovered_max_q_median": recovered["suite_max_q_median"],
             "breached_queries": breached_queries,
         },
-        "workload_stats": db.workload.stats(),
-    }
-
-
-def measure_tracking_overhead(scale: float = 0.2, seed: int = 42,
-                              runs_per_query: int = 5,
-                              progress: Optional[Callable[[str], None]]
-                              = None) -> dict:
-    """Suite-median cost of the workload bookkeeping itself.
-
-    Two identical databases run the same warmed mix, one with
-    ``workload_tracking_enabled`` off; the per-query *minimum* latency
-    (the most noise-robust estimator) feeds the comparison.
-    """
-    from repro.workloads.tpch.schema import create_tpch_tables
-
-    data = generate_tpch(scale, seed)
-    totals: Dict[str, float] = {}
-    for label, enabled in (("enabled", True), ("disabled", False)):
-        db = Database(_make_config(workload_tracking_enabled=enabled))
-        create_tpch_tables(db)
-        for name, rows in data.items():
-            db.load(name, rows)
-        db.analyze()
-        minima: List[float] = []
-        for number in DRIFT_MIX:
-            sql = TPCH_QUERIES[number]
-            db.run(sql)  # warm the plan cache out of the measurement
-            samples = []
-            for __ in range(runs_per_query):
-                result = db.run(sql)
-                samples.append(result.compile_seconds
-                               + result.execute_seconds)
-            minima.append(min(samples))
-        totals[label] = sum(minima)
-        if progress is not None:
-            progress(f"tracking {label}: {totals[label] * 1000:.2f} ms "
-                     f"summed per-query minima")
-    overhead = 0.0
-    if totals["disabled"] > 0:
-        overhead = 100.0 * (totals["enabled"] - totals["disabled"]) \
-            / totals["disabled"]
-    return {
-        "enabled_seconds": totals["enabled"],
-        "disabled_seconds": totals["disabled"],
-        "overhead_percent": overhead,
+        "workload_stats": db.statements.workload_stats(),
     }

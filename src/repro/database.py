@@ -20,11 +20,18 @@ in a :class:`repro.resilience.FallbackLog` with a
 :class:`repro.resilience.FallbackReason`, compile budgets cap how long
 one detour may run, and a per-fingerprint circuit breaker routes
 statements that keep crashing the optimizer straight to MySQL.
+
+Every statement — a completed SELECT, a DML statement or an abort —
+leaves exactly one :class:`repro.statement_log.StatementRecord` in
+``db.statements``, built once by ``_record_statement``.  The flight,
+workload and plan-quality reports, ``top()``, the slow-query log and
+the advisor are views of that log.  A completed SELECT's record carries
+the literal-free plan hash (``StatementResult.plan_hash``); only DML has
+none.
 """
 
 from __future__ import annotations
 
-import datetime
 import json
 import time
 from dataclasses import dataclass, field
@@ -39,12 +46,6 @@ from repro.errors import (
     ResourceExhaustedError,
 )
 from repro.executor.executor import Executor
-from repro.flight import (
-    FlightRecord,
-    FlightRecorder,
-    format_flight_report,
-    format_top_report,
-)
 from repro.governor import CancelToken, ExecutionGovernor
 from repro.executor.explain import explain_plan
 from repro.mysql_optimizer.optimizer import MySQLOptimizer
@@ -66,7 +67,6 @@ from repro.plan_cache import (
     statement_cache_key,
 )
 from repro.plan_quality import (
-    MisestimationLedger,
     StatementQuality,
     format_plan_quality_report,
     statement_quality,
@@ -82,9 +82,14 @@ from repro.resilience import (
     statement_fingerprint,
 )
 from repro.sql import ast as sql_ast
+from repro.statement_log import (
+    StatementLog,
+    StatementRecord,
+    format_flight_report,
+    format_top_report,
+)
 from repro.workload import (
     Advisor,
-    WorkloadRepository,
     compute_plan_hash,
     extract_column_touches,
     format_workload_report,
@@ -181,11 +186,6 @@ class DatabaseConfig:
     #: Plan-quality feedback: a statement execution whose worst per-node
     #: Q-error exceeds this is a *breach* (1.0 = perfect estimate).
     planq_q_threshold: float = 16.0
-    #: Bounded size of the misestimation ledger (LRU beyond this).
-    planq_ledger_capacity: int = 256
-    #: Fractional live-vs-ANALYZE cardinality drift above which
-    #: ``plan_quality_report()`` recommends re-ANALYZE for a table.
-    planq_stats_staleness_threshold: float = 0.2
     #: Structured JSONL slow-query log: one record (trace, stage
     #: breakdown, root Q-error) per statement slower than the threshold.
     #: ``None`` disables the log entirely.
@@ -217,22 +217,6 @@ class DatabaseConfig:
     #: sort+stream (the sort's charges spill instead of raising) before
     #: the breach is surfaced.
     governor_stream_agg_retry: bool = True
-    #: Workload intelligence: aggregate every completed statement into
-    #: the per-fingerprint :class:`repro.workload.WorkloadRepository`
-    #: (latency quantiles, plan hash, column touches).  The kill switch
-    #: exists so the bookkeeping overhead itself can be measured.
-    workload_tracking_enabled: bool = True
-    #: Maximum fingerprints the workload repository keeps (LRU beyond).
-    workload_repository_capacity: int = 512
-    #: Minimum predicate/join executions on an unindexed column before
-    #: the advisor emits an index recommendation.
-    workload_index_min_usage: int = 8
-    #: A plan change counts as a regression when the new plan's p95
-    #: latency exceeds this multiple of the previous plan's p95.
-    workload_regression_factor: float = 1.5
-    #: Latency samples required on *both* sides of a plan change before
-    #: the regression check runs.
-    workload_regression_min_samples: int = 3
     #: Opt-in apply hook: every ``advisor_interval_statements``
     #: statements, pending re-ANALYZE recommendations are applied
     #: automatically (ANALYZE advances the table's catalog epoch, so
@@ -249,24 +233,6 @@ class DatabaseConfig:
     #: says it pays, so a value > 1 is safe to leave on.  Per-statement
     #: override: ``run(sql, executor_workers=N)``.
     executor_workers: int = 1
-    #: Flight recorder: keep a bounded ring of per-statement telemetry
-    #: records (see :mod:`repro.flight`).  Cheap enough to leave on; the
-    #: kill switch exists to measure the bookkeeping itself.
-    flight_recorder_enabled: bool = True
-    #: Statement records the flight ring buffer holds.
-    flight_capacity: int = 512
-    #: Whole-registry snapshots are taken every this many records.
-    flight_snapshot_interval: int = 64
-    #: Trailing-window size (statements) for the p95 regression
-    #: watchdog; the trailing window is compared against the window
-    #: immediately before it.
-    flight_watchdog_window: int = 8
-    #: A fingerprint is flagged when its trailing-window p95 exceeds
-    #: this multiple of the prior window's p95.
-    flight_watchdog_factor: float = 2.0
-    #: Executions of a fingerprint required in *both* windows before
-    #: the watchdog compares them.
-    flight_watchdog_min_samples: int = 4
 
     def __post_init__(self) -> None:
         if self.routing not in ROUTING_POLICIES:
@@ -306,31 +272,12 @@ class DatabaseConfig:
             raise ReproError("statement_memory_limit_bytes must be >= 1")
         if self.governor_check_interval < 1:
             raise ReproError("governor_check_interval must be >= 1")
-        if self.workload_repository_capacity < 1:
-            raise ReproError("workload_repository_capacity must be >= 1")
-        if self.workload_index_min_usage < 1:
-            raise ReproError("workload_index_min_usage must be >= 1")
-        if self.workload_regression_factor <= 1.0:
-            raise ReproError("workload_regression_factor must be > 1.0")
-        if self.workload_regression_min_samples < 1:
-            raise ReproError(
-                "workload_regression_min_samples must be >= 1")
         if self.advisor_interval_statements < 1:
             raise ReproError("advisor_interval_statements must be >= 1")
         if self.batch_size < 1:
             raise ReproError("batch_size must be >= 1")
         if self.executor_workers < 1:
             raise ReproError("executor_workers must be >= 1")
-        if self.flight_capacity < 1:
-            raise ReproError("flight_capacity must be >= 1")
-        if self.flight_snapshot_interval < 1:
-            raise ReproError("flight_snapshot_interval must be >= 1")
-        if self.flight_watchdog_window < 1:
-            raise ReproError("flight_watchdog_window must be >= 1")
-        if self.flight_watchdog_factor <= 1.0:
-            raise ReproError("flight_watchdog_factor must be > 1.0")
-        if self.flight_watchdog_min_samples < 1:
-            raise ReproError("flight_watchdog_min_samples must be >= 1")
 
 
 @dataclass
@@ -370,8 +317,7 @@ class StatementResult:
     #: the reduced-memory streaming retry (results are still exact).
     low_memory_retry: bool = False
     #: Literal-free digest of the executable plan's shape (see
-    #: :func:`repro.workload.compute_plan_hash`); ``None`` for DML and
-    #: when workload tracking is disabled.
+    #: :func:`repro.workload.compute_plan_hash`); ``None`` only for DML.
     plan_hash: Optional[str] = None
 
     def trace_export(self) -> List[dict]:
@@ -415,38 +361,20 @@ class Database:
         self.plan_cache = PlanCache(
             capacity=self.config.plan_cache_capacity,
             metrics=self.metrics)
-        #: Per-statement estimate-accuracy history (see plan_quality
-        #: module); it reports, the advisor's re-ANALYZE acts.
-        self.misestimation_ledger = MisestimationLedger(
-            capacity=self.config.planq_ledger_capacity,
-            q_threshold=self.config.planq_q_threshold)
-        #: Per-fingerprint statement history + column usage; feeds the
-        #: advisor (see the workload module docstring).
-        self.workload = WorkloadRepository(
-            capacity=self.config.workload_repository_capacity,
-            regression_factor=self.config.workload_regression_factor,
-            regression_min_samples=(
-                self.config.workload_regression_min_samples),
+        #: One record per statement and the history every report reads:
+        #: recent records, per-fingerprint entries, per-operator Q and
+        #: column usage, and the regression detector (see the
+        #: statement_log module).
+        self.statements = StatementLog(
+            q_threshold=self.config.planq_q_threshold,
             metrics=self.metrics)
-        #: Ranked recommendations over the repository; ``apply()`` is
+        #: Ranked recommendations over the statement log; ``apply()`` is
         #: the opt-in mutation path (auto-driven only when
         #: ``config.advisor_auto_analyze`` is set).
         self.advisor = Advisor(
-            repository=self.workload, catalog=self.catalog,
+            statements=self.statements, catalog=self.catalog,
             storage=self.storage, plan_cache=self.plan_cache,
-            config=self.config, metrics=self.metrics)
-        #: Bounded per-statement telemetry ring + regression watchdog
-        #: (None when ``config.flight_recorder_enabled`` is off).
-        self.flight: Optional[FlightRecorder] = None
-        if self.config.flight_recorder_enabled:
-            self.flight = FlightRecorder(
-                capacity=self.config.flight_capacity,
-                snapshot_interval=self.config.flight_snapshot_interval,
-                watchdog_window=self.config.flight_watchdog_window,
-                watchdog_factor=self.config.flight_watchdog_factor,
-                watchdog_min_samples=(
-                    self.config.flight_watchdog_min_samples),
-                metrics=self.metrics)
+            metrics=self.metrics)
         #: ParallelContext of the most recent statement that actually
         #: ran a parallel operator — ``db.top()``'s worker section.
         self._last_parallel = None
@@ -472,7 +400,7 @@ class Database:
         self.metrics.register_gauge(
             "mdcache.hit_ratio", self._mdcache_hit_ratio)
         self.metrics.register_gauge(
-            "workload.fingerprints", lambda: len(self.workload))
+            "workload.fingerprints", lambda: self.statements.fingerprints)
 
     def _mdcache_hit_ratio(self) -> float:
         hits = self.metrics.count("mdcache.hits")
@@ -769,8 +697,9 @@ class Database:
         :class:`repro.governor.CancelToken`.  A breached bound aborts
         the statement with the matching typed
         :class:`repro.errors.GovernorError` subclass and leaves
-        storage, the plan cache, and the misestimation ledger's entries
-        exactly as if the statement never ran — one exception:
+        storage, the plan cache, and the fingerprint's executions and
+        Q-errors exactly as if the statement never ran (the statement
+        log records the abort itself) — one exception:
         a hash-aggregate memory breach first retries once in streaming
         mode (see ``config.governor_stream_agg_retry``).
 
@@ -798,7 +727,8 @@ class Database:
                                executor_workers)
             if self.tracer.enabled:
                 result.trace = self.tracer.last_root
-            self._log_slow_query(sql, result)
+            if self.config.slow_query_log_path is not None:
+                self._log_slow_query(self.statements.last, result)
             return result
         finally:
             self._active_statements.pop(statement_id, None)
@@ -823,9 +753,9 @@ class Database:
             except (GovernorError, ExecutionError) as exc:
                 # An aborted statement: classify, count, and unwind.
                 # Deliberately skipped: the plan-cache store, the
-                # misestimation ledger's entry, planq metrics, and the
-                # compile/execute latency observations — the statement
-                # must leave the Database as if it never ran.
+                # fingerprint's executions and Q-errors, planq metrics,
+                # and the compile/execute latency observations — the
+                # statement must leave the Database as if it never ran.
                 self._record_abort(sql, exc, governor, stmt_span,
                                    statement_id, start)
                 raise
@@ -847,8 +777,7 @@ class Database:
             result = self._execute_dml(stmt, start, governor)
             stmt_span.set(optimizer_used=result.optimizer_used)
             result.statement_id = statement_id
-            self._record_flight(sql, result, workers=1,
-                                stmt_span=stmt_span)
+            self._record_statement(sql, statement_id, stmt_span, result)
             return result
         self.metrics.inc("statements.select")
         cache_enabled = use_plan_cache and \
@@ -910,11 +839,17 @@ class Database:
                     worker_stddev_morsels=skew["stddev_morsels"])
         done = time.perf_counter()
         quality = statement_quality(executor)
-        self._record_plan_quality(sql, cache_key, quality, used,
-                                  exec_span)
-        plan_hash = self._record_workload(
-            sql, executor, used, cached is not None, fallback_reason,
-            quality, done - start, len(rows))
+        exec_span.set(root_q=quality.root_q, max_q=quality.max_q,
+                      worst_operator=quality.worst_operator,
+                      planq_breach=quality.max_q
+                      > self.statements.q_threshold)
+        if executor.plan_hash is None:
+            # Facts of the compiled plan, not of this execution: the
+            # plan cache shares the executor, so hits reuse them.
+            executor.plan_hash = compute_plan_hash(executor)
+            executor.column_touches = extract_column_touches(executor)
+            executor.operator_kinds = tuple(
+                node.operator for node in quality.nodes)
         if cached is None and cache_enabled and fallback_reason is None \
                 and not low_memory_retry:
             # Deferred store — only a statement that *executed to
@@ -965,108 +900,84 @@ class Database:
             statement_id=statement_id,
             governor_stats=governor_stats,
             low_memory_retry=low_memory_retry,
-            plan_hash=plan_hash,
+            plan_hash=executor.plan_hash,
         )
-        self._record_flight(sql, result, workers=workers,
-                            stmt_span=stmt_span)
+        self._record_statement(sql, statement_id, stmt_span, result,
+                               executor=executor, cache_key=cache_key,
+                               workers=workers)
         return result
 
-    def _record_workload(self, sql: str, executor: Executor, used: str,
-                         plan_cache_hit: bool,
-                         fallback_reason: Optional[FallbackReason],
-                         quality: StatementQuality,
-                         latency_seconds: float,
-                         rows: int) -> Optional[str]:
-        """Fold one completed statement into the workload repository.
+    def _record_statement(self, sql: str, statement_id: int, stmt_span,
+                          result: Optional[StatementResult] = None,
+                          executor: Optional[Executor] = None,
+                          cache_key: Optional[str] = None,
+                          workers: int = 1,
+                          abort_reason: Optional[FallbackReason] = None,
+                          governor: Optional[ExecutionGovernor] = None,
+                          start: Optional[float] = None
+                          ) -> StatementRecord:
+        """Build the statement's one record and append it to the log.
 
-        The plan hash and column touches are properties of the compiled
-        plan, not the execution, so they are computed once and cached on
-        the executor — plan-cache hits pay only the aggregate updates.
-        Returns the plan hash (None when tracking is off).
+        Called exactly once per statement: for a completed SELECT (with
+        its ``executor``), a DML ``result``, or an abort
+        (``abort_reason``).  Everything the reports show about the
+        statement comes from this record.
         """
-        if not self.config.workload_tracking_enabled:
-            return None
-        plan_hash = getattr(executor, "workload_plan_hash", None)
-        if plan_hash is None:
-            plan_hash = compute_plan_hash(executor)
-            executor.workload_plan_hash = plan_hash
-            executor.workload_touches = extract_column_touches(executor)
-        self.workload.record(
+        record = StatementRecord(
+            statement_id=statement_id,
             fingerprint=statement_fingerprint(sql),
-            sql=sql,
-            plan_hash=plan_hash,
-            touches=executor.workload_touches,
-            latency_seconds=latency_seconds,
-            rows=rows,
-            optimizer_used=used,
-            executor_mode=executor.last_mode,
-            plan_cache_hit=plan_cache_hit,
-            breached=quality.max_q > self.misestimation_ledger.q_threshold,
-            fallback=fallback_reason is not None,
-        )
-        if self.config.advisor_auto_analyze and \
-                self.workload.recorded \
-                % self.config.advisor_interval_statements == 0:
-            with self.tracer.span("advisor_auto_apply"):
-                self.advisor.apply(kinds=("reanalyze",))
-        return plan_hash
-
-    def _record_flight(self, sql: str, result: StatementResult,
-                       workers: int, stmt_span=None) -> None:
-        """Append one completed statement to the flight recorder, then
-        run the regression watchdog; free when the recorder is off."""
-        flight = self.flight
-        if flight is None:
-            return
-        stages: Dict[str, float] = {}
+            sql=sql)
         if isinstance(stmt_span, Span):
             # The statement span is still open here; its closed
             # children (parse, route, execute, ...) are the stages.
-            stages = stage_durations(stmt_span)
-            stages.pop("statement", None)
-        quality = result.plan_quality
-        gov = result.governor_stats
-        flight.record(FlightRecord(
-            seq=0,
-            statement_id=result.statement_id,
-            fingerprint=statement_fingerprint(sql),
-            sql=sql,
-            optimizer=result.optimizer_used,
-            executor_mode=result.executor_mode,
-            workers=workers,
-            plan_hash=result.plan_hash,
-            plan_cache_hit=result.plan_cache_hit,
-            rows=len(result.rows),
-            compile_seconds=result.compile_seconds,
-            execute_seconds=result.execute_seconds,
-            stage_seconds=stages,
-            root_q=quality.root_q if quality is not None else None,
-            max_q=quality.max_q if quality is not None else None,
-            fallback_reason=result.fallback_reason.value
-            if result.fallback_reason is not None else None,
-            governor_checkpoints=gov.get("checkpoints")
-            if gov is not None else None,
-            governor_peak_bytes=gov.get("peak_tracked_bytes")
-            if gov is not None else None,
-            low_memory_retry=result.low_memory_retry,
-        ))
-        self._run_watchdog()
-
-    def _run_watchdog(self) -> None:
-        """Feed fresh watchdog findings into the advisor pipeline.
-
-        A flagged fingerprint becomes a workload-repository regression
-        (``from_hash == to_hash``: the *same* plan got slower), which
-        the existing Advisor surfaces as a ``plan_regression``
-        recommendation and remediates via plan-cache purge on apply.
-        """
-        for finding in self.flight.watchdog_check():
-            if self.config.workload_tracking_enabled:
-                self.workload.note_external_regression(
-                    finding.fingerprint, finding.sql,
-                    before_p95=finding.before_p95,
-                    after_p95=finding.after_p95,
-                    plan_hash=finding.plan_hash)
+            record.stage_seconds = stage_durations(stmt_span)
+            record.stage_seconds.pop("statement", None)
+        if abort_reason is not None:
+            # Latency is elapsed-until-abort (the bound, not the
+            # statement), so the regression detector skips aborts.
+            record.aborted = True
+            record.abort_reason = abort_reason.value
+            if governor is not None:
+                record.execute_seconds = governor.elapsed_seconds()
+                record.governor_checkpoints = governor.checkpoints
+                record.governor_peak_bytes = governor.memory.peak_bytes
+            elif start is not None:
+                record.execute_seconds = time.perf_counter() - start
+        else:
+            record.optimizer = result.optimizer_used
+            record.executor_mode = result.executor_mode
+            record.workers = workers
+            record.plan_hash = result.plan_hash
+            record.plan_cache_hit = result.plan_cache_hit
+            record.rows = len(result.rows)
+            record.compile_seconds = result.compile_seconds
+            record.execute_seconds = result.execute_seconds
+            record.low_memory_retry = result.low_memory_retry
+            if result.fallback_reason is not None:
+                record.fallback_reason = result.fallback_reason.value
+            gov = result.governor_stats
+            if gov is not None:
+                record.governor_checkpoints = gov.get("checkpoints")
+                record.governor_peak_bytes = gov.get("peak_tracked_bytes")
+            quality = result.plan_quality
+            if quality is not None:
+                record.root_q = quality.root_q
+                record.max_q = quality.max_q
+                record.worst_operator = quality.worst_operator
+                record.breached = \
+                    quality.max_q > self.statements.q_threshold
+                record.node_q = tuple(node.q for node in quality.nodes)
+        if executor is not None:
+            record.cache_key = cache_key
+            record.touches = executor.column_touches
+            record.operators = executor.operator_kinds
+        self.statements.append(record)
+        if executor is not None and self.config.advisor_auto_analyze \
+                and self.statements.recorded \
+                % self.config.advisor_interval_statements == 0:
+            with self.tracer.span("advisor_auto_apply"):
+                self.advisor.apply(kinds=("reanalyze",))
+        return record
 
     def _execute_governed(self, executor: Executor,
                           skeleton: Optional[SkeletonPlan], mode: str,
@@ -1146,10 +1057,11 @@ class Database:
                       start: Optional[float] = None) -> None:
         """Bookkeeping for an aborted statement.
 
-        Records a FallbackEvent with the execution-stage reason and
-        bumps the governor counters; deliberately does NOT touch the
-        plan cache or the misestimation ledger's entries (the abort
-        must not poison either — the ledger only counts it).
+        Records a FallbackEvent with the execution-stage reason, bumps
+        the governor counters and leaves an aborted statement record;
+        deliberately does NOT touch the plan cache or the fingerprint's
+        executions and Q-errors (the abort must not poison either — the
+        log only counts it).
         """
         reason = classify_execution_exception(exc)
         self.fallback_log.record_fallback(FallbackEvent(
@@ -1160,59 +1072,16 @@ class Database:
             sql=sql))
         self.metrics.inc(_ABORT_COUNTERS[reason])
         self.metrics.inc("statements.aborted")
-        self.misestimation_ledger.note_aborted()
-        if self.config.workload_tracking_enabled:
-            self.workload.record_abort(statement_fingerprint(sql), sql)
         if governor is not None:
             self.metrics.observe("governor.peak_bytes",
                                  governor.memory.peak_bytes)
         stmt_span.set(aborted=True, abort_reason=reason.value,
                       error_type=type(exc).__name__)
-        if self.flight is not None:
-            # An abort still leaves a flight record — the crash history
-            # right before a bad stretch is the recorder's whole point.
-            # Latency is elapsed-until-abort (the bound, not the
-            # statement), so the watchdog excludes aborted records.
-            elapsed = 0.0
-            if governor is not None:
-                elapsed = governor.elapsed_seconds()
-            elif start is not None:
-                elapsed = time.perf_counter() - start
-            self.flight.record(FlightRecord(
-                seq=0,
-                statement_id=statement_id,
-                fingerprint=statement_fingerprint(sql),
-                sql=sql,
-                execute_seconds=elapsed,
-                aborted=True,
-                abort_reason=reason.value,
-                governor_checkpoints=governor.checkpoints
-                if governor is not None else None,
-                governor_peak_bytes=governor.memory.peak_bytes
-                if governor is not None else None,
-            ))
-
-    def _record_plan_quality(self, sql: str, cache_key: str,
-                             quality: StatementQuality, used: str,
-                             exec_span) -> None:
-        """Record one execution's estimate accuracy in the misestimation
-        ledger and mirror the aggregates into ``planq.*`` metrics and
-        the ``execute`` span.  A breach is reported, never acted on
-        here: a plan whose inputs changed is already invalid at lookup,
-        and recompiling one whose inputs did not yields the same plan.
-        """
-        self.misestimation_ledger.record(
-            cache_key, statement_fingerprint(sql), sql, quality, used)
-        metrics = self.metrics
-        metrics.inc("planq.statements")
-        metrics.observe("planq.root_q", quality.root_q)
-        metrics.observe("planq.max_q", quality.max_q)
-        breached = quality.max_q > self.misestimation_ledger.q_threshold
-        if breached:
-            metrics.inc("planq.breaches")
-        exec_span.set(root_q=quality.root_q, max_q=quality.max_q,
-                      worst_operator=quality.worst_operator,
-                      planq_breach=breached)
+        # An abort still leaves a record — the crash history right
+        # before a bad stretch is what the ring is for.
+        self._record_statement(sql, statement_id, stmt_span,
+                               abort_reason=reason, governor=governor,
+                               start=start)
 
     def explain(self, sql: str, optimizer: str = "auto",
                 analyze: bool = False) -> str:
@@ -1353,39 +1222,35 @@ class Database:
 
     # -- observability -----------------------------------------------------------------
 
-    def _log_slow_query(self, sql: str, result: StatementResult) -> None:
-        """Append one JSONL record for a statement over the latency
-        threshold; free when ``slow_query_log_path`` is unset."""
-        path = self.config.slow_query_log_path
-        if path is None:
-            return
-        total = result.compile_seconds + result.execute_seconds
+    def _log_slow_query(self, record: StatementRecord,
+                        result: StatementResult) -> None:
+        """Append the statement's record (plus its trace) as one JSONL
+        line when it ran longer than the threshold."""
+        total = record.total_seconds
         if total < self.config.slow_query_log_threshold_seconds:
             return
-        quality = result.plan_quality
-        record = {
-            "ts": datetime.datetime.now().isoformat(),
-            "sql": sql,
-            "fingerprint": statement_fingerprint(sql),
-            "plan_hash": result.plan_hash,
-            "optimizer": result.optimizer_used,
-            "executor_mode": result.executor_mode,
-            "plan_cache_hit": result.plan_cache_hit,
+        line = {
+            "ts": record.ts,
+            "sql": record.sql,
+            "fingerprint": record.fingerprint,
+            "plan_hash": record.plan_hash,
+            "optimizer": record.optimizer,
+            "executor_mode": record.executor_mode,
+            "plan_cache_hit": record.plan_cache_hit,
             "total_seconds": total,
-            "compile_seconds": result.compile_seconds,
-            "execute_seconds": result.execute_seconds,
-            "rows": len(result.rows),
-            "root_q": quality.root_q if quality is not None else None,
-            "max_q": quality.max_q if quality is not None else None,
-            "worst_operator": quality.worst_operator
-            if quality is not None else None,
-            "fallback_reason": result.fallback_reason.value
-            if result.fallback_reason is not None else None,
-            "stages": result.stage_seconds(),
+            "compile_seconds": record.compile_seconds,
+            "execute_seconds": record.execute_seconds,
+            "rows": record.rows,
+            "root_q": record.root_q,
+            "max_q": record.max_q,
+            "worst_operator": record.worst_operator,
+            "fallback_reason": record.fallback_reason,
+            "stages": record.stage_seconds or {},
             "trace": result.trace_export(),
         }
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, default=str) + "\n")
+        with open(self.config.slow_query_log_path, "a",
+                  encoding="utf-8") as handle:
+            handle.write(json.dumps(line, default=str) + "\n")
         self.metrics.inc("slow_query_log.records")
 
     def metrics_export(self) -> str:
@@ -1396,28 +1261,27 @@ class Database:
     def plan_quality_report(self) -> dict:
         """The estimate-vs-actual feedback surface, as one payload:
 
-        * ``worst_fingerprints`` — ledger entries ranked by worst-ever
-          Q-error (statements the optimizer misestimates hardest);
+        * ``worst_fingerprints`` — executed statement fingerprints
+          ranked by worst-ever Q-error (the statements the optimizer
+          misestimates hardest);
         * ``worst_operators`` — operator kinds ranked the same way;
         * ``stats_staleness`` — per-table live-vs-ANALYZE cardinality
           drift, worst first;
         * ``reanalyze_recommendations`` — tables whose drift exceeds
-          ``config.planq_stats_staleness_threshold`` (or that were
+          :data:`repro.plan_quality.STALENESS_THRESHOLD` (or that were
           never analyzed at all);
-        * ``ledger`` — breach/invalidation totals and thresholds.
+        * ``ledger`` — breach and abort totals and the Q threshold.
 
         Render with
         :func:`repro.plan_quality.format_plan_quality_report`.
         """
-        staleness = stats_staleness(
-            self.catalog, self.storage,
-            threshold=self.config.planq_stats_staleness_threshold)
-        ledger = self.misestimation_ledger
+        staleness = stats_staleness(self.catalog, self.storage)
+        log = self.statements
         return {
-            "ledger": ledger.stats(),
+            "ledger": log.quality_stats(),
             "worst_fingerprints": [
-                entry.to_dict() for entry in ledger.worst_fingerprints()],
-            "worst_operators": ledger.worst_operators(),
+                entry.quality_dict() for entry in log.worst_fingerprints()],
+            "worst_operators": log.worst_operators(),
             "stats_staleness": [table.to_dict() for table in staleness],
             "reanalyze_recommendations": [
                 table.table for table in staleness
@@ -1432,8 +1296,8 @@ class Database:
         """The workload-intelligence surface, as one payload:
 
         * ``repository`` — per-fingerprint statement history (execution
-          counts, latency p50/p95/p99, plan-cache hit ratio, plan hash
-          and phases, confirmed regressions) plus per-column usage;
+          counts, latency p50/p95/p99, plan-cache hit ratio, plan hash,
+          flagged regressions) plus per-column usage;
         * ``recommendations`` — the advisor's ranked advice
           (``reanalyze`` / ``index`` / ``plan_regression``), each with
           a score, a human reason, and machine-readable details;
@@ -1442,7 +1306,7 @@ class Database:
         Render with :func:`repro.workload.format_workload_report`.
         """
         return {
-            "repository": self.workload.snapshot(limit=limit),
+            "repository": self.statements.snapshot(limit=limit),
             "recommendations": [
                 rec.to_dict() for rec in self.advisor.recommendations()],
             "advisor": {"applied_total": self.advisor.applied_total},
@@ -1453,26 +1317,18 @@ class Database:
         return format_workload_report(self.workload_report(limit=limit))
 
     def flight_report(self, limit: int = 20) -> dict:
-        """The flight recorder's JSON-ready payload (buffer stats plus
-        the most recent records, latest first).  Raises when the
-        recorder is disabled — a silent empty report would read as "the
-        engine did nothing"."""
-        if self.flight is None:
-            raise ReproError("flight recorder is disabled "
-                             "(config.flight_recorder_enabled)")
-        return self.flight.report(limit=limit)
+        """The statement ring's JSON-ready payload (ring stats plus the
+        most recent records, latest first)."""
+        return self.statements.report(limit=limit)
 
     def flight_report_text(self, limit: int = 20) -> str:
         """``flight_report()`` rendered as plain text."""
         return format_flight_report(self.flight_report(limit=limit))
 
     def flight_export(self, path: str) -> int:
-        """Dump the whole flight buffer (records + registry snapshots)
+        """Dump the whole statement ring (records + registry snapshots)
         as JSONL; returns the line count."""
-        if self.flight is None:
-            raise ReproError("flight recorder is disabled "
-                             "(config.flight_recorder_enabled)")
-        return self.flight.export_jsonl(path)
+        return self.statements.export_jsonl(path)
 
     def top_data(self, limit: int = 10) -> dict:
         """The live engine state behind :meth:`top`, JSON-ready:
@@ -1493,7 +1349,7 @@ class Database:
             "sql": entry.sample_sql,
             "executions": entry.executions,
             "p95_seconds": entry.latency.quantile(0.95),
-        } for entry in self.workload.entries()[:limit]]
+        } for entry in self.statements.entries()[:limit]]
         parallel = self._last_parallel
         return {
             "statements_total":

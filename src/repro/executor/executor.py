@@ -19,6 +19,7 @@ from repro.executor.plan import (
     QueryPlan,
     walk_plan_nodes,
 )
+from repro.observability import NOOP_TRACER
 from repro.sql.blocks import QueryBlock
 
 
@@ -53,13 +54,15 @@ class Executor:
         #: one worker was requested.  ``last_parallel.ops == 0`` means
         #: the statement ran serial; ``last_parallel.decision`` says why.
         self.last_parallel = None
-        #: Workload-intelligence facts of the compiled plan, computed
-        #: once and cached here because the plan cache shares one
-        #: Executor across executions: the literal-free shape hash and
-        #: the (table, column, kind) column touches.  None until the
-        #: Database's workload layer first sees this executor.
-        self.workload_plan_hash: Optional[str] = None
-        self.workload_touches: tuple = ()
+        #: Facts of the compiled plan, computed once and cached here
+        #: because the plan cache shares one Executor across executions:
+        #: the literal-free shape hash, the (table, column, kind) column
+        #: touches and the operator kind of every plan node.  None / ()
+        #: until the Database first records a statement run by this
+        #: executor.
+        self.plan_hash: Optional[str] = None
+        self.column_touches: tuple = ()
+        self.operator_kinds: tuple = ()
         #: Catalog epoch of every base table the statement binds, read
         #: when it was resolved — what the plan cache validates a stored
         #: plan against (set by the Database facade's compile step).
@@ -116,20 +119,26 @@ class Executor:
             node.actual_loops = 0
             node.px_workers = 0
 
-    def ensure_batch_lowered(self) -> bool:
+    def ensure_batch_lowered(self, tracer=None) -> bool:
         """Lower the statement's plans for batch execution (cached).
 
         Returns True when the batch path is available; on the first
         refusal records ``batch_unsupported_reason`` and permanently
-        routes this statement to the row engine.
+        routes this statement to the row engine.  The first call runs
+        under a ``lower`` span (``compiled_exprs``, ``outcome`` =
+        ``batch`` | ``row``); later calls, plan-cache hits included,
+        cost nothing.
         """
         if self._batch_lowered is None:
-            try:
-                self.compiled_expr_count = lower_executor(self)
-                self._batch_lowered = True
-            except BatchUnsupported as exc:
-                self._batch_lowered = False
-                self.batch_unsupported_reason = str(exc)
+            with (tracer or NOOP_TRACER).span("lower") as span:
+                try:
+                    self.compiled_expr_count = lower_executor(self)
+                    self._batch_lowered = True
+                except BatchUnsupported as exc:
+                    self._batch_lowered = False
+                    self.batch_unsupported_reason = str(exc)
+                span.set(compiled_exprs=self.compiled_expr_count,
+                         outcome="batch" if self._batch_lowered else "row")
         return self._batch_lowered
 
     def execute(self, mode: str = "row",
@@ -151,7 +160,8 @@ class Executor:
         self.reset_actuals()
         chunks_skipped_before = self.storage.counters.chunks_skipped
         parallel = None
-        if workers > 1 and mode == "batch" and self.ensure_batch_lowered():
+        if workers > 1 and mode == "batch" \
+                and self.ensure_batch_lowered(tracer):
             parallel = ParallelContext(workers, tracer=tracer,
                                        metrics=metrics)
         runtime = ExecutionRuntime(self.storage, self.context.entry_count,
@@ -164,7 +174,7 @@ class Executor:
         #: Kept for post-execution inspection (EXPLAIN ANALYZE rebinds).
         self.last_runtime = runtime
         try:
-            if mode == "batch" and self.ensure_batch_lowered():
+            if mode == "batch" and self.ensure_batch_lowered(tracer):
                 self.last_mode = "batch"
                 rows: List[tuple] = []
                 for chunk in self.top_plan.run_batches(runtime):

@@ -37,10 +37,13 @@ Span taxonomy (names are stable API, used by the bench harness)::
       mysql_optimize      (fallbacks and simple queries)
       refine
       execute
+        lower             (first batch run of a fresh plan: compiled_exprs,
+                           outcome = batch | row)
 
 A statement served from the plan cache emits only ``statement``,
 ``parse``, ``route`` (with ``plan_cache=hit``), and ``execute`` — the
-skipped optimize stages are the saving being traced.  The
+skipped optimize stages (and the batch lowering the cached executor
+already holds) are the saving being traced.  The
 ``memo_search`` span carries the search-effort counters
 (``cost_evaluations``, ``memo_offered``, ``pruned_candidates``,
 ``best_cost``) the perf benches aggregate.
@@ -63,6 +66,7 @@ __all__ = [
     "Tracer",
     "find_spans",
     "graft_span",
+    "interpolated_quantile",
     "stage_durations",
 ]
 
@@ -348,6 +352,17 @@ def stage_durations(root: Span) -> Dict[str, float]:
 # -- metrics ------------------------------------------------------------------------
 
 
+def interpolated_quantile(ordered: List[float], q: float) -> float:
+    """Linear-interpolated quantile of sorted values (0.0 when empty)."""
+    if not ordered:
+        return 0.0
+    position = q * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = position - low
+    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+
+
 class StreamingHistogram:
     """Streaming quantile sketch: exact until the reservoir fills, then a
     uniform reservoir sample (seeded, so runs are reproducible).
@@ -390,17 +405,10 @@ class StreamingHistogram:
 
     def quantile(self, q: float) -> float:
         """Linear-interpolated quantile over the reservoir (0 <= q <= 1)."""
-        if not self._samples:
-            return 0.0
         if not self._sorted:
             self._samples.sort()
             self._sorted = True
-        position = q * (len(self._samples) - 1)
-        low = int(position)
-        high = min(low + 1, len(self._samples) - 1)
-        fraction = position - low
-        return (self._samples[low] * (1.0 - fraction)
-                + self._samples[high] * fraction)
+        return interpolated_quantile(self._samples, q)
 
     def summary(self) -> dict:
         return {

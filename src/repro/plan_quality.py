@@ -13,27 +13,25 @@ actual)`` pairs from the always-on counters the executor maintains
   empty results stay finite and symmetric;
 * a per-statement :class:`StatementQuality` aggregate (root and max
   Q-error, the worst node and its operator kind);
-* a bounded-LRU :class:`MisestimationLedger` keyed like the plan cache,
-  recording executions and breaches (Q-error above threshold) per
-  statement;
 * a per-table staleness estimate comparing live table cardinality with
   ANALYZE-time statistics, feeding a re-ANALYZE recommendation list.
 
-The Database facade wires these into ``planq.*`` metrics, the
-``execute`` span, ``plan_quality_report()``, and the slow-query log.
+These are pure functions.  The Database copies each execution's
+snapshot into its statement record; the
+:class:`repro.statement_log.StatementLog` keeps the per-fingerprint and
+per-operator history (breaches, worst Q) that ``plan_quality_report()``
+reads, and the ``execute`` span carries the per-statement figures.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 __all__ = [
-    "LedgerEntry",
-    "MisestimationLedger",
     "NodeQuality",
     "StatementQuality",
+    "STALENESS_THRESHOLD",
     "TableStaleness",
     "format_plan_quality_report",
     "per_loop_q",
@@ -165,149 +163,13 @@ def statement_quality(executor) -> StatementQuality:
 
 
 # ---------------------------------------------------------------------------
-# Misestimation ledger
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LedgerEntry:
-    """Per-statement-fingerprint misestimation history."""
-
-    cache_key: str
-    fingerprint: str
-    sql: str
-    executions: int = 0
-    breaches: int = 0
-    max_q: float = 1.0
-    last_q: float = 1.0
-    last_root_q: float = 1.0
-    worst_operator: str = ""
-    last_optimizer: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "cache_key": self.cache_key,
-            "fingerprint": self.fingerprint,
-            "sql": self.sql,
-            "executions": self.executions,
-            "breaches": self.breaches,
-            "max_q": self.max_q,
-            "last_q": self.last_q,
-            "last_root_q": self.last_root_q,
-            "worst_operator": self.worst_operator,
-            "last_optimizer": self.last_optimizer,
-        }
-
-
-class MisestimationLedger:
-    """Bounded-LRU record of per-statement estimate accuracy.
-
-    Keyed by the plan-cache key (literal-preserving, one entry per
-    cached plan); each entry also carries the literal-normalised
-    resilience fingerprint for correlation with the fallback log.
-
-    An execution whose max Q-error exceeds ``q_threshold`` is a
-    *breach*.  The ledger records and ranks breaches; it takes no
-    action on the plan cache.  A plan's inputs are the catalog epochs
-    of its tables: when statistics change the cached plan is already
-    invalid at its next lookup, and while they do not a recompile
-    returns the same plan — so the remedy for a breaching statement is
-    the re-ANALYZE the staleness report recommends, not a recompile.
-    """
-
-    def __init__(self, capacity: int = 256,
-                 q_threshold: float = 16.0) -> None:
-        if capacity < 1:
-            raise ValueError("ledger capacity must be >= 1")
-        if q_threshold < 1.0:
-            raise ValueError("q_threshold must be >= 1.0 (perfect)")
-        self.capacity = capacity
-        self.q_threshold = q_threshold
-        self._entries: "OrderedDict[str, LedgerEntry]" = OrderedDict()
-        #: Per-operator-kind aggregates across every recorded node.
-        self._operators: Dict[str, Dict[str, float]] = {}
-        self.evictions = 0
-        self.total_breaches = 0
-        self.total_aborted = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entry(self, cache_key: str) -> Optional[LedgerEntry]:
-        return self._entries.get(cache_key)
-
-    def record(self, cache_key: str, fingerprint: str, sql: str,
-               quality: StatementQuality,
-               optimizer_used: str) -> LedgerEntry:
-        """Fold one execution in; returns the statement's entry."""
-        entry = self._entries.get(cache_key)
-        if entry is None:
-            entry = LedgerEntry(cache_key=cache_key,
-                                fingerprint=fingerprint, sql=sql)
-            self._entries[cache_key] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        else:
-            self._entries.move_to_end(cache_key)
-        entry.executions += 1
-        entry.last_q = quality.max_q
-        entry.last_root_q = quality.root_q
-        entry.last_optimizer = optimizer_used
-        if quality.max_q > entry.max_q:
-            entry.max_q = quality.max_q
-            entry.worst_operator = quality.worst_operator
-        for node in quality.nodes:
-            stats = self._operators.get(node.operator)
-            if stats is None:
-                stats = {"observations": 0, "breaches": 0, "max_q": 1.0}
-                self._operators[node.operator] = stats
-            stats["observations"] += 1
-            if node.q > stats["max_q"]:
-                stats["max_q"] = node.q
-            if node.q > self.q_threshold:
-                stats["breaches"] += 1
-        if quality.max_q > self.q_threshold:
-            entry.breaches += 1
-            self.total_breaches += 1
-        return entry
-
-    def worst_fingerprints(self, limit: int = 10) -> List[LedgerEntry]:
-        """Entries ranked by worst-ever Q-error, descending."""
-        ranked = sorted(self._entries.values(),
-                        key=lambda e: e.max_q, reverse=True)
-        return ranked[:limit]
-
-    def worst_operators(self, limit: int = 10) -> List[dict]:
-        """Operator kinds ranked by worst observed Q-error."""
-        ranked = sorted(self._operators.items(),
-                        key=lambda item: item[1]["max_q"], reverse=True)
-        return [{"operator": name, **stats}
-                for name, stats in ranked[:limit]]
-
-    def note_aborted(self) -> None:
-        """Count a statement aborted mid-execution (deadline, cancel,
-        memory breach, runtime error).
-
-        An aborted execution produces no trustworthy actual row counts
-        — its operators stopped early — so it is deliberately not
-        recorded per-statement; only the total is kept for the report.
-        """
-        self.total_aborted += 1
-
-    def stats(self) -> dict:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "q_threshold": self.q_threshold,
-            "evictions": self.evictions,
-            "breaches": self.total_breaches,
-            "aborted": self.total_aborted,
-        }
-
-
-# ---------------------------------------------------------------------------
 # Statistics staleness
 # ---------------------------------------------------------------------------
+
+#: Fractional live-vs-ANALYZE cardinality drift above which a table is
+#: recommended for re-ANALYZE.
+STALENESS_THRESHOLD = 0.2
+
 
 @dataclass
 class TableStaleness:
@@ -334,13 +196,17 @@ class TableStaleness:
 
 
 def stats_staleness(catalog, storage,
-                    threshold: float = 0.2) -> List[TableStaleness]:
+                    threshold: Optional[float] = None
+                    ) -> List[TableStaleness]:
     """Per-table staleness, worst first.
 
     A table earns a re-ANALYZE recommendation when it holds rows but was
     never analyzed, or when its live cardinality has drifted from
-    the ANALYZE-time row count by more than ``threshold`` (fractional).
+    the ANALYZE-time row count by more than ``threshold`` (fractional;
+    :data:`STALENESS_THRESHOLD` by default).
     """
+    if threshold is None:
+        threshold = STALENESS_THRESHOLD
     report: List[TableStaleness] = []
     for schema in catalog.tables():
         statistics = catalog.statistics(schema.name)

@@ -19,9 +19,9 @@ purpose:
   N unexpected-exception fallbacks the fingerprint routes straight to
   MySQL until the breaker decays, mirroring how a production frontend
   isolates optimizer-crashing queries;
-* :class:`FallbackLog` — counters by reason, per-statement history, and
-  a text report, surfaced through ``Database.resilience_report()`` and
-  the benchmark harness;
+* :class:`FallbackLog` — counters by reason, a bounded event ring (the
+  per-statement history is a view of it), and a text report, surfaced
+  through ``Database.resilience_report()`` and the benchmark harness;
 * :class:`FaultInjector` — deterministic, seedable fault injection at
   named points in the metadata provider, parse-tree converter,
   optimizer, and plan converter, so every fallback path can be tested
@@ -101,9 +101,10 @@ def statement_fingerprint(sql: str) -> str:
     """A stable digest of a statement with literals normalised away.
 
     Memoized on the raw SQL text (pure function, bounded cache): the
-    facade fingerprints each statement several times per execution —
-    fallback log, workload repository, flight recorder — and a warm
-    workload repeats the same text, so the regex+sha1 work runs once.
+    facade fingerprints a statement more than once per execution —
+    fallback log, circuit breaker, plan cache, statement record — and a
+    warm workload repeats the same text, so the regex+sha1 work runs
+    once.
 
     ``WHERE o_totalprice > 100`` and ``WHERE o_totalprice > 250`` share a
     fingerprint, so the circuit breaker quarantines the statement *shape*
@@ -352,7 +353,11 @@ class FallbackEvent:
 
 
 class FallbackLog:
-    """Counters by reason plus a bounded per-statement history.
+    """Counters by reason plus a bounded ring of recent events.
+
+    The ring holds the last ``max_events`` fallbacks; ``history()`` is a
+    view of it, so a long-running Database keeps O(``max_events``)
+    events however many fingerprints fall back.
 
     With a ``metrics`` sink (a :class:`repro.observability.MetricsRegistry`)
     every event is mirrored into the process-wide registry — the
@@ -364,7 +369,6 @@ class FallbackLog:
         self.counters: Dict[FallbackReason, int] = {
             reason: 0 for reason in FallbackReason}
         self.events: Deque[FallbackEvent] = deque(maxlen=max_events)
-        self.per_statement: Dict[str, List[FallbackEvent]] = {}
         self.detours_entered = 0
         self.detours_succeeded = 0
         self.last_event: Optional[FallbackEvent] = None
@@ -383,7 +387,6 @@ class FallbackLog:
     def record_fallback(self, event: FallbackEvent) -> None:
         self.counters[event.reason] += 1
         self.events.append(event)
-        self.per_statement.setdefault(event.fingerprint, []).append(event)
         self.last_event = event
         if self.metrics is not None:
             self.metrics.inc("detour.fallbacks")
@@ -396,8 +399,14 @@ class FallbackLog:
     def total_fallbacks(self) -> int:
         return sum(self.counters.values())
 
+    def __len__(self) -> int:
+        """Events held (at most ``max_events``)."""
+        return len(self.events)
+
     def history(self, fingerprint: str) -> List[FallbackEvent]:
-        return list(self.per_statement.get(fingerprint, []))
+        """The ring's events for one fingerprint, oldest first."""
+        return [event for event in self.events
+                if event.fingerprint == fingerprint]
 
     def report(self) -> str:
         lines = ["Resilience report", "=" * 17,

@@ -1,4 +1,4 @@
-"""Workload intelligence: statement history, column usage, an advisor.
+"""Workload intelligence: plan facts and an advisor.
 
 The paper's integration ships against live customer workloads, where
 tuning decisions come from *workload-level* evidence — which statement
@@ -6,9 +6,8 @@ shapes dominate, which columns they filter and join on, which tables'
 statistics have drifted — not from any single statement trace.  "Query
 Optimization in the Wild" names this feedback layer as the dominant
 industrial trend on top of classical optimizers.  This module is that
-layer for the repro engine, built on the observability stack the
-earlier PRs seeded (spans, :class:`repro.observability.MetricsRegistry`,
-the misestimation ledger):
+layer for the repro engine; the history it reads is the
+:class:`repro.statement_log.StatementLog`:
 
 * :func:`compute_plan_hash` — a literal-free digest of a statement's
   executable plan *shape* (operators, join order, access paths,
@@ -20,55 +19,42 @@ the misestimation ledger):
   ``predicate`` / ``join`` / ``group`` / ``sort``.  Both optimizers
   refine into the same plan-node vocabulary, so the extraction is
   routing-agnostic.
-* :class:`WorkloadRepository` — a bounded LRU keyed by the
-  literal-normalised statement fingerprint, aggregating executions,
-  latency quantiles (seeded reservoir histograms, so reports are
-  reproducible), rows, optimizer/executor-mode mix, plan-cache hits,
-  Q-error breaches, fallbacks and aborts, and a per-fingerprint plan
-  hash.  A plan-hash change followed by a sustained p95 latency
-  increase is flagged as a **plan regression**.
-* :class:`Advisor` — turns the repository plus the existing staleness
-  and cost-model machinery into ranked, machine-readable
+* :class:`Advisor` — turns the statement log plus the existing
+  staleness and cost-model machinery into ranked, machine-readable
   :class:`Recommendation` objects: re-ANALYZE scheduling, index
   candidates (benefit-estimated with a what-if probe of the MySQL cost
-  model), and plan-cache hygiene for confirmed regressions.  The
+  model), and plan-cache hygiene for flagged p95 regressions.  The
   ranking is deterministic: the same history always produces
   byte-identical recommendations.
 
-The Database facade owns one repository and one advisor, records every
-completed statement (see ``workload_tracking_enabled``), surfaces the
-whole thing through ``db.workload_report()``, and — when
-``advisor_auto_analyze`` is on — applies pending re-ANALYZE
-recommendations every ``advisor_interval_statements`` statements.
+The Database facade owns one advisor, surfaces it through
+``db.workload_report()``, and — when ``advisor_auto_analyze`` is on —
+applies pending re-ANALYZE recommendations every
+``advisor_interval_statements`` statements.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.mysql_optimizer.cost import MySQLCostModel
-from repro.observability import StreamingHistogram
 from repro.plan_quality import stats_staleness
 from repro.sql import ast
 from repro.sql.blocks import EntryKind
 
 __all__ = [
     "Advisor",
-    "PlanRegression",
     "Recommendation",
-    "StatementStats",
-    "WorkloadRepository",
     "compute_plan_hash",
     "extract_column_touches",
     "format_workload_report",
 ]
 
-#: How many closed plan phases one statement keeps for regression
-#: context; older phases age out silently.
-MAX_PHASES = 4
+#: Minimum predicate/join executions on an unindexed column before the
+#: advisor emits an index recommendation.
+INDEX_MIN_USAGE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -184,369 +170,6 @@ def extract_column_touches(executor) -> Tuple[Tuple[str, str, str], ...]:
 
 
 # ---------------------------------------------------------------------------
-# The workload repository
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PlanPhase:
-    """One contiguous run of executions under a single plan shape."""
-
-    plan_hash: str
-    executions: int = 0
-    latency: StreamingHistogram = field(
-        default_factory=StreamingHistogram)
-    #: Set once the regression check for this phase has run (pass or
-    #: fail), so one hash change yields at most one regression flag.
-    checked: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "plan_hash": self.plan_hash,
-            "executions": self.executions,
-            "p50_seconds": self.latency.quantile(0.50),
-            "p95_seconds": self.latency.quantile(0.95),
-        }
-
-
-@dataclass
-class PlanRegression:
-    """A confirmed *plan change + p95 latency regression* for one shape."""
-
-    fingerprint: str
-    from_hash: str
-    to_hash: str
-    before_p95: float
-    after_p95: float
-    factor: float
-    resolved: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "from_hash": self.from_hash,
-            "to_hash": self.to_hash,
-            "before_p95_seconds": self.before_p95,
-            "after_p95_seconds": self.after_p95,
-            "factor": self.factor,
-            "resolved": self.resolved,
-        }
-
-
-class StatementStats:
-    """Aggregate history of one statement fingerprint."""
-
-    def __init__(self, fingerprint: str, sql: str) -> None:
-        self.fingerprint = fingerprint
-        #: One representative SQL text (the first literal variant seen).
-        self.sample_sql = sql
-        self.executions = 0
-        self.total_rows = 0
-        self.aborts = 0
-        self.fallbacks = 0
-        self.breaches = 0
-        self.plan_cache_hits = 0
-        self.latency = StreamingHistogram()
-        self.optimizers: Dict[str, int] = {}
-        self.modes: Dict[str, int] = {}
-        self.touches: Tuple[Tuple[str, str, str], ...] = ()
-        #: The live phase (current plan shape) plus bounded history.
-        self.phase: Optional[PlanPhase] = None
-        self.past_phases: List[PlanPhase] = []
-        self.plan_changes = 0
-        self.regressions: List[PlanRegression] = []
-
-    @property
-    def plan_hash(self) -> Optional[str]:
-        return self.phase.plan_hash if self.phase is not None else None
-
-    @property
-    def hit_ratio(self) -> float:
-        if not self.executions:
-            return 0.0
-        return self.plan_cache_hits / self.executions
-
-    def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "sql": self.sample_sql,
-            "executions": self.executions,
-            "rows": self.total_rows,
-            "aborts": self.aborts,
-            "fallbacks": self.fallbacks,
-            "breaches": self.breaches,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_hit_ratio": self.hit_ratio,
-            "latency": self.latency.summary(),
-            "optimizers": dict(sorted(self.optimizers.items())),
-            "executor_modes": dict(sorted(self.modes.items())),
-            "plan_hash": self.plan_hash,
-            "plan_changes": self.plan_changes,
-            "phases": [phase.to_dict() for phase in
-                       (self.past_phases + ([self.phase]
-                                            if self.phase else []))],
-            "regressions": [r.to_dict() for r in self.regressions],
-            "columns": [list(touch) for touch in self.touches],
-        }
-
-
-class WorkloadRepository:
-    """Bounded LRU of per-fingerprint statement history + column usage.
-
-    Keyed by the literal-normalised resilience fingerprint (unlike the
-    plan cache's literal-preserving key): the repository answers
-    workload-shape questions, so ``WHERE o_totalprice > 100`` and
-    ``> 250`` are one statement.  Column-usage and per-table breach
-    aggregates are workload-level and monotonic — they survive entry
-    eviction, so a heavily-touched column keeps its evidence even under
-    fingerprint churn.
-
-    Plan-regression rule: when an execution arrives under a new plan
-    hash the current phase closes and a new one opens; once both the
-    closed phase and the new phase hold at least ``regression_min_samples``
-    latency samples, the new phase's p95 is checked once against the old
-    — exceeding ``regression_factor`` × the old p95 flags a
-    :class:`PlanRegression` (which the advisor turns into a plan-cache
-    invalidation).
-    """
-
-    def __init__(self, capacity: int = 512,
-                 regression_factor: float = 1.5,
-                 regression_min_samples: int = 3,
-                 metrics=None) -> None:
-        if capacity < 1:
-            raise ValueError("workload repository capacity must be >= 1")
-        if regression_factor <= 1.0:
-            raise ValueError("regression_factor must be > 1.0")
-        if regression_min_samples < 1:
-            raise ValueError("regression_min_samples must be >= 1")
-        self.capacity = capacity
-        self.regression_factor = regression_factor
-        self.regression_min_samples = regression_min_samples
-        self.metrics = metrics
-        self._entries: "OrderedDict[str, StatementStats]" = OrderedDict()
-        #: (table, column, kind) -> executions that touched it.
-        self._column_usage: Dict[Tuple[str, str, str], int] = {}
-        #: table -> [executions touching it, breaching executions].
-        self._table_activity: Dict[str, List[int]] = {}
-        self.recorded = 0
-        self.evictions = 0
-        self.total_breaches = 0
-        self.total_regressions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entry(self, fingerprint: str) -> Optional[StatementStats]:
-        return self._entries.get(fingerprint)
-
-    def entries(self) -> List[StatementStats]:
-        """Current entries, most-executed first (fingerprint tiebreak)."""
-        return sorted(self._entries.values(),
-                      key=lambda e: (-e.executions, e.fingerprint))
-
-    def _get_or_create(self, fingerprint: str, sql: str) -> StatementStats:
-        entry = self._entries.get(fingerprint)
-        if entry is None:
-            entry = StatementStats(fingerprint, sql)
-            self._entries[fingerprint] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                if self.metrics is not None:
-                    self.metrics.inc("workload.evictions")
-        else:
-            self._entries.move_to_end(fingerprint)
-        return entry
-
-    def record(self, fingerprint: str, sql: str, plan_hash: str,
-               touches: Tuple[Tuple[str, str, str], ...],
-               latency_seconds: float, rows: int, optimizer_used: str,
-               executor_mode: str, plan_cache_hit: bool,
-               breached: bool, fallback: bool
-               ) -> Tuple[StatementStats, Optional[PlanRegression]]:
-        """Fold one completed execution in.
-
-        Returns ``(entry, regression)`` where ``regression`` is the
-        freshly-confirmed :class:`PlanRegression` (at most one per plan
-        change) or None.
-        """
-        entry = self._get_or_create(fingerprint, sql)
-        entry.executions += 1
-        entry.total_rows += rows
-        entry.latency.observe(latency_seconds)
-        entry.optimizers[optimizer_used] = \
-            entry.optimizers.get(optimizer_used, 0) + 1
-        entry.modes[executor_mode] = entry.modes.get(executor_mode, 0) + 1
-        if plan_cache_hit:
-            entry.plan_cache_hits += 1
-        if breached:
-            entry.breaches += 1
-            self.total_breaches += 1
-        if fallback:
-            entry.fallbacks += 1
-        entry.touches = touches
-        self.recorded += 1
-        if self.metrics is not None:
-            self.metrics.inc("workload.recorded")
-        # Column usage and per-table breach attribution (workload-level,
-        # survives entry eviction).
-        tables = set()
-        for table, column, kind in touches:
-            key = (table, column, kind)
-            self._column_usage[key] = self._column_usage.get(key, 0) + 1
-            tables.add(table)
-        for table in sorted(tables):
-            activity = self._table_activity.setdefault(table, [0, 0])
-            activity[0] += 1
-            if breached:
-                activity[1] += 1
-        regression = self._fold_phase(entry, plan_hash, latency_seconds)
-        return entry, regression
-
-    def _fold_phase(self, entry: StatementStats, plan_hash: str,
-                    latency_seconds: float) -> Optional[PlanRegression]:
-        if entry.phase is None:
-            entry.phase = PlanPhase(plan_hash)
-        elif entry.phase.plan_hash != plan_hash:
-            entry.past_phases.append(entry.phase)
-            del entry.past_phases[:-MAX_PHASES]
-            entry.phase = PlanPhase(plan_hash)
-            entry.plan_changes += 1
-            if self.metrics is not None:
-                self.metrics.inc("workload.plan_changes")
-        phase = entry.phase
-        phase.executions += 1
-        phase.latency.observe(latency_seconds)
-        if phase.checked or not entry.past_phases:
-            return None
-        previous = entry.past_phases[-1]
-        if previous.executions < self.regression_min_samples \
-                or phase.executions < self.regression_min_samples:
-            return None
-        phase.checked = True
-        before = previous.latency.quantile(0.95)
-        after = phase.latency.quantile(0.95)
-        if before <= 0.0 or after <= self.regression_factor * before:
-            return None
-        regression = PlanRegression(
-            fingerprint=entry.fingerprint,
-            from_hash=previous.plan_hash,
-            to_hash=phase.plan_hash,
-            before_p95=before,
-            after_p95=after,
-            factor=after / before,
-        )
-        entry.regressions.append(regression)
-        self.total_regressions += 1
-        if self.metrics is not None:
-            self.metrics.inc("workload.plan_regressions")
-        return regression
-
-    def record_abort(self, fingerprint: str, sql: str) -> None:
-        """Count an aborted execution (no latency, rows, or phase data —
-        an abort produces none worth trusting)."""
-        entry = self._get_or_create(fingerprint, sql)
-        entry.aborts += 1
-
-    def note_external_regression(self, fingerprint: str, sql: str,
-                                 before_p95: float, after_p95: float,
-                                 plan_hash: Optional[str] = None
-                                 ) -> Optional[PlanRegression]:
-        """Record a regression confirmed by an *external* detector.
-
-        The flight recorder's watchdog compares trailing execution
-        windows rather than plan phases, so it catches same-plan
-        slowdowns (data growth, stats drift) the phase-based rule never
-        sees.  Its finding enters here as a :class:`PlanRegression`
-        with ``from_hash == to_hash`` — the advisor then surfaces and
-        remediates it through the exact same ``plan_regression`` path.
-        Deduped: while an unresolved regression with the same target
-        hash exists for the fingerprint, repeated findings are dropped
-        (returns None).
-        """
-        entry = self._get_or_create(fingerprint, sql)
-        hash_text = plan_hash or (entry.plan_hash or "")
-        for existing in entry.regressions:
-            if not existing.resolved and existing.to_hash == hash_text:
-                return None
-        regression = PlanRegression(
-            fingerprint=fingerprint,
-            from_hash=hash_text,
-            to_hash=hash_text,
-            before_p95=before_p95,
-            after_p95=after_p95,
-            factor=after_p95 / before_p95 if before_p95 > 0.0 else 0.0,
-        )
-        entry.regressions.append(regression)
-        self.total_regressions += 1
-        if self.metrics is not None:
-            self.metrics.inc("workload.plan_regressions")
-        return regression
-
-    # -- aggregates --------------------------------------------------------------
-
-    def column_usage(self) -> List[dict]:
-        """Per-column usage, heaviest first (then table/column/kind)."""
-        ranked = sorted(self._column_usage.items(),
-                        key=lambda item: (-item[1], item[0]))
-        return [{"table": table, "column": column, "kind": kind,
-                 "executions": count}
-                for (table, column, kind), count in ranked]
-
-    def usage_for(self, table: str, column: str) -> Dict[str, int]:
-        """kind -> execution count for one column (empty when unseen)."""
-        out: Dict[str, int] = {}
-        for (tab, col, kind), count in self._column_usage.items():
-            if tab == table and col == column:
-                out[kind] = count
-        return out
-
-    def table_breach_rate(self, table: str) -> float:
-        """Fraction of executions touching ``table`` that breached."""
-        activity = self._table_activity.get(table)
-        if not activity or not activity[0]:
-            return 0.0
-        return activity[1] / activity[0]
-
-    def unresolved_regressions(self) -> List[PlanRegression]:
-        """Confirmed, not-yet-acted-on regressions (deterministic order)."""
-        out = [r for entry in self._entries.values()
-               for r in entry.regressions if not r.resolved]
-        out.sort(key=lambda r: (-r.factor, r.fingerprint))
-        return out
-
-    def resolve_regressions(self, fingerprint: str) -> int:
-        """Mark every regression of one fingerprint handled."""
-        entry = self._entries.get(fingerprint)
-        if entry is None:
-            return 0
-        pending = [r for r in entry.regressions if not r.resolved]
-        for regression in pending:
-            regression.resolved = True
-        return len(pending)
-
-    def stats(self) -> dict:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "recorded": self.recorded,
-            "evictions": self.evictions,
-            "breaches": self.total_breaches,
-            "plan_regressions": self.total_regressions,
-            "tracked_columns": len(self._column_usage),
-        }
-
-    def snapshot(self, limit: int = 20) -> dict:
-        """JSON-ready repository dump: top statements + column usage."""
-        return {
-            "stats": self.stats(),
-            "statements": [entry.to_dict()
-                           for entry in self.entries()[:limit]],
-            "column_usage": self.column_usage()[:limit],
-        }
-
-
-# ---------------------------------------------------------------------------
 # The advisor
 # ---------------------------------------------------------------------------
 
@@ -583,21 +206,20 @@ class Advisor:
     """Turns workload history into ranked recommendations.
 
     Reads are pure: :meth:`recommendations` never mutates anything, and
-    the same repository/catalog/storage state always yields the same
+    the same log/catalog/storage state always yields the same
     (byte-identical) list.  :meth:`apply` is the opt-in mutation path —
     it runs ANALYZE for ``reanalyze`` advice and purges cached plans
     for ``plan_regression`` advice; ``index`` advice stays advisory
     (the engine has no online index build).
     """
 
-    def __init__(self, repository: WorkloadRepository, catalog, storage,
-                 plan_cache, config, metrics=None) -> None:
-        self.repository = repository
+    def __init__(self, statements, catalog, storage, plan_cache,
+                 metrics=None) -> None:
+        #: The :class:`repro.statement_log.StatementLog` advice reads.
+        self.statements = statements
         self.catalog = catalog
         self.storage = storage
         self.plan_cache = plan_cache
-        #: The DatabaseConfig (read live, so knob changes apply).
-        self.config = config
         self.metrics = metrics
         self.cost_model = MySQLCostModel()
         self.applied_total = 0
@@ -605,13 +227,11 @@ class Advisor:
     # -- recommendation producers ----------------------------------------------
 
     def _reanalyze(self) -> List[Recommendation]:
-        threshold = self.config.planq_stats_staleness_threshold
         out: List[Recommendation] = []
-        for table in stats_staleness(self.catalog, self.storage,
-                                     threshold=threshold):
+        for table in stats_staleness(self.catalog, self.storage):
             if not table.recommend_analyze:
                 continue
-            breach_rate = self.repository.table_breach_rate(table.table)
+            breach_rate = self.statements.table_breach_rate(table.table)
             score = table.staleness * (1.0 + breach_rate)
             out.append(Recommendation(
                 kind="reanalyze",
@@ -664,17 +284,16 @@ class Advisor:
         }
 
     def _indexes(self) -> List[Recommendation]:
-        min_usage = self.config.workload_index_min_usage
         # Aggregate predicate+join pressure per (table, column).
         pressure: Dict[Tuple[str, str], int] = {}
-        for item in self.repository.column_usage():
+        for item in self.statements.column_usage():
             if item["kind"] not in ("predicate", "join"):
                 continue
             key = (item["table"], item["column"])
             pressure[key] = pressure.get(key, 0) + item["executions"]
         out: List[Recommendation] = []
         for (table, column), usage in sorted(pressure.items()):
-            if usage < min_usage:
+            if usage < INDEX_MIN_USAGE:
                 continue
             try:
                 schema = self.catalog.table(table)
@@ -687,7 +306,7 @@ class Advisor:
             probe = self._what_if_index(table, column, usage)
             if probe is None:
                 continue
-            kinds = self.repository.usage_for(table, column)
+            kinds = self.statements.usage_for(table, column)
             out.append(Recommendation(
                 kind="index",
                 target=f"{table}.{column}",
@@ -702,14 +321,17 @@ class Advisor:
 
     def _plan_regressions(self) -> List[Recommendation]:
         out: List[Recommendation] = []
-        for regression in self.repository.unresolved_regressions():
+        for regression in self.statements.unresolved_regressions():
+            if regression.from_hash != regression.to_hash:
+                plan = (f"plan changed {regression.from_hash} -> "
+                        f"{regression.to_hash}")
+            else:
+                plan = f"plan {regression.to_hash} unchanged"
             out.append(Recommendation(
                 kind="plan_regression",
                 target=regression.fingerprint,
                 score=regression.factor,
-                reason=(f"plan changed "
-                        f"{regression.from_hash} -> {regression.to_hash} "
-                        f"and p95 latency rose "
+                reason=(f"{plan} and p95 latency rose "
                         f"{regression.factor:.1f}x "
                         f"({regression.before_p95:.6f}s -> "
                         f"{regression.after_p95:.6f}s)"),
@@ -735,9 +357,9 @@ class Advisor:
 
         ``reanalyze`` runs ANALYZE (with histograms) on the table —
         which advances its catalog epoch, so the cached plans that
-        reference it recompile against the fresh statistics.  ``plan_regression``
-        purges the fingerprint's cached plans and marks the regression
-        handled.  ``index`` advice is never auto-applied.
+        reference it recompile against the fresh statistics.
+        ``plan_regression`` purges the fingerprint's cached plans and
+        resolves the regression, restarting its detector window.  ``index`` advice is never auto-applied.
         """
         if recommendations is None:
             recommendations = self.recommendations()
@@ -751,7 +373,7 @@ class Advisor:
             elif rec.kind == "plan_regression":
                 dropped = self.plan_cache.invalidate_fingerprint(
                     rec.target)
-                self.repository.resolve_regressions(rec.target)
+                self.statements.resolve_regressions(rec.target)
                 action = f"invalidated {dropped} cached plans"
             else:
                 continue

@@ -404,19 +404,18 @@ class TestAbortHygiene:
         assert again.plan_cache_hit is True
 
     def test_aborted_statement_does_not_advance_ledger(self, db):
-        db.run(JOIN_SQL)  # populate cache + ledger entry
-        ledger_before = db.misestimation_ledger.stats()
+        db.run(JOIN_SQL)  # populate cache + fingerprint entry
+        log = db.statements
+        ledger_before = log.quality_stats()
         executions_before = [
-            e.executions
-            for e in db.misestimation_ledger.worst_fingerprints()]
+            e.executions for e in log.worst_fingerprints()]
         token = CancelToken(cancel_after_checks=7)
         with pytest.raises(StatementCancelledError):
             db.run(JOIN_SQL, cancel_token=token)
-        after = db.misestimation_ledger.stats()
+        after = log.quality_stats()
         assert after["breaches"] == ledger_before["breaches"]
         assert after["aborted"] == ledger_before["aborted"] + 1
-        assert [e.executions
-                for e in db.misestimation_ledger.worst_fingerprints()] \
+        assert [e.executions for e in log.worst_fingerprints()] \
             == executions_before
 
     def test_abort_metrics_and_result_fields(self, db):

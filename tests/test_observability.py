@@ -319,6 +319,29 @@ class TestPipelineTracing:
         assert "memo_search:" in text
         assert "memo:" in text and "alternatives costed" in text
 
+    def test_batch_lowering_has_its_own_span(self):
+        db = build_mini_db(orders=40)
+        sql = "SELECT COUNT(*) FROM orders WHERE o_totalprice > 250"
+        fresh = db.run(sql, trace=True, executor_mode="batch")
+        assert not fresh.plan_cache_hit
+        [lower] = find_spans(fresh.trace, "lower")
+        # Lowering runs inside execute, on the fresh plan only.
+        assert lower in find_spans(fresh.trace, "execute")[0].children
+        assert lower.attributes["outcome"] == "batch"
+        assert lower.attributes["compiled_exprs"] > 0
+        hit = db.run(sql, trace=True, executor_mode="batch")
+        assert hit.plan_cache_hit
+        assert find_spans(hit.trace, "lower") == []
+
+    def test_lowering_refusal_is_recorded_on_the_span(self):
+        db = build_mini_db(orders=40)
+        sql = ("SELECT o_orderkey FROM orders WHERE o_totalprice > "
+               "(SELECT AVG(o_totalprice) FROM orders)")
+        result = db.run(sql, trace=True, executor_mode="batch")
+        assert result.executor_mode == "row"
+        [lower] = find_spans(result.trace, "lower")
+        assert lower.attributes["outcome"] == "row"
+
 
 class TestBenchStageBreakdown:
 

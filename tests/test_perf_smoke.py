@@ -119,10 +119,11 @@ def test_plan_quality_counters_advance(smoke_dbs, number):
 
 def test_plan_quality_export_surfaces(smoke_dbs):
     """After a workload the quality aggregates are exportable: the
-    ledger holds entries and the Prometheus text carries planq series."""
+    statement log holds fingerprint entries and the Prometheus text
+    carries planq series."""
     db, __ = smoke_dbs
     db.run(TPCH_QUERIES[SMOKE_QUERIES[0]])
-    assert len(db.misestimation_ledger) >= 1
+    assert db.statements.quality_stats()["size"] >= 1
     report = db.plan_quality_report()
     assert report["worst_fingerprints"]
     export = db.metrics_export()

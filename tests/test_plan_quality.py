@@ -1,33 +1,35 @@
-"""Plan-quality feedback: Q-error, the misestimation ledger, and the
-estimate-to-actual loop the Database facade closes around them.
+"""Plan-quality feedback: Q-error, the statement log's per-fingerprint
+breach record, and the estimate-to-actual loop the Database facade
+closes around them.
 
 Covers the Q-error math (including the zero-row smoothing and the
 per-loop normalisation for nested-loop inners), per-statement quality
-snapshots from both engines, the ledger's breach record (which keeps
-cached plans), the stale-statistics scenario (load after ANALYZE) and
+snapshots from both engines, the breach record (which keeps cached
+plans), the stale-statistics scenario (load after ANALYZE) and
 the report -> advisor -> re-ANALYZE path that heals it, and the export
 surfaces: Prometheus text format and the JSONL slow-query log.
 """
 
+import dataclasses
 import json
 import re
 
 import pytest
 
 from repro import Database, DatabaseConfig
+from repro import statement_log
 from repro.catalog import Column, Index, TableSchema
 from repro.errors import ReproError
 from repro.mysql_types import MySQLType
 from repro.observability import find_spans
 from repro.plan_cache import statement_cache_key
 from repro.plan_quality import (
-    MisestimationLedger,
-    NodeQuality,
-    StatementQuality,
     format_plan_quality_report,
     per_loop_q,
     q_error,
 )
+from repro.resilience import statement_fingerprint
+from repro.statement_log import StatementLog, StatementRecord
 from tests.conftest import build_mini_db
 from tests.test_executor_equivalence import CORPUS
 
@@ -190,71 +192,71 @@ class TestRowBatchActualParity:
 
 
 # ---------------------------------------------------------------------------
-# Misestimation ledger mechanics
+# The statement log's estimate-accuracy record
 # ---------------------------------------------------------------------------
 
-def _quality(max_q: float, operator: str = "TableScan"
-             ) -> StatementQuality:
-    node = NodeQuality(operator=operator, label=operator,
-                       estimated=1.0, actual=int(max_q), loops=1,
-                       q=max_q)
-    return StatementQuality(nodes=[node], root_q=max_q, max_q=max_q,
-                            worst=node)
+def _record(log: StatementLog, fingerprint: str, max_q: float,
+            operator: str = "TableScan", optimizer: str = "mysql"
+            ) -> StatementRecord:
+    """Append one completed SELECT whose only node has Q ``max_q``."""
+    return log.append(StatementRecord(
+        fingerprint=fingerprint, sql=f"select {fingerprint}",
+        plan_hash="aaaa", optimizer=optimizer, executor_mode="batch",
+        root_q=max_q, max_q=max_q, worst_operator=operator,
+        breached=max_q > log.q_threshold,
+        operators=(operator,), node_q=(max_q,)))
 
 
 class TestMisestimationLedger:
     def test_breaches_are_recorded_never_acted_on(self):
-        ledger = MisestimationLedger(q_threshold=4.0)
+        log = StatementLog(q_threshold=4.0)
         for __ in range(5):
-            entry = ledger.record("k1", "f1", "select 1",
-                                  _quality(10.0), "mysql")
-        # record() only records: it returns the statement's entry, not
-        # a verdict on its cached plan.
-        assert entry is ledger.entry("k1")
+            _record(log, "f1", 10.0)
+        # append() only records: no verdict on any cached plan.
+        entry = log.entry("f1")
         assert entry.executions == 5
         assert entry.breaches == 5
-        assert ledger.stats()["breaches"] == 5
-        assert "invalidations" not in ledger.stats()
-        assert "plan_invalidations" not in entry.to_dict()
+        assert log.quality_stats()["breaches"] == 5
+        assert "invalidations" not in log.quality_stats()
+        assert "plan_invalidations" not in entry.quality_dict()
 
     def test_good_execution_keeps_the_breach_history(self):
-        ledger = MisestimationLedger(q_threshold=4.0)
-        ledger.record("k1", "f1", "select 1", _quality(10.0), "mysql")
-        ledger.record("k1", "f1", "select 1", _quality(1.0), "mysql")
-        entry = ledger.record("k1", "f1", "select 1", _quality(10.0),
-                              "mysql")
+        log = StatementLog(q_threshold=4.0)
+        _record(log, "f1", 10.0)
+        _record(log, "f1", 1.0)
+        _record(log, "f1", 10.0)
+        entry = log.entry("f1")
         assert entry.breaches == 2
         assert entry.executions == 3
         assert entry.max_q == 10.0
         assert entry.last_q == 10.0
 
-    def test_lru_eviction(self):
-        ledger = MisestimationLedger(capacity=2)
-        for key in ("a", "b", "c"):
-            ledger.record(key, key, key, _quality(1.0), "mysql")
-        assert ledger.entry("a") is None
-        assert ledger.entry("b") is not None
-        assert ledger.evictions == 1
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(statement_log, "FINGERPRINT_CAPACITY", 2)
+        log = StatementLog()
+        for fingerprint in ("a", "b", "c"):
+            _record(log, fingerprint, 1.0)
+        assert log.entry("a") is None
+        assert log.entry("b") is not None
+        assert log.evictions == 1
 
     def test_worst_rankings(self):
-        ledger = MisestimationLedger()
-        ledger.record("small", "fs", "s", _quality(2.0, "Sort"), "mysql")
-        ledger.record("big", "fb", "b", _quality(50.0, "HashJoin"),
-                      "orca")
-        worst = ledger.worst_fingerprints()
-        assert worst[0].cache_key == "big"
+        log = StatementLog()
+        _record(log, "fs", 2.0, "Sort")
+        _record(log, "fb", 50.0, "HashJoin", optimizer="orca")
+        worst = log.worst_fingerprints()
+        assert worst[0].fingerprint == "fb"
         assert worst[0].worst_operator == "HashJoin"
-        operators = ledger.worst_operators()
+        operators = log.worst_operators()
         assert operators[0]["operator"] == "HashJoin"
         assert operators[0]["max_q"] == 50.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MisestimationLedger(capacity=0)
-        with pytest.raises(ValueError):
-            MisestimationLedger(q_threshold=0.5)
-        with pytest.raises(TypeError):
-            MisestimationLedger(consecutive_threshold=3)
+            StatementLog(q_threshold=0.5)
+        for kwargs in ({"capacity": 2}, {"consecutive_threshold": 3}):
+            with pytest.raises(TypeError):
+                StatementLog(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ class TestStaleStatisticsFeedback:
             assert len(result.rows) == 1000
             assert result.plan_quality.max_q > 4.0
 
-        entry = db.misestimation_ledger.entry(cache_key)
+        entry = db.statements.entry(statement_fingerprint(sql))
         assert entry.breaches == 6
         assert cache_key in db.plan_cache
         assert db.plan_cache.misses == 1
@@ -389,6 +391,9 @@ class TestStaleStatisticsFeedback:
             DatabaseConfig(planq_q_threshold=0.5)
         with pytest.raises(TypeError):
             DatabaseConfig(planq_consecutive_breaches=3)
+        # The Q threshold is the one plan-quality option left.
+        assert [f.name for f in dataclasses.fields(DatabaseConfig)
+                if f.name.startswith("planq_")] == ["planq_q_threshold"]
         with pytest.raises(ReproError):
             DatabaseConfig(slow_query_log_threshold_seconds=-1.0)
 

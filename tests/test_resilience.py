@@ -287,6 +287,10 @@ class TestFallbackTelemetry:
         history = log.history(statement_fingerprint(SQL))
         assert len(history) == 1
         assert history[0].reason is FallbackReason.UNEXPECTED_EXCEPTION
+        # The history is a view of the bounded event ring.
+        assert history == [event for event in log.events
+                           if event.fingerprint == statement_fingerprint(SQL)]
+        assert not hasattr(log, "per_statement")
 
     def test_resilience_report_text(self, db):
         db.config.fault_injector = FaultInjector().arm(
@@ -314,6 +318,21 @@ class TestFallbackTelemetry:
                 reason=FallbackReason.TYPED_ABORT))
         assert len(log.events) == 4
         assert log.total_fallbacks == 10  # counters are not bounded
+
+    def test_history_stays_bounded_under_fingerprint_churn(self):
+        log = FallbackLog(max_events=256)
+        for index in range(10_000):
+            log.record_fallback(FallbackEvent(
+                fingerprint=f"fp{index % 1000}",
+                reason=FallbackReason.EXEC_BATCH_UNSUPPORTED))
+            assert len(log) <= 256
+        assert len(log) == 256
+        assert log.total_fallbacks == 10_000
+        # The last 256 events cover fingerprints fp744..fp999 once each
+        # (event 9744 + k carries fp744 + k); older ones aged out.
+        assert log.history("fp999") == [log.events[-1]]
+        assert log.history("fp744") == [log.events[0]]
+        assert log.history("fp743") == []
 
     def test_bench_harness_reports_fallbacks(self, db):
         db.config.fault_injector = FaultInjector().arm(

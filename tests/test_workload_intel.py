@@ -1,23 +1,27 @@
-"""Workload intelligence: the statement repository, column-usage
-tracking, plan-change/regression detection, and the advisor.
+"""Workload intelligence over the statement log: per-fingerprint
+history, column-usage tracking, the regression detector, and the
+advisor.
 
-Covers the repository's LRU eviction under fingerprint churn (with the
-monotonic column-usage aggregates surviving it), the plan-phase folding
-and p95-regression rule, advisor determinism (the same history must
-produce byte-identical recommendations), the what-if index probe, the
-auto-ANALYZE hook, the export surfaces (``workload_report``, hit-ratio
-gauges, ``plan_hash`` in the slow-query log), and the ``run_suite``
-seed threading.
+Covers the log's LRU eviction under fingerprint churn (with the
+monotonic column-usage aggregates surviving it), the one p95 regression
+rule (a plan flip and a same-plan slowdown alike), advisor determinism
+(the same history must produce byte-identical recommendations), the
+what-if index probe, the auto-ANALYZE hook, the export surfaces
+(``workload_report``, hit-ratio gauges, ``plan_hash`` in the slow-query
+log), and the ``run_suite`` seed threading.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import Database, DatabaseConfig
+from repro import statement_log
 from repro.errors import ReproError
 from repro.resilience import FaultInjector, statement_fingerprint
-from repro.workload import Advisor, WorkloadRepository
+from repro.statement_log import StatementLog, StatementRecord
+from repro.workload import Advisor
 from tests.conftest import build_mini_db
 
 
@@ -26,36 +30,46 @@ def db():
     return build_mini_db(seed=41, orders=200)
 
 
-def _history(repo: WorkloadRepository, fingerprint: str, sql: str,
+def _history(log: StatementLog, fingerprint: str, sql: str,
              plan_hash: str, touches=(), latency: float = 0.002,
-             runs: int = 1, **kwargs) -> None:
-    """Fold ``runs`` identical executions into ``repo``."""
-    defaults = dict(rows=10, optimizer_used="mysql", executor_mode="row",
-                    plan_cache_hit=False, breached=False, fallback=False)
-    defaults.update(kwargs)
+             runs: int = 1, breached: bool = False) -> None:
+    """Append ``runs`` identical completed executions to ``log``."""
     for __ in range(runs):
-        repo.record(fingerprint, sql, plan_hash, tuple(touches),
-                    latency, **defaults)
+        log.append(StatementRecord(
+            fingerprint=fingerprint, sql=sql, plan_hash=plan_hash,
+            touches=tuple(touches), execute_seconds=latency, rows=10,
+            optimizer="mysql", executor_mode="row", root_q=1.0,
+            max_q=20.0 if breached else 1.0, breached=breached))
 
 
 # ---------------------------------------------------------------------------
 # Repository: LRU eviction under fingerprint churn
 # ---------------------------------------------------------------------------
 
+@pytest.fixture
+def small_log(monkeypatch):
+    """A statement log holding at most ``capacity`` fingerprints."""
+    def make(capacity: int) -> StatementLog:
+        monkeypatch.setattr(statement_log, "FINGERPRINT_CAPACITY",
+                            capacity)
+        return StatementLog()
+    return make
+
+
 class TestRepositoryEviction:
-    def test_capacity_bounds_entries_under_churn(self):
-        repo = WorkloadRepository(capacity=4)
+    def test_capacity_bounds_entries_under_churn(self, small_log):
+        repo = small_log(4)
         for i in range(25):
             _history(repo, f"fp{i:02d}", f"SELECT {i}", "aaaa",
                      touches=(("orders", "o_custkey", "join"),))
-        assert len(repo) == 4
+        assert repo.fingerprints == 4
         assert repo.evictions == 21
         # Strict LRU: only the four most recent fingerprints survive.
         assert [e.fingerprint for e in repo.entries()] == \
             ["fp21", "fp22", "fp23", "fp24"]
 
-    def test_reexecution_refreshes_lru_position(self):
-        repo = WorkloadRepository(capacity=2)
+    def test_reexecution_refreshes_lru_position(self, small_log):
+        repo = small_log(2)
         _history(repo, "old", "SELECT 1", "aaaa")
         _history(repo, "mid", "SELECT 2", "bbbb")
         _history(repo, "old", "SELECT 1", "aaaa")  # touch -> MRU
@@ -64,75 +78,107 @@ class TestRepositoryEviction:
         assert repo.entry("mid") is None
         assert repo.entry("new") is not None
 
-    def test_column_usage_survives_eviction(self):
-        repo = WorkloadRepository(capacity=1)
+    def test_column_usage_survives_eviction(self, small_log):
+        repo = small_log(1)
         for i in range(10):
             _history(repo, f"fp{i}", f"SELECT {i}", "aaaa",
                      touches=(("orders", "o_totalprice", "predicate"),),
                      breached=(i % 2 == 0))
-        assert len(repo) == 1
+        assert repo.fingerprints == 1
         usage = repo.usage_for("orders", "o_totalprice")
         assert usage == {"predicate": 10}
         # Breach attribution is workload-level too: 5 of 10 breached.
         assert repo.table_breach_rate("orders") == 0.5
 
-    def test_stats_and_snapshot_shapes(self):
-        repo = WorkloadRepository(capacity=8)
+    def test_stats_and_snapshot_shapes(self, small_log):
+        repo = small_log(8)
         _history(repo, "fp", "SELECT 1", "aaaa", runs=3,
                  touches=(("orders", "o_custkey", "join"),))
-        stats = repo.stats()
+        stats = repo.workload_stats()
         assert stats["size"] == 1 and stats["recorded"] == 3
+        assert stats["capacity"] == 8
         snap = repo.snapshot()
         assert snap["statements"][0]["executions"] == 3
+        assert "phases" not in snap["statements"][0]
         assert snap["column_usage"][0]["executions"] == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WorkloadRepository(capacity=0)
-        with pytest.raises(ValueError):
-            WorkloadRepository(regression_factor=1.0)
-        with pytest.raises(ValueError):
-            WorkloadRepository(regression_min_samples=0)
+            StatementLog(q_threshold=0.5)
+        # Capacities and detector thresholds are module constants.
+        for kwargs in ({"capacity": 8}, {"regression_factor": 1.5},
+                       {"regression_min_samples": 3}):
+            with pytest.raises(TypeError):
+                StatementLog(**kwargs)
 
 
 # ---------------------------------------------------------------------------
-# Plan phases and regression detection
+# The regression detector (window 4, factor 8: the module defaults)
 # ---------------------------------------------------------------------------
 
 class TestPlanRegression:
     def test_plan_change_without_slowdown_is_not_a_regression(self):
-        repo = WorkloadRepository()
+        repo = StatementLog()
         _history(repo, "fp", "Q", "aaaa", latency=0.010, runs=4)
         _history(repo, "fp", "Q", "bbbb", latency=0.011, runs=4)
         assert repo.entry("fp").plan_changes == 1
         assert repo.unresolved_regressions() == []
 
     def test_p95_jump_past_factor_flags_once(self):
-        repo = WorkloadRepository(regression_factor=1.5,
-                                  regression_min_samples=3)
+        repo = StatementLog()
         _history(repo, "fp", "Q", "aaaa", latency=0.010, runs=4)
-        _history(repo, "fp", "Q", "bbbb", latency=0.030, runs=6)
+        _history(repo, "fp", "Q", "bbbb", latency=0.100, runs=6)
         pending = repo.unresolved_regressions()
         assert len(pending) == 1
         regression = pending[0]
+        # A plan flip: the hash at the end of each window differs.
         assert regression.from_hash == "aaaa"
         assert regression.to_hash == "bbbb"
-        assert regression.factor == pytest.approx(3.0)
+        assert regression.factor == pytest.approx(10.0)
 
-    def test_needs_min_samples_on_both_sides(self):
-        repo = WorkloadRepository(regression_min_samples=3)
-        _history(repo, "fp", "Q", "aaaa", latency=0.010, runs=2)
-        _history(repo, "fp", "Q", "bbbb", latency=0.090, runs=10)
-        # Old phase closed with only 2 samples: never checked.
+    def test_same_plan_slowdown_is_the_same_rule(self):
+        repo = StatementLog()
+        _history(repo, "fp", "Q", "aaaa", latency=0.010, runs=4)
+        _history(repo, "fp", "Q", "aaaa", latency=0.100, runs=4)
+        [regression] = repo.unresolved_regressions()
+        assert regression.from_hash == regression.to_hash == "aaaa"
+        assert regression.factor == pytest.approx(10.0)
+
+    def test_slowdown_below_factor_is_not_flagged(self):
+        repo = StatementLog()
+        _history(repo, "fp", "Q", "aaaa", latency=0.010, runs=4)
+        _history(repo, "fp", "Q", "bbbb", latency=0.070, runs=8)
         assert repo.unresolved_regressions() == []
 
+    def test_needs_min_samples_on_both_sides(self):
+        repo = StatementLog()
+        _history(repo, "fp", "Q", "aaaa", latency=0.010, runs=4)
+        _history(repo, "fp", "Q", "bbbb", latency=0.090, runs=3)
+        # Seven executions: the trailing window is not full yet.
+        assert repo.unresolved_regressions() == []
+        other = StatementLog()
+        _history(other, "fp", "Q", "aaaa", latency=0.010, runs=2)
+        _history(other, "fp", "Q", "bbbb", latency=0.090, runs=10)
+        # The slow plan fills the prior window before any verdict:
+        # there is no fast window to regress from.
+        assert other.unresolved_regressions() == []
+
     def test_resolve_marks_handled(self):
-        repo = WorkloadRepository()
-        _history(repo, "fp", "Q", "aaaa", latency=0.010, runs=3)
-        _history(repo, "fp", "Q", "bbbb", latency=0.050, runs=3)
+        repo = StatementLog()
+        _history(repo, "fp", "Q", "aaaa", latency=0.010, runs=4)
+        _history(repo, "fp", "Q", "bbbb", latency=0.100, runs=4)
         assert len(repo.unresolved_regressions()) == 1
         assert repo.resolve_regressions("fp") == 1
         assert repo.unresolved_regressions() == []
+        # Resolution restarts the window: the same slow latencies are
+        # no evidence against the recompiled plan ...
+        _history(repo, "fp", "Q", "bbbb", latency=0.100, runs=7)
+        assert repo.unresolved_regressions() == []
+        # ... a fresh slowdown after a full window is.
+        _history(repo, "fp", "Q", "bbbb", latency=0.100, runs=1)
+        _history(repo, "fp", "Q", "bbbb", latency=1.000, runs=4)
+        assert len(repo.unresolved_regressions()) == 1
+        assert repo.workload_stats()["plan_regressions"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +191,7 @@ class TestPlanFacts:
                "WHERE o_orderkey = l_orderkey AND o_totalprice > 500 "
                "GROUP BY o_status ORDER BY o_status")
         db.run(sql)
-        entry = db.workload.entry(statement_fingerprint(sql))
+        entry = db.statements.entry(statement_fingerprint(sql))
         touches = set(entry.touches)
         assert ("orders", "o_totalprice", "predicate") in touches
         assert ("orders", "o_status", "group") in touches
@@ -165,7 +211,7 @@ class TestPlanFacts:
         db.run(sql)
         result = db.run(sql)
         assert result.plan_cache_hit
-        entry = db.workload.entry(statement_fingerprint(sql))
+        entry = db.statements.entry(statement_fingerprint(sql))
         assert entry.plan_hash == result.plan_hash
         assert entry.touches == (("lineitem", "l_quantity", "predicate"),)
 
@@ -219,20 +265,19 @@ class TestAdvisor:
         payloads = []
         for __ in range(2):
             db = build_mini_db(seed=13, orders=120)
-            repo = WorkloadRepository(capacity=16)
+            repo = StatementLog()
             for i in range(10):
                 _history(repo, "fp-scan", "SELECT ...", "aaaa",
                          touches=(("orders", "o_totalprice", "predicate"),
                                   ("lineitem", "l_quantity", "predicate")),
                          latency=0.004, breached=(i % 3 == 0))
             _history(repo, "fp-reg", "SELECT ...", "hhh1",
-                     latency=0.010, runs=3)
+                     latency=0.010, runs=4)
             _history(repo, "fp-reg", "SELECT ...", "hhh2",
-                     latency=0.040, runs=3)
-            advisor = Advisor(repository=repo, catalog=db.catalog,
+                     latency=0.100, runs=4)
+            advisor = Advisor(statements=repo, catalog=db.catalog,
                               storage=db.storage,
-                              plan_cache=db.plan_cache,
-                              config=db.config)
+                              plan_cache=db.plan_cache)
             payloads.append(json.dumps(
                 [r.to_dict() for r in advisor.recommendations()],
                 sort_keys=True))
@@ -262,15 +307,16 @@ class TestAdvisor:
         sql = "SELECT COUNT(*) FROM orders WHERE o_totalprice > 1"
         db.run(sql)  # populate the plan cache
         fingerprint = statement_fingerprint(sql)
-        _history(db.workload, fingerprint, sql, "hhh1",
-                 latency=0.010, runs=3)
-        _history(db.workload, fingerprint, sql, "hhh2",
-                 latency=0.050, runs=3)
+        _history(db.statements, fingerprint, sql, "hhh1",
+                 latency=0.010, runs=4)
+        _history(db.statements, fingerprint, sql, "hhh2",
+                 latency=0.100, runs=4)
+        assert len(db.statements.unresolved_regressions()) == 1
         actions = db.advisor.apply(kinds=("plan_regression",))
         assert actions and "invalidated 1 cached plans" in \
             actions[0]["action"]
+        assert db.statements.unresolved_regressions() == []
         assert not db.run(sql).plan_cache_hit  # recompiled
-        assert db.workload.unresolved_regressions() == []
 
     def test_index_advice_is_never_auto_applied(self, db):
         before = {i.name for i in db.catalog.table("orders").indexes}
@@ -294,12 +340,6 @@ class TestDatabaseIntegration:
         stats = db.catalog.statistics("orders")
         assert stats.row_count == db.storage.store("orders").row_count
 
-    def test_workload_tracking_can_be_disabled(self):
-        db = build_mini_db(seed=23, orders=50)
-        db.config.workload_tracking_enabled = False
-        db.run("SELECT COUNT(*) FROM orders")
-        assert len(db.workload) == 0
-
     def test_workload_report_round_trip(self, db):
         report = db.workload_report()
         assert report["repository"]["stats"]["recorded"] > 0
@@ -316,7 +356,7 @@ class TestDatabaseIntegration:
         assert 0.0 < export["gauges"]["plan_cache.hit_ratio"] <= 1.0
         assert "mdcache.hit_ratio" in export["gauges"]
         assert export["gauges"]["workload.fingerprints"] == \
-            len(db.workload)
+            db.statements.fingerprints
         prom = db.metrics_export()
         assert "repro_plan_cache_hit_ratio" in prom
         assert "repro_mdcache_hit_ratio" in prom
@@ -333,13 +373,12 @@ class TestDatabaseIntegration:
         assert record["fingerprint"]
 
     def test_config_validation(self):
-        for kwargs in ({"workload_repository_capacity": 0},
-                       {"workload_index_min_usage": 0},
-                       {"workload_regression_factor": 1.0},
-                       {"workload_regression_min_samples": 0},
-                       {"advisor_interval_statements": 0}):
-            with pytest.raises(ReproError):
-                Database(DatabaseConfig(**kwargs))
+        with pytest.raises(ReproError):
+            Database(DatabaseConfig(advisor_interval_statements=0))
+        # Workload tracking has no options left: its sizes and
+        # thresholds are statement_log / workload module constants.
+        assert not [f.name for f in dataclasses.fields(DatabaseConfig)
+                    if f.name.startswith("workload_")]
 
 
 # ---------------------------------------------------------------------------
