@@ -42,6 +42,7 @@ from repro.mysql_optimizer.access_path import (
 from repro.mysql_types import coerce, python_type_for
 from repro.sql import ast
 from repro.sql.rewrite import map_expr
+from repro.storage.index import has_null
 
 
 def _bind_to_table(expr: ast.Expr, schema: TableSchema) -> ast.Expr:
@@ -56,6 +57,7 @@ def _bind_to_table(expr: ast.Expr, schema: TableSchema) -> ast.Expr:
             position = schema.column_position(node.column)
             bound = ast.ColumnRef(schema.name, node.column, 0, position)
             bound.resolved_type = schema.columns[position].type
+            bound.declared_type = bound.resolved_type
             return bound
         if isinstance(node, (ast.ScalarSubquery, ast.InSubqueryExpr,
                              ast.ExistsExpr)):
@@ -130,12 +132,6 @@ def _index_access(schema: TableSchema, where: ast.Expr
             index, schema, 0, conjuncts)
         if not consumed:
             continue
-        bound = len(eq_prefix) + (range_bound is not None)
-        if any(schema.column(name).nullable
-               for name in index.column_names[bound:]):
-            # A row with NULL in any key column has no index entry, so
-            # an index whose unbound columns may be NULL can miss rows.
-            continue
         rank = (index.unique
                 and len(eq_prefix) == len(index.column_names),
                 len(eq_prefix), range_bound is not None)
@@ -193,10 +189,10 @@ def _check_unique(storage, schema: TableSchema, row_ids: Sequence[int],
                 for name in definition.column_names):
             continue
         new_keys = [index.key_of(row) for row in new_rows]
-        counts = Counter(key for key in new_keys if key is not None)
+        counts = Counter(key for key in new_keys if not has_null(key))
         for key, old in zip(new_keys, old_rows):
-            if key is None or (old is not None
-                               and index.key_of(old) == key):
+            if has_null(key) or (old is not None
+                                 and index.key_of(old) == key):
                 continue
             holders = storage.index_range_row_ids(
                 schema.name, definition.name, key, key)

@@ -18,7 +18,7 @@ Correctness is anchored by the equivalence harness in
 ``tests/test_executor_equivalence.py``.
 
 Layout of a generated evaluator for ``o_totalprice > 100 AND o_status =
-'F'`` over entry 0::
+'F'`` over entry 0 (``_c0`` is the bound constant 100)::
 
     def _eval(_b):
         _col_0 = _b.columns[0]
@@ -26,7 +26,10 @@ Layout of a generated evaluator for ``o_totalprice > 100 AND o_status =
         _ap = _out.append
         for _r0 in _col_0:
             _t0 = _r0[3] if _r0 is not None else None
-            _t1 = (_t0 > 100) if _t0 is not None else None
+            if _t0 is None:
+                _t1 = None
+            else:
+                _t1 = (_t0 > _c0)
             if _t1 is not True:
                 _t2 = False
             else:
@@ -34,7 +37,13 @@ Layout of a generated evaluator for ``o_totalprice > 100 AND o_status =
             _ap(_t2)
         return _out
 
-One function call per batch, zero per-row interpreter dispatch.
+One function call per batch, zero per-row interpreter dispatch.  A bare
+column read compiles to a single list comprehension.  ``+`` and ``-``
+are emitted inline when both operands are statically numeric
+(:func:`repro.executor.expression.numeric_arithmetic`, the same
+decision the row interpreter specialises on); a shape that may involve a
+date or an interval keeps the shared ``arith_add`` / ``arith_sub``
+helpers.
 
 Governance checkpoint cadence: every batch an operator emits flows
 through ``ExecutionRuntime.note_batch``, which doubles as the batch
@@ -46,6 +55,9 @@ latency in batch mode is bounded by one batch (≤ ``BATCH_SIZE`` rows).
 
 from __future__ import annotations
 
+import builtins
+import types
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ExecutionError
@@ -56,6 +68,7 @@ from repro.executor.expression import (
     cast_value,
     extract_value,
     like_regex,
+    numeric_arithmetic,
 )
 from repro.sql import ast
 
@@ -168,6 +181,28 @@ class BatchAccumulator:
 #: A compiled batch expression: RowBatch -> list of values (length rows).
 BatchExpr = Callable[[RowBatch], list]
 
+#: Generated source -> a live evaluator compiled from it.  Statements
+#: that differ only in their literals generate the same source (values
+#: are bound by name in each evaluator's own globals, never inlined), so
+#: they share one code object; an entry lives only as long as some
+#: cached plan still holds its evaluator.
+_LIVE_EVALUATORS: "weakref.WeakValueDictionary[str, BatchExpr]" = \
+    weakref.WeakValueDictionary()
+
+
+def _evaluator(source: str, env: Dict[str, object]) -> BatchExpr:
+    """The ``_eval`` function ``source`` defines, over globals ``env``."""
+    live = _LIVE_EVALUATORS.get(source)
+    if live is not None:
+        env["__builtins__"] = builtins
+        fn = types.FunctionType(live.__code__, env, "_eval")
+    else:
+        exec(compile(source, "<batch-expr>", "exec"), env)
+        fn = env["_eval"]
+        _LIVE_EVALUATORS[source] = fn
+    fn._batch_source = source  # debugging aid
+    return fn
+
 
 class _Emitter:
     """Accumulates generated statements with indentation tracking."""
@@ -265,7 +300,10 @@ class BatchExpressionCompiler:
             raise BatchUnsupported(
                 f"expression reading entries {missing} outside its "
                 f"operator subtree")
-        fn = self._assemble(emitter, state, result)
+        if isinstance(expr, ast.ColumnRef):
+            fn = self._assemble_column(expr)
+        else:
+            fn = self._assemble(emitter, state, result)
         self.compiled_count += 1
         return fn
 
@@ -342,12 +380,18 @@ class BatchExpressionCompiler:
                 "def _eval(_b):\n"
                 f"{emitter.render(4)}\n"
                 f"    return [{result}] * _b.length\n")
-        code = compile(source, "<batch-expr>", "exec")
-        namespace = dict(state.env)
-        exec(code, namespace)
-        fn = namespace["_eval"]
-        fn._batch_source = source  # debugging aid
-        return fn
+        return _evaluator(source, dict(state.env))
+
+    @staticmethod
+    def _assemble_column(expr: ast.ColumnRef) -> BatchExpr:
+        """A bare column read (group keys, most aggregate arguments,
+        projections) as one list comprehension over the entry column."""
+        row = f"_r{expr.entry_id}"
+        source = (
+            "def _eval(_b):\n"
+            f"    return [{row}[{expr.position}] if {row} is not None "
+            f"else None for {row} in _b.columns[{expr.entry_id}]]\n")
+        return _evaluator(source, {})
 
     # -- codegen dispatch -------------------------------------------------------------
 
@@ -392,20 +436,42 @@ class BatchExpressionCompiler:
             return self._gen_and(expr, emitter, state)
         if op is ast.BinOp.OR:
             return self._gen_or(expr, emitter, state)
+        # Like the row interpreter, a NULL left operand yields NULL
+        # without evaluating the right one (which may raise).
         left = self._gen(expr.left, emitter, state)
-        right = self._gen(expr.right, emitter, state)
         out = state.temp()
-        if op in _COMPARE_SOURCE:
-            emitter.emit(
-                f"{out} = ({left} {_COMPARE_SOURCE[op]} {right}) "
-                f"if ({left} is not None and {right} is not None) else None")
+        if left == "None":
+            emitter.emit(f"{out} = None")
             return out
-        if op is ast.BinOp.MUL:
+        if left in state.env:  # a bound constant is never NULL
+            self._gen_binary_rest(expr, left, out, emitter, state)
+            return out
+        emitter.emit(f"if {left} is None:")
+        with emitter.indented():
+            emitter.emit(f"{out} = None")
+        emitter.emit("else:")
+        with emitter.indented():
+            self._gen_binary_rest(expr, left, out, emitter, state)
+        return out
+
+    def _gen_binary_rest(self, expr: ast.BinaryExpr, left: str, out: str,
+                         emitter, state) -> None:
+        """The right operand and the operator of a comparison or
+        arithmetic expression whose left operand is not NULL."""
+        op = expr.op
+        right = self._gen(expr.right, emitter, state)
+        if op in _COMPARE_SOURCE:
+            body = f"({left} {_COMPARE_SOURCE[op]} {right})"
+        elif op is ast.BinOp.MUL:
             body = f"{left} * {right}"
         elif op is ast.BinOp.DIV:
             body = f"(None if {right} == 0 else {left} / {right})"
         elif op is ast.BinOp.MOD:
             body = f"(None if {right} == 0 else {left} % {right})"
+        elif op is ast.BinOp.ADD and numeric_arithmetic(expr):
+            body = f"{left} + {right}"
+        elif op is ast.BinOp.SUB and numeric_arithmetic(expr):
+            body = f"{left} - {right}"
         elif op is ast.BinOp.ADD:
             body = f"_arith_add({left}, {right})"
             state.env["_arith_add"] = arith_add
@@ -414,10 +480,7 @@ class BatchExpressionCompiler:
             state.env["_arith_sub"] = arith_sub
         else:
             raise ExecutionError(f"bad arithmetic operator {op}")
-        emitter.emit(
-            f"{out} = {body} "
-            f"if ({left} is not None and {right} is not None) else None")
-        return out
+        emitter.emit(f"{out} = " + state.null_guarded(body, right))
 
     def _gen_and(self, expr: ast.BinaryExpr, emitter, state) -> str:
         left = self._gen(expr.left, emitter, state)
@@ -488,9 +551,8 @@ class BatchExpressionCompiler:
         check = f"{low} <= {operand} <= {high}"
         if expr.negated:
             check = f"not ({check})"
-        emitter.emit(
-            f"{out} = ({check}) if ({operand} is not None and "
-            f"{low} is not None and {high} is not None) else None")
+        emitter.emit(f"{out} = " + state.null_guarded(
+            f"({check})", operand, low, high))
         return out
 
     def _gen_LikeExpr(self, expr: ast.LikeExpr, emitter, state) -> str:
@@ -670,6 +732,16 @@ class _GenState:
         self.env[name] = value
         return name
 
+    def null_guarded(self, body: str, *operands: str) -> str:
+        """``body`` under SQL NULL propagation: NULL when any operand is.
+        Bound constants are never NULL (a NULL literal is the bare
+        ``None``), so only the other operands are tested."""
+        tested = [name for name in operands if name not in self.env]
+        if not tested:
+            return body
+        test = " and ".join(f"{name} is not None" for name in tested)
+        return f"{body} if ({test}) else None"
+
 
 # ---------------------------------------------------------------------------
 # Plan lowering
@@ -681,10 +753,11 @@ def lower_executor(executor) -> int:
     Walks the top plan and all sub-plans reachable through plan nodes
     (derived tables, CTEs, UNION parts), attaching compiled batch
     expressions (``bx_*`` attributes) to each node that will run in
-    batch mode.  Inner sides of nested-loop joins are *not* lowered:
-    they execute through the row interpreter under a context populated
-    from the outer batch, which keeps correlated index lookups and
-    pushed-down predicates exact.
+    batch mode.  A nested-loop join whose inner side is an index lookup
+    keyed on outer entries becomes a batched probe (:func:`_lower_probe`);
+    any other inner side is *not* lowered: it executes through the row
+    interpreter under a context populated from the outer batch, which
+    keeps correlated access paths and pushed-down predicates exact.
 
     Returns the number of expressions compiled.  Raises
     :class:`BatchUnsupported` when any required construct cannot be
@@ -722,11 +795,13 @@ def _lower_node(node, compiler: BatchExpressionCompiler,
         raise BatchUnsupported("window functions")
 
     if isinstance(node, p.NestedLoopJoinNode):
-        # Outer side runs batched; the inner side re-runs per outer row
-        # through the row interpreter (it may read outer slots), and the
-        # join's condition and filter run row-wise inside run_ctx — so
-        # neither the inner side nor the predicates need lowering.
+        # Outer side runs batched.  An index-lookup inner keyed on outer
+        # entries is probed a whole outer batch at a time; any other
+        # inner re-runs per outer row through the row interpreter (it
+        # may read outer slots), with the join's condition and filter
+        # row-wise inside run_ctx, so it needs no lowering.
         _lower_node(node.outer, compiler, seen)
+        _lower_probe(node, compiler)
         return
 
     if isinstance(node, p.HashJoinNode):
@@ -795,8 +870,9 @@ def _lower_node(node, compiler: BatchExpressionCompiler,
         return
 
     if isinstance(node, p.IndexLookupNode):
-        # Reached only as a chain *driver* (never as an NL inner, which
-        # stays on the row path); its keys must then be row-invariant.
+        # Reached only as a chain *driver* (an NL inner is lowered by
+        # _lower_probe or stays on the row path); its keys must then be
+        # row-invariant.
         node.bx_keys = compiler.compile_many(node.key_exprs, frozenset())
         node.bx_filter = compiler.compile_filter(
             node.filter_conjuncts, frozenset({node.entry_id}))
@@ -809,3 +885,29 @@ def _lower_node(node, compiler: BatchExpressionCompiler,
         return
 
     raise BatchUnsupported(f"plan node {type(node).__name__}")
+
+
+def _lower_probe(node, compiler: BatchExpressionCompiler) -> None:
+    """Make a nested-loop join a batched index probe when its inner side
+    is an index lookup whose keys read only outer entries and every
+    predicate involved compiles; otherwise leave it on ``run_ctx``."""
+    from repro.executor import plan as p
+
+    inner = node.inner
+    if not isinstance(inner, p.IndexLookupNode) or not inner.key_exprs:
+        return
+    outer = frozenset(node.outer.produced_entries())
+    joined = outer | {inner.entry_id}
+    try:
+        keys = compiler.compile_many(inner.key_exprs, outer)
+        inner_filter = compiler.compile_filter(inner.filter_conjuncts,
+                                               joined)
+        condition = compiler.compile_filter(node.conjuncts, joined)
+        join_filter = compiler.compile_filter(node.filter_conjuncts, joined)
+    except BatchUnsupported:
+        return
+    inner.bx_keys = keys
+    inner.bx_filter = inner_filter
+    node.bx_condition = condition
+    node.bx_filter = join_filter
+    node.bx_probe = True

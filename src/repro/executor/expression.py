@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import datetime
 import math
+import operator as _operator
 import re
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ExecutionError
-from repro.mysql_types import Interval
+from repro.mysql_types import Interval, TypeCategory
 from repro.sql import ast
 
 CompiledExpr = Callable[[list], object]
@@ -141,7 +142,7 @@ class ExpressionCompiler:
         right = self.compile(expr.right)
         if op in ast.COMPARISON_OPS:
             return _comparison(op, left, right)
-        return _arithmetic(op, left, right)
+        return _arithmetic(op, left, right, numeric_arithmetic(expr))
 
     def _compile_NotExpr(self, expr: ast.NotExpr) -> CompiledExpr:
         operand = self.compile(expr.operand)
@@ -369,15 +370,13 @@ class ExpressionCompiler:
 
 def _comparison(op: ast.BinOp, left: CompiledExpr,
                 right: CompiledExpr) -> CompiledExpr:
-    import operator as _op
-
     table = {
-        ast.BinOp.EQ: _op.eq,
-        ast.BinOp.NE: _op.ne,
-        ast.BinOp.LT: _op.lt,
-        ast.BinOp.LE: _op.le,
-        ast.BinOp.GT: _op.gt,
-        ast.BinOp.GE: _op.ge,
+        ast.BinOp.EQ: _operator.eq,
+        ast.BinOp.NE: _operator.ne,
+        ast.BinOp.LT: _operator.lt,
+        ast.BinOp.LE: _operator.le,
+        ast.BinOp.GT: _operator.gt,
+        ast.BinOp.GE: _operator.ge,
     }
     compare = table[op]
 
@@ -421,8 +420,80 @@ def arith_sub(lhs, rhs):
     return lhs - rhs
 
 
-def _arithmetic(op: ast.BinOp, left: CompiledExpr,
-                right: CompiledExpr) -> CompiledExpr:
+#: Type categories whose stored values are Python ints or floats
+#: (``mysql_types.python_type_for``).
+_NUMERIC_CATEGORIES = frozenset({
+    TypeCategory.INT2, TypeCategory.INT4, TypeCategory.INT8,
+    TypeCategory.NUM, TypeCategory.BIT})
+
+_ARITHMETIC_OPS = frozenset({
+    ast.BinOp.ADD, ast.BinOp.SUB, ast.BinOp.MUL, ast.BinOp.DIV,
+    ast.BinOp.MOD})
+
+
+def statically_numeric(expr: ast.Expr) -> bool:
+    """Whether ``expr`` can only evaluate to a number or NULL — never a
+    date, datetime or interval — judged from static types alone.
+
+    Numeric are: int/float literals and NULL, base-table columns whose
+    declared type is numeric (``ColumnRef.declared_type``, left by the
+    resolver; DML coerces every written value to it), and negation or
+    ``+ - * / %`` of numeric operands.  Everything else —
+    derived-table columns (their types are inferred, not declared),
+    aggregate outputs, function results, strings — is "may be temporal".
+    """
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        return value is None or isinstance(value, (int, float))
+    if isinstance(expr, ast.ColumnRef):
+        declared = getattr(expr, "declared_type", None)
+        return declared is not None \
+            and declared.category in _NUMERIC_CATEGORIES
+    if isinstance(expr, ast.NegExpr):
+        return statically_numeric(expr.operand)
+    if isinstance(expr, ast.BinaryExpr) and expr.op in _ARITHMETIC_OPS:
+        return statically_numeric(expr.left) \
+            and statically_numeric(expr.right)
+    return False
+
+
+def numeric_arithmetic(expr: ast.BinaryExpr) -> bool:
+    """Whether ``+`` / ``-`` of this expression is plain Python ``+`` /
+    ``-``: the date/interval branches of :func:`arith_add` and
+    :func:`arith_sub` fire only for a date left operand or an interval
+    (or date) right operand, which numeric operands never are.  Both
+    engines specialise from this one decision, so they agree by
+    construction."""
+    return statically_numeric(expr.left) and statically_numeric(expr.right)
+
+
+def _div(lhs, rhs):
+    return None if rhs == 0 else lhs / rhs
+
+
+def _mod(lhs, rhs):
+    return None if rhs == 0 else lhs % rhs
+
+
+def _arithmetic(op: ast.BinOp, left: CompiledExpr, right: CompiledExpr,
+                numeric: bool) -> CompiledExpr:
+    """NULL-propagating arithmetic; the operator is picked once, here.
+
+    ``numeric`` (:func:`numeric_arithmetic`) selects plain ``+`` / ``-``
+    over the date/interval-aware helpers."""
+    if op is ast.BinOp.ADD:
+        apply = _operator.add if numeric else arith_add
+    elif op is ast.BinOp.SUB:
+        apply = _operator.sub if numeric else arith_sub
+    elif op is ast.BinOp.MUL:
+        apply = _operator.mul
+    elif op is ast.BinOp.DIV:
+        apply = _div
+    elif op is ast.BinOp.MOD:
+        apply = _mod
+    else:
+        raise ExecutionError(f"bad arithmetic operator {op}")
+
     def evaluate(ctx):
         lhs = left(ctx)
         if lhs is None:
@@ -430,17 +501,7 @@ def _arithmetic(op: ast.BinOp, left: CompiledExpr,
         rhs = right(ctx)
         if rhs is None:
             return None
-        if op is ast.BinOp.ADD:
-            return arith_add(lhs, rhs)
-        if op is ast.BinOp.SUB:
-            return arith_sub(lhs, rhs)
-        if op is ast.BinOp.MUL:
-            return lhs * rhs
-        if op is ast.BinOp.DIV:
-            return None if rhs == 0 else lhs / rhs
-        if op is ast.BinOp.MOD:
-            return None if rhs == 0 else lhs % rhs
-        raise ExecutionError(f"bad arithmetic operator {op}")
+        return apply(lhs, rhs)
 
     return evaluate
 

@@ -669,6 +669,11 @@ class NestedLoopJoinNode(PlanNode):
         self.conjuncts = conjuncts
         self.condition_fn = condition_fn
         self._inner_entries = inner.produced_entries()
+        #: Set by batch lowering when the inner side is an index lookup
+        #: keyed on outer entries only: run_batches then probes a whole
+        #: outer batch at a time (:meth:`_probe_batches`).
+        self.bx_probe = False
+        self.bx_condition = None
 
     def children(self) -> Sequence[PlanNode]:
         return (self.outer, self.inner)
@@ -719,19 +724,29 @@ class NestedLoopJoinNode(PlanNode):
                     self.actual_rows += 1
                     yield
 
+    def _outer_batches(self, runtime: ExecutionRuntime
+                       ) -> Iterator[RowBatch]:
+        """The outer side as batches.  A nested-loop outer hands over its
+        joined batches un-noted: a left-deep NL chain is accounted as
+        batches only at its top, as when it streamed contexts."""
+        outer = self.outer
+        if isinstance(outer, NestedLoopJoinNode):
+            return outer._joined_batches(runtime)
+        return outer.run_batches(runtime)
+
     def _outer_states(self, runtime: ExecutionRuntime) -> Iterator[None]:
         """Drive the outer side, leaving each outer row in the context.
 
-        A nested-loop outer child streams through :meth:`run_ctx` (no
-        intermediate batch materialization — a left-deep NL chain
-        materializes only at its top); any other child runs batched and
-        is unpacked into context slots row by row."""
+        A nested-loop outer that runs row-wise itself streams through
+        :meth:`run_ctx` (no intermediate batch materialization); any
+        other child runs batched and is unpacked into context slots row
+        by row."""
         outer = self.outer
-        if isinstance(outer, NestedLoopJoinNode):
+        if isinstance(outer, NestedLoopJoinNode) and not outer.bx_probe:
             yield from outer.run_ctx(runtime)
             return
         ctx = runtime.ctx
-        for batch in outer.run_batches(runtime):
+        for batch in self._outer_batches(runtime):
             cols = list(batch.columns.items())
             for i in range(batch.length):
                 for entry_id, column in cols:
@@ -785,24 +800,132 @@ class NestedLoopJoinNode(PlanNode):
                     self.actual_rows += 1
                     yield
 
-    def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
-        """Materialize :meth:`run_ctx` output into batches.
-
-        The join's own filter already ran row-wise inside run_ctx, so no
-        flush-time mask is needed."""
+    def _ctx_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
+        """Materialize :meth:`run_ctx` output into batches (the join's
+        own filter already ran row-wise inside it)."""
         ctx = runtime.ctx
         acc = BatchAccumulator(self.produced_entries(), runtime.batch_size)
         add_ctx = acc.add_ctx
-        # actual_rows is charged inside run_ctx (where fused NL chains
-        # stream); only the batch count is accounted here.
         for __ in self.run_ctx(runtime):
             add_ctx(ctx)
             if acc.full:
-                self.actual_batches += 1
-                yield runtime.note_batch(acc.flush())
+                yield acc.flush()
         if acc.length:
+            yield acc.flush()
+
+    def _joined_batches(self, runtime: ExecutionRuntime
+                        ) -> Iterator[RowBatch]:
+        """Output batches with ``actual_rows`` charged but not yet
+        noted as emitted batches."""
+        if self.bx_probe:
+            return _rebatch(self._probe_batches(runtime),
+                            runtime.batch_size)
+        return self._ctx_batches(runtime)
+
+    def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
+        for batch in self._joined_batches(runtime):
             self.actual_batches += 1
-            yield runtime.note_batch(acc.flush())
+            yield runtime.note_batch(batch)
+
+    def _probe_batches(self, runtime: ExecutionRuntime
+                       ) -> Iterator[RowBatch]:
+        """Batched index nested loop (MySQL's Batched Key Access shape).
+
+        Eligible when the inner side is an :class:`IndexLookupNode`
+        whose keys read only outer entries (batch lowering sets
+        ``bx_probe``).  Per outer batch the lookup keys are evaluated
+        compiled, the index is probed once per outer row with a
+        non-NULL key — exactly the row path's lookups, so storage
+        counters match — and the inner filter, join condition and join
+        filter run as compiled masks over the candidate rows.  Output
+        keeps the row path's order (outer row, then index order), one
+        batch per outer batch; per-node actual rows and loops are
+        charged as the row path charges them.
+        """
+        self.actual_loops += 1
+        inner = self.inner
+        kind = self.kind
+        slot = inner.entry_id
+        lookup = runtime.storage.index_lookup_rows
+        table_name = inner.table_name
+        index_name = inner.index_name
+        inner_mask = inner.bx_filter
+        condition = self.bx_condition
+        join_mask = self.bx_filter
+        gov = runtime.governor
+        for batch in self._outer_batches(runtime):
+            inner.actual_loops += batch.length
+            # Probe: candidate (outer position, inner row) pairs.
+            owners: List[int] = []
+            found: List[tuple] = []
+            key_cols = [fn(batch) for fn in inner.bx_keys]
+            keys = zip(*key_cols) if len(key_cols) > 1 \
+                else ((key,) for key in key_cols[0])
+            for position, key in enumerate(keys):
+                if gov is not None:
+                    gov.tick()
+                if None in key:
+                    continue
+                rows = lookup(table_name, index_name, key)
+                if rows:
+                    owners.extend([position] * len(rows))
+                    found.extend(rows)
+            candidates = _gather(batch.columns, owners, slot, found)
+            if inner_mask is not None:
+                mask = inner_mask(candidates)
+                owners = [owner for owner, passed in zip(owners, mask)
+                          if passed is True]
+                candidates = candidates.filter_true(mask)
+            if kind is JoinKind.INNER or kind is JoinKind.LEFT:
+                inner.actual_rows += candidates.length
+                if condition is not None:
+                    mask = condition(candidates)
+                    owners = [owner for owner, passed
+                              in zip(owners, mask) if passed is True]
+                    candidates = candidates.filter_true(mask)
+                if kind is JoinKind.INNER:
+                    joined = candidates
+                else:
+                    joined = _null_extend(batch, owners, candidates, slot)
+            else:
+                joined = self._first_matches(batch, owners, candidates)
+            if join_mask is not None:
+                joined = joined.filter_true(join_mask(joined))
+            if joined.length:
+                self.actual_rows += joined.length
+                yield joined
+
+    def _first_matches(self, batch: RowBatch, owners: List[int],
+                       candidates: RowBatch) -> RowBatch:
+        """SEMI / ANTI output of one outer batch.  The row path stops
+        reading an outer row's inner rows at its first match, so only
+        the inner rows up to it count toward the inner node's actual
+        rows."""
+        inner = self.inner
+        slot = inner.entry_id
+        condition = self.bx_condition
+        mask = condition(candidates) if condition is not None \
+            else [True] * candidates.length
+        read = 0
+        done = -1
+        picked: List[int] = []
+        matches: List[tuple] = []
+        for owner, row, passed in zip(owners, candidates.columns[slot],
+                                      mask):
+            if owner == done:
+                continue
+            read += 1
+            if passed is True:
+                done = owner
+                picked.append(owner)
+                matches.append(row)
+        inner.actual_rows += read
+        if self.kind is JoinKind.SEMI:
+            return _gather(batch.columns, picked, slot, matches)
+        matched = set(picked)
+        kept = [position for position in range(batch.length)
+                if position not in matched]
+        return _gather(batch.columns, kept, slot, [None] * len(kept))
 
     def label(self) -> str:
         if self.kind is JoinKind.INNER:
@@ -812,6 +935,64 @@ class NestedLoopJoinNode(PlanNode):
         if self.kind is JoinKind.SEMI:
             return "Nested loop semijoin"
         return "Nested loop antijoin"
+
+
+def _rebatch(batches: Iterator[RowBatch], size: int) -> Iterator[RowBatch]:
+    """Re-cut a stream of batches into batches of exactly ``size`` rows
+    (the last one shorter) — the cut the row-path accumulator makes."""
+    pending: Dict[int, list] = {}
+    length = 0
+    for batch in batches:
+        if not pending:
+            pending = {entry: [] for entry in batch.columns}
+        for entry, column in batch.columns.items():
+            pending[entry].extend(column)
+        length += batch.length
+        if length < size:
+            continue
+        start = 0
+        while length - start >= size:
+            yield RowBatch({entry: column[start:start + size]
+                            for entry, column in pending.items()}, size)
+            start += size
+        pending = {entry: column[start:]
+                   for entry, column in pending.items()}
+        length -= start
+    if length:
+        yield RowBatch(pending, length)
+
+
+def _gather(columns: Dict[int, list], positions: List[int], slot: int,
+            inner_rows: list) -> RowBatch:
+    """A batch of the outer ``columns`` at ``positions`` beside the
+    matching ``inner_rows`` in ``slot``."""
+    gathered = {entry: list(map(column.__getitem__, positions))
+                for entry, column in columns.items()}
+    gathered[slot] = inner_rows
+    return RowBatch(gathered, len(positions))
+
+
+def _null_extend(batch: RowBatch, owners: List[int], matches: RowBatch,
+                 slot: int) -> RowBatch:
+    """LEFT join output of one outer batch: each outer row's matches in
+    order, or the row itself beside a NULL inner row when it has none."""
+    if len(set(owners)) == batch.length:
+        return matches
+    positions: List[int] = []
+    rows: list = []
+    found = matches.columns[slot]
+    at = 0
+    count = len(owners)
+    for position in range(batch.length):
+        if at < count and owners[at] == position:
+            while at < count and owners[at] == position:
+                positions.append(position)
+                rows.append(found[at])
+                at += 1
+        else:
+            positions.append(position)
+            rows.append(None)
+    return _gather(batch.columns, positions, slot, rows)
 
 
 class HashJoinNode(PlanNode):
@@ -1195,9 +1376,15 @@ class SortNode(PlanNode):
                 gov.release(charged)
 
     def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
+        """Column-wise sort: key and live columns are gathered per batch,
+        a permutation of row positions is sorted over the key columns
+        (:func:`sort_permutation`), and each live column leaves through
+        the permutation — no per-row tuples on either side."""
         self.actual_loops += 1
-        captured: List[Tuple[tuple, tuple]] = []
         entries: Optional[List[int]] = None
+        key_cols: List[list] = []
+        live_cols: List[list] = []
+        length = 0
         gov = runtime.governor
         spillable = gov.spill_sorts if gov is not None else False
         row_bytes = 0
@@ -1211,33 +1398,35 @@ class SortNode(PlanNode):
                     # in ctx).
                     entries = [e for e in self.live_entries
                                if e in batch.columns]
-                key_cols = [fn(batch) for fn in self.bx_keys]
-                live_cols = [batch.columns[e] for e in entries]
-                # Row-wise (key tuple, live tuple) pairs built by zip at
-                # C speed; empty-column edge cases fall back to repeat().
-                keys = zip(*key_cols) if key_cols else \
-                    iter([()] * batch.length)
-                saved = zip(*live_cols) if live_cols else \
-                    iter([()] * batch.length)
-                captured.extend(zip(keys, saved))
+                    key_cols = [[] for __ in self.bx_keys]
+                    live_cols = [[] for __ in entries]
+                for column, fn in zip(key_cols, self.bx_keys):
+                    column.extend(fn(batch))
+                for column, entry in zip(live_cols, entries):
+                    column.extend(batch.columns[entry])
+                length += batch.length
                 if gov is not None and batch.length:
                     if row_bytes == 0:
-                        first = captured[0]
-                        row_bytes = approx_row_bytes(first[0]) \
-                            + approx_row_bytes(first[1])
+                        # The row engine's estimate: its first captured
+                        # (key tuple, live tuple) pair.
+                        row_bytes = approx_row_bytes(
+                            tuple(column[0] for column in key_cols)) \
+                            + approx_row_bytes(
+                                tuple(column[0] for column in live_cols))
                     delta = batch.length * row_bytes
                     gov.charge(delta, "sort", spillable)
                     charged += delta
             if entries is None:
                 return
-            sort_rows(captured, self.order_items)
+            order = sort_permutation(
+                key_cols, [item.descending for item in self.order_items],
+                length)
             size = runtime.batch_size
-            for start in range(0, len(captured), size):
-                chunk = captured[start:start + size]
-                transposed = list(zip(*(saved for __, saved in chunk)))
-                columns = {entry: list(column) for entry, column
-                           in zip(entries, transposed)}
-                yield self._note(runtime, RowBatch(columns, len(chunk)))
+            for start in range(0, length, size):
+                part = order[start:start + size]
+                columns = {entry: list(map(column.__getitem__, part))
+                           for entry, column in zip(entries, live_cols)}
+                yield self._note(runtime, RowBatch(columns, len(part)))
         finally:
             if gov is not None and charged:
                 gov.release(charged)
@@ -1250,23 +1439,47 @@ class SortNode(PlanNode):
         return "Sort: " + ", ".join(parts)
 
 
+def sort_permutation(key_cols: Sequence[list], descending: Sequence[bool],
+                     length: int) -> List[int]:
+    """Row positions ``0 .. length-1`` in ORDER BY order.
+
+    Stable, with MySQL's NULL placement: NULLs first ascending, last
+    descending.  One stable pass per key runs from least to most
+    significant over the positions, keyed by the column itself
+    (``column.__getitem__``, a C-level key: no per-row key object).
+    NULL placement is decided once per column: only a column that holds
+    a NULL pays for it — its non-NULL positions are sorted and its NULL
+    positions, in their current order, go in front (ascending) or
+    behind (descending).  A pass per key is the order one sort over
+    ``(flag, value)`` key tuples would give, and measured faster than a
+    single pass over zipped key tuples even when no key holds a NULL.
+    """
+    order = list(range(length))
+    if length < 2:
+        return order
+    for column, desc in reversed(list(zip(key_cols, descending))):
+        if None not in column:
+            order.sort(key=column.__getitem__, reverse=desc)
+            continue
+        nulls = [pos for pos in order if column[pos] is None]
+        order = [pos for pos in order if column[pos] is not None]
+        order.sort(key=column.__getitem__, reverse=desc)
+        order = order + nulls if desc else nulls + order
+    return order
+
+
 def sort_rows(captured: List[Tuple[tuple, tuple]],
               order_items: List[ast.OrderItem]) -> None:
-    """Stable multi-key sort with MySQL NULL ordering.
-
-    NULLs sort first ascending and last descending; implemented as one
-    stable pass per key from least- to most-significant.
-    """
-    for index in range(len(order_items) - 1, -1, -1):
-        descending = order_items[index].descending
-
-        def key_fn(entry, i=index):
-            value = entry[0][i]
-            if value is None:
-                return (0, 0)
-            return (1, value)
-
-        captured.sort(key=key_fn, reverse=descending)
+    """Sort ``(key tuple, payload)`` pairs in place in ORDER BY order —
+    the row engine's entry to :func:`sort_permutation`, so both engines
+    order ties identically."""
+    if len(captured) < 2 or not order_items:
+        return
+    key_cols = [list(column) for column
+                in zip(*(keys for keys, __ in captured))]
+    order = sort_permutation(
+        key_cols, [item.descending for item in order_items], len(captured))
+    captured[:] = [captured[pos] for pos in order]
 
 
 class AggSpec:
@@ -1502,7 +1715,7 @@ class AggregateNode(PlanNode):
             pos = 0
             for key, run in itertools.groupby(keys):
                 start = pos
-                pos += sum(1 for __ in run)
+                pos += len(list(run))
                 if key != current_key:
                     if not isinstance(current_key, _Never):
                         acc.add_values((current_key + tuple(

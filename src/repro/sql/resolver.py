@@ -283,6 +283,8 @@ class Resolver:
                 ref = ast.ColumnRef(entry.alias, column.name,
                                     entry.entry_id, position)
                 ref.resolved_type = column.type
+                if entry.kind is EntryKind.BASE:
+                    ref.declared_type = column.type
                 items.append(ast.SelectItem(ref, None))
         return items
 
@@ -377,6 +379,12 @@ class Resolver:
         ref.position = position
         ref.resolved_type = entry.columns[position].type
         ref.resolved_nullable = entry.columns[position].nullable
+        if entry.kind is EntryKind.BASE:
+            # A base table's schema type is what its stored values are
+            # (DML coerces to it); a derived or CTE column's type above
+            # is only inferred.  The executor specialises arithmetic on
+            # the declared one (expression.statically_numeric).
+            ref.declared_type = entry.columns[position].type
         if outer:
             block = scope.block
             if entry.entry_id not in block.outer_references:

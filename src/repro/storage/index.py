@@ -8,9 +8,14 @@ supports the three access patterns both optimizers care about:
 * full ordered scan (an index scan that supplies a row order — the Orca
   enhancement from Section 7, lesson 4).
 
-NULL keys are excluded from the index, matching SQL lookup semantics.  Keys
-within one index are homogeneous tuples, so plain tuple comparison orders
-them.
+Every row has an entry, as in InnoDB: a NULL key part is stored as the
+:data:`NULL_KEY` sentinel, which sorts before every value — MySQL's
+ascending NULL order, so an ordered index scan returns exactly the rows
+and the order ``ORDER BY`` the key columns asks for.  Lookups never
+match NULL (a key with a NULL part finds nothing, and a range bound
+excludes the NULLs of the column it bounds), and a unique index lets
+NULL keys repeat (:func:`has_null`).  Keys within one index are
+homogeneous tuples, so plain tuple comparison orders them.
 
 Maintenance comes in two strengths: :meth:`OrderedIndex.build` re-sorts
 every entry (bulk loads only — the storage engine's ``load_rows`` picks
@@ -47,6 +52,27 @@ class _AfterAll:
 _AFTER = _AfterAll()
 
 
+class _NullKey:
+    """A NULL key part: sorts before every value and equals only itself,
+    so rows with NULLs keep their place in the index order."""
+
+    __slots__ = ()
+
+    def __lt__(self, other) -> bool:
+        return other is not self
+
+    def __gt__(self, other) -> bool:
+        return False
+
+
+NULL_KEY = _NullKey()
+
+
+def has_null(key: Tuple) -> bool:
+    """Whether an index key has a NULL part (never equal to any key)."""
+    return any(part is NULL_KEY for part in key)
+
+
 class OrderedIndex:
     """A sorted (key, row_id) structure for one index definition."""
 
@@ -59,23 +85,18 @@ class OrderedIndex:
         self._keys: List[Tuple] = []
         self.build()
 
-    def key_of(self, row: Sequence) -> Optional[Tuple]:
-        """The row's index key, or None when a key part is NULL (such
-        rows have no entry)."""
-        key = tuple(row[position] for position in self._positions)
-        if any(part is None for part in key):
-            return None
-        return key
+    def key_of(self, row: Sequence) -> Tuple:
+        """The row's index key, NULL parts stored as :data:`NULL_KEY`."""
+        return tuple(NULL_KEY if row[position] is None else row[position]
+                     for position in self._positions)
 
     # -- maintenance ---------------------------------------------------------
 
     def build(self) -> None:
         """(Re)build the index from the table's current rows."""
-        entries = []
-        for row_id, row in enumerate(self.table.scan()):
-            key = self.key_of(row)
-            if key is not None:
-                entries.append((key, row_id))
+        key_of = self.key_of
+        entries = [(key_of(row), row_id)
+                   for row_id, row in enumerate(self.table.scan())]
         entries.sort()
         self._entries = entries
         self._keys = [entry[0] for entry in entries]
@@ -83,10 +104,8 @@ class OrderedIndex:
     def insert_entry(self, row: Sequence, row_id: int) -> int:
         """Add the entry for ``row`` stored at ``row_id``.
 
-        Returns the number of entries written (0 for a NULL key)."""
+        Returns the number of entries written."""
         key = self.key_of(row)
-        if key is None:
-            return 0
         at = bisect.bisect_left(self._entries, (key, row_id))
         self._entries.insert(at, (key, row_id))
         self._keys.insert(at, key)
@@ -95,10 +114,8 @@ class OrderedIndex:
     def remove_entry(self, row: Sequence, row_id: int) -> int:
         """Drop the entry for ``row`` stored at ``row_id``.
 
-        Returns the number of entries removed (0 for a NULL key)."""
+        Returns the number of entries removed."""
         key = self.key_of(row)
-        if key is None:
-            return 0
         at = bisect.bisect_left(self._entries, (key, row_id))
         del self._entries[at]
         del self._keys[at]
@@ -111,10 +128,8 @@ class OrderedIndex:
         The key is unchanged, so the entry only moves within its run of
         equal keys: ``_keys`` stays as it is and ``_entries`` is
         rewritten over that run alone — no list shift at all.  Returns
-        the number of entries rewritten (0 for a NULL key)."""
+        the number of entries rewritten."""
         key = self.key_of(row)
-        if key is None:
-            return 0
         entries = self._entries
         old_at = bisect.bisect_left(entries, (key, old_id))
         new_at = bisect.bisect_left(entries, (key, new_id), 0, old_at)
@@ -127,13 +142,22 @@ class OrderedIndex:
     def _span(self, low: Optional[Tuple], high: Optional[Tuple],
               low_inclusive: bool, high_inclusive: bool) -> Tuple[int, int]:
         """Entry positions ``[start, stop)`` whose key prefix lies
-        between the bounds; each end is one bisect."""
+        between the bounds; each end is one bisect.
+
+        A bound on a column excludes its NULLs.  They sort first, so a
+        lower bound passes over them by itself; a column bounded from
+        above only (``high`` one part longer than ``low``) starts after
+        its NULL entries instead."""
         keys = self._keys
         if low is None:
             start = 0
         else:
             start = bisect.bisect_left(
                 keys, low if low_inclusive else low + (_AFTER,))
+        prefix = low or ()
+        if high is not None and len(high) > len(prefix):
+            start = max(start, bisect.bisect_left(
+                keys, prefix + (NULL_KEY, _AFTER)))
         if high is None:
             stop = len(keys)
         else:

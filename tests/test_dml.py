@@ -231,6 +231,94 @@ class TestDmlRouting:
                    "(SELECT AVG(balance) FROM accounts)")
 
 
+class TestDmlThroughNullableIndex:
+    """DML locates its victims through an index whose columns hold
+    NULLs — every row has an entry — and each statement's effect is
+    checked against a pure-Python filter of the loaded rows."""
+
+    @pytest.fixture()
+    def nulls(self):
+        database = Database()
+        database.create_table(TableSchema("w", [
+            Column.of("id", MySQLType.LONG, nullable=False),
+            Column.of("grp", MySQLType.LONG),
+            Column.of("val", MySQLType.LONG),
+        ], [Index("PRIMARY", ("id",), primary=True),
+            Index("gv", ("grp", "val"))]))
+        rows = [(i, i % 50, None if i % 3 == 0 else i % 17)
+                for i in range(2000)]
+        database.load("w", rows)
+        database.analyze()
+        return database, rows
+
+    def _located_through_index(self, db, sql):
+        from repro.observability import find_spans
+        result = db.run(sql, trace=True)
+        span = find_spans(result.trace, "execute")[0]
+        assert span.attributes["access"] == "index", sql
+        return result.rows[0][0]
+
+    def _assert_index_is_a_rebuild(self, db):
+        table = db.storage.store("w")
+        index = db.storage.index("w", "gv")
+        assert [index.key_of(table.fetch(row_id))
+                for row_id in index.ordered_row_ids()] \
+            == sorted(index.key_of(row) for row in table.scan())
+        assert index.entry_count == table.row_count
+
+    def test_update_on_leading_column_reaches_null_rows(self, nulls):
+        db, rows = nulls
+        changed = self._located_through_index(
+            db, "UPDATE w SET val = 99 WHERE grp = 2")
+        assert changed == sum(1 for row in rows if row[1] == 2) == 40
+        assert sorted(db.execute("SELECT id FROM w WHERE val = 99")) \
+            == [(row[0],) for row in rows if row[1] == 2]
+        self._assert_index_is_a_rebuild(db)
+
+    def test_delete_with_a_bounded_nullable_column(self, nulls):
+        db, rows = nulls
+        deleted = self._located_through_index(
+            db, "DELETE FROM w WHERE grp = 3 AND val < 9")
+        kept = [row for row in rows
+                if not (row[1] == 3 and row[2] is not None
+                        and row[2] < 9)]
+        assert deleted == len(rows) - len(kept)
+        assert sorted(db.execute("SELECT id, grp, val FROM w")) == kept
+        self._assert_index_is_a_rebuild(db)
+
+    def test_update_into_and_out_of_null_keys(self, nulls):
+        db, rows = nulls
+        db.run("UPDATE w SET val = NULL WHERE grp = 4")
+        db.run("UPDATE w SET grp = NULL WHERE grp = 5 AND val > 10")
+        expected = []
+        for key, grp, val in rows:
+            if grp == 4:
+                val = None
+            elif grp == 5 and val is not None and val > 10:
+                grp = None
+            expected.append((key, grp, val))
+        assert sorted(db.execute("SELECT id, grp, val FROM w")) == expected
+        assert sorted(db.execute("SELECT id FROM w WHERE grp = 4")) \
+            == [(row[0],) for row in expected if row[1] == 4]
+        self._assert_index_is_a_rebuild(db)
+
+    def test_unique_index_lets_null_keys_repeat(self):
+        database = Database()
+        database.create_table(TableSchema("u", [
+            Column.of("id", MySQLType.LONG, nullable=False),
+            Column.of("a", MySQLType.LONG),
+            Column.of("b", MySQLType.LONG),
+        ], [Index("PRIMARY", ("id",), primary=True),
+            Index("ab", ("a", "b"), unique=True)]))
+        database.run("INSERT INTO u VALUES (1, 1, NULL), (2, 1, NULL)")
+        database.run("INSERT INTO u VALUES (3, NULL, NULL)")
+        database.run("UPDATE u SET a = 1 WHERE id = 3")
+        with pytest.raises(ExecutionError):
+            database.run("INSERT INTO u VALUES (4, 1, 2), (5, 1, 2)")
+        assert sorted(database.execute("SELECT id FROM u WHERE a = 1")) \
+            == [(1,), (2,), (3,)]
+
+
 class TestDmlKeepsPlans:
     """Writes never touch the catalog: a cached plan outlives them and
     reads the rows that are there now.  Only a write that changed a row

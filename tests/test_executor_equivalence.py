@@ -186,3 +186,52 @@ class TestBatchMetrics:
         before = db.metrics.count("executor.batches")
         db.run("SELECT o_orderkey FROM orders", executor_mode="row")
         assert db.metrics.count("executor.batches") == before
+
+
+class TestBatchedIndexProbe:
+    """Every TPC-H statement under both optimizers: the batched index
+    nested loop returns the row engine's rows in the row engine's order
+    and leaves the same storage counters and per-node actual rows and
+    loops (EXPLAIN ANALYZE and the statement log read them)."""
+
+    @pytest.fixture(scope="class")
+    def tpch(self):
+        from repro import Database
+        from repro.workloads.tpch import load_tpch
+
+        database = Database()
+        load_tpch(database, scale=0.05)
+        return database
+
+    @staticmethod
+    def _work(db, sql, optimizer, mode):
+        counters = db.storage.counters
+        before = (counters.index_lookups, counters.index_rows_read,
+                  counters.rows_scanned, counters.chunks_skipped)
+        result = db.run(sql, optimizer=optimizer, executor_mode=mode)
+        after = (counters.index_lookups, counters.index_rows_read,
+                 counters.rows_scanned, counters.chunks_skipped)
+        return (result.rows,
+                [(n.label, n.actual, n.loops)
+                 for n in result.plan_quality.nodes],
+                [a - b for a, b in zip(after, before)])
+
+    @pytest.mark.parametrize("optimizer", ["mysql", "orca"])
+    def test_row_and_batch_do_the_same_work(self, tpch, optimizer):
+        from repro.executor.plan import NestedLoopJoinNode, walk_plan_nodes
+        from repro.workloads.tpch import TPCH_QUERIES
+
+        kinds = set()
+        for number, sql in sorted(TPCH_QUERIES.items()):
+            row = self._work(tpch, sql, optimizer, "row")
+            batch = self._work(tpch, sql, optimizer, "batch")
+            assert batch == row, f"Q{number}"
+            executor = tpch._compile(sql, optimizer)[0]
+            if executor.ensure_batch_lowered():
+                kinds.update(node.kind.value
+                             for node in walk_plan_nodes(executor.top_plan)
+                             if isinstance(node, NestedLoopJoinNode)
+                             and node.bx_probe)
+        assert kinds >= {"inner", "semi", "antijoin"}
+        if optimizer == "mysql":
+            assert "left" in kinds

@@ -13,7 +13,10 @@ queries (Q5, Q8, Q9 — each with at least five join units) must show:
 The batch executor's counters are smoked the same way: a scan-heavy and
 a join-heavy query must actually run batched (``executor.batches`` > 0)
 through compiled expressions (``exec.compiled_exprs`` > 0) with results
-identical to the row engine's.
+identical to the row engine's.  The e2e ``repeat_tpch`` statements must
+do exactly the storage and per-node work recorded before the batch
+kernels, and their index nested loops must emit through the batched
+probe.
 """
 
 import pytest
@@ -385,3 +388,95 @@ def test_analyze_of_an_unchanged_database_analyzes_nothing():
     db.analyze()
     assert db.metrics.count("analyze.tables_analyzed") == before
     assert db.metrics.count("analyze.tables_skipped") == tables
+
+
+#: The e2e ``repeat_tpch`` statements at TPC-H scale 1, run once each in
+#: this order on a fresh database: ``(index_lookups, index_rows_read,
+#: rows_scanned, chunks_skipped, executor.batch_rows)`` and every plan
+#: node's ``(operator, actual_rows, actual_loops)``.  Recorded before
+#: the batch kernels (specialised arithmetic, column-wise sort, batched
+#: index probe) replaced the per-row paths; the kernels change how the
+#: work is done, never how much of it there is.
+REPEAT_COUNTERS = {
+    1: ((0, 0, 11910, 0, 23562),
+        [("Sort", 5, 1), ("Aggregate", 5, 1), ("Sort", 11776, 1),
+         ("TableScan", 11776, 1)]),
+    6: ((0, 0, 11910, 0, 220),
+        [("Aggregate", 1, 1), ("TableScan", 219, 1)]),
+    12: ((53, 53, 11910, 0, 163),
+         [("Sort", 2, 1), ("Aggregate", 2, 1), ("Sort", 53, 1),
+          ("NestedLoopJoin", 53, 1), ("TableScan", 53, 1),
+          ("IndexLookup", 53, 53)]),
+    14: ((175, 175, 11910, 0, 351),
+         [("Aggregate", 1, 1), ("NestedLoopJoin", 175, 1),
+          ("TableScan", 175, 1), ("IndexLookup", 175, 175)]),
+    3: ((359, 1787, 300, 0, 178),
+        [("Sort", 23, 1), ("Aggregate", 23, 1), ("NestedLoopJoin", 72, 1),
+         ("NestedLoopJoin", 299, 1), ("TableScan", 60, 1),
+         ("IndexLookup", 299, 60), ("IndexLookup", 72, 299)]),
+    5: ((131, 607, 3045, 0, 702),
+        [("Sort", 3, 1), ("Aggregate", 3, 1), ("NestedLoopJoin", 11, 1),
+         ("HashJoin", 124, 1), ("TableScan", 417, 1),
+         ("NestedLoopJoin", 92, 1), ("HashJoin", 6, 1),
+         ("TableScan", 40, 1), ("NestedLoopJoin", 5, 1),
+         ("TableScan", 1, 1), ("IndexLookup", 5, 1),
+         ("IndexLookup", 92, 6), ("IndexLookup", 11, 124)]),
+    10: ((0, 0, 15235, 0, 4249),
+         [("Sort", 89, 1), ("Aggregate", 89, 1), ("HashJoin", 219, 1),
+          ("HashJoin", 219, 1), ("TableScan", 2891, 1),
+          ("TableScan", 117, 1), ("HashJoin", 300, 1),
+          ("TableScan", 300, 1), ("TableScan", 25, 1)]),
+    13: ((300, 3000, 300, 0, 7236),
+         [("Aggregate", 300, 1), ("Sort", 3000, 1),
+          ("NestedLoopJoin", 3000, 1), ("TableScan", 300, 1),
+          ("IndexLookup", 3000, 300), ("Sort", 18, 1),
+          ("Aggregate", 18, 1), ("Sort", 300, 1),
+          ("DerivedMaterialize", 300, 1)]),
+}
+
+
+@pytest.fixture(scope="module")
+def repeat_db():
+    db = Database()
+    load_tpch(db, scale=1.0)
+    return db
+
+
+def test_repeat_statements_do_the_recorded_work(repeat_db):
+    db = repeat_db
+    counters = db.storage.counters
+    for number, (expected, nodes) in REPEAT_COUNTERS.items():
+        def snapshot():
+            return (counters.index_lookups, counters.index_rows_read,
+                    counters.rows_scanned, counters.chunks_skipped,
+                    db.metrics.count("executor.batch_rows"))
+        before = snapshot()
+        result = db.run(TPCH_QUERIES[number])
+        assert result.executor_mode == "batch"
+        work = tuple(a - b for a, b in zip(snapshot(), before))
+        assert work == expected, f"Q{number}"
+        assert [(node.operator, node.actual, node.loops)
+                for node in result.plan_quality.nodes] == nodes, \
+            f"Q{number}"
+
+
+@pytest.mark.parametrize("number", (13, 3))
+def test_index_nested_loops_emit_through_the_batched_probe(
+        repeat_db, monkeypatch, number):
+    """Q13's left and Q3's inner index nested loops probe a whole outer
+    batch at a time: no row is copied out of a context."""
+    from repro.executor.batch import BatchAccumulator
+
+    copies = []
+    original = BatchAccumulator.add_ctx
+
+    def spy(self, ctx):
+        copies.append(1)
+        original(self, ctx)
+
+    monkeypatch.setattr(BatchAccumulator, "add_ctx", spy)
+    result = repeat_db.run(TPCH_QUERIES[number])
+    assert result.executor_mode == "batch"
+    assert any(node.operator == "NestedLoopJoin"
+               for node in result.plan_quality.nodes)
+    assert copies == []

@@ -1,9 +1,12 @@
 """Tests for the storage engine: tables, ordered indexes, access paths."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Database
 from repro.catalog import Catalog, Column, Index, TableSchema
 from repro.errors import StorageError
 from repro.mysql_types import MySQLType
@@ -67,11 +70,15 @@ class TestIndexLookup:
         engine.load_rows("t", [(1, None, 1.0), (2, 5, 2.0)])
         assert engine.index_lookup_rows("t", "grp_idx", (None,)) == []
 
-    def test_null_keys_not_indexed(self):
+    def test_null_keys_indexed_before_values(self):
         engine = make_engine()
-        engine.load_rows("t", [(1, None, 1.0), (2, 5, 2.0)])
-        index = engine.index("t", "grp_idx")
-        assert index.entry_count == 1
+        engine.load_rows("t", [(1, None, 1.0), (2, 5, 2.0), (3, 4, None)])
+        assert engine.index("t", "grp_idx").entry_count == 3
+        rows = list(engine.index_ordered_rows("t", "grp_idx"))
+        assert [r[0] for r in rows] == [1, 3, 2]
+        rows = list(engine.index_ordered_rows("t", "grp_idx",
+                                              descending=True))
+        assert [r[0] for r in rows] == [2, 3, 1]
 
     def test_prefix_lookup_on_composite(self):
         engine = make_engine()
@@ -140,6 +147,118 @@ class TestRangeScan:
         via_scan = sorted(row for row in engine.table_scan("p")
                           if low <= row[0] <= high)
         assert via_index == via_scan
+
+
+def make_nullable_index_db():
+    """2 000 rows, ``grp = id % 50``, ``val`` NULL in every third row,
+    one composite index over the two nullable columns."""
+    db = Database()
+    db.create_table(TableSchema("w", [
+        Column.of("id", MySQLType.LONG, nullable=False),
+        Column.of("grp", MySQLType.LONG),
+        Column.of("val", MySQLType.LONG),
+    ], [Index("PRIMARY", ("id",), primary=True),
+        Index("gv", ("grp", "val"))]))
+    rows = [(i, i % 50, None if i % 3 == 0 else i % 17)
+            for i in range(2000)]
+    db.load("w", rows)
+    db.analyze()
+    return db, rows
+
+
+ROUTES = [(optimizer, mode) for optimizer in ("mysql", "orca")
+          for mode in ("row", "batch")]
+
+
+class TestNullableCompositeIndex:
+    """A row with a NULL key part is indexed; every answer is checked
+    against a pure-Python filter or sort of the loaded rows."""
+
+    @pytest.fixture(scope="class")
+    def nulls(self):
+        return make_nullable_index_db()
+
+    @pytest.mark.parametrize("optimizer, mode", ROUTES)
+    def test_equality_on_leading_column_returns_every_row(self, nulls,
+                                                          optimizer, mode):
+        db, rows = nulls
+        sql = "SELECT id FROM w WHERE grp = 2"
+        assert "Index range scan on w using gv" in db.explain(
+            sql, optimizer=optimizer)
+        result = db.run(sql, optimizer=optimizer, executor_mode=mode)
+        expected = [row[0] for row in rows if row[1] == 2]
+        assert len(expected) == 40
+        assert sorted(value for (value,) in result.rows) == expected
+
+    @pytest.mark.parametrize("where, keep", [
+        ("grp = 2 AND val < 10",
+         lambda g, v: g == 2 and v is not None and v < 10),
+        ("grp = 2 AND val <= 10",
+         lambda g, v: g == 2 and v is not None and v <= 10),
+        ("grp = 2 AND val > 5",
+         lambda g, v: g == 2 and v is not None and v > 5),
+        ("grp = 7 AND val BETWEEN 3 AND 12",
+         lambda g, v: g == 7 and v is not None and 3 <= v <= 12),
+        ("grp < 3", lambda g, v: g < 3),
+        ("grp >= 47", lambda g, v: g >= 47),
+    ])
+    @pytest.mark.parametrize("optimizer, mode", ROUTES)
+    def test_range_bounds_exclude_only_the_bounded_nulls(
+            self, nulls, where, keep, optimizer, mode):
+        db, rows = nulls
+        result = db.run(f"SELECT id FROM w WHERE {where}",
+                        optimizer=optimizer, executor_mode=mode)
+        assert sorted(value for (value,) in result.rows) \
+            == [row[0] for row in rows if keep(row[1], row[2])]
+
+    @pytest.mark.parametrize("optimizer, mode", ROUTES)
+    def test_order_by_index_columns_returns_every_row_nulls_first(
+            self, nulls, optimizer, mode):
+        db, rows = nulls
+        result = db.run("SELECT id FROM w ORDER BY grp, val",
+                        optimizer=optimizer, executor_mode=mode)
+        expected = sorted(rows, key=lambda row: (
+            row[1], row[2] is not None, row[2] or 0))
+        assert result.rows == [(row[0],) for row in expected]
+
+    def test_orca_orders_through_the_index(self, nulls):
+        db, __ = nulls
+        assert "Index scan on w using gv" in db.explain(
+            "SELECT id FROM w ORDER BY grp, val", optimizer="orca")
+
+    @pytest.mark.parametrize("optimizer, mode", ROUTES)
+    def test_descending_order_puts_nulls_last(self, nulls, optimizer,
+                                              mode):
+        db, rows = nulls
+        result = db.run("SELECT grp, val FROM w ORDER BY grp DESC, "
+                        "val DESC", optimizer=optimizer,
+                        executor_mode=mode)
+        expected = sorted(((row[1], row[2]) for row in rows),
+                          key=lambda gv: (gv[0], gv[1] is not None,
+                                          gv[1] or 0), reverse=True)
+        assert result.rows == expected
+
+    @pytest.mark.parametrize("predicate", [
+        "val < 9", "val = grp", "val > 20", "val IS NULL", "grp = 2",
+    ])
+    @pytest.mark.parametrize("optimizer, mode", ROUTES)
+    def test_ternary_logic_partitioning(self, nulls, predicate, optimizer,
+                                        mode):
+        """Q = (Q WHERE p) + (Q WHERE NOT p) + (Q WHERE p IS NULL), as
+        multisets — an identity that needs no oracle."""
+        db, __ = nulls
+        base = "SELECT id, val FROM w WHERE grp BETWEEN 1 AND 4"
+
+        def ids(sql):
+            return Counter(db.run(sql, optimizer=optimizer,
+                                  executor_mode=mode).rows)
+
+        whole = ids(base)
+        parts = (ids(f"{base} AND ({predicate})")
+                 + ids(f"{base} AND NOT ({predicate})")
+                 + ids(f"{base} AND ({predicate}) IS NULL"))
+        assert sum(whole.values()) == 160
+        assert parts == whole
 
 
 class TestAnalyze:
