@@ -4,7 +4,8 @@
 Walks through what Section 5 of the paper describes: how the MySQL
 metadata provider lays out OIDs for types and expressions, how commutator
 and inverse expression OIDs are computed, what the DXL exchange looks
-like, and how Orca's metadata cache prevents repeated provider requests.
+like, and how Orca's metadata cache prevents repeated provider requests —
+within one statement, and across statements until a table's epoch moves.
 """
 
 from repro import Database
@@ -13,7 +14,7 @@ from repro.bridge.metadata_provider import MySQLMetadataProvider
 from repro.mysql_types import MySQLType, TypeCategory
 from repro.orca.mdcache import MDAccessor
 from repro.sql import ast
-from repro.workloads.tpch import load_tpch
+from repro.workloads.tpch import load_tpch, tpch_query
 
 
 def main() -> None:
@@ -77,6 +78,26 @@ def main() -> None:
     print("provider requests after:                        ", after)
     print(f"cache hits recorded by the accessor: {accessor.cache_hits} "
           f"(the provider was not queried again)")
+
+    # --- the database's shared cache: once per table epoch -------------------
+    # Every Orca detour gets a fresh accessor, but they all share the
+    # database's MDCache, so the DXL round trip is paid once per table
+    # epoch (CREATE / ANALYZE), not once per statement.
+    sql = tpch_query(5)
+
+    def fetches() -> int:
+        return int(db.metrics.count("metadata.requests.statistics_dxl"))
+
+    for attempt in ("first", "second"):
+        before = fetches()
+        db.compile_only(sql, optimizer="orca")
+        print(f"{attempt} compile of Q5: {fetches() - before} statistics "
+              f"DXL fetches")
+    db.storage.analyze_table("nation")
+    before = fetches()
+    db.compile_only(sql, optimizer="orca")
+    print(f"after ANALYZE nation:  {fetches() - before} statistics DXL "
+          f"fetch (only the table whose epoch moved)")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from repro.bridge.parse_tree_converter import ParseTreeConverter
 from repro.bridge.plan_converter import OrcaPlanConverter
 from repro.mysql_optimizer.skeleton import SkeletonPlan
 from repro.orca.joinorder import JoinSearchMode, SubEstimates
-from repro.orca.mdcache import MDAccessor
+from repro.orca.mdcache import MDAccessor, MDCache
 from repro.orca.optimizer import OrcaBlockPlan, OrcaConfig, OrcaOptimizer
 from repro.orca.preprocess import preprocess_block, push_cte_predicates
 from repro.resilience import CompileBudget, DetourGuard, DetourOutcome
@@ -54,9 +54,14 @@ class OrcaRouter:
 
     def __init__(self, catalog: Catalog, config,
                  orca_config: Optional[OrcaConfig] = None,
-                 tracer=None, metrics=None, governor=None) -> None:
+                 tracer=None, metrics=None, governor=None,
+                 mdcache: Optional[MDCache] = None) -> None:
         self.catalog = catalog
         self.config = config
+        #: The database's shared metadata cache (None: every detour
+        #: starts cold).  The detour's accessor reads it on a local miss
+        #: and publishes what it fetched only when the detour succeeds.
+        self.mdcache = mdcache
         #: Per-statement :class:`repro.governor.ExecutionGovernor` (or
         #: None).  The detour honours it two ways: the compile budget is
         #: capped to the statement's remaining deadline, and cooperative
@@ -129,9 +134,7 @@ class OrcaRouter:
                                          fault_injector=injector,
                                          metrics=self.metrics)
         accessor = MDAccessor(provider, tracer=self.tracer,
-                              metrics=self.metrics,
-                              capacity=getattr(self.config,
-                                               "mdcache_capacity", None))
+                              metrics=self.metrics, shared=self.mdcache)
         converter = ParseTreeConverter(accessor, fault_injector=injector,
                                        tracer=self.tracer)
         estimator = SelectivityEstimator(accessor, use_histograms=True)
@@ -168,6 +171,7 @@ class OrcaRouter:
         # A final check so compile work done during conversion (or a
         # sleep injected there) still honours the budget.
         budget.check()
+        accessor.publish()
         return skeleton
 
     def _optimize_block(self, block: QueryBlock,

@@ -9,7 +9,7 @@ needs only metadata and statistics.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.catalog.schema import TableSchema
 from repro.catalog.statistics import TableStatistics
@@ -29,6 +29,9 @@ class Catalog:
         #: never repeats a value a cached plan may still hold.
         self._epochs: Dict[str, int] = {}
         self._last_epoch = 0
+        #: Called with the table's name after each DROP, so caches keyed
+        #: by table (Orca's shared metadata cache) forget it at once.
+        self.drop_listeners: List[Callable[[str], None]] = []
 
     # -- epochs ---------------------------------------------------------------
 
@@ -63,6 +66,8 @@ class Catalog:
         del self._tables[key]
         del self._statistics[key]
         del self._epochs[key]
+        for listener in self.drop_listeners:
+            listener(name)
 
     def table(self, name: str) -> TableSchema:
         key = name.lower()

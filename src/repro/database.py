@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.bridge.router import OrcaRouter
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import TableSchema
 from repro.errors import (
@@ -61,6 +62,7 @@ from repro.observability import (
 )
 from repro.orca.joinorder import JoinSearchMode
 from repro.orca.largejoin import STRATEGY_POLICIES
+from repro.orca.mdcache import MDCache
 from repro.plan_cache import (
     PlanCache,
     PlanCacheEntry,
@@ -174,8 +176,6 @@ class DatabaseConfig:
     #: order; larger ones, greedy operator ordering.
     orca_lindp_threshold: int = 12
     orca_goo_threshold: int = 25
-    #: Per-kind LRU capacity of the Orca metadata cache.
-    mdcache_capacity: int = 1024
     #: Execution engine: "batch" runs the vectorized batch-at-a-time
     #: executor with compiled expressions (statements whose plans it
     #: cannot lower degrade per-statement to the row engine, recorded as
@@ -375,6 +375,10 @@ class Database:
             statements=self.statements, catalog=self.catalog,
             storage=self.storage, plan_cache=self.plan_cache,
             metrics=self.metrics)
+        #: Orca's metadata cache, shared by every detour: the parsed DXL
+        #: relation and statistics of each table, valid for the table's
+        #: catalog epoch (see orca/mdcache.py).
+        self.mdcache = MDCache(self.catalog)
         #: ParallelContext of the most recent statement that actually
         #: ran a parallel operator — ``db.top()``'s worker section.
         self._last_parallel = None
@@ -514,8 +518,6 @@ class Database:
         fallback log, and feeds unexpected-exception fallbacks back into
         the breaker.  Never raises (unless containment is disabled).
         """
-        from repro.bridge.router import OrcaRouter
-
         fingerprint = statement_fingerprint(sql)
         with self.tracer.span("orca_detour",
                               fingerprint=fingerprint) as span:
@@ -529,7 +531,7 @@ class Database:
                 return None, FallbackReason.CIRCUIT_OPEN
             router = OrcaRouter(self.catalog, self.config,
                                 tracer=self.tracer, metrics=self.metrics,
-                                governor=governor)
+                                governor=governor, mdcache=self.mdcache)
             self.last_router = router
             self.fallback_log.record_detour_entry()
             outcome = router.optimize_guarded(stmt, block, context)

@@ -1,4 +1,5 @@
-"""Orca's metadata cache (the MD accessor).
+"""Orca's metadata cache: the per-statement MD accessor and the shared
+cache behind it.
 
 "Orca maintains an internal metadata cache ... and if the required
 information pre-exists there, the metadata provider is not queried again"
@@ -9,89 +10,122 @@ Orca's selectivity estimation (it exposes the ``statistics(name)`` /
 ``table(name)`` protocol the estimator expects), so every cardinality
 Orca computes has round-tripped through DXL.
 
+Two levels:
+
+* :class:`MDAccessor` lives for one detour.  It owns the statement's
+  provider, so OID assignment, synthetic OIDs and the
+  ``metadata_provider`` fault-injection site stay per statement; its
+  maps are plain dicts (one statement touches a bounded set of tables).
+* :class:`MDCache` lives as long as its ``Database`` and holds what the
+  DXL round trips produced — the parsed ``TableSchema`` and
+  ``TableStatistics`` of each table, and parsed type entries — so the
+  round trip is paid once per table epoch instead of once per
+  statement.  An accessor consults it on a local miss and publishes
+  the entries it fetched only when its detour succeeded, so an aborted
+  detour leaves the shared cache exactly as it was.
+
+Validity comes from the catalog: a table slot records the table's
+``Catalog.epoch`` at fetch time and serves a lookup only while the epoch
+still matches.  Epochs move on CREATE and ANALYZE only, never on DML,
+and never repeat, so a re-created table cannot hit its predecessor's
+slot.  Size is bounded by construction: one slot per (kind, table),
+replaced when the epoch moves, evicted by DROP; type entries are bounded
+by the ``MySQLType`` enum.
+
 Observability: every hit and miss is counted per request kind
 (:meth:`MDAccessor.stats`), mirrored into a
 :class:`repro.observability.MetricsRegistry` (``mdcache.hits`` /
-``mdcache.misses`` / ``mdcache.evictions``) when one is attached, and
-each provider round-trip (a cache miss) is traced as a
-``metadata_lookup`` span.
-
-The cache is *bounded*: each kind-specific map is an LRU capped at
-``capacity`` entries, so metadata caching cannot grow without limit
-across long benchmark runs against wide catalogs.  The default is far
-above any workload in this repo (TPC-DS has 24 tables), so behaviour
-only changes for deliberately tiny capacities; evictions are counted
-per kind.
+``mdcache.misses``) when one is attached, and each provider round-trip
+is traced as a ``metadata_lookup`` span.  A shared-cache hit is a hit,
+so ``mdcache.misses`` counts real provider round trips.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.bridge import dxl
 from repro.bridge.metadata_provider import MySQLMetadataProvider
+from repro.catalog.catalog import Catalog
 from repro.catalog.schema import TableSchema
 from repro.catalog.statistics import TableStatistics
 from repro.observability import NOOP_TRACER
 
-#: Default per-kind LRU capacity — generous enough that the seed
-#: workloads (a few dozen tables, a handful of types) never evict.
-DEFAULT_MDCACHE_CAPACITY = 1024
+#: The per-table entry kinds the shared cache holds.
+TABLE_KINDS = ("relation", "statistics")
+
+#: ``(kind, table key) -> (epoch, parsed entry)``.
+TableSlots = Dict[Tuple[str, str], Tuple[int, object]]
 
 
-class _LRUCache:
-    """A small LRU map; reports evictions through a callback."""
+def _table_key(name: str) -> str:
+    # The provider accepts schema-qualified names ('tpch.lineitem').
+    return name.rsplit(".", 1)[-1].lower()
 
-    def __init__(self, capacity: int,
-                 on_evict: Callable[[], None]) -> None:
-        self.capacity = capacity
-        self._on_evict = on_evict
-        self._entries: OrderedDict = OrderedDict()
 
-    def get(self, key):
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
+class MDCache:
+    """One database's parsed metadata, shared by every Orca detour."""
 
-    def put(self, key, value) -> None:
-        if key in self._entries:
-            del self._entries[key]
-        self._entries[key] = value
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self._on_evict()
+    def __init__(self, catalog: Catalog) -> None:
+        self.catalog = catalog
+        self._tables: TableSlots = {}
+        self._types: Dict[int, dict] = {}
+        catalog.drop_listeners.append(self.evict)
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def lookup(self, kind: str, name: str) -> Tuple[int, Optional[object]]:
+        """``(the table's current epoch, its entry or None)``; a slot
+        fetched under another epoch is no answer."""
+        key = _table_key(name)
+        epoch = self.catalog.epoch(key)
+        slot = self._tables.get((kind, key))
+        if slot is not None and slot[0] == epoch:
+            return epoch, slot[1]
+        return epoch, None
+
+    def type_info(self, type_oid: int) -> Optional[dict]:
+        return self._types.get(type_oid)
+
+    def publish(self, tables: TableSlots, types: Dict[int, dict]) -> None:
+        """Install a successful detour's fetched entries, each replacing
+        its table's slot.  An entry whose table moved epoch (or was
+        dropped) since it was fetched is discarded."""
+        for (kind, key), slot in tables.items():
+            if slot[0] == self.catalog.epoch(key):
+                self._tables[(kind, key)] = slot
+        self._types.update(types)
+
+    def evict(self, name: str) -> None:
+        """Forget a table (the catalog calls this on DROP)."""
+        key = _table_key(name)
+        for kind in TABLE_KINDS:
+            self._tables.pop((kind, key), None)
+
+    def slots(self) -> Dict[Tuple[str, str], int]:
+        """``(kind, table key) -> epoch`` of every table slot held."""
+        return {key: slot[0] for key, slot in self._tables.items()}
 
 
 class MDAccessor:
-    """Caching facade over the metadata provider."""
+    """Caching facade over one statement's metadata provider."""
 
     def __init__(self, provider: MySQLMetadataProvider,
                  tracer=NOOP_TRACER, metrics=None,
-                 capacity: Optional[int] = None) -> None:
+                 shared: Optional[MDCache] = None) -> None:
         self.provider = provider
         self.tracer = tracer
         self.metrics = metrics
-        self.capacity = capacity if capacity is not None \
-            else DEFAULT_MDCACHE_CAPACITY
+        self.shared = shared
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_evictions = 0
         self._hits_by_kind: Dict[str, int] = {}
         self._misses_by_kind: Dict[str, int] = {}
-        self._evictions_by_kind: Dict[str, int] = {}
-        self._relation_cache = self._lru("relation")
-        self._statistics_cache = self._lru("statistics")
-        self._type_cache = self._lru("type")
-        self._oid_by_name = self._lru("table_oid")
-
-    def _lru(self, kind: str) -> _LRUCache:
-        return _LRUCache(self.capacity,
-                         on_evict=lambda: self._evicted(kind))
+        self._relations: Dict[int, TableSchema] = {}
+        self._statistics: Dict[int, TableStatistics] = {}
+        self._types: Dict[int, dict] = {}
+        self._oid_by_name: Dict[str, int] = {}
+        #: Provider answers this statement fetched, for :meth:`publish`.
+        self._fetched_tables: TableSlots = {}
+        self._fetched_types: Dict[int, dict] = {}
 
     # -- hit/miss accounting --------------------------------------------------------
 
@@ -107,27 +141,22 @@ class MDAccessor:
         if self.metrics is not None:
             self.metrics.inc("mdcache.misses")
 
-    def _evicted(self, kind: str) -> None:
-        self.cache_evictions += 1
-        self._evictions_by_kind[kind] = \
-            self._evictions_by_kind.get(kind, 0) + 1
-        if self.metrics is not None:
-            self.metrics.inc("mdcache.evictions")
-
     def stats(self) -> dict:
-        """Hit/miss/eviction counts, hit ratio, per-kind breakdowns."""
+        """Hit/miss counts, hit ratio, per-kind breakdowns."""
         requests = self.cache_hits + self.cache_misses
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
-            "evictions": self.cache_evictions,
-            "capacity": self.capacity,
             "hit_ratio": self.cache_hits / requests if requests else 0.0,
             "hits_by_kind": dict(sorted(self._hits_by_kind.items())),
             "misses_by_kind": dict(sorted(self._misses_by_kind.items())),
-            "evictions_by_kind": dict(
-                sorted(self._evictions_by_kind.items())),
         }
+
+    def publish(self) -> None:
+        """Hand the entries this statement fetched to the shared cache;
+        the router calls it once the detour has succeeded."""
+        if self.shared is not None:
+            self.shared.publish(self._fetched_tables, self._fetched_types)
 
     # -- OID resolution -----------------------------------------------------------
 
@@ -141,28 +170,43 @@ class MDAccessor:
         with self.tracer.span("metadata_lookup", kind="table_oid",
                               name=name):
             oid = self.provider.get_table_oid(name)
-        self._oid_by_name.put(key, oid)
+        self._oid_by_name[key] = oid
         return oid
 
     def synthetic_oid(self, alias: str) -> int:
         return self.provider.get_synthetic_oid(alias)
 
+    def _table_entry(self, kind: str, name: str, local: dict,
+                     request: Callable[[int], str],
+                     parse: Callable[[str], object]):
+        """The statement's map, then the shared cache, then the provider."""
+        oid = self.table_oid(name)
+        parsed = local.get(oid)
+        if parsed is not None:
+            self._hit(kind)
+            return parsed
+        shared = self.shared
+        if shared is not None:
+            epoch, parsed = shared.lookup(kind, name)
+            if parsed is not None:
+                self._hit(kind)
+                local[oid] = parsed
+                return parsed
+        self._miss(kind)
+        with self.tracer.span("metadata_lookup", kind=kind, name=name):
+            parsed = parse(request(oid))
+        local[oid] = parsed
+        if shared is not None:
+            self._fetched_tables[(kind, _table_key(name))] = (epoch, parsed)
+        return parsed
+
     # -- relation metadata --------------------------------------------------------
 
     def relation(self, name: str) -> TableSchema:
         """Relation metadata, parsed from the provider's DXL answer."""
-        oid = self.table_oid(name)
-        cached = self._relation_cache.get(oid)
-        if cached is not None:
-            self._hit("relation")
-            return cached
-        self._miss("relation")
-        with self.tracer.span("metadata_lookup", kind="relation",
-                              name=name):
-            parsed = dxl.relation_from_dxl(
-                self.provider.get_relation_dxl(oid))
-        self._relation_cache.put(oid, parsed)
-        return parsed
+        return self._table_entry("relation", name, self._relations,
+                                 self.provider.get_relation_dxl,
+                                 dxl.relation_from_dxl)
 
     # Alias used by the selectivity estimator protocol.
     def table(self, name: str) -> TableSchema:
@@ -172,28 +216,24 @@ class MDAccessor:
 
     def statistics(self, name: str) -> TableStatistics:
         """Table statistics, parsed from the provider's DXL answer."""
-        oid = self.table_oid(name)
-        cached = self._statistics_cache.get(oid)
-        if cached is not None:
-            self._hit("statistics")
-            return cached
-        self._miss("statistics")
-        with self.tracer.span("metadata_lookup", kind="statistics",
-                              name=name):
-            parsed = dxl.statistics_from_dxl(
-                self.provider.get_statistics_dxl(oid))
-        self._statistics_cache.put(oid, parsed)
-        return parsed
+        return self._table_entry("statistics", name, self._statistics,
+                                 self.provider.get_statistics_dxl,
+                                 dxl.statistics_from_dxl)
 
     # -- types -----------------------------------------------------------------------
 
     def type_info(self, type_oid: int) -> dict:
-        cached = self._type_cache.get(type_oid)
+        cached = self._types.get(type_oid)
+        if cached is None and self.shared is not None:
+            cached = self.shared.type_info(type_oid)
+            if cached is not None:
+                self._types[type_oid] = cached
         if cached is not None:
             self._hit("type")
             return cached
         self._miss("type")
         with self.tracer.span("metadata_lookup", kind="type"):
             parsed = dxl.type_from_dxl(self.provider.get_type_dxl(type_oid))
-        self._type_cache.put(type_oid, parsed)
+        self._types[type_oid] = parsed
+        self._fetched_types[type_oid] = parsed
         return parsed

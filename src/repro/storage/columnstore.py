@@ -24,8 +24,8 @@ two chunks.  Scan order is therefore insertion order only until the
 first DELETE — no order was ever promised without ORDER BY.  Zone maps
 of touched chunks stay *exact* — a column is rescanned only when the
 value that left was its min or max and no equal value remains — so
-``can_skip`` answers what a table rebuilt from the same rows would;
-ANALYZE recomputes all zone maps (``rebuild_zone_maps``).
+``can_skip`` answers what a table rebuilt from the same rows would, and
+ANALYZE leaves zone maps alone: there is nothing to recompute.
 
 Chunk skipping: scans pass a list of *zone predicates* — pre-extracted
 ``(kind, position, ...)`` tuples derived from a scan's filter conjuncts
@@ -142,22 +142,6 @@ class ColumnChunk:
 
     def null_count(self, position: int) -> int:
         return self.null_bits[position].bit_count()
-
-    def rebuild_zone_maps(self) -> None:
-        """Recompute min/max/null bitmaps from the column values
-        (ANALYZE; insert-time maintenance keeps them fresh, this makes
-        them canonical even if values were mutated in place)."""
-        for position, column in enumerate(self.columns):
-            bits = 0
-            values = column
-            if None in column:
-                for offset, value in enumerate(column):
-                    if value is None:
-                        bits |= 1 << offset
-                values = [value for value in column if value is not None]
-            self.null_bits[position] = bits
-            self.mins[position] = min(values) if values else None
-            self.maxs[position] = max(values) if values else None
 
     # -- zone-map predicate test --------------------------------------------------
 
@@ -303,10 +287,6 @@ class ColumnStore:
         if not last.rows:
             self.chunks.pop()
         return moved
-
-    def rebuild_zone_maps(self) -> None:
-        for chunk in self.chunks:
-            chunk.rebuild_zone_maps()
 
     def column_values(self, column_name: str) -> Iterator:
         """All values of one column: the chunks' own column lists

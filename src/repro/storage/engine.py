@@ -378,7 +378,6 @@ class StorageEngine:
                 unique=column.name in unique_columns,
                 with_histogram=with_histograms,
             )
-        store.rebuild_zone_maps()
         self.catalog.set_statistics(table_name, statistics)
         key = table_name.lower()
         self._analyzed[key] = (self._mutations[key], with_histograms,

@@ -16,13 +16,15 @@ through compiled expressions (``exec.compiled_exprs`` > 0) with results
 identical to the row engine's.  The e2e ``repeat_tpch`` statements must
 do exactly the storage and per-node work recorded before the batch
 kernels, and their index nested loops must emit through the batched
-probe.
+probe.  A second compile of a TPC-DS statement must fetch no relation
+or statistics DXL: Orca's metadata cache outlives the statement.
 """
 
 import pytest
 
 from repro import Database, DatabaseConfig
 from repro.observability import find_spans
+from repro.workloads.tpcds import TPCDS_QUERIES, load_tpcds
 from repro.workloads.tpch import TPCH_QUERIES, load_tpch
 
 SMOKE_QUERIES = (5, 8, 9)
@@ -388,6 +390,31 @@ def test_analyze_of_an_unchanged_database_analyzes_nothing():
     db.analyze()
     assert db.metrics.count("analyze.tables_analyzed") == before
     assert db.metrics.count("analyze.tables_skipped") == tables
+
+
+# -- the shared metadata cache -------------------------------------------------------
+
+
+@pytest.mark.parametrize("number", (1, 3, 11))
+def test_second_compile_fetches_no_metadata(number):
+    """``compile_mix`` compiles the same TPC-DS statements over and over:
+    after the first compile every relation and statistics entry comes
+    from the database's metadata cache, and the plan text is the same."""
+    db = Database()
+    load_tpcds(db, scale=0.05)
+    sql = TPCDS_QUERIES[number]
+    first = db.compile_only(sql)
+    assert first.optimizer_used == "orca"
+
+    def fetches():
+        return (db.metrics.count("metadata.requests.statistics_dxl"),
+                db.metrics.count("metadata.requests.relation_dxl"))
+
+    before = fetches()
+    assert min(before) > 0
+    second = db.compile_only(sql)
+    assert fetches() == before
+    assert second.explain == first.explain
 
 
 #: The e2e ``repeat_tpch`` statements at TPC-H scale 1, run once each in

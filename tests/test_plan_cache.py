@@ -406,23 +406,31 @@ class TestCostBoundPruning:
             span.attributes["memo_alternatives"]
 
 
-# -- the bounded metadata cache -------------------------------------------------------
+# -- the shared metadata cache -------------------------------------------------------
 
 
-class TestBoundedMDCache:
+class TestSharedMDCacheSize:
 
-    def test_tiny_capacity_evicts_and_counts(self, db):
-        db.config.mdcache_capacity = 1
-        result = db.run(JOIN_SQL, optimizer="orca", use_plan_cache=False)
-        assert result.optimizer_used == "orca"
-        stats = db.last_router.last_accessor.stats()
-        assert stats["capacity"] == 1
-        assert stats["evictions"] > 0
-        assert sum(stats["evictions_by_kind"].values()) == \
-            stats["evictions"]
-        assert db.metrics.count("mdcache.evictions") == stats["evictions"]
+    def test_one_slot_per_kind_per_table_orca_has_read(self, db):
+        """The cache is bounded by what Orca reads, not by a capacity:
+        one relation and one statistics slot per table, however many
+        statements read it and however often ANALYZE moves its epoch."""
+        def expected(*tables):
+            return {(kind, table) for table in tables
+                    for kind in ("relation", "statistics")}
 
-    def test_default_capacity_never_evicts_here(self, db):
-        result = db.run(JOIN_SQL, optimizer="orca", use_plan_cache=False)
-        assert result.optimizer_used == "orca"
-        assert db.last_router.last_accessor.stats()["evictions"] == 0
+        assert db.mdcache.slots() == {}
+        for __ in range(3):
+            result = db.run(JOIN_SQL, optimizer="orca", use_plan_cache=False)
+            assert result.optimizer_used == "orca"
+        assert set(db.mdcache.slots()) == expected(
+            "customer", "orders", "lineitem")
+        db.run(FIVE_WAY_SQL, optimizer="orca", use_plan_cache=False)
+        read = expected("customer", "orders", "lineitem", "part")
+        assert set(db.mdcache.slots()) == read
+        for __ in range(3):
+            db.storage.analyze_table("orders")
+            db.run(FIVE_WAY_SQL, optimizer="orca", use_plan_cache=False)
+        slots = db.mdcache.slots()
+        assert set(slots) == read
+        assert slots[("statistics", "orders")] == db.catalog.epoch("orders")

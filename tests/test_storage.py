@@ -431,13 +431,32 @@ class TestZoneMaps:
         assert [r[0] for r in batched] == [i for i in range(16)
                                            if i // 4 in (0, 3)]
 
-    def test_analyze_rebuilds_zone_maps(self):
+    def test_analyze_leaves_exact_zone_maps_unchanged(self):
+        # Writes keep every zone map exact, so ANALYZE has nothing to
+        # rebuild: the maps after it are the ones before it, and both
+        # are what the chunk's values say.
         engine = make_column_engine(batch_size=4)
-        engine.load_rows("t", [(i, i, float(i)) for i in range(8)])
+        engine.load_rows("t", [(i, i % 3 or None, float(i))
+                               for i in range(10)])
+        engine.update_rows("t", [0], [(0, None, 99.0)])
+        engine.delete_rows("t", [4, 9])
         store = engine.store("t")
-        store.chunks[0].mins[0] = -999  # simulate drift
+
+        def zone_maps():
+            return [(list(chunk.null_bits), list(chunk.mins),
+                     list(chunk.maxs)) for chunk in store.chunks]
+
+        before = zone_maps()
         engine.analyze_table("t")
-        assert store.chunks[0].mins[0] == 0
+        assert zone_maps() == before
+        for chunk, (null_bits, mins, maxs) in zip(store.chunks, before):
+            for position, column in enumerate(chunk.columns):
+                values = [v for v in column if v is not None]
+                assert mins[position] == min(values, default=None)
+                assert maxs[position] == max(values, default=None)
+                assert null_bits[position] == sum(
+                    1 << offset for offset, v in enumerate(column)
+                    if v is None)
 
     def test_delete_all_empties_store_and_reinsert_is_exact(self):
         # Ported from the replace_rows test: delete-all leaves an empty
