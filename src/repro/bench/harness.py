@@ -11,11 +11,16 @@ the cap.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
+from repro.bridge.router import OrcaRouter, orca_config_for
 from repro.database import Database
 from repro.errors import DeadlineExceededError, ExecutionError
+from repro.observability import Tracer, find_spans
+from repro.sql.parser import parse_statement
+from repro.sql.prepare import prepare
+from repro.sql.resolver import Resolver
 
 
 @dataclass
@@ -331,15 +336,34 @@ def _median(values: List[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
-def _memo_counters(result) -> tuple:
-    """(cost evaluations, pruned candidates) summed over a traced run."""
-    from repro.observability import find_spans
+def orca_search(db: Database, sql: str, pruning: bool = True) -> tuple:
+    """Compile ``sql`` through the Orca detour, traced, with cost-bound
+    pruning on or off; returns ``(skeleton, memo_search spans)``.
 
+    The unpruned search is an ``OrcaConfig`` setting only, so this
+    drives the Orca router directly with the database's search
+    configuration and that one flag changed.  The skeleton is None when
+    the detour fell back.
+    """
+    stmt = parse_statement(sql)
+    block, context = Resolver(db.catalog).resolve(stmt)
+    prepare(block)
+    orca_config = replace(orca_config_for(db.config),
+                          enable_cost_bound_pruning=pruning)
+    tracer = Tracer()
+    with tracer.span("compile") as root:
+        skeleton = OrcaRouter(db.catalog, db.config, orca_config,
+                              tracer=tracer, mdcache=db.mdcache
+                              ).optimize(stmt, block, context)
+    return skeleton, find_spans(root, "memo_search")
+
+
+def _memo_counters(spans) -> tuple:
+    """(cost evaluations, pruned candidates) summed over ``spans``."""
     evaluations = pruned = 0
-    if result.trace is not None:
-        for span in find_spans(result.trace, "memo_search"):
-            evaluations += span.attributes.get("cost_evaluations", 0)
-            pruned += span.attributes.get("pruned_candidates", 0)
+    for span in spans:
+        evaluations += span.attributes.get("cost_evaluations", 0)
+        pruned += span.attributes.get("pruned_candidates", 0)
     return evaluations, pruned
 
 
@@ -352,9 +376,10 @@ def plan_cache_report(db: Database, queries: Dict[int, str], name: str,
     For each query: ``samples`` cold runs (plan cache bypassed) give the
     before-medians, a priming run populates the cache, and ``samples``
     warm runs give the after-medians (each asserted against
-    ``plan_cache_hit``).  One traced run with cost-bound pruning on and
-    one with it off give the cost-model evaluation counts the pruning
-    comparison needs.  Returns a JSON-serialisable dict.
+    ``plan_cache_hit``).  For Orca-routed queries, one traced compile
+    with cost-bound pruning on and one with it off give the cost-model
+    evaluation counts the pruning comparison needs.  Returns a
+    JSON-serialisable dict.
     """
     per_query = {}
     for number in sorted(queries):
@@ -368,14 +393,12 @@ def plan_cache_report(db: Database, queries: Dict[int, str], name: str,
             cold_optimize.append(run.compile_seconds)
             cold_execute.append(run.execute_seconds)
 
-        previous = db.config.orca_cost_bound_pruning
-        db.config.orca_cost_bound_pruning = True
-        pruned_run = db.run(sql, trace=True, use_plan_cache=False)
-        pruned_evaluations, pruned_candidates = _memo_counters(pruned_run)
-        db.config.orca_cost_bound_pruning = False
-        unpruned_run = db.run(sql, trace=True, use_plan_cache=False)
-        unpruned_evaluations, __ = _memo_counters(unpruned_run)
-        db.config.orca_cost_bound_pruning = previous
+        pruned_evaluations = pruned_candidates = unpruned_evaluations = 0
+        if optimizer_used == "orca":
+            pruned_evaluations, pruned_candidates = _memo_counters(
+                orca_search(db, sql, pruning=True)[1])
+            unpruned_evaluations, __ = _memo_counters(
+                orca_search(db, sql, pruning=False)[1])
 
         db.run(sql)  # prime the cache (a miss that stores)
         warm_optimize: List[float] = []

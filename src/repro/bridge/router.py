@@ -49,6 +49,15 @@ def _search_mode(config) -> JoinSearchMode:
         ) from None
 
 
+def orca_config_for(config) -> OrcaConfig:
+    """The Orca search configuration a ``DatabaseConfig`` selects."""
+    return OrcaConfig(
+        search=_search_mode(config),
+        join_strategy=getattr(config, "orca_join_strategy", "adaptive"),
+        lindp_threshold=getattr(config, "orca_lindp_threshold", 12),
+        goo_threshold=getattr(config, "orca_goo_threshold", 25))
+
+
 class OrcaRouter:
     """Drives the full Orca detour for one statement."""
 
@@ -67,19 +76,8 @@ class OrcaRouter:
         #: capped to the statement's remaining deadline, and cooperative
         #: cancellation fires at the budget's own check sites.
         self.governor = governor
-        if orca_config is not None:
-            self.orca_config = orca_config
-        else:
-            self.orca_config = OrcaConfig(
-                search=_search_mode(config),
-                enable_cost_bound_pruning=getattr(
-                    config, "orca_cost_bound_pruning", True),
-                join_strategy=getattr(
-                    config, "orca_join_strategy", "adaptive"),
-                lindp_threshold=getattr(
-                    config, "orca_lindp_threshold", 12),
-                goo_threshold=getattr(
-                    config, "orca_goo_threshold", 25))
+        self.orca_config = (orca_config if orca_config is not None
+                            else orca_config_for(config))
         if tracer is None:
             from repro.observability import NOOP_TRACER
             tracer = NOOP_TRACER

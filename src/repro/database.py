@@ -161,10 +161,6 @@ class DatabaseConfig:
     plan_cache_enabled: bool = True
     #: Maximum cached statement plans (LRU beyond this).
     plan_cache_capacity: int = 128
-    #: Branch-and-bound pruning in Orca's DP join search (see
-    #: ``OrcaConfig.enable_cost_bound_pruning``); off only to measure
-    #: the unpruned search.
-    orca_cost_bound_pruning: bool = True
     #: Join-order strategy policy: "adaptive" selects full DP /
     #: linearized DP / GOO / greedy per joined component by size and
     #: remaining compile budget; "dp", "lindp", "goo", or "greedy"

@@ -9,7 +9,7 @@ which can serve join-dependent lookups, and what they would cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.catalog.schema import Index
 from repro.executor.plan import AccessMethod
@@ -228,17 +228,21 @@ def _merge_bounds(a: _RangeBound, b: _RangeBound) -> _RangeBound:
 def ref_access(block: QueryBlock, entry: TableEntry,
                conjuncts: List[ast.Expr], available: frozenset,
                estimator: SelectivityEstimator,
-               cost_model: MySQLCostModel) -> Optional[AccessPlan]:
+               cost_model: MySQLCostModel,
+               refs: Callable[[ast.Expr], frozenset] = referenced_entries
+               ) -> Optional[AccessPlan]:
     """Best join-dependent index lookup (MySQL ``ref``/``eq_ref`` access).
 
     ``available`` is the set of entry ids whose slots are bound when the
     lookup runs (the placed prefix plus correlation sources).  Equality
     conjuncts of the form ``entry.col = expr(available)`` matching an
-    index prefix become lookup keys.
+    index prefix become lookup keys.  ``refs`` names the entry ids an
+    expression reads; a caller probing the same conjuncts many times
+    passes a memo of :func:`referenced_entries`.
     """
     if entry.kind is not EntryKind.BASE or entry.table_schema is None:
         return None
-    equalities = _join_equalities(entry, conjuncts, available)
+    equalities = _join_equalities(entry, conjuncts, available, refs)
     if not equalities:
         return None
     table_rows = estimator.table_rows(block, entry.entry_id)
@@ -280,7 +284,8 @@ def ref_access(block: QueryBlock, entry: TableEntry,
 
 
 def _join_equalities(entry: TableEntry, conjuncts: List[ast.Expr],
-                     available: frozenset):
+                     available: frozenset,
+                     refs: Callable[[ast.Expr], frozenset]):
     """Map column position -> (conjunct, outer expr) for usable equalities."""
     result = {}
     for conjunct in conjuncts:
@@ -293,7 +298,7 @@ def _join_equalities(entry: TableEntry, conjuncts: List[ast.Expr],
                 continue
             if own.entry_id != entry.entry_id:
                 continue
-            other_refs = referenced_entries(other)
+            other_refs = refs(other)
             if entry.entry_id in other_refs:
                 continue
             if not other_refs.issubset(available):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.errors import BudgetExceededError, OrcaError
 from repro.mysql_optimizer.access_path import best_local_access, ref_access
@@ -45,7 +45,7 @@ from repro.orca.largejoin import (
     DEFAULT_LINDP_THRESHOLD,
     JoinStrategy,
 )
-from repro.orca.memo import Group, Memo
+from repro.orca.memo import Group, Memo, lowest_unit, units_of
 from repro.orca.operators import (
     JoinVariant,
     LogicalGet,
@@ -128,8 +128,51 @@ def plan_unit(unit: LogicalGet, block: QueryBlock,
     return access, access.est_cost, rows, get
 
 
+class _EntryRefs(dict):
+    """Per-search memo of :func:`referenced_entries`, keyed by the
+    expression itself (AST nodes hash by identity).  The join search
+    hands the same conjuncts to ``ref_access`` thousands of times per
+    block; each tree is walked once."""
+
+    def __missing__(self, expr: ast.Expr) -> FrozenSet[int]:
+        refs = self[expr] = referenced_entries(expr)
+        return refs
+
+
+def _splits(subset: int, full_bushy: bool) -> Iterator[Tuple[int, int]]:
+    """The ``(side_a, side_b)`` splits of ``subset`` the DP tries.
+
+    Full bushy: every split into two non-empty sides with the lowest
+    unit on side A (both orientations are offered by the caller, so
+    this halves the enumeration).  Side A's other units run through the
+    proper submasks of the rest in ascending order — ``(sub - rest) &
+    rest`` steps to the next one.  Zig-zag: one unit on side B, in
+    ascending unit order.
+    """
+    if full_bushy:
+        low = subset & -subset
+        rest = subset ^ low
+        sub = 0
+        while sub != rest:
+            yield low | sub, rest ^ sub
+            sub = (sub - rest) & rest
+    else:
+        remaining = subset
+        while remaining:
+            bit = remaining & -remaining
+            remaining ^= bit
+            yield subset ^ bit, bit
+
+
 class OrcaJoinSearch:
-    """Join ordering for one block's inner-join core."""
+    """Join ordering for one block's inner-join core.
+
+    A set of join units is an integer mask throughout (bit ``i`` = unit
+    ``i``): memo keys, DP subsets and their splits, GOO's forest, LINDP's
+    intervals.  What subset tests need is computed once per search —
+    each join conjunct's unit mask and equality sides, each unit's
+    neighbour mask — so the DP's inner loop is integer arithmetic.
+    """
 
     def __init__(self, units: List[LogicalGet], conjuncts: List[ast.Expr],
                  block: QueryBlock, estimator: SelectivityEstimator,
@@ -156,12 +199,11 @@ class OrcaJoinSearch:
         #: Branch-and-bound pruning: skip costing a candidate join pair
         #: when an admissible lower bound (the inputs' best costs plus
         #: the cheapest join step the pair could possibly take — see
-        #: :meth:`_pair_lower_bound`) already reaches the target group's
-        #: best complete plan.  The DP seeds bounds from a cheap
-        #: left-deep first pass, so pruning bites from the first
-        #: expansion.  Sound: a pruned candidate can never beat the
-        #: incumbent, so the chosen plan's cost equals the unpruned
-        #: search's choice.
+        #: :meth:`_offer_pair`) already reaches the target group's best
+        #: complete plan.  The DP seeds bounds from a cheap left-deep
+        #: first pass, so pruning bites from the first expansion.
+        #: Sound: a pruned candidate can never beat the incumbent, so
+        #: the chosen plan's cost equals the unpruned search's choice.
         self.enable_pruning = enable_pruning
         #: Strategy-selector configuration (the ``orca_join_strategy`` /
         #: ``orca_lindp_threshold`` / ``orca_goo_threshold`` knobs).
@@ -179,35 +221,42 @@ class OrcaJoinSearch:
         #: component to its best incumbent plan.
         self.strategies: List[Tuple[str, int]] = []
         self.budget_degradations = 0
-        self._entry_sets = [frozenset({unit.descriptor.entry.entry_id})
-                            for unit in units]
+        self._entry_ids = [unit.descriptor.entry.entry_id for unit in units]
         self._local: List[Tuple[AccessPlan, float, float, PhysicalGet]] = []
         for index, unit in enumerate(units):
             self._local.append(self._plan_unit(index))
-        # Per-conjunct (touched unit set, fully-mapped flag), computed
-        # once: ``referenced_entries`` walks the expression tree, and the
-        # large-join searches consult conjunct applicability O(n^2) to
-        # O(n^3) times per component.  Each entry id belongs to exactly
-        # one unit, so entry-set tests reduce to unit-set tests:
-        # refs `subset of` entries(S)  <=>  mapped and units `subset of` S.
-        self._conjunct_units: List[Tuple[FrozenSet[int], bool]] = []
-        all_entries: set = set()
-        for entries in self._entry_sets:
-            all_entries |= entries
-        for conjunct in conjuncts:
-            refs = referenced_entries(conjunct) - self.corr
-            touched = frozenset(
-                index for index, entries in enumerate(self._entry_sets)
-                if entries & refs)
-            mapped = bool(refs) and refs.issubset(all_entries)
-            self._conjunct_units.append((touched, mapped))
-        self._edges = self._build_edges()
-        self._rows_cache: Dict[FrozenSet[int], float] = {}
-        self._conn_cache: Dict[FrozenSet[int], bool] = {}
+        self._refs = _EntryRefs()
+        # Per conjunct, once: the mask of the units it touches and
+        # whether every entry it references (correlation sources aside)
+        # is a unit's.  Each entry id belongs to exactly one unit, so
+        # "refs within the entries of S" is "mapped and mask within S".
+        # A conjunct touching two or more units is a join-graph edge
+        # whether mapped or not; only a mapped one can be applied.
+        unit_of = {entry: index
+                   for index, entry in enumerate(self._entry_ids)}
+        reach = [0] * len(units)
+        #: ``(conjunct index, unit mask, equality sides)`` of every
+        #: mapped conjunct spanning two or more units, in conjunct order.
+        #: Equality sides are the ``(left, right)`` unit masks of an
+        #: ``=`` whose sides both reference units, else None.
+        self._joins: List[Tuple[int, int, Optional[Tuple[int, int]]]] = []
+        for conjunct_index, conjunct in enumerate(conjuncts):
+            mask, mapped = self._unit_mask(self._refs[conjunct], unit_of)
+            if not mask & (mask - 1):
+                continue
+            for index in units_of(mask):
+                reach[index] |= mask
+            if mapped:
+                self._joins.append((conjunct_index, mask,
+                                    self._equality_sides(conjunct, unit_of)))
+        #: Neighbour mask of each unit in the join graph.
+        self._neighbors = [mask & ~(1 << index)
+                           for index, mask in enumerate(reach)]
+        self._rows_cache: Dict[int, float] = {}
+        self._conn_cache: Dict[int, bool] = {}
+        self._bound_cache: Dict[int, FrozenSet[int]] = {}
         self._join_sel_cache: Dict[int, float] = {}
-        self._neighbor_cache: Optional[Dict[int, FrozenSet[int]]] = None
-        self._pair_sel_cache: Dict[FrozenSet[int],
-                                   Dict[Tuple[int, int], float]] = {}
+        self._pair_sel_cache: Dict[int, Dict[Tuple[int, int], float]] = {}
 
     def _check_budget(self) -> None:
         if self.budget is not None:
@@ -220,38 +269,63 @@ class OrcaJoinSearch:
         return plan_unit(self.units[index], self.block, self.estimator,
                          self.cost_model, self.sub_estimates, self.corr)
 
-    def _build_edges(self) -> List[FrozenSet[int]]:
-        return [units for units, __ in self._conjunct_units
-                if len(units) >= 2]
+    def _unit_mask(self, refs: FrozenSet[int], unit_of: Dict[int, int]
+                   ) -> Tuple[int, bool]:
+        """(mask of the units ``refs`` touch, whether all of ``refs``
+        other than correlation sources are units' entries)."""
+        refs = refs - self.corr
+        mask = 0
+        mapped = bool(refs)
+        for entry in refs:
+            index = unit_of.get(entry)
+            if index is None:
+                mapped = False
+            else:
+                mask |= 1 << index
+        return mask, mapped
 
-    def _connected(self, subset: FrozenSet[int]) -> bool:
-        if len(subset) <= 1:
-            return True
-        cached = self._conn_cache.get(subset)
-        if cached is not None:
-            return cached
-        result = self._connected_uncached(subset)
-        self._conn_cache[subset] = result
-        return result
+    def _equality_sides(self, conjunct: ast.Expr, unit_of: Dict[int, int]
+                        ) -> Optional[Tuple[int, int]]:
+        if not (isinstance(conjunct, ast.BinaryExpr)
+                and conjunct.op is ast.BinOp.EQ):
+            return None
+        left, left_mapped = self._unit_mask(self._refs[conjunct.left],
+                                            unit_of)
+        right, right_mapped = self._unit_mask(self._refs[conjunct.right],
+                                              unit_of)
+        if not left_mapped or not right_mapped:
+            return None
+        return left, right
 
-    def _connected_uncached(self, subset: FrozenSet[int]) -> bool:
-        seen = {next(iter(subset))}
-        frontier = list(seen)
+    def _closure(self, seed: int, within: int) -> int:
+        """The units of ``within`` reachable from ``seed`` over join
+        edges that stay inside ``within``."""
+        neighbors = self._neighbors
+        seen = frontier = seed
         while frontier:
-            current = frontier.pop()
-            for edge in self._edges:
-                if current in edge:
-                    for other in edge:
-                        if other in subset and other not in seen:
-                            seen.add(other)
-                            frontier.append(other)
-        return len(seen) == len(subset)
+            reach = 0
+            for index in units_of(frontier):
+                reach |= neighbors[index]
+            frontier = reach & within & ~seen
+            seen |= frontier
+        return seen
 
-    def _entries_of(self, subset: FrozenSet[int]) -> FrozenSet[int]:
-        entries: set = set()
-        for index in subset:
-            entries |= self._entry_sets[index]
-        return frozenset(entries)
+    def _connected(self, subset: int) -> bool:
+        cached = self._conn_cache.get(subset)
+        if cached is None:
+            cached = self._closure(subset & -subset, subset) == subset
+            self._conn_cache[subset] = cached
+        return cached
+
+    def _bound_entries(self, side: int) -> FrozenSet[int]:
+        """Entry ids bound while ``side`` drives an index lookup: its
+        units' entries plus the correlation sources."""
+        cached = self._bound_cache.get(side)
+        if cached is None:
+            cached = self.corr | frozenset(
+                self._entry_ids[index] for index in units_of(side))
+            self._bound_cache[side] = cached
+        return cached
 
     # -- cardinality -----------------------------------------------------------------
 
@@ -263,33 +337,42 @@ class OrcaJoinSearch:
             self._join_sel_cache[conjunct_index] = cached
         return cached
 
-    def subset_rows(self, subset: FrozenSet[int]) -> float:
+    def subset_rows(self, subset: int) -> float:
         cached = self._rows_cache.get(subset)
         if cached is not None:
             return cached
         rows = 1.0
-        for index in subset:
+        for index in units_of(subset):
             rows *= self._local[index][2]
-        for conjunct_index, (units, mapped) in \
-                enumerate(self._conjunct_units):
-            if mapped and len(units) >= 2 and units <= subset:
+        for conjunct_index, mask, __ in self._joins:
+            if not mask & ~subset:
                 rows *= self._join_selectivity(conjunct_index)
         rows = max(1e-3, rows)
         self._rows_cache[subset] = rows
         return rows
 
-    def _cross_conjuncts(self, side_a: FrozenSet[int],
-                         side_b: FrozenSet[int]) -> List[ast.Expr]:
-        visible = side_a | side_b
-        result = []
-        for conjunct_index, (units, mapped) in \
-                enumerate(self._conjunct_units):
-            if mapped and units and units <= visible \
-                    and units & side_a and units & side_b:
-                result.append(self.conjuncts[conjunct_index])
-        return result
+    def _cross(self, side_a: int, side_b: int
+               ) -> Tuple[List[ast.Expr], bool]:
+        """The conjuncts a join of A and B applies — every unit they
+        touch is in A or B, at least one on each side — in conjunct
+        order, and whether one of them is an equality with one side in
+        A and the other in B (a hash key).  Symmetric in A and B."""
+        outside = ~(side_a | side_b)
+        not_a = ~side_a
+        not_b = ~side_b
+        cross: List[ast.Expr] = []
+        equi = False
+        for conjunct_index, mask, sides in self._joins:
+            if mask & outside or not mask & side_a or not mask & side_b:
+                continue
+            cross.append(self.conjuncts[conjunct_index])
+            if not equi and sides is not None:
+                left, right = sides
+                equi = (not left & not_a and not right & not_b) or \
+                    (not left & not_b and not right & not_a)
+        return cross, equi
 
-    def pair_selectivities(self, component: FrozenSet[int]
+    def pair_selectivities(self, component: int
                            ) -> Dict[Tuple[int, int], float]:
         """Combined selectivity of the two-unit conjuncts per unit pair,
         keyed ``(low, high)`` — the IKKBZ/GOO steering matrix.  Conjuncts
@@ -300,42 +383,19 @@ class OrcaJoinSearch:
         if cached is not None:
             return cached
         result: Dict[Tuple[int, int], float] = {}
-        for conjunct_index, (units, mapped) in \
-                enumerate(self._conjunct_units):
-            if mapped and len(units) == 2 and units <= component:
-                low, high = sorted(units)
-                result[(low, high)] = result.get((low, high), 1.0) \
-                    * self._join_selectivity(conjunct_index)
+        for conjunct_index, mask, __ in self._joins:
+            high = mask & (mask - 1)
+            if high & (high - 1) or mask & ~component:
+                continue
+            pair = (lowest_unit(mask), high.bit_length() - 1)
+            result[pair] = result.get(pair, 1.0) \
+                * self._join_selectivity(conjunct_index)
         self._pair_sel_cache[component] = result
         return result
 
-    def unit_neighbors(self) -> Dict[int, FrozenSet[int]]:
-        """Units adjacent to each unit in the join graph."""
-        if self._neighbor_cache is None:
-            neighbors: Dict[int, set] = {
-                index: set() for index in range(len(self.units))}
-            for edge in self._edges:
-                for member in edge:
-                    neighbors[member] |= edge - {member}
-            self._neighbor_cache = {index: frozenset(adjacent)
-                                    for index, adjacent
-                                    in neighbors.items()}
-        return self._neighbor_cache
-
-    def _has_equi(self, conjuncts: List[ast.Expr], entries_a: FrozenSet[int],
-                  entries_b: FrozenSet[int]) -> bool:
-        for conjunct in conjuncts:
-            if isinstance(conjunct, ast.BinaryExpr) and \
-                    conjunct.op is ast.BinOp.EQ:
-                left = referenced_entries(conjunct.left) - self.corr
-                right = referenced_entries(conjunct.right) - self.corr
-                if not left or not right:
-                    continue
-                if (left.issubset(entries_a) and right.issubset(entries_b)) \
-                        or (left.issubset(entries_b)
-                            and right.issubset(entries_a)):
-                    return True
-        return False
+    def unit_neighbors(self) -> List[int]:
+        """Neighbour mask of each unit in the join graph."""
+        return self._neighbors
 
     # -- search entry point --------------------------------------------------------------
 
@@ -344,7 +404,7 @@ class OrcaJoinSearch:
             raise OrcaError("join search requires at least one unit")
         if len(self.units) == 1:
             __, cost, rows, get = self._local[0]
-            group = self.memo.group(frozenset({0}))
+            group = self.memo.group(1)
             group.rows = rows
             group.offer(get, cost, costed=False)
             return get, cost, rows
@@ -362,23 +422,14 @@ class OrcaJoinSearch:
             plan, rows = join, out_rows
         return plan, cost, rows
 
-    def _components(self) -> List[FrozenSet[int]]:
-        remaining = set(range(len(self.units)))
-        components: List[FrozenSet[int]] = []
+    def _components(self) -> List[int]:
+        """Connected components of the join graph, by lowest unit."""
+        remaining = (1 << len(self.units)) - 1
+        components: List[int] = []
         while remaining:
-            seed = next(iter(remaining))
-            seen = {seed}
-            frontier = [seed]
-            while frontier:
-                current = frontier.pop()
-                for edge in self._edges:
-                    if current in edge:
-                        for other in edge:
-                            if other in remaining and other not in seen:
-                                seen.add(other)
-                                frontier.append(other)
-            components.append(frozenset(seen))
-            remaining -= seen
+            component = self._closure(remaining & -remaining, remaining)
+            components.append(component)
+            remaining ^= component
         return components
 
     def _remaining_seconds(self) -> Optional[float]:
@@ -386,20 +437,20 @@ class OrcaJoinSearch:
             return None
         return self.budget.remaining_seconds()
 
-    def _search_component(self, component: FrozenSet[int]
+    def _search_component(self, component: int
                           ) -> Tuple[PhysicalOp, float, float]:
-        if len(component) == 1:
-            index = next(iter(component))
-            __, cost, rows, get = self._local[index]
-            group = self.memo.group(frozenset({index}))
+        if not component & (component - 1):
+            __, cost, rows, get = self._local[component.bit_length() - 1]
+            group = self.memo.group(component)
             group.rows = rows
             group.offer(get, cost, costed=False)
             return get, cost, rows
+        size = bin(component).count("1")
         strategy = largejoin.select_strategy(
-            len(component), self.mode is JoinSearchMode.GREEDY,
+            size, self.mode is JoinSearchMode.GREEDY,
             self.strategy_policy, self.lindp_threshold,
             self.goo_threshold, self._remaining_seconds())
-        self.strategies.append((strategy.value, len(component)))
+        self.strategies.append((strategy.value, size))
         try:
             return self._run_strategy(strategy, component)
         except BudgetExceededError:
@@ -411,17 +462,15 @@ class OrcaJoinSearch:
             # tight even seeding was cut short) the error propagates and
             # containment maps it to FallbackReason.BUDGET_EXCEEDED as
             # before.
-            key = frozenset(component)
-            if self.budget is not None and self.memo.has_group(key):
-                group = self.memo.group(key)
+            if self.budget is not None and self.memo.has_group(component):
+                group = self.memo.group(component)
                 if group.best_plan is not None:
                     self.budget.degrade()
                     self.budget_degradations += 1
                     return group.best_plan, group.best_cost, group.rows
             raise
 
-    def _run_strategy(self, strategy: JoinStrategy,
-                      component: FrozenSet[int]
+    def _run_strategy(self, strategy: JoinStrategy, component: int
                       ) -> Tuple[PhysicalOp, float, float]:
         if strategy is JoinStrategy.GREEDY:
             return self._greedy(component)
@@ -435,15 +484,14 @@ class OrcaJoinSearch:
 
     def ensure_singleton(self, index: int) -> Group:
         """Memo group for one unit, seeded with its standalone plan."""
-        group = self.memo.group(frozenset({index}))
+        group = self.memo.group(1 << index)
         if group.best_plan is None:
             __, cost, rows, get = self._local[index]
             group.rows = rows
             group.offer(get, cost, costed=False)
         return group
 
-    def join_groups(self, union: FrozenSet[int], side_a: FrozenSet[int],
-                    side_b: FrozenSet[int]) -> Group:
+    def join_groups(self, union: int, side_a: int, side_b: int) -> Group:
         """Offer both orientations of A join B into ``union``'s group.
 
         Guaranteed to leave a plan in the group: when neither
@@ -459,20 +507,19 @@ class OrcaJoinSearch:
         group.rows = self.subset_rows(union)
         group_a = self.memo.group(side_a)
         group_b = self.memo.group(side_b)
-        self._offer_joins_bounded(group, group_a, group_b)
-        self._offer_joins_bounded(group, group_b, group_a)
+        self._offer_pair(group, group_a, group_b)
         if group.best_plan is None:
             current = side_a
-            for index in sorted(side_b):
-                current = self.join_groups(
-                    current | {index}, current, frozenset({index})).key
+            for index in units_of(side_b):
+                unit = 1 << index
+                current = self.join_groups(current | unit, current,
+                                           unit).key
         return group
 
     # -- dynamic programming ----------------------------------------------------------------
 
-    def _dp(self, component: FrozenSet[int]
-            ) -> Tuple[PhysicalOp, float, float]:
-        members = sorted(component)
+    def _dp(self, component: int) -> Tuple[PhysicalOp, float, float]:
+        members = units_of(component)
         for index in members:
             self.ensure_singleton(index)
         # A cheap first pass populates the chain-prefix groups (and the
@@ -486,9 +533,11 @@ class OrcaJoinSearch:
         # hyperedge connectivity).
         self._seed_bounds(component)
         full_bushy = self.mode is JoinSearchMode.EXHAUSTIVE2
+        bits = [1 << index for index in members]
+        self._conn_cache.update(dict.fromkeys(bits, True))
         probe = 0
-        for size in range(2, len(members) + 1):
-            for combo in itertools.combinations(members, size):
+        for size in range(2, len(bits) + 1):
+            for combo in itertools.combinations(bits, size):
                 # Probe the budget on candidate subsets, not only on the
                 # connected ones _expand_subset sees: on sparse graphs
                 # connectivity rejects almost every subset, and a forced
@@ -498,16 +547,22 @@ class OrcaJoinSearch:
                 probe += 1
                 if not probe & _BUDGET_PROBE_MASK:
                     self._check_budget()
-                subset = frozenset(combo)
-                if not self._connected(subset):
-                    continue
-                self._expand_subset(subset, full_bushy)
-        final = self.memo.group(frozenset(component))
+                subset = sum(combo)
+                if self._connected(subset):
+                    self._expand_subset(subset, full_bushy)
+        final = self.memo.group(component)
         if final.best_plan is None:
             return self._greedy(component)
         return final.best_plan, final.best_cost, final.rows
 
-    def _seed_bounds(self, component: FrozenSet[int],
+    def _cheapest(self, candidates: int) -> int:
+        """The candidate unit with the fewest standalone rows, then the
+        lowest standalone cost, then the lowest index."""
+        return min(units_of(candidates),
+                   key=lambda index: (self._local[index][2],
+                                      self._local[index][1]))
+
+    def _seed_bounds(self, component: int,
                      with_incumbents: bool = True) -> None:
         """Seed complete plans for branch-and-bound and degradation.
 
@@ -520,110 +575,76 @@ class OrcaJoinSearch:
         first expansion.  (GOO's own seeding passes ``False`` — it
         *is* the incumbent builder.)
         """
-        remaining = set(component)
-        neighbors = self.unit_neighbors()
-        first = min(remaining,
-                    key=lambda index: (self._local[index][2],
-                                       self._local[index][1]))
+        first = self._cheapest(component)
         order = [first]
-        remaining.discard(first)
-        frontier = set(neighbors[first]) & remaining
+        remaining = component & ~(1 << first)
+        frontier = self._neighbors[first] & remaining
         while remaining:
-            candidates = frontier or remaining
-            next_index = min(candidates,
-                             key=lambda index: (self._local[index][2],
-                                                self._local[index][1]))
+            next_index = self._cheapest(frontier or remaining)
             order.append(next_index)
-            remaining.discard(next_index)
-            frontier.discard(next_index)
-            frontier |= set(neighbors[next_index]) & remaining
+            remaining &= ~(1 << next_index)
+            frontier = (frontier | self._neighbors[next_index]) & remaining
         self._cost_chain(order)
-        if with_incumbents and len(component) >= 4:
+        if with_incumbents and len(order) >= 4:
             self._cost_chain(largejoin.ikkbz_order(self, component))
             largejoin.goo_search(self, component)
 
-    def _expand_subset(self, subset: FrozenSet[int],
-                       full_bushy: bool) -> None:
+    def _expand_subset(self, subset: int, full_bushy: bool) -> None:
         self._check_budget()
         self.expansions += 1
-        group = self.memo.group(subset)
+        memo_group = self.memo.group
+        # Every proper subset was classified before this expansion
+        # (:meth:`_dp` runs sizes upwards and classifies the singletons
+        # first), so connectivity is a cache read.
+        connected = self._conn_cache
+        group = memo_group(subset)
         group.rows = self.subset_rows(subset)
-        members = sorted(subset)
-        if full_bushy:
-            partitions = self._all_partitions(members)
-        else:
-            partitions = [(frozenset(subset - {index}), frozenset({index}))
-                          for index in members]
-        for side_a, side_b in partitions:
-            if not self._connected(side_a) or not self._connected(side_b):
+        for side_a, side_b in _splits(subset, full_bushy):
+            if not connected[side_a] or not connected[side_b]:
                 continue
-            group_a = self.memo.group(side_a)
-            group_b = self.memo.group(side_b)
+            group_a = memo_group(side_a)
+            group_b = memo_group(side_b)
             if group_a.best_plan is None or group_b.best_plan is None:
                 continue
-            self._offer_joins_bounded(group, group_a, group_b)
-            self._offer_joins_bounded(group, group_b, group_a)
+            self._offer_pair(group, group_a, group_b)
 
-    def _offer_joins_bounded(self, group, group_a, group_b) -> None:
-        """Offer joins of A and B unless branch-and-bound rules them out.
+    def _offer_pair(self, group: Group, group_a: Group,
+                    group_b: Group) -> None:
+        """Offer A join B, then B join A, into ``group``, each unless
+        branch and bound rules that orientation out.
 
-        ``_pair_lower_bound`` underestimates every candidate this
-        orientation could offer; once it reaches the group's best
-        complete plan no candidate from this pair can win, so none is
-        built or costed.
+        The bound underestimates every candidate :meth:`_offer_joins`
+        could build for one orientation: a hash join costs its inputs
+        plus the (deterministic, rows-only) hash formula; a singleton
+        inner side additionally allows an index NL join — which omits
+        the inner group's cost but pays at least one B-tree descent per
+        outer row — and an NL rescan of the inner unit's known access
+        cost.  Once it reaches the group's best complete plan nothing
+        from that orientation can win, so nothing is built or costed:
+        the floor formulas don't count as cost-model evaluations.
         """
-        if self.enable_pruning and group.best_plan is not None and \
-                self._pair_lower_bound(group, group_a, group_b) \
-                >= group.best_cost:
-            self.pruned_candidates += 1
-            group.note_pruned()
-            return
-        self._offer_joins(group, group_a, group_b)
-
-    def _pair_lower_bound(self, group, group_a, group_b) -> float:
-        """An admissible lower bound for joining A (outer) with B.
-
-        Mirrors exactly the candidate set :meth:`_offer_joins` builds
-        for this orientation: a hash join costs its inputs plus the
-        (deterministic, rows-only) hash formula; a singleton inner side
-        additionally allows an index NL join — which omits the inner
-        group's cost but pays at least one B-tree descent per outer
-        row — and an NL rescan of the inner unit's known access cost.
-        The floor formulas don't count as cost-model evaluations, which
-        is the point: a pruned pair does no costing work at all.
-        """
-        rows_a = group_a.rows
-        rows_b = group_b.rows
-        inputs = group_a.best_cost + group_b.best_cost
-        bound = inputs + self.cost_model.hash_join_floor(
-            rows_b, rows_a, group.rows)
-        if len(group_b.key) == 1:
-            unit_cost = self._local[next(iter(group_b.key))][1]
-            bound = min(
-                bound,
-                inputs + rows_a * unit_cost,
-                group_a.best_cost
-                + self.cost_model.index_nljoin_floor(rows_a))
-        return bound
-
-    def _all_partitions(self, members: List[int]):
-        """All 2-way partitions of the member list (first side holds the
-        lowest member to halve the enumeration; both orientations are
-        offered by the caller)."""
-        rest = members[1:]
-        first = members[0]
-        partitions = []
-        for mask in range(0, 1 << len(rest)):
-            side_a = {first}
-            side_b = set()
-            for bit, member in enumerate(rest):
-                if mask & (1 << bit):
-                    side_a.add(member)
-                else:
-                    side_b.add(member)
-            if side_b:
-                partitions.append((frozenset(side_a), frozenset(side_b)))
-        return partitions
+        cross = None
+        for outer, inner in ((group_a, group_b), (group_b, group_a)):
+            if self.enable_pruning and group.best_plan is not None:
+                rows_outer = outer.rows
+                inputs = outer.best_cost + inner.best_cost
+                bound = inputs + self.cost_model.hash_join_floor(
+                    inner.rows, rows_outer, group.rows)
+                key = inner.key
+                if not key & (key - 1):
+                    unit_cost = self._local[key.bit_length() - 1][1]
+                    bound = min(
+                        bound,
+                        inputs + rows_outer * unit_cost,
+                        outer.best_cost
+                        + self.cost_model.index_nljoin_floor(rows_outer))
+                if bound >= group.best_cost:
+                    self.pruned_candidates += 1
+                    group.note_pruned()
+                    continue
+            if cross is None:
+                cross = self._cross(group_a.key, group_b.key)
+            self._offer_joins(group, outer, inner, cross)
 
     def _prune_candidate(self, group, floor: float) -> bool:
         """Candidate-level branch and bound: skip one candidate whose
@@ -636,43 +657,46 @@ class OrcaJoinSearch:
         group.note_pruned()
         return True
 
-    def _offer_joins(self, group, group_a, group_b) -> None:
-        """Offer join alternatives with A as the row-driving (outer) side."""
-        subset = group.key
+    def _offer_joins(self, group: Group, group_a: Group, group_b: Group,
+                     cross: Tuple[List[ast.Expr], bool]) -> None:
+        """Offer join alternatives with A as the row-driving (outer) side.
+
+        ``cross`` is :meth:`_cross` of the two sides.
+        """
+        conjuncts, equi = cross
         out_rows = group.rows
         rows_a = group_a.rows
         rows_b = group_b.rows
         inputs = group_a.best_cost + group_b.best_cost
         plan_a = group_a.best_plan
         plan_b = group_b.best_plan
-        cross = self._cross_conjuncts(group_a.key, group_b.key)
-        entries_a = self._entries_of(group_a.key)
-        entries_b = self._entries_of(group_b.key)
 
         # Hash join: probe with A, build with B.
-        if self._has_equi(cross, entries_a, entries_b) and \
-                not self._prune_candidate(
-                    group, inputs + self.cost_model.hash_join_floor(
-                        rows_b, rows_a, out_rows)):
+        if equi and not self._prune_candidate(
+                group, inputs + self.cost_model.hash_join_floor(
+                    rows_b, rows_a, out_rows)):
             cost = (inputs
                     + self.cost_model.hash_join_cost(rows_b, rows_a,
                                                      out_rows))
-            join = PhysicalHashJoin(plan_a, plan_b, JoinVariant.INNER, cross)
+            join = PhysicalHashJoin(plan_a, plan_b, JoinVariant.INNER,
+                                    conjuncts)
             join.cost, join.rows = cost, out_rows
             group.offer(join, cost)
 
         # Index NL join: only when the inner side is a single base unit.
-        if len(group_b.key) == 1:
-            index = next(iter(group_b.key))
+        side_b = group_b.key
+        if not side_b & (side_b - 1):
+            index = side_b.bit_length() - 1
             unit = self.units[index]
             entry = unit.descriptor.entry
             if entry.kind is EntryKind.BASE and not self._prune_candidate(
                     group, group_a.best_cost
                     + self.cost_model.index_nljoin_floor(rows_a)):
                 ref = ref_access(self.block, entry,
-                                 unit.conjuncts + cross,
-                                 entries_a | self.corr,
-                                 self.estimator, self.cost_model)
+                                 unit.conjuncts + conjuncts,
+                                 self._bound_entries(group_a.key),
+                                 self.estimator, self.cost_model,
+                                 refs=self._refs.__getitem__)
                 if ref is not None:
                     cost = (group_a.best_cost
                             + self.cost_model.index_nljoin_cost(
@@ -682,7 +706,7 @@ class OrcaJoinSearch:
                     inner_get.cost = ref.est_cost
                     inner_get.rows = ref.est_rows
                     join = PhysicalNLJoin(plan_a, inner_get,
-                                          JoinVariant.INNER, cross,
+                                          JoinVariant.INNER, conjuncts,
                                           index_inner=True)
                     join.cost, join.rows = cost, out_rows
                     group.offer(join, cost)
@@ -694,32 +718,27 @@ class OrcaJoinSearch:
                         + self.cost_model.nljoin_rescan_cost(rows_a,
                                                              unit_cost))
                 join = PhysicalNLJoin(plan_a, plan_b, JoinVariant.INNER,
-                                      cross)
+                                      conjuncts)
                 join.cost, join.rows = cost, out_rows
                 group.offer(join, cost)
 
     # -- greedy and polish -------------------------------------------------------------------
 
-    def _greedy(self, component: FrozenSet[int]
-                ) -> Tuple[PhysicalOp, float, float]:
+    def _greedy(self, component: int) -> Tuple[PhysicalOp, float, float]:
         order = self._greedy_order(component)
         return self._cost_chain(order)
 
-    def _greedy_order(self, component: FrozenSet[int]) -> List[int]:
-        remaining = set(component)
+    def _greedy_order(self, component: int) -> List[int]:
         # Drive from the cheapest standalone unit among well-connected ones.
-        order: List[int] = []
-        first = min(remaining,
-                    key=lambda index: (self._local[index][2],
-                                       self._local[index][1]))
-        order.append(first)
-        remaining.discard(first)
+        first = self._cheapest(component)
+        order = [first]
+        placed = 1 << first
+        remaining = component & ~placed
         while remaining:
-            placed = frozenset(order)
-            candidates = [index for index in remaining
-                          if self._connected(placed | {index})]
+            candidates = [index for index in units_of(remaining)
+                          if self._connected(placed | 1 << index)]
             if not candidates:
-                candidates = list(remaining)
+                candidates = units_of(remaining)
             best_index = None
             best_cost = None
             for index in candidates:
@@ -728,7 +747,8 @@ class OrcaJoinSearch:
                     best_cost = cost
                     best_index = index
             order.append(best_index)
-            remaining.discard(best_index)
+            placed |= 1 << best_index
+            remaining &= ~(1 << best_index)
         return order
 
     def _cost_chain(self, order: List[int]
@@ -737,35 +757,35 @@ class OrcaJoinSearch:
         self._check_budget()
         self.chains_costed += 1
         first = order[0]
-        key = frozenset({first})
-        group = self.memo.group(key)
+        placed = 1 << first
+        group = self.memo.group(placed)
         access, cost, rows, get = self._local[first]
         group.rows = rows
         group.offer(get, cost, costed=False)
         plan: PhysicalOp = group.best_plan
         total_cost = group.best_cost
-        placed = {first}
         for index in order[1:]:
-            new_key = frozenset(placed | {index})
+            unit = 1 << index
+            new_key = placed | unit
             new_group = self.memo.group(new_key)
             new_group.rows = self.subset_rows(new_key)
-            pseudo_a = self.memo.group(frozenset(placed))
-            pseudo_a.rows = self.subset_rows(frozenset(placed))
+            pseudo_a = self.memo.group(placed)
+            pseudo_a.rows = self.subset_rows(placed)
             if pseudo_a.best_plan is None or \
                     pseudo_a.best_cost > total_cost:
                 pseudo_a.best_plan = plan
                 pseudo_a.best_cost = total_cost
-            group_b = self.memo.group(frozenset({index}))
+            group_b = self.memo.group(unit)
             if group_b.best_plan is None:
                 access_b, cost_b, rows_b, get_b = self._local[index]
                 group_b.rows = rows_b
                 group_b.offer(get_b, cost_b, costed=False)
-            self._offer_joins(new_group, pseudo_a, group_b)
-            self._offer_joins(new_group, group_b, pseudo_a)
+            cross = self._cross(placed, unit)
+            self._offer_joins(new_group, pseudo_a, group_b, cross)
+            self._offer_joins(new_group, group_b, pseudo_a, cross)
             if new_group.best_plan is None:
                 raise OrcaError("could not join unit into chain")
             plan = new_group.best_plan
             total_cost = new_group.best_cost
-            placed.add(index)
-        final = frozenset(placed)
-        return plan, total_cost, self.subset_rows(final)
+            placed = new_key
+        return plan, total_cost, self.subset_rows(placed)

@@ -43,9 +43,10 @@ fallback (see ``OrcaJoinSearch._search_component``).
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OrcaError
+from repro.orca.memo import lowest_unit, units_of
 from repro.orca.operators import PhysicalOp
 
 
@@ -183,7 +184,7 @@ def _merge_chains(chains: List[List[_Module]]) -> List[_Module]:
     return merged
 
 
-def ikkbz_order(search, component: FrozenSet[int]) -> List[int]:
+def ikkbz_order(search, component: int) -> List[int]:
     """IKKBZ linearization of one connected component.
 
     Builds the minimum-selectivity spanning tree of the component's
@@ -192,7 +193,7 @@ def ikkbz_order(search, component: FrozenSet[int]) -> List[int]:
     several candidate roots with the classic rank/normalize algorithm
     and keeps the order whose ``C_out`` chain cost is smallest.
     """
-    members = sorted(component)
+    members = units_of(component)
     if len(members) <= 2:
         return members
     rows = {index: max(1e-6, search._local[index][2]) for index in members}
@@ -292,7 +293,7 @@ def ikkbz_order(search, component: FrozenSet[int]) -> List[int]:
 # -- GOO: greedy operator ordering --------------------------------------------------
 
 
-def goo_search(search, component: FrozenSet[int]
+def goo_search(search, component: int
                ) -> Tuple[PhysicalOp, float, float]:
     """Greedy operator ordering over one connected component.
 
@@ -312,38 +313,39 @@ def goo_search(search, component: FrozenSet[int]
     # complete incumbent (with_incumbents=False: GOO *is* the
     # incumbent builder — no recursion).
     search._seed_bounds(component, with_incumbents=False)
-    members = sorted(component)
-    forest: List[FrozenSet[int]] = []
-    rows: Dict[FrozenSet[int], float] = {}
-    for index in members:
-        key = frozenset({index})
+    # The forest's trees are unit masks; ``rows`` and ``reach`` (the
+    # units adjacent to a tree) are kept per tree.
+    forest: List[int] = []
+    rows: Dict[int, float] = {}
+    reach: Dict[int, int] = {}
+    neighbors = search.unit_neighbors()
+    for index in units_of(component):
+        key = 1 << index
         group = search.ensure_singleton(index)
         forest.append(key)
         rows[key] = group.rows
-    neighbors = search.unit_neighbors()
+        reach[key] = neighbors[index]
     pair_sel = search.pair_selectivities(component)
-    sel: Dict[Tuple[FrozenSet[int], FrozenSet[int]], float] = {}
+    sel: Dict[Tuple[int, int], float] = {}
     for i, left in enumerate(forest):
         for right in forest[i + 1:]:
-            value = pair_sel.get((min(left), min(right)), 1.0)
+            value = pair_sel.get((lowest_unit(left), lowest_unit(right)),
+                                 1.0)
             if value != 1.0:
                 sel[(left, right)] = value
 
-    def sel_of(a: FrozenSet[int], b: FrozenSet[int]) -> float:
+    def sel_of(a: int, b: int) -> float:
         return sel.get((a, b), sel.get((b, a), 1.0))
-
-    def connected(a: FrozenSet[int], b: FrozenSet[int]) -> bool:
-        return any(neighbors[unit] & b for unit in a)
 
     while len(forest) > 1:
         search._check_budget()
         best_key = None
-        best_pair: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
+        best_pair: Optional[Tuple[int, int]] = None
         for i, left in enumerate(forest):
             for right in forest[i + 1:]:
                 estimate = rows[left] * rows[right] * sel_of(left, right)
-                key = (0 if connected(left, right) else 1,
-                       estimate, min(left), min(right))
+                key = (0 if reach[left] & right else 1,
+                       estimate, lowest_unit(left), lowest_unit(right))
                 if best_key is None or key < best_key:
                     best_key = key
                     best_pair = (left, right)
@@ -351,13 +353,14 @@ def goo_search(search, component: FrozenSet[int]
         union = left | right
         group = search.join_groups(union, left, right)
         forest = [entry for entry in forest
-                  if entry is not left and entry is not right]
+                  if entry != left and entry != right]
         for other in forest:
             product = sel_of(left, other) * sel_of(right, other)
             if product != 1.0:
                 sel[(union, other)] = product
         forest.append(union)
         rows[union] = group.rows
+        reach[union] = reach[left] | reach[right]
     final = search.memo.group(forest[0])
     if final.best_plan is None:  # pragma: no cover — defensive
         raise OrcaError("GOO produced no plan")
@@ -367,7 +370,7 @@ def goo_search(search, component: FrozenSet[int]
 # -- linearized DP ------------------------------------------------------------------
 
 
-def lindp_search(search, component: FrozenSet[int]
+def lindp_search(search, component: int
                  ) -> Tuple[PhysicalOp, float, float]:
     """DP over intervals of the IKKBZ order (possibly-bushy trees).
 
@@ -382,23 +385,26 @@ def lindp_search(search, component: FrozenSet[int]
     order = ikkbz_order(search, component)
     search._cost_chain(order)
     total = len(order)
+    # prefix[k] masks the first k units of the order; the interval
+    # [start, end) is prefix[end] ^ prefix[start].
+    prefix = [0]
+    for index in order:
+        prefix.append(prefix[-1] | 1 << index)
     for length in range(2, total + 1):
         for start in range(0, total - length + 1):
             search._check_budget()
             search.expansions += 1
-            subset = frozenset(order[start:start + length])
+            end = start + length
+            subset = prefix[end] ^ prefix[start]
             group = search.memo.group(subset)
             group.rows = search.subset_rows(subset)
-            for split in range(start + 1, start + length):
-                left = frozenset(order[start:split])
-                right = frozenset(order[split:start + length])
-                group_a = search.memo.group(left)
-                group_b = search.memo.group(right)
+            for split in range(start + 1, end):
+                group_a = search.memo.group(prefix[split] ^ prefix[start])
+                group_b = search.memo.group(prefix[end] ^ prefix[split])
                 if group_a.best_plan is None or group_b.best_plan is None:
                     continue
-                search._offer_joins_bounded(group, group_a, group_b)
-                search._offer_joins_bounded(group, group_b, group_a)
-    final = search.memo.group(frozenset(component))
+                search._offer_pair(group, group_a, group_b)
+    final = search.memo.group(component)
     if final.best_plan is None:  # pragma: no cover — defensive
         raise OrcaError("linearized DP produced no plan")
     return final.best_plan, final.best_cost, final.rows

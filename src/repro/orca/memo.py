@@ -2,7 +2,8 @@
 
 A faithful-in-spirit Cascades memo (Section 8 traces the lineage to
 Volcano/Cascades): each group represents the set of plans producing the
-same logical result — here keyed by the set of join units covered — and
+same logical result — here keyed by the set of join units covered, as
+an integer bitmask (bit ``i`` set = join unit ``i`` covered) — and
 records the cheapest physical expression found for it.  Group ids appear
 in physical operators, which is how the paper's Fig. 6 annotates Orca's
 Q17 plan ("the numbers after the physical operator names are the 'memo'
@@ -15,9 +16,24 @@ cardinalities so exploration work is shared across alternatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, List, Optional
 
 from repro.orca.operators import PhysicalOp
+
+
+def units_of(mask: int) -> List[int]:
+    """The units a mask covers, ascending."""
+    units = []
+    while mask:
+        low = mask & -mask
+        units.append(low.bit_length() - 1)
+        mask ^= low
+    return units
+
+
+def lowest_unit(mask: int) -> int:
+    """The smallest unit a (non-empty) mask covers."""
+    return (mask & -mask).bit_length() - 1
 
 
 @dataclass
@@ -25,7 +41,8 @@ class Group:
     """One memo group: the plans covering a fixed set of join units."""
 
     group_id: int
-    key: FrozenSet[int]
+    #: Unit mask of the join units this group covers.
+    key: int
     best_cost: float = float("inf")
     best_plan: Optional[PhysicalOp] = None
     rows: float = 0.0
@@ -66,13 +83,13 @@ class Group:
 
 
 class Memo:
-    """Group registry keyed by covered-unit sets."""
+    """Group registry keyed by covered-unit masks."""
 
     def __init__(self) -> None:
-        self._groups: Dict[FrozenSet[int], Group] = {}
+        self._groups: Dict[int, Group] = {}
         self._next_id = 0
 
-    def group(self, key: FrozenSet[int]) -> Group:
+    def group(self, key: int) -> Group:
         existing = self._groups.get(key)
         if existing is not None:
             return existing
@@ -81,7 +98,7 @@ class Memo:
         self._groups[key] = group
         return group
 
-    def has_group(self, key: FrozenSet[int]) -> bool:
+    def has_group(self, key: int) -> bool:
         return key in self._groups
 
     @property

@@ -135,3 +135,15 @@ def brute_force(db, tables, predicate, project):
         if predicate(*combo):
             out.append(project(*combo))
     return out
+
+
+def run_orca(db, sql, pruning: bool = True):
+    """Compile ``sql`` through the Orca detour with cost-bound pruning on
+    or off and run the plan; returns ``(rows, memo_search spans)``."""
+    from repro.bench.harness import orca_search
+    from repro.mysql_optimizer.refinement import PlanBuilder
+
+    skeleton, spans = orca_search(db, sql, pruning)
+    assert skeleton is not None, "the Orca detour fell back"
+    rows = PlanBuilder(skeleton, db.catalog, db.storage).build().execute()
+    return rows, spans

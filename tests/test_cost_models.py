@@ -4,7 +4,7 @@ import pytest
 
 from repro.mysql_optimizer.cost import MySQLCostModel
 from repro.orca.cost_model import OrcaCostModel
-from repro.orca.memo import Memo
+from repro.orca.memo import Memo, lowest_unit, units_of
 from repro.orca.operators import PhysicalGet
 
 
@@ -89,20 +89,20 @@ class TestOrcaCostModel:
 class TestMemo:
     def test_group_identity_by_key(self):
         memo = Memo()
-        a = memo.group(frozenset({1, 2}))
-        b = memo.group(frozenset({2, 1}))
+        a = memo.group(0b110)
+        b = memo.group(0b100 | 0b010)
         assert a is b
         assert memo.group_count == 1
 
     def test_group_ids_sequential(self):
         memo = Memo()
-        first = memo.group(frozenset({1}))
-        second = memo.group(frozenset({2}))
+        first = memo.group(0b10)
+        second = memo.group(0b100)
         assert second.group_id == first.group_id + 1
 
     def test_offer_keeps_cheapest(self):
         memo = Memo()
-        group = memo.group(frozenset({1}))
+        group = memo.group(0b10)
         expensive = PhysicalGet.__new__(PhysicalGet)
         expensive.cost = 0.0
         cheap = PhysicalGet.__new__(PhysicalGet)
@@ -115,7 +115,7 @@ class TestMemo:
 
     def test_offer_stamps_group_id(self):
         memo = Memo()
-        group = memo.group(frozenset({3}))
+        group = memo.group(0b1000)
         plan = PhysicalGet.__new__(PhysicalGet)
         plan.cost = 0.0
         group.offer(plan, 1.0)
@@ -123,10 +123,15 @@ class TestMemo:
 
     def test_alternatives_counted(self):
         memo = Memo()
-        group = memo.group(frozenset({1}))
+        group = memo.group(0b10)
         for cost in (3.0, 2.0, 4.0):
             plan = PhysicalGet.__new__(PhysicalGet)
             plan.cost = 0.0
             group.offer(plan, cost)
         assert group.alternatives == 3
         assert memo.total_alternatives == 3
+
+    def test_mask_helpers(self):
+        assert units_of(0b1000010001) == [0, 4, 9]
+        assert lowest_unit(0b1000010000) == 4
+        assert units_of(0) == []

@@ -19,6 +19,7 @@ from repro.orca.largejoin import (
     budget_floor,
     select_strategy,
 )
+from repro.orca.memo import units_of
 from repro.workloads.joins import load_topology, make_topology
 
 
@@ -208,7 +209,7 @@ def test_ikkbz_order_is_a_permutation(monkeypatch):
 
     def spy(search, component):
         order = real(search, component)
-        captured.append((frozenset(component), tuple(order)))
+        captured.append((frozenset(units_of(component)), tuple(order)))
         return order
 
     monkeypatch.setattr(largejoin, "ikkbz_order", spy)

@@ -17,7 +17,9 @@ identical to the row engine's.  The e2e ``repeat_tpch`` statements must
 do exactly the storage and per-node work recorded before the batch
 kernels, and their index nested loops must emit through the batched
 probe.  A second compile of a TPC-DS statement must fetch no relation
-or statistics DXL: Orca's metadata cache outlives the statement.
+or statistics DXL: Orca's metadata cache outlives the statement.  The
+seven ``compile_mix`` join topologies must do exactly the recorded
+memo search work and pick the recorded strategy and cost.
 """
 
 import pytest
@@ -27,35 +29,31 @@ from repro.observability import find_spans
 from repro.workloads.tpcds import TPCDS_QUERIES, load_tpcds
 from repro.workloads.tpch import TPCH_QUERIES, load_tpch
 
+from tests.conftest import run_orca
+
 SMOKE_QUERIES = (5, 8, 9)
 SCALE = 0.02
 
 
 @pytest.fixture(scope="module")
-def smoke_dbs():
-    pruned = Database()
-    load_tpch(pruned, scale=SCALE)
-    unpruned = Database(DatabaseConfig(orca_cost_bound_pruning=False))
-    load_tpch(unpruned, scale=SCALE)
-    return pruned, unpruned
+def smoke_db():
+    db = Database()
+    load_tpch(db, scale=SCALE)
+    return db
 
 
-def _orca_counters(db, sql):
-    result = db.run(sql, optimizer="orca", trace=True,
-                    use_plan_cache=False)
-    assert result.fallback_reason is None
-    spans = find_spans(result.trace, "memo_search")
+def _orca_counters(db, sql, pruning):
+    rows, spans = run_orca(db, sql, pruning=pruning)
     evaluations = sum(s.attributes["cost_evaluations"] for s in spans)
     best_cost = sum(s.attributes["best_cost"] for s in spans)
-    return result.rows, evaluations, best_cost
+    return rows, evaluations, best_cost
 
 
 @pytest.mark.parametrize("number", SMOKE_QUERIES)
-def test_pruning_cuts_evaluations_at_least_25_percent(smoke_dbs, number):
-    pruned_db, unpruned_db = smoke_dbs
+def test_pruning_cuts_evaluations_at_least_25_percent(smoke_db, number):
     sql = TPCH_QUERIES[number]
-    rows_p, evals_p, cost_p = _orca_counters(pruned_db, sql)
-    rows_u, evals_u, cost_u = _orca_counters(unpruned_db, sql)
+    rows_p, evals_p, cost_p = _orca_counters(smoke_db, sql, pruning=True)
+    rows_u, evals_u, cost_u = _orca_counters(smoke_db, sql, pruning=False)
     assert rows_p == rows_u
     # Soundness first: pruning never changes the chosen plan's cost ...
     assert cost_p == pytest.approx(cost_u)
@@ -69,11 +67,10 @@ def test_pruning_cuts_evaluations_at_least_25_percent(smoke_dbs, number):
 
 
 @pytest.mark.parametrize("number", SMOKE_QUERIES)
-def test_second_run_is_a_plan_cache_hit(smoke_dbs, number):
-    pruned_db, __ = smoke_dbs
+def test_second_run_is_a_plan_cache_hit(smoke_db, number):
     sql = TPCH_QUERIES[number]
-    first = pruned_db.run(sql)
-    second = pruned_db.run(sql)
+    first = smoke_db.run(sql)
+    second = smoke_db.run(sql)
     assert not first.plan_cache_hit or first.rows == second.rows
     assert second.plan_cache_hit
     assert second.rows == first.rows
@@ -86,8 +83,8 @@ BATCH_SMOKE_QUERIES = (1, 10)
 
 
 @pytest.mark.parametrize("number", BATCH_SMOKE_QUERIES)
-def test_batch_engine_runs_with_live_counters(smoke_dbs, number):
-    db, __ = smoke_dbs
+def test_batch_engine_runs_with_live_counters(smoke_db, number):
+    db = smoke_db
     sql = TPCH_QUERIES[number]
     row = db.run(sql, optimizer="orca", executor_mode="row")
     before_batches = db.metrics.count("executor.batches")
@@ -104,11 +101,11 @@ def test_batch_engine_runs_with_live_counters(smoke_dbs, number):
 
 
 @pytest.mark.parametrize("number", SMOKE_QUERIES)
-def test_plan_quality_counters_advance(smoke_dbs, number):
+def test_plan_quality_counters_advance(smoke_db, number):
     """Every executed statement feeds the plan-quality loop: the
     ``planq.*`` counters advance and the per-statement snapshot carries
     a finite Q-error for every plan node."""
-    db, __ = smoke_dbs
+    db = smoke_db
     sql = TPCH_QUERIES[number]
     before = db.metrics.count("planq.statements")
     result = db.run(sql)
@@ -122,11 +119,11 @@ def test_plan_quality_counters_advance(smoke_dbs, number):
     assert histogram.max >= quality.max_q or histogram.count > 1
 
 
-def test_plan_quality_export_surfaces(smoke_dbs):
+def test_plan_quality_export_surfaces(smoke_db):
     """After a workload the quality aggregates are exportable: the
     statement log holds fingerprint entries and the Prometheus text
     carries planq series."""
-    db, __ = smoke_dbs
+    db = smoke_db
     db.run(TPCH_QUERIES[SMOKE_QUERIES[0]])
     assert db.statements.quality_stats()["size"] >= 1
     report = db.plan_quality_report()
@@ -225,6 +222,52 @@ def test_wide_joins_stay_off_the_exponential_dp_path():
     assert db.metrics.count("orca.join_strategy.dp") == dp_before
     assert (db.metrics.count("orca.join_strategy.lindp")
             + db.metrics.count("orca.join_strategy.goo")) >= 2
+
+
+#: The seven ``compile_mix`` join topologies at scale 0.25, one Orca
+#: compile each: ``(memo groups, alternatives, offered, pruned, cost
+#: evaluations, dp_expansions, join strategy, best cost)``.  Recorded
+#: from the frozenset-keyed join search before it moved to unit masks;
+#: the representation changes how the search runs, never what it does.
+TOPOLOGY_SEARCH = {
+    ("chain", 10): (55, 121, 134, 409, 151, 45, "dp", 98.545),
+    ("chain", 20): (210, 617, 637, 2388, 670, 190, "lindp", 188.545),
+    ("chain", 30): (86, 87, 117, 115, 132, 0, "goo", 273.425),
+    ("star", 10): (521, 939, 952, 4939, 953, 511, "dp",
+                   120.41499999999996),
+    ("star", 20): (210, 583, 603, 677, 607, 190, "lindp",
+                   242.24499999999995),
+    ("snowflake", 16): (136, 377, 393, 991, 401, 120, "lindp",
+                        181.35499999999993),
+    ("clique", 10): (1023, 4412, 4425, 59190, 7389, 1013, "dp",
+                     22.741165396825394),
+}
+
+
+@pytest.fixture(scope="module")
+def topology_db():
+    from repro.workloads.joins import load_topology, make_topology
+
+    db = Database(DatabaseConfig(plan_cache_enabled=False))
+    for kind, relations in TOPOLOGY_SEARCH:
+        load_topology(db, make_topology(kind, relations, scale=0.25))
+    return db
+
+
+@pytest.mark.parametrize("kind,relations", sorted(TOPOLOGY_SEARCH))
+def test_topology_search_effort_is_pinned(topology_db, kind, relations):
+    from repro.workloads.joins import make_topology
+
+    result = topology_db.run(
+        make_topology(kind, relations, scale=0.25).query,
+        optimizer="orca", trace=True, use_plan_cache=False)
+    assert result.fallback_reason is None
+    (span,) = find_spans(result.trace, "memo_search")
+    a = span.attributes
+    assert (a["memo_groups"], a["memo_alternatives"], a["memo_offered"],
+            a["pruned_candidates"], a["cost_evaluations"],
+            a["dp_expansions"], a["join_strategy"], a["best_cost"]) \
+        == TOPOLOGY_SEARCH[(kind, relations)]
 
 
 def test_parallel_scan_dispatches_more_morsels_than_workers(force_fanout):

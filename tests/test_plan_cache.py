@@ -19,7 +19,7 @@ from repro.observability import find_spans
 from repro.plan_cache import PlanCache, PlanCacheEntry, statement_cache_key
 from repro.resilience import statement_fingerprint
 
-from tests.conftest import build_mini_db
+from tests.conftest import build_mini_db, run_orca
 
 JOIN_SQL = """
 SELECT COUNT(*) FROM customer, orders, lineitem
@@ -351,44 +351,22 @@ class TestFailureInteraction:
 class TestCostBoundPruning:
 
     @pytest.mark.parametrize("sql", [JOIN_SQL, FIVE_WAY_SQL])
-    def test_pruned_search_matches_unpruned_cost(self, sql):
+    def test_pruned_search_matches_unpruned_cost(self, db, sql):
         """Soundness: the bound only skips candidates that cannot beat
         the incumbent, so the chosen plan's cost is identical."""
-        pruned_db = build_mini_db(seed=5, orders=80)
-        unpruned_db = build_mini_db(seed=5, orders=80)
-        unpruned_db.config.orca_cost_bound_pruning = False
-
-        pruned = pruned_db.run(sql, optimizer="orca", trace=True,
-                               use_plan_cache=False)
-        unpruned = unpruned_db.run(sql, optimizer="orca", trace=True,
-                                   use_plan_cache=False)
-        assert pruned.optimizer_used == "orca"
-        assert unpruned.optimizer_used == "orca"
-        assert sorted(pruned.rows) == sorted(unpruned.rows)
-
-        pruned_cost = sum(
-            s.attributes["best_cost"]
-            for s in find_spans(pruned.trace, "memo_search"))
-        unpruned_cost = sum(
-            s.attributes["best_cost"]
-            for s in find_spans(unpruned.trace, "memo_search"))
+        pruned_rows, pruned = run_orca(db, sql, pruning=True)
+        unpruned_rows, unpruned = run_orca(db, sql, pruning=False)
+        assert sorted(pruned_rows) == sorted(unpruned_rows)
+        pruned_cost = sum(s.attributes["best_cost"] for s in pruned)
+        unpruned_cost = sum(s.attributes["best_cost"] for s in unpruned)
         assert pruned_cost == pytest.approx(unpruned_cost)
 
-    def test_pruning_reduces_cost_evaluations(self):
-        pruned_db = build_mini_db(seed=5, orders=80)
-        unpruned_db = build_mini_db(seed=5, orders=80)
-        unpruned_db.config.orca_cost_bound_pruning = False
+    def test_pruning_reduces_cost_evaluations(self, db):
+        def evaluations(pruning):
+            __, spans = run_orca(db, FIVE_WAY_SQL, pruning=pruning)
+            return sum(s.attributes["cost_evaluations"] for s in spans)
 
-        def evaluations(db):
-            result = db.run(FIVE_WAY_SQL, optimizer="orca", trace=True,
-                            use_plan_cache=False)
-            assert result.optimizer_used == "orca"
-            return sum(s.attributes["cost_evaluations"]
-                       for s in find_spans(result.trace, "memo_search"))
-
-        with_pruning = evaluations(pruned_db)
-        without = evaluations(unpruned_db)
-        assert with_pruning < without
+        assert evaluations(True) < evaluations(False)
 
     def test_pruned_candidates_are_counted(self, db):
         result = db.run(FIVE_WAY_SQL, optimizer="orca", trace=True,
