@@ -14,7 +14,7 @@ import statistics
 import time
 from types import SimpleNamespace
 
-from repro import Database, DatabaseConfig
+from repro import Database
 from repro.executor import parallel
 from repro.workloads.tpch import load_tpch, tpch_query
 
@@ -61,7 +61,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=4.0)
     scale = parser.parse_args().scale
-    db = Database(DatabaseConfig(executor_mode="batch"))
+    db = Database()
     load_tpch(db, scale=scale)
     rows = db.storage.store("lineitem").row_count
     morsels = len(db.storage.store("lineitem").chunks)

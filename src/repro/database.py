@@ -172,13 +172,6 @@ class DatabaseConfig:
     #: order; larger ones, greedy operator ordering.
     orca_lindp_threshold: int = 12
     orca_goo_threshold: int = 25
-    #: Execution engine: "batch" runs the vectorized batch-at-a-time
-    #: executor with compiled expressions (statements whose plans it
-    #: cannot lower degrade per-statement to the row engine, recorded as
-    #: ``FallbackReason.EXEC_BATCH_UNSUPPORTED``); "row" forces the
-    #: tuple-at-a-time Volcano interpreter.  Per-query override via
-    #: ``run(sql, executor_mode=...)``.
-    executor_mode: str = "batch"
     #: Plan-quality feedback: a statement execution whose worst per-node
     #: Q-error exceeds this is a *breach* (1.0 = perfect estimate).
     planq_q_threshold: float = 16.0
@@ -235,10 +228,6 @@ class DatabaseConfig:
             raise ReproError(
                 f"unknown routing {self.routing!r}; valid choices: "
                 f"{', '.join(ROUTING_POLICIES)}")
-        if self.executor_mode not in EXECUTOR_MODES:
-            raise ReproError(
-                f"unknown executor_mode {self.executor_mode!r}; valid "
-                f"choices: {', '.join(EXECUTOR_MODES)}")
         if self.orca_search not in JoinSearchMode.__members__:
             valid = ", ".join(JoinSearchMode.__members__)
             raise ReproError(
@@ -295,9 +284,9 @@ class StatementResult:
     #: True when the executable plan came from the statement plan cache
     #: (optimization was skipped entirely).
     plan_cache_hit: bool = False
-    #: Executor mode the statement actually ran in ("batch" or "row");
-    #: may differ from the requested mode when batch lowering refused
-    #: the plan and the statement degraded to the row engine.
+    #: Executor mode the statement ran in: the requested one ("batch"
+    #: unless ``run(sql, executor_mode="row")`` asked for the reference
+    #: interpreter).
     executor_mode: str = "row"
     #: Per-node estimated/actual/Q-error snapshot of this execution;
     #: ``None`` only for DML (no plan tree to compare against).
@@ -670,7 +659,7 @@ class Database:
     def run(self, sql: str, optimizer: str = "auto",
             explain: bool = False, trace: bool = False,
             use_plan_cache: bool = True,
-            executor_mode: Optional[str] = None,
+            executor_mode: str = "batch",
             timeout_seconds: Optional[float] = None,
             memory_limit_bytes: Optional[int] = None,
             cancel_token: Optional[CancelToken] = None,
@@ -686,8 +675,9 @@ class Database:
         span tree (``result.trace``); without it, tracing costs nothing.
         ``use_plan_cache=False`` bypasses the statement plan cache for
         this statement only (no lookup, no store).
-        ``executor_mode="batch"|"row"`` overrides
-        ``config.executor_mode`` for this statement only.
+        Every statement runs on the batch engine; ``executor_mode="row"``
+        runs it on the row interpreter instead, the reference the tests
+        and the benchmark compare the batch engine against.
 
         ``timeout_seconds`` / ``memory_limit_bytes`` override the
         config-default statement bounds for this statement;
@@ -704,7 +694,7 @@ class Database:
         ``executor_workers`` overrides ``config.executor_workers`` for
         this statement (morsel-driven parallelism; batch mode only).
         """
-        if executor_mode is not None and executor_mode not in EXECUTOR_MODES:
+        if executor_mode not in EXECUTOR_MODES:
             raise ReproError(
                 f"unknown executor_mode {executor_mode!r}; valid "
                 f"choices: {', '.join(EXECUTOR_MODES)}")
@@ -734,7 +724,7 @@ class Database:
 
     def _run(self, sql: str, optimizer: str, explain: bool,
              use_plan_cache: bool = True,
-             executor_mode: Optional[str] = None,
+             executor_mode: str = "batch",
              governor: Optional[ExecutionGovernor] = None,
              statement_id: int = 0,
              executor_workers: Optional[int] = None) -> StatementResult:
@@ -760,7 +750,7 @@ class Database:
 
     def _run_governed(self, sql: str, optimizer: str, explain: bool,
                       use_plan_cache: bool,
-                      executor_mode: Optional[str],
+                      mode: str,
                       governor: Optional[ExecutionGovernor],
                       statement_id: int, start: float,
                       stmt_span,
@@ -806,15 +796,14 @@ class Database:
                                      governor=governor)
         explain_text = explain_plan(executor.top_plan) \
             if explain else None
-        mode = executor_mode or self.config.executor_mode
         workers = executor_workers or self.config.executor_workers
         compiled = time.perf_counter()
         with tracer.span("execute") as exec_span:
             rows, executor, governor, low_memory_retry = \
                 self._execute_governed(executor, skeleton, mode,
                                        governor, sql, workers)
-            exec_span.set(executor_mode=executor.last_mode)
-            if executor.last_mode == "batch":
+            exec_span.set(executor_mode=mode)
+            if mode == "batch":
                 runtime = executor.last_runtime
                 exec_span.set(batches=runtime.batches,
                               batch_rows=runtime.batch_rows)
@@ -863,15 +852,6 @@ class Database:
                 optimizer_used=used,
                 table_epochs=executor.table_epochs,
                 fingerprint=statement_fingerprint(sql)))
-        if mode == "batch" and executor.last_mode == "row":
-            # The batch engine refused this plan; record the
-            # degradation through the same taxonomy as detour
-            # fallbacks so operators see it in one report.
-            self.fallback_log.record_fallback(FallbackEvent(
-                fingerprint=statement_fingerprint(sql),
-                reason=FallbackReason.EXEC_BATCH_UNSUPPORTED,
-                error_message=executor.batch_unsupported_reason,
-                sql=sql))
         self.metrics.inc(f"statements.{used}")
         self.metrics.observe("statement.compile_seconds",
                              compiled - start)
@@ -884,7 +864,7 @@ class Database:
                                  governor.memory.peak_bytes)
         stmt_span.set(optimizer_used=used, rows=len(rows),
                       plan_cache_hit=cached is not None,
-                      executor_mode=executor.last_mode)
+                      executor_mode=mode)
         result = StatementResult(
             rows=rows,
             optimizer_used=used,
@@ -893,7 +873,7 @@ class Database:
             explain=explain_text,
             fallback_reason=fallback_reason,
             plan_cache_hit=cached is not None,
-            executor_mode=executor.last_mode,
+            executor_mode=mode,
             plan_quality=quality,
             statement_id=statement_id,
             governor_stats=governor_stats,
@@ -1092,7 +1072,7 @@ class Database:
         return explain_plan(executor.top_plan)
 
     def explain_analyze(self, sql: str, optimizer: str = "auto",
-                        executor_mode: Optional[str] = None,
+                        executor_mode: str = "batch",
                         executor_workers: Optional[int] = None) -> str:
         """EXPLAIN ANALYZE: execute with per-operator actual row counts.
 
@@ -1111,9 +1091,8 @@ class Database:
         from repro.executor.explain import format_stage_footer
         from repro.executor.plan import DerivedMaterializeNode
 
-        mode = executor_mode or self.config.executor_mode
-        if mode not in EXECUTOR_MODES:
-            raise ReproError(f"unknown executor mode {mode!r}; "
+        if executor_mode not in EXECUTOR_MODES:
+            raise ReproError(f"unknown executor mode {executor_mode!r}; "
                              f"expected one of {EXECUTOR_MODES}")
         governor = self._make_governor(None, None, None)
         previous = self.tracer
@@ -1127,7 +1106,7 @@ class Database:
                 compiled = time.perf_counter()
                 with self.tracer.span("execute"):
                     executor.execute(
-                        mode=mode, governor=governor,
+                        mode=executor_mode, governor=governor,
                         workers=(executor_workers
                                  or self.config.executor_workers),
                         tracer=self.tracer)
@@ -1167,7 +1146,7 @@ class Database:
             memo_groups=memo_groups,
             memo_alternatives=memo_alternatives,
             memo_pruned=memo_pruned,
-            executor_mode=executor.last_mode,
+            executor_mode=executor_mode,
             batches=executor.last_runtime.batches,
             batch_rows=executor.last_runtime.batch_rows,
             compiled_exprs=executor.compiled_expr_count,

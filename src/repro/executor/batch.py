@@ -9,13 +9,13 @@ lowered into Python source code with MySQL's three-valued NULL semantics
 spelled out inline, ``compile()``-d once, and evaluated with a single
 function call per batch.
 
-The compiler is deliberately conservative: any construct whose batch
-semantics are not a provable 1:1 match of the row interpreter (subquery
-expressions, window functions, correlated materialisations) raises
-:class:`BatchUnsupported`, and the executor degrades the whole statement
-to the row engine (recorded as ``FallbackReason.EXEC_BATCH_UNSUPPORTED``).
-Correctness is anchored by the equivalence harness in
-``tests/test_executor_equivalence.py``.
+Lowering is total: every plan runs in batch mode.  A window function
+runs the row engine's window kernel over its buffered input; a subquery
+expression is one call per row into the row engine's compiled closure,
+whose body runs through the row plan (``Executor.run_block``), as a
+nested-loop inner runs through ``run_ctx``.  The row engine is the
+reference (``run(sql, executor_mode="row")``) that
+``tests/test_executor_equivalence.py`` holds this engine to.
 
 Layout of a generated evaluator for ``o_totalprice > 100 AND o_status =
 'F'`` over entry 0 (``_c0`` is the bound constant 100)::
@@ -63,6 +63,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.errors import ExecutionError
 from repro.executor.expression import (
     RAW_SCALARS,
+    ExpressionCompiler,
     arith_add,
     arith_sub,
     cast_value,
@@ -71,6 +72,11 @@ from repro.executor.expression import (
     numeric_arithmetic,
 )
 from repro.sql import ast
+from repro.sql.blocks import (
+    QueryBlock,
+    correlation_sources,
+    referenced_entries,
+)
 
 #: Default rows per batch.  Big enough to amortise per-batch dispatch,
 #: small enough to keep intermediate columns cache-resident.  The live
@@ -78,19 +84,6 @@ from repro.sql import ast
 #: runtime (``ExecutionRuntime.batch_size``); this module-level constant
 #: is only the default for components constructed without one.
 BATCH_SIZE = 1024
-
-
-class BatchUnsupported(ExecutionError):
-    """The batch engine cannot run this construct; use the row engine.
-
-    Raised during plan lowering (never mid-execution on supported plans);
-    the executor catches it and degrades the statement to the row
-    interpreter, so this is a routing signal rather than a user error.
-    """
-
-    def __init__(self, construct: str) -> None:
-        super().__init__(f"batch executor does not support {construct}")
-        self.construct = construct
 
 
 class RowBatch:
@@ -278,28 +271,26 @@ class BatchExpressionCompiler:
     bound into the function's globals.
 
     ``compiled_count`` tracks successful compilations for the
-    ``exec.compiled_exprs`` metric.
+    ``exec.compiled_exprs`` metric.  ``subplan_host`` (the
+    :class:`~repro.executor.executor.Executor`) serves subquery
+    expressions, as it does for the row compiler.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, subplan_host=None) -> None:
         self.compiled_count = 0
+        self._subplan_host = subplan_host
 
     # -- public API -------------------------------------------------------------
 
     def compile(self, expr: ast.Expr,
                 available: Optional[frozenset] = None) -> BatchExpr:
         """Compile one expression; ``available`` restricts which entry
-        ids it may read (a read outside the batch's columns raises
-        :class:`BatchUnsupported` — the row engine's global context could
-        serve it, the batch cannot)."""
+        ids it may read (a batch holds only its operator subtree's
+        columns)."""
         emitter = _Emitter()
         state = _GenState()
         result = self._gen(expr, emitter, state)
-        if available is not None and not state.entries.issubset(available):
-            missing = sorted(state.entries - available)
-            raise BatchUnsupported(
-                f"expression reading entries {missing} outside its "
-                f"operator subtree")
+        _check_reads(state, available)
         if isinstance(expr, ast.ColumnRef):
             fn = self._assemble_column(expr)
         else:
@@ -324,11 +315,7 @@ class BatchExpressionCompiler:
         state = _GenState()
         out = state.temp()
         self._gen_conjunction(list(conjuncts), emitter, state, out)
-        if available is not None and not state.entries.issubset(available):
-            missing = sorted(state.entries - available)
-            raise BatchUnsupported(
-                f"filter reading entries {missing} outside its operator "
-                f"subtree")
+        _check_reads(state, available)
         fn = self._assemble(emitter, state, out)
         self.compiled_count += 1
         return fn
@@ -375,9 +362,13 @@ class BatchExpressionCompiler:
                 f"        _ap({result})\n"
                 "    return _out\n")
         else:
-            # Row-invariant expression: evaluate once, replicate.
+            # Row-invariant expression: evaluate once, replicate — and
+            # not at all for no rows, as the row engine would not (an
+            # uncorrelated subquery would otherwise run).
             source = (
                 "def _eval(_b):\n"
+                "    if not _b.length:\n"
+                "        return []\n"
                 f"{emitter.render(4)}\n"
                 f"    return [{result}] * _b.length\n")
         return _evaluator(source, dict(state.env))
@@ -399,8 +390,8 @@ class BatchExpressionCompiler:
              state: "_GenState") -> str:
         method = getattr(self, "_gen_" + type(expr).__name__, None)
         if method is None:
-            raise BatchUnsupported(
-                f"expression node {type(expr).__name__}")
+            raise ExecutionError(
+                f"cannot compile expression node {type(expr).__name__}")
         return method(expr, emitter, state)
 
     # -- leaves -------------------------------------------------------------
@@ -689,16 +680,24 @@ class BatchExpressionCompiler:
         gen_chain(0)
         return out
 
-    # -- unsupported constructs ------------------------------------------------------
+    # -- subquery expressions --------------------------------------------------------
 
-    def _gen_ScalarSubquery(self, expr, emitter, state) -> str:
-        raise BatchUnsupported("scalar subquery expressions")
+    def _gen_subquery(self, expr, emitter, state) -> str:
+        """A scalar / IN / EXISTS subquery expression as one row-engine
+        call per row.  The call first writes the row's value of every
+        entry the expression reads — its own columns and its subquery
+        blocks' correlation sources — into the runtime context."""
+        fn = ExpressionCompiler(self._subplan_host).compile(expr)
+        entries = sorted(_row_reads(expr))
+        state.entries.update(entries)
+        call = state.const(_row_call(self._subplan_host, fn, entries))
+        out = state.temp()
+        rows = ", ".join(f"_r{e}" for e in entries)
+        emitter.emit(f"{out} = {call}({rows})")
+        return out
 
-    def _gen_InSubqueryExpr(self, expr, emitter, state) -> str:
-        raise BatchUnsupported("IN (subquery) expressions")
-
-    def _gen_ExistsExpr(self, expr, emitter, state) -> str:
-        raise BatchUnsupported("EXISTS (subquery) expressions")
+    _gen_ScalarSubquery = _gen_InSubqueryExpr = _gen_ExistsExpr = \
+        _gen_subquery
 
     def _gen_AggCall(self, expr, emitter, state) -> str:
         raise ExecutionError(
@@ -743,6 +742,41 @@ class _GenState:
         return f"{body} if ({test}) else None"
 
 
+def _check_reads(state: _GenState, available: Optional[frozenset]) -> None:
+    """A batch holds only its operator subtree's columns: a read outside
+    them is a plan-building bug, as an unresolved column is."""
+    if available is not None and not state.entries.issubset(available):
+        missing = sorted(state.entries - available)
+        raise ExecutionError(
+            f"expression reads entries {missing} outside its operator "
+            f"subtree")
+
+
+def _row_reads(expr: ast.Expr) -> set:
+    """Entry ids a row evaluation of ``expr`` reads from the context:
+    its columns plus its subquery blocks' correlation sources (which
+    also covers references from subqueries nested inside those)."""
+    reads = set(referenced_entries(expr))
+    for node in expr.walk():
+        block = getattr(node, "block", None)
+        if isinstance(block, QueryBlock):
+            reads.update(correlation_sources(block))
+    return reads
+
+
+def _row_call(host, fn, entries: List[int]) -> Callable:
+    """``fn``, a row-compiled expression, as a call on one batch row's
+    ``entries`` values, which it writes into the in-flight runtime's
+    context first."""
+    def call(*rows):
+        ctx = host.current_runtime.ctx
+        for entry, row in zip(entries, rows):
+            ctx[entry] = row
+        return fn(ctx)
+
+    return call
+
+
 # ---------------------------------------------------------------------------
 # Plan lowering
 # ---------------------------------------------------------------------------
@@ -758,12 +792,12 @@ def lower_executor(executor) -> int:
     any other inner side is *not* lowered: it executes through the row
     interpreter under a context populated from the outer batch, which
     keeps correlated access paths and pushed-down predicates exact.
+    Subquery blocks are not reached through plan nodes and stay row
+    plans: subquery expressions run them through ``Executor.run_block``.
 
-    Returns the number of expressions compiled.  Raises
-    :class:`BatchUnsupported` when any required construct cannot be
-    lowered; the caller then degrades the statement to the row engine.
+    Returns the number of expressions compiled.
     """
-    compiler = BatchExpressionCompiler()
+    compiler = BatchExpressionCompiler(executor)
     _lower_query_plan(executor.top_plan, compiler, set())
     return compiler.compiled_count
 
@@ -791,8 +825,11 @@ def _lower_node(node, compiler: BatchExpressionCompiler,
         return
     seen.add(id(node))
 
-    if isinstance(node, p.WindowNode):
-        raise BatchUnsupported("window functions")
+    if isinstance(node, (p.WindowNode, p.LimitNode)):
+        # The window kernel evaluates its row-compiled specs over the
+        # buffered rows; a limit evaluates nothing.
+        _lower_node(node.child, compiler, seen)
+        return
 
     if isinstance(node, p.NestedLoopJoinNode):
         # Outer side runs batched.  An index-lookup inner keyed on outer
@@ -851,13 +888,10 @@ def _lower_node(node, compiler: BatchExpressionCompiler,
             for spec in node.specs]
         return
 
-    if isinstance(node, p.LimitNode):
-        _lower_node(node.child, compiler, seen)
-        return
-
     if isinstance(node, p.DerivedMaterializeNode):
-        if node.correlation_sources:
-            raise BatchUnsupported("correlated materialisation")
+        # Never correlated here: a correlated derived table reads outer
+        # slots, so it is always a nested-loop inner, which is not
+        # lowered.
         _lower_query_plan(node.subplan, compiler, seen)
         node.bx_filter = compiler.compile_filter(
             node.filter_conjuncts, frozenset({node.entry_id}))
@@ -884,13 +918,15 @@ def _lower_node(node, compiler: BatchExpressionCompiler,
             node.filter_conjuncts, frozenset({node.entry_id}))
         return
 
-    raise BatchUnsupported(f"plan node {type(node).__name__}")
+    raise ExecutionError(
+        f"no batch lowering for plan node {type(node).__name__}")
 
 
 def _lower_probe(node, compiler: BatchExpressionCompiler) -> None:
     """Make a nested-loop join a batched index probe when its inner side
-    is an index lookup whose keys read only outer entries and every
-    predicate involved compiles; otherwise leave it on ``run_ctx``."""
+    is an index lookup whose keys read only outer entries and whose
+    predicates read only the joined entries; otherwise leave it on
+    ``run_ctx``."""
     from repro.executor import plan as p
 
     inner = node.inner
@@ -898,16 +934,14 @@ def _lower_probe(node, compiler: BatchExpressionCompiler) -> None:
         return
     outer = frozenset(node.outer.produced_entries())
     joined = outer | {inner.entry_id}
-    try:
-        keys = compiler.compile_many(inner.key_exprs, outer)
-        inner_filter = compiler.compile_filter(inner.filter_conjuncts,
-                                               joined)
-        condition = compiler.compile_filter(node.conjuncts, joined)
-        join_filter = compiler.compile_filter(node.filter_conjuncts, joined)
-    except BatchUnsupported:
+    predicates = inner.filter_conjuncts + node.conjuncts \
+        + node.filter_conjuncts
+    if any(not _row_reads(key) <= outer for key in inner.key_exprs) \
+            or any(not _row_reads(predicate) <= joined
+                   for predicate in predicates):
         return
-    inner.bx_keys = keys
-    inner.bx_filter = inner_filter
-    node.bx_condition = condition
-    node.bx_filter = join_filter
+    inner.bx_keys = compiler.compile_many(inner.key_exprs, outer)
+    inner.bx_filter = compiler.compile_filter(inner.filter_conjuncts, joined)
+    node.bx_condition = compiler.compile_filter(node.conjuncts, joined)
+    node.bx_filter = compiler.compile_filter(node.filter_conjuncts, joined)
     node.bx_probe = True

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ExecutionError
-from repro.executor.batch import BatchUnsupported, lower_executor
+from repro.executor.batch import lower_executor
 from repro.executor.parallel import ParallelContext
 from repro.executor.plan import (
     ExecutionRuntime,
@@ -37,16 +37,12 @@ class Executor:
         #: The runtime of the in-flight execution; compiled subquery
         #: closures read this to find per-execution caches.
         self.current_runtime: Optional[ExecutionRuntime] = None
-        #: Batch-lowering state, cached per Executor (plans are shared
-        #: across executions through the statement plan cache).  None =
-        #: not attempted; True = lowered; False = unsupported.
-        self._batch_lowered: Optional[bool] = None
-        #: Expressions compiled by a successful lowering.
+        #: Whether the plans carry their batch lowering, done once per
+        #: Executor (plans are shared across executions through the
+        #: statement plan cache).
+        self._batch_lowered = False
+        #: Expressions compiled by the lowering.
         self.compiled_expr_count = 0
-        #: Why batch lowering refused this statement (str or None).
-        self.batch_unsupported_reason: Optional[str] = None
-        #: Mode the most recent execute() actually ran in.
-        self.last_mode = "row"
         #: Governor of the most recent execute(), for post-execution
         #: reporting (EXPLAIN ANALYZE footer, StatementResult stats).
         self.last_governor = None
@@ -119,51 +115,41 @@ class Executor:
             node.actual_loops = 0
             node.px_workers = 0
 
-    def ensure_batch_lowered(self, tracer=None) -> bool:
+    def ensure_batch_lowered(self, tracer=None) -> None:
         """Lower the statement's plans for batch execution (cached).
 
-        Returns True when the batch path is available; on the first
-        refusal records ``batch_unsupported_reason`` and permanently
-        routes this statement to the row engine.  The first call runs
-        under a ``lower`` span (``compiled_exprs``, ``outcome`` =
-        ``batch`` | ``row``); later calls, plan-cache hits included,
-        cost nothing.
+        The first call runs under a ``lower`` span (``compiled_exprs``);
+        later calls, plan-cache hits included, cost nothing.
         """
-        if self._batch_lowered is None:
+        if not self._batch_lowered:
             with (tracer or NOOP_TRACER).span("lower") as span:
-                try:
-                    self.compiled_expr_count = lower_executor(self)
-                    self._batch_lowered = True
-                except BatchUnsupported as exc:
-                    self._batch_lowered = False
-                    self.batch_unsupported_reason = str(exc)
-                span.set(compiled_exprs=self.compiled_expr_count,
-                         outcome="batch" if self._batch_lowered else "row")
-        return self._batch_lowered
+                self.compiled_expr_count = lower_executor(self)
+                self._batch_lowered = True
+                span.set(compiled_exprs=self.compiled_expr_count)
 
     def execute(self, mode: str = "row",
                 metrics=None, governor=None, injector=None,
                 workers: int = 1, tracer=None) -> List[tuple]:
-        """Run the statement and return all output rows.
+        """Run the statement in ``mode`` ("batch" or "row", the
+        reference interpreter) and return all output rows.
 
-        ``mode`` is the *requested* executor mode; ``last_mode`` reports
-        what actually ran (batch requests degrade per-statement to the
-        row engine when lowering refuses the plan).  ``governor`` is the
-        per-statement :class:`repro.governor.ExecutionGovernor` (or
-        None for unbounded execution) and ``injector`` an optional
-        execution-stage fault injector; both ride on the runtime.
-        ``workers > 1`` lets eligible pre-aggregations on the batch path
-        fan out to forked workers when the cost gate says it pays (row
-        mode always runs serial)."""
+        ``governor`` is the per-statement
+        :class:`repro.governor.ExecutionGovernor` (or None for unbounded
+        execution) and ``injector`` an optional execution-stage fault
+        injector; both ride on the runtime.  ``workers > 1`` lets
+        eligible pre-aggregations on the batch path fan out to forked
+        workers when the cost gate says it pays (row mode always runs
+        serial)."""
         if self.top_plan is None:
             raise ExecutionError("no top-level plan registered")
         self.reset_actuals()
         chunks_skipped_before = self.storage.counters.chunks_skipped
         parallel = None
-        if workers > 1 and mode == "batch" \
-                and self.ensure_batch_lowered(tracer):
-            parallel = ParallelContext(workers, tracer=tracer,
-                                       metrics=metrics)
+        if mode == "batch":
+            self.ensure_batch_lowered(tracer)
+            if workers > 1:
+                parallel = ParallelContext(workers, tracer=tracer,
+                                           metrics=metrics)
         runtime = ExecutionRuntime(self.storage, self.context.entry_count,
                                    governor=governor, injector=injector,
                                    parallel=parallel)
@@ -174,8 +160,7 @@ class Executor:
         #: Kept for post-execution inspection (EXPLAIN ANALYZE rebinds).
         self.last_runtime = runtime
         try:
-            if mode == "batch" and self.ensure_batch_lowered(tracer):
-                self.last_mode = "batch"
+            if mode == "batch":
                 rows: List[tuple] = []
                 for chunk in self.top_plan.run_batches(runtime):
                     rows.extend(chunk)
@@ -193,7 +178,6 @@ class Executor:
                         metrics.inc("executor.parallel_workers",
                                     parallel.workers_spawned)
                 return rows
-            self.last_mode = "row"
             return list(self.top_plan.run(runtime))
         finally:
             self.current_runtime = previous

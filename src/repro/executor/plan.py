@@ -24,7 +24,6 @@ from repro.errors import ExecutionError
 from repro.executor.batch import (
     BATCH_SIZE,
     BatchAccumulator,
-    BatchUnsupported,
     RowBatch,
 )
 from repro.governor import (
@@ -33,7 +32,7 @@ from repro.governor import (
     approx_row_bytes,
 )
 from repro.sql import ast
-from repro.sql.blocks import QueryBlock
+from repro.sql.blocks import QueryBlock, contains_subquery
 
 
 class JoinKind(enum.Enum):
@@ -168,16 +167,9 @@ class PlanNode:
         return produced
 
     def run(self, runtime: ExecutionRuntime) -> Iterator[None]:
+        """Yield once per produced row, its entries left in
+        ``runtime.ctx``; every node's ``run_batches`` is the batch twin."""
         raise NotImplementedError
-
-    def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
-        """Batch-at-a-time twin of :meth:`run`.
-
-        Yields :class:`RowBatch` chunks whose columns cover this
-        subtree's produced entries.  Lowering rejects unsupported nodes
-        before execution; this default is a defensive backstop.
-        """
-        raise BatchUnsupported(f"plan node {type(self).__name__}")
 
     def touch_exprs(self) -> List[Tuple[str, ast.Expr]]:
         """``(kind, expr)`` pairs of the columns this node touches.
@@ -296,7 +288,8 @@ def _leaf_rows(node: "_LeafNode", runtime: ExecutionRuntime,
 
 def _charge_materialized(runtime: ExecutionRuntime,
                          rows: List[tuple]) -> None:
-    """Charge a freshly materialised row buffer (derived table / CTE).
+    """Charge a freshly materialised row buffer (derived table / CTE /
+    window input).
 
     Charged for the lifetime of the statement — materialisations are
     cached on the runtime and die with it, so there is no release."""
@@ -573,9 +566,9 @@ class DerivedMaterializeNode(_LeafNode):
                 yield
 
     def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
-        # Lowering rejects correlated materialisations on the batch path
-        # (they run row-at-a-time as nested-loop inners), so the
-        # materialisation key is always the uncorrelated None snapshot.
+        # A correlated derived table is always a nested-loop inner, which
+        # runs row-at-a-time, so here the materialisation key is always
+        # the uncorrelated None snapshot.
         by_key = runtime.materializations.setdefault(id(self), {})
         rows = by_key.get(None)
         if rows is None:
@@ -683,21 +676,30 @@ class NestedLoopJoinNode(PlanNode):
             + [("join", expr) for expr in self.conjuncts]
 
     def run(self, runtime: ExecutionRuntime) -> Iterator[None]:
+        return self._join(runtime, self.outer.run(runtime))
+
+    def _join(self, runtime: ExecutionRuntime,
+              outer_states: Iterator[None]) -> Iterator[None]:
+        """The join loop: per outer row left in the context by
+        ``outer_states``, re-run the inner side through the row
+        interpreter (it may read outer context slots — index lookups,
+        pushed-down correlated predicates)."""
         self.actual_loops += 1
         ctx = runtime.ctx
         condition = self.condition_fn
         check = self.filter_fn
         kind = self.kind
+        inner = self.inner
         inner_entries = self._inner_entries
         gov = runtime.governor
-        for __ in self.outer.run(runtime):
+        for __ in outer_states:
             # One tick per outer row: NL chains can spin for a long time
             # without emitting anything (anti/semi joins especially), so
             # progress is bounded here rather than only at emission.
             if gov is not None:
                 gov.tick()
             matched = False
-            for __ in self.inner.run(runtime):
+            for __ in inner.run(runtime):
                 if condition(ctx) is not True:
                     continue
                 matched = True
@@ -754,51 +756,9 @@ class NestedLoopJoinNode(PlanNode):
                 yield
 
     def run_ctx(self, runtime: ExecutionRuntime) -> Iterator[None]:
-        """Row-path join loop over a batched outer side.
-
-        Identical to :meth:`run` except the outer side comes from
-        :meth:`_outer_states` (batched leaf scans keep their vectorized
-        filters); the inner side re-runs per outer row through the row
-        interpreter (it may read outer context slots — index lookups,
-        pushed-down correlated predicates)."""
-        self.actual_loops += 1
-        ctx = runtime.ctx
-        condition = self.condition_fn
-        check = self.filter_fn
-        kind = self.kind
-        inner = self.inner
-        inner_entries = self._inner_entries
-        gov = runtime.governor
-        for __ in self._outer_states(runtime):
-            if gov is not None:
-                gov.tick()
-            matched = False
-            for __ in inner.run(runtime):
-                if condition(ctx) is not True:
-                    continue
-                matched = True
-                if kind is JoinKind.SEMI or kind is JoinKind.ANTI:
-                    break
-                if check(ctx) is True:
-                    self.actual_rows += 1
-                    yield
-            if kind is JoinKind.SEMI:
-                if matched and check(ctx) is True:
-                    self.actual_rows += 1
-                    yield
-            elif kind is JoinKind.ANTI:
-                if not matched:
-                    for entry_id in inner_entries:
-                        ctx[entry_id] = None
-                    if check(ctx) is True:
-                        self.actual_rows += 1
-                        yield
-            elif kind is JoinKind.LEFT and not matched:
-                for entry_id in inner_entries:
-                    ctx[entry_id] = None
-                if check(ctx) is True:
-                    self.actual_rows += 1
-                    yield
+        """:meth:`run` over the batched outer side of
+        :meth:`_outer_states`."""
+        return self._join(runtime, self._outer_states(runtime))
 
     def _ctx_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
         """Materialize :meth:`run_ctx` output into batches (the join's
@@ -1569,15 +1529,21 @@ class AggregateNode(PlanNode):
     def _parallel_merge(self, runtime: ExecutionRuntime, charge: bool):
         """Attempt the morsel-parallel pre-aggregation merge.
 
-        Eligible when the input is a bare table scan and no aggregate is
+        Eligible when the input is a bare table scan, no aggregate is
         DISTINCT (first-occurrence fold order cannot be replayed from
-        per-chunk partials).  Returns ``(groups, order, charged)`` or
-        None; the workers compute per-chunk per-key partials and the
-        parent folds them in chunk order, replaying the serial float
-        fold exactly (see ``_Accumulator.partial_of``)."""
+        per-chunk partials) and no filter, group key or argument holds a
+        subquery (a worker would run its body, unpriced and uncounted by
+        the parent).  Returns ``(groups, order, charged)`` or None; the
+        workers compute per-chunk per-key partials and the parent folds
+        them in chunk order, replaying the serial float fold exactly
+        (see ``_Accumulator.partial_of``)."""
         parallel = runtime.parallel
         if parallel is None or not isinstance(self.child, TableScanNode) \
                 or any(spec.distinct for spec in self.specs):
+            return None
+        exprs = self.child.filter_conjuncts + self.group_exprs + [
+            spec.arg_expr for spec in self.specs if spec.arg_expr is not None]
+        if any(contains_subquery(expr) for expr in exprs):
             return None
         return parallel.agg_merge(self, self.child, runtime, _Accumulator,
                                   charge=charge)
@@ -1995,7 +1961,12 @@ class WindowNode(PlanNode):
         self.child = child
         self.specs = specs
         self.output_entry_id = output_entry_id
-        self.live_entries = live_entries
+        #: The live entries the child writes — what both engines buffer.
+        #: Other live slots (pre-aggregate entries above an aggregate)
+        #: hold stale row-engine context nothing reads.
+        produced = set(child.produced_entries())
+        self.buffered_entries = [entry for entry in live_entries
+                                 if entry in produced]
 
     def children(self) -> Sequence[PlanNode]:
         return (self.child,)
@@ -2005,23 +1976,51 @@ class WindowNode(PlanNode):
         produced.append(self.output_entry_id)
         return produced
 
+    def _outputs(self, runtime: ExecutionRuntime,
+                 rows: List[tuple]) -> List[tuple]:
+        """Charge the buffered ``rows`` and return each one's tuple of
+        window values — the one window kernel both engines run."""
+        _charge_materialized(runtime, rows)
+        outputs = [[None] * len(self.specs) for __ in rows]
+        for spec_index, spec in enumerate(self.specs):
+            spec.compute(rows, self.buffered_entries, runtime.ctx, outputs,
+                         spec_index)
+        return [tuple(out) for out in outputs]
+
     def run(self, runtime: ExecutionRuntime) -> Iterator[None]:
         self.actual_loops += 1
         ctx = runtime.ctx
-        live = self.live_entries
+        live = self.buffered_entries
         rows: List[tuple] = []
         for __ in self.child.run(runtime):
             rows.append(tuple(ctx[e] for e in live))
-        outputs = [[None] * len(self.specs) for __ in rows]
-        for spec_index, spec in enumerate(self.specs):
-            spec.compute(rows, live, ctx, outputs, spec_index)
+        outputs = self._outputs(runtime, rows)
         slot = self.output_entry_id
         for row, out in zip(rows, outputs):
             for entry_id, value in zip(live, row):
                 ctx[entry_id] = value
-            ctx[slot] = tuple(out)
+            ctx[slot] = out
             self.actual_rows += 1
             yield
+
+    def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
+        """Buffer the child's batches column-wise, run the window kernel
+        over their rows, and re-cut the output at the batch size with
+        the window values as one more column."""
+        self.actual_loops += 1
+        live = self.buffered_entries
+        columns: List[list] = [[] for __ in live]
+        for batch in self.child.run_batches(runtime):
+            for column, entry in zip(columns, live):
+                column.extend(batch.columns[entry])
+        outputs = self._outputs(runtime, list(zip(*columns)))
+        size = runtime.batch_size
+        for start in range(0, len(outputs), size):
+            values = outputs[start:start + size]
+            part = {entry: column[start:start + size]
+                    for entry, column in zip(live, columns)}
+            part[self.output_entry_id] = values
+            yield self._note(runtime, RowBatch(part, len(values)))
 
     def label(self) -> str:
         names = ", ".join(spec.func for spec in self.specs)

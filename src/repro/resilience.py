@@ -70,10 +70,6 @@ class FallbackReason(enum.Enum):
     #: The plan converter produced best-position arrays that do not
     #: describe the query block (structure changed / coverage broken).
     SKELETON_INVALID = "skeleton_invalid"
-    #: The vectorized batch executor cannot run this plan (correlated
-    #: materialisation, window frames, subquery expressions, ...); the
-    #: statement degraded to the row-at-a-time engine.
-    EXEC_BATCH_UNSUPPORTED = "exec_batch_unsupported"
     #: The statement overran its wall-clock deadline and was aborted at
     #: a governor checkpoint (execution-stage; the optimize-stage
     #: analogue is BUDGET_EXCEEDED).

@@ -3,8 +3,7 @@ plus the golden report texts it produces.
 
 The mix covers plan-cache misses, hits and stale lookups, literal
 variants of one fingerprint, DML, a governor-aborted statement, a
-batch-unsupported degradation to the row engine, and a circuit-open
-detour fallback.  ``repro.database``'s clock is replaced by
+subquery expression, and a circuit-open detour fallback.  ``repro.database``'s clock is replaced by
 :class:`FakeClock` while it runs, so every compile/execute latency —
 and with them every p95 in the reports — is a pure function of the
 mix.  The one latency the fake clock does not reach is an abort's
@@ -39,8 +38,8 @@ CUSTOMERS = ("SELECT c_segment, COUNT(*) FROM customer "
              "WHERE c_acctbal > {lit} GROUP BY c_segment")
 PARTS = ("SELECT p_brand, COUNT(*) FROM part WHERE p_size < {lit} "
          "GROUP BY p_brand")
-#: A scalar subquery: the batch engine refuses it, so the statement
-#: degrades to the row engine (``exec_batch_unsupported``).
+#: A scalar subquery expression: the batch engine calls the row
+#: engine's compiled subquery once per row, so it runs in batch mode.
 SUBQUERY = ("SELECT o_orderkey FROM orders WHERE o_totalprice > "
             "(SELECT AVG(o_totalprice) FROM orders) AND o_custkey < {lit}")
 

@@ -341,6 +341,29 @@ class TestMemoryGovernance:
                    memory_limit_bytes=max(1000, peak // 3))
         assert info.value.operator == "hash_agg"
 
+    WINDOW_SQL = ("SELECT o_orderkey, RANK() OVER (ORDER BY o_totalprice) "
+                  "FROM orders")
+
+    def test_window_buffer_is_charged_alike_in_both_modes(self, db):
+        peaks = {mode: db.run(self.WINDOW_SQL, executor_mode=mode)
+                 .governor_stats["peak_tracked_bytes"]
+                 for mode in ("row", "batch")}
+        assert peaks["row"] == peaks["batch"] > 0
+
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    def test_window_buffer_breach_leaves_the_database_untouched(self, db,
+                                                                mode):
+        orders = list(db.storage.store("orders").scan())
+        with pytest.raises(ResourceExhaustedError) as info:
+            db.run(self.WINDOW_SQL, executor_mode=mode,
+                   memory_limit_bytes=256)
+        assert info.value.operator == "materialize"
+        assert db.fallback_log.count(FallbackReason.RESOURCE_EXHAUSTED) == 1
+        assert db.plan_cache.stats()["size"] == 0
+        assert list(db.storage.store("orders").scan()) == orders
+        assert len(db.run(self.WINDOW_SQL, executor_mode=mode).rows) \
+            == len(orders)
+
     def test_memory_tracking_is_released_after_success(self, db):
         result = db.run(JOIN_SQL, use_plan_cache=False)
         stats = result.governor_stats

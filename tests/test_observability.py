@@ -327,20 +327,11 @@ class TestPipelineTracing:
         [lower] = find_spans(fresh.trace, "lower")
         # Lowering runs inside execute, on the fresh plan only.
         assert lower in find_spans(fresh.trace, "execute")[0].children
-        assert lower.attributes["outcome"] == "batch"
+        assert list(lower.attributes) == ["compiled_exprs"]
         assert lower.attributes["compiled_exprs"] > 0
         hit = db.run(sql, trace=True, executor_mode="batch")
         assert hit.plan_cache_hit
         assert find_spans(hit.trace, "lower") == []
-
-    def test_lowering_refusal_is_recorded_on_the_span(self):
-        db = build_mini_db(orders=40)
-        sql = ("SELECT o_orderkey FROM orders WHERE o_totalprice > "
-               "(SELECT AVG(o_totalprice) FROM orders)")
-        result = db.run(sql, trace=True, executor_mode="batch")
-        assert result.executor_mode == "row"
-        [lower] = find_spans(result.trace, "lower")
-        assert lower.attributes["outcome"] == "row"
 
 
 class TestBenchStageBreakdown:

@@ -187,6 +187,35 @@ class TestDecisionIsNotAFallback:
         assert decision == {"parallel_decision": "serial:shape"}
         assert len(db.fallback_log.events) == events
 
+    #: Pre-aggregations over a bare scan whose filter, group key or
+    #: argument holds a subquery expression, each under the optimizer
+    #: whose plan has that shape.
+    SUBQUERY_AGGS = [
+        ("mysql", "SELECT COUNT(*) FROM orders "
+         "WHERE o_totalprice > (SELECT AVG(c_acctbal) FROM customer)"),
+        ("orca", "SELECT COUNT(*) FROM orders GROUP BY (SELECT MAX(c_acctbal) "
+         "FROM customer WHERE c_custkey = o_custkey) > 2000"),
+        ("orca", "SELECT o_status, SUM(CASE WHEN EXISTS (SELECT 1 FROM "
+         "customer WHERE c_custkey = o_custkey AND c_acctbal > 2000) "
+         "THEN 1 ELSE 0 END) FROM orders GROUP BY o_status"),
+    ]
+
+    @pytest.mark.parametrize("optimizer, sql", SUBQUERY_AGGS)
+    def test_subquery_expressions_never_fan_out(self, db, force_fanout,
+                                                optimizer, sql):
+        # A forked worker would run the subquery body: its storage
+        # counters would never reach the parent.
+        results, counters = {}, {}
+        for workers in (1, 2):
+            db.storage.counters.reset()
+            results[workers] = db.run(
+                sql, optimizer=optimizer, use_plan_cache=False,
+                executor_workers=workers, trace=True)
+            counters[workers] = db.storage.counters.snapshot()
+        assert decision_of(results[2]) == {"parallel_decision": "serial:shape"}
+        assert results[2].rows == results[1].rows
+        assert counters[2] == counters[1]
+
     def test_fanout_records_both_estimates(self, db, force_fanout):
         decision = decision_of(self.run(db, self.AGG))
         assert decision["parallel_decision"] == "fanout"
@@ -233,7 +262,7 @@ class TestFanoutGate:
     def test_repeat_queries_stay_serial_at_benchmark_scale(
             self, scale, monkeypatch):
         monkeypatch.setattr(parallel, "USABLE_CPUS", 2)
-        db = Database(DatabaseConfig(executor_mode="batch"))
+        db = Database()
         load_tpch(db, scale=scale)
         for number in (1, 6, 12, 14, 3, 5, 10, 13):  # e2e REPEAT_QUERIES
             serial = db.run(tpch_query(number), executor_workers=1)
@@ -246,7 +275,7 @@ class TestFanoutGate:
     def wide_db(self):
         """48k rows x 8 measures: past the break-even for a wide
         low-cardinality GROUP BY on two workers."""
-        db = Database(DatabaseConfig(executor_mode="batch"))
+        db = Database()
         db.create_table(TableSchema("wide", [
             Column.of("k", MySQLType.LONGLONG, nullable=False),
             Column.of("g", MySQLType.LONG, nullable=False),

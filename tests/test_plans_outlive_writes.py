@@ -165,13 +165,13 @@ def snapshot(db):
 @pytest.mark.parametrize("mode", ["row", "batch"])
 def test_cached_plans_return_fresh_rows_across_writes(mode):
     rng = random.Random(20260926)
-    db = Database(DatabaseConfig(executor_mode=mode, batch_size=64))
+    db = Database(DatabaseConfig(batch_size=64))
     load_tpch(db, scale=SCALE)
     stream = Stream(db, rng)
     tally = Counter()
 
     def check_select(sql):
-        result = db.run(sql, trace=True)
+        result = db.run(sql, trace=True, executor_mode=mode)
         assert canonical(result.rows) == canonical(reference_rows(db, sql)), \
             (sql, result.plan_cache_hit)
         route = find_spans(result.trace, "route")[0]

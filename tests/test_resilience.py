@@ -324,7 +324,7 @@ class TestFallbackTelemetry:
         for index in range(10_000):
             log.record_fallback(FallbackEvent(
                 fingerprint=f"fp{index % 1000}",
-                reason=FallbackReason.EXEC_BATCH_UNSUPPORTED))
+                reason=FallbackReason.TYPED_ABORT))
             assert len(log) <= 256
         assert len(log) == 256
         assert log.total_fallbacks == 10_000
