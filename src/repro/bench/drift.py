@@ -63,18 +63,19 @@ DRIFT_TABLES: Tuple[str, ...] = ("lineitem", "orders", "partsupp",
 
 #: The statement whose mid-workload reroute stages a plan regression:
 #: a lean instance of TPC-H Q19's OR-of-conjuncts pattern, where Orca
-#: factors ``s_suppkey = l_suppkey`` out of the disjunction and hash-
-#: joins while the greedy optimizer filters the full cross product.
-#: Literals are interpolated per run (fresh cache key every time, one
-#: shared fingerprint), mirroring an application that does not bind
-#: parameters.
+#: factors ``p_partkey = l_partkey`` out of the disjunction and hash-
+#: joins while the greedy optimizer filters the full cross product
+#: (part x lineitem: large enough that the batch engine's nested loop
+#: stays well past the detector's factor).  Literals are interpolated
+#: per run (fresh cache key every time, one shared fingerprint),
+#: mirroring an application that does not bind parameters.
 REGRESSION_TEMPLATE = """
 SELECT SUM(l_extendedprice * (1 - l_discount)) AS revenue
-FROM lineitem, supplier
-WHERE (s_suppkey = l_suppkey
+FROM lineitem, part
+WHERE (p_partkey = l_partkey
        AND l_quantity >= {lo} AND l_quantity <= {lo_hi}
        AND l_shipmode IN ('AIR', 'REG AIR'))
-   OR (s_suppkey = l_suppkey
+   OR (p_partkey = l_partkey
        AND l_quantity >= {hi} AND l_quantity <= {hi_hi}
        AND l_shipmode IN ('MAIL', 'SHIP'))
 """

@@ -9,13 +9,18 @@ lowered into Python source code with MySQL's three-valued NULL semantics
 spelled out inline, ``compile()``-d once, and evaluated with a single
 function call per batch.
 
-Lowering is total: every plan runs in batch mode.  A window function
-runs the row engine's window kernel over its buffered input; a subquery
-expression is one call per row into the row engine's compiled closure,
-whose body runs through the row plan (``Executor.run_block``), as a
-nested-loop inner runs through ``run_ctx``.  The row engine is the
-reference (``run(sql, executor_mode="row")``) that
-``tests/test_executor_equivalence.py`` holds this engine to.
+Lowering is total: every block plan of a statement runs in batch mode,
+subquery bodies and nested-loop inners included.  A window function runs
+the row engine's window kernel over its buffered input.  A subquery
+expression is one call per row into the row-compiled closure, which keys
+the subquery cache and runs the body's batch plan
+(``Executor.run_block``).  A plan that reads entries from outside its
+own operator subtree — a body's correlation sources, the outer entries
+of a nested-loop inner — is lowered with those entries *bound*: the
+caller writes their current rows into the runtime context, and each
+generated evaluator reads a bound slot once per call, in its prelude.
+The row engine is the reference (``run(sql, executor_mode="row")``)
+that ``tests/test_executor_equivalence.py`` holds this engine to.
 
 Layout of a generated evaluator for ``o_totalprice > 100 AND o_status =
 'F'`` over entry 0 (``_c0`` is the bound constant 100)::
@@ -38,7 +43,9 @@ Layout of a generated evaluator for ``o_totalprice > 100 AND o_status =
         return _out
 
 One function call per batch, zero per-row interpreter dispatch.  A bare
-column read compiles to a single list comprehension.  ``+`` and ``-``
+column read compiles to a single list comprehension.  A bound entry
+``e`` adds two prelude lines, ``_ctx = _host.current_runtime.ctx`` and
+``_r{e} = _ctx[e]``, and leaves the row loop.  ``+`` and ``-``
 are emitted inline when both operands are statically numeric
 (:func:`repro.executor.expression.numeric_arithmetic`, the same
 decision the row interpreter specialises on); a shape that may involve a
@@ -57,7 +64,6 @@ from __future__ import annotations
 
 import builtins
 import types
-import weakref
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ExecutionError
@@ -145,9 +151,6 @@ class BatchAccumulator:
         self.rows: List[tuple] = []
         self.batch_size = batch_size
 
-    def add_ctx(self, ctx) -> None:
-        self.rows.append(tuple(ctx[entry] for entry in self.entries))
-
     def add_values(self, values: tuple) -> None:
         self.rows.append(values)
 
@@ -174,25 +177,31 @@ class BatchAccumulator:
 #: A compiled batch expression: RowBatch -> list of values (length rows).
 BatchExpr = Callable[[RowBatch], list]
 
-#: Generated source -> a live evaluator compiled from it.  Statements
-#: that differ only in their literals generate the same source (values
-#: are bound by name in each evaluator's own globals, never inlined), so
-#: they share one code object; an entry lives only as long as some
-#: cached plan still holds its evaluator.
-_LIVE_EVALUATORS: "weakref.WeakValueDictionary[str, BatchExpr]" = \
-    weakref.WeakValueDictionary()
+#: Most generated sources the kernel cache holds.  One stream of the 99
+#: TPC-DS statements generates about 260 distinct sources.
+KERNEL_CACHE_CAPACITY = 4096
+
+#: Generated source -> the code object of the ``_eval`` it defines.
+#: Sources are literal-free (values are bound by name in each
+#: evaluator's own globals, never inlined), so every expression of one
+#: shape shares one ``compile()`` per process, whether or not a plan
+#: that used it is still alive.  Insertion-ordered; the oldest source
+#: is evicted first.
+_KERNELS: Dict[str, types.CodeType] = {}
 
 
 def _evaluator(source: str, env: Dict[str, object]) -> BatchExpr:
     """The ``_eval`` function ``source`` defines, over globals ``env``."""
-    live = _LIVE_EVALUATORS.get(source)
-    if live is not None:
-        env["__builtins__"] = builtins
-        fn = types.FunctionType(live.__code__, env, "_eval")
-    else:
-        exec(compile(source, "<batch-expr>", "exec"), env)
-        fn = env["_eval"]
-        _LIVE_EVALUATORS[source] = fn
+    code = _KERNELS.get(source)
+    if code is None:
+        module: Dict[str, object] = {}
+        exec(compile(source, "<batch-expr>", "exec"), module)
+        code = module["_eval"].__code__
+        if len(_KERNELS) >= KERNEL_CACHE_CAPACITY:
+            del _KERNELS[next(iter(_KERNELS))]
+        _KERNELS[source] = code
+    env["__builtins__"] = builtins
+    fn = types.FunctionType(code, env, "_eval")
     fn._batch_source = source  # debugging aid
     return fn
 
@@ -273,7 +282,8 @@ class BatchExpressionCompiler:
     ``compiled_count`` tracks successful compilations for the
     ``exec.compiled_exprs`` metric.  ``subplan_host`` (the
     :class:`~repro.executor.executor.Executor`) serves subquery
-    expressions, as it does for the row compiler.
+    expressions, as it does for the row compiler, and holds the runtime
+    whose context a bound entry is read from.
     """
 
     def __init__(self, subplan_host=None) -> None:
@@ -283,15 +293,18 @@ class BatchExpressionCompiler:
     # -- public API -------------------------------------------------------------
 
     def compile(self, expr: ast.Expr,
-                available: Optional[frozenset] = None) -> BatchExpr:
+                available: Optional[frozenset] = None,
+                bound: frozenset = frozenset()) -> BatchExpr:
         """Compile one expression; ``available`` restricts which entry
-        ids it may read (a batch holds only its operator subtree's
-        columns)."""
+        ids it may read from the batch (a batch holds only its operator
+        subtree's columns) and ``bound`` which it may read, once per
+        call, from the runtime context."""
         emitter = _Emitter()
-        state = _GenState()
+        state = _GenState(available, bound)
         result = self._gen(expr, emitter, state)
-        _check_reads(state, available)
-        if isinstance(expr, ast.ColumnRef):
+        _check_reads(state)
+        if isinstance(expr, ast.ColumnRef) \
+                and not state.is_bound(expr.entry_id):
             fn = self._assemble_column(expr)
         else:
             fn = self._assemble(emitter, state, result)
@@ -299,12 +312,13 @@ class BatchExpressionCompiler:
         return fn
 
     def compile_many(self, exprs: Sequence[ast.Expr],
-                     available: Optional[frozenset] = None
-                     ) -> List[BatchExpr]:
-        return [self.compile(expr, available) for expr in exprs]
+                     available: Optional[frozenset] = None,
+                     bound: frozenset = frozenset()) -> List[BatchExpr]:
+        return [self.compile(expr, available, bound) for expr in exprs]
 
     def compile_filter(self, conjuncts: Sequence[ast.Expr],
-                       available: Optional[frozenset] = None
+                       available: Optional[frozenset] = None,
+                       bound: frozenset = frozenset()
                        ) -> Optional[BatchExpr]:
         """Compile a conjunct list into one strict True/False mask
         evaluator (NULL counts as not-passing, like the row engine's
@@ -312,10 +326,10 @@ class BatchExpressionCompiler:
         if not conjuncts:
             return None
         emitter = _Emitter()
-        state = _GenState()
+        state = _GenState(available, bound)
         out = state.temp()
         self._gen_conjunction(list(conjuncts), emitter, state, out)
-        _check_reads(state, available)
+        _check_reads(state)
         fn = self._assemble(emitter, state, out)
         self.compiled_count += 1
         return fn
@@ -342,7 +356,8 @@ class BatchExpressionCompiler:
 
     def _assemble(self, emitter: _Emitter, state: "_GenState",
                   result: str) -> BatchExpr:
-        entries = sorted(state.entries)
+        entries = sorted(e for e in state.entries if not state.is_bound(e))
+        prelude = self._prelude(state)
         if entries:
             cols = "\n".join(f"    _col_{e} = _b.columns[{e}]"
                              for e in entries)
@@ -354,6 +369,7 @@ class BatchExpressionCompiler:
                 loop = f"    for {row_vars} in zip({col_vars}):"
             source = (
                 "def _eval(_b):\n"
+                f"{prelude}"
                 f"{cols}\n"
                 "    _out = []\n"
                 "    _ap = _out.append\n"
@@ -369,9 +385,20 @@ class BatchExpressionCompiler:
                 "def _eval(_b):\n"
                 "    if not _b.length:\n"
                 "        return []\n"
+                f"{prelude}"
                 f"{emitter.render(4)}\n"
                 f"    return [{result}] * _b.length\n")
         return _evaluator(source, dict(state.env))
+
+    def _prelude(self, state: "_GenState") -> str:
+        """Read each bound entry's row from the runtime context, once
+        per call (the caller bound it before running the plan)."""
+        bound = sorted(e for e in state.entries if state.is_bound(e))
+        if not bound:
+            return ""
+        state.env["_host"] = self._subplan_host
+        return "    _ctx = _host.current_runtime.ctx\n" + "".join(
+            f"    _r{e} = _ctx[{e}]\n" for e in bound)
 
     @staticmethod
     def _assemble_column(expr: ast.ColumnRef) -> BatchExpr:
@@ -683,13 +710,16 @@ class BatchExpressionCompiler:
     # -- subquery expressions --------------------------------------------------------
 
     def _gen_subquery(self, expr, emitter, state) -> str:
-        """A scalar / IN / EXISTS subquery expression as one row-engine
-        call per row.  The call first writes the row's value of every
-        entry the expression reads — its own columns and its subquery
-        blocks' correlation sources — into the runtime context."""
+        """A scalar / IN / EXISTS subquery expression as one call per row
+        into its row-compiled closure, which keys the subquery cache and
+        runs the body's batch plan.  The call first writes the row's
+        value of every entry the expression reads — its own columns and
+        its subquery blocks' correlation sources — into the runtime
+        context; a bound entry is there already."""
         fn = ExpressionCompiler(self._subplan_host).compile(expr)
-        entries = sorted(_row_reads(expr))
-        state.entries.update(entries)
+        reads = _row_reads(expr)
+        state.entries.update(reads)
+        entries = sorted(e for e in reads if not state.is_bound(e))
         call = state.const(_row_call(self._subplan_host, fn, entries))
         out = state.temp()
         rows = ", ".join(f"_r{e}" for e in entries)
@@ -714,12 +744,22 @@ class BatchExpressionCompiler:
 
 
 class _GenState:
-    """Mutable per-compilation state: temps, consts, referenced entries."""
+    """Mutable per-compilation state: temps, consts, referenced entries,
+    and which of them the batch holds (``available``, None for all) or
+    the runtime context binds (``bound``)."""
 
-    def __init__(self) -> None:
+    def __init__(self, available: Optional[frozenset] = None,
+                 bound: frozenset = frozenset()) -> None:
         self.counter = 0
         self.env: Dict[str, object] = {}
         self.entries: set = set()
+        self.available = available
+        self.bound = bound
+
+    def is_bound(self, entry: int) -> bool:
+        """Whether ``entry`` is read from the context, not the batch."""
+        return self.available is not None \
+            and entry not in self.available and entry in self.bound
 
     def temp(self) -> str:
         name = f"_t{self.counter}"
@@ -742,11 +782,14 @@ class _GenState:
         return f"{body} if ({test}) else None"
 
 
-def _check_reads(state: _GenState, available: Optional[frozenset]) -> None:
+def _check_reads(state: _GenState) -> None:
     """A batch holds only its operator subtree's columns: a read outside
-    them is a plan-building bug, as an unresolved column is."""
-    if available is not None and not state.entries.issubset(available):
-        missing = sorted(state.entries - available)
+    them that is not bound is a plan-building bug, as an unresolved
+    column is."""
+    if state.available is None:
+        return
+    missing = sorted(state.entries - state.available - state.bound)
+    if missing:
         raise ExecutionError(
             f"expression reads entries {missing} outside its operator "
             f"subtree")
@@ -782,43 +825,46 @@ def _row_call(host, fn, entries: List[int]) -> Callable:
 # ---------------------------------------------------------------------------
 
 def lower_executor(executor) -> int:
-    """Lower every batch-executed plan of a statement.
+    """Lower every block plan of a statement for batch execution.
 
-    Walks the top plan and all sub-plans reachable through plan nodes
+    Walks the top plan, then every other registered block plan (the
+    subquery bodies), and the sub-plans reachable through plan nodes
     (derived tables, CTEs, UNION parts), attaching compiled batch
-    expressions (``bx_*`` attributes) to each node that will run in
-    batch mode.  A nested-loop join whose inner side is an index lookup
-    keyed on outer entries becomes a batched probe (:func:`_lower_probe`);
-    any other inner side is *not* lowered: it executes through the row
-    interpreter under a context populated from the outer batch, which
-    keeps correlated access paths and pushed-down predicates exact.
-    Subquery blocks are not reached through plan nodes and stay row
-    plans: subquery expressions run them through ``Executor.run_block``.
+    expressions (``bx_*`` attributes) to each node.  A body is lowered
+    with its correlation sources bound.  A nested-loop join whose inner
+    side is an index lookup keyed on outer entries becomes a batched
+    probe (:func:`_lower_probe`); any other inner side is lowered with
+    the outer entries bound, and re-runs per outer row.
 
     Returns the number of expressions compiled.
     """
     compiler = BatchExpressionCompiler(executor)
-    _lower_query_plan(executor.top_plan, compiler, set())
+    seen: set = set()
+    _lower_query_plan(executor.top_plan, compiler, seen, frozenset())
+    for plan in executor.block_plans():
+        _lower_query_plan(plan, compiler, seen,
+                          frozenset(correlation_sources(plan.block)))
     return compiler.compiled_count
 
 
 def _lower_query_plan(plan, compiler: BatchExpressionCompiler,
-                      seen: set) -> None:
+                      seen: set, bound: frozenset) -> None:
     if id(plan) in seen:
         return
     seen.add(id(plan))
     if plan.root is not None:
-        _lower_node(plan.root, compiler, seen)
+        _lower_node(plan.root, compiler, seen, bound)
         available = frozenset(plan.root.produced_entries())
     else:
         available = frozenset()
-    plan.bx_select = compiler.compile_many(plan.select_exprs, available)
+    plan.bx_select = compiler.compile_many(plan.select_exprs, available,
+                                           bound)
     for __, part in plan.union_parts:
-        _lower_query_plan(part, compiler, seen)
+        _lower_query_plan(part, compiler, seen, bound)
 
 
 def _lower_node(node, compiler: BatchExpressionCompiler,
-                seen: set) -> None:
+                seen: set, bound: frozenset) -> None:
     from repro.executor import plan as p
 
     if id(node) in seen:
@@ -828,33 +874,41 @@ def _lower_node(node, compiler: BatchExpressionCompiler,
     if isinstance(node, (p.WindowNode, p.LimitNode)):
         # The window kernel evaluates its row-compiled specs over the
         # buffered rows; a limit evaluates nothing.
-        _lower_node(node.child, compiler, seen)
+        _lower_node(node.child, compiler, seen, bound)
         return
 
     if isinstance(node, p.NestedLoopJoinNode):
-        # Outer side runs batched.  An index-lookup inner keyed on outer
-        # entries is probed a whole outer batch at a time; any other
-        # inner re-runs per outer row through the row interpreter (it
-        # may read outer slots), with the join's condition and filter
-        # row-wise inside run_ctx, so it needs no lowering.
-        _lower_node(node.outer, compiler, seen)
-        _lower_probe(node, compiler)
+        # The outer side runs batched.  An index-lookup inner keyed on
+        # outer entries is probed a whole outer batch at a time; any
+        # other inner re-runs per outer row with the outer entries
+        # bound, and the join's condition and filter are evaluated over
+        # its batches with them bound too.
+        _lower_node(node.outer, compiler, seen, bound)
+        if _lower_probe(node, compiler, bound):
+            return
+        rebound = bound | frozenset(node.outer.produced_entries())
+        _lower_node(node.inner, compiler, seen, rebound)
+        inner = frozenset(node.inner.produced_entries())
+        node.bx_condition = compiler.compile_filter(node.conjuncts, inner,
+                                                    rebound)
+        node.bx_filter = compiler.compile_filter(node.filter_conjuncts,
+                                                 inner, rebound)
         return
 
     if isinstance(node, p.HashJoinNode):
-        _lower_node(node.probe, compiler, seen)
-        _lower_node(node.build, compiler, seen)
+        _lower_node(node.probe, compiler, seen, bound)
+        _lower_node(node.build, compiler, seen, bound)
         probe_avail = frozenset(node.probe.produced_entries())
         build_avail = frozenset(node.build.produced_entries())
         node.bx_probe_keys = compiler.compile_many(
-            node.probe_key_exprs, probe_avail)
+            node.probe_key_exprs, probe_avail, bound)
         node.bx_build_keys = compiler.compile_many(
-            node.build_key_exprs, build_avail)
+            node.build_key_exprs, build_avail, bound)
         available = probe_avail | build_avail
         # Residual conjuncts are evaluated per candidate pair through the
         # row interpreter (rare); only validate what the batch reads.
         node.bx_filter = compiler.compile_filter(
-            node.filter_conjuncts, available)
+            node.filter_conjuncts, available, bound)
         return
 
     # Sort/aggregate/filter/limit nodes never apply the attached
@@ -862,86 +916,85 @@ def _lower_node(node, compiler: BatchExpressionCompiler,
     # for them — parity means ignoring the same things.
 
     if isinstance(node, p.FilterNode):
-        _lower_node(node.child, compiler, seen)
+        _lower_node(node.child, compiler, seen, bound)
         available = frozenset(node.produced_entries())
         node.bx_condition = compiler.compile_filter(
-            node.conjuncts, available)
+            node.conjuncts, available, bound)
         return
 
     if isinstance(node, p.SortNode):
-        _lower_node(node.child, compiler, seen)
+        _lower_node(node.child, compiler, seen, bound)
         available = frozenset(node.child.produced_entries())
         node.bx_keys = compiler.compile_many(
-            [item.expr for item in node.order_items], available)
+            [item.expr for item in node.order_items], available, bound)
         return
 
     if isinstance(node, p.AggregateNode):
         if node.child is not None:
-            _lower_node(node.child, compiler, seen)
+            _lower_node(node.child, compiler, seen, bound)
             available = frozenset(node.child.produced_entries())
         else:
             available = frozenset()
-        node.bx_group = compiler.compile_many(node.group_exprs, available)
+        node.bx_group = compiler.compile_many(node.group_exprs, available,
+                                              bound)
         node.bx_args = [
-            compiler.compile(spec.arg_expr, available)
+            compiler.compile(spec.arg_expr, available, bound)
             if spec.arg_expr is not None and not spec.star else None
             for spec in node.specs]
         return
 
-    if isinstance(node, p.DerivedMaterializeNode):
-        # Never correlated here: a correlated derived table reads outer
-        # slots, so it is always a nested-loop inner, which is not
-        # lowered.
-        _lower_query_plan(node.subplan, compiler, seen)
+    if isinstance(node, (p.DerivedMaterializeNode, p.CteScanNode)):
+        # A correlated derived table reads bound entries: the outer
+        # entries of the nested loop it is the inner of, or the
+        # correlation sources of the body it drives.
+        _lower_query_plan(node.subplan, compiler, seen, bound)
         node.bx_filter = compiler.compile_filter(
-            node.filter_conjuncts, frozenset({node.entry_id}))
-        return
-
-    if isinstance(node, p.CteScanNode):
-        _lower_query_plan(node.subplan, compiler, seen)
-        node.bx_filter = compiler.compile_filter(
-            node.filter_conjuncts, frozenset({node.entry_id}))
+            node.filter_conjuncts, frozenset({node.entry_id}), bound)
         return
 
     if isinstance(node, p.IndexLookupNode):
-        # Reached only as a chain *driver* (an NL inner is lowered by
-        # _lower_probe or stays on the row path); its keys must then be
-        # row-invariant.
-        node.bx_keys = compiler.compile_many(node.key_exprs, frozenset())
+        # A chain driver, or a nested-loop inner that is not a batched
+        # probe: its keys read no batch, only bound entries.
+        node.bx_keys = compiler.compile_many(node.key_exprs, frozenset(),
+                                             bound)
         node.bx_filter = compiler.compile_filter(
-            node.filter_conjuncts, frozenset({node.entry_id}))
+            node.filter_conjuncts, frozenset({node.entry_id}), bound)
         return
 
     if isinstance(node, (p.TableScanNode, p.IndexRangeScanNode,
                          p.IndexOrderedScanNode)):
         node.bx_filter = compiler.compile_filter(
-            node.filter_conjuncts, frozenset({node.entry_id}))
+            node.filter_conjuncts, frozenset({node.entry_id}), bound)
         return
 
     raise ExecutionError(
         f"no batch lowering for plan node {type(node).__name__}")
 
 
-def _lower_probe(node, compiler: BatchExpressionCompiler) -> None:
+def _lower_probe(node, compiler: BatchExpressionCompiler,
+                 bound: frozenset) -> bool:
     """Make a nested-loop join a batched index probe when its inner side
-    is an index lookup whose keys read only outer entries and whose
-    predicates read only the joined entries; otherwise leave it on
-    ``run_ctx``."""
+    is an index lookup whose keys read only outer (or bound) entries and
+    whose predicates read only the joined (or bound) entries.  Returns
+    whether it did."""
     from repro.executor import plan as p
 
     inner = node.inner
     if not isinstance(inner, p.IndexLookupNode) or not inner.key_exprs:
-        return
+        return False
     outer = frozenset(node.outer.produced_entries())
     joined = outer | {inner.entry_id}
     predicates = inner.filter_conjuncts + node.conjuncts \
         + node.filter_conjuncts
-    if any(not _row_reads(key) <= outer for key in inner.key_exprs) \
-            or any(not _row_reads(predicate) <= joined
+    if any(not _row_reads(key) <= outer | bound for key in inner.key_exprs) \
+            or any(not _row_reads(predicate) <= joined | bound
                    for predicate in predicates):
-        return
-    inner.bx_keys = compiler.compile_many(inner.key_exprs, outer)
-    inner.bx_filter = compiler.compile_filter(inner.filter_conjuncts, joined)
-    node.bx_condition = compiler.compile_filter(node.conjuncts, joined)
-    node.bx_filter = compiler.compile_filter(node.filter_conjuncts, joined)
+        return False
+    inner.bx_keys = compiler.compile_many(inner.key_exprs, outer, bound)
+    inner.bx_filter = compiler.compile_filter(inner.filter_conjuncts, joined,
+                                              bound)
+    node.bx_condition = compiler.compile_filter(node.conjuncts, joined, bound)
+    node.bx_filter = compiler.compile_filter(node.filter_conjuncts, joined,
+                                             bound)
     node.bx_probe = True
+    return True

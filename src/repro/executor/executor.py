@@ -82,12 +82,32 @@ class Executor:
     def has_plan(self, block: QueryBlock) -> bool:
         return block.block_id in self._plans
 
+    def block_plans(self) -> List[QueryPlan]:
+        """Every registered block plan, the top plan included."""
+        return list(self._plans.values())
+
     # -- execution ---------------------------------------------------------------
 
     def run_block(self, block: QueryBlock,
                   runtime: ExecutionRuntime) -> Iterator[tuple]:
-        """Run one block's plan under an existing runtime (subqueries)."""
-        return self.plan_for(block).run(runtime)
+        """Run one block's plan under an existing runtime (subqueries).
+
+        In a batch execution the body runs its batch plan to completion,
+        with the runtime's parallel context set aside: a body never
+        fans out, and never records a fan-out decision over the
+        statement's."""
+        plan = self.plan_for(block)
+        if not runtime.batch:
+            return plan.run(runtime)
+        parallel = runtime.parallel
+        runtime.parallel = None
+        try:
+            rows: List[tuple] = []
+            for chunk in plan.run_batches(runtime):
+                rows.extend(chunk)
+        finally:
+            runtime.parallel = parallel
+        return iter(rows)
 
     def iter_plan_nodes(self):
         """Every plan node across all registered block plans, once.
@@ -152,7 +172,7 @@ class Executor:
                                            metrics=metrics)
         runtime = ExecutionRuntime(self.storage, self.context.entry_count,
                                    governor=governor, injector=injector,
-                                   parallel=parallel)
+                                   parallel=parallel, batch=mode == "batch")
         self.last_governor = governor
         self.last_parallel = parallel
         previous = self.current_runtime

@@ -55,8 +55,11 @@ class ExecutionRuntime:
     """Per-execution state shared across the whole plan tree."""
 
     def __init__(self, storage, context_size: int, governor=None,
-                 injector=None, parallel=None) -> None:
+                 injector=None, parallel=None, batch: bool = False) -> None:
         self.storage = storage
+        #: Whether this execution runs batch plans (subquery bodies run
+        #: the same engine as the statement that calls them).
+        self.batch = batch
         #: Rows per batch for this execution: the storage engine's chunk
         #: size (``DatabaseConfig.batch_size`` through the facade), so
         #: one table chunk is one batch.
@@ -465,9 +468,9 @@ class IndexLookupNode(_LeafNode):
                 yield
 
     def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
-        # Only reached as a chain driver, where the lookup keys are
-        # row-invariant (lowering enforces it); as a nested-loop inner
-        # this node runs through the row path instead.
+        # A chain driver or a re-run nested-loop inner: the lookup keys
+        # read only bound entries (lowering enforces it), so one row
+        # evaluates them.  A batched probe never calls this.
         probe = RowBatch({}, 1)
         key = tuple(fn(probe)[0] for fn in self.bx_keys)
         if any(part is None for part in key):
@@ -566,16 +569,21 @@ class DerivedMaterializeNode(_LeafNode):
                 yield
 
     def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
-        # A correlated derived table is always a nested-loop inner, which
-        # runs row-at-a-time, so here the materialisation key is always
-        # the uncorrelated None snapshot.
+        # A correlated derived table reads its sources bound in the
+        # context: by the nested loop it is the inner of, or by the
+        # subquery call whose body it drives.
+        if self.correlation_sources:
+            ctx = runtime.ctx
+            key = tuple(ctx[source] for source in self.correlation_sources)
+        else:
+            key = None
         by_key = runtime.materializations.setdefault(id(self), {})
-        rows = by_key.get(None)
+        rows = by_key.get(key)
         if rows is None:
             rows = []
             for chunk in self.subplan.run_batches(runtime):
                 rows.extend(chunk)
-            by_key[None] = rows
+            by_key[key] = rows
             _charge_materialized(runtime, rows)
             runtime.rebind_counts[id(self)] = \
                 runtime.rebind_counts.get(id(self), 0) + 1
@@ -680,7 +688,7 @@ class NestedLoopJoinNode(PlanNode):
 
     def _join(self, runtime: ExecutionRuntime,
               outer_states: Iterator[None]) -> Iterator[None]:
-        """The join loop: per outer row left in the context by
+        """The row join loop: per outer row left in the context by
         ``outer_states``, re-run the inner side through the row
         interpreter (it may read outer context slots — index lookups,
         pushed-down correlated predicates)."""
@@ -730,57 +738,19 @@ class NestedLoopJoinNode(PlanNode):
                        ) -> Iterator[RowBatch]:
         """The outer side as batches.  A nested-loop outer hands over its
         joined batches un-noted: a left-deep NL chain is accounted as
-        batches only at its top, as when it streamed contexts."""
+        batches only at its top."""
         outer = self.outer
         if isinstance(outer, NestedLoopJoinNode):
             return outer._joined_batches(runtime)
         return outer.run_batches(runtime)
 
-    def _outer_states(self, runtime: ExecutionRuntime) -> Iterator[None]:
-        """Drive the outer side, leaving each outer row in the context.
-
-        A nested-loop outer that runs row-wise itself streams through
-        :meth:`run_ctx` (no intermediate batch materialization); any
-        other child runs batched and is unpacked into context slots row
-        by row."""
-        outer = self.outer
-        if isinstance(outer, NestedLoopJoinNode) and not outer.bx_probe:
-            yield from outer.run_ctx(runtime)
-            return
-        ctx = runtime.ctx
-        for batch in self._outer_batches(runtime):
-            cols = list(batch.columns.items())
-            for i in range(batch.length):
-                for entry_id, column in cols:
-                    ctx[entry_id] = column[i]
-                yield
-
-    def run_ctx(self, runtime: ExecutionRuntime) -> Iterator[None]:
-        """:meth:`run` over the batched outer side of
-        :meth:`_outer_states`."""
-        return self._join(runtime, self._outer_states(runtime))
-
-    def _ctx_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
-        """Materialize :meth:`run_ctx` output into batches (the join's
-        own filter already ran row-wise inside it)."""
-        ctx = runtime.ctx
-        acc = BatchAccumulator(self.produced_entries(), runtime.batch_size)
-        add_ctx = acc.add_ctx
-        for __ in self.run_ctx(runtime):
-            add_ctx(ctx)
-            if acc.full:
-                yield acc.flush()
-        if acc.length:
-            yield acc.flush()
-
     def _joined_batches(self, runtime: ExecutionRuntime
                         ) -> Iterator[RowBatch]:
         """Output batches with ``actual_rows`` charged but not yet
         noted as emitted batches."""
-        if self.bx_probe:
-            return _rebatch(self._probe_batches(runtime),
-                            runtime.batch_size)
-        return self._ctx_batches(runtime)
+        joined = self._probe_batches(runtime) if self.bx_probe \
+            else self._rebind_batches(runtime)
+        return _rebatch(joined, runtime.batch_size)
 
     def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
         for batch in self._joined_batches(runtime):
@@ -792,8 +762,8 @@ class NestedLoopJoinNode(PlanNode):
         """Batched index nested loop (MySQL's Batched Key Access shape).
 
         Eligible when the inner side is an :class:`IndexLookupNode`
-        whose keys read only outer entries (batch lowering sets
-        ``bx_probe``).  Per outer batch the lookup keys are evaluated
+        whose keys read only outer (or bound) entries (batch lowering
+        sets ``bx_probe``).  Per outer batch the lookup keys are evaluated
         compiled, the index is probed once per outer row with a
         non-NULL key — exactly the row path's lookups, so storage
         counters match — and the inner filter, join condition and join
@@ -854,6 +824,76 @@ class NestedLoopJoinNode(PlanNode):
             if joined.length:
                 self.actual_rows += joined.length
                 yield joined
+
+    def _rebind_batches(self, runtime: ExecutionRuntime
+                        ) -> Iterator[RowBatch]:
+        """Nested loop over an inner side that is not a batched probe.
+
+        Per outer row: bind the outer entries into the context, run the
+        inner side's batch plan (lowered with them bound), and evaluate
+        the join condition and filter over its batches, with the outer
+        entries bound too.  A LEFT or ANTI row without a match goes on
+        beside NULL inner rows.  A SEMI or ANTI row stops reading its
+        inner side at the first match, and only the inner rows up to it
+        count toward the inner node's actual rows, as in the row path.
+        Output keeps the row path's order, one batch per outer batch.
+        """
+        self.actual_loops += 1
+        ctx = runtime.ctx
+        inner = self.inner
+        kind = self.kind
+        first_only = kind is JoinKind.SEMI or kind is JoinKind.ANTI
+        condition = self.bx_condition
+        join_mask = self.bx_filter
+        inner_entries = self._inner_entries
+        nulls = RowBatch({entry: [None] for entry in inner_entries}, 1)
+        gov = runtime.governor
+        for batch in self._outer_batches(runtime):
+            outer_cols = list(batch.columns.items())
+            positions: List[int] = []
+            inner_cols: Dict[int, list] = {entry: []
+                                           for entry in inner_entries}
+            for position in range(batch.length):
+                if gov is not None:
+                    gov.tick()
+                for entry, column in outer_cols:
+                    ctx[entry] = column[position]
+                out: List[RowBatch] = []
+                matched = False
+                parts = inner.run_batches(runtime)
+                for part in parts:
+                    mask = condition(part) if condition is not None \
+                        else [True] * part.length
+                    if first_only:
+                        hit = next((at for at, passed in enumerate(mask)
+                                    if passed is True), None)
+                        if hit is None:
+                            continue
+                        inner.actual_rows -= part.length - hit - 1
+                        matched = True
+                        if kind is JoinKind.SEMI:
+                            out.append(part.slice(hit, hit + 1))
+                        break
+                    part = part.filter_true(mask)
+                    if part.length:
+                        matched = True
+                        out.append(part)
+                parts.close()
+                if not matched and kind is not JoinKind.INNER \
+                        and kind is not JoinKind.SEMI:
+                    out.append(nulls)
+                for part in out:
+                    if join_mask is not None:
+                        part = part.filter_true(join_mask(part))
+                    positions.extend([position] * part.length)
+                    for entry in inner_entries:
+                        inner_cols[entry].extend(part.columns[entry])
+            if positions:
+                joined = {entry: list(map(column.__getitem__, positions))
+                          for entry, column in outer_cols}
+                joined.update(inner_cols)
+                self.actual_rows += len(positions)
+                yield RowBatch(joined, len(positions))
 
     def _first_matches(self, batch: RowBatch, owners: List[int],
                        candidates: RowBatch) -> RowBatch:

@@ -35,6 +35,8 @@ from repro.sql.blocks import (
     OutputColumn,
     QueryBlock,
     TableEntry,
+    correlation_sources,
+    referenced_entries,
 )
 from repro.sql.rewrite import expr_key, substitute_entry_columns
 
@@ -168,6 +170,8 @@ def _convert_one(block: QueryBlock,
     sub = right.block
     if not isinstance(sub, QueryBlock) or not _convertible(sub):
         return None
+    if _reads_semijoin_nest(block, left, sub):
+        return None
 
     context = block.context
     alias = f"derived_{block.block_id}_{sub.block_id}"
@@ -181,6 +185,19 @@ def _convert_one(block: QueryBlock,
     value_ref = ast.ColumnRef(alias, "Name_exp_1", entry.entry_id, 0)
     value_ref.resolved_type = columns[0].type
     return [ast.BinaryExpr(op, left, value_ref)]
+
+
+def _reads_semijoin_nest(block: QueryBlock, left: ast.Expr,
+                         sub: QueryBlock) -> bool:
+    """Whether the comparison reads an entry of one of ``block``'s
+    semi-join nests.  Such a conjunct came out of an EXISTS / IN body
+    and must be evaluated per nest row, inside the semi-join; a derived
+    table would leave the nest and be joined above it."""
+    nested = {entry for nest in block.semijoin_nests
+              for entry in nest.entry_ids}
+    return bool(nested) and (
+        not nested.isdisjoint(referenced_entries(left))
+        or not nested.isdisjoint(correlation_sources(sub)))
 
 
 def _convertible(sub: QueryBlock) -> bool:
@@ -258,8 +275,6 @@ def _consumers_of(binding, block: QueryBlock) -> List[TableEntry]:
 
 
 def _pushable_conjuncts(consumer: TableEntry, binding) -> List[ast.Expr]:
-    from repro.sql.blocks import referenced_entries
-
     producer = binding.block
     target = frozenset({consumer.entry_id})
     aggregated = producer.aggregated

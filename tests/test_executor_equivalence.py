@@ -347,6 +347,11 @@ class TestBatchedIndexProbe:
     #: or both (window functions, subquery expressions).
     FORMERLY_REFUSED = (1, 6, 9, 12, 14, 24, 28, 41, 44, 57, 73, 81, 87)
 
+    #: Statements whose subquery bodies take a float AVG over more than
+    #: one batch: the batch engine folds it per batch, the row engine
+    #: value by value, so the last digits may differ.
+    FLOAT_FOLDED = (9,)
+
     @pytest.mark.parametrize("optimizer", ["mysql", "orca"])
     def test_formerly_refused_tpcds_statements_do_the_same_work(
             self, tpcds, optimizer):
@@ -356,7 +361,28 @@ class TestBatchedIndexProbe:
             sql = TPCDS_QUERIES[number]
             row = do_work(tpcds, sql, optimizer, "row")
             batch = do_work(tpcds, sql, optimizer, "batch")
-            assert batch == row, f"ds{number}"
+            if number in self.FLOAT_FOLDED:
+                assert batch[1:] == row[1:], f"ds{number}"
+                assert _same_to_12_digits(batch[0], row[0]), f"ds{number}"
+            else:
+                assert batch == row, f"ds{number}"
+
+
+def _same_to_12_digits(left_rows, right_rows) -> bool:
+    """Row lists equal cell for cell, float cells to 12 significant
+    digits and every other cell exactly."""
+    if len(left_rows) != len(right_rows):
+        return False
+    for left, right in zip(left_rows, right_rows):
+        if len(left) != len(right):
+            return False
+        for a, b in zip(left, right):
+            if isinstance(a, float) and isinstance(b, float):
+                if abs(a - b) > 1e-12 * max(abs(a), abs(b)):
+                    return False
+            elif a != b or type(a) is not type(b):
+                return False
+    return True
 
 
 class TestTotalLowering:

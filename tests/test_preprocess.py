@@ -167,3 +167,93 @@ class TestCtePushdown:
             WHERE s1.ck = 5 AND s2.ck = 6 AND s1.total > s2.total"""
         assert db.execute(sql, optimizer="mysql") == \
             db.execute(sql, optimizer="orca")
+
+
+class TestConversionStaysOutOfSemijoinNests:
+    """A scalar subquery compared inside an EXISTS / NOT EXISTS body is
+    not converted once the body is a semi-join nest of the outer block:
+    the derived table would be joined above the semi-join, not per nest
+    row.  Counts are checked against SQLite over the same rows."""
+
+    SQL = ("SELECT COUNT(*) FROM orders WHERE o_orderdate < DATE "
+           "'1993-01-01' AND {neg}EXISTS (SELECT * FROM lineitem WHERE "
+           "l_orderkey = o_orderkey AND l_extendedprice > "
+           "(SELECT AVG(p_retailprice) * 20 FROM part "
+           "WHERE p_partkey = l_partkey))")
+    SCALE = 0.02
+
+    @pytest.fixture(scope="class")
+    def tpch(self):
+        from repro import Database
+        from repro.workloads.tpch import load_tpch
+
+        db = Database()
+        load_tpch(db, scale=self.SCALE)
+        return db
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        import datetime
+        import sqlite3
+
+        from repro.workloads.tpch.datagen import generate_tpch
+        from repro.workloads.tpch.schema import build_tpch_schema
+
+        rows = generate_tpch(self.SCALE, 42)
+        con = sqlite3.connect(":memory:")
+        for schema in build_tpch_schema():
+            if schema.name not in ("orders", "lineitem", "part"):
+                continue
+            names = [column.name for column in schema.columns]
+            con.execute(f"CREATE TABLE {schema.name} ({', '.join(names)})")
+            con.executemany(
+                f"INSERT INTO {schema.name} VALUES "
+                f"({', '.join('?' * len(names))})",
+                [tuple(value.isoformat()
+                       if isinstance(value, datetime.date) else value
+                       for value in row) for row in rows[schema.name]])
+        counts = {}
+        for neg in ("", "NOT "):
+            sql = self.SQL.format(neg=neg).replace(
+                "DATE '1993-01-01'", "'1993-01-01'")
+            counts[neg] = con.execute(sql).fetchone()[0]
+        con.close()
+        return counts
+
+    def test_oracle_counts_partition_the_qualifying_orders(self, oracle):
+        assert oracle == {"": 10, "NOT ": 3}
+
+    @pytest.mark.parametrize("neg", ["", "NOT "])
+    @pytest.mark.parametrize("optimizer", ["mysql", "orca"])
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    def test_count_matches_sqlite(self, tpch, oracle, neg, optimizer, mode):
+        result = tpch.run(self.SQL.format(neg=neg), optimizer=optimizer,
+                          executor_mode=mode)
+        assert result.rows == [(oracle[neg],)]
+
+    def test_no_corpus_statement_touches_a_nest(self, monkeypatch):
+        # The guard leaves every benchmark plan as it was: no TPC-H or
+        # TPC-DS conversion candidate reads a semi-join nest.
+        from repro import Database
+        from repro.orca import preprocess
+        from repro.workloads.tpcds import TPCDS_QUERIES, load_tpcds
+        from repro.workloads.tpch import TPCH_QUERIES, load_tpch
+
+        consulted, refused = [], []
+        guard = preprocess._reads_semijoin_nest
+
+        def spy(block, left, sub):
+            touched = guard(block, left, sub)
+            consulted.append(block.block_id)
+            if touched:
+                refused.append(block.block_id)
+            return touched
+
+        monkeypatch.setattr(preprocess, "_reads_semijoin_nest", spy)
+        for loader, queries, scale in ((load_tpch, TPCH_QUERIES, 0.01),
+                                       (load_tpcds, TPCDS_QUERIES, 0.05)):
+            db = Database()
+            loader(db, scale=scale)
+            for sql in queries.values():
+                db.explain(sql, optimizer="orca")
+        assert consulted and refused == []
