@@ -286,27 +286,51 @@ def ref_access(block: QueryBlock, entry: TableEntry,
 def _join_equalities(entry: TableEntry, conjuncts: List[ast.Expr],
                      available: frozenset,
                      refs: Callable[[ast.Expr], frozenset]):
-    """Map column position -> (conjunct, outer expr) for usable equalities."""
+    """Map column position -> (conjunct, outer expr) for usable equalities:
+    the first candidate key per column whose other side reads only
+    ``available`` entries."""
     result = {}
     for conjunct in conjuncts:
-        if not (isinstance(conjunct, ast.BinaryExpr)
-                and conjunct.op is ast.BinOp.EQ):
+        found = lookup_key_candidate(entry, conjunct, refs)
+        if found is None:
             continue
-        left, right = conjunct.left, conjunct.right
-        for own, other in ((left, right), (right, left)):
-            if not isinstance(own, ast.ColumnRef):
-                continue
-            if own.entry_id != entry.entry_id:
-                continue
-            other_refs = refs(other)
-            if entry.entry_id in other_refs:
-                continue
-            if not other_refs.issubset(available):
-                continue
-            if own.position not in result:
-                result[own.position] = (conjunct, other)
-            break
+        position, other, other_refs = found
+        if position not in result and other_refs.issubset(available):
+            result[position] = (conjunct, other)
     return result
+
+
+def lookup_key_candidate(entry: TableEntry, conjunct: ast.Expr,
+                         refs: Callable[[ast.Expr], frozenset]
+                         ) -> Optional[Tuple[int, ast.Expr, frozenset]]:
+    """``(column position, other side, entries the other side reads)``
+    when ``conjunct`` is ``entry.column = expr`` with ``expr`` not
+    reading ``entry`` — a lookup key for :func:`ref_access` wherever
+    ``expr``'s entries are bound.  At most one side of an equality
+    qualifies: if the left side is a column of ``entry`` and the right
+    does not read ``entry``, the right is no column of ``entry``."""
+    if not (isinstance(conjunct, ast.BinaryExpr)
+            and conjunct.op is ast.BinOp.EQ):
+        return None
+    for own, other in ((conjunct.left, conjunct.right),
+                       (conjunct.right, conjunct.left)):
+        if isinstance(own, ast.ColumnRef) \
+                and own.entry_id == entry.entry_id:
+            other_refs = refs(other)
+            if entry.entry_id not in other_refs:
+                return own.position, other, other_refs
+    return None
+
+
+def indexed_positions(entry: TableEntry) -> frozenset:
+    """Column positions of ``entry`` that some index covers: the only
+    columns whose lookup keys :func:`ref_access` can use."""
+    schema = entry.table_schema
+    if entry.kind is not EntryKind.BASE or schema is None:
+        return frozenset()
+    return frozenset(schema.column_position(name)
+                     for index in schema.indexes
+                     for name in index.column_names)
 
 
 def ordered_index_access(entry: TableEntry, order_items: List[ast.OrderItem]

@@ -46,7 +46,7 @@ skipped optimize stages (and the batch lowering the cached executor
 already holds) are the saving being traced.  The
 ``memo_search`` span carries the search-effort counters
 (``cost_evaluations``, ``memo_offered``, ``pruned_candidates``,
-``best_cost``) the perf benches aggregate.
+``access_memo_hits``, ``best_cost``) the perf benches aggregate.
 """
 
 from __future__ import annotations

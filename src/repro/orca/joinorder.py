@@ -35,7 +35,12 @@ import itertools
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.errors import BudgetExceededError, OrcaError
-from repro.mysql_optimizer.access_path import best_local_access, ref_access
+from repro.mysql_optimizer.access_path import (
+    best_local_access,
+    indexed_positions,
+    lookup_key_candidate,
+    ref_access,
+)
 from repro.mysql_optimizer.skeleton import AccessPlan
 from repro.executor.plan import AccessMethod
 from repro.orca import largejoin
@@ -252,6 +257,20 @@ class OrcaJoinSearch:
         #: Neighbour mask of each unit in the join graph.
         self._neighbors = [mask & ~(1 << index)
                            for index, mask in enumerate(reach)]
+        #: Per unit, the lookup keys :func:`ref_access` could use on its
+        #: index columns, in its candidate order (the unit's local
+        #: conjuncts, then join conjuncts by index): ``(list bit, column
+        #: bit, mask of the units the other side reads)``.  With the
+        #: outer side's mask these give the conjunct ``ref_access``
+        #: would pick per column, without re-walking a conjunct tree.
+        self._lookup_keys = [self._unit_lookup_keys(index, unit_of)
+                             for index in range(len(units))]
+        #: The join-step access memo: ``(unit, picked keys)`` ->
+        #: :func:`ref_access` result, for this search only — statistics
+        #: may change between searches (ANALYZE).
+        self._join_access_memo: Dict[Tuple[int, int],
+                                     Optional[AccessPlan]] = {}
+        self.access_memo_hits = 0
         self._rows_cache: Dict[int, float] = {}
         self._conn_cache: Dict[int, bool] = {}
         self._bound_cache: Dict[int, FrozenSet[int]] = {}
@@ -296,6 +315,29 @@ class OrcaJoinSearch:
         if not left_mapped or not right_mapped:
             return None
         return left, right
+
+    def _unit_lookup_keys(self, index: int, unit_of: Dict[int, int]
+                          ) -> List[Tuple[int, int, int]]:
+        unit = self.units[index]
+        entry = unit.descriptor.entry
+        positions = indexed_positions(entry)
+        if not positions:
+            return []
+        candidates = list(unit.conjuncts)
+        candidates += [self.conjuncts[conjunct_index]
+                       for conjunct_index, mask, __ in self._joins
+                       if mask >> index & 1]
+        keys = []
+        for conjunct in candidates:
+            found = lookup_key_candidate(entry, conjunct,
+                                         self._refs.__getitem__)
+            if found is None or found[0] not in positions:
+                continue
+            position, __, other_refs = found
+            need, mapped = self._unit_mask(other_refs, unit_of)
+            if mapped or not other_refs - self.corr:
+                keys.append((1 << len(keys), 1 << position, need))
+        return keys
 
     def _closure(self, seed: int, within: int) -> int:
         """The units of ``within`` reachable from ``seed`` over join
@@ -592,19 +634,32 @@ class OrcaJoinSearch:
     def _expand_subset(self, subset: int, full_bushy: bool) -> None:
         self._check_budget()
         self.expansions += 1
-        memo_group = self.memo.group
         # Every proper subset was classified before this expansion
         # (:meth:`_dp` runs sizes upwards and classifies the singletons
-        # first), so connectivity is a cache read.
+        # first), so connectivity is a cache read, and every connected
+        # one already has its memo group.
         connected = self._conn_cache
-        group = memo_group(subset)
+        groups = self.memo.groups
+        group = self.memo.group(subset)
         group.rows = self.subset_rows(subset)
+        prune = self.enable_pruning
         for side_a, side_b in _splits(subset, full_bushy):
             if not connected[side_a] or not connected[side_b]:
                 continue
-            group_a = memo_group(side_a)
-            group_b = memo_group(side_b)
+            group_a = groups[side_a]
+            group_b = groups[side_b]
             if group_a.best_plan is None or group_b.best_plan is None:
+                continue
+            # With no single-unit inner either way, each orientation's
+            # bound in :meth:`_offer_pair` is the inputs' cost plus a
+            # non-negative hash floor: when the inputs alone reach the
+            # incumbent, both orientations are pruned.
+            if prune and group.best_plan is not None \
+                    and side_a & (side_a - 1) and side_b & (side_b - 1) \
+                    and group_a.best_cost + group_b.best_cost \
+                    >= group.best_cost:
+                self.pruned_candidates += 2
+                group.note_pruned(2)
                 continue
             self._offer_pair(group, group_a, group_b)
 
@@ -671,56 +726,85 @@ class OrcaJoinSearch:
         plan_a = group_a.best_plan
         plan_b = group_b.best_plan
 
-        # Hash join: probe with A, build with B.
+        # Hash join: probe with A, build with B.  Each candidate's
+        # operator is built only when its cost wins the group.
         if equi and not self._prune_candidate(
                 group, inputs + self.cost_model.hash_join_floor(
                     rows_b, rows_a, out_rows)):
             cost = (inputs
                     + self.cost_model.hash_join_cost(rows_b, rows_a,
                                                      out_rows))
-            join = PhysicalHashJoin(plan_a, plan_b, JoinVariant.INNER,
-                                    conjuncts)
-            join.cost, join.rows = cost, out_rows
-            group.offer(join, cost)
+            if group.admit(cost):
+                join = PhysicalHashJoin(plan_a, plan_b, JoinVariant.INNER,
+                                        conjuncts)
+                join.cost, join.rows = cost, out_rows
+                group.take(join, cost)
 
         # Index NL join: only when the inner side is a single base unit.
         side_b = group_b.key
         if not side_b & (side_b - 1):
             index = side_b.bit_length() - 1
             unit = self.units[index]
-            entry = unit.descriptor.entry
-            if entry.kind is EntryKind.BASE and not self._prune_candidate(
-                    group, group_a.best_cost
-                    + self.cost_model.index_nljoin_floor(rows_a)):
-                ref = ref_access(self.block, entry,
-                                 unit.conjuncts + conjuncts,
-                                 self._bound_entries(group_a.key),
-                                 self.estimator, self.cost_model,
-                                 refs=self._refs.__getitem__)
+            if unit.descriptor.entry.kind is EntryKind.BASE \
+                    and not self._prune_candidate(
+                        group, group_a.best_cost
+                        + self.cost_model.index_nljoin_floor(rows_a)):
+                ref = self._join_access(index, group_a.key, conjuncts)
                 if ref is not None:
                     cost = (group_a.best_cost
                             + self.cost_model.index_nljoin_cost(
                                 rows_a, ref.est_cost))
-                    inner_get = PhysicalGet(unit.descriptor, ref,
-                                            list(unit.conjuncts))
-                    inner_get.cost = ref.est_cost
-                    inner_get.rows = ref.est_rows
-                    join = PhysicalNLJoin(plan_a, inner_get,
-                                          JoinVariant.INNER, conjuncts,
-                                          index_inner=True)
-                    join.cost, join.rows = cost, out_rows
-                    group.offer(join, cost)
+                    if group.admit(cost):
+                        inner_get = PhysicalGet(unit.descriptor, ref,
+                                                list(unit.conjuncts))
+                        inner_get.cost = ref.est_cost
+                        inner_get.rows = ref.est_rows
+                        join = PhysicalNLJoin(plan_a, inner_get,
+                                              JoinVariant.INNER, conjuncts,
+                                              index_inner=True)
+                        join.cost, join.rows = cost, out_rows
+                        group.take(join, cost)
             # Plain NL rescan (cartesian or non-equi) fallback.
-            __, unit_cost, __, __ = self._local[index]
+            unit_cost = self._local[index][1]
             if not self._prune_candidate(group,
                                          inputs + rows_a * unit_cost):
                 cost = (inputs
                         + self.cost_model.nljoin_rescan_cost(rows_a,
                                                              unit_cost))
-                join = PhysicalNLJoin(plan_a, plan_b, JoinVariant.INNER,
-                                      conjuncts)
-                join.cost, join.rows = cost, out_rows
-                group.offer(join, cost)
+                if group.admit(cost):
+                    join = PhysicalNLJoin(plan_a, plan_b, JoinVariant.INNER,
+                                          conjuncts)
+                    join.cost, join.rows = cost, out_rows
+                    group.take(join, cost)
+
+    def _join_access(self, index: int, outer: int,
+                     conjuncts: List[ast.Expr]) -> Optional[AccessPlan]:
+        """:func:`ref_access` for unit ``index`` as the index-NL inner of
+        the units in ``outer``, where ``conjuncts`` are the pair's cross
+        conjuncts.
+
+        ``ref_access`` depends only on the conjunct it picks per index
+        column, which :attr:`_lookup_keys` and ``outer`` determine, so
+        its result is memoised under those picks for this search.  The
+        returned :class:`AccessPlan` is shared by every candidate that
+        hits; nothing downstream mutates one.
+        """
+        key = taken = 0
+        for bit, column, need in self._lookup_keys[index]:
+            if not need & ~outer and not taken & column:
+                taken |= column
+                key |= bit
+        memo_key = (index, key)
+        memo = self._join_access_memo
+        if memo_key in memo:
+            self.access_memo_hits += 1
+            return memo[memo_key]
+        unit = self.units[index]
+        access = memo[memo_key] = ref_access(
+            self.block, unit.descriptor.entry, unit.conjuncts + conjuncts,
+            self._bound_entries(outer), self.estimator, self.cost_model,
+            refs=self._refs.__getitem__)
+        return access
 
     # -- greedy and polish -------------------------------------------------------------------
 

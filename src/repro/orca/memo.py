@@ -51,29 +51,41 @@ class Group:
     #: Re-offers of already-costed plans (``costed=False``) don't count
     #: here, so compile-budget accounting isn't double-counted.
     alternatives: int = 0
-    #: Every ``offer()`` call, including re-offers of known plans.
+    #: Every offer (:meth:`admit` call), including re-offers of known
+    #: plans.
     offered: int = 0
     #: Candidates the search skipped because their cost lower bound
     #: already exceeded this group's best complete plan (branch-and-bound
     #: pruning); they were never costed or offered.
     pruned: int = 0
 
-    def offer(self, plan: PhysicalOp, cost: float,
-              costed: bool = True) -> bool:
-        """Record a candidate plan; keep it if it is the cheapest so far.
+    def admit(self, cost: float, costed: bool = True) -> bool:
+        """Count one offer of a candidate costing ``cost``; whether it
+        beats the incumbent.
 
         ``costed=False`` marks a re-offer of a plan whose cost the caller
         already knew (seed plans, chain re-walks): it still competes for
         ``best_plan`` but doesn't inflate the ``alternatives`` effort
-        counter.
+        counter.  The join search builds a candidate's operator only
+        when this returns True, then hands it to :meth:`take`.
         """
         self.offered += 1
         if costed:
             self.alternatives += 1
-        if cost < self.best_cost:
-            self.best_cost = cost
-            self.best_plan = plan
-            plan.group_id = self.group_id
+        return cost < self.best_cost
+
+    def take(self, plan: PhysicalOp, cost: float) -> None:
+        """Make an admitted candidate the group's best plan."""
+        self.best_cost = cost
+        self.best_plan = plan
+        plan.group_id = self.group_id
+
+    def offer(self, plan: PhysicalOp, cost: float,
+              costed: bool = True) -> bool:
+        """Record an already-built candidate plan; keep it if it is the
+        cheapest so far (:meth:`admit`, then :meth:`take`)."""
+        if self.admit(cost, costed):
+            self.take(plan, cost)
             return True
         return False
 
@@ -86,36 +98,39 @@ class Memo:
     """Group registry keyed by covered-unit masks."""
 
     def __init__(self) -> None:
-        self._groups: Dict[int, Group] = {}
+        #: Groups by unit mask.  Read-only outside the memo: the DP's
+        #: split loop reads the groups of sides it has already expanded
+        #: here, without a :meth:`group` call per side.
+        self.groups: Dict[int, Group] = {}
         self._next_id = 0
 
     def group(self, key: int) -> Group:
-        existing = self._groups.get(key)
+        existing = self.groups.get(key)
         if existing is not None:
             return existing
         group = Group(self._next_id, key)
         self._next_id += 1
-        self._groups[key] = group
+        self.groups[key] = group
         return group
 
     def has_group(self, key: int) -> bool:
-        return key in self._groups
+        return key in self.groups
 
     @property
     def group_count(self) -> int:
-        return len(self._groups)
+        return len(self.groups)
 
     @property
     def total_alternatives(self) -> int:
-        return sum(group.alternatives for group in self._groups.values())
+        return sum(group.alternatives for group in self.groups.values())
 
     @property
     def total_offered(self) -> int:
-        return sum(group.offered for group in self._groups.values())
+        return sum(group.offered for group in self.groups.values())
 
     @property
     def total_pruned(self) -> int:
-        return sum(group.pruned for group in self._groups.values())
+        return sum(group.pruned for group in self.groups.values())
 
     def stats(self) -> dict:
         """Search-effort summary for the observability layer."""

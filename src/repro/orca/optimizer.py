@@ -154,6 +154,8 @@ class OrcaOptimizer:
                      chains_costed=search.chains_costed if search else 0,
                      pruned_candidates=(search.pruned_candidates
                                         if search else 0),
+                     access_memo_hits=(search.access_memo_hits
+                                       if search else 0),
                      join_strategy=join_strategy,
                      join_units=join_units,
                      join_budget_degradations=degradations,

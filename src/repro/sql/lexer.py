@@ -1,4 +1,4 @@
-"""A hand-written SQL lexer.
+"""The SQL lexer: one compiled pattern.
 
 Produces a flat token list the recursive-descent parser consumes.  Keywords
 are case-insensitive; identifiers keep their original case but compare
@@ -8,8 +8,10 @@ case-insensitively downstream (MySQL's default on most platforms).
 from __future__ import annotations
 
 import enum
+import functools
+import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.errors import LexerError
 
@@ -32,13 +34,11 @@ KEYWORDS = frozenset("""
     ROWS SEMI ANTI GROUPING RECURSIVE
 """.split())
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/", "%",
-              "||")
-_PUNCT = "(),."
-
 
 @dataclass
 class Token:
+    __slots__ = ("type", "value", "position")
+
     type: TokenType
     value: str
     position: int
@@ -50,100 +50,95 @@ class Token:
         return f"Token({self.type.name}, {self.value!r})"
 
 
+#: The token grammar as one alternation.  ``{digits}`` is the body of a
+#: character class holding exactly the ``str.isdigit`` characters of the
+#: text being lexed and ``{alpha}`` matches exactly ``str.isalpha`` or
+#: ``_`` (see :func:`_pattern`); ``\s`` and ``\w`` are ``str.isspace``
+#: and ``str.isalnum`` or ``_`` as they stand.  Each match skips the
+#: whitespace, comments and ``;`` before one token; at the end of the
+#: text it matches no group.  The ``open_*`` alternatives and ``other``
+#: match where no token does and raise; with the catch-all last, every
+#: position matches, so ``finditer`` walks the text without gaps.
+_GRAMMAR = r"""
+    (?: \s+ | --[^\n]*\n? | /\*[\s\S]*?\*/ | ; )*
+    (?: (?P<open_comment> /\* )
+  | (?P<string> '[^']*(?:''[^']*)*'(?!') )
+  | (?P<number> (?:[{digits}]|\.(?=[{digits}])) [.{digits}]*
+                (?:[eE][+-]?[{digits}]*)? )
+  | (?P<word> {alpha}\w* )
+  | (?P<quoted> `[^`]*` | "[^"]*" )
+  | (?P<operator> <= | >= | <> | != | = | < | > | \+ | - | \* | / | %
+                | \|\| )
+  | (?P<punct> [(),.] )
+  | (?P<open_string> ' )
+  | (?P<open_quoted> [`"] )
+  | (?P<other> [\s\S] ) | \Z )
+"""
+
+_TYPES = {
+    "punct": TokenType.PUNCT,
+    "operator": TokenType.OPERATOR,
+    "number": TokenType.NUMBER,
+}
+_ERRORS = {
+    "open_comment": "unterminated comment",
+    "open_string": "unterminated string literal",
+    "open_quoted": "unterminated quoted identifier",
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _grammar(extra_digits: str, not_alpha: str) -> "re.Pattern[str]":
+    r"""The token pattern for a text whose characters outside ``\d``
+    that ``str.isdigit`` accepts are ``extra_digits``, and whose word
+    characters outside ``\d`` and ``_`` that ``str.isalpha`` rejects
+    are ``not_alpha``."""
+    digits = r"\d" + re.escape(extra_digits)
+    alpha = r"[^\W\d]"
+    if not_alpha:
+        alpha = f"(?![{re.escape(not_alpha)}]){alpha}"
+    return re.compile(_GRAMMAR.format(digits=digits, alpha=alpha),
+                      re.VERBOSE)
+
+
+def _pattern(text: str) -> "re.Pattern[str]":
+    """Where ``re`` and the ``str`` predicates disagree — superscript
+    digits, vulgar fractions, Roman numerals — the predicates decide.
+    Every such character is non-ASCII, so ASCII text needs no scan."""
+    if text.isascii():
+        return _grammar("", "")
+    odd = sorted(ch for ch in set(text) if ch.isalnum() and not ch.isalpha()
+                 and not ch.isdecimal())
+    return _grammar("".join(ch for ch in odd if ch.isdigit()), "".join(odd))
+
+
 def tokenize(text: str) -> List[Token]:
     """Lex ``text`` into tokens, ending with a single EOF token."""
     tokens: List[Token] = []
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    append = tokens.append
+    for match in _pattern(text).finditer(text):
+        kind = match.lastgroup
+        if kind is None:
             continue
-        if ch == "-" and text.startswith("--", i):
-            end = text.find("\n", i)
-            i = length if end == -1 else end + 1
-            continue
-        if ch == "/" and text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise LexerError("unterminated comment", i)
-            i = end + 2
-            continue
-        if ch == "'":
-            value, i = _lex_string(text, i)
-            tokens.append(Token(TokenType.STRING, value, i))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < length
-                            and text[i + 1].isdigit()):
-            start = i
-            i += 1
-            while i < length and (text[i].isdigit() or text[i] == "."):
-                i += 1
-            if i < length and text[i] in "eE":
-                i += 1
-                if i < length and text[i] in "+-":
-                    i += 1
-                while i < length and text[i].isdigit():
-                    i += 1
-            tokens.append(Token(TokenType.NUMBER, text[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            i += 1
-            while i < length and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            upper = word.upper()
+        start, end = match.span(kind)
+        value = text[start:end]
+        if kind == "word":
+            upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, start))
+                append(Token(TokenType.KEYWORD, upper, start))
             else:
-                tokens.append(Token(TokenType.IDENT, word, start))
-            continue
-        if ch == "`" or ch == '"':
-            quote = ch
-            end = text.find(quote, i + 1)
-            if end == -1:
-                raise LexerError("unterminated quoted identifier", i)
-            tokens.append(Token(TokenType.IDENT, text[i + 1:end], i))
-            i = end + 1
-            continue
-        matched = _match_operator(text, i)
-        if matched is not None:
-            tokens.append(Token(TokenType.OPERATOR, matched, i))
-            i += len(matched)
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenType.PUNCT, ch, i))
-            i += 1
-            continue
-        if ch == ";":
-            i += 1
-            continue
-        raise LexerError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenType.EOF, "", length))
+                append(Token(TokenType.IDENT, value, start))
+        elif kind in _TYPES:
+            append(Token(_TYPES[kind], value, start))
+        elif kind == "string":
+            # A string token is positioned just past its closing quote.
+            append(Token(TokenType.STRING, value[1:-1].replace("''", "'"),
+                         end))
+        elif kind == "quoted":
+            append(Token(TokenType.IDENT, value[1:-1], start))
+        elif kind == "other":
+            raise LexerError(f"unexpected character {value!r}", start)
+        else:
+            raise LexerError(_ERRORS[kind], start)
+    append(Token(TokenType.EOF, "", len(text)))
     return tokens
-
-
-def _lex_string(text: str, start: int):
-    """Lex a single-quoted string with '' as the escaped quote."""
-    i = start + 1
-    parts: List[str] = []
-    while i < len(text):
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < len(text) and text[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise LexerError("unterminated string literal", start)
-
-
-def _match_operator(text: str, i: int) -> Optional[str]:
-    for operator in _OPERATORS:
-        if text.startswith(operator, i):
-            return operator
-    return None

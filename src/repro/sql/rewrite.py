@@ -7,9 +7,12 @@ subtrees (e.g. select-alias substitutions) are never mutated in place.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 from typing import Callable, List, Optional
 
 from repro.sql import ast
+from repro.sql.blocks import correlation_sources, referenced_entries
 
 MapFn = Callable[[ast.Expr], Optional[ast.Expr]]
 
@@ -175,19 +178,56 @@ def expr_key(expr: ast.Expr) -> tuple:
         return ("grouping", expr_key(expr.arg))
     if isinstance(expr, ast.IntervalLiteral):
         return ("interval", expr.interval.months, expr.interval.days)
-    if isinstance(expr, (ast.ScalarSubquery, ast.InSubqueryExpr,
-                         ast.ExistsExpr)):
-        block = getattr(expr, "block", None)
-        block_id = block.block_id if block is not None else id(expr)
-        return (type(expr).__name__, block_id,
-                getattr(expr, "negated", False))
+    if isinstance(expr, ast.InSubqueryExpr):
+        return ("in", expr.negated, expr_key(expr.operand),
+                _subquery_key(expr))
+    if isinstance(expr, ast.ExistsExpr):
+        return ("exists", expr.negated, _subquery_key(expr))
+    if isinstance(expr, ast.ScalarSubquery):
+        return ("scalar", _subquery_key(expr))
     if isinstance(expr, ast.Star):
         return ("star", expr.table)
     return ("other", id(expr))
 
 
+def _subquery_key(expr) -> tuple:
+    """Structural key of a subquery expression's body.
+
+    Two textual copies of one subquery — say in the SELECT list and in
+    GROUP BY — resolve to different blocks with different entry ids, so
+    the key is the body's parse tree, not its block: a column of the
+    body's own tables is keyed by its name (identical trees in one scope
+    resolve identically), and a column read from an enclosing block by
+    its binding, ``(entry id, position)``.  An unresolved subquery keys
+    by identity.
+    """
+    block = expr.block
+    if block is None:
+        return ("unresolved", id(expr))
+    outer = frozenset(correlation_sources(block))
+    return _shape(expr.subquery, outer)
+
+
+def _shape(node, outer: frozenset):
+    if isinstance(node, ast.ColumnRef):
+        if node.entry_id in outer:
+            return ("outer", node.entry_id, node.position)
+        return ("col", node.table, node.column)
+    if isinstance(node, ast.Literal):
+        return ("lit", type(node.value).__name__, node.value)
+    if isinstance(node, (list, tuple)):
+        return tuple(_shape(item, outer) for item in node)
+    if dataclasses.is_dataclass(node):
+        # ``block`` is the resolver's output for a nested subquery; its
+        # parse tree, ``subquery``, stands for it.
+        return (type(node).__name__,) + tuple(
+            _shape(getattr(node, field.name), outer)
+            for field in dataclasses.fields(node) if field.name != "block")
+    if node is None or isinstance(node, (str, int, float, enum.Enum)):
+        return node
+    return ("other", id(node))
+
+
 def references_only(expr: ast.Expr, allowed: frozenset) -> bool:
     """Whether every column reference in ``expr`` binds inside ``allowed``."""
-    from repro.sql.blocks import referenced_entries
-
     return referenced_entries(expr).issubset(allowed)

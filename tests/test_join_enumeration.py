@@ -4,18 +4,25 @@ search it replaced made.
 ``ReferenceJoinSearch`` keeps the frozenset search verbatim: its
 ``_dp``, ``_expand_subset``, ``_all_partitions``, ``_connected``,
 ``_cross_conjuncts``, ``_has_equi``, per-orientation pair bound and join
-costing, changed only to read and write memo groups by unit mask.  What
-the two share — unit planning, ``subset_rows``, the seeding chains,
-IKKBZ / GOO / LINDP's loops and the strategy selector — is not under
-test here.  On seeded chain, star, cycle, clique and snowflake graphs
-of 2–11 units (with a three-unit conjunct, a non-equi cross conjunct,
-two components, a correlated outer reference and a derived-table unit
-among them), under EXHAUSTIVE and EXHAUSTIVE2 with pruning on and off,
-every block must come out the same: plan text with memo group ids and
-exact costs, ``memo.stats()``, cost-model evaluations, expansions and
-pruned candidates.  A memo-group cap and a fake-clock deadline must trip
-at the same check and degrade to the same incumbent — which pins the
-DP's every-256-subsets budget probe.
+costing, changed only to read and write memo groups by unit mask and to
+memoise ``ref_access`` per search under the conjuncts
+``_join_equalities`` picks for the index columns (the unit-mask search
+computes the same picks from per-unit key lists).  What the two share —
+unit planning, ``subset_rows``, the seeding chains, IKKBZ / GOO /
+LINDP's loops and the strategy selector — is not under test here.  On
+seeded chain, star, cycle, clique and snowflake graphs of 2–11 units
+(with a three-unit conjunct, a non-equi cross conjunct, two components,
+a correlated outer reference and a derived-table unit among them), under
+EXHAUSTIVE and EXHAUSTIVE2 with pruning on and off, every block must
+come out the same: plan text with memo group ids and exact costs,
+``memo.stats()``, cost-model evaluations, expansions, pruned candidates
+and join-step access memo hits.  A memo-group cap and a fake-clock
+deadline must trip at the same check and degrade to the same incumbent
+— which pins the DP's every-256-subsets budget probe.
+
+The join-step access memo is checked on its own too: every hit returns
+what a fresh ``ref_access`` call returns, and a new search (after
+ANALYZE) starts with an empty memo.
 """
 
 import itertools
@@ -29,7 +36,11 @@ from repro.bridge.metadata_provider import MySQLMetadataProvider
 from repro.bridge.parse_tree_converter import ParseTreeConverter
 from repro.catalog import Column, Index, TableSchema
 from repro.errors import BudgetExceededError
-from repro.mysql_optimizer.access_path import ref_access
+from repro.mysql_optimizer.access_path import (
+    _join_equalities,
+    indexed_positions,
+    ref_access,
+)
 from repro.mysql_types import MySQLType
 from repro.orca import optimizer as orca_optimizer
 from repro.orca.joinorder import JoinSearchMode, OrcaJoinSearch, SubEstimates
@@ -80,6 +91,7 @@ class ReferenceJoinSearch(OrcaJoinSearch):
             self._conjunct_units.append((touched, mapped))
         self._edges = [units for units, __ in self._conjunct_units
                        if len(units) >= 2]
+        self._reference_memo = {}
 
     def _connected(self, subset):
         if isinstance(subset, int):  # a shared caller passing a mask
@@ -223,6 +235,27 @@ class ReferenceJoinSearch(OrcaJoinSearch):
                 + self.cost_model.index_nljoin_floor(rows_a))
         return bound
 
+    def _reference_access(self, index, entries_a, cross):
+        """``ref_access``, memoised per search under the conjunct its
+        ``_join_equalities`` picks for each index column."""
+        unit = self.units[index]
+        entry = unit.descriptor.entry
+        conjuncts = unit.conjuncts + cross
+        available = entries_a | self.corr
+        picks = _join_equalities(entry, conjuncts, available,
+                                 referenced_entries)
+        positions = indexed_positions(entry)
+        key = (index, frozenset((position, id(conjunct))
+                                for position, (conjunct, __) in picks.items()
+                                if position in positions))
+        memo = self._reference_memo
+        if key in memo:
+            self.access_memo_hits += 1
+            return memo[key]
+        memo[key] = ref_access(self.block, entry, conjuncts, available,
+                               self.estimator, self.cost_model)
+        return memo[key]
+
     def _offer_joins(self, group, group_a, group_b, cross=None):
         key_a, key_b = _units(group_a.key), _units(group_b.key)
         out_rows = group.rows
@@ -253,10 +286,7 @@ class ReferenceJoinSearch(OrcaJoinSearch):
             if entry.kind is EntryKind.BASE and not self._prune_candidate(
                     group, group_a.best_cost
                     + self.cost_model.index_nljoin_floor(rows_a)):
-                ref = ref_access(self.block, entry,
-                                 unit.conjuncts + cross,
-                                 entries_a | self.corr,
-                                 self.estimator, self.cost_model)
+                ref = self._reference_access(index, entries_a, cross)
                 if ref is not None:
                     cost = (group_a.best_cost
                             + self.cost_model.index_nljoin_cost(
@@ -446,8 +476,9 @@ def _optimize(db, sql, search_class, mode, pruning=True,
             outcome.append(("raised", str(exc)))
     for search in searches:
         outcome.append((search.expansions, search.chains_costed,
-                        search.pruned_candidates, search.strategies,
-                        search.budget_degradations, search.memo.stats()))
+                        search.pruned_candidates, search.access_memo_hits,
+                        search.strategies, search.budget_degradations,
+                        search.memo.stats()))
     return outcome, searches
 
 
@@ -560,3 +591,76 @@ def test_cases_cover_every_graph_feature(db):
                 seen.add("derived")
     assert seen == {"hyperedge", "non_equi", "split", "correlated",
                     "derived"}
+
+
+# -- the join-step access memo ----------------------------------------------------
+
+
+def _signature(access):
+    if access is None:
+        return None
+    return (access.method, access.index_name,
+            [id(expr) for expr in access.key_exprs],
+            [id(conjunct) for conjunct in access.consumed_conjuncts],
+            access.est_rows, access.est_cost)
+
+
+@pytest.mark.parametrize("mode", [JoinSearchMode.EXHAUSTIVE,
+                                  JoinSearchMode.EXHAUSTIVE2],
+                         ids=lambda mode: mode.value)
+def test_every_memo_hit_is_a_fresh_ref_access(db, mode, monkeypatch):
+    memoised = OrcaJoinSearch._join_access
+    calls = []
+
+    def checked(search, index, outer, conjuncts):
+        hits = search.access_memo_hits
+        access = memoised(search, index, outer, conjuncts)
+        unit = search.units[index]
+        fresh = ref_access(search.block, unit.descriptor.entry,
+                           unit.conjuncts + conjuncts,
+                           search._bound_entries(outer), search.estimator,
+                           search.cost_model)
+        calls.append((search.access_memo_hits > hits,
+                      _signature(access) == _signature(fresh)))
+        return access
+
+    monkeypatch.setattr(OrcaJoinSearch, "_join_access", checked)
+    for number in range(len(CASES)):
+        for pruning in (True, False):
+            _optimize(db, _case_sql(number), OrcaJoinSearch, mode,
+                      pruning=pruning)
+    assert all(same for __, same in calls)
+    hits = sum(hit for hit, __ in calls)
+    assert 0 < hits < len(calls)
+
+
+def test_the_memo_does_not_outlive_its_search():
+    """ANALYZE between two compiles changes the inner's lookup estimate:
+    the second search asks ``ref_access`` afresh instead of reusing the
+    first search's answer."""
+    database = Database()
+    for name in ("m_outer", "m_inner"):
+        database.create_table(_schema(name))
+    database.load("m_outer", [(pk, pk % 40, pk % 10, pk)
+                              for pk in range(200)])
+    database.load("m_inner", [(pk, pk % 40, pk % 10, pk)
+                              for pk in range(400)])
+    database.analyze()
+    sql = ("SELECT COUNT(*) FROM m_outer o, m_inner i "
+           "WHERE o.b = i.a AND o.v < 5")
+
+    def lookups():
+        __, searches = _optimize(database, sql, OrcaJoinSearch,
+                                 JoinSearchMode.EXHAUSTIVE2)
+        (search,) = searches
+        return {key: access.est_rows
+                for key, access in search._join_access_memo.items()
+                if access is not None and access.index_name == "m_inner_a"}
+
+    before = lookups()
+    assert before
+    database.load("m_inner", [(pk, 7, 0, 0) for pk in range(400, 4000)])
+    database.storage.analyze_table("m_inner")
+    after = lookups()
+    assert after.keys() == before.keys()
+    assert all(after[key] > before[key] for key in before)

@@ -19,7 +19,8 @@ kernels, and their index nested loops must emit through the batched
 probe.  A second compile of a TPC-DS statement must fetch no relation
 or statistics DXL: Orca's metadata cache outlives the statement.  The
 seven ``compile_mix`` join topologies must do exactly the recorded
-memo search work and pick the recorded strategy and cost.
+memo search work and pick the recorded strategy and cost, and with the
+join-step access memo bypassed, the work recorded before the memo.
 """
 
 import pytest
@@ -226,21 +227,33 @@ def test_wide_joins_stay_off_the_exponential_dp_path():
 
 #: The seven ``compile_mix`` join topologies at scale 0.25, one Orca
 #: compile each: ``(memo groups, alternatives, offered, pruned, cost
-#: evaluations, dp_expansions, join strategy, best cost)``.  Recorded
-#: from the frozenset-keyed join search before it moved to unit masks;
-#: the representation changes how the search runs, never what it does.
+#: evaluations, join-step access memo hits, dp_expansions, join
+#: strategy, best cost)``.  Recorded from the frozenset-keyed join search
+#: before it moved to unit masks; the representation changes how the
+#: search runs, never what it does.  Cost evaluations were re-based when
+#: the join-step access memo arrived: a memo hit skips ``ref_access``
+#: and with it one ``index_lookup_cost`` per usable index.  Every other
+#: field is the unmemoised search's.
 TOPOLOGY_SEARCH = {
-    ("chain", 10): (55, 121, 134, 409, 151, 45, "dp", 98.545),
-    ("chain", 20): (210, 617, 637, 2388, 670, 190, "lindp", 188.545),
-    ("chain", 30): (86, 87, 117, 115, 132, 0, "goo", 273.425),
-    ("star", 10): (521, 939, 952, 4939, 953, 511, "dp",
+    ("chain", 10): (55, 121, 134, 409, 139, 12, 45, "dp", 98.545),
+    ("chain", 20): (210, 617, 637, 2388, 650, 35, 190, "lindp", 188.545),
+    ("chain", 30): (86, 87, 117, 115, 132, 0, 0, "goo", 273.425),
+    ("star", 10): (521, 939, 952, 4939, 953, 0, 511, "dp",
                    120.41499999999996),
-    ("star", 20): (210, 583, 603, 677, 607, 190, "lindp",
+    ("star", 20): (210, 583, 603, 677, 607, 206, 190, "lindp",
                    242.24499999999995),
-    ("snowflake", 16): (136, 377, 393, 991, 401, 120, "lindp",
+    ("snowflake", 16): (136, 377, 393, 991, 399, 71, 120, "lindp",
                         181.35499999999993),
-    ("clique", 10): (1023, 4412, 4425, 59190, 7389, 1013, "dp",
+    ("clique", 10): (1023, 4412, 4425, 59190, 4480, 2909, 1013, "dp",
                      22.741165396825394),
+}
+
+#: Cost evaluations of the same compiles with the access memo bypassed:
+#: the values pinned before the memo.
+UNMEMOISED_EVALUATIONS = {
+    ("chain", 10): 151, ("chain", 20): 670, ("chain", 30): 132,
+    ("star", 10): 953, ("star", 20): 607, ("snowflake", 16): 401,
+    ("clique", 10): 7389,
 }
 
 
@@ -254,20 +267,46 @@ def topology_db():
     return db
 
 
-@pytest.mark.parametrize("kind,relations", sorted(TOPOLOGY_SEARCH))
-def test_topology_search_effort_is_pinned(topology_db, kind, relations):
+def _topology_search(db, kind, relations):
     from repro.workloads.joins import make_topology
 
-    result = topology_db.run(
-        make_topology(kind, relations, scale=0.25).query,
-        optimizer="orca", trace=True, use_plan_cache=False)
+    result = db.run(make_topology(kind, relations, scale=0.25).query,
+                    optimizer="orca", trace=True, use_plan_cache=False)
     assert result.fallback_reason is None
     (span,) = find_spans(result.trace, "memo_search")
     a = span.attributes
-    assert (a["memo_groups"], a["memo_alternatives"], a["memo_offered"],
+    return (a["memo_groups"], a["memo_alternatives"], a["memo_offered"],
             a["pruned_candidates"], a["cost_evaluations"],
-            a["dp_expansions"], a["join_strategy"], a["best_cost"]) \
+            a["access_memo_hits"], a["dp_expansions"], a["join_strategy"],
+            a["best_cost"])
+
+
+@pytest.mark.parametrize("kind,relations", sorted(TOPOLOGY_SEARCH))
+def test_topology_search_effort_is_pinned(topology_db, kind, relations):
+    assert _topology_search(topology_db, kind, relations) \
         == TOPOLOGY_SEARCH[(kind, relations)]
+
+
+@pytest.mark.parametrize("kind,relations", sorted(TOPOLOGY_SEARCH))
+def test_bypassed_access_memo_does_the_unmemoised_work(
+        topology_db, kind, relations, monkeypatch):
+    """With every join step asking ``ref_access`` afresh, the search is
+    the one before the memo, field for field."""
+    from repro.mysql_optimizer.access_path import ref_access
+    from repro.orca.joinorder import OrcaJoinSearch
+
+    def unmemoised(search, index, outer, conjuncts):
+        unit = search.units[index]
+        return ref_access(search.block, unit.descriptor.entry,
+                          unit.conjuncts + conjuncts,
+                          search._bound_entries(outer), search.estimator,
+                          search.cost_model)
+
+    monkeypatch.setattr(OrcaJoinSearch, "_join_access", unmemoised)
+    expected = list(TOPOLOGY_SEARCH[(kind, relations)])
+    expected[4] = UNMEMOISED_EVALUATIONS[(kind, relations)]
+    expected[5] = 0
+    assert list(_topology_search(topology_db, kind, relations)) == expected
 
 
 def test_parallel_scan_dispatches_more_morsels_than_workers(force_fanout):
