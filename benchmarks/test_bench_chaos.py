@@ -22,13 +22,14 @@ import time
 import pytest
 
 from benchmarks.conftest import RESULTS_DIR, SCALE, write_report
-from repro import Database, DatabaseConfig
+from repro import Database, DatabaseConfig, governor
 from repro.errors import ExecutionError, GovernorError, ReproError
 from repro.workloads.tpch import TPCH_QUERIES, load_tpch, tpch_query
 from tests.test_chaos import (
     _GOVERNOR_ABORTS,
     _draw_regime,
     BASELINE_QUERIES,
+    CHECK_INTERVAL,
     QUERY_POOL,
     SEED,
     STATEMENTS,
@@ -142,14 +143,13 @@ def _format_report(payload: dict) -> str:
 
 
 def test_bench_chaos():
-    db = Database(DatabaseConfig(
-        orca_compile_budget_seconds=5.0,
-        governor_check_interval=32,
-    ))
+    db = Database(DatabaseConfig(orca_compile_budget_seconds=5.0))
     load_tpch(db, scale=SCALE)
 
     rng = random.Random(SEED)
-    chaos = _chaos_sweep(db, rng)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(governor, "DEFAULT_CHECK_INTERVAL", CHECK_INTERVAL)
+        chaos = _chaos_sweep(db, rng)
     assert chaos["executed"] + chaos["aborted"] == STATEMENTS
     assert chaos["executed"] >= 100
     assert chaos["aborted"] >= 30

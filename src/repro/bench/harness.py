@@ -11,12 +11,16 @@ the cap.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.bridge.router import OrcaRouter, orca_config_for
+from repro.bridge import router
+from repro.bridge.router import OrcaRouter
 from repro.database import Database
-from repro.errors import DeadlineExceededError, ExecutionError
+from repro.errors import DeadlineExceededError, ExecutionError, ReproError
+from repro.orca.largejoin import STRATEGY_POLICIES
+from repro.orca.optimizer import OrcaConfig
 from repro.observability import Tracer, find_spans
 from repro.sql.parser import parse_statement
 from repro.sql.prepare import prepare
@@ -341,21 +345,44 @@ def orca_search(db: Database, sql: str, pruning: bool = True) -> tuple:
     pruning on or off; returns ``(skeleton, memo_search spans)``.
 
     The unpruned search is an ``OrcaConfig`` setting only, so this
-    drives the Orca router directly with the database's search
-    configuration and that one flag changed.  The skeleton is None when
-    the detour fell back.
+    drives the Orca router directly under :func:`forced_orca_config`.
+    The skeleton is None when the detour fell back.
     """
     stmt = parse_statement(sql)
     block, context = Resolver(db.catalog).resolve(stmt)
     prepare(block)
-    orca_config = replace(orca_config_for(db.config),
-                          enable_cost_bound_pruning=pruning)
     tracer = Tracer()
-    with tracer.span("compile") as root:
-        skeleton = OrcaRouter(db.catalog, db.config, orca_config,
-                              tracer=tracer, mdcache=db.mdcache
+    with forced_orca_config(enable_cost_bound_pruning=pruning), \
+            tracer.span("compile") as root:
+        skeleton = OrcaRouter(db.catalog, db.config, tracer=tracer,
+                              mdcache=db.mdcache
                               ).optimize(stmt, block, context)
     return skeleton, find_spans(root, "memo_search")
+
+
+@contextmanager
+def forced_orca_config(**changes) -> Iterator[None]:
+    """Plan every Orca detour inside the block with these ``OrcaConfig``
+    fields changed, e.g. ``join_strategy="dp"`` or
+    ``enable_cost_bound_pruning=False``.
+
+    Forcing a join strategy or switching pruning off is a measurement
+    setting, not a database option: it changes the search configuration
+    the router derives from ``DatabaseConfig``, and ``db.run`` inside
+    the block plans, executes and returns rows as usual.
+    """
+    replace(OrcaConfig(), **changes)  # an unknown field raises here
+    policy = changes.get("join_strategy", "adaptive")
+    if policy not in STRATEGY_POLICIES:
+        raise ReproError(f"unknown join_strategy {policy!r}; valid "
+                         f"choices: {', '.join(STRATEGY_POLICIES)}")
+    derive = router.orca_config_for
+    router.orca_config_for = lambda config: replace(derive(config),
+                                                    **changes)
+    try:
+        yield
+    finally:
+        router.orca_config_for = derive
 
 
 def _memo_counters(spans) -> tuple:

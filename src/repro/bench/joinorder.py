@@ -8,8 +8,8 @@ the adaptive selector promises:
   count, strategy): the polynomial strategies stay flat where full DP
   blows up;
 * **optimality** — forced LINDP/GOO/greedy plan cost relative to the
-  full-DP reference on every DP-feasible (n <= ``lindp_threshold``)
-  topology;
+  full-DP reference on every DP-feasible
+  (n <= ``DEFAULT_LINDP_THRESHOLD``) topology;
 * **budget** — wide joins under a tight ``CompileBudget``: every run
   must stay on an Orca plan (best-incumbent degradation), never escape
   to the MySQL fallback;
@@ -17,8 +17,8 @@ the adaptive selector promises:
   forcing full DP into its budget-abort path: the selector's plan
   arrives an order of magnitude faster and returns identical results.
 
-Strategies are forced through ``db.config.orca_join_strategy`` (the
-router re-reads the config every statement) with the plan cache
+Strategies are forced through ``OrcaConfig.join_strategy``
+(:func:`repro.bench.harness.forced_orca_config`) with the plan cache
 bypassed, so each sample re-runs the search it claims to measure.
 """
 
@@ -27,9 +27,15 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import _median, _write_json, results_match
+from repro.bench.harness import (
+    _median,
+    _write_json,
+    forced_orca_config,
+    results_match,
+)
 from repro.database import Database, DatabaseConfig
 from repro.observability import find_spans
+from repro.orca.largejoin import DEFAULT_LINDP_THRESHOLD
 from repro.workloads.joins import JoinTopology, load_topology, make_topology
 
 #: Forced-strategy policies measured by the compile-time curves.
@@ -37,8 +43,7 @@ CURVE_STRATEGIES = ("adaptive", "dp", "lindp", "goo", "greedy")
 
 
 def _fresh_db(topology: JoinTopology, **config) -> Database:
-    db = Database(DatabaseConfig(complex_query_threshold=3,
-                                 plan_cache_enabled=False, **config))
+    db = Database(DatabaseConfig(complex_query_threshold=3, **config))
     load_topology(db, topology)
     return db
 
@@ -65,13 +70,13 @@ def _search_attrs(result) -> Dict[str, object]:
 def _timed_strategy(db: Database, sql: str, strategy: str,
                     samples: int) -> Dict[str, object]:
     """Median optimize time + search facts for one forced strategy."""
-    db.config.orca_join_strategy = strategy
     optimize: List[float] = []
     result = None
-    for __ in range(samples):
-        result = db.run(sql, optimizer="orca", trace=True,
-                        use_plan_cache=False)
-        optimize.append(result.compile_seconds)
+    with forced_orca_config(join_strategy=strategy):
+        for __ in range(samples):
+            result = db.run(sql, optimizer="orca", trace=True,
+                            use_plan_cache=False)
+            optimize.append(result.compile_seconds)
     attrs = _search_attrs(result)
     return {
         "optimize_median_seconds": _median(optimize),
@@ -112,12 +117,11 @@ def run_joinorder_bench(
     for kind, relations in curve_points:
         topology = make_topology(kind, relations, seed=seed, scale=scale)
         db = _fresh_db(topology)
-        lindp_threshold = db.config.orca_lindp_threshold
         entry: Dict[str, object] = {"topology": kind,
                                     "relations": relations,
                                     "strategies": {}}
         for strategy in CURVE_STRATEGIES:
-            if strategy == "dp" and relations > lindp_threshold:
+            if strategy == "dp" and relations > DEFAULT_LINDP_THRESHOLD:
                 continue  # measured head-to-head under a budget below
             entry["strategies"][strategy] = _timed_strategy(
                 db, topology.query, strategy, samples)
@@ -172,11 +176,11 @@ def run_joinorder_bench(
     topology = make_topology(kind, relations, seed=seed, scale=scale)
     db = _fresh_db(topology,
                    orca_compile_budget_seconds=dp_reference_budget_seconds)
-    db.config.orca_join_strategy = "dp"
-    start = time.perf_counter()
-    dp_run = db.run(topology.query, optimizer="orca", trace=True,
-                    use_plan_cache=False)
-    dp_seconds = time.perf_counter() - start
+    with forced_orca_config(join_strategy="dp"):
+        start = time.perf_counter()
+        dp_run = db.run(topology.query, optimizer="orca", trace=True,
+                        use_plan_cache=False)
+        dp_seconds = time.perf_counter() - start
     dp_attrs = _search_attrs(dp_run)
     adaptive = _timed_strategy(db, topology.query, "adaptive", samples)
     adaptive_seconds = adaptive["optimize_median_seconds"]

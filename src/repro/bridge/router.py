@@ -51,11 +51,7 @@ def _search_mode(config) -> JoinSearchMode:
 
 def orca_config_for(config) -> OrcaConfig:
     """The Orca search configuration a ``DatabaseConfig`` selects."""
-    return OrcaConfig(
-        search=_search_mode(config),
-        join_strategy=getattr(config, "orca_join_strategy", "adaptive"),
-        lindp_threshold=getattr(config, "orca_lindp_threshold", 12),
-        goo_threshold=getattr(config, "orca_goo_threshold", 25))
+    return OrcaConfig(search=_search_mode(config))
 
 
 class OrcaRouter:
@@ -104,13 +100,9 @@ class OrcaRouter:
 
         Every exception the detour raises — not just the typed Orca
         aborts — becomes a :class:`DetourOutcome` carrying the fallback
-        reason and error details.  With
-        ``config.contain_unexpected_errors`` false (a debugging aid),
-        non-Orca exceptions surface to the caller instead.
+        reason and error details.
         """
-        guard = DetourGuard(contain_unexpected=getattr(
-            self.config, "contain_unexpected_errors", True))
-        outcome = guard.run(lambda: self._optimize(block, context))
+        outcome = DetourGuard().run(lambda: self._optimize(block, context))
         self.last_outcome = outcome
         return outcome
 
@@ -127,7 +119,7 @@ class OrcaRouter:
             # statement's own deadline fires mid-search.
             budget = self.governor.cap_compile_budget(budget)
             self.governor.checkpoint(stage="orca_detour")
-        injector = getattr(self.config, "fault_injector", None)
+        injector = self.config.fault_injector
         provider = MySQLMetadataProvider(self.catalog,
                                          fault_injector=injector,
                                          metrics=self.metrics)

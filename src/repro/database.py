@@ -61,7 +61,6 @@ from repro.observability import (
     stage_durations,
 )
 from repro.orca.joinorder import JoinSearchMode
-from repro.orca.largejoin import STRATEGY_POLICIES
 from repro.orca.mdcache import MDCache
 from repro.plan_cache import (
     PlanCache,
@@ -117,14 +116,22 @@ _ABORT_COUNTERS = {
 
 @dataclass
 class DatabaseConfig:
-    """Engine configuration knobs used in the paper's experiments."""
+    """Engine configuration.
 
-    #: Minimum table references for the Orca detour (Section 4.1 default).
+    Every option has a caller outside the tests that sets it to
+    something other than its default, named in its comment;
+    ``tests/test_config_audit.py`` pins the list.  Settings nobody
+    turns are constants of the module that owns them, and per-statement
+    choices are ``run()`` arguments (``optimizer=``,
+    ``use_plan_cache=``, ``executor_mode=``, ``timeout_seconds=``, ...).
+    """
+
+    #: Minimum table references for the Orca detour (Section 4.1
+    #: default).  Set by the threshold ablation, Table 1 and the examples.
     complex_query_threshold: int = 3
-    #: Orca's join-order search: "GREEDY", "EXHAUSTIVE", or "EXHAUSTIVE2".
+    #: Orca's join-order search: "GREEDY", "EXHAUSTIVE", or
+    #: "EXHAUSTIVE2".  Set by Table 1's search-mode sweep.
     orca_search: str = "EXHAUSTIVE2"
-    #: Master toggle: with False, every query uses the MySQL optimizer.
-    orca_enabled: bool = True
     #: Routing policy for ``optimizer="auto"``:
     #: * "threshold" — the paper's shipped heuristic: route when the
     #:   table-reference count reaches ``complex_query_threshold``;
@@ -133,94 +140,68 @@ class DatabaseConfig:
     #:   take the Orca detour only when the MySQL plan's estimated cost
     #:   exceeds ``mysql_cost_threshold`` ("almost certainly ... better
     #:   than our three-table heuristic").
+    #: Set by the routing ablation.
     routing: str = "threshold"
-    #: Estimated-cost trigger for cost-based routing.
+    #: Estimated-cost trigger for cost-based routing.  Set by the
+    #: routing ablation and ``examples/dml_and_analyze.py``.
     mysql_cost_threshold: float = 500.0
     #: Wall-clock budget for one Orca compilation; ``None`` = unlimited.
     #: A detour that overruns aborts with ``BUDGET_EXCEEDED`` and MySQL's
-    #: fast greedy optimizer takes over.
+    #: fast greedy optimizer takes over.  Set by the join-order and
+    #: chaos benchmarks.
     orca_compile_budget_seconds: Optional[float] = None
-    #: Memo group-count cap for the Cascades search; ``None`` = unlimited.
+    #: Memo group-count cap for the Cascades search; ``None`` =
+    #: unlimited.  A safety bound for deployments.
     orca_memo_group_budget: Optional[int] = None
-    #: Contain non-Orca exceptions escaping the detour (fall back to
-    #: MySQL and record the error) instead of crashing the query.  Turn
-    #: off only to debug the bridge itself.
-    contain_unexpected_errors: bool = True
-    #: Unexpected-exception fallbacks for one statement fingerprint
-    #: before the circuit breaker quarantines it.
-    circuit_breaker_threshold: int = 3
-    #: Seconds after the last failure before a quarantined fingerprint
-    #: is granted one trial detour again (half-open).
-    circuit_breaker_reset_seconds: float = 60.0
     #: Optional :class:`repro.resilience.FaultInjector` — the only way
-    #: faults are ever injected; ``None`` costs nothing.
+    #: faults are ever injected; ``None`` costs nothing.  Set by the
+    #: chaos benchmark.
     fault_injector: Optional[FaultInjector] = None
-    #: Statement plan cache: repeated statements skip parse-tree
-    #: conversion, the memo search, and plan conversion entirely.
-    #: ``run(sql, use_plan_cache=False)`` bypasses per statement.
-    plan_cache_enabled: bool = True
-    #: Maximum cached statement plans (LRU beyond this).
-    plan_cache_capacity: int = 128
-    #: Join-order strategy policy: "adaptive" selects full DP /
-    #: linearized DP / GOO / greedy per joined component by size and
-    #: remaining compile budget; "dp", "lindp", "goo", or "greedy"
-    #: forces that strategy (benchmarks, ablations).
-    orca_join_strategy: str = "adaptive"
-    #: Adaptive-selector size cutoffs: components up to
-    #: ``orca_lindp_threshold`` units run the exponential bushy/zig-zag
-    #: DP; up to ``orca_goo_threshold``, DP linearized along the IKKBZ
-    #: order; larger ones, greedy operator ordering.
-    orca_lindp_threshold: int = 12
-    orca_goo_threshold: int = 25
-    #: Plan-quality feedback: a statement execution whose worst per-node
-    #: Q-error exceeds this is a *breach* (1.0 = perfect estimate).
-    planq_q_threshold: float = 16.0
     #: Structured JSONL slow-query log: one record (trace, stage
     #: breakdown, root Q-error) per statement slower than the threshold.
-    #: ``None`` disables the log entirely.
+    #: ``None`` disables the log entirely.  A deployment path.
     slow_query_log_path: Optional[str] = None
     #: Total statement latency (compile + execute seconds) above which
-    #: a statement is logged.
+    #: a statement is logged.  Set by the drift scenario
+    #: (``repro.bench.drift``).
     slow_query_log_threshold_seconds: float = 0.25
     #: Default per-statement wall-clock deadline in seconds; ``None`` =
     #: unbounded.  Overridable per statement via
     #: ``run(sql, timeout_seconds=...)``; breaches abort with
-    #: :class:`repro.errors.DeadlineExceededError`.
+    #: :class:`repro.errors.DeadlineExceededError`.  A safety bound for
+    #: deployments.
     statement_timeout_seconds: Optional[float] = None
     #: Default per-statement cap on tracked operator memory (bytes
     #: charged by hash join builds, hash aggregates, sorts, and
     #: materialisations); ``None`` = unbounded.  Overridable via
-    #: ``run(sql, memory_limit_bytes=...)``.
+    #: ``run(sql, memory_limit_bytes=...)``.  A safety bound for
+    #: deployments.
     statement_memory_limit_bytes: Optional[int] = None
     #: Create an :class:`repro.governor.ExecutionGovernor` for every
     #: statement (required for ``db.cancel(statement_id)`` to reach
     #: in-flight statements).  With False a governor exists only when a
     #: bound or cancel token is passed explicitly — the pre-governor
-    #: zero-overhead path, used to baseline checkpoint overhead.
+    #: zero-overhead path.  Set by the chaos benchmark's checkpoint
+    #: overhead baseline.
     governor_enabled: bool = True
-    #: Rows between cooperative checkpoints on row-mode paths (batch
-    #: mode checkpoints per batch regardless).
-    governor_check_interval: int = 256
-    #: Graceful degradation: a statement whose hash aggregate breaches
-    #: the memory cap retries once with aggregation forced to
-    #: sort+stream (the sort's charges spill instead of raising) before
-    #: the breach is surfaced.
-    governor_stream_agg_retry: bool = True
     #: Opt-in apply hook: every ``advisor_interval_statements``
     #: statements, pending re-ANALYZE recommendations are applied
     #: automatically (ANALYZE advances the table's catalog epoch, so
     #: cached plans over it recompile against the fresh statistics).
+    #: Set by the drift scenario.
     advisor_auto_analyze: bool = False
-    #: Statements between auto-apply sweeps.
+    #: Statements between auto-apply sweeps.  Set by the drift scenario.
     advisor_interval_statements: int = 32
     #: Rows per batch-engine RowBatch *and* per table chunk (one chunk
-    #: is one morsel, so this is also the morsel size).
+    #: is one morsel, so this is also the morsel size).  A memory bound
+    #: for deployments.
     batch_size: int = 1024
     #: Worker ceiling for morsel-driven parallel pre-aggregation; 1 =
     #: serial.  With more, each eligible operator fans out to forked
     #: workers only when the cost gate in :mod:`repro.executor.parallel`
     #: says it pays, so a value > 1 is safe to leave on.  Per-statement
-    #: override: ``run(sql, executor_workers=N)``.
+    #: override: ``run(sql, executor_workers=N)``.  Set by the
+    #: ``parallel_tpch`` benchmark workload.
     executor_workers: int = 1
 
     def __post_init__(self) -> None:
@@ -233,19 +214,6 @@ class DatabaseConfig:
             raise ReproError(
                 f"unknown orca_search {self.orca_search!r}; "
                 f"valid choices: {valid}")
-        if self.orca_join_strategy not in STRATEGY_POLICIES:
-            raise ReproError(
-                f"unknown orca_join_strategy "
-                f"{self.orca_join_strategy!r}; valid choices: "
-                f"{', '.join(STRATEGY_POLICIES)}")
-        if self.orca_lindp_threshold < 2:
-            raise ReproError("orca_lindp_threshold must be >= 2")
-        if self.orca_goo_threshold < self.orca_lindp_threshold:
-            raise ReproError("orca_goo_threshold must be >= "
-                             "orca_lindp_threshold")
-        if self.planq_q_threshold < 1.0:
-            raise ReproError("planq_q_threshold must be >= 1.0 "
-                             "(1.0 is a perfect estimate)")
         if self.slow_query_log_threshold_seconds < 0.0:
             raise ReproError(
                 "slow_query_log_threshold_seconds must be >= 0")
@@ -255,8 +223,6 @@ class DatabaseConfig:
         if self.statement_memory_limit_bytes is not None \
                 and self.statement_memory_limit_bytes < 1:
             raise ReproError("statement_memory_limit_bytes must be >= 1")
-        if self.governor_check_interval < 1:
-            raise ReproError("governor_check_interval must be >= 1")
         if self.advisor_interval_statements < 1:
             raise ReproError("advisor_interval_statements must be >= 1")
         if self.batch_size < 1:
@@ -336,23 +302,17 @@ class Database:
         #: routing, resilience, and cache behaviour together.
         self.fallback_log = FallbackLog(metrics=self.metrics)
         #: Quarantine for statements that keep crashing the detour.
-        self.circuit_breaker = CircuitBreaker(
-            threshold=self.config.circuit_breaker_threshold,
-            reset_seconds=self.config.circuit_breaker_reset_seconds)
+        self.circuit_breaker = CircuitBreaker()
         #: Statement plan cache, keyed by literal-preserving statement
         #: digest and validated against the catalog epochs of the tables
         #: the statement references (their DDL and ANALYZE invalidate;
         #: DML does not).
-        self.plan_cache = PlanCache(
-            capacity=self.config.plan_cache_capacity,
-            metrics=self.metrics)
+        self.plan_cache = PlanCache(metrics=self.metrics)
         #: One record per statement and the history every report reads:
         #: recent records, per-fingerprint entries, per-operator Q and
         #: column usage, and the regression detector (see the
         #: statement_log module).
-        self.statements = StatementLog(
-            q_threshold=self.config.planq_q_threshold,
-            metrics=self.metrics)
+        self.statements = StatementLog(metrics=self.metrics)
         #: Ranked recommendations over the statement log; ``apply()`` is
         #: the opt-in mutation path (auto-driven only when
         #: ``config.advisor_auto_analyze`` is set).
@@ -501,7 +461,7 @@ class Database:
 
         Checks the circuit breaker first, records the outcome in the
         fallback log, and feeds unexpected-exception fallbacks back into
-        the breaker.  Never raises (unless containment is disabled).
+        the breaker.  Never raises.
         """
         fingerprint = statement_fingerprint(sql)
         with self.tracer.span("orca_detour",
@@ -545,8 +505,6 @@ class Database:
             return "orca"
         if optimizer != "auto":
             raise ReproError(f"unknown optimizer {optimizer!r}")
-        if not self.config.orca_enabled:
-            return "mysql"
         if self.config.routing not in ROUTING_POLICIES:
             # The config object is mutable, so a typo like "cost-based"
             # can arrive after construction; refuse to guess.
@@ -632,8 +590,7 @@ class Database:
             timeout_seconds=timeout,
             memory_limit_bytes=limit,
             cancel_token=cancel_token,
-            fault_injector=config.fault_injector,
-            check_interval=config.governor_check_interval)
+            fault_injector=config.fault_injector)
 
     def cancel(self, statement_id: int,
                reason: str = "cancelled by client") -> bool:
@@ -689,7 +646,7 @@ class Database:
         Q-errors exactly as if the statement never ran (the statement
         log records the abort itself) — one exception:
         a hash-aggregate memory breach first retries once in streaming
-        mode (see ``config.governor_stream_agg_retry``).
+        mode.
 
         ``executor_workers`` overrides ``config.executor_workers`` for
         this statement (morsel-driven parallelism; batch mode only).
@@ -768,14 +725,12 @@ class Database:
             self._record_statement(sql, statement_id, stmt_span, result)
             return result
         self.metrics.inc("statements.select")
-        cache_enabled = use_plan_cache and \
-            self.config.plan_cache_enabled
         cache_key = statement_cache_key(sql, optimizer)
         # A key the cache holds but cannot serve is stale (an epoch
         # moved); one it never saw, or evicted, is a plain miss.
         status = "bypass"
         cached = None
-        if cache_enabled:
+        if use_plan_cache:
             status = "stale" if cache_key in self.plan_cache else "miss"
             cached = self.plan_cache.lookup(cache_key, self.catalog)
         fallback_reason: Optional[FallbackReason] = None
@@ -837,7 +792,7 @@ class Database:
             executor.column_touches = extract_column_touches(executor)
             executor.operator_kinds = tuple(
                 node.operator for node in quality.nodes)
-        if cached is None and cache_enabled and fallback_reason is None \
+        if cached is None and use_plan_cache and fallback_reason is None \
                 and not low_memory_retry:
             # Deferred store — only a statement that *executed to
             # completion* enters the cache.  Never cache a fallen-back
@@ -978,7 +933,6 @@ class Database:
             return rows, executor, governor, False
         except ResourceExhaustedError as exc:
             if exc.operator != "hash_agg" \
-                    or not self.config.governor_stream_agg_retry \
                     or skeleton is None or governor is None:
                 raise
             self.metrics.inc("governor.stream_agg_retries")

@@ -66,9 +66,11 @@ from repro.errors import (
     StatementCancelledError,
 )
 
-#: Rows between cooperative checkpoints on row-mode paths.  256 keeps
-#: the per-row overhead to one integer compare while still bounding the
-#: reaction latency to a few microseconds of work.
+#: Rows between cooperative checkpoints on row-mode paths (the batch
+#: engine checkpoints per batch).  256 keeps the per-row overhead to one
+#: integer compare while still bounding the reaction latency to a few
+#: microseconds of work.  Read when a governor is created, so a test
+#: that needs checkpoints to fire on a few rows patches this constant.
 DEFAULT_CHECK_INTERVAL = 256
 
 #: Fallback per-row estimate when a sample row cannot be sized.
@@ -225,12 +227,14 @@ class ExecutionGovernor:
                  memory_limit_bytes: Optional[int] = None,
                  cancel_token: Optional[CancelToken] = None,
                  fault_injector=None,
-                 check_interval: int = DEFAULT_CHECK_INTERVAL,
+                 check_interval: Optional[int] = None,
                  clock: Callable[[], float] = time.perf_counter,
                  spill_sorts: bool = False,
                  low_memory: bool = False) -> None:
         if timeout_seconds is not None and timeout_seconds < 0:
             raise ValueError("timeout_seconds must be >= 0")
+        if check_interval is None:
+            check_interval = DEFAULT_CHECK_INTERVAL
         if check_interval < 1:
             raise ValueError("check_interval must be >= 1")
         self._clock = clock

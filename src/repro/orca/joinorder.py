@@ -45,11 +45,7 @@ from repro.mysql_optimizer.skeleton import AccessPlan
 from repro.executor.plan import AccessMethod
 from repro.orca import largejoin
 from repro.orca.cost_model import OrcaCostModel
-from repro.orca.largejoin import (
-    DEFAULT_GOO_THRESHOLD,
-    DEFAULT_LINDP_THRESHOLD,
-    JoinStrategy,
-)
+from repro.orca.largejoin import JoinStrategy
 from repro.orca.memo import Group, Memo, lowest_unit, units_of
 from repro.orca.operators import (
     JoinVariant,
@@ -185,9 +181,7 @@ class OrcaJoinSearch:
                  corr: FrozenSet[int], mode: JoinSearchMode,
                  memo: Memo, budget=None,
                  enable_pruning: bool = True,
-                 strategy_policy: str = "adaptive",
-                 lindp_threshold: int = DEFAULT_LINDP_THRESHOLD,
-                 goo_threshold: int = DEFAULT_GOO_THRESHOLD) -> None:
+                 strategy_policy: str = "adaptive") -> None:
         self.units = units
         self.conjuncts = conjuncts
         self.block = block
@@ -210,11 +204,8 @@ class OrcaJoinSearch:
         #: Sound: a pruned candidate can never beat the incumbent, so
         #: the chosen plan's cost equals the unpruned search's choice.
         self.enable_pruning = enable_pruning
-        #: Strategy-selector configuration (the ``orca_join_strategy`` /
-        #: ``orca_lindp_threshold`` / ``orca_goo_threshold`` knobs).
+        #: Strategy-selector policy (``OrcaConfig.join_strategy``).
         self.strategy_policy = strategy_policy
-        self.lindp_threshold = lindp_threshold
-        self.goo_threshold = goo_threshold
         #: Search-effort counters surfaced as ``memo_search`` span
         #: attributes: DP subsets expanded, left-deep chains costed, and
         #: candidates skipped by cost-bound pruning.
@@ -490,8 +481,7 @@ class OrcaJoinSearch:
         size = bin(component).count("1")
         strategy = largejoin.select_strategy(
             size, self.mode is JoinSearchMode.GREEDY,
-            self.strategy_policy, self.lindp_threshold,
-            self.goo_threshold, self._remaining_seconds())
+            self.strategy_policy, self._remaining_seconds())
         self.strategies.append((strategy.value, size))
         try:
             return self._run_strategy(strategy, component)
@@ -613,7 +603,7 @@ class OrcaJoinSearch:
         candidate count — negligible).  With ``with_incumbents``, the
         IKKBZ-linearized chain and a GOO pass are layered on top: the
         bushy GOO incumbent is usually far tighter than any left-deep
-        chain, so the ≤``lindp_threshold`` DP prunes harder from its
+        chain, so the ≤``DEFAULT_LINDP_THRESHOLD`` DP prunes harder from its
         first expansion.  (GOO's own seeding passes ``False`` — it
         *is* the incumbent builder.)
         """

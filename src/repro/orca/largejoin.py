@@ -60,13 +60,15 @@ class JoinStrategy(enum.Enum):
     GREEDY = "greedy"
 
 
-#: Valid values for the ``orca_join_strategy`` config knob.
+#: Valid values for ``OrcaConfig.join_strategy``.
 STRATEGY_POLICIES = ("adaptive",) + tuple(s.value for s in JoinStrategy)
 
-#: Default component size above which linearized DP replaces GOO-seeded
-#: full DP (the old hard ``DP_LIMIT`` cliff).
+#: Component size above which linearized DP replaces GOO-seeded full DP
+#: (the old hard ``DP_LIMIT`` cliff).  The selector reads both
+#: thresholds at call time, so a test or an experiment patches the
+#: module constant to move a rung.
 DEFAULT_LINDP_THRESHOLD = 12
-#: Default component size above which GOO replaces linearized DP.
+#: Component size above which GOO replaces linearized DP.
 DEFAULT_GOO_THRESHOLD = 25
 
 #: Downgrade lattice: the next-cheaper strategy when the remaining
@@ -108,26 +110,25 @@ def budget_floor(strategy: JoinStrategy, n: int) -> float:
 
 
 def select_strategy(n: int, greedy_mode: bool, policy: str,
-                    lindp_threshold: int, goo_threshold: int,
                     remaining_seconds: Optional[float]) -> JoinStrategy:
     """Pick the search strategy for one ``n``-relation component.
 
     ``greedy_mode`` reflects ``JoinSearchMode.GREEDY`` (the paper's
     cheapest setting and the left-deep ablation) and wins outright.  A
-    non-``adaptive`` ``policy`` forces that strategy (benchmarking and
-    the ``orca_join_strategy`` knob).  Otherwise the component size
-    picks a rung — DP up to ``lindp_threshold``, LINDP up to
-    ``goo_threshold``, GOO beyond — and the remaining compile budget
-    (``None`` = unlimited) downgrades rung by rung while it cannot pay
-    the strategy's estimated floor.
+    non-``adaptive`` ``policy`` (``OrcaConfig.join_strategy``) forces
+    that strategy.  Otherwise the component size picks a rung — DP up
+    to ``DEFAULT_LINDP_THRESHOLD``, LINDP up to
+    ``DEFAULT_GOO_THRESHOLD``, GOO beyond — and the remaining compile
+    budget (``None`` = unlimited) downgrades rung by rung while it
+    cannot pay the strategy's estimated floor.
     """
     if greedy_mode:
         return JoinStrategy.GREEDY
     if policy != "adaptive":
         return JoinStrategy(policy)
-    if n <= lindp_threshold:
+    if n <= DEFAULT_LINDP_THRESHOLD:
         strategy = JoinStrategy.DP
-    elif n <= goo_threshold:
+    elif n <= DEFAULT_GOO_THRESHOLD:
         strategy = JoinStrategy.LINDP
     else:
         strategy = JoinStrategy.GOO

@@ -83,14 +83,9 @@ class OrcaConfig:
     #: (:mod:`repro.orca.largejoin`): ``adaptive`` picks full DP /
     #: linearized DP / GOO / greedy by component size and remaining
     #: compile budget; any :class:`~repro.orca.largejoin.JoinStrategy`
-    #: value forces that strategy.
+    #: value forces that strategy (benchmarks and tests, through
+    #: :func:`repro.bench.harness.forced_orca_config`).
     join_strategy: str = "adaptive"
-    #: Largest component full bushy/zig-zag DP still handles; above it
-    #: the adaptive policy switches to DP over the IKKBZ linearization.
-    lindp_threshold: int = 12
-    #: Largest component linearized DP still handles; above it the
-    #: adaptive policy switches to greedy operator ordering (GOO).
-    goo_threshold: int = 25
 
 
 @dataclass
@@ -202,9 +197,7 @@ class OrcaOptimizer:
                 self.estimator, self.cost_model, sub_estimates, corr,
                 mode, memo, budget=self.budget,
                 enable_pruning=self.config.enable_cost_bound_pruning,
-                strategy_policy=self.config.join_strategy,
-                lindp_threshold=self.config.lindp_threshold,
-                goo_threshold=self.config.goo_threshold)
+                strategy_policy=self.config.join_strategy)
             plan, cost, rows = search.search()
             placed_entries = frozenset(
                 unit.descriptor.entry.entry_id

@@ -149,8 +149,8 @@ class CompileBudget:
     @classmethod
     def from_config(cls, config) -> "CompileBudget":
         return cls(
-            seconds=getattr(config, "orca_compile_budget_seconds", None),
-            max_memo_groups=getattr(config, "orca_memo_group_budget", None),
+            seconds=config.orca_compile_budget_seconds,
+            max_memo_groups=config.orca_memo_group_budget,
         )
 
     @property
@@ -239,15 +239,7 @@ def classify_execution_exception(exc: BaseException) -> FallbackReason:
 
 
 class DetourGuard:
-    """Runs the detour and contains everything it throws.
-
-    With ``contain_unexpected=False`` (a debugging aid) only the typed
-    aborts fall back and genuine bugs surface to the caller — the
-    pre-containment behaviour.
-    """
-
-    def __init__(self, contain_unexpected: bool = True) -> None:
-        self.contain_unexpected = contain_unexpected
+    """Runs the detour and contains everything it throws."""
 
     def run(self, detour: Callable[[], object]) -> DetourOutcome:
         try:
@@ -259,13 +251,9 @@ class DetourGuard:
             # They propagate and abort the whole statement.
             raise
         except Exception as exc:  # noqa: BLE001 — containment is the point
-            reason = classify_exception(exc)
-            if reason is FallbackReason.UNEXPECTED_EXCEPTION \
-                    and not self.contain_unexpected:
-                raise
             return DetourOutcome(
                 skeleton=None,
-                reason=reason,
+                reason=classify_exception(exc),
                 error_type=type(exc).__name__,
                 error_message=str(exc),
             )

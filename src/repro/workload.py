@@ -28,9 +28,11 @@ layer for the repro engine; the history it reads is the
   byte-identical recommendations.
 
 The Database facade owns one advisor, surfaces it through
-``db.workload_report()``, and — when ``advisor_auto_analyze`` is on —
-applies pending re-ANALYZE recommendations every
-``advisor_interval_statements`` statements.
+``db.workload_report()``, and — when ``DatabaseConfig``'s
+``advisor_auto_analyze`` is on — applies pending re-ANALYZE
+recommendations every ``advisor_interval_statements`` statements.  The
+drift scenario (:mod:`repro.bench.drift`) is the caller that sets both;
+every other threshold here is a module constant.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro import Database, DatabaseConfig, FaultInjector
+from repro import Database, DatabaseConfig, FaultInjector, governor
 from repro.errors import (
     DeadlineExceededError,
     ExecutionError,
@@ -57,13 +57,18 @@ _GOVERNOR_ABORTS = {
 }
 
 
+#: Row-mode checkpoint interval for the sweep: small data means small
+#: row counts, and chaos wants checkpoints to actually fire.
+CHECK_INTERVAL = 32
+
+
+@pytest.fixture(autouse=True)
+def tight_check_interval(monkeypatch):
+    monkeypatch.setattr(governor, "DEFAULT_CHECK_INTERVAL", CHECK_INTERVAL)
+
+
 def _build_db() -> Database:
-    db = Database(DatabaseConfig(
-        orca_compile_budget_seconds=5.0,
-        # Tight check interval: small data means small row counts, and
-        # chaos wants checkpoints to actually fire.
-        governor_check_interval=32,
-    ))
+    db = Database(DatabaseConfig(orca_compile_budget_seconds=5.0))
     load_tpch(db, scale=SCALE)
     return db
 

@@ -75,21 +75,6 @@ class TestRouterFallback:
             FallbackReason.UNEXPECTED_EXCEPTION
         assert db.fallback_log.last_event.error_type == "ValueError"
 
-    def test_unexpected_exception_surfaces_in_strict_mode(self, db,
-                                                          monkeypatch):
-        # With containment off (a debugging aid) genuine bugs surface
-        # instead of silently degrading — the pre-containment behaviour.
-        from repro.orca import optimizer as orca_optimizer
-
-        def explode(self, logical, estimates):
-            raise ValueError("a real bug")
-
-        monkeypatch.setattr(orca_optimizer.OrcaOptimizer,
-                            "optimize_block", explode)
-        db.config.contain_unexpected_errors = False
-        with pytest.raises(ValueError):
-            db.run(SQL, optimizer="orca")
-
     def test_fallback_results_equal_mysql_results(self, db, monkeypatch):
         expected = db.execute(SQL, optimizer="mysql")
         from repro.orca import optimizer as orca_optimizer

@@ -22,6 +22,7 @@ from repro import (
     DatabaseConfig,
     FallbackReason,
     FaultInjector,
+    governor,
 )
 from repro.errors import (
     DeadlineExceededError,
@@ -200,17 +201,17 @@ class TestAbortAtEveryStage:
                    executor_mode="batch")
         assert_db_clean_and_reusable(db, expected)
 
-    def test_cancelled_inside_row_mode_join_chain(self, db):
+    def test_cancelled_inside_row_mode_join_chain(self, db, monkeypatch):
         expected = db.execute(JOIN_SQL)
         # A tight check interval so the row engine's wrap_rows / tick
         # checkpoints fire on this small dataset; cancel lands well
         # past the four compile-stage checkpoints.
-        db.config.governor_check_interval = 8
+        monkeypatch.setattr(governor, "DEFAULT_CHECK_INTERVAL", 8)
         token = CancelToken(cancel_after_checks=7)
         with pytest.raises(StatementCancelledError):
             db.run(JOIN_SQL, use_plan_cache=False, cancel_token=token,
                    executor_mode="row")
-        db.config.governor_check_interval = 256
+        monkeypatch.undo()
         assert_db_clean_and_reusable(db, expected)
 
     def test_deadline_caps_compile_budget_in_detour(self, db):
@@ -331,15 +332,6 @@ class TestMemoryGovernance:
         assert db.metrics.count("governor.mem_breaches") == 1
         assert db.fallback_log.count(
             FallbackReason.RESOURCE_EXHAUSTED) == 1
-
-    def test_retry_disabled_surfaces_the_breach(self, db):
-        db.config.governor_stream_agg_retry = False
-        plain = db.run(AGG_SQL, optimizer="orca", use_plan_cache=False)
-        peak = plain.governor_stats["peak_tracked_bytes"]
-        with pytest.raises(ResourceExhaustedError) as info:
-            db.run(AGG_SQL, optimizer="orca", use_plan_cache=False,
-                   memory_limit_bytes=max(1000, peak // 3))
-        assert info.value.operator == "hash_agg"
 
     WINDOW_SQL = ("SELECT o_orderkey, RANK() OVER (ORDER BY o_totalprice) "
                   "FROM orders")
@@ -495,5 +487,3 @@ class TestReportingSurfaces:
             DatabaseConfig(statement_timeout_seconds=-1.0)
         with pytest.raises(ReproError):
             DatabaseConfig(statement_memory_limit_bytes=0)
-        with pytest.raises(ReproError):
-            DatabaseConfig(governor_check_interval=0)

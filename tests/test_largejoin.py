@@ -1,5 +1,5 @@
 """Large-join search: strategy selector, IKKBZ/GOO/LINDP enumerators,
-budget degradation, and the config knobs that steer them.
+budget degradation, and the forced strategies that steer them.
 
 The heavy lifting (plan validity, bit-identical results across
 strategies and executors, wide joins under tight budgets) runs on the
@@ -11,7 +11,10 @@ selector rung actually fires.
 import pytest
 
 from repro import Database, DatabaseConfig
+from repro.bench.harness import forced_orca_config
+from repro.errors import ReproError
 from repro.observability import find_spans
+from repro.orca import largejoin
 from repro.orca.largejoin import (
     DEFAULT_GOO_THRESHOLD,
     DEFAULT_LINDP_THRESHOLD,
@@ -23,9 +26,8 @@ from repro.orca.memo import units_of
 from repro.workloads.joins import load_topology, make_topology
 
 
-def _select(n, policy="adaptive", greedy=False, remaining=None,
-            lindp=DEFAULT_LINDP_THRESHOLD, goo=DEFAULT_GOO_THRESHOLD):
-    return select_strategy(n, greedy, policy, lindp, goo, remaining)
+def _select(n, policy="adaptive", greedy=False, remaining=None):
+    return select_strategy(n, greedy, policy, remaining)
 
 
 # -- the selector lattice -----------------------------------------------------------
@@ -40,9 +42,11 @@ def test_selector_picks_rung_by_component_size():
     assert _select(50) is JoinStrategy.GOO
 
 
-def test_selector_honors_custom_thresholds():
-    assert _select(9, lindp=8, goo=10) is JoinStrategy.LINDP
-    assert _select(11, lindp=8, goo=10) is JoinStrategy.GOO
+def test_selector_honors_custom_thresholds(monkeypatch):
+    monkeypatch.setattr(largejoin, "DEFAULT_LINDP_THRESHOLD", 8)
+    monkeypatch.setattr(largejoin, "DEFAULT_GOO_THRESHOLD", 10)
+    assert _select(9) is JoinStrategy.LINDP
+    assert _select(11) is JoinStrategy.GOO
 
 
 def test_greedy_mode_wins_outright():
@@ -79,19 +83,16 @@ def test_budget_floor_shape():
     assert budget_floor(JoinStrategy.GREEDY, 50) == 0.0
 
 
-# -- config knobs -------------------------------------------------------------------
+# -- forced strategies --------------------------------------------------------------
 
 
 def test_join_strategy_knob_validated():
-    from repro.errors import ReproError
-
     with pytest.raises(ReproError):
-        Database(DatabaseConfig(orca_join_strategy="bogus"))
-    with pytest.raises(ReproError):
-        Database(DatabaseConfig(orca_lindp_threshold=1))
-    with pytest.raises(ReproError):
-        Database(DatabaseConfig(orca_lindp_threshold=20,
-                                orca_goo_threshold=10))
+        with forced_orca_config(join_strategy="bogus"):
+            pass
+    with pytest.raises(TypeError):
+        with forced_orca_config(no_such_field=1):
+            pass
 
 
 # -- end-to-end over synthetic topologies -------------------------------------------
@@ -100,8 +101,7 @@ STRATEGY_POLICIES = ("adaptive", "lindp", "goo", "greedy")
 
 
 def _topology_db(kind, relations, **config):
-    db = Database(DatabaseConfig(complex_query_threshold=3,
-                                 plan_cache_enabled=False, **config))
+    db = Database(DatabaseConfig(complex_query_threshold=3, **config))
     load_topology(db, make_topology(kind, relations, scale=0.5))
     return db
 
@@ -124,11 +124,11 @@ def test_wide_join_identical_across_strategies_and_executors(kind):
     topology = make_topology(kind, 16, scale=0.5)
     reference = None
     for policy in STRATEGY_POLICIES:
-        db.config.orca_join_strategy = policy
         for mode in ("row", "batch"):
-            result = db.run(topology.query, optimizer="orca",
-                            executor_mode=mode, trace=True,
-                            use_plan_cache=False)
+            with forced_orca_config(join_strategy=policy):
+                result = db.run(topology.query, optimizer="orca",
+                                executor_mode=mode, trace=True,
+                                use_plan_cache=False)
             assert result.optimizer_used == "orca"
             assert result.fallback_reason is None
             assert len(result.rows) == 1
@@ -159,7 +159,7 @@ def test_explain_analyze_reports_join_strategy():
 
 def test_full_dp_never_runs_above_the_selector_cutoff():
     """Counter-based perf-smoke gate: a component wider than
-    ``orca_lindp_threshold`` must never enter the exponential full-DP
+    ``DEFAULT_LINDP_THRESHOLD`` must never enter the exponential full-DP
     enumerator under the adaptive policy."""
     db = _topology_db("chain", DEFAULT_LINDP_THRESHOLD + 2)
     topology = make_topology("chain", DEFAULT_LINDP_THRESHOLD + 2,
@@ -178,11 +178,11 @@ def test_tight_budget_degrades_to_incumbent_not_fallback():
     the DP worst case) under a small budget must abort mid-search and
     return the seeded incumbent — never raise into the MySQL
     fallback."""
-    db = _topology_db("clique", 13, orca_compile_budget_seconds=0.35,
-                      orca_join_strategy="dp")
+    db = _topology_db("clique", 13, orca_compile_budget_seconds=0.35)
     topology = make_topology("clique", 13, scale=0.5)
-    result = db.run(topology.query, optimizer="orca", trace=True,
-                    use_plan_cache=False)
+    with forced_orca_config(join_strategy="dp"):
+        result = db.run(topology.query, optimizer="orca", trace=True,
+                        use_plan_cache=False)
     assert result.optimizer_used == "orca"
     assert result.fallback_reason is None
     assert len(result.rows) == 1
@@ -192,9 +192,9 @@ def test_tight_budget_degrades_to_incumbent_not_fallback():
     assert degradations >= 1
     assert db.metrics.count("orca.join_budget_degradations") >= 1
     # The degraded plan is still the right answer.
-    db.config.orca_join_strategy = "greedy"
-    check = db.run(topology.query, optimizer="orca",
-                   use_plan_cache=False)
+    with forced_orca_config(join_strategy="greedy"):
+        check = db.run(topology.query, optimizer="orca",
+                       use_plan_cache=False)
     assert check.rows == result.rows
 
 
@@ -213,10 +213,11 @@ def test_ikkbz_order_is_a_permutation(monkeypatch):
         return order
 
     monkeypatch.setattr(largejoin, "ikkbz_order", spy)
-    db = _topology_db("snowflake", 13, orca_join_strategy="lindp")
+    db = _topology_db("snowflake", 13)
     topology = make_topology("snowflake", 13, scale=0.5)
-    result = db.run(topology.query, optimizer="orca",
-                    use_plan_cache=False)
+    with forced_orca_config(join_strategy="lindp"):
+        result = db.run(topology.query, optimizer="orca",
+                        use_plan_cache=False)
     assert result.optimizer_used == "orca"
     wide = [(component, order) for component, order in captured
             if len(component) >= 13]

@@ -202,15 +202,14 @@ def test_zone_maps_cover_in_and_between(mode, predicate,
 
 
 def test_wide_joins_stay_off_the_exponential_dp_path():
-    """Counter-based large-join gate: above ``orca_lindp_threshold``
+    """Counter-based large-join gate: above ``DEFAULT_LINDP_THRESHOLD``
     the adaptive selector must route every component to a polynomial
     strategy — the ``orca.join_strategy.dp`` counter stays frozen while
     the polynomial counters advance."""
+    from repro.orca.largejoin import DEFAULT_LINDP_THRESHOLD as cutoff
     from repro.workloads.joins import load_topology, make_topology
 
-    db = Database(DatabaseConfig(complex_query_threshold=3,
-                                 plan_cache_enabled=False))
-    cutoff = db.config.orca_lindp_threshold
+    db = Database(DatabaseConfig(complex_query_threshold=3))
     for kind, relations in (("chain", cutoff + 4), ("star", 30)):
         load_topology(db, make_topology(kind, relations, scale=0.25))
     dp_before = db.metrics.count("orca.join_strategy.dp")
@@ -261,7 +260,7 @@ UNMEMOISED_EVALUATIONS = {
 def topology_db():
     from repro.workloads.joins import load_topology, make_topology
 
-    db = Database(DatabaseConfig(plan_cache_enabled=False))
+    db = Database()
     for kind, relations in TOPOLOGY_SEARCH:
         load_topology(db, make_topology(kind, relations, scale=0.25))
     return db

@@ -179,13 +179,6 @@ class TestCacheHits:
         assert not result.plan_cache_hit
         assert db.plan_cache.hits == 0
 
-    def test_config_disables_cache_globally(self):
-        db = build_mini_db(seed=5, orders=80)
-        db.config.plan_cache_enabled = False
-        db.run(JOIN_SQL)
-        db.run(JOIN_SQL)
-        assert len(db.plan_cache) == 0
-
     def test_different_literals_do_not_share_plans(self, db):
         template = "SELECT COUNT(*) FROM orders, lineitem, customer " \
                    "WHERE o_orderkey = l_orderkey " \
@@ -334,7 +327,7 @@ class TestFailureInteraction:
     def test_circuit_broken_statement_never_populates(self, db):
         db.config.fault_injector = FaultInjector().arm(
             "plan_converter", "crash")
-        for __ in range(db.config.circuit_breaker_threshold):
+        for __ in range(db.circuit_breaker.threshold):
             db.run(JOIN_SQL, optimizer="orca")
         assert len(db.plan_cache) == 0
         result = db.run(JOIN_SQL, optimizer="orca")

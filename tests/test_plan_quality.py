@@ -10,7 +10,6 @@ the report -> advisor -> re-ANALYZE path that heals it, and the export
 surfaces: Prometheus text format and the JSONL slow-query log.
 """
 
-import dataclasses
 import json
 import re
 
@@ -263,8 +262,10 @@ class TestMisestimationLedger:
 # Stale statistics drive the feedback loop end to end
 # ---------------------------------------------------------------------------
 
-def _feedback_db(**config_kwargs) -> Database:
-    db = Database(DatabaseConfig(**config_kwargs))
+def _feedback_db(q_threshold=None) -> Database:
+    db = Database()
+    if q_threshold is not None:
+        db.statements.q_threshold = q_threshold
     db.create_table(TableSchema("t", [
         Column.of("a", MySQLType.LONGLONG, nullable=False),
         Column.of("b", MySQLType.LONGLONG, nullable=False),
@@ -274,7 +275,7 @@ def _feedback_db(**config_kwargs) -> Database:
 
 class TestStaleStatisticsFeedback:
     def test_breaches_keep_the_cached_plan(self):
-        db = _feedback_db(planq_q_threshold=4.0)
+        db = _feedback_db(q_threshold=4.0)
         db.load("t", [(k, k % 7) for k in range(1, 11)])
         db.analyze()
         # Fault injection: grow the table 100x *after* ANALYZE, so the
@@ -304,7 +305,7 @@ class TestStaleStatisticsFeedback:
         """The path the breach streak stood in for: stale statistics
         are reported, the advisor re-ANALYZEs, and *that* is what makes
         the next run recompile — against the new row count."""
-        db = _feedback_db(planq_q_threshold=4.0)
+        db = _feedback_db(q_threshold=4.0)
         db.load("t", [(k, k % 7) for k in range(1, 11)])
         db.analyze()
         sql = "SELECT a FROM t WHERE b >= 0"
@@ -338,7 +339,7 @@ class TestStaleStatisticsFeedback:
         assert again.plan_quality.max_q <= 4.0
 
     def test_report_recommends_reanalyze(self):
-        db = _feedback_db(planq_q_threshold=4.0)
+        db = _feedback_db(q_threshold=4.0)
         db.load("t", [(k, k % 7) for k in range(1, 11)])
         db.analyze()
         db.load("t", [(k, k % 7) for k in range(11, 1001)])
@@ -373,7 +374,7 @@ class TestStaleStatisticsFeedback:
         assert "t" in report["reanalyze_recommendations"]
 
     def test_report_text_renders(self):
-        db = _feedback_db(planq_q_threshold=2.0)
+        db = _feedback_db(q_threshold=2.0)
         db.load("t", [(k, k) for k in range(1, 6)])
         db.analyze()
         db.load("t", [(k, k) for k in range(6, 101)])
@@ -387,13 +388,8 @@ class TestStaleStatisticsFeedback:
             db.plan_quality_report())
 
     def test_config_validation(self):
-        with pytest.raises(ReproError):
-            DatabaseConfig(planq_q_threshold=0.5)
         with pytest.raises(TypeError):
             DatabaseConfig(planq_consecutive_breaches=3)
-        # The Q threshold is the one plan-quality option left.
-        assert [f.name for f in dataclasses.fields(DatabaseConfig)
-                if f.name.startswith("planq_")] == ["planq_q_threshold"]
         with pytest.raises(ReproError):
             DatabaseConfig(slow_query_log_threshold_seconds=-1.0)
 

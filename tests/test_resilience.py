@@ -121,23 +121,6 @@ class TestInjectedFaultsAreContained:
             FaultInjector().arm("optimizer", "explode")
 
 
-class TestStrictMode:
-    def test_containment_can_be_disabled_for_debugging(self, db):
-        db.config.contain_unexpected_errors = False
-        db.config.fault_injector = FaultInjector().arm(
-            "optimizer", "crash")
-        with pytest.raises(KeyError):
-            db.run(SQL, optimizer="orca")
-
-    def test_typed_aborts_still_fall_back_in_strict_mode(self, db):
-        db.config.contain_unexpected_errors = False
-        db.config.fault_injector = FaultInjector().arm(
-            "optimizer", "typed")
-        result = db.run(SQL, optimizer="orca")
-        assert result.optimizer_used == "mysql"
-        assert result.fallback_reason is FallbackReason.TYPED_ABORT
-
-
 # -- compile budgets ---------------------------------------------------------------------
 
 
@@ -184,7 +167,7 @@ class TestCircuitBreaker:
         straight to MySQL without re-entering the detour (asserted via
         the detour-entry counter)."""
         expected = db.execute(SQL, optimizer="mysql")
-        threshold = db.config.circuit_breaker_threshold
+        threshold = db.circuit_breaker.threshold
         db.config.fault_injector = FaultInjector().arm(
             "plan_converter", "crash")
         for __ in range(threshold):
@@ -203,7 +186,7 @@ class TestCircuitBreaker:
     def test_typed_aborts_do_not_trip_the_breaker(self, db):
         db.config.fault_injector = FaultInjector().arm(
             "optimizer", "typed")
-        for __ in range(db.config.circuit_breaker_threshold + 2):
+        for __ in range(db.circuit_breaker.threshold + 2):
             result = db.run(SQL, optimizer="orca")
             assert result.fallback_reason is FallbackReason.TYPED_ABORT
         fingerprint = statement_fingerprint(SQL)
@@ -212,7 +195,7 @@ class TestCircuitBreaker:
     def test_quarantine_is_per_fingerprint(self, db):
         db.config.fault_injector = FaultInjector().arm(
             "optimizer", "crash")
-        for __ in range(db.config.circuit_breaker_threshold):
+        for __ in range(db.circuit_breaker.threshold):
             db.run(SQL, optimizer="orca")
         db.config.fault_injector = None
         other = """
@@ -226,7 +209,7 @@ class TestCircuitBreaker:
         db.config.fault_injector = FaultInjector().arm(
             "optimizer", "crash")
         template = SQL + " AND o_totalprice > {}"
-        for bound in range(db.config.circuit_breaker_threshold):
+        for bound in range(db.circuit_breaker.threshold):
             db.run(template.format(bound), optimizer="orca")
         result = db.run(template.format(999), optimizer="orca")
         assert result.fallback_reason is FallbackReason.CIRCUIT_OPEN
@@ -295,7 +278,7 @@ class TestFallbackTelemetry:
     def test_resilience_report_text(self, db):
         db.config.fault_injector = FaultInjector().arm(
             "parse_tree_converter", "crash")
-        for __ in range(db.config.circuit_breaker_threshold + 1):
+        for __ in range(db.circuit_breaker.threshold + 1):
             db.run(SQL, optimizer="orca")
         report = db.resilience_report()
         assert "detours entered" in report

@@ -51,12 +51,11 @@ class TestThresholdRouting:
         assert db.run("SELECT COUNT(*) FROM orders").optimizer_used == \
             "orca"
 
-    def test_orca_disabled_globally(self):
-        db = build_mini_db(seed=9, orders=50)
-        db.config.orca_enabled = False
+    def test_forced_mysql_overrides_threshold(self, db):
         result = db.run("""
             SELECT COUNT(*) FROM orders, customer, lineitem
-            WHERE o_custkey = c_custkey AND l_orderkey = o_orderkey""")
+            WHERE o_custkey = c_custkey AND l_orderkey = o_orderkey""",
+            optimizer="mysql")
         assert result.optimizer_used == "mysql"
 
     def test_forced_optimizer_overrides_threshold(self, db):

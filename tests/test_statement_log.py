@@ -178,7 +178,7 @@ class TestReportsAreViews:
         assert report["ledger"] == {
             "size": sum(1 for e in entries.values() if e["completions"]),
             "capacity": db.statements.capacity,
-            "q_threshold": db.config.planq_q_threshold,
+            "q_threshold": db.statements.q_threshold,
             "evictions": 0,
             "breaches": sum(r.breached for r in done_all),
             "aborted": sum(r.aborted for r in ring),
@@ -208,12 +208,12 @@ class TestReportsAreViews:
         operators = {}
         for record in done_all:
             assert record.breached == \
-                (record.max_q > db.config.planq_q_threshold)
+                (record.max_q > db.statements.q_threshold)
             for name, q in zip(record.operators, record.node_q):
                 stats = operators.setdefault(
                     name, {"observations": 0, "breaches": 0, "max_q": 1.0})
                 stats["observations"] += 1
-                stats["breaches"] += q > db.config.planq_q_threshold
+                stats["breaches"] += q > db.statements.q_threshold
                 stats["max_q"] = max(stats["max_q"], q)
         ranked = sorted(operators.items(), key=lambda item: item[1]["max_q"],
                         reverse=True)
