@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 from repro import Database
 from repro.executor import parallel
+from repro.governor import ExecutionGovernor
 from repro.workloads.tpch import load_tpch, tpch_query
 
 Q1 = tpch_query(1)
@@ -72,7 +73,7 @@ def main() -> None:
     # An operator whose morsels do nothing still pays fork, pipe,
     # telemetry pickle and reap for each worker ...
     context = parallel.ParallelContext(2)
-    runtime = SimpleNamespace(governor=None)
+    runtime = SimpleNamespace(governor=ExecutionGovernor())
     empty = []
     for __ in range(25):
         start = time.perf_counter()

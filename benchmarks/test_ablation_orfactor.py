@@ -17,6 +17,7 @@ def _run_orca_with_config(db, sql, orca_config):
     import time
 
     from repro.bridge.router import OrcaRouter
+    from repro.governor import ExecutionGovernor
     from repro.mysql_optimizer.refinement import PlanBuilder
     from repro.sql.parser import parse_statement
     from repro.sql.prepare import prepare
@@ -26,7 +27,8 @@ def _run_orca_with_config(db, sql, orca_config):
     stmt = parse_statement(sql)
     block, context = Resolver(db.catalog).resolve(stmt)
     prepare(block)
-    router = OrcaRouter(db.catalog, db.config, orca_config)
+    router = OrcaRouter(db.catalog, db.config, orca_config,
+                        governor=ExecutionGovernor())
     skeleton = router.optimize(stmt, block, context)
     assert skeleton is not None
     executor = PlanBuilder(skeleton, db.catalog, db.storage).build()

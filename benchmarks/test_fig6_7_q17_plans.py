@@ -12,6 +12,7 @@ from benchmarks.conftest import write_report
 from repro.bench.harness import results_match
 from repro.bridge.router import OrcaRouter
 from repro.executor.plan import AccessMethod
+from repro.governor import ExecutionGovernor
 from repro.sql.parser import parse_statement
 from repro.sql.prepare import prepare
 from repro.sql.resolver import Resolver
@@ -25,7 +26,8 @@ def test_fig6_7_q17_translation(benchmark, tpch_db):
     stmt = parse_statement(sql)
     block, context = Resolver(tpch_db.catalog).resolve(stmt)
     prepare(block)
-    router = OrcaRouter(tpch_db.catalog, tpch_db.config)
+    router = OrcaRouter(tpch_db.catalog, tpch_db.config,
+                        governor=ExecutionGovernor())
     skeleton = router.optimize(stmt, block, context)
     assert skeleton is not None, "Orca fell back unexpectedly"
 

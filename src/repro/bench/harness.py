@@ -19,6 +19,7 @@ from repro.bridge import router
 from repro.bridge.router import OrcaRouter
 from repro.database import Database
 from repro.errors import DeadlineExceededError, ExecutionError, ReproError
+from repro.governor import ExecutionGovernor
 from repro.orca.largejoin import STRATEGY_POLICIES
 from repro.orca.optimizer import OrcaConfig
 from repro.observability import Tracer, find_spans
@@ -354,7 +355,8 @@ def orca_search(db: Database, sql: str, pruning: bool = True) -> tuple:
     tracer = Tracer()
     with forced_orca_config(enable_cost_bound_pruning=pruning), \
             tracer.span("compile") as root:
-        skeleton = OrcaRouter(db.catalog, db.config, tracer=tracer,
+        skeleton = OrcaRouter(db.catalog, db.config,
+                              governor=ExecutionGovernor(), tracer=tracer,
                               mdcache=db.mdcache
                               ).optimize(stmt, block, context)
     return skeleton, find_spans(root, "memo_search")

@@ -23,6 +23,7 @@ from typing import Dict, Optional, Set
 
 from repro.catalog.catalog import Catalog
 from repro.errors import OrcaFallbackError, ReproError
+from repro.governor import ExecutionGovernor
 from repro.bridge.metadata_provider import MySQLMetadataProvider
 from repro.bridge.parse_tree_converter import ParseTreeConverter
 from repro.bridge.plan_converter import OrcaPlanConverter
@@ -58,8 +59,9 @@ class OrcaRouter:
     """Drives the full Orca detour for one statement."""
 
     def __init__(self, catalog: Catalog, config,
-                 orca_config: Optional[OrcaConfig] = None,
-                 tracer=None, metrics=None, governor=None,
+                 orca_config: Optional[OrcaConfig] = None, *,
+                 governor: ExecutionGovernor,
+                 tracer=None, metrics=None,
                  mdcache: Optional[MDCache] = None) -> None:
         self.catalog = catalog
         self.config = config
@@ -67,9 +69,9 @@ class OrcaRouter:
         #: starts cold).  The detour's accessor reads it on a local miss
         #: and publishes what it fetched only when the detour succeeds.
         self.mdcache = mdcache
-        #: Per-statement :class:`repro.governor.ExecutionGovernor` (or
-        #: None).  The detour honours it two ways: the compile budget is
-        #: capped to the statement's remaining deadline, and cooperative
+        #: The statement's :class:`repro.governor.ExecutionGovernor`.
+        #: The detour honours it two ways: the compile budget is capped
+        #: to the statement's remaining deadline, and cooperative
         #: cancellation fires at the budget's own check sites.
         self.governor = governor
         self.orca_config = (orca_config if orca_config is not None
@@ -111,14 +113,13 @@ class OrcaRouter:
     def _optimize(self, block: QueryBlock,
                   context: StatementContext) -> SkeletonPlan:
         budget = CompileBudget.from_config(self.config)
-        if self.governor is not None:
-            # The optimize stage must not spend wall-clock the
-            # statement deadline no longer has: whichever bound is
-            # tighter becomes the compile budget, so an overrun aborts
-            # the detour (BUDGET_EXCEEDED -> MySQL fallback) before the
-            # statement's own deadline fires mid-search.
-            budget = self.governor.cap_compile_budget(budget)
-            self.governor.checkpoint(stage="orca_detour")
+        # The optimize stage must not spend wall-clock the statement
+        # deadline no longer has: whichever bound is tighter becomes the
+        # compile budget, so an overrun aborts the detour
+        # (BUDGET_EXCEEDED -> MySQL fallback) before the statement's own
+        # deadline fires mid-search.
+        budget = self.governor.cap_compile_budget(budget)
+        self.governor.checkpoint(stage="orca_detour")
         injector = self.config.fault_injector
         provider = MySQLMetadataProvider(self.catalog,
                                          fault_injector=injector,

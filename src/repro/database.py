@@ -177,13 +177,6 @@ class DatabaseConfig:
     #: ``run(sql, memory_limit_bytes=...)``.  A safety bound for
     #: deployments.
     statement_memory_limit_bytes: Optional[int] = None
-    #: Create an :class:`repro.governor.ExecutionGovernor` for every
-    #: statement (required for ``db.cancel(statement_id)`` to reach
-    #: in-flight statements).  With False a governor exists only when a
-    #: bound or cancel token is passed explicitly — the pre-governor
-    #: zero-overhead path.  Set by the chaos benchmark's checkpoint
-    #: overhead baseline.
-    governor_enabled: bool = True
     #: Opt-in apply hook: every ``advisor_interval_statements``
     #: statements, pending re-ANALYZE recommendations are applied
     #: automatically (ANALYZE advances the table's catalog epoch, so
@@ -261,8 +254,7 @@ class StatementResult:
     #: the handle ``db.cancel(statement_id)`` takes.
     statement_id: int = 0
     #: Snapshot of the execution governor (peak tracked bytes, deadline
-    #: budget used, checkpoints); ``None`` when the statement ran
-    #: ungoverned.
+    #: budget used, checkpoints); ``None`` only for DML.
     governor_stats: Optional[dict] = None
     #: True when a hash-agg memory breach degraded this statement to
     #: the reduced-memory streaming retry (results are still exact).
@@ -377,39 +369,46 @@ class Database:
 
     # -- compilation -------------------------------------------------------------
 
-    def _compile(self, sql: str, optimizer: str,
-                 governor: Optional[ExecutionGovernor] = None
+    def _parse(self, sql: str, governor: ExecutionGovernor):
+        """Parse under the statement's governor (the one parse site)."""
+        with self.tracer.span("parse"):
+            stmt = parse_statement(sql)
+        governor.checkpoint(stage="parse")
+        return stmt
+
+    def _compile(self, sql: str, optimizer: str
                  ) -> Tuple[Executor, str, Optional[FallbackReason],
                             SkeletonPlan]:
-        """Parse, prepare, optimize, and refine.
+        """Compile a SELECT without running it (EXPLAIN, ``compile_only``)
+        under a governor carrying the config's statement bounds.
 
         Returns ``(executor, optimizer_used, fallback_reason, skeleton)``.
         """
-        with self.tracer.span("parse"):
-            stmt = parse_statement(sql)
+        governor = self._make_governor()
+        stmt = self._parse(sql, governor)
         if not isinstance(stmt, sql_ast.SelectStmt):
             raise ReproError("only SELECT statements can be compiled; "
                              "DML executes directly")
-        return self._compile_select(stmt, optimizer, sql,
-                                    governor=governor)
+        return self._compile_select(stmt, optimizer, sql, governor)
 
     def _compile_select(self, stmt, optimizer: str, sql: str,
-                        cache_status: Optional[str] = None,
-                        governor: Optional[ExecutionGovernor] = None
+                        governor: ExecutionGovernor,
+                        cache_status: Optional[str] = None
                         ) -> Tuple[Executor, str, Optional[FallbackReason],
                                    SkeletonPlan]:
+        """The one compile entry: prepare, route, optimize and refine.
+
+        The governor checkpoints at every stage boundary, so a
+        cancelled or expired statement aborts before the next stage's
+        work starts; within the Orca detour it also caps the
+        CompileBudget to the remaining deadline (see OrcaRouter)."""
         tracer = self.tracer
         with tracer.span("prepare"):
             block, context = Resolver(self.catalog).resolve(stmt)
             table_epochs = {table: self.catalog.epoch(table)
                             for table in context.base_table_names()}
             prepare(block)
-        if governor is not None:
-            # Stage-boundary checkpoint: a cancelled/expired statement
-            # aborts before any optimizer work starts.  Within the Orca
-            # detour itself the governor additionally shrinks the
-            # CompileBudget to the remaining deadline (see OrcaRouter).
-            governor.checkpoint(stage="prepare")
+        governor.checkpoint(stage="prepare")
 
         with tracer.span("route") as route_span:
             route = self._route(stmt, optimizer)
@@ -443,18 +442,16 @@ class Database:
             with tracer.span("mysql_optimize"):
                 skeleton = MySQLOptimizer(self.catalog).optimize(
                     block, context)
-        if governor is not None:
-            governor.checkpoint(stage="optimize")
+        governor.checkpoint(stage="optimize")
         with tracer.span("refine"):
             executor = PlanBuilder(skeleton, self.catalog,
                                    self.storage).build()
-        if governor is not None:
-            governor.checkpoint(stage="refine")
+        governor.checkpoint(stage="refine")
         executor.table_epochs = table_epochs
         return executor, used, fallback_reason, skeleton
 
     def _guarded_detour(self, stmt, block, context, sql: str,
-                        governor: Optional[ExecutionGovernor] = None
+                        governor: ExecutionGovernor
                         ) -> Tuple[Optional[SkeletonPlan],
                                    Optional[FallbackReason]]:
         """Enter the Orca detour under containment.
@@ -521,18 +518,16 @@ class Database:
     # -- DML ---------------------------------------------------------------------
 
     def _execute_dml(self, stmt, start: float,
-                     governor: Optional[ExecutionGovernor] = None
-                     ) -> StatementResult:
+                     governor: ExecutionGovernor) -> StatementResult:
         """Run INSERT/DELETE/UPDATE directly (never routed — Section 4.1)."""
         from repro import dml
 
         compiled = time.perf_counter()
-        if governor is not None:
-            # DML mutates storage in one shot, so the only safe abort
-            # point is *before* the write — a cancellation landing here
-            # leaves storage untouched; after this checkpoint the
-            # statement runs to completion.
-            governor.checkpoint(stage="dml")
+        # DML mutates storage in one shot, so the only safe abort point
+        # is *before* the write — a cancellation landing here leaves
+        # storage untouched; after this checkpoint the statement runs to
+        # completion.
+        governor.checkpoint(stage="dml")
         counters = self.storage.counters
         before = counters.snapshot()
         with self.tracer.span("execute") as span:
@@ -572,23 +567,20 @@ class Database:
 
     # -- governance --------------------------------------------------------------
 
-    def _make_governor(self, timeout_seconds: Optional[float],
-                       memory_limit_bytes: Optional[int],
-                       cancel_token: Optional[CancelToken]
-                       ) -> Optional[ExecutionGovernor]:
+    def _make_governor(self, timeout_seconds: Optional[float] = None,
+                       memory_limit_bytes: Optional[int] = None,
+                       cancel_token: Optional[CancelToken] = None
+                       ) -> ExecutionGovernor:
         """The per-statement governor: explicit bounds beat config
-        defaults; None when governance is off and nothing was asked."""
+        defaults.  Every statement has one; without a bound it costs one
+        attribute read plus two compares per checkpoint."""
         config = self.config
-        timeout = timeout_seconds if timeout_seconds is not None \
-            else config.statement_timeout_seconds
-        limit = memory_limit_bytes if memory_limit_bytes is not None \
-            else config.statement_memory_limit_bytes
-        if not config.governor_enabled and timeout is None \
-                and limit is None and cancel_token is None:
-            return None
         return ExecutionGovernor(
-            timeout_seconds=timeout,
-            memory_limit_bytes=limit,
+            timeout_seconds=timeout_seconds if timeout_seconds is not None
+            else config.statement_timeout_seconds,
+            memory_limit_bytes=memory_limit_bytes
+            if memory_limit_bytes is not None
+            else config.statement_memory_limit_bytes,
             cancel_token=cancel_token,
             fault_injector=config.fault_injector)
 
@@ -651,6 +643,25 @@ class Database:
         ``executor_workers`` overrides ``config.executor_workers`` for
         this statement (morsel-driven parallelism; batch mode only).
         """
+        return self._run(sql, optimizer, explain, trace, use_plan_cache,
+                         executor_mode, timeout_seconds, memory_limit_bytes,
+                         cancel_token, executor_workers)[0]
+
+    def _run(self, sql: str, optimizer: str = "auto",
+             explain: bool = False, trace: bool = False,
+             use_plan_cache: bool = True,
+             executor_mode: str = "batch",
+             timeout_seconds: Optional[float] = None,
+             memory_limit_bytes: Optional[int] = None,
+             cancel_token: Optional[CancelToken] = None,
+             executor_workers: Optional[int] = None,
+             select_only: bool = False
+             ) -> Tuple[StatementResult, Optional[Executor]]:
+        """The one run entry, behind ``run()`` and ``explain_analyze()``.
+
+        Returns the result and the executor that produced its rows (the
+        retry executor after a low-memory retry; None for DML).
+        ``select_only`` refuses DML before it writes anything."""
         if executor_mode not in EXECUTOR_MODES:
             raise ReproError(
                 f"unknown executor_mode {executor_mode!r}; valid "
@@ -661,69 +672,57 @@ class Database:
                                        cancel_token)
         statement_id = self._next_statement_id
         self._next_statement_id += 1
-        if governor is not None:
-            self._active_statements[statement_id] = (sql, governor)
+        self._active_statements[statement_id] = (sql, governor)
         previous = self.tracer
         if trace and not previous.enabled:
             self.tracer = Tracer()
         try:
-            result = self._run(sql, optimizer, explain, use_plan_cache,
-                               executor_mode, governor, statement_id,
-                               executor_workers)
+            self.metrics.inc("statements.total")
+            start = time.perf_counter()
+            with self.tracer.span("statement", sql=sql,
+                                  optimizer=optimizer) as stmt_span:
+                try:
+                    result, executor = self._run_governed(
+                        sql, optimizer, explain, use_plan_cache,
+                        executor_mode, governor, statement_id, start,
+                        stmt_span, executor_workers, select_only)
+                except (GovernorError, ExecutionError) as exc:
+                    # An aborted statement: classify, count, and unwind.
+                    # Deliberately skipped: the plan-cache store, the
+                    # fingerprint's executions and Q-errors, planq
+                    # metrics, and the compile/execute latency
+                    # observations — the statement must leave the
+                    # Database as if it never ran.
+                    self._record_abort(sql, exc, governor, stmt_span,
+                                       statement_id)
+                    raise
             if self.tracer.enabled:
-                result.trace = self.tracer.last_root
+                result.trace = stmt_span
             if self.config.slow_query_log_path is not None:
                 self._log_slow_query(self.statements.last, result)
-            return result
+            return result, executor
         finally:
             self._active_statements.pop(statement_id, None)
             self.tracer = previous
 
-    def _run(self, sql: str, optimizer: str, explain: bool,
-             use_plan_cache: bool = True,
-             executor_mode: str = "batch",
-             governor: Optional[ExecutionGovernor] = None,
-             statement_id: int = 0,
-             executor_workers: Optional[int] = None) -> StatementResult:
-        tracer = self.tracer
-        self.metrics.inc("statements.total")
-        start = time.perf_counter()
-        with tracer.span("statement", sql=sql,
-                         optimizer=optimizer) as stmt_span:
-            try:
-                return self._run_governed(sql, optimizer, explain,
-                                          use_plan_cache, executor_mode,
-                                          governor, statement_id, start,
-                                          stmt_span, executor_workers)
-            except (GovernorError, ExecutionError) as exc:
-                # An aborted statement: classify, count, and unwind.
-                # Deliberately skipped: the plan-cache store, the
-                # fingerprint's executions and Q-errors, planq metrics,
-                # and the compile/execute latency observations — the
-                # statement must leave the Database as if it never ran.
-                self._record_abort(sql, exc, governor, stmt_span,
-                                   statement_id, start)
-                raise
-
     def _run_governed(self, sql: str, optimizer: str, explain: bool,
-                      use_plan_cache: bool,
-                      mode: str,
-                      governor: Optional[ExecutionGovernor],
-                      statement_id: int, start: float,
-                      stmt_span,
-                      executor_workers: Optional[int] = None
-                      ) -> StatementResult:
+                      use_plan_cache: bool, mode: str,
+                      governor: ExecutionGovernor,
+                      statement_id: int, start: float, stmt_span,
+                      executor_workers: Optional[int],
+                      select_only: bool
+                      ) -> Tuple[StatementResult, Optional[Executor]]:
         tracer = self.tracer
-        with tracer.span("parse"):
-            stmt = parse_statement(sql)
-        if governor is not None:
-            governor.checkpoint(stage="parse")
+        stmt = self._parse(sql, governor)
         if not isinstance(stmt, sql_ast.SelectStmt):
+            if select_only:
+                raise ReproError("EXPLAIN ANALYZE runs SELECT statements "
+                                 "only; DML executes directly")
             result = self._execute_dml(stmt, start, governor)
             stmt_span.set(optimizer_used=result.optimizer_used)
             result.statement_id = statement_id
             self._record_statement(sql, statement_id, stmt_span, result)
-            return result
+            return result, None
         self.metrics.inc("statements.select")
         cache_key = statement_cache_key(sql, optimizer)
         # A key the cache holds but cannot serve is stale (an epoch
@@ -746,9 +745,8 @@ class Database:
                                policy=self.config.routing)
         else:
             executor, used, fallback_reason, skeleton = \
-                self._compile_select(stmt, optimizer, sql,
-                                     cache_status=status,
-                                     governor=governor)
+                self._compile_select(stmt, optimizer, sql, governor,
+                                     cache_status=status)
         explain_text = explain_plan(executor.top_plan) \
             if explain else None
         workers = executor_workers or self.config.executor_workers
@@ -812,11 +810,8 @@ class Database:
                              compiled - start)
         self.metrics.observe("statement.execute_seconds",
                              done - compiled)
-        governor_stats = None
-        if governor is not None:
-            governor_stats = governor.stats()
-            self.metrics.observe("governor.peak_bytes",
-                                 governor.memory.peak_bytes)
+        self.metrics.observe("governor.peak_bytes",
+                             governor.memory.peak_bytes)
         stmt_span.set(optimizer_used=used, rows=len(rows),
                       plan_cache_hit=cached is not None,
                       executor_mode=mode)
@@ -831,14 +826,14 @@ class Database:
             executor_mode=mode,
             plan_quality=quality,
             statement_id=statement_id,
-            governor_stats=governor_stats,
+            governor_stats=governor.stats(),
             low_memory_retry=low_memory_retry,
             plan_hash=executor.plan_hash,
         )
         self._record_statement(sql, statement_id, stmt_span, result,
                                executor=executor, cache_key=cache_key,
                                workers=workers)
-        return result
+        return result, executor
 
     def _record_statement(self, sql: str, statement_id: int, stmt_span,
                           result: Optional[StatementResult] = None,
@@ -846,8 +841,7 @@ class Database:
                           cache_key: Optional[str] = None,
                           workers: int = 1,
                           abort_reason: Optional[FallbackReason] = None,
-                          governor: Optional[ExecutionGovernor] = None,
-                          start: Optional[float] = None
+                          governor: Optional[ExecutionGovernor] = None
                           ) -> StatementRecord:
         """Build the statement's one record and append it to the log.
 
@@ -870,12 +864,9 @@ class Database:
             # statement), so the regression detector skips aborts.
             record.aborted = True
             record.abort_reason = abort_reason.value
-            if governor is not None:
-                record.execute_seconds = governor.elapsed_seconds()
-                record.governor_checkpoints = governor.checkpoints
-                record.governor_peak_bytes = governor.memory.peak_bytes
-            elif start is not None:
-                record.execute_seconds = time.perf_counter() - start
+            record.execute_seconds = governor.elapsed_seconds()
+            record.governor_checkpoints = governor.checkpoints
+            record.governor_peak_bytes = governor.memory.peak_bytes
         else:
             record.optimizer = result.optimizer_used
             record.executor_mode = result.executor_mode
@@ -888,10 +879,10 @@ class Database:
             record.low_memory_retry = result.low_memory_retry
             if result.fallback_reason is not None:
                 record.fallback_reason = result.fallback_reason.value
-            gov = result.governor_stats
-            if gov is not None:
-                record.governor_checkpoints = gov.get("checkpoints")
-                record.governor_peak_bytes = gov.get("peak_tracked_bytes")
+            stats = result.governor_stats
+            if stats is not None:
+                record.governor_checkpoints = stats["checkpoints"]
+                record.governor_peak_bytes = stats["peak_tracked_bytes"]
             quality = result.plan_quality
             if quality is not None:
                 record.root_q = quality.root_q
@@ -913,8 +904,8 @@ class Database:
         return record
 
     def _execute_governed(self, executor: Executor,
-                          skeleton: Optional[SkeletonPlan], mode: str,
-                          governor: Optional[ExecutionGovernor],
+                          skeleton: SkeletonPlan, mode: str,
+                          governor: ExecutionGovernor,
                           sql: str, workers: int = 1):
         """Run the plan under the governor, with one degradation path.
 
@@ -932,8 +923,7 @@ class Database:
                                          injector, workers)
             return rows, executor, governor, False
         except ResourceExhaustedError as exc:
-            if exc.operator != "hash_agg" \
-                    or skeleton is None or governor is None:
+            if exc.operator != "hash_agg":
                 raise
             self.metrics.inc("governor.stream_agg_retries")
             self.metrics.inc("governor.mem_breaches")
@@ -965,7 +955,7 @@ class Database:
             return rows, retry_executor, retry_governor, True
 
     def _execute_wrapped(self, executor: Executor, mode: str,
-                         governor: Optional[ExecutionGovernor],
+                         governor: ExecutionGovernor,
                          injector, workers: int = 1) -> List[tuple]:
         """Execute, wrapping non-typed escapes as ExecutionError.
 
@@ -984,9 +974,8 @@ class Database:
                 f"execution failed: {type(exc).__name__}: {exc}") from exc
 
     def _record_abort(self, sql: str, exc: ReproError,
-                      governor: Optional[ExecutionGovernor],
-                      stmt_span, statement_id: int = 0,
-                      start: Optional[float] = None) -> None:
+                      governor: ExecutionGovernor,
+                      stmt_span, statement_id: int) -> None:
         """Bookkeeping for an aborted statement.
 
         Records a FallbackEvent with the execution-stage reason, bumps
@@ -1004,16 +993,14 @@ class Database:
             sql=sql))
         self.metrics.inc(_ABORT_COUNTERS[reason])
         self.metrics.inc("statements.aborted")
-        if governor is not None:
-            self.metrics.observe("governor.peak_bytes",
-                                 governor.memory.peak_bytes)
+        self.metrics.observe("governor.peak_bytes",
+                             governor.memory.peak_bytes)
         stmt_span.set(aborted=True, abort_reason=reason.value,
                       error_type=type(exc).__name__)
         # An abort still leaves a record — the crash history right
         # before a bad stretch is what the ring is for.
         self._record_statement(sql, statement_id, stmt_span,
-                               abort_reason=reason, governor=governor,
-                               start=start)
+                               abort_reason=reason, governor=governor)
 
     def explain(self, sql: str, optimizer: str = "auto",
                 analyze: bool = False) -> str:
@@ -1030,44 +1017,31 @@ class Database:
                         executor_workers: Optional[int] = None) -> str:
         """EXPLAIN ANALYZE: execute with per-operator actual row counts.
 
-        The statement is executed once and rendered with
-        ``(estimated rows=E actual rows=N q=Q)`` per node from the
-        executor's always-on counters — making estimation errors (the
-        histogram story of Section 5.5) visible per operator; batch-
-        engine runs additionally show per-node ``(batches=N)`` counts.
-        A "stage breakdown" footer shows where the statement spent its
-        time (mirroring the paper's EXPLAIN cost copy-over, Section 6),
-        which executor engine ran, and, for Orca plans, the memo
-        statistics.  With ``executor_workers > 1`` the footer shows the
-        fan-out decision (``fanout`` / ``serial:cost`` / ``serial:shape``)
-        and nodes that ran morsel-parallel show ``workers=N``.
+        A view of one ``run(sql, trace=True, use_plan_cache=False)``:
+        the statement runs once through the same governed path (typed
+        errors, the low-memory retry, fault sites, one statement record)
+        and the executor that produced its rows — the retry executor
+        after a low-memory retry — is rendered with ``(estimated rows=E
+        actual rows=N q=Q)`` per node from the executor's always-on
+        counters, making estimation errors (the histogram story of
+        Section 5.5) visible per operator; batch-engine runs
+        additionally show per-node ``(batches=N)`` counts and
+        materialisations their ``(rebinds=N)`` (Section 7).  A "stage
+        breakdown" footer shows where the statement spent its time
+        (mirroring the paper's EXPLAIN cost copy-over, Section 6),
+        which executor engine ran, the governor's snapshot, and, for
+        Orca plans, the memo statistics.  With ``executor_workers > 1``
+        the footer shows the fan-out decision (``fanout`` /
+        ``serial:cost`` / ``serial:shape``) and nodes that ran
+        morsel-parallel show ``workers=N``.
         """
         from repro.executor.explain import format_stage_footer
-        from repro.executor.plan import DerivedMaterializeNode
 
-        if executor_mode not in EXECUTOR_MODES:
-            raise ReproError(f"unknown executor mode {executor_mode!r}; "
-                             f"expected one of {EXECUTOR_MODES}")
-        governor = self._make_governor(None, None, None)
-        previous = self.tracer
-        if not previous.enabled:
-            self.tracer = Tracer()
-        try:
-            with self.tracer.span("statement", sql=sql) as root:
-                start = time.perf_counter()
-                executor, used, __, __ = self._compile(sql, optimizer,
-                                                       governor)
-                compiled = time.perf_counter()
-                with self.tracer.span("execute"):
-                    executor.execute(
-                        mode=executor_mode, governor=governor,
-                        workers=(executor_workers
-                                 or self.config.executor_workers),
-                        tracer=self.tracer)
-                done = time.perf_counter()
-        finally:
-            self.tracer = previous
-        stages = stage_durations(root)
+        result, executor = self._run(
+            sql, optimizer, trace=True, use_plan_cache=False,
+            executor_mode=executor_mode, executor_workers=executor_workers,
+            select_only=True)
+        root = result.trace
         memo_groups = memo_alternatives = memo_pruned = 0
         join_strategy = None
         join_units = 0
@@ -1093,10 +1067,10 @@ class Database:
         worker_skew = parallel.skew() \
             if parallel is not None and parallel.ops else None
         footer = format_stage_footer(
-            optimizer_used=used,
-            optimize_seconds=compiled - start,
-            execute_seconds=done - compiled,
-            stages=stages,
+            optimizer_used=result.optimizer_used,
+            optimize_seconds=result.compile_seconds,
+            execute_seconds=result.execute_seconds,
+            stages=result.stage_seconds(),
             memo_groups=memo_groups,
             memo_alternatives=memo_alternatives,
             memo_pruned=memo_pruned,
@@ -1104,8 +1078,7 @@ class Database:
             batches=executor.last_runtime.batches,
             batch_rows=executor.last_runtime.batch_rows,
             compiled_exprs=executor.compiled_expr_count,
-            governor_stats=governor.stats()
-            if governor is not None else None,
+            governor_stats=result.governor_stats,
             join_strategy=join_strategy,
             join_units=join_units,
             join_budget_degradations=join_degradations,
@@ -1113,26 +1086,6 @@ class Database:
             worker_skew=worker_skew,
             parallel=parallel,
         )
-        # Copy rebind counts (Section 7, Orca change 3) onto the
-        # materialise nodes so the rendering can show them.
-        runtime = executor.last_runtime
-        stack = [executor.top_plan]
-        seen = set()
-        while stack:
-            plan = stack.pop()
-            if id(plan) in seen or plan.root is None:
-                continue
-            seen.add(id(plan))
-            nodes = [plan.root]
-            while nodes:
-                node = nodes.pop()
-                nodes.extend(node.children())
-                if isinstance(node, DerivedMaterializeNode):
-                    node.actual_rebinds = runtime.rebind_counts.get(
-                        id(node), 0)
-                subplan = getattr(node, "subplan", None)
-                if subplan is not None:
-                    stack.append(subplan)
         return explain_plan(executor.top_plan, analyze=True,
                             footer=footer)
 

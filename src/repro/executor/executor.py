@@ -15,6 +15,7 @@ from repro.errors import ExecutionError
 from repro.executor.batch import lower_executor
 from repro.executor.parallel import ParallelContext
 from repro.executor.plan import (
+    DerivedMaterializeNode,
     ExecutionRuntime,
     QueryPlan,
     walk_plan_nodes,
@@ -43,9 +44,6 @@ class Executor:
         self._batch_lowered = False
         #: Expressions compiled by the lowering.
         self.compiled_expr_count = 0
-        #: Governor of the most recent execute(), for post-execution
-        #: reporting (EXPLAIN ANALYZE footer, StatementResult stats).
-        self.last_governor = None
         #: ParallelContext of the most recent execute(), or None when
         #: one worker was requested.  ``last_parallel.ops == 0`` means
         #: the statement ran serial; ``last_parallel.decision`` says why.
@@ -134,6 +132,8 @@ class Executor:
             node.actual_batches = 0
             node.actual_loops = 0
             node.px_workers = 0
+            if isinstance(node, DerivedMaterializeNode):
+                node.actual_rebinds = 0
 
     def ensure_batch_lowered(self, tracer=None) -> None:
         """Lower the statement's plans for batch execution (cached).
@@ -154,12 +154,12 @@ class Executor:
         reference interpreter) and return all output rows.
 
         ``governor`` is the per-statement
-        :class:`repro.governor.ExecutionGovernor` (or None for unbounded
-        execution) and ``injector`` an optional execution-stage fault
-        injector; both ride on the runtime.  ``workers > 1`` lets
-        eligible pre-aggregations on the batch path fan out to forked
-        workers when the cost gate says it pays (row mode always runs
-        serial)."""
+        :class:`repro.governor.ExecutionGovernor` (the runtime makes an
+        unbounded one when a direct caller passes none) and ``injector``
+        an optional execution-stage fault injector; both ride on the
+        runtime.  ``workers > 1`` lets eligible pre-aggregations on the
+        batch path fan out to forked workers when the cost gate says it
+        pays (row mode always runs serial)."""
         if self.top_plan is None:
             raise ExecutionError("no top-level plan registered")
         self.reset_actuals()
@@ -173,11 +173,11 @@ class Executor:
         runtime = ExecutionRuntime(self.storage, self.context.entry_count,
                                    governor=governor, injector=injector,
                                    parallel=parallel, batch=mode == "batch")
-        self.last_governor = governor
         self.last_parallel = parallel
         previous = self.current_runtime
         self.current_runtime = runtime
-        #: Kept for post-execution inspection (EXPLAIN ANALYZE rebinds).
+        #: Kept for post-execution inspection (batch counts, the
+        #: subquery cache).
         self.last_runtime = runtime
         try:
             if mode == "batch":

@@ -371,14 +371,14 @@ class ParallelContext:
                     for accumulator, partial in zip(accumulators,
                                                     partials):
                         accumulator.fold_partial(partial)
-                if charge and gov is not None and created:
+                if charge and created:
                     if group_bytes == 0:
                         group_bytes = agg._group_bytes(order[0])
                     delta = created * group_bytes
                     gov.charge(delta, "hash_agg")
                     charged += delta
         except BaseException:
-            if gov is not None and charged:
+            if charged:
                 gov.release(charged)
             raise
         return groups, order, charged
@@ -402,10 +402,9 @@ class ParallelContext:
             for chunk_index, rows, seconds in wt.records:
                 self.morsel_records.append(
                     (wt.worker_id, chunk_index, rows, seconds))
-            if governor is not None:
-                # The parent governor never saw the children's
-                # checkpoints.
-                governor.note_worker_checkpoints(wt.checkpoints)
+            # The parent governor never saw the children's
+            # checkpoints.
+            governor.note_worker_checkpoints(wt.checkpoints)
             if metrics is not None:
                 wt.delta.merge_into(metrics)
                 metrics.observe("executor.worker_seconds", wt.seconds)
@@ -456,11 +455,10 @@ class ParallelContext:
         ``(rows, partials)``; the row count feeds worker telemetry."""
         op_start = time.perf_counter()
         governor = runtime.governor
-        if governor is not None:
-            # Back the cancel flag with fork-inheritable shared memory
-            # *before* forking, so a parent-side cancel() lands in the
-            # children's next checkpoint.
-            governor.cancel_token.enable_cross_process()
+        # Back the cancel flag with fork-inheritable shared memory
+        # *before* forking, so a parent-side cancel() lands in the
+        # children's next checkpoint.
+        governor.cancel_token.enable_cross_process()
         mp = multiprocessing.get_context("fork")
         dispenser = mp.RawValue("l", 0)
         lock = mp.Lock()
@@ -548,9 +546,8 @@ def _worker_payload(worker_id: int, indices: List[int], dispenser, lock,
                 break
             dispenser.value = slot + 1
         try:
-            if governor is not None:
-                governor.checkpoint(stage="parallel")
-                telemetry.checkpoints += 1
+            governor.checkpoint(stage="parallel")
+            telemetry.checkpoints += 1
             started = time.perf_counter()
             value = task(indices[slot])
             telemetry.note_morsel(

@@ -29,6 +29,7 @@ from repro.executor.batch import (
 from repro.governor import (
     ACCUMULATOR_BYTES,
     BUCKET_OVERHEAD_BYTES,
+    ExecutionGovernor,
     approx_row_bytes,
 )
 from repro.sql import ast
@@ -69,9 +70,11 @@ class ExecutionRuntime:
         #: serial execution — the default and the only mode the row
         #: engine ever uses.
         self.parallel = parallel
-        #: Per-statement :class:`repro.governor.ExecutionGovernor` (or
-        #: None): deadline/cancel checkpoints and memory charging.
-        self.governor = governor
+        #: Per-statement :class:`repro.governor.ExecutionGovernor`:
+        #: deadline/cancel checkpoints and memory charging.  The one
+        #: place a default is made — a direct ``Executor.execute`` caller
+        #: that passes none runs under an unbounded governor.
+        self.governor = governor or ExecutionGovernor()
         #: Execution-stage :class:`repro.resilience.FaultInjector` (or
         #: None): scan_io / mid_batch / alloc_spike chaos sites.
         self.injector = injector
@@ -88,10 +91,6 @@ class ExecutionRuntime:
         #: Per-execution subquery-result cache, keyed by
         #: (block id, correlation values).
         self.subquery_cache: Dict[tuple, List[tuple]] = {}
-        #: Materialisation (rebind) counts per derived node — "the rebind
-        #: count is simply the number of rows coming from the outer side"
-        #: (Section 7), deduplicated here by the subquery cache.
-        self.rebind_counts: Dict[int, int] = {}
         #: Batch-mode accounting: batches/rows exchanged between
         #: operators (feeds executor.batches / executor.batch_rows).
         self.batches = 0
@@ -105,8 +104,7 @@ class ExecutionRuntime:
         # a deadline or cancel can go unnoticed in batch mode.
         if self.injector is not None:
             self.injector.fire("mid_batch")
-        if self.governor is not None:
-            self.governor.checkpoint()
+        self.governor.checkpoint()
         return batch
 
     def note_counts(self, length: int) -> None:
@@ -119,8 +117,7 @@ class ExecutionRuntime:
         self.batch_rows += length
         if self.injector is not None:
             self.injector.fire("mid_batch")
-        if self.governor is not None:
-            self.governor.checkpoint()
+        self.governor.checkpoint()
 
 
 class PlanNode:
@@ -278,15 +275,13 @@ def _leaf_rows(node: "_LeafNode", runtime: ExecutionRuntime,
                rows) -> Iterator[tuple]:
     """Row-mode leaf instrumentation shared by every access path.
 
-    Fires the ``scan_io`` injection site once per scan start and, under
-    a governor, wraps the storage iterator so a checkpoint runs every
+    Fires the ``scan_io`` injection site once per scan start and wraps
+    the storage iterator in the governor so a checkpoint runs every
     ``check_interval`` rows — the row engine's only periodic bound in
     plans with no batches."""
     if runtime.injector is not None:
         runtime.injector.fire("scan_io")
-    if runtime.governor is not None:
-        return runtime.governor.wrap_rows(rows)
-    return rows
+    return runtime.governor.wrap_rows(rows)
 
 
 def _charge_materialized(runtime: ExecutionRuntime,
@@ -296,10 +291,9 @@ def _charge_materialized(runtime: ExecutionRuntime,
 
     Charged for the lifetime of the statement — materialisations are
     cached on the runtime and die with it, so there is no release."""
-    gov = runtime.governor
-    if gov is not None and rows:
-        gov.charge(len(rows) * (approx_row_bytes(rows[0]) + 16),
-                   "materialize")
+    if rows:
+        runtime.governor.charge(
+            len(rows) * (approx_row_bytes(rows[0]) + 16), "materialize")
 
 
 def _leaf_batches(node: "_LeafNode", runtime: ExecutionRuntime,
@@ -541,6 +535,12 @@ class DerivedMaterializeNode(_LeafNode):
         super().__init__(entry_id, alias)
         self.subplan = subplan
         self.correlation_sources = correlation_sources
+        #: Always-on rebind counter, reset per execution like
+        #: ``actual_rows``: one per distinct outer-row snapshot that
+        #: forces a re-materialisation — "the rebind count is simply the
+        #: number of rows coming from the outer side" (Section 7, Orca
+        #: change 3), deduplicated by the materialisation cache.
+        self.actual_rebinds: int = 0
 
     def run(self, runtime: ExecutionRuntime) -> Iterator[None]:
         self.actual_loops += 1
@@ -557,11 +557,7 @@ class DerivedMaterializeNode(_LeafNode):
             rows = list(self.subplan.run(runtime))
             by_key[key] = rows
             _charge_materialized(runtime, rows)
-            # Rebind accounting (the paper's Section 7, Orca change 3,
-            # concerns exactly these counts): one rebind per distinct
-            # outer-row snapshot that forces a re-materialisation.
-            runtime.rebind_counts[id(self)] = \
-                runtime.rebind_counts.get(id(self), 0) + 1
+            self.actual_rebinds += 1
         for row in rows:
             ctx[slot] = row
             if check(ctx) is True:
@@ -585,8 +581,7 @@ class DerivedMaterializeNode(_LeafNode):
                 rows.extend(chunk)
             by_key[key] = rows
             _charge_materialized(runtime, rows)
-            runtime.rebind_counts[id(self)] = \
-                runtime.rebind_counts.get(id(self), 0) + 1
+            self.actual_rebinds += 1
         yield from _leaf_batches(self, runtime,
                                  _iter_chunks(rows, runtime.batch_size))
 
@@ -704,8 +699,7 @@ class NestedLoopJoinNode(PlanNode):
             # One tick per outer row: NL chains can spin for a long time
             # without emitting anything (anti/semi joins especially), so
             # progress is bounded here rather than only at emission.
-            if gov is not None:
-                gov.tick()
+            gov.tick()
             matched = False
             for __ in inner.run(runtime):
                 if condition(ctx) is not True:
@@ -792,8 +786,7 @@ class NestedLoopJoinNode(PlanNode):
             keys = zip(*key_cols) if len(key_cols) > 1 \
                 else ((key,) for key in key_cols[0])
             for position, key in enumerate(keys):
-                if gov is not None:
-                    gov.tick()
+                gov.tick()
                 if None in key:
                     continue
                 rows = lookup(table_name, index_name, key)
@@ -854,8 +847,7 @@ class NestedLoopJoinNode(PlanNode):
             inner_cols: Dict[int, list] = {entry: []
                                            for entry in inner_entries}
             for position in range(batch.length):
-                if gov is not None:
-                    gov.tick()
+                gov.tick()
                 for entry, column in outer_cols:
                     ctx[entry] = column[position]
                 out: List[RowBatch] = []
@@ -1053,17 +1045,16 @@ class HashJoinNode(PlanNode):
                 continue
             saved = tuple(ctx[entry_id] for entry_id in build_entries)
             table.setdefault(key, []).append(saved)
-            if gov is not None:
-                if row_bytes == 0:
-                    row_bytes = approx_row_bytes(saved) \
-                        + BUCKET_OVERHEAD_BYTES
-                pending += 1
-                if pending >= 128:
-                    delta = pending * row_bytes
-                    gov.charge(delta, "hash_join_build")
-                    charged += delta
-                    pending = 0
-        if gov is not None and pending:
+            if row_bytes == 0:
+                row_bytes = approx_row_bytes(saved) \
+                    + BUCKET_OVERHEAD_BYTES
+            pending += 1
+            if pending >= 128:
+                delta = pending * row_bytes
+                gov.charge(delta, "hash_join_build")
+                charged += delta
+                pending = 0
+        if pending:
             delta = pending * row_bytes
             gov.charge(delta, "hash_join_build")
             charged += delta
@@ -1078,7 +1069,7 @@ class HashJoinNode(PlanNode):
         try:
             yield from self._probe_rows(runtime, table)
         finally:
-            if gov is not None and charged:
+            if charged:
                 gov.release(charged)
 
     def _probe_rows(self, runtime: ExecutionRuntime,
@@ -1149,7 +1140,7 @@ class HashJoinNode(PlanNode):
                 for key, saved in zip(build_keys, saved_rows):
                     if None not in key:
                         setdefault(key, []).append(saved)
-            if gov is not None and build_batch.length:
+            if build_batch.length:
                 if row_bytes == 0:
                     sample = tuple(col[0] for col in saved_cols) \
                         if saved_cols else ()
@@ -1175,7 +1166,7 @@ class HashJoinNode(PlanNode):
         try:
             yield from self._probe_batches(runtime, table)
         finally:
-            if gov is not None and charged:
+            if charged:
                 gov.release(charged)
 
     def _probe_batches(self, runtime: ExecutionRuntime,
@@ -1342,7 +1333,7 @@ class SortNode(PlanNode):
         # Under the reduced-memory retry the sort a forced streaming
         # aggregate inserted must not re-breach the cap it is there to
         # relieve: its charges spill (counted) instead of raising.
-        spillable = gov.spill_sorts if gov is not None else False
+        spillable = gov.spill_sorts
         row_bytes = 0
         pending = 0
         charged = 0
@@ -1350,18 +1341,17 @@ class SortNode(PlanNode):
             for __ in self.child.run(runtime):
                 keys = tuple(fn(ctx) for fn in self.key_fns)
                 captured.append((keys, tuple(ctx[e] for e in live)))
-                if gov is not None:
-                    if row_bytes == 0:
-                        first = captured[0]
-                        row_bytes = approx_row_bytes(first[0]) \
-                            + approx_row_bytes(first[1])
-                    pending += 1
-                    if pending >= 256:
-                        delta = pending * row_bytes
-                        gov.charge(delta, "sort", spillable)
-                        charged += delta
-                        pending = 0
-            if gov is not None and pending:
+                if row_bytes == 0:
+                    first = captured[0]
+                    row_bytes = approx_row_bytes(first[0]) \
+                        + approx_row_bytes(first[1])
+                pending += 1
+                if pending >= 256:
+                    delta = pending * row_bytes
+                    gov.charge(delta, "sort", spillable)
+                    charged += delta
+                    pending = 0
+            if pending:
                 delta = pending * row_bytes
                 gov.charge(delta, "sort", spillable)
                 charged += delta
@@ -1372,7 +1362,7 @@ class SortNode(PlanNode):
                 self.actual_rows += 1
                 yield
         finally:
-            if gov is not None and charged:
+            if charged:
                 gov.release(charged)
 
     def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
@@ -1386,7 +1376,7 @@ class SortNode(PlanNode):
         live_cols: List[list] = []
         length = 0
         gov = runtime.governor
-        spillable = gov.spill_sorts if gov is not None else False
+        spillable = gov.spill_sorts
         row_bytes = 0
         charged = 0
         try:
@@ -1405,7 +1395,7 @@ class SortNode(PlanNode):
                 for column, entry in zip(live_cols, entries):
                     column.extend(batch.columns[entry])
                 length += batch.length
-                if gov is not None and batch.length:
+                if batch.length:
                     if row_bytes == 0:
                         # The row engine's estimate: its first captured
                         # (key tuple, live tuple) pair.
@@ -1428,7 +1418,7 @@ class SortNode(PlanNode):
                            for entry, column in zip(entries, live_cols)}
                 yield self._note(runtime, RowBatch(columns, len(part)))
         finally:
-            if gov is not None and charged:
+            if charged:
                 gov.release(charged)
 
     def label(self) -> str:
@@ -1609,7 +1599,7 @@ class AggregateNode(PlanNode):
             if acc.length:
                 yield self._note(runtime, acc.flush())
         finally:
-            if gov is not None and charged:
+            if charged:
                 gov.release(charged)
 
     def _run_hash_batches(self, runtime: ExecutionRuntime
@@ -1664,7 +1654,7 @@ class AggregateNode(PlanNode):
                             accumulator.add_many([column[i] for i in idxs])
                 # Charge per batch for the groups it created (same
                 # per-group estimate as the row engine's hash path).
-                if gov is not None and created:
+                if created:
                     if group_bytes == 0:
                         group_bytes = self._group_bytes(order[0])
                     delta = created * group_bytes
@@ -1684,7 +1674,7 @@ class AggregateNode(PlanNode):
             if acc.length:
                 yield self._note(runtime, acc.flush())
         finally:
-            if gov is not None and charged:
+            if charged:
                 gov.release(charged)
 
     def _run_stream_batches(self, runtime: ExecutionRuntime
@@ -1773,11 +1763,10 @@ class AggregateNode(PlanNode):
                     # memory cap must bound.  A breach here is the one
                     # governed abort with a degradation path (the facade
                     # retries once with a forced streaming aggregate).
-                    if gov is not None:
-                        if group_bytes == 0:
-                            group_bytes = self._group_bytes(key)
-                        gov.charge(group_bytes, "hash_agg")
-                        charged += group_bytes
+                    if group_bytes == 0:
+                        group_bytes = self._group_bytes(key)
+                    gov.charge(group_bytes, "hash_agg")
+                    charged += group_bytes
                 for accumulator in accumulators:
                     accumulator.add(ctx)
             if not groups and not self.group_fns:
@@ -1790,7 +1779,7 @@ class AggregateNode(PlanNode):
                 self.actual_rows += 1
                 yield
         finally:
-            if gov is not None and charged:
+            if charged:
                 gov.release(charged)
 
     def _run_stream(self, runtime: ExecutionRuntime) -> Iterator[None]:

@@ -217,10 +217,12 @@ class MemoryAccountant:
 class ExecutionGovernor:
     """All three per-statement bounds behind one checkpoint API.
 
-    Created by the Database facade for every governed statement and
-    handed to the executor runtime; operators never construct one.  A
-    governor with no deadline, no memory cap, and an unset token costs
-    one attribute read plus two compares per checkpoint.
+    Created by the Database facade for every statement (EXPLAIN and
+    ``compile_only`` included) and handed to the executor runtime, which
+    makes an unbounded one for a direct ``Executor.execute`` caller that
+    passes none; operators never construct one.  A governor with no
+    deadline, no memory cap, and an unset token costs one attribute read
+    plus two compares per checkpoint.
     """
 
     def __init__(self, timeout_seconds: Optional[float] = None,

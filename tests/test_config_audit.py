@@ -9,6 +9,8 @@ means adding it here with its reason.
 
 import dataclasses
 
+import pytest
+
 from repro import DatabaseConfig
 
 #: Every ``DatabaseConfig`` field, in declaration order, with the caller
@@ -30,7 +32,6 @@ AUDITED_OPTIONS = {
     "slow_query_log_threshold_seconds": "drift scenario (bench/drift.py)",
     "statement_timeout_seconds": "safety bound for deployments",
     "statement_memory_limit_bytes": "safety bound for deployments",
-    "governor_enabled": "chaos benchmark's checkpoint-overhead baseline",
     "advisor_auto_analyze": "drift scenario (bench/drift.py)",
     "advisor_interval_statements": "drift scenario (bench/drift.py)",
     "batch_size": "memory bound for deployments (rows per batch/chunk)",
@@ -44,3 +45,9 @@ def test_every_option_is_audited():
     assert len(names) <= 18
     assert all(AUDITED_OPTIONS.values())
 
+
+def test_governance_is_not_optional():
+    # Every statement runs under a governor; without a bound it costs
+    # two compares per checkpoint, so there is nothing to switch off.
+    with pytest.raises(TypeError):
+        DatabaseConfig(governor_enabled=False)

@@ -10,6 +10,7 @@ import pytest
 from repro import FallbackReason
 from repro.bridge.router import OrcaRouter
 from repro.errors import OrcaError, OrcaFallbackError
+from repro.governor import ExecutionGovernor
 
 from tests.conftest import build_mini_db
 
@@ -100,7 +101,8 @@ class TestRouterFallback:
         stmt = parse_statement(SQL)
         block, context = Resolver(db.catalog).resolve(stmt)
         prepare(block)
-        router = OrcaRouter(db.catalog, db.config)
+        router = OrcaRouter(db.catalog, db.config,
+                            governor=ExecutionGovernor())
         assert router.optimize(stmt, block, context) is None
 
 

@@ -33,6 +33,7 @@ from repro.errors import (
     StatementCancelledError,
 )
 from repro.governor import ExecutionGovernor, MemoryAccountant, approx_row_bytes
+from repro.observability import Tracer
 from repro.resilience import CompileBudget, classify_execution_exception
 
 from tests.conftest import build_mini_db
@@ -291,16 +292,21 @@ class TestCancelApi:
         second = db.run("SELECT COUNT(*) FROM orders")
         assert second.statement_id == first.statement_id + 1
 
-    def test_governor_disabled_runs_ungoverned(self):
-        db = Database(DatabaseConfig(governor_enabled=False))
-        db2 = build_mini_db(seed=71, orders=20)
-        db.catalog, db.storage = db2.catalog, db2.storage
-        result = db.run("SELECT COUNT(*) FROM orders")
-        assert result.governor_stats is None
-        # Explicit bounds still create a governor on demand.
-        bounded = db.run("SELECT COUNT(*) FROM orders",
-                         timeout_seconds=30.0)
-        assert bounded.governor_stats is not None
+    def test_every_select_result_carries_governor_stats(self, db):
+        results = [db.run(JOIN_SQL), db.run(JOIN_SQL),  # miss, then hit
+                   db.run(JOIN_SQL, optimizer="mysql", explain=True),
+                   db.run(AGG_SQL, executor_mode="row"),
+                   db.run(AGG_SQL, use_plan_cache=False, trace=True)]
+        assert results[1].plan_cache_hit
+        for result in results:
+            stats = result.governor_stats
+            assert stats is not None
+            assert stats["checkpoints"] > 0
+            assert stats["timeout_seconds"] is None
+            assert stats["memory_limit_bytes"] is None
+        # DML has no plan to govern past its one pre-write checkpoint.
+        dml = db.run("DELETE FROM orders WHERE o_orderkey < 0")
+        assert dml.governor_stats is None
 
 
 # -- memory governance ----------------------------------------------------------------
@@ -487,3 +493,106 @@ class TestReportingSurfaces:
             DatabaseConfig(statement_timeout_seconds=-1.0)
         with pytest.raises(ReproError):
             DatabaseConfig(statement_memory_limit_bytes=0)
+
+
+# -- one governed statement path ------------------------------------------------------
+
+
+class TestOneGovernedPath:
+    """EXPLAIN ANALYZE, EXPLAIN and ``compile_only`` take the statement
+    path ``run()`` takes: the same governor bounds, retry, fault sites,
+    abort bookkeeping and statement record."""
+
+    def _counts(self, db):
+        return (db.statements.total, db.statements.recorded,
+                db.statements.total_aborted,
+                db.metrics.count("statements.aborted"))
+
+    def test_explain_analyze_takes_the_low_memory_retry(self, db):
+        plain = db.run(AGG_SQL, optimizer="orca", use_plan_cache=False)
+        peak = plain.governor_stats["peak_tracked_bytes"]
+        db.config.statement_memory_limit_bytes = peak // 3
+        retried = db.run(AGG_SQL, optimizer="orca", use_plan_cache=False)
+        assert retried.low_memory_retry is True
+        assert retried.rows == plain.rows
+        total, recorded, aborted, __ = self._counts(db)
+        text = db.explain_analyze(AGG_SQL, optimizer="orca")
+        # The retry executor produced the rows, so its plan is the one
+        # rendered: the forced streaming aggregate, not the hash one.
+        assert "Group aggregate (hash)" in db.explain(AGG_SQL,
+                                                       optimizer="orca")
+        assert "Group aggregate (streaming)" in text
+        assert "Group aggregate (hash)" not in text
+        footer = text.split("Stage breakdown")[1]
+        assert "(low-memory retry)" in footer
+        top = next(line for line in text.splitlines() if "-> " in line)
+        assert f"actual rows={len(retried.rows)} " in top
+        record = db.statements.last
+        assert record.low_memory_retry and not record.aborted
+        assert self._counts(db)[:3] == (total + 1, recorded + 1, aborted)
+
+    @pytest.mark.parametrize("entry", ["run", "explain_analyze"])
+    def test_deadline_abort_is_recorded_alike(self, db, entry):
+        db.config.statement_timeout_seconds = 0.0
+        total, recorded, aborted, aborted_metric = self._counts(db)
+        with pytest.raises(DeadlineExceededError):
+            getattr(db, entry)(JOIN_SQL)
+        assert self._counts(db) == (total + 1, recorded, aborted + 1,
+                                    aborted_metric + 1)
+        record = db.statements.last
+        assert record.aborted
+        assert record.abort_reason == \
+            FallbackReason.DEADLINE_EXCEEDED.value
+        assert db.metrics.count("governor.deadline_exceeded") == 1
+        assert db.active_statements() == {}
+
+    @pytest.mark.parametrize("site,action", [("mid_batch", "crash"),
+                                             ("scan_io", "typed")])
+    def test_execution_faults_fire_under_explain_analyze(self, db, site,
+                                                         action):
+        expected = db.execute(JOIN_SQL)
+        db.config.fault_injector = FaultInjector().arm(site, action,
+                                                       times=1)
+        with pytest.raises(ExecutionError):
+            db.explain_analyze(JOIN_SQL)
+        assert db.fallback_log.last_event.reason \
+            is FallbackReason.EXEC_RUNTIME_ERROR
+        assert db.metrics.count("governor.exec_errors") == 1
+        assert db.statements.last.aborted
+        db.config.fault_injector = None
+        assert_db_clean_and_reusable(db, expected)
+
+    def test_explain_analyze_refuses_dml_before_writing(self, db):
+        orders = list(db.storage.store("orders").scan())
+        with pytest.raises(ReproError):
+            db.explain_analyze("DELETE FROM orders")
+        assert list(db.storage.store("orders").scan()) == orders
+
+    @pytest.mark.parametrize("entry", ["compile_only", "explain"])
+    def test_compile_entries_honour_config_bounds(self, db, entry):
+        getattr(db, entry)(JOIN_SQL)
+        db.config.statement_timeout_seconds = 0.0
+        with pytest.raises(DeadlineExceededError) as info:
+            getattr(db, entry)(JOIN_SQL)
+        assert info.value.stage == "parse"
+
+    def test_direct_execute_runs_under_a_default_governor(self, db):
+        executor = db._compile(JOIN_SQL, "orca")[0]
+        executor.execute(mode="batch")
+        governor = executor.last_runtime.governor
+        assert isinstance(governor, ExecutionGovernor)
+        assert governor.checkpoints > 0
+        assert governor.memory.peak_bytes > 0
+        assert governor.memory.tracked_bytes == 0
+
+    def test_trace_is_the_statement_span_under_an_outer_span(self, db):
+        # EXPLAIN ANALYZE reads its footer from the result's trace, so
+        # the trace must be this statement's span even when a caller's
+        # tracer has a span of its own open around the call.
+        db.tracer = Tracer()
+        with db.tracer.span("outer"):
+            result = db.run(JOIN_SQL, trace=True)
+            text = db.explain_analyze(JOIN_SQL)
+        assert result.trace.name == "statement"
+        assert result.trace.attributes["sql"] == JOIN_SQL
+        assert "  parse:" in text.split("Stage breakdown")[1]

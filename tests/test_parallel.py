@@ -391,7 +391,7 @@ class TestGovernedAborts:
         assert err.value.reason == "stop now"
 
     def test_worker_crash_surfaces_as_execution_error(self):
-        runtime = SimpleNamespace(governor=None)
+        runtime = SimpleNamespace(governor=ExecutionGovernor())
         context = ParallelContext(2)
 
         def crash(index):

@@ -26,6 +26,7 @@ join-step access memo bypassed, the work recorded before the memo.
 import pytest
 
 from repro import Database, DatabaseConfig
+from repro.executor.plan import DerivedMaterializeNode
 from repro.observability import find_spans
 from repro.workloads.tpcds import TPCDS_QUERIES, load_tpcds
 from repro.workloads.tpch import TPCH_QUERIES, load_tpch
@@ -633,9 +634,11 @@ def test_body_statements_do_the_recorded_work(body_db, optimizer):
         before = counters.snapshot()
         executor.execute(mode="batch")
         after = counters.snapshot()
-        runtime = executor.last_runtime
-        work = (len(runtime.subquery_cache),
-                sorted(runtime.rebind_counts.values()),
+        rebinds = [node.actual_rebinds
+                   for node in executor.iter_plan_nodes()
+                   if isinstance(node, DerivedMaterializeNode)
+                   and node.actual_rebinds]
+        work = (len(executor.last_runtime.subquery_cache), sorted(rebinds),
                 {key: after[key] - before[key] for key in after
                  if after[key] != before[key]})
         assert work == BODY_WORK[(optimizer, number)], f"ds{number}"
