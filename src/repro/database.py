@@ -411,9 +411,10 @@ class Database:
         governor.checkpoint(stage="prepare")
 
         with tracer.span("route") as route_span:
-            route = self._route(stmt, optimizer)
+            refs = stmt.table_reference_count()
+            route = self._route(optimizer, refs)
             route_span.set(route=route, policy=self.config.routing,
-                           table_references=stmt.table_reference_count())
+                           table_references=refs)
             if cache_status is not None:
                 route_span.set(plan_cache=cache_status)
         used = "mysql"
@@ -495,7 +496,8 @@ class Database:
                 self.circuit_breaker.record_failure(fingerprint)
             return None, outcome.reason
 
-    def _route(self, stmt, optimizer: str) -> str:
+    def _route(self, optimizer: str, refs: int) -> str:
+        """The route of a SELECT with ``refs`` table references."""
         if optimizer == "mysql":
             return "mysql"
         if optimizer == "orca":
@@ -510,7 +512,6 @@ class Database:
                 f"choices: {', '.join(ROUTING_POLICIES)}")
         if self.config.routing == "cost_based":
             return "cost"
-        refs = stmt.table_reference_count()
         if refs >= self.config.complex_query_threshold:
             return "orca"
         return "mysql"

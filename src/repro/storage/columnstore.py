@@ -16,11 +16,13 @@ and every chunk carries a per-column decomposition of its rows:
 A row id is a dense global position: row ``r`` is
 ``chunks[r // chunk_size].rows[r % chunk_size]``, chunk *i* holds ids
 ``[i * chunk_size, (i + 1) * chunk_size)`` and every chunk but the last
-is full.  Inserts append (min/max only widen); UPDATE overwrites one
-slot (:meth:`ColumnStore.set_row`); DELETE moves the last row into the
-freed slot (:meth:`ColumnStore.remove`), so exactly one other row id
-changes, none are renumbered, and a single-row write touches at most
-two chunks.  Scan order is therefore insertion order only until the
+is full.  Inserts append a column at a time, staged before anything is
+written (:meth:`ColumnStore.stage_rows`, then :meth:`ColumnStore.commit`;
+min/max only widen); UPDATE overwrites one slot
+(:meth:`ColumnStore.set_row`); DELETE moves the last row into the freed
+slot (:meth:`ColumnStore.remove`), so exactly one other row id changes,
+none are renumbered, and a single-row write touches at most two
+chunks.  Scan order is therefore insertion order only until the
 first DELETE — no order was ever promised without ORDER BY.  Zone maps
 of touched chunks stay *exact* — a column is rescanned only when the
 value that left was its min or max and no equal value remains — so
@@ -39,7 +41,7 @@ filter), and any type error during the range test keeps the chunk.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
@@ -49,6 +51,29 @@ Row = Tuple
 #: Default rows per chunk; mirrors the executor's default batch size so
 #: one chunk becomes exactly one RowBatch (and one parallel morsel).
 DEFAULT_CHUNK_SIZE = 1024
+
+
+class ChunkFill(NamedTuple):
+    """Rows staged for one chunk by :meth:`ColumnChunk.stage`: already
+    transposed, with their own null bits (bit *r* = the fill's row *r*)
+    and the chunk's zone map widened over them.  ``columns`` and
+    ``null_bits`` read like a chunk's, so an index can be built over a
+    staged append before anything is written."""
+
+    rows: List[tuple]
+    columns: List[list]
+    null_bits: List[int]
+    mins: List[object]
+    maxs: List[object]
+
+
+class IncomparableColumn(TypeError):
+    """Staged values of column ``position`` do not compare with each
+    other or with the chunk's zone map."""
+
+    def __init__(self, position: int, error: TypeError) -> None:
+        super().__init__(str(error))
+        self.position = position
 
 
 class ColumnChunk:
@@ -72,26 +97,61 @@ class ColumnChunk:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def append(self, row: tuple) -> None:
-        """Add one row, updating columns, null bitmaps, and zone maps."""
-        bit = 1 << len(self.rows)
-        self.rows.append(row)
-        mins = self.mins
-        maxs = self.maxs
-        for position, value in enumerate(row):
-            self.columns[position].append(value)
-            if value is None:
-                self.null_bits[position] |= bit
-            else:
-                low = mins[position]
-                if low is None:
-                    mins[position] = value
-                    maxs[position] = value
+    def stage(self, rows: List[tuple]) -> ChunkFill:
+        """Lay out ``rows`` (at most the free slots) for :meth:`extend`
+        without writing anything.
+
+        One ``zip(*rows)`` transposes them into fresh column lists (the
+        fill owns ``rows`` and those lists); a column gets null bits only
+        when it holds a NULL; the zone map is widened by C-level
+        ``min``/``max`` over its extremes and the non-NULL values in row
+        order — the comparisons of widening it value by value.  Raises
+        :class:`IncomparableColumn` when a column's values do not
+        compare with each other or with the chunk's zone map."""
+        columns = [list(values) for values in zip(*rows)]
+        null_bits = [0] * len(columns)
+        mins = list(self.mins)
+        maxs = list(self.maxs)
+        for position, values in enumerate(columns):
+            present = values
+            if None in values:
+                bits = 0
+                for offset, value in enumerate(values):
+                    if value is None:
+                        bits |= 1 << offset
+                null_bits[position] = bits
+                present = [value for value in values if value is not None]
+                if not present:
+                    continue
+            try:
+                if mins[position] is None:
+                    mins[position] = min(present)
+                    maxs[position] = max(present)
                 else:
-                    if value < low:
-                        mins[position] = value
-                    if value > maxs[position]:
-                        maxs[position] = value
+                    mins[position] = min(mins[position], *present)
+                    maxs[position] = max(maxs[position], *present)
+            except TypeError as error:
+                raise IncomparableColumn(position, error) from error
+        return ChunkFill(rows, columns, null_bits, mins, maxs)
+
+    def extend(self, fill: ChunkFill) -> None:
+        """Append the rows :meth:`stage` laid out: no comparison,
+        nothing that can fail.  An empty chunk adopts the fill's lists;
+        a partial one grows by one C-level list extend per column."""
+        self.mins = fill.mins
+        self.maxs = fill.maxs
+        if not self.rows:
+            self.rows = fill.rows
+            self.columns = fill.columns
+            self.null_bits = fill.null_bits
+            return
+        start = len(self.rows)
+        self.rows.extend(fill.rows)
+        for position, values in enumerate(fill.columns):
+            self.columns[position].extend(values)
+            bits = fill.null_bits[position]
+            if bits:
+                self.null_bits[position] |= bits << start
 
     def set_row(self, offset: int, row: tuple) -> None:
         """Overwrite the row at ``offset``, keeping zone maps exact."""
@@ -247,27 +307,49 @@ class ColumnStore:
         for chunk in self.chunks:
             yield from chunk.rows
 
-    def append_rows(self, rows: Sequence[Sequence]) -> List[Row]:
-        """Append rows, all or none (every width is checked first),
-        filling the last partial chunk before opening a new one.
-        Returns the stored tuples; the first one's row id is the row
-        count before the call."""
+    def stage_rows(self, rows: Sequence[Sequence]
+                   ) -> List[Tuple[ColumnChunk, ChunkFill]]:
+        """Lay out an append without touching the table.
+
+        Every width is checked and every chunk's fill staged (see
+        :meth:`ColumnChunk.stage`), so :meth:`commit` cannot fail.  The
+        first fill tops up the partial last chunk, if there is one; the
+        rest fill new chunks, not yet attached.  Raises StorageError,
+        naming the table and the column, for a row of the wrong width
+        or values that do not compare."""
         width = len(self.schema.columns)
-        staged = [tuple(row) for row in rows]
-        for row in staged:
-            if len(row) != width:
-                raise StorageError(
-                    f"row width {len(row)} != {width} "
-                    f"for table {self.schema.name!r}")
+        staged = list(map(tuple, rows))
+        if set(map(len, staged)) - {width}:
+            length = next(len(row) for row in staged if len(row) != width)
+            raise StorageError(
+                f"row width {length} != {width} "
+                f"for table {self.schema.name!r}")
         size = self.chunk_size
-        chunks = self.chunks
-        chunk = chunks[-1] if chunks and len(chunks[-1]) < size else None
-        for row in staged:
-            if chunk is None or len(chunk) >= size:
+        fills = []
+        start = 0
+        try:
+            if staged and self.chunks and len(self.chunks[-1].rows) < size:
+                last = self.chunks[-1]
+                start = size - len(last.rows)
+                fills.append((last, last.stage(staged[:start])))
+            for offset in range(start, len(staged), size):
                 chunk = ColumnChunk(width)
-                chunks.append(chunk)
-            chunk.append(row)
-        return staged
+                fills.append((chunk,
+                              chunk.stage(staged[offset:offset + size])))
+        except IncomparableColumn as error:
+            column = self.schema.columns[error.position].name
+            raise StorageError(
+                f"values of column {column!r} of table "
+                f"{self.schema.name!r} do not compare: {error}") from error
+        return fills
+
+    def commit(self, staged: Sequence[Tuple[ColumnChunk, ChunkFill]]
+               ) -> None:
+        """Write what :meth:`stage_rows` laid out, attaching new chunks."""
+        for chunk, fill in staged:
+            if not chunk.rows:
+                self.chunks.append(chunk)
+            chunk.extend(fill)
 
     def set_row(self, row_id: int, row: Row) -> None:
         """Overwrite row ``row_id`` in its chunk."""

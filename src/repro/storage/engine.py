@@ -17,9 +17,13 @@ whatever the table holds, and delete-all or a table-wide UPDATE take
 the same path as a point write.
 The one exception is an append that is large against what the indexes
 already hold (:data:`BULK_LOAD_DIVISOR`, judged from the row counts
-``load_rows`` can see): it re-sorts each index once, which leaves the
-same entries.  Callers validate before they call: these methods cannot
-fail half-way.  A write never touches the catalog: cached plans name
+``load_rows`` can see): it rebuilds each index from the key columns
+once, which leaves the same entries.  ``load_rows`` validates what it
+is given itself — it stages the table's chunk fills and every index's
+new state, and writes only when nothing raised — so a rejected load
+changes nothing.  ``update_rows`` and ``delete_rows`` trust their
+callers (``repro.dml`` checks every value first): they cannot fail
+half-way.  A write never touches the catalog: cached plans name
 their tables and read them afresh on every execution, and statistics
 move only at ANALYZE.  What a write does leave behind is one tick of the
 table's mutation count, which is how :meth:`StorageEngine.analyze_all`
@@ -138,26 +142,48 @@ class StorageEngine:
     # -- DML ------------------------------------------------------------------
 
     def load_rows(self, table_name: str, rows: Sequence[Sequence]) -> None:
-        """Append rows (bulk load and SQL INSERT alike)."""
+        """Append rows (bulk load and SQL INSERT alike), all or nothing.
+
+        Staged, then committed: the table lays out its chunk fills
+        (widths checked, columns transposed, zone maps widened) and
+        every index its new lists or insert positions, over the staged
+        rows.  Only when none of that raised is anything written, and
+        the writes compare nothing.  A rejected load raises StorageError
+        naming the table and the column, and leaves the table, its
+        indexes, the counters and the mutation count as they were."""
         store = self.store(table_name)
-        before = store.row_count
-        added = store.append_rows(rows)
-        if not added:
+        key = table_name.lower()
+        staged = store.stage_rows(rows)
+        if not staged:
             return
+        before = store.row_count
+        fills = [fill for __, fill in staged]
+        added = len(rows)
+        bulk = added * BULK_LOAD_DIVISOR >= before
+        if bulk:
+            chunks = store.chunks + fills
+        else:
+            new_rows = [row for fill in fills for row in fill.rows]
+        indexes = []
+        for index in self._indexes[key].values():
+            try:
+                indexes.append((index, index.build(chunks) if bulk
+                                else index.stage_inserts(new_rows, before)))
+            except TypeError as error:
+                columns = ", ".join(map(repr, index.definition.column_names))
+                raise StorageError(
+                    f"keys of index {index.definition.name!r} ({columns}) "
+                    f"of table {store.schema.name!r} do not compare: "
+                    f"{error}") from error
+        store.commit(staged)
         counters = self.counters
-        counters.rows_changed += len(added)
-        counters.chunks_patched += (
-            len(store.chunks) - before // store.chunk_size)
-        bulk = len(added) * BULK_LOAD_DIVISOR >= before
-        for index in self._indexes[table_name.lower()].values():
-            if bulk:
-                index.build()
-                counters.index_entries_maintained += index.entry_count
-            else:
-                for row_id, row in enumerate(added, before):
-                    counters.index_entries_maintained += \
-                        index.insert_entry(row, row_id)
-        self._mutations[table_name.lower()] += 1
+        counters.rows_changed += added
+        counters.chunks_patched += len(staged)
+        for index, lists in indexes:
+            counters.index_entries_maintained += (
+                index.install(lists) if bulk
+                else index.insert_staged(lists))
+        self._mutations[key] += 1
 
     def update_rows(self, table_name: str, row_ids: Sequence[int],
                     new_rows: Sequence[Row]) -> None:

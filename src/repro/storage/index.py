@@ -17,22 +17,27 @@ excludes the NULLs of the column it bounds), and a unique index lets
 NULL keys repeat (:func:`has_null`).  Keys within one index are
 homogeneous tuples, so plain tuple comparison orders them.
 
-Maintenance comes in two strengths: :meth:`OrderedIndex.build` re-sorts
-every entry (bulk loads only — the storage engine's ``load_rows`` picks
-it for a large append), while :meth:`~OrderedIndex.insert_entry` /
-:meth:`~OrderedIndex.remove_entry` / :meth:`~OrderedIndex.repoint_entry`
-bisect to one entry and shift the sorted lists in C (every INSERT,
-UPDATE and DELETE).  Both leave exactly the same ``(key, row_id)``
-sequence for the same table.
+Maintenance comes in two strengths: :meth:`OrderedIndex.build` sorts
+every row id by a key zipped from the chunks' column lists (a large
+append — the storage engine's ``load_rows`` picks it), while
+:meth:`~OrderedIndex.stage_inserts` / :meth:`~OrderedIndex.insert_entry`
+/ :meth:`~OrderedIndex.remove_entry` / :meth:`~OrderedIndex.repoint_entry`
+bisect to one entry and shift the sorted lists in C (a small append and
+every UPDATE and DELETE).  Both leave exactly the same ``(key, row_id)``
+sequence for the same table.  An append is staged before it is written:
+``build`` and ``stage_inserts`` compare keys but change nothing, and
+:meth:`~OrderedIndex.install` / :meth:`~OrderedIndex.insert_staged`
+write without comparing.
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Index
-from repro.storage.columnstore import ColumnStore
+from repro.storage.columnstore import ColumnChunk, ColumnStore
 
 
 class _AfterAll:
@@ -81,9 +86,7 @@ class OrderedIndex:
         self.table = table
         self._positions = [table.schema.column_position(name)
                            for name in definition.column_names]
-        self._entries: List[Tuple[Tuple, int]] = []
-        self._keys: List[Tuple] = []
-        self.build()
+        self._entries, self._keys = self.build(table.chunks)
 
     def key_of(self, row: Sequence) -> Tuple:
         """The row's index key, NULL parts stored as :data:`NULL_KEY`."""
@@ -92,14 +95,62 @@ class OrderedIndex:
 
     # -- maintenance ---------------------------------------------------------
 
-    def build(self) -> None:
-        """(Re)build the index from the table's current rows."""
+    def build(self, chunks: Sequence[ColumnChunk]
+              ) -> Tuple[List[Tuple[Tuple, int]], List[Tuple]]:
+        """The index's ``(entries, keys)`` lists over ``chunks``, whose
+        rows hold row ids 0, 1, ... in order: the table's chunks, or
+        those followed by the fills ``load_rows`` staged (anything with
+        chunk-like ``columns`` and ``null_bits``).  Installs nothing.
+
+        The key columns are zipped straight from the column lists, NULLs
+        mapped to :data:`NULL_KEY` only in a column whose null bitmaps
+        are not all zero, and the row ids are stable-sorted by key:
+        equal keys keep row-id order, exactly the order of sorting
+        ``(key, row_id)`` pairs whenever the keys are totally ordered
+        (a NaN is not).  Raises TypeError when keys do not compare."""
+        columns = []
+        for position in self._positions:
+            values = chain.from_iterable(
+                [chunk.columns[position] for chunk in chunks])
+            if any(chunk.null_bits[position] for chunk in chunks):
+                values = [NULL_KEY if value is None else value
+                          for value in values]
+            columns.append(values)
+        keys = list(zip(*columns))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = list(map(keys.__getitem__, order))
+        return list(zip(keys, order)), keys
+
+    def install(self, lists: Tuple[List[Tuple[Tuple, int]], List[Tuple]]
+                ) -> int:
+        """Replace the index's lists with what :meth:`build` returned;
+        returns the number of entries written."""
+        self._entries, self._keys = lists
+        return len(self._entries)
+
+    def stage_inserts(self, rows: Sequence[Sequence], first_id: int
+                      ) -> List[Tuple[int, Tuple[Tuple, int]]]:
+        """Where the entries of ``rows``, stored from row id
+        ``first_id`` on, go: ``(position, entry)`` pairs in key order,
+        each position counted after the earlier pairs are inserted.
+        Compares keys but writes nothing; raises TypeError when they do
+        not compare."""
         key_of = self.key_of
-        entries = [(key_of(row), row_id)
-                   for row_id, row in enumerate(self.table.scan())]
-        entries.sort()
-        self._entries = entries
-        self._keys = [entry[0] for entry in entries]
+        new = [(key_of(row), row_id)
+               for row_id, row in enumerate(rows, first_id)]
+        new.sort()
+        entries = self._entries
+        return [(bisect.bisect_left(entries, entry) + rank, entry)
+                for rank, entry in enumerate(new)]
+
+    def insert_staged(self, placements: Sequence[Tuple[int, Tuple]]
+                      ) -> int:
+        """Insert what :meth:`stage_inserts` placed; returns the number
+        of entries written."""
+        for at, entry in placements:
+            self._entries.insert(at, entry)
+            self._keys.insert(at, entry[0])
+        return len(placements)
 
     def insert_entry(self, row: Sequence, row_id: int) -> int:
         """Add the entry for ``row`` stored at ``row_id``.

@@ -361,7 +361,7 @@ def assert_structures_match_rebuild(db, shadow_rows):
         assert index._keys == fresh._keys, definition.name
 
     fresh = ColumnStore(store.schema, size)
-    fresh.append_rows(scanned)
+    fresh.commit(fresh.stage_rows(scanned))
     assert len(store.chunks) == len(fresh.chunks)
     for number, (chunk, want) in enumerate(zip(store.chunks, fresh.chunks)):
         assert chunk.columns == want.columns, number
