@@ -174,11 +174,8 @@ class JoinOrderSearch:
         return result
 
     def _cross_selectivity(self, conjuncts: List[ast.Expr]) -> float:
-        selectivity = 1.0
-        for conjunct in conjuncts:
-            selectivity *= self.estimator.join_selectivity(
-                self.block, conjunct)
-        return max(1e-9, selectivity)
+        return max(1e-9, self.estimator.join_selectivity(self.block,
+                                                          conjuncts))
 
     def _has_equi_conjunct(self, conjuncts: List[ast.Expr],
                            placed: FrozenSet[int],
@@ -291,10 +288,9 @@ class JoinOrderSearch:
                 if id(conjunct) not in consumed_ids:
                     residual *= self.estimator.conjunct_selectivity(
                         self.block, conjunct)
-            for conjunct in cross:
-                if id(conjunct) not in consumed_ids:
-                    residual *= self.estimator.join_selectivity(
-                        self.block, conjunct)
+            residual *= self.estimator.join_selectivity(
+                self.block, [conjunct for conjunct in cross
+                             if id(conjunct) not in consumed_ids])
             ref_cost = state.cost + state.rows * ref.est_cost
             ref_rows = state.rows * ref.est_rows * residual
             if ref_cost < best_cost:

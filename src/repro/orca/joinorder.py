@@ -262,10 +262,18 @@ class OrcaJoinSearch:
         self._join_access_memo: Dict[Tuple[int, int],
                                      Optional[AccessPlan]] = {}
         self.access_memo_hits = 0
+        #: ``(unit mask, combined selectivity)`` per distinct mask of the
+        #: join conjuncts, in first-conjunct order: conjuncts touching the
+        #: same units apply together, so they combine once, through
+        #: :meth:`SelectivityEstimator.join_selectivity`.
+        by_mask: Dict[int, List[ast.Expr]] = {}
+        for conjunct_index, mask, __ in self._joins:
+            by_mask.setdefault(mask, []).append(conjuncts[conjunct_index])
+        self._join_sels = [(mask, estimator.join_selectivity(block, group))
+                           for mask, group in by_mask.items()]
         self._rows_cache: Dict[int, float] = {}
         self._conn_cache: Dict[int, bool] = {}
         self._bound_cache: Dict[int, FrozenSet[int]] = {}
-        self._join_sel_cache: Dict[int, float] = {}
         self._pair_sel_cache: Dict[int, Dict[Tuple[int, int], float]] = {}
 
     def _check_budget(self) -> None:
@@ -362,14 +370,6 @@ class OrcaJoinSearch:
 
     # -- cardinality -----------------------------------------------------------------
 
-    def _join_selectivity(self, conjunct_index: int) -> float:
-        cached = self._join_sel_cache.get(conjunct_index)
-        if cached is None:
-            cached = self.estimator.join_selectivity(
-                self.block, self.conjuncts[conjunct_index])
-            self._join_sel_cache[conjunct_index] = cached
-        return cached
-
     def subset_rows(self, subset: int) -> float:
         cached = self._rows_cache.get(subset)
         if cached is not None:
@@ -377,9 +377,9 @@ class OrcaJoinSearch:
         rows = 1.0
         for index in units_of(subset):
             rows *= self._local[index][2]
-        for conjunct_index, mask, __ in self._joins:
+        for mask, selectivity in self._join_sels:
             if not mask & ~subset:
-                rows *= self._join_selectivity(conjunct_index)
+                rows *= selectivity
         rows = max(1e-3, rows)
         self._rows_cache[subset] = rows
         return rows
@@ -416,13 +416,11 @@ class OrcaJoinSearch:
         if cached is not None:
             return cached
         result: Dict[Tuple[int, int], float] = {}
-        for conjunct_index, mask, __ in self._joins:
+        for mask, selectivity in self._join_sels:
             high = mask & (mask - 1)
             if high & (high - 1) or mask & ~component:
                 continue
-            pair = (lowest_unit(mask), high.bit_length() - 1)
-            result[pair] = result.get(pair, 1.0) \
-                * self._join_selectivity(conjunct_index)
+            result[(lowest_unit(mask), high.bit_length() - 1)] = selectivity
         self._pair_sel_cache[component] = result
         return result
 

@@ -262,10 +262,8 @@ class OrcaOptimizer:
 
     def _join_fanout(self, block: QueryBlock, conjuncts: List[ast.Expr],
                      inner_rows: float) -> float:
-        selectivity = 1.0
-        for conjunct in conjuncts:
-            selectivity *= self.estimator.join_selectivity(block, conjunct)
-        return max(1e-6, inner_rows * selectivity)
+        return max(1e-6, inner_rows
+                   * self.estimator.join_selectivity(block, conjuncts))
 
     def _attach_outer_join(self, block: QueryBlock, plan: PhysicalOp,
                            cost: float, rows: float,

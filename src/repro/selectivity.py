@@ -12,7 +12,7 @@ cardinalities.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.statistics import ColumnStatistics
@@ -200,36 +200,153 @@ class SelectivityEstimator:
 
     def _inlist_selectivity(self, block: QueryBlock,
                             expr: ast.InListExpr) -> float:
+        """``IN`` counts each distinct non-NULL item once and ignores
+        NULL items; a ``NOT IN`` list holding a NULL is never TRUE."""
+        items, has_null = _in_items(expr.items)
+        if expr.negated and has_null:
+            return 0.0
         if isinstance(expr.operand, ast.ColumnRef):
             stats = self.column_stats(block, expr.operand)
             if stats is not None:
                 if self.use_histograms and stats.histogram is not None:
                     sel = 0.0
-                    for item in expr.items:
+                    for item in items:
                         if isinstance(item, ast.Literal):
                             sel += stats.histogram.selectivity_eq(item.value)
                     sel = min(1.0, sel)
                 else:
-                    sel = min(1.0, len(expr.items)
+                    sel = min(1.0, len(items)
                               / max(1, stats.distinct_count))
                 return (1.0 - sel) if expr.negated else sel
-        sel = min(1.0, DEFAULT_EQ * len(expr.items))
+        sel = min(1.0, DEFAULT_EQ * len(items))
         return (1.0 - sel) if expr.negated else sel
 
     # -- join selectivity -----------------------------------------------------------
 
     def join_selectivity(self, block: QueryBlock,
-                         conjunct: ast.Expr) -> float:
-        """Selectivity of a join conjunct between two table sets."""
+                         conjuncts: Sequence[ast.Expr]) -> float:
+        """Combined selectivity of join conjuncts applied together.
+
+        The one place where a join's conjuncts combine.  Column = column
+        equalities between two base entries are grouped by that entry
+        pair (:meth:`_equality_group_selectivity`); every other conjunct
+        contributes its own selectivity, and the factors multiply in
+        conjunct order.
+        """
+        groups: Dict[Tuple[int, int], List[Tuple[ast.ColumnRef,
+                                                 ast.ColumnRef]]] = {}
+        keys: List[Optional[Tuple[int, int]]] = []
+        for conjunct in conjuncts:
+            sides = self._base_equality(block, conjunct)
+            key = None
+            if sides is not None:
+                key = (sides[0].entry_id, sides[1].entry_id)
+                groups.setdefault(key, []).append(sides)
+            keys.append(key)
+        selectivity = 1.0
+        for conjunct, key in zip(conjuncts, keys):
+            if key is None:
+                selectivity *= self._join_conjunct_selectivity(block,
+                                                               conjunct)
+            elif key in groups:
+                selectivity *= self._equality_group_selectivity(
+                    block, groups.pop(key))
+        return selectivity
+
+    def _join_conjunct_selectivity(self, block: QueryBlock,
+                                   conjunct: ast.Expr) -> float:
         if isinstance(conjunct, ast.BinaryExpr) and \
                 conjunct.op is ast.BinOp.EQ:
             left, right = conjunct.left, conjunct.right
             if isinstance(left, ast.ColumnRef) and \
                     isinstance(right, ast.ColumnRef):
-                ndv = max(self.column_ndv(block, left),
-                          self.column_ndv(block, right))
-                return 1.0 / ndv
+                return self._equality_selectivity(block, left, right)
         return self.conjunct_selectivity(block, conjunct)
+
+    def _equality_selectivity(self, block: QueryBlock, left: ast.ColumnRef,
+                              right: ast.ColumnRef) -> float:
+        return 1.0 / max(self.column_ndv(block, left),
+                         self.column_ndv(block, right))
+
+    def _base_equality(self, block: QueryBlock, conjunct: ast.Expr
+                       ) -> Optional[Tuple[ast.ColumnRef, ast.ColumnRef]]:
+        """The column refs of ``base.col = base.col`` across two entries,
+        lower entry id first; None for any other conjunct."""
+        if not (isinstance(conjunct, ast.BinaryExpr)
+                and conjunct.op is ast.BinOp.EQ):
+            return None
+        left, right = conjunct.left, conjunct.right
+        if not (isinstance(left, ast.ColumnRef)
+                and isinstance(right, ast.ColumnRef)) \
+                or left.entry_id is None or right.entry_id is None \
+                or left.entry_id == right.entry_id:
+            return None
+        for ref in (left, right):
+            entry = block.context.entry(ref.entry_id)
+            if entry.kind is not EntryKind.BASE or entry.table_schema is None:
+                return None
+        return (left, right) if left.entry_id < right.entry_id \
+            else (right, left)
+
+    def _equality_group_selectivity(
+            self, block: QueryBlock,
+            group: List[Tuple[ast.ColumnRef, ast.ColumnRef]]) -> float:
+        """Selectivity of the column equalities joining one entry pair.
+
+        One equality is ``1/max(ndv_l, ndv_r)``, as it always was.
+        Several are not independent: they match a composite value.  When
+        one side's columns cover a unique index of its table, each row of
+        the other side matches at most one row of it, so the selectivity
+        is ``1/rows`` of that table (the larger one when both sides are
+        keys).  Otherwise the composite has at most ``min(prod ndv, rows)``
+        distinct values per side, and the larger side's count divides.
+        Either rule is at least the independent product, which is kept
+        when a column has no statistics and is the floor otherwise, so
+        grouping never lowers an estimate.
+        """
+        product = 1.0
+        for left, right in group:
+            product *= self._equality_selectivity(block, left, right)
+        if len(group) == 1:
+            return product
+        sides = ([left for left, __ in group], [right for __, right in group])
+        if any(self.column_stats(block, ref) is None
+               for refs in sides for ref in refs):
+            return product
+        key_rows = 0.0
+        composite = 0.0
+        for refs in sides:
+            entry = block.context.entry(refs[0].entry_id)
+            rows = self.table_rows(block, entry.entry_id)
+            positions = {ref.position: ref for ref in refs}
+            if any(index.unique and all(
+                    entry.table_schema.column_position(name) in positions
+                    for name in index.column_names)
+                   for index in entry.table_schema.indexes):
+                key_rows = max(key_rows, rows)
+            combinations = 1.0
+            for ref in positions.values():
+                combinations *= self.column_ndv(block, ref)
+            composite = max(composite, min(combinations, rows))
+        return max(product, 1.0 / (key_rows or composite))
+
+
+def _in_items(items: List[ast.Expr]) -> Tuple[List[ast.Expr], bool]:
+    """(the items of an IN list less NULLs and repeated literals, whether
+    a NULL literal was among them)."""
+    kept: List[ast.Expr] = []
+    seen = set()
+    has_null = False
+    for item in items:
+        if isinstance(item, ast.Literal):
+            if item.value is None:
+                has_null = True
+                continue
+            if item.value in seen:
+                continue
+            seen.add(item.value)
+        kept.append(item)
+    return kept, has_null
 
 
 def _is_constant(expr: ast.Expr) -> bool:
