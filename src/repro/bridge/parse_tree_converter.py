@@ -47,10 +47,8 @@ from repro.sql.blocks import (
     EntryKind,
     QueryBlock,
     TableEntry,
-    contains_subquery,
-    correlation_sources,
-    referenced_entries,
 )
+from repro.sql.facts import ids_mask
 from repro.sql.rewrite import expr_key
 
 
@@ -79,17 +77,21 @@ class ParseTreeConverter:
     def _convert_block(self, block: QueryBlock) -> OrcaLogicalBlock:
         if self.fault_injector is not None:
             self.fault_injector.fire("parse_tree_converter")
-        corr = frozenset(correlation_sources(block))
+        facts = block.facts
+        corr = facts.corr_mask
+        local = ids_mask(entry.entry_id for entry in block.entries)
 
         # --- FROM: build units and classify entries --------------------------
+        # Sets of entries are entry masks, tested against each
+        # conjunct's mask from the block's facts table.
         core_units: List[LogicalGet] = []
         unit_by_entry: Dict[int, LogicalGet] = {}
         outer_specs: List[LogicalOuterJoinSpec] = []
         nest_specs: Dict[int, LogicalSemiJoinSpec] = {}
         dependent_units: List[LogicalGet] = []
-        left_entries: set = set()
-        nest_entries: set = set()
-        dependent_entries: set = set()
+        left_entries = 0
+        dependent_entries = 0
+        core_entries = 0
 
         for entry in block.entries:
             unit = LogicalGet(self._descriptor(entry))
@@ -102,42 +104,48 @@ class ParseTreeConverter:
                                                [], [])
                     nest_specs[nest.nest_id] = spec
                 spec.inners.append(unit)
-                nest_entries.add(entry.entry_id)
             elif entry.outer_join_conjuncts is not None:
                 spec = LogicalOuterJoinSpec(unit, [])
                 for conjunct in entry.outer_join_conjuncts:
                     self._annotate(conjunct)
-                    refs = referenced_entries(conjunct) - corr
-                    if refs == frozenset({entry.entry_id}):
+                    if facts.mask(conjunct) & ~corr \
+                            == 1 << entry.entry_id:
                         unit.conjuncts.append(conjunct)
                     else:
                         spec.on_conjuncts.append(conjunct)
                 outer_specs.append(spec)
-                left_entries.add(entry.entry_id)
-            elif self._is_dependent(block, entry):
+                left_entries |= 1 << entry.entry_id
+            elif entry.kind is EntryKind.DERIVED \
+                    and entry.sub_block is not None \
+                    and entry.sub_block.facts.corr_mask & local:
+                # A derived table correlated to this block's own entries.
                 dependent_units.append(unit)
-                dependent_entries.add(entry.entry_id)
+                dependent_entries |= 1 << entry.entry_id
             else:
                 core_units.append(unit)
+                core_entries |= 1 << entry.entry_id
 
         # --- WHERE (1): predicate segregation ----------------------------------
         core_conjuncts: List[ast.Expr] = []
         residual: List[ast.Expr] = []
         dependent_conjuncts: List[ast.Expr] = []
+        nest_masks = [(nest.nest_id, ids_mask(nest.entry_ids))
+                      for nest in block.semijoin_nests]
         for conjunct in block.where_conjuncts:
             self._annotate(conjunct)
-            refs = referenced_entries(conjunct)
-            bare = refs - corr
-            nest_hit = self._nest_of(bare, block)
+            bare = facts.mask(conjunct) & ~corr
+            single = bare and not bare & (bare - 1)
+            nest_hit = next((nest_id for nest_id, mask in nest_masks
+                             if bare & mask), None)
             if nest_hit is not None:
                 spec = nest_specs.get(nest_hit)
                 if spec is not None:
-                    inner_ids = {unit.descriptor.entry.entry_id
-                                 for unit in spec.inners}
-                    if bare.issubset(inner_ids | corr) and len(bare) == 1 \
-                            and not contains_subquery(conjunct):
-                        unit_by_entry[next(iter(bare))].conjuncts.append(
-                            conjunct)
+                    inner_ids = ids_mask(unit.descriptor.entry.entry_id
+                                         for unit in spec.inners)
+                    if single and bare & inner_ids \
+                            and not facts.has_subquery(conjunct):
+                        unit_by_entry[bare.bit_length() - 1] \
+                            .conjuncts.append(conjunct)
                     else:
                         spec.conjuncts.append(conjunct)
                     continue
@@ -149,18 +157,17 @@ class ParseTreeConverter:
                 # null-extension; they stay residual (WHERE (2)).
                 residual.append(conjunct)
                 continue
-            if contains_subquery(conjunct):
+            if facts.has_subquery(conjunct):
                 residual.append(conjunct)
                 continue
-            if len(bare) == 1:
-                entry_id = next(iter(bare))
-                unit = unit_by_entry.get(entry_id)
-                if unit is not None and unit in core_units:
-                    unit.conjuncts.append(conjunct)
+            if single:
+                if bare & core_entries:
+                    unit_by_entry[bare.bit_length() - 1].conjuncts.append(
+                        conjunct)
                     continue
                 residual.append(conjunct)
                 continue
-            if len(bare) >= 2:
+            if bare:
                 core_conjuncts.append(conjunct)
                 continue
             residual.append(conjunct)
@@ -203,18 +210,6 @@ class ParseTreeConverter:
             name = entry.alias
         return TableDescriptor(mdid=mdid, name=name, alias=entry.alias,
                                entry=entry)
-
-    def _is_dependent(self, block: QueryBlock, entry: TableEntry) -> bool:
-        if entry.kind is not EntryKind.DERIVED or entry.sub_block is None:
-            return False
-        local_ids = {e.entry_id for e in block.entries}
-        return bool(set(correlation_sources(entry.sub_block)) & local_ids)
-
-    def _nest_of(self, refs: frozenset, block: QueryBlock) -> Optional[int]:
-        for nest in block.semijoin_nests:
-            if refs & set(nest.entry_ids):
-                return nest.nest_id
-        return None
 
     def _collect_aggregates(self, block: QueryBlock) -> List[ast.AggCall]:
         calls: List[ast.AggCall] = []

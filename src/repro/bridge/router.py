@@ -196,7 +196,7 @@ class OrcaRouter:
             if entry.kind in (EntryKind.DERIVED, EntryKind.CTE) and \
                     entry.sub_block is not None:
                 subs.append(entry.sub_block)
-        subs.extend(block.all_subquery_blocks())
+        subs.extend(block.facts.sub_blocks)
         for __, side in block.set_ops:
             subs.append(side)
         return subs

@@ -78,11 +78,7 @@ from repro.executor.expression import (
     numeric_arithmetic,
 )
 from repro.sql import ast
-from repro.sql.blocks import (
-    QueryBlock,
-    correlation_sources,
-    referenced_entries,
-)
+from repro.sql.facts import mask_ids, scan_expr
 
 #: Default rows per batch.  Big enough to amortise per-batch dispatch,
 #: small enough to keep intermediate columns cache-resident.  The live
@@ -799,12 +795,10 @@ def _row_reads(expr: ast.Expr) -> set:
     """Entry ids a row evaluation of ``expr`` reads from the context:
     its columns plus its subquery blocks' correlation sources (which
     also covers references from subqueries nested inside those)."""
-    reads = set(referenced_entries(expr))
-    for node in expr.walk():
-        block = getattr(node, "block", None)
-        if isinstance(block, QueryBlock):
-            reads.update(correlation_sources(block))
-    return reads
+    reads, __, __, blocks = scan_expr(expr)
+    for block in blocks:
+        reads |= block.facts.corr_mask
+    return set(mask_ids(reads))
 
 
 def _row_call(host, fn, entries: List[int]) -> Callable:
@@ -843,7 +837,7 @@ def lower_executor(executor) -> int:
     _lower_query_plan(executor.top_plan, compiler, seen, frozenset())
     for plan in executor.block_plans():
         _lower_query_plan(plan, compiler, seen,
-                          frozenset(correlation_sources(plan.block)))
+                          frozenset(plan.block.facts.corr))
     return compiler.compiled_count
 
 

@@ -268,9 +268,7 @@ class ExpressionCompiler:
             raise ExecutionError(
                 "subquery evaluation requires an executor-backed compiler")
         host = self._subplan_host
-        from repro.sql.blocks import correlation_sources
-
-        sources = correlation_sources(block)
+        sources = block.facts.corr
         block_id = block.block_id
 
         def run(ctx) -> list:

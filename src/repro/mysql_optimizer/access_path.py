@@ -9,7 +9,7 @@ which can serve join-dependent lookups, and what they would cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.catalog.schema import Index
 from repro.executor.plan import AccessMethod
@@ -17,8 +17,8 @@ from repro.mysql_optimizer.cost import MySQLCostModel
 from repro.mysql_optimizer.skeleton import AccessPlan
 from repro.selectivity import SelectivityEstimator
 from repro.sql import ast
-from repro.sql.blocks import EntryKind, QueryBlock, TableEntry, \
-    referenced_entries
+from repro.sql.blocks import EntryKind, QueryBlock, TableEntry
+from repro.sql.facts import BlockFacts
 
 
 @dataclass
@@ -226,23 +226,20 @@ def _merge_bounds(a: _RangeBound, b: _RangeBound) -> _RangeBound:
 
 
 def ref_access(block: QueryBlock, entry: TableEntry,
-               conjuncts: List[ast.Expr], available: frozenset,
+               conjuncts: List[ast.Expr], available: int,
                estimator: SelectivityEstimator,
-               cost_model: MySQLCostModel,
-               refs: Callable[[ast.Expr], frozenset] = referenced_entries
-               ) -> Optional[AccessPlan]:
+               cost_model: MySQLCostModel) -> Optional[AccessPlan]:
     """Best join-dependent index lookup (MySQL ``ref``/``eq_ref`` access).
 
-    ``available`` is the set of entry ids whose slots are bound when the
-    lookup runs (the placed prefix plus correlation sources).  Equality
-    conjuncts of the form ``entry.col = expr(available)`` matching an
-    index prefix become lookup keys.  ``refs`` names the entry ids an
-    expression reads; a caller probing the same conjuncts many times
-    passes a memo of :func:`referenced_entries`.
+    ``available`` is the entry mask of the entries whose slots are bound
+    when the lookup runs (the placed prefix plus correlation sources).
+    Equality conjuncts of the form ``entry.col = expr(available)``
+    matching an index prefix become lookup keys; which entries ``expr``
+    reads comes from ``block``'s facts table.
     """
     if entry.kind is not EntryKind.BASE or entry.table_schema is None:
         return None
-    equalities = _join_equalities(entry, conjuncts, available, refs)
+    equalities = _join_equalities(entry, conjuncts, available, block.facts)
     if not equalities:
         return None
     table_rows = estimator.table_rows(block, entry.entry_id)
@@ -284,28 +281,27 @@ def ref_access(block: QueryBlock, entry: TableEntry,
 
 
 def _join_equalities(entry: TableEntry, conjuncts: List[ast.Expr],
-                     available: frozenset,
-                     refs: Callable[[ast.Expr], frozenset]):
+                     available: int, facts: BlockFacts):
     """Map column position -> (conjunct, outer expr) for usable equalities:
     the first candidate key per column whose other side reads only
     ``available`` entries."""
     result = {}
     for conjunct in conjuncts:
-        found = lookup_key_candidate(entry, conjunct, refs)
+        found = lookup_key_candidate(entry, conjunct, facts)
         if found is None:
             continue
-        position, other, other_refs = found
-        if position not in result and other_refs.issubset(available):
+        position, other, other_mask = found
+        if position not in result and not other_mask & ~available:
             result[position] = (conjunct, other)
     return result
 
 
 def lookup_key_candidate(entry: TableEntry, conjunct: ast.Expr,
-                         refs: Callable[[ast.Expr], frozenset]
-                         ) -> Optional[Tuple[int, ast.Expr, frozenset]]:
-    """``(column position, other side, entries the other side reads)``
-    when ``conjunct`` is ``entry.column = expr`` with ``expr`` not
-    reading ``entry`` — a lookup key for :func:`ref_access` wherever
+                         facts: BlockFacts
+                         ) -> Optional[Tuple[int, ast.Expr, int]]:
+    """``(column position, other side, entry mask the other side
+    reads)`` when ``conjunct`` is ``entry.column = expr`` with ``expr``
+    not reading ``entry`` — a lookup key for :func:`ref_access` wherever
     ``expr``'s entries are bound.  At most one side of an equality
     qualifies: if the left side is a column of ``entry`` and the right
     does not read ``entry``, the right is no column of ``entry``."""
@@ -316,10 +312,39 @@ def lookup_key_candidate(entry: TableEntry, conjunct: ast.Expr,
                        (conjunct.right, conjunct.left)):
         if isinstance(own, ast.ColumnRef) \
                 and own.entry_id == entry.entry_id:
-            other_refs = refs(other)
-            if entry.entry_id not in other_refs:
-                return own.position, other, other_refs
+            other_mask = facts.mask(other)
+            if not other_mask >> entry.entry_id & 1:
+                return own.position, other, other_mask
     return None
+
+
+def lookup_keys(entry: TableEntry, conjuncts: List[ast.Expr],
+                facts: BlockFacts) -> List[Tuple[int, int, int]]:
+    """The lookup keys :func:`ref_access` could use on ``entry``'s index
+    columns, in ``conjuncts`` order: ``(list bit, column bit, entry mask
+    the other side reads)``.  With an ``available`` mask these give the
+    conjunct ``ref_access`` picks per index column — :func:`picked_keys`
+    — and so key a memo of its result."""
+    positions = indexed_positions(entry)
+    if not positions:
+        return []
+    keys = []
+    for conjunct in conjuncts:
+        found = lookup_key_candidate(entry, conjunct, facts)
+        if found is not None and found[0] in positions:
+            keys.append((1 << len(keys), 1 << found[0], found[2]))
+    return keys
+
+
+def picked_keys(keys: List[Tuple[int, int, int]], available: int) -> int:
+    """The list bits of the keys :func:`ref_access` picks with the
+    ``available`` entries bound: the first usable key per column."""
+    picked = taken = 0
+    for bit, column, need in keys:
+        if not need & ~available and not taken & column:
+            taken |= column
+            picked |= bit
+    return picked
 
 
 def indexed_positions(entry: TableEntry) -> frozenset:

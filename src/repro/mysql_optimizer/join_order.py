@@ -21,12 +21,17 @@ arises (materialise + probe beats per-row lookups).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MySQLOptimizerError
 from repro.executor.plan import AccessMethod, JoinKind
-from repro.mysql_optimizer.access_path import best_local_access, ref_access
+from repro.mysql_optimizer.access_path import (
+    best_local_access,
+    lookup_keys,
+    picked_keys,
+    ref_access,
+)
 from repro.mysql_optimizer.cost import ROW_EVAL, MySQLCostModel
 from repro.mysql_optimizer.skeleton import AccessPlan, JoinMethod, \
     PositionEntry
@@ -37,9 +42,8 @@ from repro.sql.blocks import (
     NestKind,
     QueryBlock,
     TableEntry,
-    correlation_sources,
-    referenced_entries,
 )
+from repro.sql.facts import BlockFacts, mask_ids
 
 #: Blocks with more than this many join units fall back to pure greedy.
 GREEDY_THRESHOLD = 12
@@ -59,11 +63,14 @@ class _Unit:
     entries: List[TableEntry]
     nest_kind: Optional[NestKind] = None
     nest_id: Optional[int] = None
-    deps: FrozenSet[int] = frozenset()
-
-    @property
-    def entry_ids(self) -> FrozenSet[int]:
-        return frozenset(entry.entry_id for entry in self.entries)
+    #: Mask of the units that must be placed before this one.
+    deps: int = 0
+    #: Entry mask of the unit's entries.
+    mask: int = 0
+    #: Entry mask of every conjunct touching the unit (WHERE pool and
+    #: its entries' ON conditions): the unit is linked to a prefix by a
+    #: conjunct exactly when this meets the prefix's entries.
+    reach: int = 0
 
     @property
     def is_nest(self) -> bool:
@@ -78,7 +85,16 @@ class _State:
 
 
 class JoinOrderSearch:
-    """Join ordering for one query block."""
+    """Join ordering for one query block.
+
+    Sets of entries (the placed prefix, a unit's entries, the
+    correlation sources) are entry masks and sets of units are unit
+    masks, read against each conjunct's entry mask from the block's
+    facts table.  What does not depend on the prefix is computed once
+    per search: each entry's local conjuncts and standalone plan, each
+    unit's dependencies and reach, and ``ref_access`` per entry and
+    picked lookup keys.
+    """
 
     def __init__(self, block: QueryBlock, estimator: SelectivityEstimator,
                  cost_model: MySQLCostModel,
@@ -87,9 +103,16 @@ class JoinOrderSearch:
         self.estimator = estimator
         self.cost_model = cost_model
         self.sub_estimates = sub_estimates
-        self.corr = frozenset(correlation_sources(block))
+        self.facts: BlockFacts = block.facts
+        self.corr = self.facts.corr_mask
         self.pool = list(block.where_conjuncts)
+        self._pool_masks = [self.facts.mask(c) for c in self.pool]
         self.units = self._build_units()
+        self._locals: Dict[int, List[ast.Expr]] = {}
+        self._entry_plans: Dict[int, Tuple[AccessPlan, float, float]] = {}
+        self._keys: Dict[Tuple[int, bool], List[Tuple[int, int, int]]] = {}
+        self._refs: Dict[Tuple[int, bool, int], Optional[AccessPlan]] = {}
+        self._materializable: Dict[int, bool] = {}
 
     # -- unit construction ---------------------------------------------------------
 
@@ -109,67 +132,82 @@ class JoinOrderSearch:
                 unit.entries.append(entry)
             else:
                 units.append(_Unit(len(units), [entry]))
+        for unit in units:
+            for entry in unit.entries:
+                unit.mask |= 1 << entry.entry_id
         self._compute_deps(units)
         return units
 
     def _compute_deps(self, units: List[_Unit]) -> None:
+        facts = self.facts
         entry_to_unit: Dict[int, int] = {}
         for unit in units:
             for entry in unit.entries:
                 entry_to_unit[entry.entry_id] = unit.index
+
+        def unit_mask(entry_ids, own: int) -> int:
+            mask = 0
+            for ref in entry_ids:
+                other = entry_to_unit.get(ref)
+                if other is not None and other != own:
+                    mask |= 1 << other
+            return mask
+
         for unit in units:
-            deps = set()
-            own = unit.entry_ids
+            deps = 0
+            own = unit.mask
+            pool_reach = 0
+            for mask in self._pool_masks:
+                if mask & own:
+                    pool_reach |= mask
+            reach = pool_reach
             for entry in unit.entries:
                 # LEFT-joined entries follow everything their ON refers to.
                 if entry.outer_join_conjuncts:
                     for conjunct in entry.outer_join_conjuncts:
-                        for ref in referenced_entries(conjunct):
-                            other = entry_to_unit.get(ref)
-                            if other is not None and other != unit.index:
-                                deps.add(other)
+                        mask = facts.mask(conjunct)
+                        reach |= mask
+                        deps |= unit_mask(mask_ids(mask), unit.index)
                 # Correlated derived tables follow their sources.
                 if entry.kind in (EntryKind.DERIVED, EntryKind.CTE) and \
                         entry.sub_block is not None:
-                    for ref in correlation_sources(entry.sub_block):
-                        other = entry_to_unit.get(ref)
-                        if other is not None and other != unit.index:
-                            deps.add(other)
+                    deps |= unit_mask(entry.sub_block.facts.corr,
+                                      unit.index)
             if unit.is_nest:
                 # Outer entries co-referenced with the nest must precede it
                 # so the semi-join condition is fully bound at nest close.
-                for conjunct in self.pool:
-                    refs = referenced_entries(conjunct)
-                    if refs & own:
-                        for ref in refs - own:
-                            other = entry_to_unit.get(ref)
-                            if other is not None:
-                                deps.add(other)
-            unit.deps = frozenset(deps)
+                deps |= unit_mask(mask_ids(pool_reach & ~own), unit.index)
+            unit.deps = deps
+            unit.reach = reach
 
     # -- conjunct bookkeeping --------------------------------------------------------
 
     def _local_conjuncts(self, entry: TableEntry) -> List[ast.Expr]:
-        target = frozenset({entry.entry_id})
+        local = self._locals.get(entry.entry_id)
+        if local is not None:
+            return local
+        target = 1 << entry.entry_id
         if entry.outer_join_conjuncts is not None:
-            return [c for c in entry.outer_join_conjuncts
-                    if referenced_entries(c) and
-                    referenced_entries(c).issubset(target | self.corr)]
-        return [c for c in self.pool
-                if referenced_entries(c) == target]
+            allowed = target | self.corr
+            local = []
+            for conjunct in entry.outer_join_conjuncts:
+                mask = self.facts.mask(conjunct)
+                if mask and not mask & ~allowed:
+                    local.append(conjunct)
+        else:
+            local = [conjunct for conjunct, mask
+                     in zip(self.pool, self._pool_masks) if mask == target]
+        self._locals[entry.entry_id] = local
+        return local
 
-    def _cross_conjuncts(self, placed: FrozenSet[int],
-                         new_ids: FrozenSet[int]) -> List[ast.Expr]:
+    def _cross_conjuncts(self, placed: int, new_ids: int) -> List[ast.Expr]:
         """Pool conjuncts that become evaluable when new_ids join placed."""
         result = []
         visible = placed | new_ids | self.corr
-        for conjunct in self.pool:
-            refs = referenced_entries(conjunct)
-            if not refs & new_ids:
-                continue
-            if refs.issubset(visible) and (refs & placed or
-                                           not refs.issubset(new_ids
-                                                             | self.corr)):
+        fresh = ~(new_ids | self.corr)
+        for conjunct, mask in zip(self.pool, self._pool_masks):
+            if mask & new_ids and not mask & ~visible \
+                    and (mask & placed or mask & fresh):
                 result.append(conjunct)
         return result
 
@@ -177,30 +215,66 @@ class JoinOrderSearch:
         return max(1e-9, self.estimator.join_selectivity(self.block,
                                                           conjuncts))
 
-    def _has_equi_conjunct(self, conjuncts: List[ast.Expr],
-                           placed: FrozenSet[int],
-                           new_ids: FrozenSet[int]) -> bool:
+    def _has_equi_conjunct(self, conjuncts: List[ast.Expr], placed: int,
+                           new_ids: int) -> bool:
         for conjunct in conjuncts:
-            if _is_equi_between(conjunct, placed | self.corr, new_ids):
+            if _is_equi_between(self.facts, conjunct, placed | self.corr,
+                                new_ids):
                 return True
         return False
+
+    def _ref(self, entry: TableEntry, on_source: bool,
+             available: int) -> Optional[AccessPlan]:
+        """:func:`ref_access` for ``entry`` over the WHERE pool (or, with
+        ``on_source``, its ON conditions) with ``available`` bound,
+        memoised per search under the lookup keys it picks: its result
+        depends on nothing else."""
+        keys_key = (entry.entry_id, on_source)
+        keys = self._keys.get(keys_key)
+        source = entry.outer_join_conjuncts if on_source else self.pool
+        if keys is None:
+            keys = self._keys[keys_key] = lookup_keys(entry, source,
+                                                      self.facts)
+        memo_key = (entry.entry_id, on_source, picked_keys(keys, available))
+        if memo_key in self._refs:
+            return self._refs[memo_key]
+        access = self._refs[memo_key] = ref_access(
+            self.block, entry, list(source), available, self.estimator,
+            self.cost_model)
+        return access
+
+    def _residual(self, entry: TableEntry, consumed: List[ast.Expr]
+                  ) -> float:
+        """Selectivity of ``entry``'s local conjuncts an access path
+        did not consume."""
+        consumed_ids = {id(c) for c in consumed}
+        residual = 1.0
+        for conjunct in self._local_conjuncts(entry):
+            if id(conjunct) not in consumed_ids:
+                residual *= self.estimator.conjunct_selectivity(
+                    self.block, conjunct)
+        return residual
 
     # -- local (standalone) unit plans --------------------------------------------------
 
     def _entry_local(self, entry: TableEntry
                      ) -> Tuple[AccessPlan, float, float]:
-        """(access, rows after local filters, standalone cost)."""
+        """(access, rows after local filters, standalone cost), once per
+        entry and search."""
+        found = self._entry_plans.get(entry.entry_id)
+        if found is None:
+            found = self._entry_plans[entry.entry_id] = \
+                self._plan_entry(entry)
+        return found
+
+    def _plan_entry(self, entry: TableEntry
+                    ) -> Tuple[AccessPlan, float, float]:
         local = self._local_conjuncts(entry)
         if entry.kind is EntryKind.BASE:
             access = best_local_access(self.block, entry, local,
                                        self.estimator, self.cost_model)
-            residual = 1.0
-            consumed_ids = {id(c) for c in access.consumed_conjuncts}
-            for conjunct in local:
-                if id(conjunct) not in consumed_ids:
-                    residual *= self.estimator.conjunct_selectivity(
-                        self.block, conjunct)
-            rows = max(0.5, access.est_rows * residual)
+            rows = max(0.5, access.est_rows
+                       * self._residual(entry, access.consumed_conjuncts))
             return access, rows, access.est_cost
         estimate = self._sub_estimate(entry)
         residual = 1.0
@@ -234,39 +308,31 @@ class JoinOrderSearch:
         # can drive an index lookup even for the first table (the paper's
         # Q17 subquery probes lineitem_fk2 with part.p_partkey).
         if self.corr:
-            ref = ref_access(self.block, entry, self.pool, self.corr,
-                             self.estimator, self.cost_model)
+            ref = self._ref(entry, False, self.corr)
             if ref is not None and ref.est_cost < cost:
-                residual = 1.0
-                consumed = {id(c) for c in ref.consumed_conjuncts}
-                for conjunct in self._local_conjuncts(entry):
-                    if id(conjunct) not in consumed:
-                        residual *= self.estimator.conjunct_selectivity(
-                            self.block, conjunct)
                 access = ref
                 cost = ref.est_cost
-                rows = max(0.5, ref.est_rows * residual)
+                rows = max(0.5, ref.est_rows
+                           * self._residual(entry, ref.consumed_conjuncts))
         position = PositionEntry(entry_id=entry.entry_id, access=access,
                                  join_method=JoinMethod.NLJ,
                                  join_kind=JoinKind.INNER,
                                  fanout=rows, cost=cost)
         return _State(cost=cost, rows=rows, positions=[position])
 
-    def _extend(self, state: _State, placed: FrozenSet[int],
+    def _extend(self, state: _State, placed: int,
                 unit: _Unit) -> Optional[_State]:
         if unit.is_nest:
             return self._extend_with_nest(state, placed, unit)
         entry = unit.entries[0]
-        new_ids = unit.entry_ids
+        new_ids = unit.mask
         cross = self._cross_conjuncts(placed, new_ids)
         join_kind = JoinKind.LEFT if entry.outer_join_conjuncts is not None \
             else JoinKind.INNER
 
         # Candidate A: ref (index lookup) access driven by the prefix.
-        source = entry.outer_join_conjuncts if join_kind is JoinKind.LEFT \
-            else self.pool
-        ref = ref_access(self.block, entry, list(source),
-                         placed | self.corr, self.estimator, self.cost_model)
+        ref = self._ref(entry, join_kind is JoinKind.LEFT,
+                        placed | self.corr)
 
         # Candidate B: rescan costing (executed as hash join when an equi
         # conjunct exists, but costed as a repeated inner access).
@@ -283,11 +349,7 @@ class JoinOrderSearch:
             cross, placed, new_ids) else JoinMethod.NLJ
         if ref is not None:
             consumed_ids = {id(c) for c in ref.consumed_conjuncts}
-            residual = 1.0
-            for conjunct in self._local_conjuncts(entry):
-                if id(conjunct) not in consumed_ids:
-                    residual *= self.estimator.conjunct_selectivity(
-                        self.block, conjunct)
+            residual = self._residual(entry, ref.consumed_conjuncts)
             residual *= self.estimator.join_selectivity(
                 self.block, [conjunct for conjunct in cross
                              if id(conjunct) not in consumed_ids])
@@ -307,7 +369,7 @@ class JoinOrderSearch:
         return _State(cost=best_cost, rows=best_rows,
                       positions=state.positions + [position])
 
-    def _extend_with_nest(self, state: _State, placed: FrozenSet[int],
+    def _extend_with_nest(self, state: _State, placed: int,
                           unit: _Unit) -> Optional[_State]:
         """Cost FirstMatch (NLJ) vs Materialization (hash) for the nest.
 
@@ -331,8 +393,7 @@ class JoinOrderSearch:
         best_positions = fm_positions
         method = JoinMethod.NLJ
         if self._materialization_possible(unit):
-            sa_positions, sa_rows, sa_cost = self._order_nest(
-                frozenset(), unit)
+            sa_positions, sa_rows, sa_cost = self._order_nest(0, unit)
             materialize_cost = (state.cost + sa_cost
                                 + sa_rows * ROW_EVAL
                                 + state.rows * ROW_EVAL * 1.5)
@@ -351,15 +412,22 @@ class JoinOrderSearch:
 
     def _materialization_possible(self, unit: _Unit) -> bool:
         """Hash materialisation needs every outer bridge to be an equality."""
-        own = unit.entry_ids
-        for conjunct in self.pool:
-            refs = referenced_entries(conjunct)
-            if refs & own and refs - own - self.corr:
-                if not _is_equi_between(conjunct, refs - own, own):
+        found = self._materializable.get(unit.index)
+        if found is None:
+            found = self._materializable[unit.index] = \
+                self._equi_bridged(unit)
+        return found
+
+    def _equi_bridged(self, unit: _Unit) -> bool:
+        own = unit.mask
+        for conjunct, mask in zip(self.pool, self._pool_masks):
+            if mask & own and mask & ~own & ~self.corr:
+                if not _is_equi_between(self.facts, conjunct, mask & ~own,
+                                        own):
                     return False
         return True
 
-    def _order_nest(self, placed: FrozenSet[int], unit: _Unit):
+    def _order_nest(self, placed: int, unit: _Unit):
         """Greedy order of the nest's entries relative to a prefix.
 
         With a non-empty ``placed`` this plans the FirstMatch strategy
@@ -371,7 +439,7 @@ class JoinOrderSearch:
         ordered: List[PositionEntry] = []
         probe_rows = 1.0
         probe_cost = 0.0
-        inner_placed: FrozenSet[int] = frozenset()
+        inner_placed = 0
         while remaining:
             best = None
             for entry in remaining:
@@ -383,18 +451,17 @@ class JoinOrderSearch:
             probe_cost += step_cost
             probe_rows = step_rows
             ordered.append(position)
-            inner_placed = inner_placed | {entry.entry_id}
+            inner_placed |= 1 << entry.entry_id
             remaining.remove(entry)
         return ordered, probe_rows, probe_cost
 
-    def _nest_step(self, placed: FrozenSet[int], inner_placed: FrozenSet[int],
+    def _nest_step(self, placed: int, inner_placed: int,
                    entry: TableEntry, probe_rows: float):
         available = placed | inner_placed | self.corr
-        ref = ref_access(self.block, entry, self.pool, available,
-                         self.estimator, self.cost_model)
+        ref = self._ref(entry, False, available)
         access, local_rows, local_cost = self._entry_local(entry)
         cross = self._cross_conjuncts(placed | inner_placed,
-                                      frozenset({entry.entry_id}))
+                                      1 << entry.entry_id)
         cross_sel = self._cross_selectivity(cross)
         scan_cost = probe_rows * local_cost
         scan_rows = probe_rows * local_rows * cross_sel
@@ -418,58 +485,45 @@ class JoinOrderSearch:
             return self._search_dp()
         return self._search_greedy()
 
-    def _eligible(self, placed_units: FrozenSet[int]) -> List[_Unit]:
-        out = []
-        for unit in self.units:
-            if unit.index in placed_units:
-                continue
-            if unit.deps.issubset(placed_units):
-                out.append(unit)
-        return out
+    def _eligible(self, placed_units: int) -> List[_Unit]:
+        return [unit for unit in self.units
+                if not (placed_units >> unit.index & 1
+                        or unit.deps & ~placed_units)]
 
     def _connected_first(self, candidates: List[_Unit],
-                         placed: FrozenSet[int]) -> List[_Unit]:
+                         placed: int) -> List[_Unit]:
         """Prefer units linked to the prefix by a conjunct (avoid cartesian)."""
         if not placed:
             return candidates
-        connected = []
-        for unit in candidates:
-            own = unit.entry_ids
-            for conjunct in self.pool:
-                refs = referenced_entries(conjunct)
-                if refs & own and refs & placed:
-                    connected.append(unit)
-                    break
-            else:
-                for entry in unit.entries:
-                    if entry.outer_join_conjuncts:
-                        for conjunct in entry.outer_join_conjuncts:
-                            if referenced_entries(conjunct) & placed:
-                                connected.append(unit)
-                                break
-                        else:
-                            continue
-                        break
+        connected = [unit for unit in candidates if unit.reach & placed]
         return connected or candidates
 
     def _search_dp(self) -> Tuple[List[PositionEntry], float, float]:
-        """Left-deep DP over unit subsets with cartesian avoidance."""
-        states: Dict[FrozenSet[int], _State] = {}
-        entry_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
-        for unit in self._eligible(frozenset()):
+        """Left-deep DP over unit subsets with cartesian avoidance.
+
+        Keys are unit masks; ``layers[k]`` lists the keys of ``k`` units
+        in the order they were first reached, which is the order the
+        frozenset-keyed search visited them in."""
+        states: Dict[int, _State] = {}
+        entry_sets: Dict[int, int] = {}
+        total_units = len(self.units)
+        layers: List[List[int]] = [[] for __ in range(total_units + 1)]
+        for unit in self._eligible(0):
             first = self._first_position(unit)
             if first is None:
                 continue
-            key = frozenset({unit.index})
-            if key not in states or first.cost < states[key].cost:
+            key = 1 << unit.index
+            existing = states.get(key)
+            if existing is None or first.cost < existing.cost:
+                if existing is None:
+                    layers[1].append(key)
                 states[key] = first
-                entry_sets[key] = unit.entry_ids
+                entry_sets[key] = unit.mask
         if not states:
             raise MySQLOptimizerError("no valid driving table for block")
-        total_units = len(self.units)
         for size in range(1, total_units):
-            layer = [key for key in states if len(key) == size]
-            for key in layer:
+            grown = layers[size + 1]
+            for key in layers[size]:
                 state = states[key]
                 placed_entries = entry_sets[key]
                 candidates = self._connected_first(
@@ -478,13 +532,14 @@ class JoinOrderSearch:
                     extended = self._extend(state, placed_entries, unit)
                     if extended is None:
                         continue
-                    new_key = key | {unit.index}
+                    new_key = key | 1 << unit.index
                     existing = states.get(new_key)
                     if existing is None or extended.cost < existing.cost:
+                        if existing is None:
+                            grown.append(new_key)
                         states[new_key] = extended
-                        entry_sets[new_key] = placed_entries | unit.entry_ids
-        full = frozenset(range(total_units))
-        final = states.get(full)
+                        entry_sets[new_key] = placed_entries | unit.mask
+        final = states.get((1 << total_units) - 1)
         if final is None:
             # Dependencies may have made some interleavings unreachable via
             # the connected-first pruning; fall back to greedy.
@@ -492,10 +547,11 @@ class JoinOrderSearch:
         return final.positions, final.cost, final.rows
 
     def _search_greedy(self) -> Tuple[List[PositionEntry], float, float]:
-        placed_units: FrozenSet[int] = frozenset()
-        placed_entries: FrozenSet[int] = frozenset()
+        placed_units = 0
+        placed_entries = 0
         state: Optional[_State] = None
-        while len(placed_units) < len(self.units):
+        full = (1 << len(self.units)) - 1
+        while placed_units != full:
             candidates = self._eligible(placed_units)
             if state is not None:
                 candidates = self._connected_first(candidates,
@@ -514,22 +570,23 @@ class JoinOrderSearch:
                 raise MySQLOptimizerError(
                     "greedy join ordering could not place all tables")
             __, state, unit = best
-            placed_units = placed_units | {unit.index}
-            placed_entries = placed_entries | unit.entry_ids
+            placed_units |= 1 << unit.index
+            placed_entries |= unit.mask
         assert state is not None
         return state.positions, state.cost, state.rows
 
 
-def _is_equi_between(conjunct: ast.Expr, side_a: FrozenSet[int],
-                     side_b: FrozenSet[int]) -> bool:
-    """Whether the conjunct is ``expr(side_a) = expr(side_b)``."""
+def _is_equi_between(facts: BlockFacts, conjunct: ast.Expr, side_a: int,
+                     side_b: int) -> bool:
+    """Whether the conjunct is ``expr(side_a) = expr(side_b)`` (sides are
+    entry masks)."""
     if not (isinstance(conjunct, ast.BinaryExpr)
             and conjunct.op is ast.BinOp.EQ):
         return False
-    left_refs = referenced_entries(conjunct.left)
-    right_refs = referenced_entries(conjunct.right)
-    if not left_refs or not right_refs:
+    left = facts.mask(conjunct.left)
+    right = facts.mask(conjunct.right)
+    if not left or not right:
         return False
-    if left_refs.issubset(side_a) and right_refs.issubset(side_b):
+    if not left & ~side_a and not right & ~side_b:
         return True
-    return left_refs.issubset(side_b) and right_refs.issubset(side_a)
+    return not left & ~side_b and not right & ~side_a

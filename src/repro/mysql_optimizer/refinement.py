@@ -61,9 +61,8 @@ from repro.sql.blocks import (
     NestKind,
     QueryBlock,
     TableEntry,
-    correlation_sources,
-    referenced_entries,
 )
+from repro.sql.facts import expr_facts, ids_mask
 from repro.sql.rewrite import expr_key
 
 
@@ -77,6 +76,10 @@ class PlanBuilder:
         self.context = skeleton.context
         self.executor = Executor(storage, self.context)
         self.compiler = ExpressionCompiler(self.executor)
+        #: Entry masks of conjuncts, from the statement's facts table:
+        #: predicate placement tests them against masks of placed and
+        #: visible entries.
+        self._mask = expr_facts(self.context).mask
         #: The reduced-memory retry path: every aggregate builds as
         #: STREAM (sort-then-stream) regardless of the skeleton's
         #: choice, trading the hash table's footprint for a sort whose
@@ -99,7 +102,7 @@ class PlanBuilder:
             raise MySQLOptimizerError(
                 f"no skeleton for block #{block.block_id}")
         pool = list(block.where_conjuncts)
-        corr = frozenset(correlation_sources(block))
+        corr = block.facts.corr_mask
         root: Optional[PlanNode] = None
         if sk.positions:
             root = self._build_chain(sk.positions, pool, corr)
@@ -157,9 +160,9 @@ class PlanBuilder:
 
     def _build_chain(self, positions: List[PositionEntry],
                      pool: List[ast.Expr],
-                     outer_visible: frozenset) -> PlanNode:
+                     outer_visible: int) -> PlanNode:
         node: Optional[PlanNode] = None
-        placed: frozenset = frozenset()
+        placed = 0
         index = 0
         while index < len(positions):
             position = positions[index]
@@ -174,7 +177,7 @@ class PlanBuilder:
                                                outer_visible)
                 continue
             index += 1
-            unit_ids = frozenset(position.all_entry_ids())
+            unit_ids = ids_mask(position.all_entry_ids())
             if node is None:
                 node = self._build_unit(position, placed, pool,
                                         outer_visible, inner_of_nlj=True)
@@ -191,10 +194,10 @@ class PlanBuilder:
             raise MySQLOptimizerError("empty best-position array")
         return node
 
-    def _join_step(self, node: PlanNode, placed: frozenset,
+    def _join_step(self, node: PlanNode, placed: int,
                    position: PositionEntry, pool: List[ast.Expr],
-                   outer_visible: frozenset) -> Tuple[PlanNode, frozenset]:
-        unit_ids = frozenset(position.all_entry_ids())
+                   outer_visible: int) -> Tuple[PlanNode, int]:
+        unit_ids = ids_mask(position.all_entry_ids())
         entry = (self.context.entry(position.entry_id)
                  if position.entry_id is not None else None)
         is_left = (entry is not None
@@ -222,12 +225,12 @@ class PlanBuilder:
         joined.cost, joined.rows = position.cost, position.fanout
         return joined, new_placed
 
-    def _join_left(self, node: PlanNode, placed: frozenset,
+    def _join_left(self, node: PlanNode, placed: int,
                    position: PositionEntry, entry: TableEntry,
                    pool: List[ast.Expr],
-                   outer_visible: frozenset) -> PlanNode:
+                   outer_visible: int) -> PlanNode:
         on_conjuncts = list(entry.outer_join_conjuncts or [])
-        unit_ids = frozenset(position.all_entry_ids())
+        unit_ids = ids_mask(position.all_entry_ids())
         if position.join_method is JoinMethod.NLJ:
             inner = self._build_unit(position, placed, on_conjuncts,
                                      outer_visible, inner_of_nlj=True)
@@ -245,9 +248,9 @@ class PlanBuilder:
                                           placed | outer_visible, unit_ids)
         return joined
 
-    def _join_nest(self, node: Optional[PlanNode], placed: frozenset,
+    def _join_nest(self, node: Optional[PlanNode], placed: int,
                    run: List[PositionEntry], pool: List[ast.Expr],
-                   outer_visible: frozenset) -> Tuple[PlanNode, frozenset]:
+                   outer_visible: int) -> Tuple[PlanNode, int]:
         if node is None:
             raise MySQLOptimizerError(
                 "a semi-join nest cannot drive a query block")
@@ -256,8 +259,8 @@ class PlanBuilder:
         nest_obj = block.nest(first.nest_id)
         kind = JoinKind.SEMI if nest_obj.kind is NestKind.SEMI \
             else JoinKind.ANTI
-        unit_ids = frozenset(eid for position in run
-                             for eid in position.all_entry_ids())
+        unit_ids = ids_mask(eid for position in run
+                            for eid in position.all_entry_ids())
         # Strip nest markers so the inner chain builds as a plain join.
         inner_positions = [_without_nest(position) for position in run]
         if first.join_method is JoinMethod.NLJ:
@@ -283,13 +286,12 @@ class PlanBuilder:
 
     def _make_hash_join(self, probe: PlanNode, build: PlanNode,
                         kind: JoinKind, cross: List[ast.Expr],
-                        probe_side: frozenset,
-                        build_side: frozenset) -> HashJoinNode:
+                        probe_side: int, build_side: int) -> HashJoinNode:
         probe_keys: List[ast.Expr] = []
         build_keys: List[ast.Expr] = []
         residual: List[ast.Expr] = []
         for conjunct in cross:
-            pair = _split_equi(conjunct, probe_side, build_side)
+            pair = _split_equi(self._mask, conjunct, probe_side, build_side)
             if pair is not None:
                 probe_keys.append(pair[0])
                 build_keys.append(pair[1])
@@ -303,22 +305,22 @@ class PlanBuilder:
 
     # -- units and leaves ---------------------------------------------------------------
 
-    def _build_unit(self, position: PositionEntry, placed: frozenset,
-                    pool: List[ast.Expr], outer_visible: frozenset,
+    def _build_unit(self, position: PositionEntry, placed: int,
+                    pool: List[ast.Expr], outer_visible: int,
                     inner_of_nlj: bool) -> PlanNode:
-        visible = outer_visible | (placed if inner_of_nlj else frozenset())
+        visible = outer_visible | (placed if inner_of_nlj else 0)
         if position.is_branch:
             return self._build_chain(position.branch, pool, visible)
         return self._build_leaf(position, visible, pool)
 
-    def _build_leaf(self, position: PositionEntry, visible: frozenset,
+    def _build_leaf(self, position: PositionEntry, visible: int,
                     pool: List[ast.Expr]) -> PlanNode:
         entry = self.context.entry(position.entry_id)
         access = position.access or AccessPlan(
             method=AccessMethod.TABLE_SCAN)
         node = self._access_node(entry, access)
         _remove_by_identity(pool, access.consumed_conjuncts)
-        own = frozenset({entry.entry_id})
+        own = 1 << entry.entry_id
         conjuncts = self._pop_evaluable(pool, visible | own,
                                         must_touch=own)
         self._attach_filter(node, conjuncts)
@@ -349,9 +351,9 @@ class PlanBuilder:
                 f"bad access method {access.method} for base table")
         if entry.kind is EntryKind.DERIVED:
             subplan = self.build_block_plan(entry.sub_block)
-            sources = correlation_sources(entry.sub_block)
             return DerivedMaterializeNode(entry.entry_id, entry.alias,
-                                          subplan, sources)
+                                          subplan,
+                                          list(entry.sub_block.facts.corr))
         if entry.kind is EntryKind.CTE:
             subplan = self.build_block_plan(entry.cte.block)
             return CteScanNode(entry.entry_id, entry.alias,
@@ -360,14 +362,15 @@ class PlanBuilder:
 
     # -- predicate pool helpers ------------------------------------------------------------
 
-    def _pop_evaluable(self, pool: List[ast.Expr], visible: frozenset,
-                       must_touch: Optional[frozenset] = None
+    def _pop_evaluable(self, pool: List[ast.Expr], visible: int,
+                       must_touch: Optional[int] = None
                        ) -> List[ast.Expr]:
         taken: List[ast.Expr] = []
         remaining: List[ast.Expr] = []
+        mask = self._mask
         for conjunct in pool:
-            refs = referenced_entries(conjunct)
-            if refs.issubset(visible) and \
+            refs = mask(conjunct)
+            if not refs & ~visible and \
                     (must_touch is None or refs & must_touch):
                 taken.append(conjunct)
             else:
@@ -375,14 +378,15 @@ class PlanBuilder:
         pool[:] = remaining
         return taken
 
-    def _pop_cross(self, pool: List[ast.Expr], probe_side: frozenset,
-                   build_side: frozenset) -> List[ast.Expr]:
+    def _pop_cross(self, pool: List[ast.Expr], probe_side: int,
+                   build_side: int) -> List[ast.Expr]:
         taken: List[ast.Expr] = []
         remaining: List[ast.Expr] = []
         visible = probe_side | build_side
+        mask = self._mask
         for conjunct in pool:
-            refs = referenced_entries(conjunct)
-            if refs.issubset(visible) and refs & build_side:
+            refs = mask(conjunct)
+            if not refs & ~visible and refs & build_side:
                 taken.append(conjunct)
             else:
                 remaining.append(conjunct)
@@ -618,20 +622,21 @@ def _rebuild_with(expr: ast.Expr, fn) -> ast.Expr:
     return expr
 
 
-def _split_equi(conjunct: ast.Expr, probe_side: frozenset,
-                build_side: frozenset
+def _split_equi(mask: Callable[[ast.Expr], int], conjunct: ast.Expr,
+                probe_side: int, build_side: int
                 ) -> Optional[Tuple[ast.Expr, ast.Expr]]:
-    """Split ``a = b`` into (probe expr, build expr) when sides separate."""
+    """Split ``a = b`` into (probe expr, build expr) when sides separate
+    (sides are entry masks; ``mask`` gives an expression's)."""
     if not (isinstance(conjunct, ast.BinaryExpr)
             and conjunct.op is ast.BinOp.EQ):
         return None
-    left_refs = referenced_entries(conjunct.left)
-    right_refs = referenced_entries(conjunct.right)
+    left_refs = mask(conjunct.left)
+    right_refs = mask(conjunct.right)
     if not left_refs or not right_refs:
         return None
-    if left_refs.issubset(probe_side) and right_refs.issubset(build_side):
+    if not left_refs & ~probe_side and not right_refs & ~build_side:
         return conjunct.left, conjunct.right
-    if right_refs.issubset(probe_side) and left_refs.issubset(build_side):
+    if not right_refs & ~probe_side and not left_refs & ~build_side:
         return conjunct.right, conjunct.left
     return None
 

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import BudgetExceededError, OrcaError
 from repro.mysql_optimizer.access_path import (
     best_local_access,
-    indexed_positions,
-    lookup_key_candidate,
+    lookup_keys,
+    picked_keys,
     ref_access,
 )
 from repro.mysql_optimizer.skeleton import AccessPlan
@@ -57,7 +57,7 @@ from repro.orca.operators import (
 )
 from repro.selectivity import SelectivityEstimator
 from repro.sql import ast
-from repro.sql.blocks import EntryKind, QueryBlock, referenced_entries
+from repro.sql.blocks import EntryKind, QueryBlock
 
 
 class JoinSearchMode(enum.Enum):
@@ -89,13 +89,13 @@ class SubEstimates:
 
 def plan_unit(unit: LogicalGet, block: QueryBlock,
               estimator: SelectivityEstimator, cost_model: OrcaCostModel,
-              sub_estimates: "SubEstimates",
-              corr: FrozenSet[int] = frozenset()
+              sub_estimates: "SubEstimates", corr: int = 0
               ) -> Tuple[AccessPlan, float, float, "PhysicalGet"]:
     """Plan one join unit standalone: (access, cost, rows, physical get).
 
-    ``corr`` lists outer-query entries bound during execution; equalities
-    against them can drive an index lookup (the Q17 subquery pattern).
+    ``corr`` is the entry mask of the outer-query entries bound during
+    execution; equalities against them can drive an index lookup (the
+    Q17 subquery pattern).
     """
     entry = unit.descriptor.entry
     if entry.kind is EntryKind.BASE:
@@ -127,17 +127,6 @@ def plan_unit(unit: LogicalGet, block: QueryBlock,
     get.cost = access.est_cost
     get.rows = rows
     return access, access.est_cost, rows, get
-
-
-class _EntryRefs(dict):
-    """Per-search memo of :func:`referenced_entries`, keyed by the
-    expression itself (AST nodes hash by identity).  The join search
-    hands the same conjuncts to ``ref_access`` thousands of times per
-    block; each tree is walked once."""
-
-    def __missing__(self, expr: ast.Expr) -> FrozenSet[int]:
-        refs = self[expr] = referenced_entries(expr)
-        return refs
 
 
 def _splits(subset: int, full_bushy: bool) -> Iterator[Tuple[int, int]]:
@@ -172,13 +161,15 @@ class OrcaJoinSearch:
     ``i``): memo keys, DP subsets and their splits, GOO's forest, LINDP's
     intervals.  What subset tests need is computed once per search —
     each join conjunct's unit mask and equality sides, each unit's
-    neighbour mask — so the DP's inner loop is integer arithmetic.
+    neighbour mask and the join conjuncts touching it — from the entry
+    masks of the block's facts table, so the DP's inner loop is integer
+    arithmetic.  ``corr`` is the entry mask of the correlation sources.
     """
 
     def __init__(self, units: List[LogicalGet], conjuncts: List[ast.Expr],
                  block: QueryBlock, estimator: SelectivityEstimator,
                  cost_model: OrcaCostModel, sub_estimates: SubEstimates,
-                 corr: FrozenSet[int], mode: JoinSearchMode,
+                 corr: int, mode: JoinSearchMode,
                  memo: Memo, budget=None,
                  enable_pruning: bool = True,
                  strategy_policy: str = "adaptive") -> None:
@@ -221,7 +212,8 @@ class OrcaJoinSearch:
         self._local: List[Tuple[AccessPlan, float, float, PhysicalGet]] = []
         for index, unit in enumerate(units):
             self._local.append(self._plan_unit(index))
-        self._refs = _EntryRefs()
+        self.facts = block.facts
+        mask_of = self.facts.mask
         # Per conjunct, once: the mask of the units it touches and
         # whether every entry it references (correlation sources aside)
         # is a unit's.  Each entry id belongs to exactly one unit, so
@@ -237,7 +229,7 @@ class OrcaJoinSearch:
         #: ``=`` whose sides both reference units, else None.
         self._joins: List[Tuple[int, int, Optional[Tuple[int, int]]]] = []
         for conjunct_index, conjunct in enumerate(conjuncts):
-            mask, mapped = self._unit_mask(self._refs[conjunct], unit_of)
+            mask, mapped = self._unit_mask(mask_of(conjunct), unit_of)
             if not mask & (mask - 1):
                 continue
             for index in units_of(mask):
@@ -248,12 +240,19 @@ class OrcaJoinSearch:
         #: Neighbour mask of each unit in the join graph.
         self._neighbors = [mask & ~(1 << index)
                            for index, mask in enumerate(reach)]
-        #: Per unit, the lookup keys :func:`ref_access` could use on its
-        #: index columns, in its candidate order (the unit's local
-        #: conjuncts, then join conjuncts by index): ``(list bit, column
-        #: bit, mask of the units the other side reads)``.  With the
-        #: outer side's mask these give the conjunct ``ref_access``
-        #: would pick per column, without re-walking a conjunct tree.
+        #: Per unit, the bitset over :attr:`_joins` positions of the join
+        #: conjuncts touching it; :meth:`_cross` ANDs these per side.
+        self._unit_joins = [0] * len(units)
+        for position, (__, mask, __) in enumerate(self._joins):
+            for index in units_of(mask):
+                self._unit_joins[index] |= 1 << position
+        self._touch_cache: Dict[int, int] = {}
+        #: Per unit, :func:`lookup_keys` over its candidate conjuncts
+        #: (its local conjuncts, then join conjuncts by index), each
+        #: key's need as the mask of the units the other side reads; a
+        #: key no unit set can bind is dropped.  :func:`picked_keys`
+        #: with the outer side's unit mask gives the conjunct
+        #: ``ref_access`` would pick per column.
         self._lookup_keys = [self._unit_lookup_keys(index, unit_of)
                              for index in range(len(units))]
         #: The join-step access memo: ``(unit, picked keys)`` ->
@@ -273,7 +272,7 @@ class OrcaJoinSearch:
                            for mask, group in by_mask.items()]
         self._rows_cache: Dict[int, float] = {}
         self._conn_cache: Dict[int, bool] = {}
-        self._bound_cache: Dict[int, FrozenSet[int]] = {}
+        self._bound_cache: Dict[int, int] = {}
         self._pair_sel_cache: Dict[int, Dict[Tuple[int, int], float]] = {}
 
     def _check_budget(self) -> None:
@@ -287,15 +286,18 @@ class OrcaJoinSearch:
         return plan_unit(self.units[index], self.block, self.estimator,
                          self.cost_model, self.sub_estimates, self.corr)
 
-    def _unit_mask(self, refs: FrozenSet[int], unit_of: Dict[int, int]
+    def _unit_mask(self, refs: int, unit_of: Dict[int, int]
                    ) -> Tuple[int, bool]:
-        """(mask of the units ``refs`` touch, whether all of ``refs``
-        other than correlation sources are units' entries)."""
-        refs = refs - self.corr
+        """(mask of the units the entry mask ``refs`` touches, whether
+        all of ``refs`` other than correlation sources are units'
+        entries)."""
+        refs &= ~self.corr
         mask = 0
         mapped = bool(refs)
-        for entry in refs:
-            index = unit_of.get(entry)
+        while refs:
+            low = refs & -refs
+            refs ^= low
+            index = unit_of.get(low.bit_length() - 1)
             if index is None:
                 mapped = False
             else:
@@ -307,9 +309,9 @@ class OrcaJoinSearch:
         if not (isinstance(conjunct, ast.BinaryExpr)
                 and conjunct.op is ast.BinOp.EQ):
             return None
-        left, left_mapped = self._unit_mask(self._refs[conjunct.left],
-                                            unit_of)
-        right, right_mapped = self._unit_mask(self._refs[conjunct.right],
+        mask_of = self.facts.mask
+        left, left_mapped = self._unit_mask(mask_of(conjunct.left), unit_of)
+        right, right_mapped = self._unit_mask(mask_of(conjunct.right),
                                               unit_of)
         if not left_mapped or not right_mapped:
             return None
@@ -318,24 +320,16 @@ class OrcaJoinSearch:
     def _unit_lookup_keys(self, index: int, unit_of: Dict[int, int]
                           ) -> List[Tuple[int, int, int]]:
         unit = self.units[index]
-        entry = unit.descriptor.entry
-        positions = indexed_positions(entry)
-        if not positions:
-            return []
         candidates = list(unit.conjuncts)
         candidates += [self.conjuncts[conjunct_index]
                        for conjunct_index, mask, __ in self._joins
                        if mask >> index & 1]
         keys = []
-        for conjunct in candidates:
-            found = lookup_key_candidate(entry, conjunct,
-                                         self._refs.__getitem__)
-            if found is None or found[0] not in positions:
-                continue
-            position, __, other_refs = found
+        for bit, column, other_refs in lookup_keys(
+                unit.descriptor.entry, candidates, self.facts):
             need, mapped = self._unit_mask(other_refs, unit_of)
-            if mapped or not other_refs - self.corr:
-                keys.append((1 << len(keys), 1 << position, need))
+            if mapped or not other_refs & ~self.corr:
+                keys.append((bit, column, need))
         return keys
 
     def _closure(self, seed: int, within: int) -> int:
@@ -358,13 +352,14 @@ class OrcaJoinSearch:
             self._conn_cache[subset] = cached
         return cached
 
-    def _bound_entries(self, side: int) -> FrozenSet[int]:
-        """Entry ids bound while ``side`` drives an index lookup: its
+    def _bound_entries(self, side: int) -> int:
+        """Entry mask bound while ``side`` drives an index lookup: its
         units' entries plus the correlation sources."""
         cached = self._bound_cache.get(side)
         if cached is None:
-            cached = self.corr | frozenset(
-                self._entry_ids[index] for index in units_of(side))
+            cached = self.corr
+            for index in units_of(side):
+                cached |= 1 << self._entry_ids[index]
             self._bound_cache[side] = cached
         return cached
 
@@ -384,19 +379,47 @@ class OrcaJoinSearch:
         self._rows_cache[subset] = rows
         return rows
 
+    def _touching(self, side: int) -> int:
+        """Bitset of the :attr:`_joins` positions touching ``side``: its
+        lowest unit's, OR the rest's (cached, as every side is)."""
+        low = side & -side
+        touching = self._unit_joins[low.bit_length() - 1]
+        rest = side ^ low
+        if rest:
+            cached = self._touch_cache.get(rest)
+            touching |= self._touching(rest) if cached is None else cached
+        self._touch_cache[side] = touching
+        return touching
+
     def _cross(self, side_a: int, side_b: int
                ) -> Tuple[List[ast.Expr], bool]:
         """The conjuncts a join of A and B applies — every unit they
         touch is in A or B, at least one on each side — in conjunct
         order, and whether one of them is an equality with one side in
-        A and the other in B (a hash key).  Symmetric in A and B."""
+        A and the other in B (a hash key).  Symmetric in A and B.
+
+        Candidates are the AND of the sides' join bitsets (the joins
+        touching both); of those, the ones reaching outside A and B
+        are dropped."""
+        cache = self._touch_cache
+        touch_a = cache.get(side_a)
+        if touch_a is None:
+            touch_a = self._touching(side_a)
+        touch_b = cache.get(side_b)
+        if touch_b is None:
+            touch_b = self._touching(side_b)
+        found = touch_a & touch_b
         outside = ~(side_a | side_b)
         not_a = ~side_a
         not_b = ~side_b
         cross: List[ast.Expr] = []
         equi = False
-        for conjunct_index, mask, sides in self._joins:
-            if mask & outside or not mask & side_a or not mask & side_b:
+        joins = self._joins
+        while found:
+            low = found & -found
+            found ^= low
+            conjunct_index, mask, sides = joins[low.bit_length() - 1]
+            if mask & outside:
                 continue
             cross.append(self.conjuncts[conjunct_index])
             if not equi and sides is not None:
@@ -777,12 +800,7 @@ class OrcaJoinSearch:
         returned :class:`AccessPlan` is shared by every candidate that
         hits; nothing downstream mutates one.
         """
-        key = taken = 0
-        for bit, column, need in self._lookup_keys[index]:
-            if not need & ~outer and not taken & column:
-                taken |= column
-                key |= bit
-        memo_key = (index, key)
+        memo_key = (index, picked_keys(self._lookup_keys[index], outer))
         memo = self._join_access_memo
         if memo_key in memo:
             self.access_memo_hits += 1
@@ -790,8 +808,7 @@ class OrcaJoinSearch:
         unit = self.units[index]
         access = memo[memo_key] = ref_access(
             self.block, unit.descriptor.entry, unit.conjuncts + conjuncts,
-            self._bound_entries(outer), self.estimator, self.cost_model,
-            refs=self._refs.__getitem__)
+            self._bound_entries(outer), self.estimator, self.cost_model)
         return access
 
     # -- greedy and polish -------------------------------------------------------------------

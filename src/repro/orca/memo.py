@@ -16,19 +16,14 @@ cardinalities so exploration work is shared across alternatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.orca.operators import PhysicalOp
+from repro.sql.facts import mask_ids
 
-
-def units_of(mask: int) -> List[int]:
-    """The units a mask covers, ascending."""
-    units = []
-    while mask:
-        low = mask & -mask
-        units.append(low.bit_length() - 1)
-        mask ^= low
-    return units
+#: The units a unit mask covers, ascending: a unit mask lists its bits
+#: as an entry mask does.
+units_of = mask_ids
 
 
 def lowest_unit(mask: int) -> int:

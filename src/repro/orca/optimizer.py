@@ -55,9 +55,8 @@ from repro.sql.blocks import (
     EntryKind,
     NestKind,
     QueryBlock,
-    correlation_sources,
-    referenced_entries,
 )
+from repro.sql.facts import ids_mask
 
 
 @dataclass
@@ -181,12 +180,12 @@ class OrcaOptimizer:
             self.budget.check()
         block = logical.block
         memo = Memo()
-        corr = frozenset(correlation_sources(block))
+        corr = block.facts.corr_mask
 
         plan: Optional[PhysicalOp] = None
         cost = 0.0
         rows = 1.0
-        placed_entries: frozenset = frozenset()
+        placed_entries = 0
         search: Optional[OrcaJoinSearch] = None
         if logical.core.units:
             mode = self.config.search
@@ -199,9 +198,8 @@ class OrcaOptimizer:
                 enable_pruning=self.config.enable_cost_bound_pruning,
                 strategy_policy=self.config.join_strategy)
             plan, cost, rows = search.search()
-            placed_entries = frozenset(
-                unit.descriptor.entry.entry_id
-                for unit in logical.core.units)
+            placed_entries = ids_mask(unit.descriptor.entry.entry_id
+                                      for unit in logical.core.units)
 
         for spec in logical.outer_joins:
             plan, cost, rows, placed_entries = self._attach_outer_join(
@@ -252,11 +250,12 @@ class OrcaOptimizer:
 
     def _dependent_pairs(self, logical: OrcaLogicalBlock
                          ) -> List[Tuple[LogicalGet, List[ast.Expr]]]:
+        mask = logical.block.facts.mask
         pairs = []
         for unit in logical.dependent_units:
             own = unit.descriptor.entry.entry_id
             mine = [c for c in logical.dependent_conjuncts
-                    if own in referenced_entries(c)]
+                    if mask(c) >> own & 1]
             pairs.append((unit, mine))
         return pairs
 
@@ -267,7 +266,7 @@ class OrcaOptimizer:
 
     def _attach_outer_join(self, block: QueryBlock, plan: PhysicalOp,
                            cost: float, rows: float,
-                           placed: frozenset, spec, corr: frozenset,
+                           placed: int, spec, corr: int,
                            sub_estimates: SubEstimates):
         if plan is None:
             raise OrcaError("LEFT JOIN without a driving side")
@@ -306,18 +305,18 @@ class OrcaOptimizer:
                                   list(spec.on_conjuncts))
             best_cost = rescan_cost
         self._wrap(best, best_cost, out_rows)
-        return best, best_cost, out_rows, placed | {entry.entry_id}
+        return best, best_cost, out_rows, placed | 1 << entry.entry_id
 
     def _attach_semi_join(self, block: QueryBlock, plan: PhysicalOp,
-                          cost: float, rows: float, placed: frozenset,
-                          spec, corr: frozenset,
+                          cost: float, rows: float, placed: int,
+                          spec, corr: int,
                           sub_estimates: SubEstimates):
         if plan is None:
             raise OrcaError("semi-join without a driving side")
         variant = JoinVariant.SEMI if spec.kind is NestKind.SEMI \
             else JoinVariant.ANTI
-        inner_entries = frozenset(unit.descriptor.entry.entry_id
-                                  for unit in spec.inners)
+        inner_entries = ids_mask(unit.descriptor.entry.entry_id
+                                 for unit in spec.inners)
 
         # Per-probe inner fanout for the match probability.
         inner_rows = 1.0
@@ -356,8 +355,8 @@ class OrcaOptimizer:
         # multi-table rule is enabled (it is disabled for MySQL, lesson 6).
         allow_hash = (len(spec.inners) == 1
                       or self.config.enable_multi_table_semi_build)
-        if allow_hash and self._equi_bridge(spec.conjuncts, placed | corr,
-                                            inner_entries):
+        if allow_hash and self._equi_bridge(block, spec.conjuncts,
+                                            placed | corr, inner_entries):
             build_plan, build_cost, build_rows = self._standalone_inner(
                 block, spec, corr, sub_estimates)
             hash_cost = (cost + build_cost
@@ -378,14 +377,14 @@ class OrcaOptimizer:
         self._wrap(best, best_cost, out_rows)
         return best, best_cost, out_rows, placed | inner_entries
 
-    def _standalone_inner(self, block: QueryBlock, spec, corr: frozenset,
+    def _standalone_inner(self, block: QueryBlock, spec, corr: int,
                           sub_estimates: SubEstimates
                           ) -> Tuple[PhysicalOp, float, float]:
         """Plan the nest's inner side without outer bindings."""
-        internal = [c for c in spec.conjuncts
-                    if (referenced_entries(c) - corr).issubset(
-                        frozenset(unit.descriptor.entry.entry_id
-                                  for unit in spec.inners))]
+        allowed = corr | ids_mask(unit.descriptor.entry.entry_id
+                                  for unit in spec.inners)
+        mask = block.facts.mask
+        internal = [c for c in spec.conjuncts if not mask(c) & ~allowed]
         memo = Memo()
         search = OrcaJoinSearch(spec.inners, internal, block,
                                 self.estimator, self.cost_model,
@@ -396,24 +395,27 @@ class OrcaOptimizer:
                                 .enable_cost_bound_pruning)
         return search.search()
 
-    def _equi_bridge(self, conjuncts: List[ast.Expr], outer: frozenset,
-                     inner: frozenset) -> bool:
+    def _equi_bridge(self, block: QueryBlock, conjuncts: List[ast.Expr],
+                     outer: int, inner: int) -> bool:
+        """Whether some conjunct is an equality between an expression of
+        the ``outer`` entries and one of the ``inner`` entries."""
+        mask = block.facts.mask
         for conjunct in conjuncts:
             if isinstance(conjunct, ast.BinaryExpr) and \
                     conjunct.op is ast.BinOp.EQ:
-                left = referenced_entries(conjunct.left)
-                right = referenced_entries(conjunct.right)
+                left = mask(conjunct.left)
+                right = mask(conjunct.right)
                 if not left or not right:
                     continue
-                if (left.issubset(outer) and right.issubset(inner)) or \
-                        (left.issubset(inner) and right.issubset(outer)):
+                if (not left & ~outer and not right & ~inner) or \
+                        (not left & ~inner and not right & ~outer):
                     return True
         return False
 
     def _attach_dependent(self, block: QueryBlock, plan: PhysicalOp,
-                          cost: float, rows: float, placed: frozenset,
+                          cost: float, rows: float, placed: int,
                           unit: LogicalGet, conjuncts: List[ast.Expr],
-                          corr: frozenset, sub_estimates: SubEstimates):
+                          corr: int, sub_estimates: SubEstimates):
         if plan is None:
             raise OrcaError("correlated derived table without outer side")
         entry = unit.descriptor.entry
@@ -431,7 +433,7 @@ class OrcaOptimizer:
         out_rows = max(0.5, rows * min(1.0, fanout))
         join = PhysicalNLJoin(plan, get, JoinVariant.INNER, conjuncts)
         self._wrap(join, join_cost, out_rows)
-        return join, join_cost, out_rows, placed | {entry.entry_id}
+        return join, join_cost, out_rows, placed | 1 << entry.entry_id
 
     # -- aggregation and ordering ------------------------------------------------------
 

@@ -22,7 +22,9 @@ optimizer performs:
 
 Rewrites *mutate* the resolved blocks; the MySQL plan refinement that later
 consumes the Orca skeleton sees the rewritten predicates, mirroring how
-the integration broadened MySQL's factorization scope.
+the integration broadened MySQL's factorization scope.  These rewrites
+are the only block mutations after prepare, so each rewritten block's
+facts table (:mod:`repro.sql.facts`) is refreshed here.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from repro.sql.blocks import (
     OutputColumn,
     QueryBlock,
     TableEntry,
-    correlation_sources,
-    referenced_entries,
 )
+from repro.sql.facts import ids_mask, refresh_facts
 from repro.sql.rewrite import expr_key, substitute_entry_columns
 
 
@@ -47,10 +48,13 @@ def preprocess_block(block: QueryBlock, enable_or_factorization: bool = True,
     for sub in _sub_blocks(block):
         preprocess_block(sub, enable_or_factorization,
                          enable_derived_subqueries)
+    rewritten = 0
     if enable_or_factorization:
-        factor_or_predicates(block)
+        rewritten += factor_or_predicates(block)
     if enable_derived_subqueries:
-        convert_scalar_subqueries_to_derived(block)
+        rewritten += convert_scalar_subqueries_to_derived(block)
+    if rewritten:
+        refresh_facts(block)
 
 
 def _sub_blocks(block: QueryBlock) -> List[QueryBlock]:
@@ -60,7 +64,7 @@ def _sub_blocks(block: QueryBlock) -> List[QueryBlock]:
     for entry in block.entries:
         if entry.sub_block is not None:
             subs.append(entry.sub_block)
-    subs.extend(block.all_subquery_blocks())
+    subs.extend(block.facts.sub_blocks)
     for __, side in block.set_ops:
         subs.append(side)
     return subs
@@ -193,11 +197,9 @@ def _reads_semijoin_nest(block: QueryBlock, left: ast.Expr,
     semi-join nests.  Such a conjunct came out of an EXISTS / IN body
     and must be evaluated per nest row, inside the semi-join; a derived
     table would leave the nest and be joined above it."""
-    nested = {entry for nest in block.semijoin_nests
-              for entry in nest.entry_ids}
-    return bool(nested) and (
-        not nested.isdisjoint(referenced_entries(left))
-        or not nested.isdisjoint(correlation_sources(sub)))
+    nested = ids_mask(entry for nest in block.semijoin_nests
+                      for entry in nest.entry_ids)
+    return bool(nested & (block.facts.mask(left) | sub.facts.corr_mask))
 
 
 def _convertible(sub: QueryBlock) -> bool:
@@ -240,6 +242,7 @@ def push_cte_predicates(block: QueryBlock) -> int:
             continue
         combined = ast.make_disjunction(per_consumer)
         binding.block.where_conjuncts.append(combined)
+        refresh_facts(binding.block)
         pushed += 1
     return pushed
 
@@ -276,18 +279,15 @@ def _consumers_of(binding, block: QueryBlock) -> List[TableEntry]:
 
 def _pushable_conjuncts(consumer: TableEntry, binding) -> List[ast.Expr]:
     producer = binding.block
-    target = frozenset({consumer.entry_id})
+    facts = consumer.block.facts
+    target = 1 << consumer.entry_id
     aggregated = producer.aggregated
     group_keys = {expr_key(g) for g in producer.group_by}
     result: List[ast.Expr] = []
     if producer.limit is not None or producer.windows or producer.set_ops:
         return []
     for conjunct in consumer.block.where_conjuncts:
-        if referenced_entries(conjunct) != target:
-            continue
-        if any(isinstance(node, (ast.ScalarSubquery, ast.InSubqueryExpr,
-                                 ast.ExistsExpr))
-               for node in conjunct.walk()):
+        if facts.mask(conjunct) != target or facts.has_subquery(conjunct):
             continue
         if aggregated:
             positions = [node.position for node in conjunct.walk()

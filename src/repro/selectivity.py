@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.catalog.catalog import Catalog
 from repro.catalog.statistics import ColumnStatistics
 from repro.sql import ast
-from repro.sql.blocks import EntryKind, QueryBlock, referenced_entries
+from repro.sql.blocks import EntryKind, QueryBlock
 
 #: Default selectivities used when no statistics apply (MySQL-style).
 DEFAULT_EQ = 0.1
@@ -357,7 +357,8 @@ def local_selectivity(estimator: SelectivityEstimator, block: QueryBlock,
                       entry_id: int, conjuncts) -> float:
     """Combined selectivity of the conjuncts local to one entry."""
     selectivity = 1.0
+    mask = block.facts.mask
     for conjunct in conjuncts:
-        if referenced_entries(conjunct) == frozenset({entry_id}):
+        if mask(conjunct) == 1 << entry_id:
             selectivity *= estimator.conjunct_selectivity(block, conjunct)
     return selectivity

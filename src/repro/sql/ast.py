@@ -29,10 +29,15 @@ class Expr:
 
     def walk(self):
         """Yield this node and every descendant expression, pre-order."""
-        yield self
-        for child in self.children():
-            if child is not None:
-                yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                continue
+            yield node
+            children = node.children()
+            if children:
+                stack.extend(reversed(children))
 
 
 @dataclass(eq=False)

@@ -153,6 +153,7 @@ class QueryBlock:
         #: Pseudo entry holding window-function outputs.
         self.window_entry: Optional[TableEntry] = None
         self.cte_bindings: List[CteBinding] = []
+        self._facts = None
 
     # -- structure helpers ------------------------------------------------------
 
@@ -171,6 +172,17 @@ class QueryBlock:
     @property
     def is_correlated(self) -> bool:
         return bool(self.outer_references)
+
+    @property
+    def facts(self):
+        """The block's :class:`repro.sql.facts.BlockFacts` table."""
+        facts = self._facts
+        if facts is None:
+            from repro.sql.facts import attach_facts
+
+            attach_facts(self)
+            facts = self._facts
+        return facts
 
     def entry(self, entry_id: int) -> TableEntry:
         return self.context.entry(entry_id)
@@ -226,6 +238,9 @@ class StatementContext:
         self._blocks: List[QueryBlock] = []
         self._cte_count = 0
         self._nest_count = 0
+        #: The statement's :class:`repro.sql.facts.ExprFacts` memo; a
+        #: fresh one is made when prepare builds the block facts.
+        self.expr_facts = None
 
     def new_block(self) -> QueryBlock:
         block = QueryBlock(len(self._blocks), self)

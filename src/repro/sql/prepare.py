@@ -35,19 +35,26 @@ from repro.sql.blocks import (
     TableEntry,
     referenced_entries,
 )
+from repro.sql.facts import attach_facts
 from repro.sql.rewrite import map_expr, substitute_entry_columns
 
 
 def prepare(block: QueryBlock) -> QueryBlock:
-    """Apply all prepare-phase rewrites to a block tree, bottom-up."""
+    """Apply all prepare-phase rewrites to a block tree, bottom-up, then
+    build the tree's block facts (:mod:`repro.sql.facts`)."""
+    _prepare_tree(block)
+    attach_facts(block, fresh=True)
+    return block
+
+
+def _prepare_tree(block: QueryBlock) -> None:
     for sub in _direct_sub_blocks(block):
-        prepare(sub)
+        _prepare_tree(sub)
     _fold_constants(block)
     _convert_subqueries_to_semijoins(block)
     _merge_derived_tables(block)
     _simplify_outer_joins(block)
     _push_predicates_into_derived(block)
-    return block
 
 
 def _direct_sub_blocks(block: QueryBlock) -> List[QueryBlock]:

@@ -112,7 +112,7 @@ class TestRefAccess:
                 SELECT 1 FROM customer, orders
                 WHERE c_custkey = o_custkey""")
         access = ref_access(block, customer, block.where_conjuncts,
-                            frozenset({orders.entry_id}),
+                            1 << orders.entry_id,
                             estimator, cost_model)
         assert access is not None
         assert access.method is AccessMethod.INDEX_LOOKUP
@@ -125,7 +125,7 @@ class TestRefAccess:
                 SELECT 1 FROM customer, orders
                 WHERE c_custkey = o_custkey""")
         access = ref_access(block, orders, block.where_conjuncts,
-                            frozenset({customer.entry_id}),
+                            1 << customer.entry_id,
                             estimator, cost_model)
         assert access is not None
         assert access.index_name == "orders_custkey"
@@ -137,7 +137,7 @@ class TestRefAccess:
                 SELECT 1 FROM customer, orders
                 WHERE c_custkey = o_custkey""")
         access = ref_access(block, orders, block.where_conjuncts,
-                            frozenset(), estimator, cost_model)
+                            0, estimator, cost_model)
         assert access is None
 
     def test_composite_key_prefix(self, db):
@@ -146,7 +146,7 @@ class TestRefAccess:
             WHERE l_orderkey = o_orderkey""")
         orders, lineitem = entries
         access = ref_access(block, lineitem, block.where_conjuncts,
-                            frozenset({orders.entry_id}),
+                            1 << orders.entry_id,
                             estimator, cost_model)
         assert access is not None
         # PRIMARY is (l_orderkey, l_linenumber): prefix lookup on 1 col.
@@ -159,7 +159,7 @@ class TestRefAccess:
             WHERE l_orderkey > o_orderkey""")
         orders, lineitem = entries
         access = ref_access(block, lineitem, block.where_conjuncts,
-                            frozenset({orders.entry_id}),
+                            1 << orders.entry_id,
                             estimator, cost_model)
         assert access is None
 

@@ -37,7 +37,6 @@ from repro.bridge.parse_tree_converter import ParseTreeConverter
 from repro.catalog import Column, Index, TableSchema
 from repro.errors import BudgetExceededError
 from repro.mysql_optimizer.access_path import (
-    _join_equalities,
     indexed_positions,
     ref_access,
 )
@@ -58,6 +57,7 @@ from repro.resilience import CompileBudget
 from repro.selectivity import SelectivityEstimator
 from repro.sql import ast
 from repro.sql.blocks import EntryKind, referenced_entries
+from repro.sql.facts import ids_mask, mask_ids
 from repro.sql.parser import parse_statement
 from repro.sql.prepare import prepare
 from repro.sql.resolver import Resolver
@@ -71,11 +71,37 @@ def mask_of(units):
     return sum(1 << unit for unit in units)
 
 
+def _reference_equalities(entry, conjuncts, available):
+    """Column position -> (conjunct, other side) of the first equality
+    per column whose other side reads only ``available`` entry ids: the
+    picks ``ref_access`` makes, over entry-id sets."""
+    result = {}
+    for conjunct in conjuncts:
+        if not (isinstance(conjunct, ast.BinaryExpr)
+                and conjunct.op is ast.BinOp.EQ):
+            continue
+        for own, other in ((conjunct.left, conjunct.right),
+                           (conjunct.right, conjunct.left)):
+            if isinstance(own, ast.ColumnRef) \
+                    and own.entry_id == entry.entry_id:
+                refs = referenced_entries(other)
+                if entry.entry_id in refs:
+                    continue
+                if own.position not in result \
+                        and refs.issubset(available):
+                    result[own.position] = (conjunct, other)
+                break
+    return result
+
+
 class ReferenceJoinSearch(OrcaJoinSearch):
     """The frozenset-keyed DP and pair offers, verbatim but for memo keys."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # The search keeps its correlation sources as an entry mask;
+        # the reference speaks entry-id sets.
+        self._corr_ids = frozenset(mask_ids(self.corr))
         self._entry_sets = [frozenset({unit.descriptor.entry.entry_id})
                             for unit in self.units]
         self._conjunct_units = []
@@ -83,7 +109,7 @@ class ReferenceJoinSearch(OrcaJoinSearch):
         for entries in self._entry_sets:
             all_entries |= entries
         for conjunct in self.conjuncts:
-            refs = referenced_entries(conjunct) - self.corr
+            refs = referenced_entries(conjunct) - self._corr_ids
             touched = frozenset(
                 index for index, entries in enumerate(self._entry_sets)
                 if entries & refs)
@@ -138,8 +164,8 @@ class ReferenceJoinSearch(OrcaJoinSearch):
         for conjunct in conjuncts:
             if isinstance(conjunct, ast.BinaryExpr) and \
                     conjunct.op is ast.BinOp.EQ:
-                left = referenced_entries(conjunct.left) - self.corr
-                right = referenced_entries(conjunct.right) - self.corr
+                left = referenced_entries(conjunct.left) - self._corr_ids
+                right = referenced_entries(conjunct.right) - self._corr_ids
                 if not left or not right:
                     continue
                 if (left.issubset(entries_a) and right.issubset(entries_b)) \
@@ -241,9 +267,8 @@ class ReferenceJoinSearch(OrcaJoinSearch):
         unit = self.units[index]
         entry = unit.descriptor.entry
         conjuncts = unit.conjuncts + cross
-        available = entries_a | self.corr
-        picks = _join_equalities(entry, conjuncts, available,
-                                 referenced_entries)
+        available = entries_a | self._corr_ids
+        picks = _reference_equalities(entry, conjuncts, available)
         positions = indexed_positions(entry)
         key = (index, frozenset((position, id(conjunct))
                                 for position, (conjunct, __) in picks.items()
@@ -252,7 +277,8 @@ class ReferenceJoinSearch(OrcaJoinSearch):
         if key in memo:
             self.access_memo_hits += 1
             return memo[key]
-        memo[key] = ref_access(self.block, entry, conjuncts, available,
+        memo[key] = ref_access(self.block, entry, conjuncts,
+                               ids_mask(available),
                                self.estimator, self.cost_model)
         return memo[key]
 
@@ -582,9 +608,10 @@ def test_cases_cover_every_graph_feature(db):
                 seen.add("non_equi")
             if len(search._components()) >= 2:
                 seen.add("split")
-            if search.corr and any(
-                    referenced_entries(search.conjuncts[index])
-                    & search.corr for index, __, __ in search._joins):
+            corr = frozenset(mask_ids(search.corr))
+            if corr and any(
+                    referenced_entries(search.conjuncts[index]) & corr
+                    for index, __, __ in search._joins):
                 seen.add("correlated")
             if any(unit.descriptor.entry.kind is EntryKind.DERIVED
                    for unit in search.units):

@@ -23,6 +23,9 @@ memo search work and pick the recorded strategy and cost, and with the
 join-step access memo bypassed, the work recorded before the memo.
 """
 
+import json
+import pathlib
+
 import pytest
 
 from repro import Database, DatabaseConfig
@@ -642,3 +645,86 @@ def test_body_statements_do_the_recorded_work(body_db, optimizer):
                 {key: after[key] - before[key] for key in after
                  if after[key] != before[key]})
         assert work == BODY_WORK[(optimizer, number)], f"ds{number}"
+
+
+# -- the block facts table: one mask per expression, the same search -----------------
+
+#: Orca memo groups and cost evaluations of one default-routed compile
+#: of each ``compile_mix`` statement (TPC-DS scale 0.05, topologies at
+#: scale 0.25), recorded before the block facts table replaced the
+#: tree walks: reading conjunct facts from a table changes how fast the
+#: compile runs, never what the search does.
+SEARCH_COUNTS = pathlib.Path(__file__).parent / "goldens" / "perf" / \
+    "compile_mix_search.json"
+
+
+def compile_mix_search_counts():
+    """``{statement: [memo groups, cost evaluations]}`` per statement."""
+    from repro.workloads.joins import load_topology, make_topology
+
+    tpcds = Database()
+    load_tpcds(tpcds, scale=0.05)
+    joins = Database()
+    statements = [(f"ds{number}", tpcds, sql)
+                  for number, sql in sorted(TPCDS_QUERIES.items())]
+    for kind, relations in sorted(TOPOLOGY_SEARCH):
+        topology = make_topology(kind, relations, seed=1234, scale=0.25)
+        load_topology(joins, topology)
+        statements.append((f"{kind}{relations}", joins, topology.query))
+    counts = {}
+    for name, db, sql in statements:
+        before = [_histogram_total(db, metric) for metric in
+                  ("orca.memo_groups", "orca.cost_evaluations")]
+        db.compile_only(sql)
+        counts[name] = [_histogram_total(db, metric) - start
+                        for metric, start in zip(
+                            ("orca.memo_groups", "orca.cost_evaluations"),
+                            before)]
+    return counts
+
+
+def _histogram_total(db, name):
+    histogram = db.metrics.histogram(name)
+    return 0 if histogram is None else int(histogram.total)
+
+
+def test_compile_mix_search_counts_are_the_recorded_ones():
+    golden = json.loads(SEARCH_COUNTS.read_text())
+    measured = compile_mix_search_counts()
+    moved = sorted(name for name in golden if measured.get(name)
+                   != golden[name])
+    assert not moved, ", ".join(f"{name} {golden[name]} -> "
+                                f"{measured.get(name)}" for name in moved)
+    assert measured.keys() == golden.keys()
+
+
+@pytest.mark.parametrize("statement", ["ds72", "chain20"])
+@pytest.mark.parametrize("optimizer", ["orca", "mysql"])
+def test_each_entry_mask_is_computed_once(statement, optimizer,
+                                          monkeypatch):
+    """A compile walks each expression's tree for its entry mask at most
+    once: every later question about it is a table read."""
+    from repro.sql.facts import ExprFacts
+    from repro.workloads.joins import load_topology, make_topology
+
+    db = Database()
+    if statement == "ds72":
+        load_tpcds(db, scale=0.02)
+        sql = TPCDS_QUERIES[72]
+    else:
+        topology = make_topology("chain", 20, seed=1234, scale=0.05)
+        load_topology(db, topology)
+        sql = topology.query
+    fills = {}
+    fill = ExprFacts.fill
+
+    def counted(memo, expr, scanned=None):
+        key = (id(memo), id(expr))
+        fills[key] = fills.get(key, 0) + 1
+        return fill(memo, expr, scanned)
+
+    monkeypatch.setattr(ExprFacts, "fill", counted)
+    result = db.compile_only(sql, optimizer=optimizer)
+    assert result.optimizer_used == optimizer
+    assert len(fills) > 20
+    assert max(fills.values()) == 1

@@ -4,7 +4,11 @@ Runs the 22 TPC-H statements (scale 0.05) and the 99 TPC-DS statements
 (scale 0.2) under both optimizers and records, per statement, the
 q-error of the root's estimate and the worst per-loop q-error of any
 plan node (:func:`repro.plan_quality.per_loop_q`), to four significant
-digits, against ``tests/goldens/qerror/census.json``.
+digits, against ``tests/goldens/qerror/census.json``.  The same file
+holds the per-operator cut: per corpus, optimizer and operator kind,
+the median, 90th percentile (nearest rank) and maximum per-loop q-error
+over every node of that kind, and how many nodes there were
+(``operators/<corpus>/<optimizer>/<kind>``).
 
 An estimator or plan change that moves a cardinality moves this file:
 the diff of the golden shows exactly which q-errors rose or fell, so a
@@ -14,7 +18,9 @@ change says which ones it moved and why, and regenerates it::
 """
 
 import json
+import math
 import pathlib
+import statistics
 import sys
 
 import pytest
@@ -32,14 +38,26 @@ def _significant(q):
     return float(f"{q:.4g}")
 
 
+def _operator_cut(qs):
+    ordered = sorted(qs)
+    p90 = ordered[math.ceil(0.9 * len(ordered)) - 1]
+    return {"median_q": _significant(statistics.median(ordered)),
+            "p90_q": _significant(p90),
+            "max_q": _significant(ordered[-1]),
+            "nodes": len(ordered)}
+
+
 def census():
-    """``{"corpus/statement/optimizer": {"root_q", "max_q"}}``."""
+    """``{"corpus/statement/optimizer": {"root_q", "max_q"}}`` plus
+    ``{"operators/corpus/optimizer/kind": {"median_q", "p90_q",
+    "max_q", "nodes"}}``."""
     tpch = Database()
     load_tpch(tpch, scale=0.05)
     tpcds = Database()
     load_tpcds(tpcds, scale=0.2)
     corpora = (("tpch", tpch, TPCH_QUERIES), ("tpcds", tpcds, TPCDS_QUERIES))
     result = {}
+    by_operator = {}
     for corpus, db, queries in corpora:
         prefix = "q" if corpus == "tpch" else "ds"
         for number, sql in sorted(queries.items()):
@@ -49,6 +67,12 @@ def census():
                 result[f"{corpus}/{prefix}{number}/{optimizer}"] = {
                     "root_q": _significant(quality.root_q),
                     "max_q": _significant(quality.max_q)}
+                for node in quality.nodes:
+                    by_operator.setdefault(
+                        f"operators/{corpus}/{optimizer}/{node.operator}",
+                        []).append(node.q)
+    for key, qs in by_operator.items():
+        result[key] = _operator_cut(qs)
     return result
 
 
@@ -58,7 +82,11 @@ def measured():
 
 
 def test_census_is_complete(measured):
-    assert len(measured) == 2 * (len(TPCH_QUERIES) + len(TPCDS_QUERIES))
+    statements = [key for key in measured if not key.startswith("operators/")]
+    assert len(statements) == 2 * (len(TPCH_QUERIES) + len(TPCDS_QUERIES))
+    operators = {key.split("/")[3] for key in measured
+                 if key.startswith("operators/")}
+    assert {"TableScan", "HashJoin"} <= operators
 
 
 def test_every_q_error_matches_the_golden(measured):
