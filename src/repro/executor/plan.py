@@ -33,7 +33,8 @@ from repro.governor import (
     approx_row_bytes,
 )
 from repro.sql import ast
-from repro.sql.blocks import QueryBlock, contains_subquery
+from repro.sql.blocks import QueryBlock
+from repro.sql.facts import contains_subquery
 
 
 class JoinKind(enum.Enum):

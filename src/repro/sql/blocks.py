@@ -204,16 +204,6 @@ class QueryBlock:
             columns.append(OutputColumn(name, infer_type(item.expr)))
         return columns
 
-    def all_subquery_blocks(self) -> List["QueryBlock"]:
-        """Every block reachable through expressions of this block."""
-        blocks: List[QueryBlock] = []
-        for expr in self.all_expressions():
-            for node in expr.walk():
-                block = getattr(node, "block", None)
-                if isinstance(block, QueryBlock):
-                    blocks.append(block)
-        return blocks
-
     def all_expressions(self) -> List[ast.Expr]:
         exprs: List[ast.Expr] = [item.expr for item in self.select_items]
         exprs.extend(self.where_conjuncts)
@@ -289,69 +279,6 @@ def _contains_aggregate(expr: ast.Expr) -> bool:
 def contains_aggregate(expr: ast.Expr) -> bool:
     """Public wrapper: whether an expression contains an aggregate call."""
     return _contains_aggregate(expr)
-
-
-def contains_subquery(expr: ast.Expr) -> bool:
-    return any(isinstance(node, (ast.ScalarSubquery, ast.InSubqueryExpr,
-                                 ast.ExistsExpr))
-               for node in expr.walk())
-
-
-def referenced_entries(expr: ast.Expr) -> frozenset:
-    """Entry ids referenced by an expression (excluding inside subqueries).
-
-    Subquery expressions contribute their blocks' *outer* references, since
-    those are the bindings that matter for predicate placement.
-    """
-    ids = set()
-    for node in expr.walk():
-        if isinstance(node, ast.ColumnRef) and node.entry_id is not None:
-            ids.add(node.entry_id)
-        block = getattr(node, "block", None)
-        if isinstance(block, QueryBlock):
-            ids.update(block.outer_references)
-    return frozenset(ids)
-
-
-def correlation_sources(block: QueryBlock) -> List[int]:
-    """Entry ids outside ``block``'s closure that its expressions read.
-
-    The closure includes the block itself, its derived/CTE sub-blocks, its
-    subquery blocks, and set-operation sides, recursively.  The result is
-    the correlation signature used for subquery-result caching and for the
-    executor's materialize-invalidation ("invalidate on row from ..." in
-    the paper's Listing 7).
-    """
-    local: set = set()
-    refs: set = set()
-
-    def visit(current: QueryBlock, seen: set) -> None:
-        if current.block_id in seen:
-            return
-        seen.add(current.block_id)
-        for entry in current.entries:
-            local.add(entry.entry_id)
-            if entry.sub_block is not None:
-                visit(entry.sub_block, seen)
-        if current.agg_entry is not None:
-            local.add(current.agg_entry.entry_id)
-        if current.window_entry is not None:
-            local.add(current.window_entry.entry_id)
-        for binding in current.cte_bindings:
-            visit(binding.block, seen)
-        for expr in current.all_expressions():
-            for node in expr.walk():
-                if isinstance(node, ast.ColumnRef) and \
-                        node.entry_id is not None:
-                    refs.add(node.entry_id)
-                sub = getattr(node, "block", None)
-                if isinstance(sub, QueryBlock):
-                    visit(sub, seen)
-        for __, side in current.set_ops:
-            visit(side, seen)
-
-    visit(block, set())
-    return sorted(refs - local)
 
 
 def _default_column_name(expr: ast.Expr, position: int) -> str:

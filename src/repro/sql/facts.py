@@ -8,18 +8,23 @@ facts from the table instead of re-walking expression trees.
 
 * **Entry masks.**  An ``int`` with bit ``i`` set when the expression
   reads entry ``i`` (entry ids are dense per statement).  A subquery
-  node contributes its block's outer references, as
-  :func:`repro.sql.blocks.referenced_entries` does.  Masks are memoised
-  per statement, keyed by the expression node itself (AST nodes hash by
-  identity); an expression created after prepare (an OR-factored
-  conjunct, a converted derived table's comparison, a post-aggregation
-  rewrite) is walked once, on its first read.
+  node contributes its block's outer references, the bindings that
+  matter for predicate placement.  Masks are memoised per statement,
+  keyed by the expression node itself (AST nodes hash by identity); an
+  expression created after prepare (an OR-factored conjunct, a
+  converted derived table's comparison, a post-aggregation rewrite) is
+  walked once, on its first read.
 * **Correlation sources.**  The entry ids outside the block's closure
-  that its expressions read, as a sorted list (``corr``) and a mask
-  (``corr_mask``), equal to
-  :func:`repro.sql.blocks.correlation_sources`.
+  (itself, its derived, CTE and subquery blocks and its set-operation
+  sides, recursively) that its expressions read, as a sorted list
+  (``corr``) and a mask (``corr_mask``): the signature of subquery
+  result caching and of materialize invalidation.
 * **Subquery blocks.**  ``sub_blocks``, the blocks reachable through the
-  block's expressions, in :meth:`QueryBlock.all_subquery_blocks` order.
+  block's expressions, in walk order.
+
+:func:`scan_expr` is the one walk behind every fact.  Prepare, which
+rewrites the trees, calls it directly (:func:`subquery_blocks`, and a
+scan's mask) instead of memoising.
 
 Ownership: :func:`attach_facts` builds the table for a block tree at the
 end of prepare; after prepare, Orca's ``preprocess_block`` is the only
@@ -87,6 +92,22 @@ def scan_expr(expr: ast.Expr) -> Tuple[int, int, bool, List[QueryBlock]]:
         if children:
             stack.extend(reversed(children))
     return columns | outer, columns, subquery, blocks
+
+
+def subquery_blocks(block: QueryBlock) -> List[QueryBlock]:
+    """The blocks reachable through ``block``'s expressions, in walk
+    order, from a fresh scan (the table's ``sub_blocks`` is the memoised
+    answer)."""
+    blocks: List[QueryBlock] = []
+    for expr in block.all_expressions():
+        blocks.extend(scan_expr(expr)[3])
+    return blocks
+
+
+def contains_subquery(expr: ast.Expr) -> bool:
+    """Whether ``expr`` holds a scalar, IN or EXISTS subquery node, from
+    a fresh scan (for expressions outside any block's table)."""
+    return scan_expr(expr)[2]
 
 
 class ExprFacts:

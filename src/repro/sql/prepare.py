@@ -33,9 +33,8 @@ from repro.sql.blocks import (
     QueryBlock,
     SemiJoinNest,
     TableEntry,
-    referenced_entries,
 )
-from repro.sql.facts import attach_facts
+from repro.sql.facts import attach_facts, mask_ids, scan_expr, subquery_blocks
 from repro.sql.rewrite import map_expr, substitute_entry_columns
 
 
@@ -64,7 +63,7 @@ def _direct_sub_blocks(block: QueryBlock) -> List[QueryBlock]:
     for entry in block.entries:
         if entry.kind is EntryKind.DERIVED and entry.sub_block is not None:
             subs.append(entry.sub_block)
-    subs.extend(block.all_subquery_blocks())
+    subs.extend(subquery_blocks(block))
     for __, side in block.set_ops:
         subs.append(side)
     return subs
@@ -308,7 +307,7 @@ def _merge_eligible(sub: QueryBlock) -> bool:
 
 def _referenced_by_sub_blocks(block: QueryBlock, entry_id: int) -> bool:
     """Whether any subquery block (at any depth) references ``entry_id``."""
-    pending = block.all_subquery_blocks()
+    pending = subquery_blocks(block)
     seen: Set[int] = set()
     while pending:
         sub = pending.pop()
@@ -317,7 +316,7 @@ def _referenced_by_sub_blocks(block: QueryBlock, entry_id: int) -> bool:
         seen.add(sub.block_id)
         if entry_id in sub.outer_references:
             return True
-        pending.extend(sub.all_subquery_blocks())
+        pending.extend(subquery_blocks(sub))
         for entry in sub.entries:
             if entry.sub_block is not None:
                 pending.append(entry.sub_block)
@@ -366,7 +365,7 @@ def _simplify_outer_joins(block: QueryBlock) -> None:
 
 def _null_rejects(conjunct: ast.Expr, entry_id: int) -> bool:
     """Whether the conjunct filters out rows where the entry is all-NULL."""
-    if entry_id not in referenced_entries(conjunct):
+    if not scan_expr(conjunct)[0] >> entry_id & 1:
         return False
     if isinstance(conjunct, ast.BinaryExpr) and \
             conjunct.op in ast.COMPARISON_OPS:
@@ -391,7 +390,7 @@ def _push_predicates_into_derived(block: QueryBlock) -> None:
         return
     remaining: List[ast.Expr] = []
     for conjunct in block.where_conjuncts:
-        refs = referenced_entries(conjunct)
+        refs = mask_ids(scan_expr(conjunct)[0])
         if len(refs) == 1:
             (entry_id,) = refs
             entry = derived_entries.get(entry_id)

@@ -12,7 +12,6 @@ import enum
 from typing import Callable, List, Optional
 
 from repro.sql import ast
-from repro.sql.blocks import correlation_sources, referenced_entries
 
 MapFn = Callable[[ast.Expr], Optional[ast.Expr]]
 
@@ -204,7 +203,7 @@ def _subquery_key(expr) -> tuple:
     block = expr.block
     if block is None:
         return ("unresolved", id(expr))
-    outer = frozenset(correlation_sources(block))
+    outer = frozenset(block.facts.corr)
     return _shape(expr.subquery, outer)
 
 
@@ -227,7 +226,3 @@ def _shape(node, outer: frozenset):
         return node
     return ("other", id(node))
 
-
-def references_only(expr: ast.Expr, allowed: frozenset) -> bool:
-    """Whether every column reference in ``expr`` binds inside ``allowed``."""
-    return referenced_entries(expr).issubset(allowed)

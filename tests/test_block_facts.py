@@ -4,10 +4,12 @@
 expression's entry mask, the block's correlation sources and subquery
 blocks, a subquery flag per expression — that both optimizers, the
 bridge, refinement and plan lowering read instead of walking expression
-trees.  This test keeps the walk-based helpers verbatim as the
-reference (``reference_*`` below, copied from ``repro.sql.blocks``
-before the table existed, with the recursive ``Expr.walk``) and checks
-the table against them on every block of the 22 TPC-H and 99 TPC-DS
+trees.  This test keeps the walk-based helpers the table replaced
+verbatim as the reference (``reference_*`` below, copied from
+``repro.sql.blocks``, with the recursive ``Expr.walk``; the frozenset
+reference searches of ``tests/test_mysql_optimizer.py`` and
+``tests/test_join_enumeration.py`` import them too) and checks the
+table against them on every block of the 22 TPC-H and 99 TPC-DS
 statements and the seven ``compile_mix`` join topologies, under both
 optimizers, at three points of a compile:
 

@@ -8,12 +8,10 @@ from repro.mysql_types import MySQLType
 from repro.sql import ast
 from repro.sql.blocks import (
     contains_aggregate,
-    contains_subquery,
-    correlation_sources,
     default_column_name,
     infer_type,
-    referenced_entries,
 )
+from repro.sql.facts import contains_subquery, mask_ids, scan_expr
 from repro.sql.parser import parse_statement
 from repro.sql.resolver import Resolver
 
@@ -26,25 +24,25 @@ class TestReferencedEntries:
     def test_single_table(self, mini_catalog):
         block = resolve(mini_catalog,
                         "SELECT 1 FROM orders WHERE o_orderkey > 5")
-        refs = referenced_entries(block.where_conjuncts[0])
-        assert refs == frozenset({block.entries[0].entry_id})
+        refs = mask_ids(block.facts.mask(block.where_conjuncts[0]))
+        assert refs == [block.entries[0].entry_id]
 
     def test_join_conjunct_references_both(self, mini_catalog):
         block = resolve(mini_catalog, """
             SELECT 1 FROM orders, lineitem
             WHERE o_orderkey = l_orderkey""")
-        refs = referenced_entries(block.where_conjuncts[0])
-        assert refs == frozenset(e.entry_id for e in block.entries)
+        refs = mask_ids(block.facts.mask(block.where_conjuncts[0]))
+        assert refs == sorted(e.entry_id for e in block.entries)
 
     def test_literal_has_no_references(self, mini_catalog):
-        assert referenced_entries(ast.Literal(5)) == frozenset()
+        assert scan_expr(ast.Literal(5))[0] == 0
 
     def test_subquery_contributes_outer_refs(self, mini_catalog):
         block = resolve(mini_catalog, """
             SELECT 1 FROM orders
             WHERE o_totalprice > (SELECT AVG(l_price) FROM lineitem
                                   WHERE l_orderkey = o_orderkey)""")
-        refs = referenced_entries(block.where_conjuncts[0])
+        refs = mask_ids(block.facts.mask(block.where_conjuncts[0]))
         # The correlated subquery's binding to orders shows through.
         assert block.entries[0].entry_id in refs
 
@@ -52,7 +50,7 @@ class TestReferencedEntries:
 class TestCorrelationSources:
     def test_uncorrelated_block_empty(self, mini_catalog):
         block = resolve(mini_catalog, "SELECT COUNT(*) FROM orders")
-        assert correlation_sources(block) == []
+        assert block.facts.corr == []
 
     def test_nested_correlation_bubbles_up(self, mini_catalog):
         block = resolve(mini_catalog, """
@@ -65,7 +63,7 @@ class TestCorrelationSources:
                                                     l_partkey))""")
         outer_exists = block.where_conjuncts[0]
         sub = outer_exists.block
-        sources = correlation_sources(sub)
+        sources = sub.facts.corr
         # The EXISTS block is correlated only to orders; its own nested
         # subquery's references to lineitem are internal to its closure.
         assert sources == [block.entries[0].entry_id]

@@ -13,7 +13,7 @@ import pytest
 
 from repro import DatabaseConfig
 from repro.executor.plan import walk_plan_nodes
-from repro.sql.blocks import contains_subquery
+from repro.sql.facts import contains_subquery
 from tests.conftest import build_mini_db
 
 

@@ -56,11 +56,14 @@ from repro.orca.preprocess import preprocess_block
 from repro.resilience import CompileBudget
 from repro.selectivity import SelectivityEstimator
 from repro.sql import ast
-from repro.sql.blocks import EntryKind, referenced_entries
-from repro.sql.facts import ids_mask, mask_ids
+from repro.sql.blocks import EntryKind
+from repro.sql.facts import ids_mask, mask_ids, subquery_blocks
 from repro.sql.parser import parse_statement
 from repro.sql.prepare import prepare
 from repro.sql.resolver import Resolver
+
+from tests.test_block_facts import \
+    reference_referenced_entries as referenced_entries
 
 
 def _units(mask):
@@ -446,7 +449,7 @@ def _blocks_bottom_up(block):
         if entry.kind in (EntryKind.DERIVED, EntryKind.CTE) and \
                 entry.sub_block is not None:
             yield from _blocks_bottom_up(entry.sub_block)
-    for sub in block.all_subquery_blocks():
+    for sub in subquery_blocks(block):
         yield from _blocks_bottom_up(sub)
     yield block
 

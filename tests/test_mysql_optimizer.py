@@ -45,8 +45,6 @@ from repro.sql.blocks import (
     NestKind,
     QueryBlock,
     TableEntry,
-    correlation_sources,
-    referenced_entries,
 )
 from repro.sql.facts import ids_mask
 from repro.sql.parser import parse_statement
@@ -57,6 +55,10 @@ from repro.workloads.tpcds import TPCDS_QUERIES, load_tpcds
 from repro.workloads.tpch import TPCH_QUERIES, load_tpch
 
 from tests.conftest import build_mini_db
+from tests.test_block_facts import (
+    reference_correlation_sources as correlation_sources,
+    reference_referenced_entries as referenced_entries,
+)
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +210,9 @@ class TestSkeletonStructure:
 # ``ReferenceJoinOrderSearch`` is ``JoinOrderSearch`` as it was before
 # the search moved onto entry and unit masks read from the block's facts
 # table: frozenset keys, ``referenced_entries`` and
-# ``correlation_sources`` walks per question, nothing memoised.  Only
-# its three ``ref_access`` calls changed, to pass an entry mask.
+# ``correlation_sources`` walks per question (the walk-based copies in
+# ``tests/test_block_facts.py``), nothing memoised.  Only its three
+# ``ref_access`` calls changed, to pass an entry mask.
 
 
 @dataclass

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ResolutionError
 from repro.sql import ast
-from repro.sql.blocks import EntryKind, correlation_sources
+from repro.sql.blocks import EntryKind
 from repro.sql.parser import parse_statement
 from repro.sql.resolver import Resolver
 
@@ -104,7 +104,7 @@ class TestSubqueriesAndDerived:
             WHERE o_totalprice > (SELECT AVG(o_totalprice) FROM orders)""")
         sub = block.where_conjuncts[0].right.block
         assert sub is not None
-        assert not correlation_sources(sub)
+        assert not sub.facts.corr
 
     def test_correlated_subquery_records_outer_refs(self, mini_catalog):
         block, __ = resolve(mini_catalog, """
@@ -112,7 +112,7 @@ class TestSubqueriesAndDerived:
             WHERE o_totalprice > (SELECT AVG(l_price) FROM lineitem
                                   WHERE l_orderkey = o_orderkey)""")
         sub = block.where_conjuncts[0].right.block
-        sources = correlation_sources(sub)
+        sources = sub.facts.corr
         assert sources == [block.entries[0].entry_id]
 
     def test_cte_consumers_share_binding(self, mini_catalog):
