@@ -82,26 +82,26 @@ WHERE (p_partkey = l_partkey
 
 
 def _phase_metrics(latencies: Dict[int, List[float]],
-                   worst_q: Dict[int, List[float]]) -> dict:
-    """Per-query and suite-level latency/quality summary of one phase."""
+                   worst_q: Dict[int, List[float]],
+                   plans: Dict[int, List[str]]) -> dict:
+    """Per-query and suite-level latency/quality summary of one phase;
+    ``plan_hashes`` are the distinct plans a query ran, sorted."""
     per_query = {}
     for number in sorted(latencies):
         samples = sorted(latencies[number])
         per_query[str(number)] = {
             "runs": len(samples),
-            "min_seconds": samples[0] if samples else 0.0,
+            "plan_hashes": sorted(set(plans[number])),
             "median_seconds": _median(samples),
             "p95_seconds": samples[max(0, int(0.95 * len(samples)) - 1)]
             if samples else 0.0,
             "max_q_median": _median(worst_q[number]),
         }
-    minima = [q["min_seconds"] for q in per_query.values()]
     medians = [q["median_seconds"] for q in per_query.values()]
     p95s = [q["p95_seconds"] for q in per_query.values()]
     qs = [q["max_q_median"] for q in per_query.values()]
     return {
         "queries": per_query,
-        "suite_min_seconds": sum(minima),
         "suite_median_seconds": _median(medians),
         "suite_p95_seconds": _median(p95s),
         "suite_max_q_median": _median(qs),
@@ -113,6 +113,7 @@ def _run_mix(db: Database, runs_per_query: int,
              label: str = "") -> dict:
     latencies: Dict[int, List[float]] = {}
     worst_q: Dict[int, List[float]] = {}
+    plans: Dict[int, List[str]] = {}
     for number in DRIFT_MIX:
         sql = TPCH_QUERIES[number]
         for __ in range(runs_per_query):
@@ -122,11 +123,12 @@ def _run_mix(db: Database, runs_per_query: int,
             quality = result.plan_quality
             worst_q.setdefault(number, []).append(
                 quality.max_q if quality is not None else 1.0)
+            plans.setdefault(number, []).append(result.plan_hash)
         if progress is not None:
             progress(f"{label} Q{number}: median "
                      f"{_median(latencies[number]) * 1000:.2f} ms, "
                      f"median max-q {_median(worst_q[number]):.1f}")
-    return _phase_metrics(latencies, worst_q)
+    return _phase_metrics(latencies, worst_q, plans)
 
 
 def _load_fraction(db: Database, data: Dict[str, List[tuple]],

@@ -7,9 +7,9 @@ the adaptive selector promises:
 * **curves** — median optimize-stage time per (topology, relation
   count, strategy): the polynomial strategies stay flat where full DP
   blows up;
-* **optimality** — forced LINDP/GOO/greedy plan cost relative to the
-  full-DP reference on every DP-feasible
-  (n <= ``DEFAULT_LINDP_THRESHOLD``) topology;
+* **optimality** — forced GOO/greedy plan cost relative to the
+  full-DP reference on every DP-feasible (n <= ``DP_MAX_UNITS``)
+  topology;
 * **budget** — wide joins under a tight ``CompileBudget``: every run
   must stay on an Orca plan (best-incumbent degradation), never escape
   to the MySQL fallback;
@@ -35,11 +35,11 @@ from repro.bench.harness import (
 )
 from repro.database import Database, DatabaseConfig
 from repro.observability import find_spans
-from repro.orca.largejoin import DEFAULT_LINDP_THRESHOLD
+from repro.orca.largejoin import DP_MAX_UNITS
 from repro.workloads.joins import JoinTopology, load_topology, make_topology
 
 #: Forced-strategy policies measured by the compile-time curves.
-CURVE_STRATEGIES = ("adaptive", "dp", "lindp", "goo", "greedy")
+CURVE_STRATEGIES = ("adaptive", "dp", "goo", "greedy")
 
 
 def _fresh_db(topology: JoinTopology, **config) -> Database:
@@ -121,7 +121,7 @@ def run_joinorder_bench(
                                     "relations": relations,
                                     "strategies": {}}
         for strategy in CURVE_STRATEGIES:
-            if strategy == "dp" and relations > DEFAULT_LINDP_THRESHOLD:
+            if strategy == "dp" and relations > DP_MAX_UNITS:
                 continue  # measured head-to-head under a budget below
             entry["strategies"][strategy] = _timed_strategy(
                 db, topology.query, strategy, samples)

@@ -329,14 +329,14 @@ def format_joinorder_report(payload: Dict[str, object]) -> str:
 
     lines.append("optimize-stage median (ms) per forced strategy:")
     header = f"{'topology':>12} |"
-    for name in ("adaptive", "dp", "lindp", "goo", "greedy"):
+    for name in ("adaptive", "dp", "goo", "greedy"):
         header += f" {name:>9} |"
     header += f" {'picked':>7}"
     lines.append(header)
     for entry in payload["curves"]:
         rows: Dict[str, Dict[str, object]] = entry["strategies"]
         line = f"{entry['topology']:>9}{entry['relations']:<3} |"
-        for name in ("adaptive", "dp", "lindp", "goo", "greedy"):
+        for name in ("adaptive", "dp", "goo", "greedy"):
             row = rows.get(name)
             line += (f" {row['optimize_median_seconds'] * 1000:>9.1f} |"
                      if row is not None else f" {'-':>9} |")
@@ -347,12 +347,12 @@ def format_joinorder_report(payload: Dict[str, object]) -> str:
     lines.append("")
     lines.append("plan cost ratio vs full DP (1.00 = DP-optimal):")
     header = f"{'topology':>12} |"
-    for name in ("lindp", "goo", "greedy"):
+    for name in ("goo", "greedy"):
         header += f" {name:>7} |"
     lines.append(header)
     for entry in payload["optimality"]:
         line = f"{entry['topology']:>9}{entry['relations']:<3} |"
-        for name in ("lindp", "goo", "greedy"):
+        for name in ("goo", "greedy"):
             line += f" {entry['cost_ratio_vs_dp'][name]:>7.3f} |"
         lines.append(line)
 

@@ -16,8 +16,8 @@ reproducing Table 1's compile-time behaviour (near-identical on TPC-H,
 noticeably slower on the widest TPC-DS joins).
 
 Beyond the DP-feasible width, per-component strategy selection moves to
-the :mod:`repro.orca.largejoin` lattice (full DP → linearized DP → GOO →
-greedy), chosen by component relation count and the remaining
+the :mod:`repro.orca.largejoin` lattice (full DP → GOO → greedy),
+chosen by component relation count and the remaining
 :class:`repro.resilience.CompileBudget` deadline; a mid-search budget
 exhaustion degrades to the best incumbent plan already in the memo
 instead of raising into the MySQL fallback (see
@@ -158,11 +158,11 @@ class OrcaJoinSearch:
     """Join ordering for one block's inner-join core.
 
     A set of join units is an integer mask throughout (bit ``i`` = unit
-    ``i``): memo keys, DP subsets and their splits, GOO's forest, LINDP's
-    intervals.  What subset tests need is computed once per search —
-    each join conjunct's unit mask and equality sides, each unit's
-    neighbour mask and the join conjuncts touching it — from the entry
-    masks of the block's facts table, so the DP's inner loop is integer
+    ``i``): memo keys, DP subsets and their splits, GOO's forest.  What
+    subset tests need is computed once per search — each join
+    conjunct's unit mask and equality sides, each unit's neighbour mask
+    and the join conjuncts touching it — from the entry masks of the
+    block's facts table, so the DP's inner loop is integer
     arithmetic.  ``corr`` is the entry mask of the correlation sources.
     """
 
@@ -431,7 +431,7 @@ class OrcaJoinSearch:
     def pair_selectivities(self, component: int
                            ) -> Dict[Tuple[int, int], float]:
         """Combined selectivity of the two-unit conjuncts per unit pair,
-        keyed ``(low, high)`` — the IKKBZ/GOO steering matrix.  Conjuncts
+        keyed ``(low, high)`` — GOO's steering matrix.  Conjuncts
         spanning three or more units are left to :meth:`subset_rows`,
         which settles cardinalities exactly when a subset materializes.
         """
@@ -527,8 +527,6 @@ class OrcaJoinSearch:
                       ) -> Tuple[PhysicalOp, float, float]:
         if strategy is JoinStrategy.GREEDY:
             return self._greedy(component)
-        if strategy is JoinStrategy.LINDP:
-            return largejoin.lindp_search(self, component)
         if strategy is JoinStrategy.GOO:
             return largejoin.goo_search(self, component)
         return self._dp(component)
@@ -581,9 +579,9 @@ class OrcaJoinSearch:
         # branch-and-bound upper bounds have something to bite on from
         # the first DP expansion.  Seeding runs in the unpruned search
         # too so the pruning A/B comparison sees the identical candidate
-        # space (seeds can beat the connectivity-restricted DP outright,
-        # e.g. an IKKBZ chain whose prefix is disconnected under the DP's
-        # hyperedge connectivity).
+        # space (seeds can beat the connectivity-restricted DP outright:
+        # a seed may pass through a subset the DP's hyperedge
+        # connectivity test skips).
         self._seed_bounds(component)
         full_bushy = self.mode is JoinSearchMode.EXHAUSTIVE2
         bits = [1 << index for index in members]
@@ -621,12 +619,11 @@ class OrcaJoinSearch:
 
         Costs one connectivity-respecting left-deep chain, cheapest
         local unit first (n-1 join steps versus the DP's exponential
-        candidate count — negligible).  With ``with_incumbents``, the
-        IKKBZ-linearized chain and a GOO pass are layered on top: the
-        bushy GOO incumbent is usually far tighter than any left-deep
-        chain, so the ≤``DEFAULT_LINDP_THRESHOLD`` DP prunes harder from its
-        first expansion.  (GOO's own seeding passes ``False`` — it
-        *is* the incumbent builder.)
+        candidate count — negligible).  With ``with_incumbents``, a GOO
+        pass is layered on top: the bushy GOO incumbent is usually far
+        tighter than any left-deep chain, so the ≤``DP_MAX_UNITS`` DP
+        prunes harder from its first expansion.  (GOO's own seeding
+        passes ``False`` — it *is* the incumbent builder.)
         """
         first = self._cheapest(component)
         order = [first]
@@ -639,7 +636,6 @@ class OrcaJoinSearch:
             frontier = (frontier | self._neighbors[next_index]) & remaining
         self._cost_chain(order)
         if with_incumbents and len(order) >= 4:
-            self._cost_chain(largejoin.ikkbz_order(self, component))
             largejoin.goo_search(self, component)
 
     def _expand_subset(self, subset: int, full_bushy: bool) -> None:

@@ -79,10 +79,10 @@ class OrcaConfig:
     #: matches the unpruned search); off only for A/B measurement.
     enable_cost_bound_pruning: bool = True
     #: Per-component strategy selection for the join search
-    #: (:mod:`repro.orca.largejoin`): ``adaptive`` picks full DP /
-    #: linearized DP / GOO / greedy by component size and remaining
-    #: compile budget; any :class:`~repro.orca.largejoin.JoinStrategy`
-    #: value forces that strategy (benchmarks and tests, through
+    #: (:mod:`repro.orca.largejoin`): ``adaptive`` picks full DP / GOO
+    #: / greedy by component size and remaining compile budget; any
+    #: :class:`~repro.orca.largejoin.JoinStrategy` value forces that
+    #: strategy (benchmarks and tests, through
     #: :func:`repro.bench.harness.forced_orca_config`).
     join_strategy: str = "adaptive"
 
@@ -351,27 +351,28 @@ class OrcaOptimizer:
                                           list(spec.conjuncts),
                                           index_inner=True)
                     candidates.append((nl_cost, join))
+        # The inner side planned once, without outer bindings: the hash
+        # build side and the rescan inner are the same plan.  Neither
+        # candidate writes into it, and only the cheaper one survives.
+        inner_plan, inner_cost, inner_plan_rows = self._standalone_inner(
+            block, spec, corr, sub_estimates)
         # Hash semi/anti: build side must be a single table unless the
         # multi-table rule is enabled (it is disabled for MySQL, lesson 6).
         allow_hash = (len(spec.inners) == 1
                       or self.config.enable_multi_table_semi_build)
         if allow_hash and self._equi_bridge(block, spec.conjuncts,
                                             placed | corr, inner_entries):
-            build_plan, build_cost, build_rows = self._standalone_inner(
-                block, spec, corr, sub_estimates)
-            hash_cost = (cost + build_cost
+            hash_cost = (cost + inner_cost
                          + self.cost_model.hash_join_cost(
-                             build_rows, rows, out_rows))
-            join = PhysicalHashJoin(plan, build_plan, variant,
+                             inner_plan_rows, rows, out_rows))
+            join = PhysicalHashJoin(plan, inner_plan, variant,
                                     list(spec.conjuncts))
             candidates.append((hash_cost, join))
         # NLJ rescan fallback.
-        rescan_plan, rescan_unit_cost, __ = self._standalone_inner(
-            block, spec, corr, sub_estimates)
         rescan_cost = cost + self.cost_model.nljoin_rescan_cost(
-            rows, rescan_unit_cost)
+            rows, inner_cost)
         candidates.append((rescan_cost,
-                           PhysicalNLJoin(plan, rescan_plan, variant,
+                           PhysicalNLJoin(plan, inner_plan, variant,
                                           list(spec.conjuncts))))
         best_cost, best = min(candidates, key=lambda item: item[0])
         self._wrap(best, best_cost, out_rows)

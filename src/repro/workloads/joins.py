@@ -4,10 +4,10 @@ TPC-H tops out at 8-way joins; the large-join strategies
 (:mod:`repro.orca.largejoin`) only earn their keep at 10-50 relations.
 This module generates the four classic join-graph shapes at any width:
 
-* **chain** — ``t0 - t1 - ... - t(n-1)``: the linearized-DP best case
+* **chain** — ``t0 - t1 - ... - t(n-1)``: the sparsest connected graph
   (its connected subsets are exactly the intervals);
-* **star** — a fact hub with ``n - 1`` dimension tables: IKKBZ territory
-  (every linearization starts at the hub);
+* **star** — a fact hub with ``n - 1`` dimension tables: every
+  connected set of two or more tables holds the hub;
 * **clique** — every pair joined through a shared key: the DP worst case
   (every subset is connected — keep n modest);
 * **snowflake** — hub → dimensions → sub-dimensions: the realistic
@@ -33,7 +33,7 @@ from repro.mysql_types import MySQLType as T
 TOPOLOGY_KINDS = ("chain", "star", "clique", "snowflake")
 
 #: Base row counts cycled across a topology's tables: a deliberate
-#: 10x spread so greedy/IKKBZ orderings have real choices to make.
+#: 10x spread so greedy/GOO orderings have real choices to make.
 _SIZE_CYCLE = (60, 180, 35, 140, 20, 90, 200, 50)
 
 #: Join-key domain compression: child fk values cover this fraction of

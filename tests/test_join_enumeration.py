@@ -8,8 +8,8 @@ costing, changed only to read and write memo groups by unit mask and to
 memoise ``ref_access`` per search under the conjuncts
 ``_join_equalities`` picks for the index columns (the unit-mask search
 computes the same picks from per-unit key lists).  What the two share —
-unit planning, ``subset_rows``, the seeding chains, IKKBZ / GOO /
-LINDP's loops and the strategy selector — is not under test here.  On
+unit planning, ``subset_rows``, the seeding chains, GOO's loop and the
+strategy selector — is not under test here.  On
 seeded chain, star, cycle, clique and snowflake graphs of 2–11 units
 (with a three-unit conjunct, a non-equi cross conjunct, two components,
 a correlated outer reference and a derived-table unit among them), under
@@ -532,7 +532,7 @@ def test_dp_matches_the_frozenset_search(db, number, mode, pruning):
     assert new == reference
 
 
-@pytest.mark.parametrize("strategy", ["lindp", "goo", "greedy"])
+@pytest.mark.parametrize("strategy", ["goo", "greedy"])
 @pytest.mark.parametrize("number", [2, 5, 7, 11, 13],
                          ids=lambda number: "".join(
                              map(str, CASES[number][:2])))
@@ -563,7 +563,8 @@ class _Ticks:
     (5, JoinSearchMode.EXHAUSTIVE2, "adaptive", 600.0),
     (11, JoinSearchMode.EXHAUSTIVE2, "adaptive", 250.0),
     (6, JoinSearchMode.EXHAUSTIVE, "adaptive", 12.0),
-    (13, JoinSearchMode.EXHAUSTIVE2, "lindp", 30.0),
+    # snowflake10 under forced GOO reads the clock 15 times unbounded.
+    (13, JoinSearchMode.EXHAUSTIVE2, "goo", 10.0),
 ])
 def test_deadline_trips_at_the_same_check(db, number, mode, strategy,
                                           deadline):

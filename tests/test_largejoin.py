@@ -1,5 +1,5 @@
-"""Large-join search: strategy selector, IKKBZ/GOO/LINDP enumerators,
-budget degradation, and the forced strategies that steer them.
+"""Large-join search: strategy selector, the GOO enumerator, budget
+degradation, and the forced strategies that steer them.
 
 The heavy lifting (plan validity, bit-identical results across
 strategies and executors, wide joins under tight budgets) runs on the
@@ -16,13 +16,12 @@ from repro.errors import ReproError
 from repro.observability import find_spans
 from repro.orca import largejoin
 from repro.orca.largejoin import (
-    DEFAULT_GOO_THRESHOLD,
-    DEFAULT_LINDP_THRESHOLD,
+    DP_MAX_UNITS,
+    STRATEGY_POLICIES as VALID_POLICIES,
     JoinStrategy,
     budget_floor,
     select_strategy,
 )
-from repro.orca.memo import units_of
 from repro.workloads.joins import load_topology, make_topology
 
 
@@ -35,18 +34,46 @@ def _select(n, policy="adaptive", greedy=False, remaining=None):
 
 def test_selector_picks_rung_by_component_size():
     assert _select(4) is JoinStrategy.DP
-    assert _select(DEFAULT_LINDP_THRESHOLD) is JoinStrategy.DP
-    assert _select(DEFAULT_LINDP_THRESHOLD + 1) is JoinStrategy.LINDP
-    assert _select(DEFAULT_GOO_THRESHOLD) is JoinStrategy.LINDP
-    assert _select(DEFAULT_GOO_THRESHOLD + 1) is JoinStrategy.GOO
+    assert _select(DP_MAX_UNITS) is JoinStrategy.DP
+    assert _select(DP_MAX_UNITS + 1) is JoinStrategy.GOO
     assert _select(50) is JoinStrategy.GOO
 
 
+#: ``(units, remaining budget seconds, rung)`` of the adaptive selector:
+#: DP takes 12 units and GOO 13, and a thinning budget steps a 12-way
+#: component DP -> GOO -> GREEDY (its DP floor is ~7.3 s, its GOO floor
+#: 7.2 ms).
+SELECTOR_TABLE = (
+    (12, None, JoinStrategy.DP),
+    (13, None, JoinStrategy.GOO),
+    (12, 3600.0, JoinStrategy.DP),
+    (12, 1.0, JoinStrategy.GOO),
+    (12, 0.001, JoinStrategy.GREEDY),
+    (13, 1.0, JoinStrategy.GOO),
+    (13, 0.0, JoinStrategy.GREEDY),
+)
+
+
+@pytest.mark.parametrize("units,remaining,rung", SELECTOR_TABLE)
+def test_selector_table(units, remaining, rung):
+    assert _select(units, remaining=remaining) is rung
+
+
+def test_selector_has_three_rungs():
+    assert [strategy.value for strategy in JoinStrategy] == \
+        ["dp", "goo", "greedy"]
+    assert VALID_POLICIES == ("adaptive", "dp", "goo", "greedy")
+    with pytest.raises(ReproError) as raised:
+        with forced_orca_config(join_strategy="lindp"):
+            pass
+    assert "'lindp'" in str(raised.value)
+    assert "adaptive, dp, goo, greedy" in str(raised.value)
+
+
 def test_selector_honors_custom_thresholds(monkeypatch):
-    monkeypatch.setattr(largejoin, "DEFAULT_LINDP_THRESHOLD", 8)
-    monkeypatch.setattr(largejoin, "DEFAULT_GOO_THRESHOLD", 10)
-    assert _select(9) is JoinStrategy.LINDP
-    assert _select(11) is JoinStrategy.GOO
+    monkeypatch.setattr(largejoin, "DP_MAX_UNITS", 8)
+    assert _select(8) is JoinStrategy.DP
+    assert _select(9) is JoinStrategy.GOO
 
 
 def test_greedy_mode_wins_outright():
@@ -62,13 +89,14 @@ def test_forced_policy_ignores_size_and_budget():
 
 
 def test_budget_downgrades_rung_by_rung():
-    # A 12-way DP floor is ~7.3s; a thin budget steps DP -> LINDP,
-    # a thinner one -> GOO, and an empty one lands on GREEDY.
-    n = DEFAULT_LINDP_THRESHOLD
+    # A 12-way DP floor is ~7.3s; a thin budget steps DP -> GOO, one
+    # under GOO's floor lands on GREEDY.
+    n = DP_MAX_UNITS
     assert _select(n, remaining=3600.0) is JoinStrategy.DP
-    assert _select(n, remaining=1.0) is JoinStrategy.LINDP
-    floor_lindp = budget_floor(JoinStrategy.LINDP, n)
-    assert _select(n, remaining=floor_lindp / 2) is JoinStrategy.GOO
+    assert _select(n, remaining=1.0) is JoinStrategy.GOO
+    floor_goo = budget_floor(JoinStrategy.GOO, n)
+    assert _select(n, remaining=floor_goo) is JoinStrategy.GOO
+    assert _select(n, remaining=floor_goo / 2) is JoinStrategy.GREEDY
     assert _select(n, remaining=0.0) is JoinStrategy.GREEDY
 
 
@@ -77,9 +105,9 @@ def test_budget_floor_shape():
     # strategies stay tiny, and GREEDY is always free.
     assert budget_floor(JoinStrategy.DP, 20) == 30.0
     assert budget_floor(JoinStrategy.DP, 6) < 0.1
-    assert budget_floor(JoinStrategy.LINDP, 50) < 1.0
-    assert budget_floor(JoinStrategy.GOO, 50) < \
-        budget_floor(JoinStrategy.LINDP, 50)
+    assert budget_floor(JoinStrategy.GOO, 50) < 1.0
+    assert budget_floor(JoinStrategy.GOO, 12) < \
+        budget_floor(JoinStrategy.DP, 12)
     assert budget_floor(JoinStrategy.GREEDY, 50) == 0.0
 
 
@@ -97,7 +125,8 @@ def test_join_strategy_knob_validated():
 
 # -- end-to-end over synthetic topologies -------------------------------------------
 
-STRATEGY_POLICIES = ("adaptive", "lindp", "goo", "greedy")
+#: Forced DP is left out: a 16-way star costs it seconds per run.
+STRATEGY_POLICIES = ("adaptive", "goo", "greedy")
 
 
 def _topology_db(kind, relations, **config):
@@ -140,35 +169,34 @@ def test_wide_join_identical_across_strategies_and_executors(kind):
 def test_adaptive_strategy_recorded_on_span_and_counters():
     db = _topology_db("chain", 16)
     topology = make_topology("chain", 16, scale=0.5)
-    before = db.metrics.count("orca.join_strategy.lindp")
+    before = db.metrics.count("orca.join_strategy.goo")
     result = db.run(topology.query, optimizer="orca", trace=True,
                     use_plan_cache=False)
     strategy, units = _widest_search(result)
-    # 16 relations sits on the LINDP rung of the default lattice.
-    assert strategy == "lindp"
+    # 16 relations sits on the GOO rung of the default lattice.
+    assert strategy == "goo"
     assert units == 16
-    assert db.metrics.count("orca.join_strategy.lindp") > before
+    assert db.metrics.count("orca.join_strategy.goo") > before
 
 
 def test_explain_analyze_reports_join_strategy():
     db = _topology_db("star", 14)
     topology = make_topology("star", 14, scale=0.5)
     text = db.explain_analyze(topology.query, optimizer="orca")
-    assert "join search: lindp (14 relations)" in text
+    assert "join search: goo (14 relations)" in text
 
 
 def test_full_dp_never_runs_above_the_selector_cutoff():
     """Counter-based perf-smoke gate: a component wider than
-    ``DEFAULT_LINDP_THRESHOLD`` must never enter the exponential full-DP
-    enumerator under the adaptive policy."""
-    db = _topology_db("chain", DEFAULT_LINDP_THRESHOLD + 2)
-    topology = make_topology("chain", DEFAULT_LINDP_THRESHOLD + 2,
-                             scale=0.5)
+    ``DP_MAX_UNITS`` must never enter the exponential full-DP enumerator
+    under the adaptive policy."""
+    db = _topology_db("chain", DP_MAX_UNITS + 2)
+    topology = make_topology("chain", DP_MAX_UNITS + 2, scale=0.5)
     before = db.metrics.count("orca.join_strategy.dp")
     result = db.run(topology.query, optimizer="orca", trace=True,
                     use_plan_cache=False)
     strategy, units = _widest_search(result)
-    assert units == DEFAULT_LINDP_THRESHOLD + 2
+    assert units == DP_MAX_UNITS + 2
     assert strategy != "dp"
     assert db.metrics.count("orca.join_strategy.dp") == before
 
@@ -196,32 +224,3 @@ def test_tight_budget_degrades_to_incumbent_not_fallback():
         check = db.run(topology.query, optimizer="orca",
                        use_plan_cache=False)
     assert check.rows == result.rows
-
-
-def test_ikkbz_order_is_a_permutation(monkeypatch):
-    """The IKKBZ linearization visits every component member exactly
-    once, starting somewhere connected — checked on a live search by
-    wrapping the enumerator during a forced-LINDP run."""
-    from repro.orca import largejoin
-
-    captured = []
-    real = largejoin.ikkbz_order
-
-    def spy(search, component):
-        order = real(search, component)
-        captured.append((frozenset(units_of(component)), tuple(order)))
-        return order
-
-    monkeypatch.setattr(largejoin, "ikkbz_order", spy)
-    db = _topology_db("snowflake", 13)
-    topology = make_topology("snowflake", 13, scale=0.5)
-    with forced_orca_config(join_strategy="lindp"):
-        result = db.run(topology.query, optimizer="orca",
-                        use_plan_cache=False)
-    assert result.optimizer_used == "orca"
-    wide = [(component, order) for component, order in captured
-            if len(component) >= 13]
-    assert wide, "the 13-way component never reached IKKBZ"
-    for component, order in wide:
-        assert len(order) == len(component)
-        assert frozenset(order) == component

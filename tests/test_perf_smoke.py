@@ -20,7 +20,8 @@ probe.  A second compile of a TPC-DS statement must fetch no relation
 or statistics DXL: Orca's metadata cache outlives the statement.  The
 seven ``compile_mix`` join topologies must do exactly the recorded
 memo search work and pick the recorded strategy and cost, and with the
-join-step access memo bypassed, the work recorded before the memo.
+join-step access memo bypassed, the work recorded before the memo.  On
+the three DP graphs, forced GOO must plan within 1.1x of full DP's cost.
 """
 
 import json
@@ -206,11 +207,11 @@ def test_zone_maps_cover_in_and_between(mode, predicate,
 
 
 def test_wide_joins_stay_off_the_exponential_dp_path():
-    """Counter-based large-join gate: above ``DEFAULT_LINDP_THRESHOLD``
-    the adaptive selector must route every component to a polynomial
-    strategy — the ``orca.join_strategy.dp`` counter stays frozen while
-    the polynomial counters advance."""
-    from repro.orca.largejoin import DEFAULT_LINDP_THRESHOLD as cutoff
+    """Counter-based large-join gate: above ``DP_MAX_UNITS`` the
+    adaptive selector must route every component to GOO — the
+    ``orca.join_strategy.dp`` counter stays frozen while the GOO counter
+    advances."""
+    from repro.orca.largejoin import DP_MAX_UNITS as cutoff
     from repro.workloads.joins import load_topology, make_topology
 
     db = Database(DatabaseConfig(complex_query_threshold=3))
@@ -224,8 +225,7 @@ def test_wide_joins_stay_off_the_exponential_dp_path():
         assert result.optimizer_used == "orca"
         assert result.fallback_reason is None
     assert db.metrics.count("orca.join_strategy.dp") == dp_before
-    assert (db.metrics.count("orca.join_strategy.lindp")
-            + db.metrics.count("orca.join_strategy.goo")) >= 2
+    assert db.metrics.count("orca.join_strategy.goo") >= 2
 
 
 #: The seven ``compile_mix`` join topologies at scale 0.25, one Orca
@@ -236,27 +236,29 @@ def test_wide_joins_stay_off_the_exponential_dp_path():
 #: search runs, never what it does.  Cost evaluations were re-based when
 #: the join-step access memo arrived: a memo hit skips ``ref_access``
 #: and with it one ``index_lookup_cost`` per usable index.  Every other
-#: field is the unmemoised search's.
+#: field is the unmemoised search's.  Re-based again when GOO took every
+#: component above 12 units and full DP lost its IKKBZ-chain seed:
+#: chain20, star20 and snowflake16 moved to GOO, and the three DP
+#: graphs offer and evaluate fewer candidates from the same plan.
 TOPOLOGY_SEARCH = {
-    ("chain", 10): (55, 121, 134, 409, 139, 12, 45, "dp", 98.545),
-    ("chain", 20): (210, 617, 637, 2388, 650, 35, 190, "lindp", 188.545),
+    ("chain", 10): (55, 107, 119, 399, 125, 9, 45, "dp", 98.545),
+    ("chain", 20): (56, 59, 79, 77, 91, 0, 0, "goo", 188.545),
     ("chain", 30): (86, 87, 117, 115, 132, 0, 0, "goo", 273.425),
-    ("star", 10): (521, 939, 952, 4939, 953, 0, 511, "dp",
+    ("star", 10): (521, 939, 951, 4911, 953, 0, 511, "dp",
                    120.41499999999996),
-    ("star", 20): (210, 583, 603, 677, 607, 206, 190, "lindp",
-                   242.24499999999995),
-    ("snowflake", 16): (136, 377, 393, 991, 399, 71, 120, "lindp",
-                        181.35499999999993),
-    ("clique", 10): (1023, 4412, 4425, 59190, 4480, 2909, 1013, "dp",
+    ("star", 20): (57, 56, 76, 78, 80, 0, 0, "goo", 242.24499999999995),
+    ("snowflake", 16): (45, 48, 64, 62, 70, 0, 0, "goo",
+                        177.68499999999997),
+    ("clique", 10): (1023, 4405, 4417, 59163, 4473, 2903, 1013, "dp",
                      22.741165396825394),
 }
 
-#: Cost evaluations of the same compiles with the access memo bypassed:
-#: the values pinned before the memo.
+#: Cost evaluations of the same compiles with the access memo bypassed,
+#: re-based with :data:`TOPOLOGY_SEARCH`.
 UNMEMOISED_EVALUATIONS = {
-    ("chain", 10): 151, ("chain", 20): 670, ("chain", 30): 132,
-    ("star", 10): 953, ("star", 20): 607, ("snowflake", 16): 401,
-    ("clique", 10): 7389,
+    ("chain", 10): 134, ("chain", 20): 91, ("chain", 30): 132,
+    ("star", 10): 953, ("star", 20): 80, ("snowflake", 16): 70,
+    ("clique", 10): 7376,
 }
 
 
@@ -310,6 +312,23 @@ def test_bypassed_access_memo_does_the_unmemoised_work(
     expected[4] = UNMEMOISED_EVALUATIONS[(kind, relations)]
     expected[5] = 0
     assert list(_topology_search(topology_db, kind, relations)) == expected
+
+
+@pytest.mark.parametrize("kind,relations",
+                         [("chain", 10), ("star", 10), ("clique", 10)])
+def test_goo_stays_within_ten_percent_of_dp(topology_db, kind, relations):
+    """Optimality gate, counter-based: where full DP runs it is exact,
+    so forced GOO's best cost can only match or exceed it, and it stays
+    within 1.1x of it."""
+    from repro.bench.harness import forced_orca_config
+
+    costs = {}
+    for policy in ("dp", "goo"):
+        with forced_orca_config(join_strategy=policy):
+            search = _topology_search(topology_db, kind, relations)
+        assert search[7] == policy
+        costs[policy] = search[8]
+    assert costs["dp"] <= costs["goo"] <= 1.1 * costs["dp"]
 
 
 def test_parallel_scan_dispatches_more_morsels_than_workers(force_fanout):
@@ -653,7 +672,9 @@ def test_body_statements_do_the_recorded_work(body_db, optimizer):
 #: of each ``compile_mix`` statement (TPC-DS scale 0.05, topologies at
 #: scale 0.25), recorded before the block facts table replaced the
 #: tree walks: reading conjunct facts from a table changes how fast the
-#: compile runs, never what the search does.
+#: compile runs, never what the search does.  Re-based when GOO took
+#: every component above 12 units, full DP lost its IKKBZ-chain seed and
+#: a semi join's standalone inner came to be planned once.
 SEARCH_COUNTS = pathlib.Path(__file__).parent / "goldens" / "perf" / \
     "compile_mix_search.json"
 
