@@ -43,8 +43,12 @@ CURVE_STRATEGIES = ("adaptive", "dp", "goo", "greedy")
 
 
 def _fresh_db(topology: JoinTopology, **config) -> Database:
+    """A loaded database that has compiled the topology's query once,
+    untimed: a database's first compile also fills its metadata cache
+    and warms the interpreter, which no timed strategy should pay."""
     db = Database(DatabaseConfig(complex_query_threshold=3, **config))
     load_topology(db, topology)
+    db.compile_only(topology.query, optimizer="orca")
     return db
 
 

@@ -96,6 +96,11 @@ class TableSchema:
     def column_names(self) -> List[str]:
         return [column.name for column in self.columns]
 
+    def not_null_positions(self) -> frozenset:
+        """Positions of the columns declared NOT NULL."""
+        return frozenset(position for position, column
+                         in enumerate(self.columns) if not column.nullable)
+
     # -- indexes -----------------------------------------------------------
 
     def add_index(self, index: Index) -> None:

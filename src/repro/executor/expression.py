@@ -59,12 +59,12 @@ class ExpressionCompiler:
                 f"cannot compile expression node {type(expr).__name__}")
         return method(expr)
 
-    def compile_many(self, exprs: List[ast.Expr]) -> List[CompiledExpr]:
+    def compile_list(self, exprs: List[ast.Expr]) -> List[CompiledExpr]:
         return [self.compile(expr) for expr in exprs]
 
     def compile_filter(self, conjuncts: List[ast.Expr]) -> CompiledExpr:
         """Compile a conjunct list into a single TRUE/FALSE/None check."""
-        compiled = self.compile_many(conjuncts)
+        compiled = self.compile_list(conjuncts)
         if not compiled:
             return lambda ctx: True
         if len(compiled) == 1:
@@ -204,7 +204,7 @@ class ExpressionCompiler:
 
     def _compile_InListExpr(self, expr: ast.InListExpr) -> CompiledExpr:
         operand = self.compile(expr.operand)
-        items = self.compile_many(expr.items)
+        items = self.compile_list(expr.items)
         negated = expr.negated
         constant_items = all(isinstance(item, ast.Literal)
                              for item in expr.items)
@@ -337,7 +337,7 @@ class ExpressionCompiler:
     # -- functions ------------------------------------------------------------------
 
     def _compile_FuncCall(self, expr: ast.FuncCall) -> CompiledExpr:
-        args = self.compile_many(expr.args)
+        args = self.compile_list(expr.args)
         name = expr.name
         if name.startswith("CAST_"):
             return _compile_cast(name[5:], args[0])

@@ -279,12 +279,12 @@ class ParallelContext:
                      if not (predicates and chunk.can_skip(predicates))]
         mask_fn = scan.bx_filter
         specs = agg.specs
-        bx_group = agg.bx_group
+        group_exprs = agg.group_exprs
         n_workers = min(self.workers, len(survivors))
         decision = fanout_decision(
             rows=sum(len(chunks[index].rows) for index in survivors),
-            groups=max(1.0, agg.rows) if bx_group else 1.0,
-            exprs=(mask_fn is not None) + len(bx_group) + len(specs),
+            groups=max(1.0, agg.rows) if group_exprs else 1.0,
+            exprs=(mask_fn is not None) + len(group_exprs) + len(specs),
             workers=n_workers, morsels=len(survivors))
         self.est_serial_ms += decision.serial_ms
         self.est_fanout_ms += decision.fanout_ms
@@ -304,7 +304,8 @@ class ParallelContext:
         self.workers_spawned = max(self.workers_spawned, n_workers)
         agg.px_workers = scan.px_workers = n_workers
         entry_id = scan.entry_id
-        bx_args = agg.bx_args
+        input_columns = agg._input_columns
+        proven_args = agg.proven_args
         partial_of = accumulator_cls.partial_of
 
         def task(index: int) -> tuple:
@@ -315,9 +316,7 @@ class ParallelContext:
             length = batch.length
             if not length:
                 return 0, []
-            group_cols = [fn(batch) for fn in bx_group]
-            arg_cols = [fn(batch) if fn is not None else None
-                        for fn in bx_args]
+            group_cols, arg_cols = input_columns(batch)
             if group_cols:
                 keys = list(zip(*group_cols))
             else:
@@ -336,14 +335,15 @@ class ParallelContext:
                 idxs = index_map[key]
                 whole = len(idxs) == length
                 partials = []
-                for spec, column in zip(specs, arg_cols):
+                for spec, column, proven in zip(specs, arg_cols,
+                                                proven_args):
                     if column is None:  # COUNT(*)
                         partials.append(len(idxs))
                     elif whole:
-                        partials.append(partial_of(spec, column))
+                        partials.append(partial_of(spec, column, proven))
                     else:
                         partials.append(partial_of(
-                            spec, [column[i] for i in idxs]))
+                            spec, [column[i] for i in idxs], proven))
                 merged.append((key, partials))
             return length, merged
 

@@ -467,7 +467,7 @@ class IndexLookupNode(_LeafNode):
         # read only bound entries (lowering enforces it), so one row
         # evaluates them.  A batched probe never calls this.
         probe = RowBatch({}, 1)
-        key = tuple(fn(probe)[0] for fn in self.bx_keys)
+        key = tuple(column[0] for column in self.bx_keys(probe))
         if any(part is None for part in key):
             return
         rows = runtime.storage.index_lookup_rows(
@@ -783,7 +783,7 @@ class NestedLoopJoinNode(PlanNode):
             # Probe: candidate (outer position, inner row) pairs.
             owners: List[int] = []
             found: List[tuple] = []
-            key_cols = [fn(batch) for fn in inner.bx_keys]
+            key_cols = inner.bx_keys(batch)
             keys = zip(*key_cols) if len(key_cols) > 1 \
                 else ((key,) for key in key_cols[0])
             for position, key in enumerate(keys):
@@ -797,15 +797,13 @@ class NestedLoopJoinNode(PlanNode):
             candidates = _gather(batch.columns, owners, slot, found)
             if inner_mask is not None:
                 mask = inner_mask(candidates)
-                owners = [owner for owner, passed in zip(owners, mask)
-                          if passed is True]
+                owners = list(itertools.compress(owners, mask))
                 candidates = candidates.filter_true(mask)
             if kind is JoinKind.INNER or kind is JoinKind.LEFT:
                 inner.actual_rows += candidates.length
                 if condition is not None:
                     mask = condition(candidates)
-                    owners = [owner for owner, passed
-                              in zip(owners, mask) if passed is True]
+                    owners = list(itertools.compress(owners, mask))
                     candidates = candidates.filter_true(mask)
                 if kind is JoinKind.INNER:
                     joined = candidates
@@ -1120,14 +1118,14 @@ class HashJoinNode(PlanNode):
                              ) -> Tuple[Dict[object, List[tuple]], int]:
         """Batch twin of :meth:`_build_table_rows` (charge per batch)."""
         build_entries = self._build_entries
-        single_key = len(self.bx_build_keys) == 1
+        single_key = len(self.build_key_exprs) == 1
         table: Dict[object, List[tuple]] = {}
         setdefault = table.setdefault
         gov = runtime.governor
         charged = 0
         row_bytes = 0
         for build_batch in self.build.run_batches(runtime):
-            key_cols = [fn(build_batch) for fn in self.bx_build_keys]
+            key_cols = self.bx_build_keys(build_batch)
             saved_cols = [build_batch.columns[e] for e in build_entries]
             saved_rows = zip(*saved_cols) if saved_cols \
                 else iter([()] * build_batch.length)
@@ -1175,7 +1173,7 @@ class HashJoinNode(PlanNode):
                        ) -> Iterator[RowBatch]:
         ctx = runtime.ctx
         build_entries = self._build_entries
-        single_key = len(self.bx_build_keys) == 1
+        single_key = len(self.build_key_exprs) == 1
         residual = self.residual_fn
         has_residual = bool(self.residual_conjuncts)
         kind = self.kind
@@ -1188,7 +1186,7 @@ class HashJoinNode(PlanNode):
         get_bucket = table.get
         inner_fast = kind is JoinKind.INNER and not has_residual
         for probe_batch in self.probe.run_batches(runtime):
-            key_cols = [fn(probe_batch) for fn in self.bx_probe_keys]
+            key_cols = self.bx_probe_keys(probe_batch)
             probe_cols = [probe_batch.columns[e] for e in probe_entries]
             probe_rows = zip(*probe_cols) if probe_cols \
                 else iter([()] * probe_batch.length)
@@ -1389,10 +1387,10 @@ class SortNode(PlanNode):
                     # in ctx).
                     entries = [e for e in self.live_entries
                                if e in batch.columns]
-                    key_cols = [[] for __ in self.bx_keys]
+                    key_cols = [[] for __ in self.order_items]
                     live_cols = [[] for __ in entries]
-                for column, fn in zip(key_cols, self.bx_keys):
-                    column.extend(fn(batch))
+                for column, values in zip(key_cols, self.bx_keys(batch)):
+                    column.extend(values)
                 for column, entry in zip(live_cols, entries):
                     column.extend(batch.columns[entry])
                 length += batch.length
@@ -1551,11 +1549,14 @@ class AggregateNode(PlanNode):
 
     def _input_columns(self, batch: RowBatch
                        ) -> Tuple[List[list], List[Optional[list]]]:
-        """Vectorize group keys and aggregate arguments for one batch."""
-        group_cols = [fn(batch) for fn in self.bx_group]
-        arg_cols = [fn(batch) if fn is not None else None
-                    for fn in self.bx_args]
-        return group_cols, arg_cols
+        """Group key columns and, per aggregate, its argument column
+        (None for COUNT(*)) for one batch: one evaluator call
+        (``bx_inputs``, set by batch lowering with ``input_slots``) —
+        the serial paths and the parallel workers alike."""
+        columns = self.bx_inputs(batch)
+        return (columns[:len(self.group_exprs)],
+                [columns[slot] if slot is not None else None
+                 for slot in self.input_slots])
 
     def _parallel_merge(self, runtime: ExecutionRuntime, charge: bool):
         """Attempt the morsel-parallel pre-aggregation merge.
@@ -1612,6 +1613,7 @@ class AggregateNode(PlanNode):
         groups: Dict[tuple, List[_Accumulator]] = {}
         order: List[tuple] = []
         specs = self.specs
+        proven_args = self.proven_args
         gov = runtime.governor
         group_bytes = 0
         charged = 0
@@ -1646,13 +1648,15 @@ class AggregateNode(PlanNode):
                         order.append(key)
                         created += 1
                     whole = len(idxs) == length
-                    for accumulator, column in zip(accumulators, arg_cols):
+                    for accumulator, column, proven in zip(
+                            accumulators, arg_cols, proven_args):
                         if column is None:  # COUNT(*)
                             accumulator.count += len(idxs)
                         elif whole:
-                            accumulator.add_many(column)
+                            accumulator.add_many(column, proven)
                         else:
-                            accumulator.add_many([column[i] for i in idxs])
+                            accumulator.add_many([column[i] for i in idxs],
+                                                 proven)
                 # Charge per batch for the groups it created (same
                 # per-group estimate as the row engine's hash path).
                 if created:
@@ -1697,6 +1701,7 @@ class AggregateNode(PlanNode):
         accumulators: List[_Accumulator] = []
         saw_input = False
         specs = self.specs
+        proven_args = self.proven_args
         for batch in self._child_batches(runtime):
             length = batch.length
             if not length:
@@ -1722,11 +1727,12 @@ class AggregateNode(PlanNode):
                     current_key = key
                     accumulators = [_Accumulator(spec) for spec in specs]
                 seg_len = pos - start
-                for accumulator, column in zip(accumulators, arg_cols):
+                for accumulator, column, proven in zip(
+                        accumulators, arg_cols, proven_args):
                     if column is None:  # COUNT(*)
                         accumulator.count += seg_len
                     else:
-                        accumulator.add_many(column[start:pos])
+                        accumulator.add_many(column[start:pos], proven)
         if saw_input:
             acc.add_values((current_key + tuple(
                 a.result() for a in accumulators),))
@@ -1845,11 +1851,13 @@ class _Accumulator:
             return
         self.add_value(spec.arg_fn(ctx))
 
-    def add_many(self, values: List) -> None:
+    def add_many(self, values: Sequence, proven: bool = False) -> None:
         """Fold a run of already-evaluated argument values (batch path).
 
         Bulk twin of repeated :meth:`add_value` — same fold order, so
-        float results are bit-identical to the row engine's."""
+        float results are bit-identical to the row engine's.  A run
+        ``proven`` never NULL (batch lowering's nullability facts) is
+        folded as it is, without the NULL-dropping copy."""
         spec = self.spec
         if spec.star:
             self.count += len(values)
@@ -1859,7 +1867,8 @@ class _Accumulator:
             for value in values:
                 self.add_value(value)
             return
-        non_null = [value for value in values if value is not None]
+        non_null = values if proven \
+            else [value for value in values if value is not None]
         if not non_null:
             return
         self.count += len(non_null)
@@ -1882,7 +1891,8 @@ class _Accumulator:
                 self.maximum = largest
 
     @staticmethod
-    def partial_of(spec: "AggSpec", values: List) -> object:
+    def partial_of(spec: "AggSpec", values: Sequence,
+                   proven: bool = False) -> object:
         """One chunk's detached partial state for the parallel merge.
 
         Folds ``values`` exactly like :meth:`add_many` would — including
@@ -1894,7 +1904,8 @@ class _Accumulator:
         from parallel eligibility before this is called."""
         if spec.star:
             return len(values)
-        non_null = [value for value in values if value is not None]
+        non_null = values if proven \
+            else [value for value in values if value is not None]
         if not non_null:
             return (0, None, 0.0, None, None)
         func = spec.func
@@ -2236,8 +2247,9 @@ class QueryPlan:
         self.origin: str = "mysql"
         self.total_cost: float = 0.0
         self.total_rows: float = 0.0
-        #: Batch-compiled select expressions (set by batch lowering).
-        self.bx_select: Optional[List[Callable]] = None
+        #: Batch evaluator of the select expressions (set by batch
+        #: lowering).
+        self.bx_select: Optional[Callable] = None
 
     def _own_rows(self, runtime: ExecutionRuntime) -> Iterator[tuple]:
         ctx = runtime.ctx
@@ -2261,15 +2273,15 @@ class QueryPlan:
     def _own_batch_rows(self, runtime: ExecutionRuntime
                         ) -> Iterator[List[tuple]]:
         """Project plan-tree batches into chunks of output tuples."""
-        fns = self.bx_select
+        select = self.bx_select
         if self.root is None:
             batch = RowBatch({}, 1)
             runtime.note_batch(batch)
-            columns = [fn(batch) for fn in fns]
+            columns = select(batch)
             yield list(zip(*columns)) if columns else [()]
             return
         for batch in self.root.run_batches(runtime):
-            columns = [fn(batch) for fn in fns]
+            columns = select(batch)
             if columns:
                 yield list(zip(*columns))
             else:

@@ -622,8 +622,9 @@ class OrcaJoinSearch:
         candidate count — negligible).  With ``with_incumbents``, a GOO
         pass is layered on top: the bushy GOO incumbent is usually far
         tighter than any left-deep chain, so the ≤``DP_MAX_UNITS`` DP
-        prunes harder from its first expansion.  (GOO's own seeding
-        passes ``False`` — it *is* the incumbent builder.)
+        prunes harder from its first expansion.  That pass starts from
+        the chain costed here rather than costing it again.  (GOO's own
+        seeding passes ``False`` — it *is* the incumbent builder.)
         """
         first = self._cheapest(component)
         order = [first]
@@ -636,7 +637,7 @@ class OrcaJoinSearch:
             frontier = (frontier | self._neighbors[next_index]) & remaining
         self._cost_chain(order)
         if with_incumbents and len(order) >= 4:
-            largejoin.goo_search(self, component)
+            largejoin.goo_search(self, component, seeded=True)
 
     def _expand_subset(self, subset: int, full_bushy: bool) -> None:
         self._check_budget()

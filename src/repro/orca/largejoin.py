@@ -115,7 +115,7 @@ def select_strategy(n: int, greedy_mode: bool, policy: str,
 # -- GOO: greedy operator ordering --------------------------------------------------
 
 
-def goo_search(search, component: int
+def goo_search(search, component: int, seeded: bool = False
                ) -> Tuple[PhysicalOp, float, float]:
     """Greedy operator ordering over one connected component.
 
@@ -133,8 +133,10 @@ def goo_search(search, component: int
     # A left-deep chain seeds the final group first, so budget
     # exhaustion anywhere in the merge loop still degrades to a
     # complete incumbent (with_incumbents=False: GOO *is* the
-    # incumbent builder — no recursion).
-    search._seed_bounds(component, with_incumbents=False)
+    # incumbent builder — no recursion).  ``seeded``: the caller (DP's
+    # own seeding) has just costed that very chain into the memo.
+    if not seeded:
+        search._seed_bounds(component, with_incumbents=False)
     # The forest's trees are unit masks; ``rows`` and ``reach`` (the
     # units adjacent to a tree) are kept per tree.
     forest: List[int] = []

@@ -76,6 +76,14 @@ class IncomparableColumn(TypeError):
         self.position = position
 
 
+class NullInNotNullColumn(ValueError):
+    """Staged values of NOT NULL column ``position`` hold a NULL."""
+
+    def __init__(self, position: int) -> None:
+        super().__init__(f"NULL in NOT NULL column {position}")
+        self.position = position
+
+
 class ColumnChunk:
     """One fixed-size horizontal slice of a table, stored both ways.
 
@@ -97,7 +105,8 @@ class ColumnChunk:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def stage(self, rows: List[tuple]) -> ChunkFill:
+    def stage(self, rows: List[tuple],
+              not_null: frozenset = frozenset()) -> ChunkFill:
         """Lay out ``rows`` (at most the free slots) for :meth:`extend`
         without writing anything.
 
@@ -106,8 +115,10 @@ class ColumnChunk:
         when it holds a NULL; the zone map is widened by C-level
         ``min``/``max`` over its extremes and the non-NULL values in row
         order — the comparisons of widening it value by value.  Raises
-        :class:`IncomparableColumn` when a column's values do not
-        compare with each other or with the chunk's zone map."""
+        :class:`NullInNotNullColumn` when a column whose position is in
+        ``not_null`` holds a NULL, and :class:`IncomparableColumn` when
+        a column's values do not compare with each other or with the
+        chunk's zone map."""
         columns = [list(values) for values in zip(*rows)]
         null_bits = [0] * len(columns)
         mins = list(self.mins)
@@ -115,6 +126,8 @@ class ColumnChunk:
         for position, values in enumerate(columns):
             present = values
             if None in values:
+                if position in not_null:
+                    raise NullInNotNullColumn(position)
                 bits = 0
                 for offset, value in enumerate(values):
                     if value is None:
@@ -315,8 +328,8 @@ class ColumnStore:
         :meth:`ColumnChunk.stage`), so :meth:`commit` cannot fail.  The
         first fill tops up the partial last chunk, if there is one; the
         rest fill new chunks, not yet attached.  Raises StorageError,
-        naming the table and the column, for a row of the wrong width
-        or values that do not compare."""
+        naming the table and the column, for a row of the wrong width,
+        a NULL in a NOT NULL column or values that do not compare."""
         width = len(self.schema.columns)
         staged = list(map(tuple, rows))
         if set(map(len, staged)) - {width}:
@@ -325,17 +338,23 @@ class ColumnStore:
                 f"row width {length} != {width} "
                 f"for table {self.schema.name!r}")
         size = self.chunk_size
+        not_null = self.schema.not_null_positions()
         fills = []
         start = 0
         try:
             if staged and self.chunks and len(self.chunks[-1].rows) < size:
                 last = self.chunks[-1]
                 start = size - len(last.rows)
-                fills.append((last, last.stage(staged[:start])))
+                fills.append((last, last.stage(staged[:start], not_null)))
             for offset in range(start, len(staged), size):
                 chunk = ColumnChunk(width)
-                fills.append((chunk,
-                              chunk.stage(staged[offset:offset + size])))
+                fills.append((chunk, chunk.stage(
+                    staged[offset:offset + size], not_null)))
+        except NullInNotNullColumn as error:
+            column = self.schema.columns[error.position].name
+            raise StorageError(
+                f"column {column!r} of table {self.schema.name!r} "
+                f"cannot be NULL") from error
         except IncomparableColumn as error:
             column = self.schema.columns[error.position].name
             raise StorageError(

@@ -148,9 +148,12 @@ class StorageEngine:
         (widths checked, columns transposed, zone maps widened) and
         every index its new lists or insert positions, over the staged
         rows.  Only when none of that raised is anything written, and
-        the writes compare nothing.  A rejected load raises StorageError
-        naming the table and the column, and leaves the table, its
-        indexes, the counters and the mutation count as they were."""
+        the writes compare nothing.  A rejected load (a row of the wrong
+        width, a NULL in a NOT NULL column, values that do not compare)
+        raises StorageError naming the table and the column, and leaves
+        the table, its indexes, the counters and the mutation count as
+        they were.  Unique keys are not checked here; SQL INSERT checks
+        them before it loads."""
         store = self.store(table_name)
         key = table_name.lower()
         staged = store.stage_rows(rows)

@@ -167,7 +167,7 @@ def test_date_shapes_keep_their_semantics(db):
 def _batch_sources(db, sql):
     executor = db._compile(sql, "auto")[0]
     executor.ensure_batch_lowered()
-    fns = list(executor.top_plan.bx_select)
+    fns = [executor.top_plan.bx_select]
     for node in walk_plan_nodes(executor.top_plan):
         for name, value in vars(node).items():
             if name.startswith("bx_") and value is not None \

@@ -39,7 +39,7 @@ import pytest
 
 from repro import Database, DatabaseConfig
 from repro.catalog import Column, Index, TableSchema
-from repro.errors import StorageError
+from repro.errors import ExecutionError, StorageError
 from repro.mysql_types import MySQLType
 from repro.storage.engine import BULK_LOAD_DIVISOR
 from repro.storage.index import NULL_KEY, OrderedIndex
@@ -370,6 +370,46 @@ def test_seeded_bad_loads_change_nothing(seed, incremental):
         assert snapshot(db) == before
         # A good load after the bad one lands as if it never happened.
         load_both(db, reference, rows.take(rng.randrange(1, 2 * CHUNK)))
+
+
+@pytest.mark.parametrize("column, position", [("id", 0), ("d", 4)])
+@pytest.mark.parametrize("incremental", [False, True],
+                         ids=["bulk", "incremental"])
+@pytest.mark.parametrize("seed", range(4))
+def test_null_in_a_not_null_column_changes_nothing(seed, incremental,
+                                                    column, position):
+    # ``id`` is indexed and ``d`` is not; both are NOT NULL.  The NULL
+    # lands anywhere in the load, the partial last chunk included.
+    rng = random.Random(seed)
+    db, reference = make_db()
+    rows = Rows(seed)
+    load_both(db, reference, rows.take(rng.choice((CHUNK - 3, 11 * CHUNK
+                                                   + 3))))
+    for __ in range(4):
+        before = snapshot(db)
+        size = (rng.randrange(1, max(2, reference.row_count
+                                     // BULK_LOAD_DIVISOR))
+                if incremental else -(-reference.row_count
+                                      // BULK_LOAD_DIVISOR)
+                + rng.randrange(CHUNK))
+        load = rows.take(size)
+        at = rng.randrange(size)
+        load[at] = load[at][:position] + (None,) + load[at][position + 1:]
+        with pytest.raises(StorageError) as caught:
+            db.load("t", load)
+        assert f"column {column!r} of table 't' cannot be NULL" \
+            in str(caught.value)
+        assert snapshot(db) == before
+        load_both(db, reference, rows.take(rng.randrange(1, 2 * CHUNK)))
+
+
+def test_sql_insert_and_load_refuse_the_same_null():
+    db, __ = make_db()
+    with pytest.raises(ExecutionError):
+        db.run("INSERT INTO t VALUES (1, NULL, NULL, NULL, NULL)")
+    with pytest.raises(StorageError):
+        db.load("t", [(1, None, None, None, None)])
+    assert db.storage.store("t").row_count == 0
 
 
 def test_an_index_alone_can_reject():
