@@ -19,6 +19,7 @@ import pytest
 
 from repro import Database, DatabaseConfig
 from repro.catalog import Column, Index, TableSchema
+from repro.errors import ReproError
 from repro.executor.batch import BatchExpressionCompiler, RowBatch
 from repro.executor.plan import (
     HashJoinNode,
@@ -153,6 +154,78 @@ def test_seeded_data_at_every_batch_size(seed):
     results = [_database(size, seed).run(sql, executor_mode=mode).rows
                for size in (1, 7, 1024) for mode in ("batch", "row")]
     assert all(rows == results[0] for rows in results)
+
+
+def _random_value(rng, columns, depth):
+    """A seeded scalar expression: arithmetic that may divide by zero,
+    CASE / COALESCE branches and NULL literals, over ``columns``."""
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice(columns) if rng.random() < 0.6 \
+            else rng.choice(["NULL", "0", "1", "-1", "0.5", "3"])
+    a = _random_value(rng, columns, depth - 1)
+    b = _random_value(rng, columns, depth - 1)
+    return rng.choice([
+        f"({a} {rng.choice(['+', '-', '*', '/', '%'])} {b})",
+        f"CASE WHEN {_random_test(rng, columns, depth - 1)} THEN {a} "
+        f"ELSE {b} END",
+        f"COALESCE({a}, {b})", f"(-{a})", f"ABS({a})",
+    ])
+
+
+def _random_test(rng, columns, depth):
+    a = _random_value(rng, columns, depth)
+    b = _random_value(rng, columns, depth)
+    return rng.choice([
+        f"({a} {rng.choice(['=', '<', '>=', '<>'])} {b})",
+        f"({a} > 0 AND {a} > {b})", f"({a} < {b} OR {a} IS NULL)",
+        f"({a} BETWEEN {b} AND 3)", f"({a} IN (1, 2, NULL))",
+        f"NOT ({a} > {b})",
+    ])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_seeded_random_expression_lists(seed):
+    """Random select lists, filters and aggregate arguments, each with a
+    subexpression repeated at the top level and inside a COALESCE, over
+    a scan, an inner join and LEFT joins: batch equals the row engine
+    (or both raise the same error)."""
+    rng = random.Random(seed)
+    dbs = {size: _database(size, seed) for size in (1, 7, 1024)}
+    parent = ["p.x", "p.y", "p.f", "p.g", "p.id"]
+    child = ["c.v", "c.w", "c.id"]
+    for __ in range(25):
+        source, columns = rng.choice([
+            ("p", parent),
+            ("p JOIN c ON c.pid = p.id", parent + child),
+            ("p LEFT JOIN c ON c.pid = p.id", parent + child),
+            ("p LEFT JOIN c ON c.pid = p.id AND c.v > 1", parent + child)])
+        first = _random_value(rng, columns, 3)
+        second = _random_value(rng, columns, 3)
+        shared = _random_value(rng, columns, 2)
+        repeated = f"({shared}) * 2 + COALESCE({shared}, 0)"
+        where = f" WHERE {_random_test(rng, columns, 2)}" \
+            if rng.random() < 0.6 else ""
+        if rng.random() < 0.3:
+            sql = (f"SELECT COUNT(*), SUM({first}), MIN({second}), "
+                   f"MAX({repeated}), SUM({shared}) FROM {source}{where}")
+        else:
+            sql = (f"SELECT p.id, {first}, {second}, {repeated} "
+                   f"FROM {source}{where} ORDER BY 1, 2, 3, 4")
+        db = dbs[rng.choice((1, 7, 1024))]
+        optimizer = rng.choice(("mysql", "orca"))
+        outcomes = []
+        for mode in ("row", "batch"):
+            try:
+                outcomes.append(db.run(sql, optimizer=optimizer,
+                                       executor_mode=mode,
+                                       use_plan_cache=False).rows)
+            except ReproError as error:
+                outcomes.append(type(error))
+        row, batch = outcomes
+        if isinstance(row, list) and isinstance(batch, list):
+            assert _same_to_12_digits(batch, row), sql
+        else:
+            assert batch == row, sql
 
 
 # -- the generated code -------------------------------------------------------------
