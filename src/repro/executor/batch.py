@@ -528,7 +528,7 @@ class BatchExpressionCompiler:
              state: "_GenState") -> str:
         # A column read is shared by ``_GenState.read`` already.
         key = None if isinstance(expr, ast.ColumnRef) \
-            else _share_key(expr, state.keys)
+            else share_key(expr, state.keys)
         if key is not None:
             shared = state.shared.get(key)
             if shared is not None:
@@ -816,11 +816,13 @@ class BatchExpressionCompiler:
             state.env["_extract_value"] = extract_value
             body = f"_extract_value({unit}, {args[0]})"
         else:
-            raw = RAW_SCALARS.get(name)
-            if raw is None:
+            if name not in RAW_SCALARS:
                 raise ExecutionError(f"unknown function {name!r}")
-            fn = state.const(raw)
-            body = f"{fn}({', '.join(args)})"
+            fn, strict = RAW_SCALARS[name]
+            body = f"{state.const(fn)}({', '.join(args)})"
+            if not strict:
+                emitter.emit(f"{out} = {body}")
+                return out
         nullable = [arg for arg in args if not state.never_null(arg)]
         if nullable:
             null_check = " or ".join(f"{arg} is None" for arg in nullable)
@@ -888,7 +890,7 @@ class BatchExpressionCompiler:
         raise ExecutionError("* must be expanded during resolution")
 
 
-def _share_key(expr: ast.Expr, memo: Dict[int, Optional[tuple]]
+def share_key(expr: ast.Expr, memo: Dict[int, Optional[tuple]]
                ) -> Optional[tuple]:
     """A structural key under which ``expr``'s value may be computed once
     per row and reused, or ``None`` when it holds a subquery (or any node
@@ -925,7 +927,7 @@ def _build_share_key(expr: ast.Expr, memo: Dict[int, Optional[tuple]]
         return None
     parts = []
     for child in expr.children():
-        part = _share_key(child, memo)
+        part = share_key(child, memo)
         if part is None:
             return None
         parts.append(part)
@@ -1244,7 +1246,7 @@ class _Lowering:
             # evaluator, so a row is read once for all of them.
             slots: List[Optional[int]] = []
             args: List[ast.Expr] = []
-            for spec in node.specs:
+            for spec in node.folds:
                 if spec.arg_expr is not None and not spec.star:
                     slots.append(len(node.group_exprs) + len(args))
                     args.append(spec.arg_expr)

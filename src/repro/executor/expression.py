@@ -580,13 +580,15 @@ def _compile_extract(unit: str, arg: CompiledExpr) -> CompiledExpr:
     return extract
 
 
-def _null_guard(fn):
-    """Wrap an n-ary Python function with NULL-in/NULL-out semantics."""
+def _scalar_builder(scalar: tuple):
+    """Row-engine builder of one scalar function: a strict one returns
+    NULL for any NULL argument without calling it."""
+    fn, strict = scalar
 
     def build(args: List[CompiledExpr]) -> CompiledExpr:
         def evaluate(ctx):
             values = [arg(ctx) for arg in args]
-            if any(value is None for value in values):
+            if strict and any(value is None for value in values):
                 return None
             return fn(*values)
 
@@ -614,37 +616,46 @@ def _substring(value, start, length=None):
     return text[start_index:start_index + int(length)]
 
 
-#: Raw scalar implementations, NULL-in/NULL-out applied by the caller.
-#: Both the row interpreter (via :func:`_null_guard`) and the batch
-#: expression compiler (inline NULL checks in generated code) call these,
-#: so the two engines cannot drift apart on function semantics.
+def _nullif(a, b):
+    # NULL = b and a = NULL are unknown, never true: NULLIF(a, NULL) is a.
+    return None if a is None or a == b else a
+
+
+#: Raw scalar implementations as ``(fn, strict)``: a strict function's
+#: result is NULL for any NULL argument, and ``fn`` is not called (the
+#: caller applies this); a lenient one gets its NULLs.  Checked against
+#: SQLite: every one is strict but NULLIF.  Both the row interpreter
+#: (via :func:`_scalar_builder`) and the batch expression compiler
+#: (inline NULL checks in generated code) read these, so the two
+#: engines cannot drift apart on function semantics.
 RAW_SCALARS = {
-    "CONCAT": lambda *parts: "".join(str(p) for p in parts),
-    "UPPER": lambda s: str(s).upper(),
-    "LOWER": lambda s: str(s).lower(),
-    "LENGTH": lambda s: len(str(s)),
-    "TRIM": lambda s: str(s).strip(),
-    "LTRIM": lambda s: str(s).lstrip(),
-    "RTRIM": lambda s: str(s).rstrip(),
-    "ABS": abs,
-    "ROUND": lambda v, digits=0: round(v, int(digits)),
-    "FLOOR": math.floor,
-    "CEIL": math.ceil,
-    "CEILING": math.ceil,
-    "SQRT": math.sqrt,
-    "MOD": lambda a, b: None if b == 0 else a % b,
-    "POWER": lambda a, b: a ** b,
-    "SUBSTRING": _substring,
-    "SUBSTR": _substring,
-    "YEAR": lambda d: d.year,
-    "MONTH": lambda d: d.month,
-    "DAYOFMONTH": lambda d: d.day,
-    "DAYOFWEEK": lambda d: d.isoweekday() % 7 + 1,
-    "NULLIF": lambda a, b: None if a == b else a,
-    "GREATEST": max,
-    "LEAST": min,
+    "CONCAT": (lambda *parts: "".join(str(p) for p in parts), True),
+    "UPPER": (lambda s: str(s).upper(), True),
+    "LOWER": (lambda s: str(s).lower(), True),
+    "LENGTH": (lambda s: len(str(s)), True),
+    "TRIM": (lambda s: str(s).strip(), True),
+    "LTRIM": (lambda s: str(s).lstrip(), True),
+    "RTRIM": (lambda s: str(s).rstrip(), True),
+    "ABS": (abs, True),
+    "ROUND": (lambda v, digits=0: round(v, int(digits)), True),
+    "FLOOR": (math.floor, True),
+    "CEIL": (math.ceil, True),
+    "CEILING": (math.ceil, True),
+    "SQRT": (math.sqrt, True),
+    "MOD": (lambda a, b: None if b == 0 else a % b, True),
+    "POWER": (lambda a, b: a ** b, True),
+    "SUBSTRING": (_substring, True),
+    "SUBSTR": (_substring, True),
+    "YEAR": (lambda d: d.year, True),
+    "MONTH": (lambda d: d.month, True),
+    "DAYOFMONTH": (lambda d: d.day, True),
+    "DAYOFWEEK": (lambda d: d.isoweekday() % 7 + 1, True),
+    "NULLIF": (_nullif, False),
+    "GREATEST": (max, True),
+    "LEAST": (min, True),
 }
 
-_FUNCTIONS = {name: _null_guard(fn) for name, fn in RAW_SCALARS.items()}
+_FUNCTIONS = {name: _scalar_builder(scalar)
+              for name, scalar in RAW_SCALARS.items()}
 _FUNCTIONS["COALESCE"] = _build_coalesce
 _FUNCTIONS["IFNULL"] = _build_coalesce

@@ -4,12 +4,12 @@ One :class:`ParallelContext` exists per batch-mode execution that
 requested more than one worker.  Exactly one operator shape can fan
 out: **hash (or scalar) pre-aggregation over a bare table scan**.  The
 scan is split into *morsels* — one table chunk each — that forked
-workers pull from a shared dispenser; each worker computes per-chunk,
-per-key partial aggregate states, and the parent folds them in chunk
-order through ``_Accumulator.fold_partial``, replaying the serial float
-fold order exactly, so results are bit-identical to a serial run.
-Everything nondeterministic (which worker got which morsel, completion
-order) is erased at the merge.
+workers pull from a shared dispenser; each worker folds its chunk into
+per-key accumulators, and the parent merges their states in chunk
+order (``_Accumulator.merge``).  Aggregate sums are exact, so a merged
+result is bit-identical to a serial run by construction; group order
+is the serial first-seen order.  Everything nondeterministic (which
+worker got which morsel, completion order) is erased at the merge.
 
 Whether an eligible operator fans out is a *costed, deterministic*
 decision (:func:`fanout_decision`): the work two processes could share
@@ -256,18 +256,18 @@ class ParallelContext:
 
     # -- pre-aggregation --------------------------------------------------------
 
-    def agg_merge(self, agg, scan, runtime, accumulator_cls,
+    def agg_merge(self, agg, scan, runtime,
                   charge: bool = True) -> Optional[tuple]:
         """Parallel pre-aggregation over a leaf scan, when it pays.
 
-        Workers return ``(kept_rows, [(key, [per-spec partials])])`` per
-        chunk with keys in first-seen order; the parent replays the
-        serial hash-aggregate loop from those partials in chunk order —
-        same group creation order, same float fold order, same per-batch
-        governor charges.  Returns ``(groups, order, charged)``, or None
-        when the gate keeps the operator serial — in which case nothing
-        has been counted or charged and the caller's serial path runs
-        as if this method had not been called.
+        Workers return ``(kept_rows, [(key, [per-fold states])])`` per
+        chunk with keys in first-seen order; the parent merges them in
+        chunk order — same group creation order, same results, same
+        per-batch governor charges as the serial hash-aggregate loop.
+        Returns ``(groups, order, charged)``, or None when the gate keeps
+        the operator serial — in which case nothing has been counted or
+        charged and the caller's serial path runs as if this method had
+        not been called.
         """
         if not self.can_fork:
             return None
@@ -304,84 +304,32 @@ class ParallelContext:
         self.workers_spawned = max(self.workers_spawned, n_workers)
         agg.px_workers = scan.px_workers = n_workers
         entry_id = scan.entry_id
-        input_columns = agg._input_columns
-        proven_args = agg.proven_args
-        partial_of = accumulator_cls.partial_of
 
         def task(index: int) -> tuple:
             rows = chunks[index].rows
             batch = RowBatch({entry_id: rows}, len(rows))
             if mask_fn is not None:
                 batch = batch.filter_true(mask_fn(batch))
-            length = batch.length
-            if not length:
+            if not batch.length:
                 return 0, []
-            group_cols, arg_cols = input_columns(batch)
-            if group_cols:
-                keys = list(zip(*group_cols))
-            else:
-                keys = [()] * length
-            index_map: dict = {}
-            batch_order: List[tuple] = []
-            for i, key in enumerate(keys):
-                idxs = index_map.get(key)
-                if idxs is None:
-                    index_map[key] = [i]
-                    batch_order.append(key)
-                else:
-                    idxs.append(i)
-            merged = []
-            for key in batch_order:
-                idxs = index_map[key]
-                whole = len(idxs) == length
-                partials = []
-                for spec, column, proven in zip(specs, arg_cols,
-                                                proven_args):
-                    if column is None:  # COUNT(*)
-                        partials.append(len(idxs))
-                    elif whole:
-                        partials.append(partial_of(spec, column, proven))
-                    else:
-                        partials.append(partial_of(
-                            spec, [column[i] for i in idxs], proven))
-                merged.append((key, partials))
-            return length, merged
+            groups: dict = {}
+            order: List[tuple] = []
+            agg.fold_batch(batch, groups, order)
+            return batch.length, [
+                (key, [accumulator.state() for accumulator in groups[key]])
+                for key in order]
 
         results = self._run_morsels(runtime, survivors, task, n_workers)
-        groups: dict = {}
-        order: List[tuple] = []
-        gov = runtime.governor
-        group_bytes = 0
-        charged = 0
-        try:
-            for length, merged in results:
-                if length:
-                    scan.actual_batches += 1
-                    scan.actual_rows += length
-                    runtime.note_counts(length)
-                created = 0
-                for key, partials in merged:
-                    accumulators = groups.get(key)
-                    if accumulators is None:
-                        accumulators = [accumulator_cls(spec)
-                                        for spec in specs]
-                        groups[key] = accumulators
-                        order.append(key)
-                        created += 1
-                    for accumulator, partial in zip(accumulators,
-                                                    partials):
-                        accumulator.fold_partial(partial)
-                if charge and created:
-                    if group_bytes == 0:
-                        group_bytes = agg._group_bytes(order[0])
-                    delta = created * group_bytes
-                    gov.charge(delta, "hash_agg")
-                    charged += delta
-        except BaseException:
-            if charged:
-                gov.release(charged)
-            raise
-        return groups, order, charged
+
+        def merge(result: tuple, groups: dict, order: List[tuple]) -> int:
+            length, states = result
+            if length:
+                scan.actual_batches += 1
+                scan.actual_rows += length
+                runtime.note_counts(length)
+            return agg.merge_states(states, groups, order)
+
+        return agg.fold_hash(runtime, results, merge, charge)
 
     # -- telemetry --------------------------------------------------------------
 

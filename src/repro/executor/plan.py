@@ -17,7 +17,10 @@ optimizer produced it, so EXPLAIN shows Orca's estimates on Orca plans
 from __future__ import annotations
 
 import enum
+import fractions
 import itertools
+import math
+import sys
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
@@ -25,6 +28,7 @@ from repro.executor.batch import (
     BATCH_SIZE,
     BatchAccumulator,
     RowBatch,
+    share_key,
 )
 from repro.governor import (
     ACCUMULATOR_BYTES,
@@ -1509,6 +1513,22 @@ class AggregateNode(PlanNode):
         self.specs = specs
         self.strategy = strategy
         self.output_entry_id = output_entry_id
+        #: One accumulator per *fold*: SUM(x) and AVG(x) over the same
+        #: argument read one running sum.  ``readers`` maps each spec,
+        #: in order, to its fold's index and the aggregate it reads.
+        self.folds: List[AggSpec] = []
+        self.readers: List[Tuple[int, ast.AggFunc]] = []
+        shared: Dict[tuple, int] = {}
+        for spec in specs:
+            index = len(self.folds)
+            if spec.func in (ast.AggFunc.SUM, ast.AggFunc.AVG) \
+                    and spec.arg_expr is not None:
+                key = share_key(spec.arg_expr, {})
+                if key is not None:
+                    index = shared.setdefault((key, spec.distinct), index)
+            if index == len(self.folds):
+                self.folds.append(spec)
+            self.readers.append((index, spec.func))
 
     def children(self) -> Sequence[PlanNode]:
         return (self.child,) if self.child is not None else ()
@@ -1516,6 +1536,24 @@ class AggregateNode(PlanNode):
     def touch_exprs(self) -> List[Tuple[str, ast.Expr]]:
         return super().touch_exprs() \
             + [("group", expr) for expr in self.group_exprs]
+
+    def _new_group(self) -> List["_Accumulator"]:
+        return [_Accumulator(spec) for spec in self.folds]
+
+    def _group(self, key: tuple, groups: Dict[tuple, List["_Accumulator"]],
+               order: List[tuple]) -> List["_Accumulator"]:
+        """``key``'s accumulators, created (and ``key`` appended to
+        ``order``) on first sight."""
+        accumulators = groups.get(key)
+        if accumulators is None:
+            accumulators = groups[key] = self._new_group()
+            order.append(key)
+        return accumulators
+
+    def _results(self, accumulators: List["_Accumulator"]) -> tuple:
+        """One group's aggregate values, in spec order."""
+        return tuple(accumulators[index].result(func)
+                     for index, func in self.readers)
 
     def produced_entries(self) -> List[int]:
         return [self.output_entry_id]
@@ -1549,8 +1587,8 @@ class AggregateNode(PlanNode):
 
     def _input_columns(self, batch: RowBatch
                        ) -> Tuple[List[list], List[Optional[list]]]:
-        """Group key columns and, per aggregate, its argument column
-        (None for COUNT(*)) for one batch: one evaluator call
+        """Group key columns and, per fold, its argument column (None
+        for COUNT(*)) for one batch: one evaluator call
         (``bx_inputs``, set by batch lowering with ``input_slots``) —
         the serial paths and the parallel workers alike."""
         columns = self.bx_inputs(batch)
@@ -1562,125 +1600,129 @@ class AggregateNode(PlanNode):
         """Attempt the morsel-parallel pre-aggregation merge.
 
         Eligible when the input is a bare table scan, no aggregate is
-        DISTINCT (first-occurrence fold order cannot be replayed from
-        per-chunk partials) and no filter, group key or argument holds a
-        subquery (a worker would run its body, unpriced and uncounted by
-        the parent).  Returns ``(groups, order, charged)`` or None; the
-        workers compute per-chunk per-key partials and the parent folds
-        them in chunk order, replaying the serial float fold exactly
-        (see ``_Accumulator.partial_of``)."""
+        DISTINCT (de-duplication needs every value, not per-chunk
+        states) and no filter, group key or argument holds a subquery (a
+        worker would run its body, unpriced and uncounted by the
+        parent).  Returns ``(groups, order, charged)`` or None; the
+        workers fold each chunk with :meth:`fold_batch` and the parent
+        merges their per-key accumulator states in chunk order."""
         parallel = runtime.parallel
         if parallel is None or not isinstance(self.child, TableScanNode) \
-                or any(spec.distinct for spec in self.specs):
+                or any(spec.distinct for spec in self.folds):
             return None
         exprs = self.child.filter_conjuncts + self.group_exprs + [
             spec.arg_expr for spec in self.specs if spec.arg_expr is not None]
         if any(contains_subquery(expr) for expr in exprs):
             return None
-        return parallel.agg_merge(self, self.child, runtime, _Accumulator,
-                                  charge=charge)
+        return parallel.agg_merge(self, self.child, runtime, charge=charge)
 
-    def _emit_merged(self, runtime: ExecutionRuntime,
+    def fold_batch(self, batch: RowBatch,
+                   groups: Dict[tuple, List["_Accumulator"]],
+                   order: List[tuple]) -> int:
+        """Fold one batch into ``groups`` (new keys appended to
+        ``order``); the number of groups it created.
+
+        Gathers each key's row indexes, then folds the gathered argument
+        slices in bulk.  The sums are exact, so neither the gather order
+        nor how rows are cut into batches changes a result."""
+        group_cols, arg_cols = self._input_columns(batch)
+        length = batch.length
+        if group_cols:
+            keys = list(zip(*group_cols))
+        else:
+            keys = [()] * length
+        index_map: Dict[tuple, List[int]] = {}
+        batch_order: List[tuple] = []
+        for i, key in enumerate(keys):
+            idxs = index_map.get(key)
+            if idxs is None:
+                index_map[key] = [i]
+                batch_order.append(key)
+            else:
+                idxs.append(i)
+        before = len(order)
+        for key in batch_order:
+            idxs = index_map[key]
+            whole = len(idxs) == length
+            for accumulator, column, proven in zip(
+                    self._group(key, groups, order), arg_cols,
+                    self.proven_args):
+                if column is None:  # COUNT(*)
+                    accumulator.count += len(idxs)
+                elif whole:
+                    accumulator.add_many(column, proven)
+                else:
+                    accumulator.add_many([column[i] for i in idxs], proven)
+        return len(order) - before
+
+    def merge_states(self, states: List[tuple],
                      groups: Dict[tuple, List["_Accumulator"]],
-                     order: List[tuple], charged: int
-                     ) -> Iterator[RowBatch]:
-        """Emit parallel-merged groups exactly like the serial paths."""
-        gov = runtime.governor
-        try:
-            if not groups and not self.group_fns:
-                # Scalar aggregation over empty input yields one row.
-                groups[()] = [_Accumulator(spec) for spec in self.specs]
-                order.append(())
-            acc = BatchAccumulator([self.output_entry_id],
-                                   runtime.batch_size)
-            for key in order:
-                acc.add_values(
-                    (key + tuple(a.result() for a in groups[key]),))
-                if acc.full:
-                    yield self._note(runtime, acc.flush())
-            if acc.length:
-                yield self._note(runtime, acc.flush())
-        finally:
-            if charged:
-                gov.release(charged)
+                     order: List[tuple]) -> int:
+        """Merge one chunk's ``[(key, [per-fold state])]`` (a fork
+        worker's :meth:`fold_batch`) into ``groups``; the number of
+        groups it created."""
+        before = len(order)
+        for key, key_states in states:
+            for accumulator, state in zip(self._group(key, groups, order),
+                                          key_states):
+                accumulator.merge(state)
+        return len(order) - before
 
-    def _run_hash_batches(self, runtime: ExecutionRuntime
-                          ) -> Iterator[RowBatch]:
-        merged = self._parallel_merge(runtime, charge=True)
-        if merged is not None:
-            yield from self._emit_merged(runtime, *merged)
-            return
+    def fold_hash(self, runtime: ExecutionRuntime, pieces, fold,
+                  charge: bool = True) -> tuple:
+        """Fold each of ``pieces`` into the groups with ``fold(piece,
+        groups, order)``, which returns the groups it created, and charge
+        the governor per piece for them: ``(groups, order, charged)``.
+        A scalar aggregate over no input has one empty group."""
         groups: Dict[tuple, List[_Accumulator]] = {}
         order: List[tuple] = []
-        specs = self.specs
-        proven_args = self.proven_args
         gov = runtime.governor
         group_bytes = 0
         charged = 0
         try:
-            for batch in self._child_batches(runtime):
-                group_cols, arg_cols = self._input_columns(batch)
-                length = batch.length
-                if group_cols:
-                    keys = list(zip(*group_cols))
-                else:
-                    keys = [()] * length
-                # Gather each key's row indexes, then fold the gathered
-                # argument slices in bulk; within a key the row order (and
-                # so the float fold order) matches the row engine's.
-                index_map: Dict[tuple, List[int]] = {}
-                batch_order: List[tuple] = []
-                for i, key in enumerate(keys):
-                    idxs = index_map.get(key)
-                    if idxs is None:
-                        index_map[key] = [i]
-                        batch_order.append(key)
-                    else:
-                        idxs.append(i)
-                created = 0
-                for key in batch_order:
-                    idxs = index_map[key]
-                    accumulators = groups.get(key)
-                    if accumulators is None:
-                        accumulators = [_Accumulator(spec)
-                                        for spec in specs]
-                        groups[key] = accumulators
-                        order.append(key)
-                        created += 1
-                    whole = len(idxs) == length
-                    for accumulator, column, proven in zip(
-                            accumulators, arg_cols, proven_args):
-                        if column is None:  # COUNT(*)
-                            accumulator.count += len(idxs)
-                        elif whole:
-                            accumulator.add_many(column, proven)
-                        else:
-                            accumulator.add_many([column[i] for i in idxs],
-                                                 proven)
-                # Charge per batch for the groups it created (same
-                # per-group estimate as the row engine's hash path).
-                if created:
+            for piece in pieces:
+                created = fold(piece, groups, order)
+                if charge and created:
                     if group_bytes == 0:
                         group_bytes = self._group_bytes(order[0])
                     delta = created * group_bytes
                     gov.charge(delta, "hash_agg")
                     charged += delta
-            if not groups and not self.group_fns:
-                # Scalar aggregation over empty input yields one row.
-                groups[()] = [_Accumulator(spec) for spec in self.specs]
-                order.append(())
+        except BaseException:
+            if charged:
+                gov.release(charged)
+            raise
+        if not groups and not self.group_fns:
+            # Scalar aggregation over empty input yields one row.
+            self._group((), groups, order)
+        return groups, order, charged
+
+    def _emit_groups(self, runtime: ExecutionRuntime,
+                     groups: Dict[tuple, List["_Accumulator"]],
+                     order: List[tuple], charged: int
+                     ) -> Iterator[RowBatch]:
+        """One output row per group in first-seen order, then release
+        the ``charged`` bytes."""
+        try:
             acc = BatchAccumulator([self.output_entry_id],
                                    runtime.batch_size)
             for key in order:
-                acc.add_values(
-                    (key + tuple(a.result() for a in groups[key]),))
+                acc.add_values((key + self._results(groups[key]),))
                 if acc.full:
                     yield self._note(runtime, acc.flush())
             if acc.length:
                 yield self._note(runtime, acc.flush())
         finally:
             if charged:
-                gov.release(charged)
+                runtime.governor.release(charged)
+
+    def _run_hash_batches(self, runtime: ExecutionRuntime
+                          ) -> Iterator[RowBatch]:
+        merged = self._parallel_merge(runtime, charge=True)
+        if merged is None:
+            merged = self.fold_hash(runtime, self._child_batches(runtime),
+                                    self.fold_batch)
+        yield from self._emit_groups(runtime, *merged)
 
     def _run_stream_batches(self, runtime: ExecutionRuntime
                             ) -> Iterator[RowBatch]:
@@ -1693,53 +1735,49 @@ class AggregateNode(PlanNode):
             # charge — the serial stream path never charges either.
             merged = self._parallel_merge(runtime, charge=False)
             if merged is not None:
-                yield from self._emit_merged(runtime, *merged)
+                yield from self._emit_groups(runtime, *merged)
                 return
         acc = BatchAccumulator([self.output_entry_id],
                                runtime.batch_size)
         current_key: object = _NEVER
         accumulators: List[_Accumulator] = []
-        saw_input = False
-        specs = self.specs
         proven_args = self.proven_args
         for batch in self._child_batches(runtime):
             length = batch.length
             if not length:
                 continue
-            saw_input = True
             group_cols, arg_cols = self._input_columns(batch)
-            if group_cols:
-                keys = list(zip(*group_cols))
-            else:
-                keys = [()] * length
             # Grouped input arrives in contiguous key runs; fold each
-            # run's argument slices in one bulk call per aggregate.
+            # run's argument slices in one bulk call per fold.
+            if group_cols:
+                runs = [(key, len(list(run))) for key, run
+                        in itertools.groupby(zip(*group_cols))]
+            else:
+                runs = [((), length)]
             pos = 0
-            for key, run in itertools.groupby(keys):
+            for key, count in runs:
                 start = pos
-                pos += len(list(run))
+                pos += count
                 if key != current_key:
-                    if not isinstance(current_key, _Never):
-                        acc.add_values((current_key + tuple(
-                            a.result() for a in accumulators),))
+                    if current_key is not _NEVER:
+                        acc.add_values(
+                            (current_key + self._results(accumulators),))
                         if acc.full:
                             yield self._note(runtime, acc.flush())
                     current_key = key
-                    accumulators = [_Accumulator(spec) for spec in specs]
-                seg_len = pos - start
+                    accumulators = self._new_group()
                 for accumulator, column, proven in zip(
                         accumulators, arg_cols, proven_args):
                     if column is None:  # COUNT(*)
-                        accumulator.count += seg_len
+                        accumulator.count += count
                     else:
-                        accumulator.add_many(column[start:pos], proven)
-        if saw_input:
-            acc.add_values((current_key + tuple(
-                a.result() for a in accumulators),))
+                        accumulator.add_many(
+                            column if count == length
+                            else column[start:pos], proven)
+        if current_key is not _NEVER:
+            acc.add_values((current_key + self._results(accumulators),))
         elif not self.group_fns:
-            accumulators = [_Accumulator(spec) for spec in self.specs]
-            acc.add_values(
-                (tuple(a.result() for a in accumulators),))
+            acc.add_values((self._results(self._new_group()),))
         if acc.length:
             yield self._note(runtime, acc.flush())
 
@@ -1751,72 +1789,53 @@ class AggregateNode(PlanNode):
 
     def _run_hash(self, runtime: ExecutionRuntime) -> Iterator[None]:
         ctx = runtime.ctx
-        groups: Dict[tuple, List[_Accumulator]] = {}
-        order: List[tuple] = []
-        gov = runtime.governor
-        group_bytes = 0
-        charged = 0
+
+        def fold(__, groups, order) -> int:
+            # Charged per *group*, not per row: the hash table grows
+            # with distinct keys, which is exactly what a memory cap must
+            # bound.  A breach here is the one governed abort with a
+            # degradation path (the facade retries once with a forced
+            # streaming aggregate).
+            before = len(order)
+            key = tuple(fn(ctx) for fn in self.group_fns)
+            for accumulator in self._group(key, groups, order):
+                accumulator.add(ctx)
+            return len(order) - before
+
+        groups, order, charged = self.fold_hash(
+            runtime, self._child_states(runtime), fold)
         try:
-            for __ in self._child_states(runtime):
-                key = tuple(fn(ctx) for fn in self.group_fns)
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = [_Accumulator(spec)
-                                    for spec in self.specs]
-                    groups[key] = accumulators
-                    order.append(key)
-                    # Charged per *group*, not per row: the hash table
-                    # grows with distinct keys, which is exactly what a
-                    # memory cap must bound.  A breach here is the one
-                    # governed abort with a degradation path (the facade
-                    # retries once with a forced streaming aggregate).
-                    if group_bytes == 0:
-                        group_bytes = self._group_bytes(key)
-                    gov.charge(group_bytes, "hash_agg")
-                    charged += group_bytes
-                for accumulator in accumulators:
-                    accumulator.add(ctx)
-            if not groups and not self.group_fns:
-                # Scalar aggregation over empty input yields one row.
-                groups[()] = [_Accumulator(spec) for spec in self.specs]
-                order.append(())
             slot = self.output_entry_id
             for key in order:
-                ctx[slot] = key + tuple(a.result() for a in groups[key])
+                ctx[slot] = key + self._results(groups[key])
                 self.actual_rows += 1
                 yield
         finally:
             if charged:
-                gov.release(charged)
+                runtime.governor.release(charged)
 
     def _run_stream(self, runtime: ExecutionRuntime) -> Iterator[None]:
         ctx = runtime.ctx
         slot = self.output_entry_id
         current_key: object = _NEVER
         accumulators: List[_Accumulator] = []
-        saw_input = False
         for __ in self._child_states(runtime):
-            saw_input = True
             key = tuple(fn(ctx) for fn in self.group_fns)
-            if isinstance(current_key, _Never):
+            if key != current_key:
+                if current_key is not _NEVER:
+                    ctx[slot] = current_key + self._results(accumulators)
+                    self.actual_rows += 1
+                    yield
                 current_key = key
-                accumulators = [_Accumulator(spec) for spec in self.specs]
-            elif key != current_key:
-                ctx[slot] = current_key + tuple(
-                    a.result() for a in accumulators)
-                self.actual_rows += 1
-                yield
-                current_key = key
-                accumulators = [_Accumulator(spec) for spec in self.specs]
+                accumulators = self._new_group()
             for accumulator in accumulators:
                 accumulator.add(ctx)
-        if saw_input:
-            ctx[slot] = current_key + tuple(a.result() for a in accumulators)
+        if current_key is not _NEVER:
+            ctx[slot] = current_key + self._results(accumulators)
             self.actual_rows += 1
             yield
         elif not self.group_fns:
-            accumulators = [_Accumulator(spec) for spec in self.specs]
-            ctx[slot] = tuple(a.result() for a in accumulators)
+            ctx[slot] = self._results(self._new_group())
             self.actual_rows += 1
             yield
 
@@ -1829,166 +1848,195 @@ class AggregateNode(PlanNode):
         return f"{name} ({mode}): " + ", ".join(parts)
 
 
-class _Accumulator:
-    """Incremental computation of one aggregate."""
+#: Float terms one accumulator holds before :func:`_compact` folds them
+#: into a few; it bounds a group's memory, not the result.
+_CAP = 64
 
-    __slots__ = ("spec", "count", "total", "total_sq", "minimum", "maximum",
-                 "distinct_values")
+
+def _compact(terms: list) -> list:
+    """A few floats with exactly the same sum as ``terms`` (consumed).
+
+    The first is the plain running sum, each later one the correctly
+    rounded remainder (``fsum`` of ``terms`` less the ones so far) until
+    that remainder is exactly zero: usually two in all.  An inf or NaN,
+    or partial sums past the double range, take the exact slow path."""
+    out: List[float] = []
+    try:
+        term = sum(terms)
+        if math.isfinite(term):
+            while term:
+                out.append(term)
+                terms.append(-term)
+                term = math.fsum(terms)
+            return out
+    except OverflowError:  # a partial sum past the double range
+        pass
+    terms += out
+    special = [term for term in terms if not math.isfinite(term)]
+    if special:
+        return [sum(special)]  # inf + -inf is NaN
+    exact = sum(map(fractions.Fraction, terms))
+    out = []
+    while exact:
+        try:
+            term = float(exact)
+        except OverflowError:
+            term = sys.float_info.max if exact > 0 else -sys.float_info.max
+        out.append(term)
+        exact -= fractions.Fraction(term)
+    return out
+
+
+def _rounded(terms: list) -> float:
+    """The exact sum of ``terms`` correctly rounded to a float; an exact
+    zero is +0.0 and a sum past the double range is +-inf."""
+    try:
+        return math.fsum(terms) + 0.0
+    except (OverflowError, ValueError):  # past the double range; inf - inf
+        terms = _compact(list(terms))
+    try:
+        return math.fsum(terms) + 0.0
+    except OverflowError:  # so is the exact sum
+        return math.copysign(math.inf, terms[0])
+
+
+def _grow(terms: Optional[list], values: Sequence) -> list:
+    """``terms`` (None: none yet) extended by ``values``, compacted
+    past the cap."""
+    if terms is None:
+        terms = []
+    terms += values
+    return _compact(terms) if len(terms) > _CAP else terms
+
+
+class _Accumulator:
+    """One aggregate's running state: the one implementation of
+    aggregate arithmetic, for the row engine, the batch engine, fork
+    workers and window frames alike.
+
+    SUM / AVG / STDDEV keep the int arguments' sum as an exact ``int``
+    (``total``) and the float arguments as a list of float ``terms``
+    whose exact sum is theirs: :func:`_compact` folds the list into a
+    couple of floats once it passes ``_CAP``, and :meth:`result` rounds
+    the exact sum once with ``fsum``.  So a result depends only on the
+    multiset of values folded — not on their order, the batch size or
+    the worker count — and a float SUM is the correctly rounded exact
+    sum.  STDDEV's sum of squares is kept the same way, each square
+    rounded on its own.  A batch is summed as ints when ``sum()`` of it
+    is not a float, else as doubles; ints that meet floats count as
+    doubles (exact below 2**53).  Two states merge by adding ``total``
+    and concatenating ``terms`` (:meth:`state` / :meth:`merge`)."""
+
+    __slots__ = ("spec", "count", "total", "terms", "squares", "minimum",
+                 "maximum", "distinct_values")
 
     def __init__(self, spec: AggSpec) -> None:
         self.spec = spec
         self.count = 0
-        self.total = None
-        self.total_sq = 0.0
+        self.total = 0
+        self.terms: Optional[list] = None
+        self.squares: Optional[list] = None
         self.minimum = None
         self.maximum = None
         self.distinct_values = set() if spec.distinct else None
 
     def add(self, ctx) -> None:
+        """Fold one row (row engine)."""
         spec = self.spec
-        if spec.star:
-            self.count += 1
-            return
-        self.add_value(spec.arg_fn(ctx))
+        self.add_many((None if spec.star else spec.arg_fn(ctx),))
 
     def add_many(self, values: Sequence, proven: bool = False) -> None:
-        """Fold a run of already-evaluated argument values (batch path).
-
-        Bulk twin of repeated :meth:`add_value` — same fold order, so
-        float results are bit-identical to the row engine's.  A run
+        """Fold a run of already-evaluated argument values.  A run
         ``proven`` never NULL (batch lowering's nullability facts) is
         folded as it is, without the NULL-dropping copy."""
         spec = self.spec
         if spec.star:
             self.count += len(values)
             return
-        if spec.distinct:
-            # Per-value path preserves first-occurrence fold order.
+        if not proven:
+            values = [value for value in values if value is not None]
+        seen = self.distinct_values
+        if seen is not None:
+            fresh = []
             for value in values:
-                self.add_value(value)
+                if value not in seen:
+                    seen.add(value)
+                    fresh.append(value)
+            values = fresh
+        if not values:
             return
-        non_null = values if proven \
-            else [value for value in values if value is not None]
-        if not non_null:
-            return
-        self.count += len(non_null)
+        self.count += len(values)
         func = spec.func
-        if func in (ast.AggFunc.SUM, ast.AggFunc.AVG, ast.AggFunc.STDDEV):
-            # sum(rest, first) folds left-to-right like the row engine.
-            partial = sum(non_null[1:], non_null[0])
-            self.total = partial if self.total is None \
-                else self.total + partial
-            if func is ast.AggFunc.STDDEV:
-                self.total_sq += sum(
-                    float(value) * float(value) for value in non_null)
-        elif func is ast.AggFunc.MIN:
-            smallest = min(non_null)
+        if func is ast.AggFunc.MIN:
+            smallest = min(values)
             if self.minimum is None or smallest < self.minimum:
                 self.minimum = smallest
         elif func is ast.AggFunc.MAX:
-            largest = max(non_null)
+            largest = max(values)
             if self.maximum is None or largest > self.maximum:
                 self.maximum = largest
-
-    @staticmethod
-    def partial_of(spec: "AggSpec", values: Sequence,
-                   proven: bool = False) -> object:
-        """One chunk's detached partial state for the parallel merge.
-
-        Folds ``values`` exactly like :meth:`add_many` would — including
-        the left-to-right ``sum(rest, first)`` float order — but into a
-        plain ``(count, sum, sum_sq, min, max)`` tuple a morsel worker
-        can ship back; :meth:`fold_partial` replays it in the parent.
-        COUNT(*) partials are a bare int.  DISTINCT specs have no
-        partial form (first-occurrence order is global) and are excluded
-        from parallel eligibility before this is called."""
-        if spec.star:
-            return len(values)
-        non_null = values if proven \
-            else [value for value in values if value is not None]
-        if not non_null:
-            return (0, None, 0.0, None, None)
-        func = spec.func
-        psum = None
-        psq = 0.0
-        if func in (ast.AggFunc.SUM, ast.AggFunc.AVG, ast.AggFunc.STDDEV):
-            psum = sum(non_null[1:], non_null[0])
+        elif func is not ast.AggFunc.COUNT:
+            total = None if type(values[0]) is float else sum(values)
+            if total is None or type(total) is float:
+                self.terms = _grow(self.terms, values)
+            else:
+                self.total += total
             if func is ast.AggFunc.STDDEV:
-                psq = sum(float(value) * float(value)
-                          for value in non_null)
-        return (len(non_null), psum, psq,
-                min(non_null) if func is ast.AggFunc.MIN else None,
-                max(non_null) if func is ast.AggFunc.MAX else None)
+                self.squares = _grow(self.squares, [
+                    value * value for value in map(float, values)])
 
-    def fold_partial(self, partial) -> None:
-        """Replay one chunk's :meth:`partial_of` state (parallel merge).
+    def state(self) -> tuple:
+        """This accumulator's state, detached from its spec (what a
+        fork worker ships back for :meth:`merge`)."""
+        if self.terms is not None:
+            self.terms = _compact(self.terms)
+        if self.squares is not None:
+            self.squares = _compact(self.squares)
+        return (self.count, self.total, self.terms, self.squares,
+                self.minimum, self.maximum)
 
-        Partials are folded in chunk order, so the accumulator goes
-        through the same sequence of float additions as a serial run
-        that called :meth:`add_many` once per chunk — results stay
-        bit-identical."""
-        spec = self.spec
-        if spec.star:
-            self.count += partial
-            return
-        count, psum, psq, pmin, pmax = partial
-        if not count:
-            return
+    def merge(self, state: tuple) -> None:
+        """Fold in another accumulator's :meth:`state` of the same spec."""
+        count, total, terms, squares, minimum, maximum = state
         self.count += count
-        func = spec.func
-        if func in (ast.AggFunc.SUM, ast.AggFunc.AVG, ast.AggFunc.STDDEV):
-            self.total = psum if self.total is None \
-                else self.total + psum
-            if func is ast.AggFunc.STDDEV:
-                self.total_sq += psq
-        elif func is ast.AggFunc.MIN:
-            if self.minimum is None or pmin < self.minimum:
-                self.minimum = pmin
-        elif func is ast.AggFunc.MAX:
-            if self.maximum is None or pmax > self.maximum:
-                self.maximum = pmax
+        self.total += total
+        if terms is not None:
+            self.terms = _grow(self.terms, terms)
+        if squares is not None:
+            self.squares = _grow(self.squares, squares)
+        if minimum is not None and (self.minimum is None
+                                    or minimum < self.minimum):
+            self.minimum = minimum
+        if maximum is not None and (self.maximum is None
+                                    or maximum > self.maximum):
+            self.maximum = maximum
 
-    def add_value(self, value) -> None:
-        """Fold one already-evaluated argument value (batch path)."""
-        spec = self.spec
-        if value is None:
-            return
-        if self.distinct_values is not None:
-            if value in self.distinct_values:
-                return
-            self.distinct_values.add(value)
-        self.count += 1
-        func = spec.func
-        if func in (ast.AggFunc.SUM, ast.AggFunc.AVG, ast.AggFunc.STDDEV):
-            self.total = value if self.total is None else self.total + value
-            if func is ast.AggFunc.STDDEV:
-                self.total_sq += float(value) * float(value)
-        elif func is ast.AggFunc.MIN:
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-        elif func is ast.AggFunc.MAX:
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
+    def _sum(self):
+        """The exact sum: an int when every value was, else the
+        correctly rounded float."""
+        if self.terms is None:
+            return self.total
+        return _rounded(self.terms + [self.total])
 
-    def result(self):
-        func = self.spec.func
+    def result(self, func: ast.AggFunc):
+        """The value of ``func`` over what was folded (SUM and AVG read
+        the same state)."""
         if func is ast.AggFunc.COUNT:
             return self.count
-        if func is ast.AggFunc.SUM:
-            return self.total
-        if func is ast.AggFunc.AVG:
-            if self.count == 0:
-                return None
-            return self.total / self.count
         if func is ast.AggFunc.MIN:
             return self.minimum
         if func is ast.AggFunc.MAX:
             return self.maximum
+        if self.count == 0:
+            return None
+        if func is ast.AggFunc.SUM:
+            return self._sum()
+        if func is ast.AggFunc.AVG:
+            return self._sum() / self.count
         if func is ast.AggFunc.STDDEV:
-            if self.count == 0:
-                return None
-            mean = self.total / self.count
-            variance = max(0.0, self.total_sq / self.count - mean * mean)
+            mean = self._sum() / self.count
+            variance = max(0.0, _rounded(self.squares) / self.count
+                           - mean * mean)
             return variance ** 0.5
         raise ExecutionError(f"unknown aggregate {func}")
 
@@ -2125,48 +2173,32 @@ class CompiledWindow:
             return
         # Aggregates over the window.  With an ORDER BY the frame is the
         # default RANGE UNBOUNDED PRECEDING .. CURRENT ROW (peers
-        # included); without one it is the whole partition.
+        # included), folded one peer group at a time into one running
+        # accumulator; without one it is the whole partition.
+        agg = ast.AggFunc.__members__.get(func)
+        if agg is None:
+            raise ExecutionError(f"unsupported window function {func}")
+        accumulator = _Accumulator(
+            AggSpec(agg, None, False, star=not self.arg_fns))
         if not self.order_items:
-            total = self._aggregate([record[2] for record in ordered])
+            accumulator.add_many([record[2] for record in ordered])
+            total = accumulator.result(agg)
             for record in ordered:
                 outputs[record[3]][spec_index] = total
             return
         index = 0
         length = len(ordered)
-        running: List[object] = []
         while index < length:
             peer_end = index
             while peer_end + 1 < length and \
                     ordered[peer_end + 1][1] == ordered[index][1]:
                 peer_end += 1
-            running.extend(record[2] for record in ordered[index:peer_end + 1])
-            value = self._aggregate(running)
+            accumulator.add_many(
+                [record[2] for record in ordered[index:peer_end + 1]])
+            value = accumulator.result(agg)
             for position in range(index, peer_end + 1):
                 outputs[ordered[position][3]][spec_index] = value
             index = peer_end + 1
-
-    def _aggregate(self, values: List[object]):
-        non_null = [value for value in values if value is not None]
-        func = self.func
-        if func == "COUNT":
-            return len(non_null) if self.arg_fns else len(values)
-        if not non_null:
-            return None
-        if func == "SUM":
-            total = non_null[0]
-            for value in non_null[1:]:
-                total = total + value
-            return total
-        if func == "AVG":
-            total = non_null[0]
-            for value in non_null[1:]:
-                total = total + value
-            return total / len(non_null)
-        if func == "MIN":
-            return min(non_null)
-        if func == "MAX":
-            return max(non_null)
-        raise ExecutionError(f"unsupported window function {func}")
 
 
 class LimitNode(PlanNode):

@@ -29,11 +29,7 @@ from repro.executor.executor import Executor
 from repro.governor import CancelToken
 from repro.sql import ast
 from tests.conftest import build_mini_db
-from tests.test_executor_equivalence import (
-    SUBQUERIES,
-    _same_to_12_digits,
-    do_work,
-)
+from tests.test_executor_equivalence import SUBQUERIES, do_work, exact
 
 
 class _CountingCtx(list):
@@ -218,35 +214,26 @@ def corpus_dbs(request):
     load_tpch(tpch, scale=0.05)
     tpcds = Database(DatabaseConfig(**config))
     load_tpcds(tpcds, scale=0.2)
-    return request.param, tpch, tpcds
-
-
-#: Exact at the default batch size except for these statements, whose
-#: bodies fold float averages over more than one batch.  At batch size
-#: 8 every statement's float cells are compared to 12 digits.
-FLOAT_FOLDED_AT_DEFAULT = {("ds", 9)}
+    return tpch, tpcds
 
 
 @pytest.mark.parametrize("optimizer", ["mysql", "orca"])
-def test_every_corpus_statement_does_the_row_reference_work(corpus_dbs,
-                                                            optimizer):
+def test_every_corpus_statement_does_the_row_reference_work(
+        corpus_dbs, optimizer, force_fanout):
+    """Row, batch and two fork workers: the same rows bit for bit, the
+    same per-node actuals and storage counters."""
     from repro.workloads.tpcds import TPCDS_QUERIES
     from repro.workloads.tpch import TPCH_QUERIES
 
-    size, tpch, tpcds = corpus_dbs
+    tpch, tpcds = corpus_dbs
     for name, db, queries in (("h", tpch, TPCH_QUERIES),
                               ("ds", tpcds, TPCDS_QUERIES)):
         for number, sql in sorted(queries.items()):
-            row = do_work(db, sql, optimizer, "row")
-            batch = do_work(db, sql, optimizer, "batch")
-            label = f"{name}{number}"
-            assert batch[1:] == row[1:], label
-            exact = size == 1024 \
-                and (name, number) not in FLOAT_FOLDED_AT_DEFAULT
-            if exact:
-                assert batch[0] == row[0], label
-            else:
-                assert _same_to_12_digits(batch[0], row[0]), label
+            row = exact(do_work(db, sql, optimizer, "row"))
+            assert exact(do_work(db, sql, optimizer, "batch")) == row, \
+                f"{name}{number}"
+            assert exact(do_work(db, sql, optimizer, "batch", 2)) == row, \
+                f"{name}{number} with 2 workers"
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,9 @@ def tpcds():
     from repro.workloads.tpcds import load_tpcds
 
     database = Database()
-    # Small enough that the batch engine's per-batch float folds still
-    # give the row engine's last digits (at scale 0.3 some do not).
-    load_tpcds(database, scale=0.2)
+    # Large enough that float sums span several batches: a fold that
+    # depended on where batches end would move last digits here.
+    load_tpcds(database, scale=0.5)
     return database
 
 
@@ -174,12 +174,13 @@ class TestCounterParity:
         assert snapshots["row"] == snapshots["batch"]
 
 
-def do_work(db, sql, optimizer, mode):
+def do_work(db, sql, optimizer, mode, workers=1):
     """Rows, per-node (label, actual rows, loops) and the storage
     counters one execution leaves."""
     counters = db.storage.counters
     before = counters.snapshot()
-    result = db.run(sql, optimizer=optimizer, executor_mode=mode)
+    result = db.run(sql, optimizer=optimizer, executor_mode=mode,
+                    executor_workers=workers)
     after = counters.snapshot()
     assert result.executor_mode == mode
     return (result.rows,
@@ -189,9 +190,7 @@ def do_work(db, sql, optimizer, mode):
 
 
 #: Window functions with and without PARTITION BY / ORDER BY, over a
-#: scan, a join and a GROUP BY.  Window sums fold in the window kernel,
-#: which both engines share; the GROUP BY cases aggregate exact values
-#: so the per-batch fold of the aggregate below cannot move a digit.
+#: scan, a join and a GROUP BY.
 WINDOWS = [
     "SELECT o_orderkey, RANK() OVER (ORDER BY o_totalprice DESC) "
     "FROM orders",
@@ -347,11 +346,6 @@ class TestBatchedIndexProbe:
     #: or both (window functions, subquery expressions).
     FORMERLY_REFUSED = (1, 6, 9, 12, 14, 24, 28, 41, 44, 57, 73, 81, 87)
 
-    #: Statements whose subquery bodies take a float AVG over more than
-    #: one batch: the batch engine folds it per batch, the row engine
-    #: value by value, so the last digits may differ.
-    FLOAT_FOLDED = (9,)
-
     @pytest.mark.parametrize("optimizer", ["mysql", "orca"])
     def test_formerly_refused_tpcds_statements_do_the_same_work(
             self, tpcds, optimizer):
@@ -361,28 +355,18 @@ class TestBatchedIndexProbe:
             sql = TPCDS_QUERIES[number]
             row = do_work(tpcds, sql, optimizer, "row")
             batch = do_work(tpcds, sql, optimizer, "batch")
-            if number in self.FLOAT_FOLDED:
-                assert batch[1:] == row[1:], f"ds{number}"
-                assert _same_to_12_digits(batch[0], row[0]), f"ds{number}"
-            else:
-                assert batch == row, f"ds{number}"
+            assert exact(batch) == exact(row), f"ds{number}"
 
 
-def _same_to_12_digits(left_rows, right_rows) -> bool:
-    """Row lists equal cell for cell, float cells to 12 significant
-    digits and every other cell exactly."""
-    if len(left_rows) != len(right_rows):
-        return False
-    for left, right in zip(left_rows, right_rows):
-        if len(left) != len(right):
-            return False
-        for a, b in zip(left, right):
-            if isinstance(a, float) and isinstance(b, float):
-                if abs(a - b) > 1e-12 * max(abs(a), abs(b)):
-                    return False
-            elif a != b or type(a) is not type(b):
-                return False
-    return True
+def bits(rows):
+    """Rows with every cell as its type and ``repr``: equal only when
+    bit-identical (0.0 is not -0.0, 1 is not 1.0)."""
+    return [[(type(cell), repr(cell)) for cell in row] for row in rows]
+
+
+def exact(work):
+    """``do_work``'s result, rows as :func:`bits`."""
+    return (bits(work[0]),) + tuple(work[1:])
 
 
 class TestTotalLowering:

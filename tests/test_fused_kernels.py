@@ -30,7 +30,7 @@ from repro.executor.plan import (
 from repro.mysql_types import MySQLType
 from repro.sql import ast
 from repro.workloads.tpch import load_tpch
-from tests.test_executor_equivalence import _same_to_12_digits
+from tests.test_executor_equivalence import bits
 
 
 def _schemas():
@@ -142,7 +142,7 @@ def test_fused_batch_matches_the_row_engine(db, sql, optimizer):
                  use_plan_cache=False)
     batch = db.run(sql, optimizer=optimizer, executor_mode="batch",
                    use_plan_cache=False)
-    assert _same_to_12_digits(batch.rows, row.rows), sql
+    assert bits(batch.rows) == bits(row.rows), sql
     assert [(n.label, n.actual, n.loops)
             for n in batch.plan_quality.nodes] \
         == [(n.label, n.actual, n.loops) for n in row.plan_quality.nodes]
@@ -223,7 +223,7 @@ def test_seeded_random_expression_lists(seed):
                 outcomes.append(type(error))
         row, batch = outcomes
         if isinstance(row, list) and isinstance(batch, list):
-            assert _same_to_12_digits(batch, row), sql
+            assert bits(batch) == bits(row), sql
         else:
             assert batch == row, sql
 

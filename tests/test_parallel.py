@@ -70,7 +70,8 @@ def db():
 @pytest.mark.usefixtures("force_fanout")
 class TestBitIdentity:
     """Parallel rows must equal serial rows exactly — same values, same
-    order — because the merge replays the serial fold in chunk order."""
+    order — because aggregate sums are exact, so merging per-chunk
+    states gives the serial answer, and groups keep first-seen order."""
 
     @pytest.mark.parametrize("sql", CORPUS)
     def test_workers_4_matches_serial(self, db, sql):
