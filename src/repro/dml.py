@@ -30,7 +30,6 @@ after bulk changes, as with MySQL's ANALYZE TABLE.
 
 from __future__ import annotations
 
-import datetime
 from collections import Counter
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -39,7 +38,7 @@ from repro.errors import ExecutionError, ResolutionError
 from repro.executor.expression import ExpressionCompiler, is_true
 from repro.mysql_optimizer.access_path import (
     index_key_bounds, match_index_prefix)
-from repro.mysql_types import coerce, python_type_for
+from repro.mysql_types import coerce, orders_like
 from repro.sql import ast
 from repro.sql.rewrite import map_expr
 from repro.storage.index import has_null
@@ -80,18 +79,6 @@ def _checked(value, column: Column):
 
 # -- locating victims ----------------------------------------------------------
 
-def _orders_like(value, column: Column) -> bool:
-    """Whether ``value`` compares with the column's stored values the
-    way the WHERE evaluator compares them (plain Python ordering), so
-    bisecting an index on it finds exactly the rows a scan would."""
-    target = python_type_for(column.type.base)
-    if target in (int, float):
-        return isinstance(value, (int, float))
-    if target is datetime.date:
-        return type(value) is datetime.date
-    return isinstance(value, target)
-
-
 def _index_safe(conjunct: ast.Expr, schema: TableSchema) -> bool:
     """Whether ``conjunct`` sets one column against literals that order
     like the column's stored values.  Only the operand types are vetted
@@ -110,7 +97,8 @@ def _index_safe(conjunct: ast.Expr, schema: TableSchema) -> bool:
     if len(columns) != 1 or len(literals) != len(operands) - 1:
         return False
     column = schema.columns[columns[0].position]
-    return all(_orders_like(literal.value, column) for literal in literals)
+    return all(orders_like(type(literal.value), column.type.base)
+               for literal in literals)
 
 
 def _index_access(schema: TableSchema, where: ast.Expr

@@ -163,7 +163,6 @@ class Executor:
         if self.top_plan is None:
             raise ExecutionError("no top-level plan registered")
         self.reset_actuals()
-        chunks_skipped_before = self.storage.counters.chunks_skipped
         parallel = None
         if mode == "batch":
             self.ensure_batch_lowered(tracer)
@@ -201,8 +200,3 @@ class Executor:
             return list(self.top_plan.run(runtime))
         finally:
             self.current_runtime = previous
-            if metrics is not None:
-                skipped = (self.storage.counters.chunks_skipped
-                           - chunks_skipped_before)
-                if skipped:
-                    metrics.inc("storage.chunks_skipped", skipped)

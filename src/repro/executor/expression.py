@@ -643,7 +643,7 @@ RAW_SCALARS = {
     "CEILING": (math.ceil, True),
     "SQRT": (math.sqrt, True),
     "MOD": (lambda a, b: None if b == 0 else a % b, True),
-    "POWER": (lambda a, b: a ** b, True),
+    "POWER": (lambda a, b: float(a) ** b, True),  # DOUBLE, as in MySQL
     "SUBSTRING": (_substring, True),
     "SUBSTR": (_substring, True),
     "YEAR": (lambda d: d.year, True),

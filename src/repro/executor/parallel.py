@@ -136,8 +136,8 @@ def fanout_decision(rows: int, groups: float, exprs: int, workers: int,
     """Does pre-aggregating ``rows`` rows on ``workers`` workers pay?
 
     A pure function of its arguments and the module constants.
-    ``rows`` is the exact row count of the ``morsels`` chunks that
-    survived zone skipping, ``groups`` the optimizer's estimated group
+    ``rows`` is the exact row count of the table's ``morsels`` chunks,
+    ``groups`` the optimizer's estimated group
     count, ``exprs`` the compiled expressions each row passes through.
     Fanning out divides the per-row work (and the copy-on-write
     penalty, paid inside the workers) by ``workers`` but adds a fork
@@ -274,32 +274,27 @@ class ParallelContext:
         storage = runtime.storage
         store = storage.store(scan.table_name)
         chunks = store.chunks
-        predicates = scan.zone_predicates()
-        survivors = [index for index, chunk in enumerate(chunks)
-                     if not (predicates and chunk.can_skip(predicates))]
         mask_fn = scan.bx_filter
         specs = agg.specs
         group_exprs = agg.group_exprs
-        n_workers = min(self.workers, len(survivors))
+        n_workers = min(self.workers, len(chunks))
         decision = fanout_decision(
-            rows=sum(len(chunks[index].rows) for index in survivors),
+            rows=store.row_count,
             groups=max(1.0, agg.rows) if group_exprs else 1.0,
             exprs=(mask_fn is not None) + len(group_exprs) + len(specs),
-            workers=n_workers, morsels=len(survivors))
+            workers=n_workers, morsels=len(chunks))
         self.est_serial_ms += decision.serial_ms
         self.est_fanout_ms += decision.fanout_ms
         if not decision.fanout:
             self.gated += 1
             return None
-        # Charge the storage counters for *every* chunk — skipped ones
-        # included — exactly as the serial scan would have.
-        counters = storage.counters
-        counters.rows_scanned += store.row_count
-        counters.chunks_skipped += len(chunks) - len(survivors)
+        # Charge the storage counters for every chunk, exactly as the
+        # serial scan would have.
+        storage.counters.rows_scanned += store.row_count
         scan.actual_loops += 1
         if runtime.injector is not None:
             runtime.injector.fire("scan_io")
-        self.morsels += len(survivors)
+        self.morsels += len(chunks)
         self.ops += 1
         self.workers_spawned = max(self.workers_spawned, n_workers)
         agg.px_workers = scan.px_workers = n_workers
@@ -319,7 +314,8 @@ class ParallelContext:
                 (key, [accumulator.state() for accumulator in groups[key]])
                 for key in order]
 
-        results = self._run_morsels(runtime, survivors, task, n_workers)
+        results = self._run_morsels(runtime, list(range(len(chunks))),
+                                    task, n_workers)
 
         def merge(result: tuple, groups: dict, order: List[tuple]) -> int:
             length, states = result

@@ -196,80 +196,6 @@ def _always_true(ctx) -> bool:
     return True
 
 
-def derive_zone_predicates(conjuncts: Sequence[ast.Expr],
-                           entry_id: int) -> List[tuple]:
-    """Extract zone-map predicates from a leaf scan's filter conjuncts.
-
-    Only shapes a chunk's min/max/null statistics can refute are kept —
-    column-vs-literal comparisons (either orientation), BETWEEN and
-    IN over literals (both polarities: a chunk wholly inside a NOT
-    BETWEEN window, or constant on a NOT IN value, is provably dead),
-    and IS [NOT] NULL; everything else is simply not a zone predicate.
-    The tuples match
-    :meth:`repro.storage.columnstore.ColumnChunk.can_skip`.
-    """
-    predicates: List[tuple] = []
-    for conjunct in conjuncts:
-        if isinstance(conjunct, ast.BinaryExpr) \
-                and conjunct.op in ast.COMPARISON_OPS:
-            left, right = conjunct.left, conjunct.right
-            if isinstance(left, ast.ColumnRef) \
-                    and left.entry_id == entry_id \
-                    and isinstance(right, ast.Literal) \
-                    and right.value is not None:
-                predicates.append(("cmp", left.position,
-                                   conjunct.op.value, right.value))
-            elif isinstance(right, ast.ColumnRef) \
-                    and right.entry_id == entry_id \
-                    and isinstance(left, ast.Literal) \
-                    and left.value is not None:
-                predicates.append(
-                    ("cmp", right.position,
-                     ast.COMMUTED_COMPARISON[conjunct.op].value,
-                     left.value))
-        elif isinstance(conjunct, ast.BetweenExpr):
-            operand = conjunct.operand
-            if isinstance(operand, ast.ColumnRef) \
-                    and operand.entry_id == entry_id \
-                    and isinstance(conjunct.low, ast.Literal) \
-                    and conjunct.low.value is not None \
-                    and isinstance(conjunct.high, ast.Literal) \
-                    and conjunct.high.value is not None:
-                if conjunct.negated:
-                    predicates.append(("notbetween", operand.position,
-                                       conjunct.low.value,
-                                       conjunct.high.value))
-                else:
-                    predicates.append(("cmp", operand.position, ">=",
-                                       conjunct.low.value))
-                    predicates.append(("cmp", operand.position, "<=",
-                                       conjunct.high.value))
-        elif isinstance(conjunct, ast.IsNullExpr):
-            operand = conjunct.operand
-            if isinstance(operand, ast.ColumnRef) \
-                    and operand.entry_id == entry_id:
-                predicates.append(("null", operand.position,
-                                   conjunct.negated))
-        elif isinstance(conjunct, ast.InListExpr):
-            operand = conjunct.operand
-            if isinstance(operand, ast.ColumnRef) \
-                    and operand.entry_id == entry_id \
-                    and all(isinstance(item, ast.Literal)
-                            for item in conjunct.items):
-                values = [item.value for item in conjunct.items
-                          if item.value is not None]
-                if conjunct.negated:
-                    # NOT IN with a NULL item never passes, but that is
-                    # a planner simplification, not a zone fact — only
-                    # derive from an all-literal, NULL-free list.
-                    if values and len(values) == len(conjunct.items):
-                        predicates.append(("notin", operand.position,
-                                           values))
-                elif values:
-                    predicates.append(("in", operand.position, values))
-    return predicates
-
-
 def _iter_chunks(rows: List[tuple],
                  batch_size: int = BATCH_SIZE) -> Iterator[List[tuple]]:
     for start in range(0, len(rows), batch_size):
@@ -350,31 +276,14 @@ class TableScanNode(_LeafNode):
     def __init__(self, entry_id: int, table_name: str, alias: str) -> None:
         super().__init__(entry_id, alias)
         self.table_name = table_name
-        #: Cached zone predicates (None = not derived yet; filter
-        #: conjuncts are attached after construction and never change
-        #: once the plan is built, so one derivation serves every
-        #: execution of a cached plan).
-        self._zone_preds: Optional[List[tuple]] = None
-
-    def zone_predicates(self) -> List[tuple]:
-        predicates = self._zone_preds
-        if predicates is None:
-            predicates = derive_zone_predicates(self.filter_conjuncts,
-                                                self.entry_id)
-            self._zone_preds = predicates
-        return predicates
 
     def run(self, runtime: ExecutionRuntime) -> Iterator[None]:
         self.actual_loops += 1
         ctx = runtime.ctx
         slot = self.entry_id
         check = self.filter_fn
-        # Zone predicates come from this node's own filter conjuncts,
-        # which ``check`` applies below — skipping a provably dead chunk
-        # is semantics-preserving, and both engines consult the same
-        # store with the same predicates (counter parity).
-        rows = _leaf_rows(self, runtime, runtime.storage.table_scan(
-            self.table_name, self.zone_predicates()))
+        rows = _leaf_rows(self, runtime,
+                          runtime.storage.table_scan(self.table_name))
         for row in rows:
             ctx[slot] = row
             if check(ctx) is True:
@@ -382,8 +291,7 @@ class TableScanNode(_LeafNode):
                 yield
 
     def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
-        chunks = runtime.storage.table_scan_batches(
-            self.table_name, self.zone_predicates())
+        chunks = runtime.storage.table_scan_batches(self.table_name)
         yield from _leaf_batches(self, runtime, chunks)
 
     def label(self) -> str:

@@ -320,6 +320,22 @@ def python_type_for(mysql_type: MySQLType):
     raise ValueError(f"no runtime mapping for {mysql_type}")
 
 
+def orders_like(kind: type, mysql_type: MySQLType) -> bool:
+    """Whether values of Python type ``kind`` order like the stored
+    values of ``mysql_type`` under plain Python comparison — what every
+    scan, sort and index of the engine compares with: any int or float
+    for a numeric type, exactly ``datetime.date`` for a date (a
+    ``datetime`` does not compare with one), and the type's runtime
+    class for the rest.  A load holds every non-NULL value to it, and
+    DML uses an index only for literals that meet it."""
+    target = python_type_for(mysql_type)
+    if target in (int, float):
+        return issubclass(kind, (int, float))
+    if target is datetime.date:
+        return kind is datetime.date
+    return issubclass(kind, target)
+
+
 def coerce(value, mysql_type: MySQLType):
     """Coerce a Python value to the runtime representation of a type.
 

@@ -379,8 +379,15 @@ def infer_type(expr: ast.Expr) -> TypeInstance:
         name = expr.name
         if name.startswith("CAST_"):
             return _cast_target_type(name[5:])
-        if name.startswith("EXTRACT_") or name in ("ABS", "ROUND", "FLOOR",
-                                                   "CEIL", "MOD", "LENGTH",
+        if name in ("ABS", "ROUND", "MOD"):
+            # abs, round and % keep an int an int and a float a float.
+            operands = expr.args[:2] if name == "MOD" else expr.args[:1]
+            if all(infer_type(arg).category.value.startswith("INT")
+                   for arg in operands):
+                return _LONGLONG
+            return _DOUBLE
+        if name.startswith("EXTRACT_") or name in ("FLOOR", "CEIL",
+                                                   "CEILING", "LENGTH",
                                                    "DAYOFWEEK", "YEAR",
                                                    "MONTH"):
             return _LONGLONG

@@ -563,6 +563,14 @@ class _Parser:
             return expr
         if token.type is TokenType.IDENT:
             return self._parse_identifier_expr()
+        if token.is_keyword("YEAR") or token.is_keyword("MONTH"):
+            following = self._peek(1)
+            if following.type is TokenType.PUNCT and following.value == "(":
+                # The date functions YEAR(d) / MONTH(d); the same words
+                # after INTERVAL n are units (``_parse_interval``).
+                self._advance()
+                self._advance()
+                return self._parse_call(token.value.upper())
         raise ParseError(
             f"unexpected token {token.value!r} at position {token.position}")
 
@@ -647,9 +655,11 @@ class _Parser:
         if not (self._current.type is TokenType.PUNCT
                 and self._current.value == "("):
             return ast.ColumnRef(None, name)
-        # Function call.
-        upper = name.upper()
-        self._expect_punct("(")
+        self._advance()
+        return self._parse_call(name.upper())
+
+    def _parse_call(self, upper: str) -> ast.Expr:
+        """A function call whose name and ``(`` are consumed."""
         if upper in _AGGREGATES:
             agg = self._parse_aggregate_call(upper)
             return self._maybe_window(upper, agg)

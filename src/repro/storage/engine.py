@@ -11,8 +11,8 @@ Write contract.  Every write goes through :meth:`StorageEngine.load_rows`
 and each keeps two structures in step: the table
 (:class:`repro.storage.columnstore.ColumnStore`, the one container that
 holds the rows) and every index of the table.  Writes are row-level —
-per index one bisect and a C-level list shift, per touched chunk an
-exact zone-map patch — so a statement costs O(rows changed * log N)
+per index one bisect and a C-level list shift, per touched chunk one
+slot per column — so a statement costs O(rows changed * log N)
 whatever the table holds, and delete-all or a table-wide UPDATE take
 the same path as a point write.
 The one exception is an append that is large against what the indexes
@@ -69,13 +69,6 @@ class AccessCounters:
     rows_scanned: int = 0
     index_lookups: int = 0
     index_rows_read: int = 0
-    #: Chunks a scan proved dead through zone maps and never
-    #: materialised.  Skipped chunks still charge ``rows_scanned`` (the
-    #: scan logically covered them), so this counter is the *physical*
-    #: saving on top of an unchanged logical scan count — and row/batch
-    #: counter parity holds because both engines consult the same zone
-    #: maps with the same predicates.
-    chunks_skipped: int = 0
     #: Write-side work: rows inserted, overwritten or deleted; index
     #: entries written, removed or re-pointed; table chunks edited.  A
     #: bulk load charges every entry it re-sorted.
@@ -145,12 +138,13 @@ class StorageEngine:
         """Append rows (bulk load and SQL INSERT alike), all or nothing.
 
         Staged, then committed: the table lays out its chunk fills
-        (widths checked, columns transposed, zone maps widened) and
-        every index its new lists or insert positions, over the staged
-        rows.  Only when none of that raised is anything written, and
-        the writes compare nothing.  A rejected load (a row of the wrong
-        width, a NULL in a NOT NULL column, values that do not compare)
-        raises StorageError naming the table and the column, and leaves
+        (widths and value types checked, columns transposed) and every
+        index its new lists or insert positions, over the staged rows.
+        Only when none of that raised is anything written, and the
+        writes compare nothing.  A rejected load (a row of the wrong
+        width, a NULL in a NOT NULL column, a value whose type does not
+        order like its column's, index keys that do not compare) raises
+        StorageError naming the table and the column or index, and leaves
         the table, its indexes, the counters and the mutation count as
         they were.  Unique keys are not checked here; SQL INSERT checks
         them before it loads."""
@@ -261,21 +255,11 @@ class StorageEngine:
             raise StorageError(
                 f"no index {index_name!r} on table {table_name!r}") from None
 
-    def table_scan(self, table_name: str,
-                   zone_predicates: Optional[Sequence[tuple]] = None
-                   ) -> Iterator[Row]:
-        """Full scan; counts every row read.
-
-        With ``zone_predicates`` (pre-extracted from the scan's filter
-        conjuncts) chunks whose zone maps prove no row can pass are
-        skipped — still charged to ``rows_scanned`` (the logical scan
-        covered them) plus one ``chunks_skipped``.  The row and batch
-        engines walk the same chunks with the same predicates and
-        charge each chunk as it is reached, so their counters stay
-        identical.
-        """
-        for chunk_rows in self.table_scan_batches(table_name,
-                                                  zone_predicates):
+    def table_scan(self, table_name: str) -> Iterator[Row]:
+        """Full scan; counts every row read.  The row and batch engines
+        walk the same chunks and charge each one as it is reached, so
+        their counters stay identical."""
+        for chunk_rows in self.table_scan_batches(table_name):
             yield from chunk_rows
 
     def index_lookup_rows(self, table_name: str, index_name: str,
@@ -335,20 +319,14 @@ class StorageEngine:
     # produced, so early termination (LIMIT) can over-charge by at most
     # one batch.
 
-    def table_scan_batches(self, table_name: str,
-                           zone_predicates: Optional[Sequence[tuple]]
-                           = None) -> Iterator[List[Row]]:
+    def table_scan_batches(self, table_name: str) -> Iterator[List[Row]]:
         """Full scan emitting the table's chunks — its own row lists,
-        no slicing or transposition — minus those the zone maps prove
-        dead (charged as in :meth:`table_scan`)."""
+        no slicing or transposition — each charged to ``rows_scanned``
+        as it is reached."""
         counters = self.counters
-        for chunk_rows, skipped in self.store(table_name).scan_chunks(
-                zone_predicates):
-            counters.rows_scanned += len(chunk_rows)
-            if skipped:
-                counters.chunks_skipped += 1
-            else:
-                yield chunk_rows
+        for chunk in self.store(table_name).chunks:
+            counters.rows_scanned += len(chunk.rows)
+            yield chunk.rows
 
     def index_range_batches(self, table_name: str, index_name: str,
                             low: Optional[Tuple], high: Optional[Tuple],

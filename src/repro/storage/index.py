@@ -100,19 +100,20 @@ class OrderedIndex:
         """The index's ``(entries, keys)`` lists over ``chunks``, whose
         rows hold row ids 0, 1, ... in order: the table's chunks, or
         those followed by the fills ``load_rows`` staged (anything with
-        chunk-like ``columns`` and ``null_bits``).  Installs nothing.
+        chunk-like ``columns``).  Installs nothing.
 
         The key columns are zipped straight from the column lists, NULLs
-        mapped to :data:`NULL_KEY` only in a column whose null bitmaps
-        are not all zero, and the row ids are stable-sorted by key:
-        equal keys keep row-id order, exactly the order of sorting
-        ``(key, row_id)`` pairs whenever the keys are totally ordered
-        (a NaN is not).  Raises TypeError when keys do not compare."""
+        mapped to :data:`NULL_KEY` only in a column that holds a NULL
+        (a C-level ``None in`` test per chunk), and the row ids are
+        stable-sorted by key: equal keys keep row-id order, exactly the
+        order of sorting ``(key, row_id)`` pairs whenever the keys are
+        totally ordered (a NaN is not).  Raises TypeError when keys do
+        not compare."""
         columns = []
         for position in self._positions:
             values = chain.from_iterable(
                 [chunk.columns[position] for chunk in chunks])
-            if any(chunk.null_bits[position] for chunk in chunks):
+            if any(None in chunk.columns[position] for chunk in chunks):
                 values = [NULL_KEY if value is None else value
                           for value in values]
             columns.append(values)

@@ -4,7 +4,8 @@ import datetime
 
 import pytest
 
-from repro.mysql_types import MySQLType
+from repro.executor.expression import RAW_SCALARS
+from repro.mysql_types import MySQLType, python_type_for
 from repro.sql import ast
 from repro.sql.blocks import (
     contains_aggregate,
@@ -139,6 +140,21 @@ class TestTypeInference:
             mini_catalog,
             "CASE WHEN o_orderkey > 1 THEN 'yes' ELSE 'no' END")
         assert expr_type.base is MySQLType.VARCHAR
+
+    @pytest.mark.parametrize("name", ["ABS", "ROUND", "FLOOR", "CEIL",
+                                      "CEILING", "SQRT", "MOD", "POWER"])
+    @pytest.mark.parametrize("args", [(7, 2), (7.5, 2), (7, 2.0),
+                                      (7.5, 2.5)])
+    def test_numeric_function_type_matches_its_value(self, name, args):
+        # The inferred type's runtime class is the class of the value
+        # the function returns, for int and float arguments alike.
+        arity = 2 if name in ("ROUND", "MOD", "POWER") else 1
+        args = args[:arity]
+        value = RAW_SCALARS[name][0](*args)
+        inferred = infer_type(ast.FuncCall(name, [ast.Literal(arg)
+                                                  for arg in args]))
+        assert python_type_for(inferred.base) is type(value), \
+            (name, args, inferred.base, value)
 
 
 class TestOutputColumns:

@@ -165,6 +165,20 @@ class TestExpressions:
         assert isinstance(interval, ast.IntervalLiteral)
         assert interval.interval.months == 3
 
+    @pytest.mark.parametrize("unit,months,days", [
+        ("YEAR", 24, 0), ("MONTH", 2, 0), ("DAY", 0, 2)])
+    def test_interval_units_beside_date_functions(self, unit, months, days):
+        # YEAR / MONTH followed by "(" are the date functions; after
+        # INTERVAL n they stay units.
+        stmt = parse_statement(
+            f"SELECT YEAR(d), MONTH(d) FROM t "
+            f"WHERE d < DATE '1995-01-01' + INTERVAL 2 {unit}")
+        assert [item.expr.name for item in stmt.items] == ["YEAR", "MONTH"]
+        interval = stmt.where.right.right
+        assert isinstance(interval, ast.IntervalLiteral)
+        assert (interval.interval.months, interval.interval.days) \
+            == (months, days)
+
     def test_case_searched(self):
         stmt = parse_statement(
             "SELECT CASE WHEN a = 1 THEN 'x' ELSE 'y' END FROM t")

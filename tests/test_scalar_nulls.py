@@ -134,3 +134,40 @@ def test_nullif_values(db, mode, call, expected):
     lite_call = call.replace("id", "7").replace("x", "NULL")
     assert sqlite3.connect(":memory:").execute(
         f"SELECT {lite_call}").fetchall() == [(expected,)]
+
+
+#: Rows of the ``dz`` table: dates on both sides of a year and a month
+#: boundary, and a NULL.
+DATED = [(1, DAY), (2, None), (3, datetime.date(2000, 12, 31)),
+         (4, datetime.date(1992, 1, 1))]
+
+
+@pytest.fixture(scope="module")
+def dated():
+    database = Database()
+    database.create_table(TableSchema("dz", [
+        Column.of("id", MySQLType.LONG, nullable=False),
+        Column.of("d", MySQLType.DATE)],
+        [Index("PRIMARY", ("id",), primary=True)]))
+    database.load("dz", DATED)
+    return database
+
+
+@pytest.mark.parametrize("mode", ["row", "batch"])
+@pytest.mark.parametrize("name,pattern", [("YEAR", "%Y"), ("MONTH", "%m")])
+def test_date_parts_from_sql(dated, mode, name, pattern):
+    """``YEAR(d)`` / ``MONTH(d)`` called from SQL, over a column with a
+    NULL and over a NULL literal, against SQLite's ``strftime``."""
+    got = dated.run(f"SELECT id, {name}(d), {name}(NULL) FROM dz "
+                    f"WHERE {name}(d) > 1 OR d IS NULL ORDER BY id",
+                    executor_mode=mode).rows
+    lite = sqlite3.connect(":memory:")
+    lite.execute("CREATE TABLE dz (id INTEGER, d TEXT)")
+    lite.executemany("INSERT INTO dz VALUES (?, ?)", [
+        (key, None if day is None else day.isoformat())
+        for key, day in DATED])
+    part = f"CAST(strftime('{pattern}', {{}}) AS INTEGER)"
+    want = lite.execute(
+        f"SELECT id, {part.format('d')}, {part.format('NULL')} FROM dz "
+        f"WHERE {part.format('d')} > 1 OR d IS NULL ORDER BY id").fetchall()
+    assert repr(got) == repr(want)

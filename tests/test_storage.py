@@ -338,129 +338,17 @@ class TestColumnStoreChunking:
         rows = [(i, None, None) for i in range(10)]
         engine.load_rows("t", rows)
         chunk = engine.store("t").chunks[0]
-        assert chunk.mins[1] is None and chunk.maxs[1] is None
-        assert chunk.null_count(1) == 4
+        assert chunk.columns[1] == [None] * 4
         assert list(engine.table_scan("t")) == rows
         batched = [row for c in engine.table_scan_batches("t")
                    for row in c]
         assert batched == rows
 
 
-class TestZoneMaps:
-    def test_incremental_min_max(self):
-        engine = make_column_engine(batch_size=4)
-        engine.load_rows("t", [(i, i * 10, float(i)) for i in range(8)])
-        first, second = engine.store("t").chunks
-        assert (first.mins[0], first.maxs[0]) == (0, 3)
-        assert (second.mins[1], second.maxs[1]) == (40, 70)
-
-    def test_scan_skips_out_of_range_chunks(self):
-        engine = make_column_engine(batch_size=4)
-        engine.load_rows("t", [(i, i, float(i)) for i in range(16)])
-        engine.counters.reset()
-        rows = list(engine.table_scan("t", [("cmp", 0, "<", 4)]))
-        # Skipped chunks still charge rows_scanned (the serial scan
-        # contract) but are never materialised into output.
-        assert engine.counters.chunks_skipped == 3
-        assert engine.counters.rows_scanned == 16
-        assert rows == [(i, i, float(i)) for i in range(4)]
-
-    def test_batch_scan_skips_and_counts(self):
-        engine = make_column_engine(batch_size=4)
-        engine.load_rows("t", [(i, i, float(i)) for i in range(16)])
-        engine.counters.reset()
-        chunks = [list(c) for c in
-                  engine.table_scan_batches("t", [("cmp", 0, ">=", 12)])]
-        assert engine.counters.chunks_skipped == 3
-        assert [row for c in chunks for row in c] \
-            == [(i, i, float(i)) for i in range(12, 16)]
-
-    def test_null_predicates(self):
-        engine = make_column_engine(batch_size=4)
-        engine.load_rows("t", [(i, None if i < 4 else i, 0.0)
-                               for i in range(8)])
-        engine.counters.reset()
-        list(engine.table_scan("t", [("null", 1, False)]))
-        assert engine.counters.chunks_skipped == 1  # all-set chunk kept
-        engine.counters.reset()
-        list(engine.table_scan("t", [("null", 1, True)]))  # IS NOT NULL
-        assert engine.counters.chunks_skipped == 1
-
-    def test_in_list_skips_out_of_range_chunks(self):
-        engine = make_column_engine(batch_size=4)
-        engine.load_rows("t", [(i, i, float(i)) for i in range(16)])
-        engine.counters.reset()
-        rows = list(engine.table_scan("t", [("in", 0, [2, 13])]))
-        # Values 2 and 13 live in chunks 0 and 3; chunks 1-2 are dead.
-        assert engine.counters.chunks_skipped == 2
-        assert rows == [(i, i, float(i)) for i in range(16)
-                        if i // 4 in (0, 3)]
-
-    def test_not_in_skips_constant_chunks_only(self):
-        engine = make_column_engine(batch_size=4)
-        # Chunk 0 constant on 7, chunk 1 constant on 9, chunk 2 mixed.
-        engine.load_rows("t", [(i, 7, 0.0) for i in range(4)]
-                         + [(i, 9, 0.0) for i in range(4, 8)]
-                         + [(i, i, 0.0) for i in range(8, 12)])
-        engine.counters.reset()
-        list(engine.table_scan("t", [("notin", 1, [7, 8])]))
-        # Only the all-7 chunk is provably dead: the all-9 chunk's
-        # value is not listed, and the mixed chunk is not constant
-        # (some of its rows survive NOT IN).
-        assert engine.counters.chunks_skipped == 1
-        engine.counters.reset()
-        batched = [row for c in engine.table_scan_batches(
-            "t", [("notin", 1, [7, 9])]) for row in c]
-        assert engine.counters.chunks_skipped == 2
-        assert batched == [(i, i, 0.0) for i in range(8, 12)]
-
-    def test_not_between_skips_contained_chunks(self):
-        engine = make_column_engine(batch_size=4)
-        engine.load_rows("t", [(i, i, float(i)) for i in range(16)])
-        engine.counters.reset()
-        rows = list(engine.table_scan("t", [("notbetween", 0, 4, 11)]))
-        # Chunks [4..7] and [8..11] lie wholly inside the rejected
-        # window; the boundary chunks straddle it and must be kept.
-        assert engine.counters.chunks_skipped == 2
-        assert rows == [(i, i, float(i)) for i in range(16)
-                        if i // 4 in (0, 3)]
-        engine.counters.reset()
-        batched = [row for c in engine.table_scan_batches(
-            "t", [("notbetween", 0, 3, 12)]) for row in c]
-        assert engine.counters.chunks_skipped == 2
-        assert [r[0] for r in batched] == [i for i in range(16)
-                                           if i // 4 in (0, 3)]
-
-    def test_analyze_leaves_exact_zone_maps_unchanged(self):
-        # Writes keep every zone map exact, so ANALYZE has nothing to
-        # rebuild: the maps after it are the ones before it, and both
-        # are what the chunk's values say.
-        engine = make_column_engine(batch_size=4)
-        engine.load_rows("t", [(i, i % 3 or None, float(i))
-                               for i in range(10)])
-        engine.update_rows("t", [0], [(0, None, 99.0)])
-        engine.delete_rows("t", [4, 9])
-        store = engine.store("t")
-
-        def zone_maps():
-            return [(list(chunk.null_bits), list(chunk.mins),
-                     list(chunk.maxs)) for chunk in store.chunks]
-
-        before = zone_maps()
-        engine.analyze_table("t")
-        assert zone_maps() == before
-        for chunk, (null_bits, mins, maxs) in zip(store.chunks, before):
-            for position, column in enumerate(chunk.columns):
-                values = [v for v in column if v is not None]
-                assert mins[position] == min(values, default=None)
-                assert maxs[position] == max(values, default=None)
-                assert null_bits[position] == sum(
-                    1 << offset for offset, v in enumerate(column)
-                    if v is None)
-
+class TestRowLevelWrites:
     def test_delete_all_empties_store_and_reinsert_is_exact(self):
         # Ported from the replace_rows test: delete-all leaves an empty
-        # store, and a row inserted afterwards gets exact zone maps.
+        # store, and a row inserted afterwards starts a fresh chunk.
         engine = make_column_engine(batch_size=4)
         engine.load_rows("t", [(i, i, float(i)) for i in range(8)])
         engine.delete_rows("t", range(8))
@@ -468,7 +356,8 @@ class TestZoneMaps:
         engine.load_rows("t", [(99, 1, 1.0)])
         store = engine.store("t")
         assert store.row_count == 1
-        assert store.chunks[0].mins[0] == 99
+        assert store.chunks[0].rows == [(99, 1, 1.0)]
+        assert store.chunks[0].columns == [[99], [1], [1.0]]
 
     def test_row_level_delete_patches_two_chunks(self):
         engine = make_column_engine(batch_size=4)
@@ -476,14 +365,13 @@ class TestZoneMaps:
         engine.counters.reset()
         engine.delete_rows("t", [0])
         # Row 39 filled the hole: only the first and last chunk changed,
-        # and their zone maps are what a rebuild would compute.
+        # and their columns are what a rebuild would compute.
         assert engine.counters.chunks_patched == 2
         store = engine.store("t")
         assert store.row_count == 39
         assert store.chunks[0].rows[0] == (39, 39, 39.0)
-        assert (store.chunks[0].mins[0], store.chunks[0].maxs[0]) == (1, 39)
-        assert (store.chunks[-1].mins[0], store.chunks[-1].maxs[0]) \
-            == (36, 38)
+        assert store.chunks[0].columns[0] == [39, 1, 2, 3]
+        assert store.chunks[-1].columns[0] == [36, 37, 38]
         assert [len(chunk) for chunk in store.chunks] == [4] * 9 + [3]
         assert engine.index("t", "PRIMARY").lookup((39,)) == [0]
         assert engine.index("t", "PRIMARY").lookup((0,)) == []
@@ -495,9 +383,9 @@ class TestZoneMaps:
         engine.update_rows("t", [5], [(105, None, 5.0)])
         assert engine.counters.chunks_patched == 1
         chunk = engine.store("t").chunks[1]
-        assert (chunk.mins[0], chunk.maxs[0]) == (4, 105)
-        assert (chunk.mins[1], chunk.maxs[1]) == (4, 7)
-        assert chunk.null_count(1) == 1
+        assert chunk.rows[1] == (105, None, 5.0)
+        assert chunk.columns == [[4, 105, 6, 7], [4, None, 6, 7],
+                                 [4.0, 5.0, 6.0, 7.0]]
         # One entry out, one in, the row id unchanged.
         assert engine.counters.index_entries_maintained == 2
         assert engine.index("t", "PRIMARY").lookup((5,)) == []
