@@ -26,9 +26,12 @@ Each operator input list is one generated evaluator
 (:meth:`BatchExpressionCompiler.compile_columns`): an aggregate's group
 keys and arguments, a sort's keys, a hash join's probe or build keys,
 an index lookup's keys and a plan's projection each run as one loop
-that returns one value list per expression.  Layout of the evaluator
-for TPC-H Q1's aggregate inputs over ``lineitem`` (entry 0; ``_c0`` is
-the bound constant 1), whose columns are all NOT NULL::
+that returns one value list per expression.  Each conjunct list is one
+strict mask (:meth:`BatchExpressionCompiler.compile_filter`): a node's
+filter, and a join's condition over its candidate pairs (a nested
+loop's join conjuncts, a hash join's residual conjuncts).  Layout of
+the evaluator for TPC-H Q1's aggregate inputs over ``lineitem`` (entry
+0; ``_c0`` is the bound constant 1), whose columns are all NOT NULL::
 
     def _eval(_b):
         _col_0 = _b.columns[0]
@@ -154,46 +157,6 @@ class RowBatch:
         columns = {entry: column[start:stop]
                    for entry, column in self.columns.items()}
         return RowBatch(columns, max(0, min(stop, self.length) - start))
-
-
-class BatchAccumulator:
-    """Collects produced rows and flushes them as fixed-size batches.
-
-    Rows are stored row-major (one tuple per row, aligned with
-    ``entries``) so hot loops pay a single ``append`` per row; the
-    column transpose happens once per flush through ``zip(*rows)`` at
-    C speed.
-    """
-
-    __slots__ = ("entries", "rows", "batch_size")
-
-    def __init__(self, entries: List[int],
-                 batch_size: int = BATCH_SIZE) -> None:
-        self.entries = entries
-        self.rows: List[tuple] = []
-        self.batch_size = batch_size
-
-    def add_values(self, values: tuple) -> None:
-        self.rows.append(values)
-
-    @property
-    def length(self) -> int:
-        return len(self.rows)
-
-    @property
-    def full(self) -> bool:
-        return len(self.rows) >= self.batch_size
-
-    def flush(self) -> RowBatch:
-        rows = self.rows
-        self.rows = []
-        if rows:
-            transposed = zip(*rows)
-            columns = {entry: list(column)
-                       for entry, column in zip(self.entries, transposed)}
-        else:
-            columns = {entry: [] for entry in self.entries}
-        return RowBatch(columns, len(rows))
 
 
 #: A compiled batch expression: RowBatch -> list of values (length rows).
@@ -1208,11 +1171,13 @@ class _Lowering:
                 node.probe_key_exprs, probe_avail, bound, probe)
             node.bx_build_keys = compiler.compile_columns(
                 node.build_key_exprs, build_avail, bound, build)
-            facts = {**probe, **build} \
-                if _keeps_inner(node) else probe
-            # Residual conjuncts are evaluated per candidate pair through
-            # the row interpreter (rare); only validate what the batch
-            # reads.
+            # Candidates pair real probe and build rows; the join's
+            # output null-extends the build side of a LEFT or ANTI join.
+            candidates = {**probe, **build}
+            facts = candidates if _keeps_inner(node) else probe
+            node.bx_condition = compiler.compile_filter(
+                node.residual_conjuncts, probe_avail | build_avail, bound,
+                candidates)
             node.bx_filter = compiler.compile_filter(
                 node.filter_conjuncts, probe_avail | build_avail, bound,
                 facts)

@@ -621,6 +621,18 @@ def _nullif(a, b):
     return None if a is None or a == b else a
 
 
+def _extreme(pick: Callable) -> Callable:
+    """GREATEST / LEAST: the winning argument in the arguments' common
+    type, so an int that wins over a float comes back as a float."""
+    def extreme(*args):
+        value = pick(args)
+        if type(value) is int and float in map(type, args):
+            return float(value)
+        return value
+
+    return extreme
+
+
 #: Raw scalar implementations as ``(fn, strict)``: a strict function's
 #: result is NULL for any NULL argument, and ``fn`` is not called (the
 #: caller applies this); a lenient one gets its NULLs.  Checked against
@@ -651,8 +663,8 @@ RAW_SCALARS = {
     "DAYOFMONTH": (lambda d: d.day, True),
     "DAYOFWEEK": (lambda d: d.isoweekday() % 7 + 1, True),
     "NULLIF": (_nullif, False),
-    "GREATEST": (max, True),
-    "LEAST": (min, True),
+    "GREATEST": (_extreme(max), True),
+    "LEAST": (_extreme(min), True),
 }
 
 _FUNCTIONS = {name: _scalar_builder(scalar)

@@ -12,21 +12,30 @@ simply reads the outer entry's current slot.
 Every node carries `cost` and `rows` estimates copied from whichever
 optimizer produced it, so EXPLAIN shows Orca's estimates on Orca plans
 (Section 4.2.2).
+
+Each node's ``run_batches`` is its batch twin.  The joins there have one
+output form: a batch of outer (probe) rows becomes two position lists,
+outer rows and inner (build) rows, and every output column is gathered
+once per output batch (:func:`_gather`).  A hash join keeps its build
+side as one column per entry plus a key -> build-positions dict, and a
+residual runs as a compiled mask over the candidate pairs, as the
+batched index nested loop's join condition does.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import fractions
 import itertools
 import math
+import operator
 import sys
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.executor.batch import (
     BATCH_SIZE,
-    BatchAccumulator,
     RowBatch,
     share_key,
 )
@@ -244,10 +253,10 @@ def _leaf_batches(node: "_LeafNode", runtime: ExecutionRuntime,
             yield node._note(runtime, batch)
 
 
-def _emit(node: PlanNode, acc: BatchAccumulator, mask_fn,
+def _emit(node: PlanNode, batch: RowBatch,
           runtime: ExecutionRuntime) -> Iterator[RowBatch]:
-    """Flush an accumulator through a node's attached filter mask."""
-    batch = acc.flush()
+    """Emit a batch through a node's attached filter mask."""
+    mask_fn = node.bx_filter
     if mask_fn is not None:
         batch = batch.filter_true(mask_fn(batch))
     if batch.length:
@@ -706,7 +715,7 @@ class NestedLoopJoinNode(PlanNode):
                 if rows:
                     owners.extend([position] * len(rows))
                     found.extend(rows)
-            candidates = _gather(batch.columns, owners, slot, found)
+            candidates = _candidates(batch, owners, slot, found)
             if inner_mask is not None:
                 mask = inner_mask(candidates)
                 owners = list(itertools.compress(owners, mask))
@@ -720,7 +729,11 @@ class NestedLoopJoinNode(PlanNode):
                 if kind is JoinKind.INNER:
                     joined = candidates
                 else:
-                    joined = _null_extend(batch, owners, candidates, slot)
+                    positions, rows = _null_extend(
+                        owners, candidates.columns[slot],
+                        range(batch.length), None)
+                    joined = candidates if positions is owners \
+                        else _candidates(batch, positions, slot, rows)
             else:
                 joined = self._first_matches(batch, owners, candidates)
             if join_mask is not None:
@@ -792,8 +805,7 @@ class NestedLoopJoinNode(PlanNode):
                     for entry in inner_entries:
                         inner_cols[entry].extend(part.columns[entry])
             if positions:
-                joined = {entry: list(map(column.__getitem__, positions))
-                          for entry, column in outer_cols}
+                joined = _gather(outer_cols, positions)
                 joined.update(inner_cols)
                 self.actual_rows += len(positions)
                 yield RowBatch(joined, len(positions))
@@ -804,31 +816,19 @@ class NestedLoopJoinNode(PlanNode):
         reading an outer row's inner rows at its first match, so only
         the inner rows up to it count toward the inner node's actual
         rows."""
-        inner = self.inner
-        slot = inner.entry_id
+        slot = self.inner.entry_id
         condition = self.bx_condition
         mask = condition(candidates) if condition is not None \
             else [True] * candidates.length
-        read = 0
-        done = -1
-        picked: List[int] = []
-        matches: List[tuple] = []
-        for owner, row, passed in zip(owners, candidates.columns[slot],
-                                      mask):
-            if owner == done:
-                continue
-            read += 1
-            if passed is True:
-                done = owner
-                picked.append(owner)
-                matches.append(row)
-        inner.actual_rows += read
+        picked, read = _first_matches(owners, mask)
+        self.inner.actual_rows += read
         if self.kind is JoinKind.SEMI:
-            return _gather(batch.columns, picked, slot, matches)
-        matched = set(picked)
-        kept = [position for position in range(batch.length)
-                if position not in matched]
-        return _gather(batch.columns, kept, slot, [None] * len(kept))
+            found = candidates.columns[slot]
+            return _candidates(batch, [owners[at] for at in picked], slot,
+                               [found[at] for at in picked])
+        kept = _unmatched(range(batch.length),
+                          [owners[at] for at in picked])
+        return _candidates(batch, kept, slot, [None] * len(kept))
 
     def label(self) -> str:
         if self.kind is JoinKind.INNER:
@@ -842,7 +842,7 @@ class NestedLoopJoinNode(PlanNode):
 
 def _rebatch(batches: Iterator[RowBatch], size: int) -> Iterator[RowBatch]:
     """Re-cut a stream of batches into batches of exactly ``size`` rows
-    (the last one shorter) — the cut the row-path accumulator makes."""
+    (the last one shorter) — the cut a row-at-a-time emitter makes."""
     pending: Dict[int, list] = {}
     length = 0
     for batch in batches:
@@ -865,37 +865,71 @@ def _rebatch(batches: Iterator[RowBatch], size: int) -> Iterator[RowBatch]:
         yield RowBatch(pending, length)
 
 
-def _gather(columns: Dict[int, list], positions: List[int], slot: int,
-            inner_rows: list) -> RowBatch:
-    """A batch of the outer ``columns`` at ``positions`` beside the
+def _gather(columns, positions: List[int]) -> Dict[int, list]:
+    """Each ``(entry, column)`` of ``columns`` at ``positions``: the one
+    way a join builds output columns, once per entry per output batch."""
+    return {entry: list(map(column.__getitem__, positions))
+            for entry, column in columns}
+
+
+def _candidates(batch: RowBatch, positions: List[int], slot: int,
+                inner_rows: list) -> RowBatch:
+    """A batch of the outer ``batch`` at ``positions`` beside the
     matching ``inner_rows`` in ``slot``."""
-    gathered = {entry: list(map(column.__getitem__, positions))
-                for entry, column in columns.items()}
+    gathered = _gather(batch.columns.items(), positions)
     gathered[slot] = inner_rows
     return RowBatch(gathered, len(positions))
 
 
-def _null_extend(batch: RowBatch, owners: List[int], matches: RowBatch,
-                 slot: int) -> RowBatch:
-    """LEFT join output of one outer batch: each outer row's matches in
-    order, or the row itself beside a NULL inner row when it has none."""
-    if len(set(owners)) == batch.length:
-        return matches
+def _first_matches(owners: List[int], mask: list) -> Tuple[List[int], int]:
+    """The index of each owner's first passing candidate, and how many
+    candidates were read up to it.
+
+    ``owners`` holds each candidate's outer position, in order; a
+    candidate after its owner's first match is never read.  The nested
+    loop charges the read count to its inner side; a hash join's build
+    side has its actuals already."""
+    read = 0
+    done = -1
+    picked: List[int] = []
+    for at, (owner, passed) in enumerate(zip(owners, mask)):
+        if owner == done:
+            continue
+        read += 1
+        if passed is True:
+            done = owner
+            picked.append(at)
+    return picked, read
+
+
+def _unmatched(rows: range, matched: List[int]) -> List[int]:
+    """The positions of ``rows`` that ``matched`` does not hold."""
+    found = set(matched)
+    return [position for position in rows if position not in found]
+
+
+def _null_extend(owners: List[int], values: list, rows: range,
+                 null) -> Tuple[List[int], list]:
+    """LEFT join output of the outer ``rows`` as (outer positions, inner
+    values): each row's matches in order (``owners`` / ``values``), or
+    the row once beside ``null`` when it has none.  Returns ``owners``
+    itself when every row has a match."""
+    if len(set(owners)) == len(rows):
+        return owners, values
     positions: List[int] = []
-    rows: list = []
-    found = matches.columns[slot]
+    out: list = []
     at = 0
     count = len(owners)
-    for position in range(batch.length):
+    for position in rows:
         if at < count and owners[at] == position:
             while at < count and owners[at] == position:
                 positions.append(position)
-                rows.append(found[at])
+                out.append(values[at])
                 at += 1
         else:
             positions.append(position)
-            rows.append(None)
-    return _gather(batch.columns, positions, slot, rows)
+            out.append(null)
+    return positions, out
 
 
 class HashJoinNode(PlanNode):
@@ -924,6 +958,10 @@ class HashJoinNode(PlanNode):
         self.residual_conjuncts = residual_conjuncts
         self.residual_fn = residual_fn
         self._build_entries = build.produced_entries()
+        self._probe_entries = probe.produced_entries()
+        #: Residual mask over candidate pairs (set by batch lowering;
+        #: None without residual conjuncts).
+        self.bx_condition = None
 
     def children(self) -> Sequence[PlanNode]:
         return (self.probe, self.build)
@@ -1027,140 +1065,209 @@ class HashJoinNode(PlanNode):
                     yield
 
     def _build_table_batches(self, runtime: ExecutionRuntime
-                             ) -> Tuple[Dict[object, List[tuple]], int]:
-        """Batch twin of :meth:`_build_table_rows` (charge per batch)."""
+                             ) -> Tuple[Dict[object, List[int]],
+                                        List[list], int, int]:
+        """Materialise the build side as one column per build entry,
+        concatenated across build batches, and a table from each
+        non-NULL key to the build positions holding it, in build order.
+
+        Single-key joins (the common case) key the table by the bare
+        scalar; the dict equality matches 1-tuple keys exactly, without
+        a tuple per row.  Every column ends with one ``None``, at the
+        returned sentinel position: a probe row that a LEFT or ANTI join
+        null-extends reads its build entries there.  Charges the
+        governor per build batch, ``row_bytes`` sampled from the first
+        build row; returns the charged bytes too, released by the caller
+        when the probe finishes or the generator is closed."""
         build_entries = self._build_entries
         single_key = len(self.build_key_exprs) == 1
-        table: Dict[object, List[tuple]] = {}
+        table: Dict[object, List[int]] = {}
         setdefault = table.setdefault
+        columns: List[list] = [[] for __ in build_entries]
+        size = 0
         gov = runtime.governor
         charged = 0
         row_bytes = 0
         for build_batch in self.build.run_batches(runtime):
+            length = build_batch.length
+            if not length:
+                continue
             key_cols = self.bx_build_keys(build_batch)
-            saved_cols = [build_batch.columns[e] for e in build_entries]
-            saved_rows = zip(*saved_cols) if saved_cols \
-                else iter([()] * build_batch.length)
+            batch_cols = [build_batch.columns[e] for e in build_entries]
+            for column, part in zip(columns, batch_cols):
+                column.extend(part)
+            positions = range(size, size + length)
             if single_key:
-                for key, saved in zip(key_cols[0], saved_rows):
+                for key, position in zip(key_cols[0], positions):
                     if key is not None:
-                        setdefault(key, []).append(saved)
-            else:
-                build_keys = zip(*key_cols) if key_cols \
-                    else iter([()] * build_batch.length)
-                for key, saved in zip(build_keys, saved_rows):
+                        setdefault(key, []).append(position)
+            elif key_cols:
+                for key, position in zip(zip(*key_cols), positions):
                     if None not in key:
-                        setdefault(key, []).append(saved)
-            if build_batch.length:
-                if row_bytes == 0:
-                    sample = tuple(col[0] for col in saved_cols) \
-                        if saved_cols else ()
-                    row_bytes = approx_row_bytes(sample) \
-                        + BUCKET_OVERHEAD_BYTES
-                delta = build_batch.length * row_bytes
-                gov.charge(delta, "hash_join_build")
-                charged += delta
-        return table, charged
+                        setdefault(key, []).append(position)
+            else:  # cross join: every row keys to the () bucket
+                setdefault((), []).extend(positions)
+            size += length
+            if row_bytes == 0:
+                sample = tuple(column[0] for column in batch_cols)
+                row_bytes = approx_row_bytes(sample) + BUCKET_OVERHEAD_BYTES
+            delta = length * row_bytes
+            gov.charge(delta, "hash_join_build")
+            charged += delta
+        for column in columns:
+            column.append(None)
+        return table, columns, size, charged
 
     def run_batches(self, runtime: ExecutionRuntime) -> Iterator[RowBatch]:
-        """Build and probe per batch with vectorized key evaluation.
-
-        Residual (non-equi) conjuncts — rare — are evaluated per
-        candidate pair through the row-compiled ``residual_fn`` under
-        temporary context writes, exactly like the row engine."""
+        """Build, then probe a batch at a time: each probe batch becomes
+        two position lists (probe rows, build rows), and each output
+        batch gathers every entry's column once."""
         self.actual_loops += 1
-        # Single-key joins (the common case) hash the bare scalar; the
-        # dict equality matches 1-tuple keys exactly, without the
-        # per-row tuple build.
-        table, charged = self._build_table_batches(runtime)
+        table, columns, sentinel, charged = \
+            self._build_table_batches(runtime)
         gov = runtime.governor
         try:
-            yield from self._probe_batches(runtime, table)
+            yield from self._probe_batches(runtime, table, columns,
+                                           sentinel)
         finally:
             if charged:
                 gov.release(charged)
 
-    def _probe_batches(self, runtime: ExecutionRuntime,
-                       table: Dict[object, List[tuple]]
-                       ) -> Iterator[RowBatch]:
-        ctx = runtime.ctx
-        build_entries = self._build_entries
-        single_key = len(self.build_key_exprs) == 1
-        residual = self.residual_fn
-        has_residual = bool(self.residual_conjuncts)
-        kind = self.kind
-        probe_entries = self.probe.produced_entries()
-        acc = BatchAccumulator(probe_entries + list(build_entries),
-                               runtime.batch_size)
-        mask_fn = self.bx_filter
-        nulls = (None,) * len(build_entries)
-        empty: List[tuple] = []
-        get_bucket = table.get
-        inner_fast = kind is JoinKind.INNER and not has_residual
-        for probe_batch in self.probe.run_batches(runtime):
-            key_cols = self.bx_probe_keys(probe_batch)
-            probe_cols = [probe_batch.columns[e] for e in probe_entries]
-            probe_rows = zip(*probe_cols) if probe_cols \
-                else iter([()] * probe_batch.length)
-            if single_key:
+    def _pieces(self, runtime: ExecutionRuntime,
+                table: Dict[object, List[int]],
+                build: List[Tuple[int, list]], sentinel: int
+                ) -> Iterator[Tuple[List[Tuple[int, list]], List[int],
+                                    List[int]]]:
+        """The output as (probe columns, probe positions, build
+        positions) pieces, in probe order and, per probe row, build
+        order.
+
+        NULL keys are never in the table, so the lookup doubles as the
+        NULL check.  A piece covers whole probe rows of one probe batch
+        with at most ``batch_size`` candidate pairs between them (or one
+        probe row), so a join that fans out holds about a batch of
+        positions at a time, as a row-at-a-time emitter held about a
+        batch of rows."""
+        limit = runtime.batch_size
+        for batch in self.probe.run_batches(runtime):
+            probe = [(e, batch.columns[e]) for e in self._probe_entries]
+            key_cols = self.bx_probe_keys(batch)
+            length = batch.length
+            if len(self.build_key_exprs) == 1:
                 keys: Iterator = iter(key_cols[0])
             elif key_cols:
                 keys = zip(*key_cols)
             else:  # cross join: every row keys to the () bucket
-                keys = iter([()] * probe_batch.length)
-            if inner_fast:
-                # Inner join without residual: null keys are never in
-                # the table, so bucket lookup doubles as the null check;
-                # rows append straight into the accumulator's buffer.
-                out_rows = acc.rows
-                append = out_rows.append
-                for key, probe_values in zip(keys, probe_rows):
-                    bucket = get_bucket(key)
-                    if bucket:
-                        for saved in bucket:
-                            append(probe_values + saved)
-                        if len(out_rows) >= acc.batch_size:
-                            yield from _emit(self, acc, mask_fn, runtime)
-                            out_rows = acc.rows
-                            append = out_rows.append
-                continue
-            for key, probe_values in zip(keys, probe_rows):
-                if single_key:
-                    bucket = empty if key is None \
-                        else get_bucket(key, empty)
+                keys = itertools.repeat((), length)
+            buckets = list(map(table.get, keys, itertools.repeat(())))
+            if sum(map(len, buckets)) <= limit:
+                cuts = [0, length]
+            else:
+                ends = list(itertools.accumulate(map(len, buckets)))
+                cuts = [0]
+                while cuts[-1] < length:
+                    start = cuts[-1]
+                    taken = ends[start - 1] if start else 0
+                    cuts.append(max(start + 1, bisect.bisect_right(
+                        ends, taken + limit, start)))
+            for start, stop in zip(cuts, cuts[1:]):
+                probes, builds = self._matches(
+                    buckets[start:stop] if stop - start < length
+                    else buckets, range(start, stop), probe, build,
+                    sentinel)
+                yield probe, probes, builds
+
+    def _matches(self, buckets: list, rows: range,
+                 probe: List[Tuple[int, list]],
+                 build: List[Tuple[int, list]], sentinel: int
+                 ) -> Tuple[List[int], List[int]]:
+        """The output positions of the probe ``rows``, whose build
+        positions are ``buckets``.
+
+        A residual runs as one compiled mask over the candidate pairs; a
+        SEMI or ANTI row then takes its first passing candidate, and a
+        LEFT row without one is null-extended, as in the batched index
+        nested loop.  Null extension pairs a probe row with the
+        ``sentinel`` build position."""
+        kind = self.kind
+        condition = self.bx_condition
+        if condition is None:
+            if kind is JoinKind.ANTI:
+                kept = list(itertools.compress(
+                    rows, map(operator.not_, buckets)))
+                return kept, [sentinel] * len(kept)
+            if kind is JoinKind.SEMI:
+                return (list(itertools.compress(rows, buckets)),
+                        [bucket[0] for bucket in filter(None, buckets)])
+            if kind is JoinKind.LEFT:
+                unmatched = [sentinel]
+                buckets = [bucket or unmatched for bucket in buckets]
+        probes = list(itertools.compress(rows, buckets))
+        found = list(filter(None, buckets))
+        builds = list(itertools.chain.from_iterable(found))
+        if len(builds) != len(probes):
+            probes = list(itertools.chain.from_iterable(
+                map(itertools.repeat, probes, map(len, found))))
+        if condition is None:
+            return probes, builds
+        candidates = _gather(probe, probes)
+        candidates.update(_gather(build, builds))
+        mask = condition(RowBatch(candidates, len(probes)))
+        if kind is JoinKind.SEMI or kind is JoinKind.ANTI:
+            picked, __ = _first_matches(probes, mask)
+            if kind is JoinKind.SEMI:
+                return ([probes[at] for at in picked],
+                        [builds[at] for at in picked])
+            kept = _unmatched(rows, [probes[at] for at in picked])
+            return kept, [sentinel] * len(kept)
+        probes = list(itertools.compress(probes, mask))
+        builds = list(itertools.compress(builds, mask))
+        if kind is JoinKind.LEFT:
+            return _null_extend(probes, builds, rows, sentinel)
+        return probes, builds
+
+    def _probe_batches(self, runtime: ExecutionRuntime,
+                       table: Dict[object, List[int]], columns: List[list],
+                       sentinel: int) -> Iterator[RowBatch]:
+        """Output batches cut where a row-at-a-time emitter cuts them:
+        an inner join without a residual after the probe row whose
+        matches bring the pending rows to ``batch_size`` or more (a
+        probe row's matches stay in one batch), every other join at
+        exactly ``batch_size``.  Rows left over at the end of a piece
+        wait, gathered, for the next one."""
+        size = runtime.batch_size
+        whole_rows = self.kind is JoinKind.INNER \
+            and self.bx_condition is None
+        build = list(zip(self._build_entries, columns))
+        pending: Dict[int, list] = {}
+        waiting = 0
+        for probe, probes, builds in self._pieces(runtime, table, build,
+                                                  sentinel):
+            total = len(probes)
+            start = 0
+            while start < total:
+                end = start + size - waiting
+                if end > total:
+                    end = total
+                elif whole_rows:
+                    end = bisect.bisect_right(probes, probes[end - 1], end)
+                whole = end - start == total
+                out = _gather(probe, probes if whole else probes[start:end])
+                out.update(_gather(build,
+                                   builds if whole else builds[start:end]))
+                if waiting:
+                    for entry, column in out.items():
+                        pending[entry].extend(column)
                 else:
-                    bucket = empty if None in key \
-                        else get_bucket(key, empty)
-                if has_residual and bucket:
-                    for entry_id, value in zip(probe_entries, probe_values):
-                        ctx[entry_id] = value
-                matched = False
-                last_saved = nulls
-                for saved in bucket:
-                    if has_residual:
-                        for entry_id, row in zip(build_entries, saved):
-                            ctx[entry_id] = row
-                        if residual(ctx) is not True:
-                            continue
-                    matched = True
-                    last_saved = saved
-                    if kind is JoinKind.SEMI or kind is JoinKind.ANTI:
-                        break
-                    acc.add_values(probe_values + saved)
-                    if acc.full:
-                        yield from _emit(self, acc, mask_fn, runtime)
-                if kind is JoinKind.SEMI:
-                    if matched:
-                        acc.add_values(probe_values + last_saved)
-                elif kind is JoinKind.ANTI:
-                    if not matched:
-                        acc.add_values(probe_values + nulls)
-                elif kind is JoinKind.LEFT and not matched:
-                    acc.add_values(probe_values + nulls)
-                if acc.full:
-                    yield from _emit(self, acc, mask_fn, runtime)
-        if acc.length:
-            yield from _emit(self, acc, mask_fn, runtime)
+                    pending = out
+                waiting += end - start
+                start = end
+                if waiting >= size:
+                    yield from _emit(self, RowBatch(pending, waiting),
+                                     runtime)
+                    waiting = 0
+        if waiting:
+            yield from _emit(self, RowBatch(pending, waiting), runtime)
 
     def label(self) -> str:
         keys = ", ".join(
@@ -1612,14 +1719,12 @@ class AggregateNode(PlanNode):
         """One output row per group in first-seen order, then release
         the ``charged`` bytes."""
         try:
-            acc = BatchAccumulator([self.output_entry_id],
-                                   runtime.batch_size)
-            for key in order:
-                acc.add_values((key + self._results(groups[key]),))
-                if acc.full:
-                    yield self._note(runtime, acc.flush())
-            if acc.length:
-                yield self._note(runtime, acc.flush())
+            size = runtime.batch_size
+            for start in range(0, len(order), size):
+                column = [key + self._results(groups[key])
+                          for key in order[start:start + size]]
+                yield self._note(runtime, RowBatch(
+                    {self.output_entry_id: column}, len(column)))
         finally:
             if charged:
                 runtime.governor.release(charged)
@@ -1645,8 +1750,8 @@ class AggregateNode(PlanNode):
             if merged is not None:
                 yield from self._emit_groups(runtime, *merged)
                 return
-        acc = BatchAccumulator([self.output_entry_id],
-                               runtime.batch_size)
+        size = runtime.batch_size
+        out: List[tuple] = []
         current_key: object = _NEVER
         accumulators: List[_Accumulator] = []
         proven_args = self.proven_args
@@ -1668,10 +1773,12 @@ class AggregateNode(PlanNode):
                 pos += count
                 if key != current_key:
                     if current_key is not _NEVER:
-                        acc.add_values(
-                            (current_key + self._results(accumulators),))
-                        if acc.full:
-                            yield self._note(runtime, acc.flush())
+                        out.append(
+                            current_key + self._results(accumulators))
+                        if len(out) >= size:
+                            yield self._note(runtime, RowBatch(
+                                {self.output_entry_id: out}, size))
+                            out = []
                     current_key = key
                     accumulators = self._new_group()
                 for accumulator, column, proven in zip(
@@ -1683,11 +1790,12 @@ class AggregateNode(PlanNode):
                             column if count == length
                             else column[start:pos], proven)
         if current_key is not _NEVER:
-            acc.add_values((current_key + self._results(accumulators),))
+            out.append(current_key + self._results(accumulators))
         elif not self.group_fns:
-            acc.add_values((self._results(self._new_group()),))
-        if acc.length:
-            yield self._note(runtime, acc.flush())
+            out.append(self._results(self._new_group()))
+        if out:
+            yield self._note(runtime, RowBatch(
+                {self.output_entry_id: out}, len(out)))
 
     def _group_bytes(self, key: tuple) -> int:
         """Per-group charge estimate: key + one accumulator per spec."""

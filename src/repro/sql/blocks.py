@@ -391,10 +391,16 @@ def infer_type(expr: ast.Expr) -> TypeInstance:
                                                    "DAYOFWEEK", "YEAR",
                                                    "MONTH"):
             return _LONGLONG
+        if name in ("COALESCE", "IFNULL"):
+            # The first argument that can be non-NULL decides.
+            typed = _non_null_literals(expr.args)
+            return infer_type(typed[0]) if typed else _DOUBLE
+        if name == "NULLIF":
+            return infer_type(expr.args[0]) if expr.args else _DOUBLE
+        if name in ("GREATEST", "LEAST"):
+            return _common_type(_non_null_literals(expr.args))
         if name in ("CONCAT", "SUBSTRING", "SUBSTR", "UPPER", "LOWER",
-                    "TRIM", "LTRIM", "RTRIM", "COALESCE", "IFNULL"):
-            if name in ("COALESCE", "IFNULL") and expr.args:
-                return infer_type(expr.args[0])
+                    "TRIM", "LTRIM", "RTRIM"):
             return _VARCHAR
         return _DOUBLE
     if isinstance(expr, ast.WindowCall):
@@ -408,6 +414,27 @@ def infer_type(expr: ast.Expr) -> TypeInstance:
     if isinstance(expr, ast.IntervalLiteral):
         return _LONGLONG
     return _DOUBLE
+
+
+def _non_null_literals(args: List[ast.Expr]) -> List[ast.Expr]:
+    return [arg for arg in args
+            if not (isinstance(arg, ast.Literal) and arg.value is None)]
+
+
+def _common_type(args: List[ast.Expr]) -> TypeInstance:
+    """The type GREATEST / LEAST compare and return in: LONGLONG over
+    ints, DOUBLE over numbers with a non-int among them, else the first
+    argument's type."""
+    typed = [infer_type(arg) for arg in args]
+    if not typed:
+        return _DOUBLE
+    categories = [t.category.value for t in typed]
+    if all(category.startswith("INT") for category in categories):
+        return _LONGLONG
+    if all(category.startswith("INT") or category == "NUM"
+           for category in categories):
+        return _DOUBLE
+    return typed[0]
 
 
 def _cast_target_type(name: str) -> TypeInstance:

@@ -4,7 +4,7 @@ import datetime
 
 import pytest
 
-from repro.executor.expression import RAW_SCALARS
+from repro.executor.expression import RAW_SCALARS, ExpressionCompiler
 from repro.mysql_types import MySQLType, python_type_for
 from repro.sql import ast
 from repro.sql.blocks import (
@@ -142,15 +142,42 @@ class TestTypeInference:
         assert expr_type.base is MySQLType.VARCHAR
 
     @pytest.mark.parametrize("name", ["ABS", "ROUND", "FLOOR", "CEIL",
-                                      "CEILING", "SQRT", "MOD", "POWER"])
+                                      "CEILING", "SQRT", "MOD", "POWER",
+                                      "GREATEST", "LEAST", "NULLIF"])
     @pytest.mark.parametrize("args", [(7, 2), (7.5, 2), (7, 2.0),
-                                      (7.5, 2.5)])
+                                      (7.5, 2.5), (2, 7.5), (2.5, 7)])
     def test_numeric_function_type_matches_its_value(self, name, args):
         # The inferred type's runtime class is the class of the value
         # the function returns, for int and float arguments alike.
-        arity = 2 if name in ("ROUND", "MOD", "POWER") else 1
+        arity = 2 if name in ("ROUND", "MOD", "POWER", "GREATEST",
+                              "LEAST", "NULLIF") else 1
         args = args[:arity]
         value = RAW_SCALARS[name][0](*args)
+        inferred = infer_type(ast.FuncCall(name, [ast.Literal(arg)
+                                                  for arg in args]))
+        assert python_type_for(inferred.base) is type(value), \
+            (name, args, inferred.base, value)
+
+    @pytest.mark.parametrize("name", ["GREATEST", "LEAST"])
+    @pytest.mark.parametrize("args", [("a", "b"), (None, 2), (None, 2.5),
+                                      (datetime.date(2000, 1, 2),
+                                       datetime.date(2000, 1, 1))])
+    def test_greatest_and_least_take_their_arguments_type(self, name, args):
+        value = RAW_SCALARS[name][0](*[arg for arg in args
+                                       if arg is not None])
+        inferred = infer_type(ast.FuncCall(name, [ast.Literal(arg)
+                                                  for arg in args]))
+        assert python_type_for(inferred.base) is type(value), \
+            (name, args, inferred.base, value)
+
+    @pytest.mark.parametrize("name", ["COALESCE", "IFNULL"])
+    @pytest.mark.parametrize("args", [(None, 2), (None, 2.5), (7, 2.5),
+                                      (2.5, 7), (None, "a")])
+    def test_coalesce_type_skips_null_literals(self, name, args):
+        # The value is the first non-NULL argument; a NULL literal
+        # never is one, so it never decides the type.
+        value = ExpressionCompiler().compile(
+            ast.FuncCall(name, [ast.Literal(arg) for arg in args]))([])
         inferred = infer_type(ast.FuncCall(name, [ast.Literal(arg)
                                                   for arg in args]))
         assert python_type_for(inferred.base) is type(value), \
