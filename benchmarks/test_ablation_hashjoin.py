@@ -9,7 +9,7 @@ choice of the join method" (Section 6.1), worth ~2X in the paper.
 """
 
 from benchmarks.conftest import write_report
-from repro.bench.harness import results_match
+from benchmarks.paper import results_match
 from repro.workloads.tpch import tpch_query
 
 

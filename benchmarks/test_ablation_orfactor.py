@@ -7,7 +7,7 @@ pattern).  This ablation runs Orca with the rewrite disabled and compares.
 """
 
 from benchmarks.conftest import write_report
-from repro.bench.harness import results_match
+from benchmarks.paper import results_match
 from repro.orca.joinorder import JoinSearchMode
 from repro.orca.optimizer import OrcaConfig
 

@@ -10,7 +10,7 @@ Paper's findings (Section 6.1) and the shape asserted here:
 """
 
 from benchmarks.conftest import run_tpch_suite, session_cache, write_report
-from repro.bench import format_figure10, summarize
+from benchmarks.paper import format_figure10, summarize
 
 
 def test_fig10_tpch_execution_times(benchmark, tpch_db):

@@ -12,7 +12,7 @@ Paper's findings (Section 6.2) and the shape asserted here:
 
 from benchmarks.conftest import run_tpcds_suite, session_cache, \
     write_report
-from repro.bench import format_figure11, summarize
+from benchmarks.paper import format_figure11, summarize
 
 
 def test_fig11_tpcds_execution_times(benchmark, tpcds_db):

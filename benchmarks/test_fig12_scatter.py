@@ -11,7 +11,7 @@ from benchmarks.conftest import (
     session_cache,
     write_report,
 )
-from repro.bench import format_figure12
+from benchmarks.paper import format_figure12
 
 
 def test_fig12_slower_only_on_short_queries(benchmark, tpcds_db):

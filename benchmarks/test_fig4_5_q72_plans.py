@@ -11,7 +11,7 @@ meaningful factor, not the absolute number).
 """
 
 from benchmarks.conftest import write_report
-from repro.bench.harness import results_match
+from benchmarks.paper import results_match
 from repro.workloads.tpcds import tpcds_query
 
 

@@ -9,7 +9,7 @@ through the ``lineitem_fk2`` index.
 """
 
 from benchmarks.conftest import write_report
-from repro.bench.harness import results_match
+from benchmarks.paper import results_match
 from repro.bridge.router import OrcaRouter
 from repro.executor.plan import AccessMethod
 from repro.governor import ExecutionGovernor

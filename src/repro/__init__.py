@@ -30,9 +30,10 @@ optimizers and the bridge the paper describes between them:
   log (``db.statements``) that every report and the advisor read, with
   one p95 regression detector;
 * :mod:`repro.workloads` — TPC-H (22 queries) and TPC-DS-style (99
-  queries) schemas, data generators, and query suites;
-* :mod:`repro.bench` — the harness regenerating the paper's Fig. 10-12
-  and Table 1.
+  queries) schemas, data generators, and query suites.
+
+The harness regenerating the paper's Figs. 10-12 and Table 1 lives
+outside the package, in ``benchmarks/paper.py``.
 
 Quickstart::
 

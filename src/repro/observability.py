@@ -22,7 +22,7 @@ both questions:
   :class:`repro.resilience.FallbackLog` feeds the same registry, so one
   report answers "what happened to this statement and why".
 
-Span taxonomy (names are stable API, used by the bench harness)::
+Span taxonomy (names are stable API, read by the tests and tools)::
 
     statement
       parse
@@ -148,8 +148,8 @@ class Span:
         """Flat JSON trace export: one dict per span, pre-order.
 
         ``depth`` and ``parent`` (the parent's index in the list) make
-        the tree reconstructible without nesting — the format the bench
-        harness and external tools consume.  Unclosed spans export with
+        the tree reconstructible without nesting — the format external
+        tools consume.  Unclosed spans export with
         ``closed: false`` and a null duration (see :meth:`to_dict`).
         """
         out: List[dict] = []
@@ -341,7 +341,8 @@ def stage_durations(root: Span) -> Dict[str, float]:
     """Total seconds per span name across the tree under ``root``.
 
     Multiple spans with one name (e.g. ``memo_search`` per query block)
-    are summed — this is the per-stage breakdown the bench report prints.
+    are summed — the per-stage breakdown EXPLAIN ANALYZE's footer and
+    the statement log's records carry.
     """
     totals: Dict[str, float] = {}
     for span in root.walk():

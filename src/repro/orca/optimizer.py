@@ -82,8 +82,7 @@ class OrcaConfig:
     #: (:mod:`repro.orca.largejoin`): ``adaptive`` picks full DP / GOO
     #: / greedy by component size and remaining compile budget; any
     #: :class:`~repro.orca.largejoin.JoinStrategy` value forces that
-    #: strategy (benchmarks and tests, through
-    #: :func:`repro.bench.harness.forced_orca_config`).
+    #: strategy (tests, through ``tests/conftest.forced_orca_config``).
     join_strategy: str = "adaptive"
 
 

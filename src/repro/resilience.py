@@ -21,7 +21,7 @@ purpose:
   isolates optimizer-crashing queries;
 * :class:`FallbackLog` — counters by reason, a bounded event ring (the
   per-statement history is a view of it), and a text report, surfaced
-  through ``Database.resilience_report()`` and the benchmark harness;
+  through ``Database.resilience_report()`` and the paper's harness;
 * :class:`FaultInjector` — deterministic, seedable fault injection at
   named points in the metadata provider, parse-tree converter,
   optimizer, and plan converter, so every fallback path can be tested
@@ -504,21 +504,6 @@ class FaultInjector:
             self._armed.clear()
         else:
             self._armed.pop(site, None)
-
-    def reseed(self, seed: int) -> "FaultInjector":
-        """Re-seed the probability PRNG and zero the site counters.
-
-        The bench harness calls this when a suite is run with an
-        explicit ``seed`` so probabilistic faults fire on the same
-        statements run-to-run regardless of what executed before the
-        suite started.  Armed faults stay armed.
-        """
-        import random
-
-        self._rng = random.Random(seed)
-        self.fired = {site: 0 for site in INJECTION_SITES}
-        self.reached = {site: 0 for site in INJECTION_SITES}
-        return self
 
     def _draw(self, site: str) -> Optional[_ArmedFault]:
         """Shared gating: armed, times remaining, probability draw."""

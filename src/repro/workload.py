@@ -31,7 +31,7 @@ The Database facade owns one advisor, surfaces it through
 ``db.workload_report()``, and — when ``DatabaseConfig``'s
 ``advisor_auto_analyze`` is on — applies pending re-ANALYZE
 recommendations every ``advisor_interval_statements`` statements.  The
-drift scenario (:mod:`repro.bench.drift`) is the caller that sets both;
+drift scenario (``tests/drift.py``) is the caller that sets both;
 every other threshold here is a module constant.
 """
 

@@ -2,12 +2,25 @@
 
 import datetime
 import random
+from contextlib import contextmanager
+from dataclasses import replace
+from typing import Iterator
 
 import pytest
 
 from repro import Database, DatabaseConfig
+from repro.bridge import router
+from repro.bridge.router import OrcaRouter
 from repro.catalog import Catalog, Column, Index, TableSchema
+from repro.errors import ReproError
+from repro.governor import ExecutionGovernor
 from repro.mysql_types import MySQLType
+from repro.observability import Tracer, find_spans
+from repro.orca.largejoin import STRATEGY_POLICIES
+from repro.orca.optimizer import OrcaConfig
+from repro.sql.parser import parse_statement
+from repro.sql.prepare import prepare
+from repro.sql.resolver import Resolver
 
 
 def _orders_schema():
@@ -137,10 +150,55 @@ def brute_force(db, tables, predicate, project):
     return out
 
 
+@contextmanager
+def forced_orca_config(**changes) -> Iterator[None]:
+    """Plan every Orca detour inside the block with these ``OrcaConfig``
+    fields changed, e.g. ``join_strategy="dp"`` or
+    ``enable_cost_bound_pruning=False``.
+
+    Forcing a join strategy or switching pruning off is a measurement
+    setting, not a database option: it changes the search configuration
+    the router derives from ``DatabaseConfig``, and ``db.run`` inside
+    the block plans, executes and returns rows as usual.
+    """
+    replace(OrcaConfig(), **changes)  # an unknown field raises here
+    policy = changes.get("join_strategy", "adaptive")
+    if policy not in STRATEGY_POLICIES:
+        raise ReproError(f"unknown join_strategy {policy!r}; valid "
+                         f"choices: {', '.join(STRATEGY_POLICIES)}")
+    derive = router.orca_config_for
+    router.orca_config_for = lambda config: replace(derive(config),
+                                                    **changes)
+    try:
+        yield
+    finally:
+        router.orca_config_for = derive
+
+
+def orca_search(db, sql, pruning: bool = True) -> tuple:
+    """Compile ``sql`` through the Orca detour, traced, with cost-bound
+    pruning on or off; returns ``(skeleton, memo_search spans)``.
+
+    The unpruned search is an ``OrcaConfig`` setting only, so this
+    drives the Orca router directly under :func:`forced_orca_config`.
+    The skeleton is None when the detour fell back.
+    """
+    stmt = parse_statement(sql)
+    block, context = Resolver(db.catalog).resolve(stmt)
+    prepare(block)
+    tracer = Tracer()
+    with forced_orca_config(enable_cost_bound_pruning=pruning), \
+            tracer.span("compile") as root:
+        skeleton = OrcaRouter(db.catalog, db.config,
+                              governor=ExecutionGovernor(), tracer=tracer,
+                              mdcache=db.mdcache
+                              ).optimize(stmt, block, context)
+    return skeleton, find_spans(root, "memo_search")
+
+
 def run_orca(db, sql, pruning: bool = True):
     """Compile ``sql`` through the Orca detour with cost-bound pruning on
     or off and run the plan; returns ``(rows, memo_search spans)``."""
-    from repro.bench.harness import orca_search
     from repro.mysql_optimizer.refinement import PlanBuilder
 
     skeleton, spans = orca_search(db, sql, pruning)

@@ -10,6 +10,8 @@ import pytest
 from repro import Database, DatabaseConfig
 from repro.workloads.tpcds import TPCDS_QUERIES, load_tpcds
 
+from benchmarks.paper import results_match
+
 #: All hand-written flagships plus a slice of the template families.
 SUBSET = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 17, 24, 31, 32, 41,
           58, 72, 81, 92)
@@ -20,9 +22,6 @@ def db():
     database = Database(DatabaseConfig(complex_query_threshold=2))
     load_tpcds(database, scale=0.2, seed=7)
     return database
-
-
-from repro.bench.harness import results_match
 
 
 @pytest.mark.parametrize("number", SUBSET)

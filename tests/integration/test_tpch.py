@@ -9,15 +9,14 @@ import pytest
 from repro import Database, DatabaseConfig
 from repro.workloads.tpch import TPCH_QUERIES, load_tpch
 
+from benchmarks.paper import results_match
+
 
 @pytest.fixture(scope="module")
 def db():
     database = Database(DatabaseConfig(complex_query_threshold=3))
     load_tpch(database, scale=0.25, seed=42)
     return database
-
-
-from repro.bench.harness import results_match
 
 
 @pytest.mark.parametrize("number", sorted(TPCH_QUERIES))

@@ -6,13 +6,12 @@ advisor recommends (and, via the opt-in ``advisor_auto_analyze`` hook,
 applies) re-ANALYZE -> Q-errors recover; a mid-workload optimizer
 reroute is flagged as a plan regression and its cached plans purged.
 
-The scenario itself lives in :mod:`repro.bench.drift`; the committed
-``BENCH_advisor`` artifact runs the same code at bench scale.
+The scenario itself lives in :mod:`tests.drift`.
 """
 
 import pytest
 
-from repro.bench.drift import run_drift_scenario
+from tests.drift import run_drift_scenario
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +22,7 @@ def payload():
     # detector's 8x, and stays above 19x with the CPU oversubscribed
     # (at 0.35 it was ~16x and fell under 8x under load).  The whole
     # scenario still finishes in seconds.
-    return run_drift_scenario(scale=0.7, seed=42, runs_per_query=4,
-                              auto_analyze=True)
+    return run_drift_scenario(scale=0.7, seed=42, runs_per_query=4)
 
 
 class TestDriftRecovery:
@@ -48,8 +46,7 @@ class TestDriftRecovery:
         # Latency returns to the baseline's because the plans do: after
         # re-ANALYZE every query of the mix runs the plan it ran against
         # fresh statistics, while the stale phase ran some other plan.
-        # Plan hashes are literal- and clock-free, so this cannot flake
-        # (the bench artifact gates p95 at 1.2x at full scale).
+        # Plan hashes are literal- and clock-free, so this cannot flake.
         baseline = payload["baseline"]["queries"]
         stale = payload["stale"]["queries"]
         recovered = payload["recovered"]["queries"]

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import results_match
-
+from benchmarks.paper import results_match
 from tests.conftest import build_mini_db
 
 

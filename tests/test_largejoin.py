@@ -11,7 +11,6 @@ selector rung actually fires.
 import pytest
 
 from repro import Database, DatabaseConfig
-from repro.bench.harness import forced_orca_config
 from repro.errors import ReproError
 from repro.observability import find_spans
 from repro.orca import largejoin
@@ -23,6 +22,8 @@ from repro.orca.largejoin import (
     select_strategy,
 )
 from repro.workloads.joins import load_topology, make_topology
+
+from tests.conftest import forced_orca_config
 
 
 def _select(n, policy="adaptive", greedy=False, remaining=None):

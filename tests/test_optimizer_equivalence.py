@@ -10,8 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import results_match
-
+from benchmarks.paper import results_match
 from tests.conftest import build_mini_db
 
 _DB = build_mini_db(seed=77, orders=120)

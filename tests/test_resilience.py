@@ -11,8 +11,6 @@ at each of the four bridge injection points — and that the telemetry
 import pytest
 
 from repro import Database, DatabaseConfig, FallbackReason, FaultInjector
-from repro.bench.harness import run_suite
-from repro.bench.report import summarize
 from repro.errors import BudgetExceededError, ReproError
 from repro.mysql_optimizer.optimizer import MySQLOptimizer
 from repro.resilience import (
@@ -25,6 +23,7 @@ from repro.resilience import (
     statement_fingerprint,
 )
 
+from benchmarks.paper import run_suite, summarize
 from tests.conftest import build_mini_db
 
 SQL = """

@@ -379,30 +379,3 @@ class TestDatabaseIntegration:
         # thresholds are statement_log / workload module constants.
         assert not [f.name for f in dataclasses.fields(DatabaseConfig)
                     if f.name.startswith("workload_")]
-
-
-# ---------------------------------------------------------------------------
-# run_suite seed threading
-# ---------------------------------------------------------------------------
-
-class TestSuiteSeed:
-    def test_seed_lands_in_result_and_reseeds_injector(self):
-        from repro.bench import run_suite
-
-        injector = FaultInjector(seed=1)
-        injector.fired["optimizer"] = 9
-        db = build_mini_db(seed=31, orders=40)
-        db.config.fault_injector = injector
-        result = run_suite(db, {1: "SELECT COUNT(*) FROM orders"},
-                           name="seeded", seed=77)
-        assert result.seed == 77
-        # reseed() zeroed the counters for a reproducible run.
-        assert injector.fired.get("optimizer", 0) == 0
-
-    def test_seed_defaults_to_none(self):
-        from repro.bench import run_suite
-
-        db = build_mini_db(seed=31, orders=40)
-        result = run_suite(db, {1: "SELECT COUNT(*) FROM orders"},
-                           name="unseeded")
-        assert result.seed is None
