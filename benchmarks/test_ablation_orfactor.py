@@ -29,8 +29,9 @@ def _run_orca_with_config(db, sql, orca_config):
     prepare(block)
     router = OrcaRouter(db.catalog, db.config, orca_config,
                         governor=ExecutionGovernor())
-    skeleton = router.optimize(stmt, block, context)
-    assert skeleton is not None
+    outcome = router.optimize_guarded(stmt, block, context)
+    assert outcome.ok, outcome.reason
+    skeleton = outcome.skeleton
     executor = PlanBuilder(skeleton, db.catalog, db.storage).build()
     rows = executor.execute()
     return rows, time.perf_counter() - start

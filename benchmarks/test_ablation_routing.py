@@ -30,7 +30,7 @@ def _run_mix(db):
 def test_cost_based_routing_beats_threshold(benchmark, tpch_db):
     def compare():
         original_routing = tpch_db.config.routing
-        original_threshold = tpch_db.config.complex_query_threshold
+        original_cost_threshold = tpch_db.config.mysql_cost_threshold
         try:
             tpch_db.config.routing = "threshold"
             threshold_total, threshold_routed = _run_mix(tpch_db)
@@ -39,7 +39,7 @@ def test_cost_based_routing_beats_threshold(benchmark, tpch_db):
             cost_total, cost_routed = _run_mix(tpch_db)
         finally:
             tpch_db.config.routing = original_routing
-            tpch_db.config.complex_query_threshold = original_threshold
+            tpch_db.config.mysql_cost_threshold = original_cost_threshold
         return (threshold_total, threshold_routed,
                 cost_total, cost_routed)
 

@@ -28,8 +28,9 @@ def test_fig6_7_q17_translation(benchmark, tpch_db):
     prepare(block)
     router = OrcaRouter(tpch_db.catalog, tpch_db.config,
                         governor=ExecutionGovernor())
-    skeleton = router.optimize(stmt, block, context)
-    assert skeleton is not None, "Orca fell back unexpectedly"
+    outcome = router.optimize_guarded(stmt, block, context)
+    assert outcome.ok, f"Orca fell back unexpectedly: {outcome.reason}"
+    skeleton = outcome.skeleton
 
     # Fig. 7: two best-position arrays — the outer block's and the
     # derived subquery block's.

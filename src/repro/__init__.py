@@ -16,8 +16,9 @@ optimizers and the bridge the paper describes between them:
   tree converter, metadata provider (OID layout + DXL), and plan
   converter (best-position arrays);
 * :mod:`repro.resilience` — fault containment for the detour: fallback
-  reason taxonomy, compile budgets, per-statement circuit breaker,
-  fallback telemetry, and seedable fault injection;
+  reason taxonomy, detour outcomes, compile budgets, per-statement
+  circuit breaker, and seedable fault injection (the facade counts
+  each outcome once, in the metrics registry and the statement log);
 * :mod:`repro.governor` — execution-stage resource governance: per-
   statement wall-clock deadlines (``run(sql, timeout_seconds=...)``),
   cooperative cancellation (``db.cancel(statement_id)`` /
@@ -59,7 +60,6 @@ from repro.observability import MetricsRegistry, Span, Tracer
 from repro.resilience import (
     CircuitBreaker,
     CompileBudget,
-    FallbackLog,
     FallbackReason,
     FaultInjector,
     statement_fingerprint,
@@ -75,7 +75,6 @@ __all__ = [
     "DatabaseConfig",
     "DeadlineExceededError",
     "ExecutionGovernor",
-    "FallbackLog",
     "FallbackReason",
     "FaultInjector",
     "GovernorError",

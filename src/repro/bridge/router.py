@@ -9,12 +9,12 @@ The router implements the paper's conservative policy:
   facade for ``optimizer="auto"``);
 * recursive CTEs and multi-column GROUPING are rejected before Orca
   (the SQL frontend already refuses them, mirroring Section 4.1);
-* the whole detour runs under a :class:`repro.resilience.DetourGuard`:
+* the whole detour runs contained (:meth:`OrcaRouter.optimize_guarded`):
   typed aborts (:class:`OrcaFallbackError`), compile-budget overruns,
   and *any* unexpected exception make the router fall back, and the
-  caller "resorts to the usual MySQL query optimization" — the outcome
-  (reason + error details) is reported so the facade can log it and
-  feed the circuit breaker.
+  caller "resorts to the usual MySQL query optimization" — the
+  :class:`repro.resilience.DetourOutcome` (reason + error details) is
+  returned so the facade can record it and feed the circuit breaker.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set
 
 from repro.catalog.catalog import Catalog
-from repro.errors import OrcaFallbackError, ReproError
+from repro.errors import GovernorError, OrcaFallbackError, ReproError
 from repro.governor import ExecutionGovernor
 from repro.bridge.metadata_provider import MySQLMetadataProvider
 from repro.bridge.parse_tree_converter import ParseTreeConverter
@@ -32,7 +32,7 @@ from repro.orca.joinorder import JoinSearchMode, SubEstimates
 from repro.orca.mdcache import MDAccessor, MDCache
 from repro.orca.optimizer import OrcaBlockPlan, OrcaConfig, OrcaOptimizer
 from repro.orca.preprocess import preprocess_block, push_cte_predicates
-from repro.resilience import CompileBudget, DetourGuard, DetourOutcome
+from repro.resilience import CompileBudget, DetourOutcome, classify_exception
 from repro.selectivity import SelectivityEstimator
 from repro.sql import ast
 from repro.sql.blocks import EntryKind, QueryBlock, StatementContext
@@ -84,17 +84,6 @@ class OrcaRouter:
         #: memo_search, plan_convert, metadata_lookup).
         self.tracer = tracer
         self.metrics = metrics
-        #: Populated on every successful optimization, for observability.
-        self.last_provider: Optional[MySQLMetadataProvider] = None
-        self.last_accessor: Optional[MDAccessor] = None
-        self.last_converter: Optional[ParseTreeConverter] = None
-        #: The guarded result of the most recent :meth:`optimize` call.
-        self.last_outcome: Optional[DetourOutcome] = None
-
-    def optimize(self, stmt: ast.SelectStmt, block: QueryBlock,
-                 context: StatementContext) -> Optional[SkeletonPlan]:
-        """Optimize with Orca; None means fall back to MySQL."""
-        return self.optimize_guarded(stmt, block, context).skeleton
 
     def optimize_guarded(self, stmt: ast.SelectStmt, block: QueryBlock,
                          context: StatementContext) -> DetourOutcome:
@@ -102,11 +91,20 @@ class OrcaRouter:
 
         Every exception the detour raises — not just the typed Orca
         aborts — becomes a :class:`DetourOutcome` carrying the fallback
-        reason and error details.
+        reason and error details; ``outcome.skeleton`` is the plan on
+        success.  Statement-level bounds (cancellation, deadline) are
+        not detour failures: containing them would turn a cancel into a
+        silent MySQL fallback and feed the circuit breaker, so a
+        :class:`GovernorError` propagates and aborts the statement.
         """
-        outcome = DetourGuard().run(lambda: self._optimize(block, context))
-        self.last_outcome = outcome
-        return outcome
+        try:
+            return DetourOutcome(skeleton=self._optimize(block, context))
+        except GovernorError:
+            raise
+        except Exception as exc:  # noqa: BLE001 — containment is the point
+            return DetourOutcome(reason=classify_exception(exc),
+                                 error_type=type(exc).__name__,
+                                 error_message=str(exc))
 
     # -- the detour -----------------------------------------------------------------
 
@@ -132,9 +130,6 @@ class OrcaRouter:
         optimizer = OrcaOptimizer(estimator, self.orca_config,
                                   budget=budget, fault_injector=injector,
                                   tracer=self.tracer, metrics=self.metrics)
-        self.last_provider = provider
-        self.last_accessor = accessor
-        self.last_converter = converter
 
         # Preprocessing rewrites (OR factorization, scalar-subquery ->
         # derived table, CTE predicate pushdown) mutate the blocks; the

@@ -15,11 +15,12 @@ count reaches ``complex_query_threshold`` take the Orca detour
 (Section 4.1); everything else — and any query on which the bridge aborts —
 uses the MySQL optimizer.
 
-The detour is *fault contained*: every abort (typed or not) is recorded
-in a :class:`repro.resilience.FallbackLog` with a
-:class:`repro.resilience.FallbackReason`, compile budgets cap how long
-one detour may run, and a per-fingerprint circuit breaker routes
-statements that keep crashing the optimizer straight to MySQL.
+The detour is *fault contained*: every abort (typed or not) becomes a
+:class:`repro.resilience.FallbackReason`, recorded once by
+``_guarded_detour`` (the registry's ``detour.*`` / ``fallback.*``
+counters and the statement's record), compile budgets cap how long one
+detour may run, and a per-fingerprint circuit breaker routes statements
+that keep crashing the optimizer straight to MySQL.
 
 Every statement — a completed SELECT, a DML statement or an abort —
 leaves exactly one :class:`repro.statement_log.StatementRecord` in
@@ -75,8 +76,7 @@ from repro.plan_quality import (
 )
 from repro.resilience import (
     CircuitBreaker,
-    FallbackEvent,
-    FallbackLog,
+    DetourOutcome,
     FallbackReason,
     FaultInjector,
     classify_execution_exception,
@@ -103,6 +103,10 @@ from repro.storage.engine import StorageEngine
 #: Valid values for ``DatabaseConfig.routing``.
 ROUTING_POLICIES = ("threshold", "cost_based")
 EXECUTOR_MODES = ("batch", "row")
+
+#: Statement latency (compile + execute seconds) above which the
+#: slow-query log records a statement.
+SLOW_QUERY_LOG_THRESHOLD_SECONDS = 0.25
 
 #: Metric counter bumped per abort reason (satellite: the governor's
 #: metric names are part of the documented contract).
@@ -162,10 +166,6 @@ class DatabaseConfig:
     #: breakdown, root Q-error) per statement slower than the threshold.
     #: ``None`` disables the log entirely.  A deployment path.
     slow_query_log_path: Optional[str] = None
-    #: Total statement latency (compile + execute seconds) above which
-    #: a statement is logged.  Set by the drift scenario
-    #: (``tests/drift.py``).
-    slow_query_log_threshold_seconds: float = 0.25
     #: Default per-statement wall-clock deadline in seconds; ``None`` =
     #: unbounded.  Overridable per statement via
     #: ``run(sql, timeout_seconds=...)``; breaches abort with
@@ -178,14 +178,6 @@ class DatabaseConfig:
     #: ``run(sql, memory_limit_bytes=...)``.  A safety bound for
     #: deployments.
     statement_memory_limit_bytes: Optional[int] = None
-    #: Opt-in apply hook: every ``advisor_interval_statements``
-    #: statements, pending re-ANALYZE recommendations are applied
-    #: automatically (ANALYZE advances the table's catalog epoch, so
-    #: cached plans over it recompile against the fresh statistics).
-    #: Set by the drift scenario.
-    advisor_auto_analyze: bool = False
-    #: Statements between auto-apply sweeps.  Set by the drift scenario.
-    advisor_interval_statements: int = 32
     #: Rows per batch-engine RowBatch *and* per table chunk (one chunk
     #: is one morsel, so this is also the morsel size).  A memory bound
     #: for deployments.
@@ -208,17 +200,12 @@ class DatabaseConfig:
             raise ReproError(
                 f"unknown orca_search {self.orca_search!r}; "
                 f"valid choices: {valid}")
-        if self.slow_query_log_threshold_seconds < 0.0:
-            raise ReproError(
-                "slow_query_log_threshold_seconds must be >= 0")
         if self.statement_timeout_seconds is not None \
                 and self.statement_timeout_seconds < 0.0:
             raise ReproError("statement_timeout_seconds must be >= 0")
         if self.statement_memory_limit_bytes is not None \
                 and self.statement_memory_limit_bytes < 1:
             raise ReproError("statement_memory_limit_bytes must be >= 1")
-        if self.advisor_interval_statements < 1:
-            raise ReproError("advisor_interval_statements must be >= 1")
         if self.batch_size < 1:
             raise ReproError("batch_size must be >= 1")
         if self.executor_workers < 1:
@@ -290,10 +277,6 @@ class Database:
         #: free; ``run(sql, trace=True)`` installs a real tracer for one
         #: statement, or assign ``db.tracer = Tracer()`` to trace all.
         self.tracer = NOOP_TRACER
-        #: Fallback telemetry: counters by reason, per-statement history.
-        #: Events are mirrored into :attr:`metrics` so one report covers
-        #: routing, resilience, and cache behaviour together.
-        self.fallback_log = FallbackLog(metrics=self.metrics)
         #: Quarantine for statements that keep crashing the detour.
         self.circuit_breaker = CircuitBreaker()
         #: Statement plan cache, keyed by literal-preserving statement
@@ -307,8 +290,7 @@ class Database:
         #: statement_log module).
         self.statements = StatementLog(metrics=self.metrics)
         #: Ranked recommendations over the statement log; ``apply()`` is
-        #: the opt-in mutation path (auto-driven only when
-        #: ``config.advisor_auto_analyze`` is set).
+        #: the opt-in mutation path.
         self.advisor = Advisor(
             statements=self.statements, catalog=self.catalog,
             storage=self.storage, plan_cache=self.plan_cache,
@@ -320,10 +302,6 @@ class Database:
         #: ParallelContext of the most recent statement that actually
         #: ran a parallel operator — ``db.top()``'s worker section.
         self._last_parallel = None
-        #: The router of the most recent Orca detour, kept so callers can
-        #: inspect its bridge components (e.g. ``last_accessor.stats()``
-        #: for the metadata-cache hit ratio of one statement).
-        self.last_router = None
         #: In-flight statements: statement_id -> (sql, governor).  The
         #: registry exists so ``cancel(statement_id)`` can reach a
         #: statement's cancel token from another thread; entries are
@@ -378,12 +356,13 @@ class Database:
         return stmt
 
     def _compile(self, sql: str, optimizer: str
-                 ) -> Tuple[Executor, str, Optional[FallbackReason],
+                 ) -> Tuple[Executor, str, Optional[DetourOutcome],
                             SkeletonPlan]:
         """Compile a SELECT without running it (EXPLAIN, ``compile_only``)
         under a governor carrying the config's statement bounds.
 
-        Returns ``(executor, optimizer_used, fallback_reason, skeleton)``.
+        Returns ``(executor, optimizer_used, fallback, skeleton)``;
+        ``fallback`` is the outcome of a detour that fell back, else None.
         """
         governor = self._make_governor()
         stmt = self._parse(sql, governor)
@@ -395,7 +374,7 @@ class Database:
     def _compile_select(self, stmt, optimizer: str, sql: str,
                         governor: ExecutionGovernor,
                         cache_status: Optional[str] = None
-                        ) -> Tuple[Executor, str, Optional[FallbackReason],
+                        ) -> Tuple[Executor, str, Optional[DetourOutcome],
                                    SkeletonPlan]:
         """The one compile entry: prepare, route, optimize and refine.
 
@@ -419,7 +398,8 @@ class Database:
             if cache_status is not None:
                 route_span.set(plan_cache=cache_status)
         used = "mysql"
-        fallback_reason: Optional[FallbackReason] = None
+        detour: Optional[DetourOutcome] = None
+        fallback: Optional[DetourOutcome] = None
         skeleton: Optional[SkeletonPlan] = None
         if route == "cost":
             # Future-work routing (Section 9): greedy-optimize first, and
@@ -429,17 +409,19 @@ class Database:
                     block, context)
             top_cost = skeleton.skeleton_for(block).total_cost
             if top_cost >= self.config.mysql_cost_threshold:
-                orca_skeleton, fallback_reason = self._guarded_detour(
-                    stmt, block, context, sql, governor)
-                if orca_skeleton is not None:
-                    # On fallback the greedy skeleton computed above is
-                    # reused as-is — no recompute.
-                    skeleton = orca_skeleton
-                    used = "orca"
+                detour = self._guarded_detour(stmt, block, context, sql,
+                                              governor)
         elif route == "orca":
-            skeleton, fallback_reason = self._guarded_detour(
-                stmt, block, context, sql, governor)
-            used = "orca" if skeleton is not None else "mysql"
+            detour = self._guarded_detour(stmt, block, context, sql,
+                                          governor)
+        if detour is not None:
+            if detour.ok:
+                skeleton = detour.skeleton
+                used = "orca"
+            else:
+                # On a cost-routed fallback the greedy skeleton computed
+                # above is reused as-is — no recompute.
+                fallback = detour
         if skeleton is None:
             with tracer.span("mysql_optimize"):
                 skeleton = MySQLOptimizer(self.catalog).optimize(
@@ -450,52 +432,47 @@ class Database:
                                    self.storage).build()
         governor.checkpoint(stage="refine")
         executor.table_epochs = table_epochs
-        return executor, used, fallback_reason, skeleton
+        return executor, used, fallback, skeleton
 
     def _guarded_detour(self, stmt, block, context, sql: str,
-                        governor: ExecutionGovernor
-                        ) -> Tuple[Optional[SkeletonPlan],
-                                   Optional[FallbackReason]]:
-        """Enter the Orca detour under containment.
+                        governor: ExecutionGovernor) -> DetourOutcome:
+        """Enter the Orca detour under containment and record its outcome.
 
-        Checks the circuit breaker first, records the outcome in the
-        fallback log, and feeds unexpected-exception fallbacks back into
-        the breaker.  Never raises.
+        The one place a detour outcome is recorded: the registry's
+        ``detour.entered`` / ``detour.succeeded`` / ``detour.fallbacks``
+        / ``fallback.<reason>`` counters, and the circuit breaker, which
+        is checked first and fed unexpected-exception fallbacks.  The
+        contained error reaches the statement's record through the
+        returned outcome.  Raises only a statement-level
+        :class:`repro.errors.GovernorError`.
         """
+        metrics = self.metrics
         fingerprint = statement_fingerprint(sql)
         with self.tracer.span("orca_detour",
                               fingerprint=fingerprint) as span:
-            if not self.circuit_breaker.allow(fingerprint):
-                self.fallback_log.record_fallback(FallbackEvent(
-                    fingerprint=fingerprint,
-                    reason=FallbackReason.CIRCUIT_OPEN,
-                    sql=sql))
-                span.set(outcome="fallback",
-                         fallback_reason=FallbackReason.CIRCUIT_OPEN.value)
-                return None, FallbackReason.CIRCUIT_OPEN
-            router = OrcaRouter(self.catalog, self.config,
-                                tracer=self.tracer, metrics=self.metrics,
-                                governor=governor, mdcache=self.mdcache)
-            self.last_router = router
-            self.fallback_log.record_detour_entry()
-            outcome = router.optimize_guarded(stmt, block, context)
+            if self.circuit_breaker.allow(fingerprint):
+                metrics.inc("detour.entered")
+                outcome = OrcaRouter(
+                    self.catalog, self.config, tracer=self.tracer,
+                    metrics=metrics, governor=governor,
+                    mdcache=self.mdcache,
+                ).optimize_guarded(stmt, block, context)
+            else:
+                outcome = DetourOutcome(reason=FallbackReason.CIRCUIT_OPEN)
             if outcome.ok:
-                self.fallback_log.record_detour_success()
+                metrics.inc("detour.succeeded")
                 self.circuit_breaker.record_success(fingerprint)
                 span.set(outcome="ok")
-                return outcome.skeleton, None
-            self.fallback_log.record_fallback(FallbackEvent(
-                fingerprint=fingerprint,
-                reason=outcome.reason,
-                error_type=outcome.error_type,
-                error_message=outcome.error_message,
-                sql=sql))
+                return outcome
+            metrics.inc("detour.fallbacks")
+            metrics.inc(f"fallback.{outcome.reason.value}")
             span.set(outcome="fallback",
-                     fallback_reason=outcome.reason.value,
-                     error_type=outcome.error_type)
+                     fallback_reason=outcome.reason.value)
+            if outcome.error_type is not None:
+                span.set(error_type=outcome.error_type)
             if outcome.reason is FallbackReason.UNEXPECTED_EXCEPTION:
                 self.circuit_breaker.record_failure(fingerprint)
-            return None, outcome.reason
+            return outcome
 
     def _route(self, optimizer: str, refs: int) -> str:
         """The route of a SELECT with ``refs`` table references."""
@@ -727,14 +704,17 @@ class Database:
             return result, None
         self.metrics.inc("statements.select")
         cache_key = statement_cache_key(sql, optimizer)
-        # A key the cache holds but cannot serve is stale (an epoch
-        # moved); one it never saw, or evicted, is a plain miss.
+        # A key the cache holds but cannot serve is stale (an epoch or a
+        # compile setting moved); one it never saw, or evicted, is a
+        # plain miss.
         status = "bypass"
         cached = None
         if use_plan_cache:
+            settings = self._plan_settings()
             status = "stale" if cache_key in self.plan_cache else "miss"
-            cached = self.plan_cache.lookup(cache_key, self.catalog)
-        fallback_reason: Optional[FallbackReason] = None
+            cached = self.plan_cache.lookup(cache_key, self.catalog,
+                                            settings)
+        fallback: Optional[DetourOutcome] = None
         if cached is not None:
             # Hit: the refined executable plan is reused as-is; the
             # whole optimize pipeline (prepare, route, detour or
@@ -746,7 +726,7 @@ class Database:
                 route_span.set(plan_cache="hit", route=used,
                                policy=self.config.routing)
         else:
-            executor, used, fallback_reason, skeleton = \
+            executor, used, fallback, skeleton = \
                 self._compile_select(stmt, optimizer, sql, governor,
                                      cache_status=status)
         explain_text = explain_plan(executor.top_plan) \
@@ -756,7 +736,7 @@ class Database:
         with tracer.span("execute") as exec_span:
             rows, executor, governor, low_memory_retry = \
                 self._execute_governed(executor, skeleton, mode,
-                                       governor, sql, workers)
+                                       governor, workers)
             exec_span.set(executor_mode=mode)
             if mode == "batch":
                 runtime = executor.last_runtime
@@ -792,7 +772,7 @@ class Database:
             executor.column_touches = extract_column_touches(executor)
             executor.operator_kinds = tuple(
                 node.operator for node in quality.nodes)
-        if cached is None and use_plan_cache and fallback_reason is None \
+        if cached is None and use_plan_cache and fallback is None \
                 and not low_memory_retry:
             # Deferred store — only a statement that *executed to
             # completion* enters the cache.  Never cache a fallen-back
@@ -806,6 +786,7 @@ class Database:
                 skeleton=skeleton,
                 optimizer_used=used,
                 table_epochs=executor.table_epochs,
+                settings=settings,
                 fingerprint=statement_fingerprint(sql)))
         self.metrics.inc(f"statements.{used}")
         self.metrics.observe("statement.compile_seconds",
@@ -823,7 +804,7 @@ class Database:
             compile_seconds=compiled - start,
             execute_seconds=done - compiled,
             explain=explain_text,
-            fallback_reason=fallback_reason,
+            fallback_reason=None if fallback is None else fallback.reason,
             plan_cache_hit=cached is not None,
             executor_mode=mode,
             plan_quality=quality,
@@ -834,8 +815,21 @@ class Database:
         )
         self._record_statement(sql, statement_id, stmt_span, result,
                                executor=executor, cache_key=cache_key,
-                               workers=workers)
+                               workers=workers,
+                               error=None if fallback is None
+                               else fallback.error)
         return result, executor
+
+    def _plan_settings(self) -> Tuple:
+        """The config settings a compile reads to route and search: a
+        cached plan serves only while they are the ones it was compiled
+        under (the config is mutable, and a budget can settle the join
+        search for its best incumbent)."""
+        config = self.config
+        return (config.routing, config.complex_query_threshold,
+                config.mysql_cost_threshold, config.orca_search,
+                config.orca_compile_budget_seconds,
+                config.orca_memo_group_budget)
 
     def _record_statement(self, sql: str, statement_id: int, stmt_span,
                           result: Optional[StatementResult] = None,
@@ -843,19 +837,22 @@ class Database:
                           cache_key: Optional[str] = None,
                           workers: int = 1,
                           abort_reason: Optional[FallbackReason] = None,
-                          governor: Optional[ExecutionGovernor] = None
+                          governor: Optional[ExecutionGovernor] = None,
+                          error: Optional[str] = None
                           ) -> StatementRecord:
         """Build the statement's one record and append it to the log.
 
         Called exactly once per statement: for a completed SELECT (with
         its ``executor``), a DML ``result``, or an abort
-        (``abort_reason``).  Everything the reports show about the
-        statement comes from this record.
+        (``abort_reason``).  ``error`` is the contained detour error or
+        the abort's, as ``"Type: message"``.  Everything the reports
+        show about the statement comes from this record.
         """
         record = StatementRecord(
             statement_id=statement_id,
             fingerprint=statement_fingerprint(sql),
-            sql=sql)
+            sql=sql,
+            error=error)
         if isinstance(stmt_span, Span):
             # The statement span is still open here; its closed
             # children (parse, route, execute, ...) are the stages.
@@ -898,17 +895,11 @@ class Database:
             record.touches = executor.column_touches
             record.operators = executor.operator_kinds
         self.statements.append(record)
-        if executor is not None and self.config.advisor_auto_analyze \
-                and self.statements.recorded \
-                % self.config.advisor_interval_statements == 0:
-            with self.tracer.span("advisor_auto_apply"):
-                self.advisor.apply(kinds=("reanalyze",))
         return record
 
     def _execute_governed(self, executor: Executor,
                           skeleton: SkeletonPlan, mode: str,
-                          governor: ExecutionGovernor,
-                          sql: str, workers: int = 1):
+                          governor: ExecutionGovernor, workers: int = 1):
         """Run the plan under the governor, with one degradation path.
 
         A hash-aggregate memory breach — and only that breach — retries
@@ -929,13 +920,8 @@ class Database:
                 raise
             self.metrics.inc("governor.stream_agg_retries")
             self.metrics.inc("governor.mem_breaches")
-            self.fallback_log.record_fallback(FallbackEvent(
-                fingerprint=statement_fingerprint(sql),
-                reason=FallbackReason.RESOURCE_EXHAUSTED,
-                error_type=type(exc).__name__,
-                error_message=(f"{exc} — degraded to streaming "
-                               f"aggregation and retried"),
-                sql=sql))
+            self.metrics.inc(
+                f"fallback.{FallbackReason.RESOURCE_EXHAUSTED.value}")
             retry_governor = ExecutionGovernor(
                 timeout_seconds=governor.remaining_seconds(),
                 memory_limit_bytes=governor.memory.limit_bytes,
@@ -980,19 +966,15 @@ class Database:
                       stmt_span, statement_id: int) -> None:
         """Bookkeeping for an aborted statement.
 
-        Records a FallbackEvent with the execution-stage reason, bumps
-        the governor counters and leaves an aborted statement record;
-        deliberately does NOT touch the plan cache or the fingerprint's
-        executions and Q-errors (the abort must not poison either — the
-        log only counts it).
+        Counts the execution-stage reason (``fallback.<reason>`` and the
+        governor counter; an abort is not a detour, so
+        ``detour.fallbacks`` stays put) and leaves an aborted statement
+        record carrying the error; deliberately does NOT touch the plan
+        cache or the fingerprint's executions and Q-errors (the abort
+        must not poison either — the log only counts it).
         """
         reason = classify_execution_exception(exc)
-        self.fallback_log.record_fallback(FallbackEvent(
-            fingerprint=statement_fingerprint(sql),
-            reason=reason,
-            error_type=type(exc).__name__,
-            error_message=str(exc),
-            sql=sql))
+        self.metrics.inc(f"fallback.{reason.value}")
         self.metrics.inc(_ABORT_COUNTERS[reason])
         self.metrics.inc("statements.aborted")
         self.metrics.observe("governor.peak_bytes",
@@ -1002,7 +984,8 @@ class Database:
         # An abort still leaves a record — the crash history right
         # before a bad stretch is what the ring is for.
         self._record_statement(sql, statement_id, stmt_span,
-                               abort_reason=reason, governor=governor)
+                               abort_reason=reason, governor=governor,
+                               error=f"{type(exc).__name__}: {exc}")
 
     def explain(self, sql: str, optimizer: str = "auto",
                 analyze: bool = False) -> str:
@@ -1095,7 +1078,7 @@ class Database:
                      ) -> StatementResult:
         """Compile (EXPLAIN) without executing — for Table 1 experiments."""
         start = time.perf_counter()
-        executor, used, fallback_reason, __ = self._compile(sql, optimizer)
+        executor, used, fallback, __ = self._compile(sql, optimizer)
         compiled = time.perf_counter()
         return StatementResult(
             rows=[],
@@ -1103,7 +1086,7 @@ class Database:
             compile_seconds=compiled - start,
             execute_seconds=0.0,
             explain=explain_plan(executor.top_plan),
-            fallback_reason=fallback_reason,
+            fallback_reason=None if fallback is None else fallback.reason,
         )
 
     # -- observability -----------------------------------------------------------------
@@ -1113,7 +1096,7 @@ class Database:
         """Append the statement's record (plus its trace) as one JSONL
         line when it ran longer than the threshold."""
         total = record.total_seconds
-        if total < self.config.slow_query_log_threshold_seconds:
+        if total < SLOW_QUERY_LOG_THRESHOLD_SECONDS:
             return
         line = {
             "ts": record.ts,
@@ -1257,7 +1240,8 @@ class Database:
 
     def metrics_report(self) -> str:
         """One text report answering "what happened and why": routing
-        (detour rate), resilience (fallbacks by reason), metadata-cache
+        (detour rate), resilience (fallbacks by reason, open circuits,
+        the last statement that fell back or aborted), metadata-cache
         effectiveness, and the raw counter/gauge/histogram dump.
 
         Every ratio line is empty-safe: after ``metrics.reset()`` (or
@@ -1284,6 +1268,22 @@ class Database:
                      if fallbacks else "fallbacks by reason: (none)")
         for name, value in fallbacks.items():
             lines.append(f"  {name[len('fallback.'):]}: {int(value)}")
+        open_fps = self.circuit_breaker.open_fingerprints
+        lines.append(f"open circuits:     {len(open_fps)}")
+        for fingerprint in open_fps:
+            lines.append(
+                f"  {fingerprint}: "
+                f"{self.circuit_breaker.failures(fingerprint)} "
+                f"consecutive failures")
+        last = next((record for record in self.statements.records()
+                     if record.fallback_reason or record.aborted
+                     or record.low_memory_retry), None)
+        if last is not None:
+            reason = last.fallback_reason or last.abort_reason \
+                or FallbackReason.RESOURCE_EXHAUSTED.value
+            detail = f"{last.error} ({reason})" if last.error else reason
+            lines.append(f"last fallback:     {detail} "
+                         f"[fingerprint {last.fingerprint}]")
         hits = m.count("mdcache.hits")
         misses = m.count("mdcache.misses")
         lines.append(f"mdcache hit ratio: "
@@ -1302,18 +1302,4 @@ class Database:
                      f"{int(pruned)} join candidates pruned")
         lines.append("")
         lines.append(m.report())
-        return "\n".join(lines)
-
-    # -- resilience observability ------------------------------------------------------
-
-    def resilience_report(self) -> str:
-        """Text summary: detour entries, fallbacks by reason, open circuits."""
-        lines = [self.fallback_log.report()]
-        open_fps = self.circuit_breaker.open_fingerprints
-        lines.append(f"open circuits:     {len(open_fps)}")
-        for fingerprint in open_fps:
-            lines.append(
-                f"  {fingerprint}: "
-                f"{self.circuit_breaker.failures(fingerprint)} "
-                f"consecutive failures")
         return "\n".join(lines)

@@ -1,9 +1,10 @@
 """Per-statement execution governance: deadlines, cancellation, memory.
 
-PR 1 bounded the *optimize* stage (DetourGuard, CompileBudget, circuit
-breaker) but left execution unbounded: a runaway hash join could buffer
-rows until the process died, and nothing could stop a statement once it
-started.  This module is the execution-stage counterpart — one
+The *optimize* stage is bounded by the router's containment, the
+CompileBudget and the circuit breaker; without this module execution
+would be unbounded: a runaway hash join could buffer rows until the
+process died, and nothing could stop a statement once it started.
+This module is the execution-stage counterpart — one
 :class:`ExecutionGovernor` per statement, threaded through both the row
 Volcano interpreter and the batch engine, enforcing three bounds at
 cooperative checkpoints:

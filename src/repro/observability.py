@@ -18,9 +18,9 @@ both questions:
 * :class:`MetricsRegistry` — process-wide counters, gauges, and
   streaming histograms (p50/p95/p99 over a bounded reservoir) for
   detour rate, fallback reasons, memo effort, cost-model evaluations,
-  and metadata-cache hits/misses.  The resilience layer's
-  :class:`repro.resilience.FallbackLog` feeds the same registry, so one
-  report answers "what happened to this statement and why".
+  and metadata-cache hits/misses.  The facade counts every detour
+  outcome, fallback and abort in the same registry, so one report
+  answers "what happened to this statement and why".
 
 Span taxonomy (names are stable API, read by the tests and tools)::
 

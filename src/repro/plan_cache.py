@@ -11,25 +11,29 @@ entirely and goes straight to execution.
 Keying and correctness
 ----------------------
 
-The cache key is a digest of the statement text with whitespace and
-letter case normalised but **literals preserved** —
-:func:`statement_cache_key`.  This is deliberately different from
+The cache key is a digest of the statement text **as given** —
+:func:`statement_cache_key`.  Nothing is normalised: a cached plan has
+its literals compiled into its predicates, and a string literal's case
+and spacing are part of its value, so ``WHERE name = 'abc'`` and
+``WHERE name = 'ABC'`` (or ``'a b'`` and ``'a  b'``) must never share an
+entry.  This is deliberately different from
 :func:`repro.resilience.statement_fingerprint`, which normalises
-literals away: the circuit breaker quarantines a statement *shape*,
-but a cached plan has the literals compiled into its predicates, so
-``WHERE o_totalprice > 100`` and ``WHERE o_totalprice > 250`` must
-never share an entry.  The requested optimizer (``auto`` / ``mysql`` /
-``orca``) is part of the key too, since it changes routing and thus the
-plan.
+literals away: the circuit breaker quarantines a statement *shape*.
+The requested optimizer (``auto`` / ``mysql`` / ``orca``) is part of
+the key too, since it changes routing and thus the plan.
 
-Every entry records what its plan was compiled from: the catalog epoch
+Every entry records what its plan was compiled from: the routing and
+search settings the compile read (``PlanCacheEntry.settings``; the
+facade's config is mutable, so a plan compiled at one routing threshold
+or compile budget must not serve another), and the catalog epoch
 (:meth:`repro.catalog.catalog.Catalog.epoch`) of each base table the
 resolver bound, in any block of the statement — subqueries, derived
 tables and CTEs included.  Both optimizers read schemas and statistics
-and never storage, so those epochs are the plan's whole input: CREATE,
-DROP and ANALYZE of a *referenced* table change one and the next lookup
-drops the entry (an *invalidation*); row-level DML, bulk loads, and DDL
-or ANALYZE on any other table leave it valid.  A cached plan names its
+and never storage, so the settings and those epochs are the plan's
+whole input: CREATE, DROP and ANALYZE of a *referenced* table change
+one and the next lookup drops the entry (an *invalidation*), as does a
+lookup under other settings; row-level DML, bulk loads, and
+DDL or ANALYZE on any other table leave it valid.  A cached plan names its
 tables and reads current storage on every execution, so it returns
 fresh rows after any write; that its estimates drift from the data is
 what the staleness report and the advisor's re-ANALYZE are for, and
@@ -62,29 +66,20 @@ answers cache effectiveness alongside detour rate and mdcache ratio.
 from __future__ import annotations
 
 import hashlib
-import re
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 #: Default number of cached statements; each entry holds one executor
 #: tree, so a few hundred is plenty for a benchmark-sized workload.
 DEFAULT_CAPACITY = 128
 
-_WHITESPACE = re.compile(r"\s+")
-
 
 def statement_cache_key(sql: str, optimizer: str = "auto") -> str:
-    """Digest of the statement text with literals preserved.
-
-    Whitespace runs collapse and the text is lower-cased so trivially
-    reformatted statements share an entry, but literals stay (see the
-    module docstring for why this must differ from the resilience
-    fingerprint).
-    """
-    text = _WHITESPACE.sub(" ", sql).strip().lower()
+    """Digest of the requested optimizer and the statement text as
+    given (see the module docstring for why nothing is normalised)."""
     return hashlib.sha1(
-        f"{optimizer}\x00{text}".encode("utf-8")).hexdigest()[:16]
+        f"{optimizer}\x00{sql}".encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
@@ -103,6 +98,9 @@ class PlanCacheEntry:
     #: references; a lookup that finds any of them changed (or the table
     #: gone) invalidates the entry.
     table_epochs: Dict[str, int]
+    #: The routing and search settings the compile read; a lookup
+    #: under other settings invalidates the entry.
+    settings: Tuple = ()
     #: The resilience fingerprint of the statement (literal-normalised),
     #: kept so reports can correlate cache entries with fallback history.
     fingerprint: Optional[str] = None
@@ -140,17 +138,19 @@ class PlanCache:
 
     # -- cache protocol ---------------------------------------------------------
 
-    def lookup(self, key: str, catalog) -> Optional[PlanCacheEntry]:
+    def lookup(self, key: str, catalog,
+               settings: Tuple = ()) -> Optional[PlanCacheEntry]:
         """The entry for ``key``, or None on a miss.
 
-        An entry whose tables' epochs in ``catalog`` are no longer the
-        ones it recorded is dropped (counted as an invalidation *and* a
-        miss — the statement will recompile and re-store).
+        An entry compiled under other ``settings``, or whose tables'
+        epochs in ``catalog`` are no longer the ones it recorded, is
+        dropped (counted as an invalidation *and* a miss — the
+        statement will recompile and re-store).
         """
         entry = self._entries.get(key)
-        if entry is not None and any(
+        if entry is not None and (entry.settings != settings or any(
                 catalog.epoch(table) != epoch
-                for table, epoch in entry.table_epochs.items()):
+                for table, epoch in entry.table_epochs.items())):
             del self._entries[key]
             self._count("invalidations")
             entry = None

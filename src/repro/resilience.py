@@ -8,10 +8,11 @@ purpose:
 
 * :class:`FallbackReason` — the taxonomy of why a query ended up on the
   MySQL optimizer after the detour was attempted (or skipped);
-* :class:`DetourGuard` — the containment wrapper the router runs the
-  detour under: typed aborts, budget overruns, and *unexpected*
-  exceptions (``KeyError``, ``RecursionError``, ...) all become a clean
-  fallback with the reason and error details captured;
+* :class:`DetourOutcome` — what one guarded detour produced: the
+  router's ``optimize_guarded`` turns typed aborts, budget overruns and
+  *unexpected* exceptions (``KeyError``, ``RecursionError``, ...) into a
+  clean fallback with the reason and error details captured, and the
+  facade records it once (registry counters, the statement's record);
 * :class:`CompileBudget` — wall-clock and memo-group caps checked inside
   the Cascades search, so a pathological query aborts the detour instead
   of hanging compilation;
@@ -19,9 +20,6 @@ purpose:
   N unexpected-exception fallbacks the fingerprint routes straight to
   MySQL until the breaker decays, mirroring how a production frontend
   isolates optimizer-crashing queries;
-* :class:`FallbackLog` — counters by reason, a bounded event ring (the
-  per-statement history is a view of it), and a text report, surfaced
-  through ``Database.resilience_report()`` and the paper's harness;
 * :class:`FaultInjector` — deterministic, seedable fault injection at
   named points in the metadata provider, parse-tree converter,
   optimizer, and plan converter, so every fallback path can be tested
@@ -35,15 +33,13 @@ import functools
 import hashlib
 import re
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     BudgetExceededError,
     DeadlineExceededError,
     ExecutionError,
-    GovernorError,
     OrcaError,
     ReproError,
     ResourceExhaustedError,
@@ -98,7 +94,7 @@ def statement_fingerprint(sql: str) -> str:
 
     Memoized on the raw SQL text (pure function, bounded cache): the
     facade fingerprints a statement more than once per execution —
-    fallback log, circuit breaker, plan cache, statement record — and a
+    circuit breaker, plan cache, statement record — and a
     warm workload repeats the same text, so the regex+sha1 work runs
     once.
 
@@ -194,7 +190,7 @@ class CompileBudget:
                 f"(budget {self.max_memo_groups})")
 
 
-# -- the containment guard ----------------------------------------------------------
+# -- detour outcomes ------------------------------------------------------------------
 
 
 @dataclass
@@ -209,6 +205,13 @@ class DetourOutcome:
     @property
     def ok(self) -> bool:
         return self.skeleton is not None
+
+    @property
+    def error(self) -> Optional[str]:
+        """``"Type: message"`` of the contained error, if one was."""
+        if self.error_type is None:
+            return None
+        return f"{self.error_type}: {self.error_message}"
 
 
 def classify_exception(exc: BaseException) -> FallbackReason:
@@ -236,27 +239,6 @@ def classify_execution_exception(exc: BaseException) -> FallbackReason:
     if isinstance(exc, ResourceExhaustedError):
         return FallbackReason.RESOURCE_EXHAUSTED
     return FallbackReason.EXEC_RUNTIME_ERROR
-
-
-class DetourGuard:
-    """Runs the detour and contains everything it throws."""
-
-    def run(self, detour: Callable[[], object]) -> DetourOutcome:
-        try:
-            return DetourOutcome(skeleton=detour())
-        except GovernorError:
-            # Statement-level bounds (cancellation, deadline) are not
-            # detour failures: containment here would turn a cancel into
-            # a silent MySQL fallback and feed the circuit breaker.
-            # They propagate and abort the whole statement.
-            raise
-        except Exception as exc:  # noqa: BLE001 — containment is the point
-            return DetourOutcome(
-                skeleton=None,
-                reason=classify_exception(exc),
-                error_type=type(exc).__name__,
-                error_message=str(exc),
-            )
 
 
 # -- circuit breaker -----------------------------------------------------------------
@@ -320,96 +302,6 @@ class CircuitBreaker:
     def open_fingerprints(self) -> List[str]:
         return sorted(fp for fp in self._failures
                       if not self.allow(fp, probe=True))
-
-
-# -- fallback telemetry ---------------------------------------------------------------
-
-
-@dataclass
-class FallbackEvent:
-    """One recorded fallback, with enough detail to debug it later."""
-
-    fingerprint: str
-    reason: FallbackReason
-    error_type: Optional[str] = None
-    error_message: Optional[str] = None
-    sql: Optional[str] = None
-
-
-class FallbackLog:
-    """Counters by reason plus a bounded ring of recent events.
-
-    The ring holds the last ``max_events`` fallbacks; ``history()`` is a
-    view of it, so a long-running Database keeps O(``max_events``)
-    events however many fingerprints fall back.
-
-    With a ``metrics`` sink (a :class:`repro.observability.MetricsRegistry`)
-    every event is mirrored into the process-wide registry — the
-    ``detour.entered`` / ``detour.succeeded`` / ``fallback.<reason>``
-    counters — so one metrics report covers resilience too.
-    """
-
-    def __init__(self, max_events: int = 256, metrics=None) -> None:
-        self.counters: Dict[FallbackReason, int] = {
-            reason: 0 for reason in FallbackReason}
-        self.events: Deque[FallbackEvent] = deque(maxlen=max_events)
-        self.detours_entered = 0
-        self.detours_succeeded = 0
-        self.last_event: Optional[FallbackEvent] = None
-        self.metrics = metrics
-
-    def record_detour_entry(self) -> None:
-        self.detours_entered += 1
-        if self.metrics is not None:
-            self.metrics.inc("detour.entered")
-
-    def record_detour_success(self) -> None:
-        self.detours_succeeded += 1
-        if self.metrics is not None:
-            self.metrics.inc("detour.succeeded")
-
-    def record_fallback(self, event: FallbackEvent) -> None:
-        self.counters[event.reason] += 1
-        self.events.append(event)
-        self.last_event = event
-        if self.metrics is not None:
-            self.metrics.inc("detour.fallbacks")
-            self.metrics.inc(f"fallback.{event.reason.value}")
-
-    def count(self, reason: FallbackReason) -> int:
-        return self.counters[reason]
-
-    @property
-    def total_fallbacks(self) -> int:
-        return sum(self.counters.values())
-
-    def __len__(self) -> int:
-        """Events held (at most ``max_events``)."""
-        return len(self.events)
-
-    def history(self, fingerprint: str) -> List[FallbackEvent]:
-        """The ring's events for one fingerprint, oldest first."""
-        return [event for event in self.events
-                if event.fingerprint == fingerprint]
-
-    def report(self) -> str:
-        lines = ["Resilience report", "=" * 17,
-                 f"detours entered:   {self.detours_entered}",
-                 f"detours succeeded: {self.detours_succeeded}",
-                 f"fallbacks:         {self.total_fallbacks}"]
-        for reason in FallbackReason:
-            count = self.counters[reason]
-            if count:
-                lines.append(f"  {reason.value + ':':<22} {count}")
-        if self.last_event is not None:
-            event = self.last_event
-            detail = event.reason.value
-            if event.error_type:
-                detail = (f"{event.error_type}: {event.error_message} "
-                          f"({detail})")
-            lines.append(f"last fallback:     {detail} "
-                         f"[fingerprint {event.fingerprint}]")
-        return "\n".join(lines)
 
 
 # -- fault injection -------------------------------------------------------------------

@@ -117,6 +117,9 @@ class StatementRecord:
     fallback_reason: Optional[str] = None
     aborted: bool = False
     abort_reason: Optional[str] = None
+    #: ``"Type: message"`` of the error a fallen-back detour contained
+    #: or the statement aborted with.
+    error: Optional[str] = None
     governor_checkpoints: Optional[int] = None
     governor_peak_bytes: Optional[int] = None
     low_memory_retry: bool = False

@@ -27,12 +27,11 @@ layer for the repro engine; the history it reads is the
   ranking is deterministic: the same history always produces
   byte-identical recommendations.
 
-The Database facade owns one advisor, surfaces it through
-``db.workload_report()``, and — when ``DatabaseConfig``'s
-``advisor_auto_analyze`` is on — applies pending re-ANALYZE
-recommendations every ``advisor_interval_statements`` statements.  The
-drift scenario (``tests/drift.py``) is the caller that sets both;
-every other threshold here is a module constant.
+The Database facade owns one advisor and surfaces it through
+``db.workload_report()``; nothing applies its advice but an explicit
+``db.advisor.apply()`` (the drift scenario, ``tests/drift.py``, calls
+it for re-ANALYZE and plan-regression advice).  Every threshold here is
+a module constant.
 """
 
 from __future__ import annotations

@@ -192,7 +192,8 @@ def orca_search(db, sql, pruning: bool = True) -> tuple:
         skeleton = OrcaRouter(db.catalog, db.config,
                               governor=ExecutionGovernor(), tracer=tracer,
                               mdcache=db.mdcache
-                              ).optimize(stmt, block, context)
+                              ).optimize_guarded(stmt, block,
+                                                 context).skeleton
     return skeleton, find_spans(root, "memo_search")
 
 

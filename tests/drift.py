@@ -24,11 +24,11 @@ Stages the lifecycle the workload advisor exists for, on TPC-H data:
    hash changes *and* p95 regresses hard: the statement log's detector
    flags a plan regression.
 5. **Advice + apply** — the advisor now holds all three recommendation
-   kinds (re-ANALYZE, index, plan regression); the opt-in
-   ``advisor_auto_analyze`` hook applies the re-ANALYZE advice on the
-   statement path (advancing the drifted tables' catalog epochs, so
-   cached plans over them recompile), and ``advisor.apply()`` purges
-   the regressed fingerprint's cached plans.
+   kinds (re-ANALYZE, index, plan regression); ``advisor.apply()``
+   applies the re-ANALYZE advice right after the staged runs (advancing
+   the drifted tables' catalog epochs, so cached plans over them
+   recompile), and a second ``apply()`` purges the regressed
+   fingerprint's cached plans.
 6. **Recovered phase** — the mix runs again; Q-errors collapse back
    toward 1 and every query runs its baseline plan again.
 
@@ -41,7 +41,7 @@ import random
 from statistics import median
 from typing import Dict, List, Tuple
 
-from repro.database import Database, DatabaseConfig
+from repro.database import Database
 from repro.workloads.tpch.datagen import generate_tpch
 from repro.workloads.tpch.queries import TPCH_QUERIES
 from repro.workloads.tpch.schema import create_tpch_tables
@@ -113,20 +113,13 @@ def _load_fraction(db: Database, data: Dict[str, List[tuple]],
     return remainder
 
 
-def _make_config(**overrides) -> DatabaseConfig:
-    config = DatabaseConfig(slow_query_log_threshold_seconds=10.0)
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
-
-
 def run_drift_scenario(scale: float, seed: int, runs_per_query: int) -> dict:
     """Run the full drift story; returns the evidence of each stage."""
     data = generate_tpch(scale, seed)
     rng = random.Random(seed)
 
     # -- baseline: full data, fresh statistics --------------------------------
-    baseline_db = Database(_make_config())
+    baseline_db = Database()
     create_tpch_tables(baseline_db)
     for name, rows in data.items():
         baseline_db.load(name, rows)
@@ -134,13 +127,7 @@ def run_drift_scenario(scale: float, seed: int, runs_per_query: int) -> dict:
     baseline = _run_mix(baseline_db, runs_per_query)
 
     # -- drift: analyze a fraction, then grow under the stats' feet -----------
-    db = Database(_make_config(
-        advisor_auto_analyze=True,
-        # One sweep covers the whole stale mix: first auto-apply fires
-        # after the stale phase has produced its evidence.
-        advisor_interval_statements=len(DRIFT_MIX) * runs_per_query
-        + REGRESSION_RUNS * 2,
-    ))
+    db = Database()
     create_tpch_tables(db)
     remainder = _load_fraction(db, data, INITIAL_FRACTION)
     db.analyze()
@@ -165,6 +152,9 @@ def run_drift_scenario(scale: float, seed: int, runs_per_query: int) -> dict:
     for optimizer in ("orca", "mysql"):
         for __ in range(REGRESSION_RUNS):
             regression_run(optimizer)
+    # One re-ANALYZE sweep, once the stale phase and the staged
+    # regression have produced their evidence.
+    db.advisor.apply(kinds=("reanalyze",))
     regressions = [r.to_dict()
                    for r in db.statements.unresolved_regressions()]
 
@@ -173,8 +163,6 @@ def run_drift_scenario(scale: float, seed: int, runs_per_query: int) -> dict:
                        for rec in db.advisor.recommendations()]
 
     # -- apply + recovery ------------------------------------------------------
-    # The statement-path hook sweeps pending re-ANALYZE advice on its own
-    # cadence; the regression hygiene still needs apply().
     actions = db.advisor.apply(kinds=("plan_regression",))
     recovered = _run_mix(db, runs_per_query)
 
@@ -204,7 +192,7 @@ def run_drift_scenario(scale: float, seed: int, runs_per_query: int) -> dict:
         "recommendation_kinds": sorted({rec["kind"]
                                         for rec in recommendations}),
         "actions": actions,
-        "auto_applied": int(
+        "reanalyze_applied": int(
             db.metrics.count("advisor.applied.reanalyze")),
         "recovery": {"breached_queries": breached_queries},
     }

@@ -2,8 +2,8 @@
 
 One scenario run (small scale, seeded) must show the whole loop the CI
 job guards: statistics go stale -> worst-node Q-errors breach -> the
-advisor recommends (and, via the opt-in ``advisor_auto_analyze`` hook,
-applies) re-ANALYZE -> Q-errors recover; a mid-workload optimizer
+advisor recommends (and ``advisor.apply()`` applies) re-ANALYZE ->
+Q-errors recover; a mid-workload optimizer
 reroute is flagged as a plan regression and its cached plans purged.
 
 The scenario itself lives in :mod:`tests.drift`.
@@ -33,7 +33,8 @@ class TestDriftRecovery:
             "the scenario is not exercising the advisor")
 
     def test_auto_analyze_hook_applied_reanalyze(self, payload):
-        assert payload["auto_applied"] >= 1
+        # The scenario's own advisor.apply(kinds=("reanalyze",)) call.
+        assert payload["reanalyze_applied"] >= 1
 
     def test_breached_queries_recover_after_reanalyze(self, payload):
         for row in payload["recovery"]["breached_queries"]:

@@ -7,8 +7,9 @@ cancellations, and combinations.  The acceptance contract:
 
 * the process never crashes — only `ReproError` subclasses may escape
   `db.run()`, everything else is a harness failure;
-* every failed statement is *classified*: the fallback log's last event
-  carries a `FallbackReason` matching the exception type;
+* every failed statement is *classified*: its statement record carries
+  the `FallbackReason` matching the exception type and the error, and
+  the registry's `fallback.<reason>` counter rose;
 * the Database stays correct: after every chaos event the in-flight
   registry is empty and tracked memory is released, and a baseline
   query battery answers bit-identically to its pre-chaos snapshot at
@@ -132,7 +133,8 @@ class TestChaos:
             kwargs = dict(regime["kwargs"])
             kwargs["executor_mode"] = rng.choice(("batch", "row"))
             kwargs["use_plan_cache"] = rng.random() < 0.5
-            events_before = sum(db.fallback_log.counters.values())
+            records_before = db.statements.total
+            fallbacks_before = db.metrics.counters_with_prefix("fallback.")
             try:
                 result = db.run(sql, **kwargs)
                 executed += 1
@@ -143,22 +145,21 @@ class TestChaos:
                 if not isinstance(exc, (GovernorError, ExecutionError)):
                     unclassified.append((step, number, repr(exc)))
                     continue
-                # Classification contract: the abort landed in the
-                # fallback log with the reason its type maps to.
-                event = db.fallback_log.last_event
-                assert sum(db.fallback_log.counters.values()) \
-                    > events_before, f"step {step}: abort not recorded"
+                # Classification contract: the abort left one record
+                # with the reason its type maps to, and counted it.
+                record = db.statements.last
+                assert db.statements.total == records_before + 1 \
+                    and record.aborted, f"step {step}: abort not recorded"
                 expected_reason = _GOVERNOR_ABORTS.get(
                     type(exc), FallbackReason.EXEC_RUNTIME_ERROR)
                 assert classify_execution_exception(exc) \
                     is expected_reason
-                assert event.reason in (
-                    expected_reason,
-                    # A memory breach that retried records
-                    # RESOURCE_EXHAUSTED first and may then abort for
-                    # another reason; accept any governor reason here.
-                    FallbackReason.RESOURCE_EXHAUSTED,
-                )
+                assert record.abort_reason == expected_reason.value
+                assert record.error == f"{type(exc).__name__}: {exc}"
+                counter = f"fallback.{expected_reason.value}"
+                assert db.metrics.count(counter) \
+                    > fallbacks_before.get(counter, 0), \
+                    f"step {step}: abort not counted"
             except BaseException as exc:  # noqa: BLE001 — the point
                 pytest.fail(f"step {step} (Q{number}): non-ReproError "
                             f"escaped: {type(exc).__name__}: {exc}")

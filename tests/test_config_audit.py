@@ -33,11 +33,8 @@ AUDITED_OPTIONS = {
     "fault_injector": "fault-injection hook: chaos suite "
                       "(tests/test_chaos.py)",
     "slow_query_log_path": "deployment path",
-    "slow_query_log_threshold_seconds": "drift scenario (tests/drift.py)",
     "statement_timeout_seconds": "safety bound for deployments",
     "statement_memory_limit_bytes": "safety bound for deployments",
-    "advisor_auto_analyze": "drift scenario (tests/drift.py)",
-    "advisor_interval_statements": "drift scenario (tests/drift.py)",
     "batch_size": "memory bound for deployments (rows per batch/chunk)",
     "executor_workers": "parallel_tpch benchmark workload",
 }
@@ -46,8 +43,20 @@ AUDITED_OPTIONS = {
 def test_every_option_is_audited():
     names = [field.name for field in dataclasses.fields(DatabaseConfig)]
     assert names == list(AUDITED_OPTIONS)
-    assert len(names) <= 18
+    assert len(names) <= 12
     assert all(AUDITED_OPTIONS.values())
+
+
+@pytest.mark.parametrize("name,value", [
+    # Only the drift scenario set these; it calls advisor.apply() itself.
+    ("advisor_auto_analyze", True),
+    ("advisor_interval_statements", 4),
+    # A module constant (repro.database) that tests monkeypatch.
+    ("slow_query_log_threshold_seconds", 0.0),
+])
+def test_audited_away_options_are_gone(name, value):
+    with pytest.raises(TypeError):
+        DatabaseConfig(**{name: value})
 
 
 def test_governance_is_not_optional():

@@ -74,7 +74,7 @@ class TestRouterFallback:
         assert result.optimizer_used == "mysql"
         assert result.fallback_reason is \
             FallbackReason.UNEXPECTED_EXCEPTION
-        assert db.fallback_log.last_event.error_type == "ValueError"
+        assert db.statements.last.error == "ValueError: a real bug"
 
     def test_fallback_results_equal_mysql_results(self, db, monkeypatch):
         expected = db.execute(SQL, optimizer="mysql")
@@ -103,7 +103,9 @@ class TestRouterFallback:
         prepare(block)
         router = OrcaRouter(db.catalog, db.config,
                             governor=ExecutionGovernor())
-        assert router.optimize(stmt, block, context) is None
+        outcome = router.optimize_guarded(stmt, block, context)
+        assert outcome.skeleton is None
+        assert outcome.reason is FallbackReason.TYPED_ABORT
 
 
 class TestAccessCounters:

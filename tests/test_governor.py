@@ -227,7 +227,8 @@ class TestAbortAtEveryStage:
         with pytest.raises(DeadlineExceededError):
             db.run(JOIN_SQL, optimizer="orca", use_plan_cache=False,
                    timeout_seconds=0.05)
-        assert db.fallback_log.count(FallbackReason.BUDGET_EXCEEDED) == 1
+        assert db.metrics.count("fallback.budget_exceeded") == 1
+        assert db.metrics.count("detour.fallbacks") == 1
         db.config.fault_injector = None
         assert_db_clean_and_reusable(db, expected)
 
@@ -336,8 +337,10 @@ class TestMemoryGovernance:
         assert governed.governor_stats["low_memory"] is True
         assert db.metrics.count("governor.stream_agg_retries") == 1
         assert db.metrics.count("governor.mem_breaches") == 1
-        assert db.fallback_log.count(
-            FallbackReason.RESOURCE_EXHAUSTED) == 1
+        # The retry is a degradation, not a detour fallback.
+        assert db.metrics.count("fallback.resource_exhausted") == 1
+        assert db.metrics.count("detour.fallbacks") == 0
+        assert db.statements.last.low_memory_retry
 
     WINDOW_SQL = ("SELECT o_orderkey, RANK() OVER (ORDER BY o_totalprice) "
                   "FROM orders")
@@ -356,7 +359,8 @@ class TestMemoryGovernance:
             db.run(self.WINDOW_SQL, executor_mode=mode,
                    memory_limit_bytes=256)
         assert info.value.operator == "materialize"
-        assert db.fallback_log.count(FallbackReason.RESOURCE_EXHAUSTED) == 1
+        assert db.metrics.count("fallback.resource_exhausted") == 1
+        assert db.statements.last.abort_reason == "resource_exhausted"
         assert db.plan_cache.stats()["size"] == 0
         assert list(db.storage.store("orders").scan()) == orders
         assert len(db.run(self.WINDOW_SQL, executor_mode=mode).rows) \
@@ -390,8 +394,10 @@ class TestExecutionFaults:
             "scan_io", "typed", times=1)
         with pytest.raises(ExecutionError):
             db.run(JOIN_SQL, use_plan_cache=False, executor_mode=mode)
-        event = db.fallback_log.last_event
-        assert event.reason is FallbackReason.EXEC_RUNTIME_ERROR
+        record = db.statements.last
+        assert record.abort_reason == \
+            FallbackReason.EXEC_RUNTIME_ERROR.value
+        assert record.error.startswith("ExecutionError: ")
         db.config.fault_injector = None
         assert_db_clean_and_reusable(db, expected)
 
@@ -480,8 +486,8 @@ class TestReportingSurfaces:
         assert "repro_governor_peak_bytes_count 0" in text
         assert 'repro_governor_peak_bytes{quantile' not in text
         assert "(empty)" in db.metrics.report()
-        # resilience_report tolerates a completely idle Database too.
-        assert "open circuits" in db.resilience_report()
+        # metrics_report tolerates a completely idle Database too.
+        assert "open circuits:     0" in db.metrics_report()
 
     def test_peak_bytes_histogram_fills_after_statements(self, db):
         db.run(JOIN_SQL)
@@ -555,8 +561,8 @@ class TestOneGovernedPath:
                                                        times=1)
         with pytest.raises(ExecutionError):
             db.explain_analyze(JOIN_SQL)
-        assert db.fallback_log.last_event.reason \
-            is FallbackReason.EXEC_RUNTIME_ERROR
+        assert db.statements.last.abort_reason \
+            == FallbackReason.EXEC_RUNTIME_ERROR.value
         assert db.metrics.count("governor.exec_errors") == 1
         assert db.statements.last.aborted
         db.config.fault_injector = None

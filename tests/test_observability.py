@@ -302,13 +302,17 @@ class TestPipelineTracing:
         assert db.metrics.count("detour.fallbacks") == 1
 
     def test_mdcache_stats(self, loaded_db):
+        metrics = loaded_db.metrics
+        before = (metrics.count("mdcache.hits"),
+                  metrics.count("mdcache.misses"))
         loaded_db.run(JOIN_SQL, optimizer="orca", use_plan_cache=False)
-        router = loaded_db.last_router
-        stats = router.last_accessor.stats()
-        assert stats["hits"] > 0 and stats["misses"] > 0
-        assert stats["hit_ratio"] == pytest.approx(
-            stats["hits"] / (stats["hits"] + stats["misses"]))
-        assert sum(stats["misses_by_kind"].values()) == stats["misses"]
+        hits = metrics.count("mdcache.hits") - before[0]
+        misses = metrics.count("mdcache.misses") - before[1]
+        assert hits > 0 and misses > 0
+        total_hits, total_misses = (metrics.count("mdcache.hits"),
+                                    metrics.count("mdcache.misses"))
+        assert metrics.to_dict()["gauges"]["mdcache.hit_ratio"] == \
+            pytest.approx(total_hits / (total_hits + total_misses))
 
     def test_explain_analyze_stage_footer(self, loaded_db):
         text = loaded_db.explain(JOIN_SQL, analyze=True)

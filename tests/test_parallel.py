@@ -173,20 +173,22 @@ class TestDecisionIsNotAFallback:
                       executor_workers=workers, trace=True)
 
     def test_small_table_is_gated_by_cost(self, db):
-        events = len(db.fallback_log.events)
+        fallbacks = db.metrics.counters_with_prefix("fallback.")
         gated = db.metrics.count("executor.parallel_gated")
         decision = decision_of(self.run(db, self.AGG, workers=2))
         assert decision["parallel_decision"] == "serial:cost"
         assert decision["parallel_est_fanout_ms"] \
             > decision["parallel_est_serial_ms"] > 0
         assert db.metrics.count("executor.parallel_gated") == gated + 1
-        assert len(db.fallback_log.events) == events
+        assert db.metrics.counters_with_prefix("fallback.") == fallbacks
+        assert db.statements.last.fallback_reason is None
 
     def test_ineligible_plan_is_serial_by_shape(self, db, force_fanout):
-        events = len(db.fallback_log.events)
+        fallbacks = db.metrics.counters_with_prefix("fallback.")
         decision = decision_of(self.run(db, self.SCAN))
         assert decision == {"parallel_decision": "serial:shape"}
-        assert len(db.fallback_log.events) == events
+        assert db.metrics.counters_with_prefix("fallback.") == fallbacks
+        assert db.statements.last.fallback_reason is None
 
     #: Pre-aggregations over a bare scan whose filter, group key or
     #: argument holds a subquery expression, each under the optimizer
@@ -352,8 +354,8 @@ class TestGovernedAborts:
         assert result.low_memory_retry
         assert db.metrics.count("governor.stream_agg_retries") == 1
         assert db.metrics.count("executor.worker_morsels") > 0
-        assert db.fallback_log.count(
-            FallbackReason.RESOURCE_EXHAUSTED) >= 1
+        assert db.metrics.count("fallback.resource_exhausted") >= 1
+        assert db.statements.last.low_memory_retry
         assert sorted(result.rows) == sorted(
             db.run(sql, optimizer="orca", use_plan_cache=False).rows)
 
@@ -365,8 +367,8 @@ class TestGovernedAborts:
         with pytest.raises(StatementCancelledError):
             db.run(sql, executor_mode="batch", use_plan_cache=False,
                    executor_workers=4, cancel_token=token)
-        assert db.fallback_log.count(
-            FallbackReason.STATEMENT_CANCELLED) == 1
+        assert db.metrics.count("fallback.statement_cancelled") == 1
+        assert db.statements.last.abort_reason == "statement_cancelled"
 
     def test_deadline_trips_inside_fork_worker(self):
         governor = ExecutionGovernor(timeout_seconds=0.005)

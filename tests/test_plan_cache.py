@@ -46,9 +46,13 @@ def db():
 
 class TestStatementCacheKey:
 
-    def test_whitespace_and_case_insensitive(self):
-        assert statement_cache_key("SELECT  1\nFROM t") == \
+    def test_text_is_keyed_as_given(self):
+        """Case and spacing can be part of a string literal's value, so
+        the key normalises nothing."""
+        assert statement_cache_key("SELECT  1\nFROM t") != \
             statement_cache_key("select 1 from t")
+        assert statement_cache_key("SELECT 1 FROM t WHERE s = 'abc'") != \
+            statement_cache_key("SELECT 1 FROM t WHERE s = 'ABC'")
 
     def test_literals_are_preserved(self):
         """Unlike the resilience fingerprint, different literals must
@@ -335,7 +339,101 @@ class TestFailureInteraction:
         assert len(db.plan_cache) == 0
         # Every quarantined run keeps consulting the breaker rather
         # than short-circuiting through the cache.
-        assert db.fallback_log.count(FallbackReason.CIRCUIT_OPEN) == 1
+        assert db.metrics.count("fallback.circuit_open") == 1
+
+
+# -- what a cached plan was compiled from --------------------------------------------
+
+
+NAMES = ("abc", "ABC", "a b", "a  b")
+
+
+def _names_db() -> Database:
+    db = Database()
+    db.create_table(TableSchema("t", [
+        Column.of("id", MySQLType.LONGLONG),
+        Column.of("name", MySQLType.VARCHAR, 16)]))
+    db.load("t", [(index + 1, name) for index, name in enumerate(NAMES)])
+    db.analyze()
+    return db
+
+
+class TestStringLiteralsKeepTheirPlans:
+    """A string literal's case and spacing are part of its value: a
+    statement that differs from a cached one only there must not be
+    served the cached plan (and its compiled-in literal)."""
+
+    @pytest.mark.parametrize("first,second", [("ABC", "abc"),
+                                              ("abc", "ABC"),
+                                              ("a  b", "a b"),
+                                              ("a b", "a  b")])
+    def test_cached_rows_equal_uncached_rows(self, first, second):
+        db = _names_db()
+        template = "SELECT id FROM t WHERE name = '{}'"
+        assert db.run(template.format(first)).rows == \
+            [(NAMES.index(first) + 1,)]
+        cached = db.run(template.format(second))
+        uncached = db.run(template.format(second), use_plan_cache=False)
+        assert cached.rows == uncached.rows == [(NAMES.index(second) + 1,)]
+
+    def test_statement_case_and_spacing_are_not_normalised(self):
+        db = _names_db()
+        db.run("SELECT id FROM t WHERE name = 'abc'")
+        assert db.run("SELECT id FROM t WHERE name = 'abc'").plan_cache_hit
+        assert not db.run(
+            "select id from t where name = 'abc'").plan_cache_hit
+        assert not db.run(
+            "SELECT id  FROM t WHERE name = 'abc'").plan_cache_hit
+
+
+class TestRoutingSettingsKeepTheirPlans:
+    """The config is mutable: a plan compiled under one routing setting
+    must not be served under another."""
+
+    JOIN2 = ("SELECT COUNT(*) FROM orders, lineitem "
+             "WHERE o_orderkey = l_orderkey")
+
+    @staticmethod
+    def configure(db, settings):
+        for name, value in settings.items():
+            setattr(db.config, name, value)
+
+    @pytest.mark.parametrize("before,after", [
+        ({"complex_query_threshold": 1}, {"complex_query_threshold": 99}),
+        ({"complex_query_threshold": 1},
+         {"routing": "cost_based", "mysql_cost_threshold": 1e12}),
+        ({"routing": "cost_based", "mysql_cost_threshold": 0.0},
+         {"mysql_cost_threshold": 1e12}),
+        ({"routing": "cost_based", "mysql_cost_threshold": 0.0},
+         {"routing": "threshold"}),
+    ])
+    def test_a_route_change_recompiles(self, db, before, after):
+        self.configure(db, before)
+        assert db.run(self.JOIN2).optimizer_used == "orca"
+        assert db.run(self.JOIN2).plan_cache_hit  # same settings: served
+        self.configure(db, after)
+        result = db.run(self.JOIN2)
+        assert not result.plan_cache_hit
+        assert result.optimizer_used == "mysql"
+        assert db.run(self.JOIN2, use_plan_cache=False).optimizer_used \
+            == "mysql"
+        assert db.plan_cache.invalidations == 1
+        # The recompiled plan is cached under the new settings.
+        assert db.run(self.JOIN2).plan_cache_hit
+
+    @pytest.mark.parametrize("name,value", [
+        ("orca_search", "GREEDY"),
+        ("orca_compile_budget_seconds", 60.0),
+        ("orca_memo_group_budget", 100_000),
+    ])
+    def test_a_search_setting_change_recompiles(self, db, name, value):
+        db.run(JOIN_SQL)
+        assert db.run(JOIN_SQL).plan_cache_hit
+        setattr(db.config, name, value)
+        result = db.run(JOIN_SQL, trace=True)
+        assert not result.plan_cache_hit
+        assert find_spans(result.trace, "memo_search")
+        assert db.plan_cache.invalidations == 1
 
 
 # -- cost-bound pruning ---------------------------------------------------------------

@@ -15,10 +15,10 @@ import re
 
 import pytest
 
+import repro.database
 from repro import Database, DatabaseConfig
 from repro import statement_log
 from repro.catalog import Column, Index, TableSchema
-from repro.errors import ReproError
 from repro.mysql_types import MySQLType
 from repro.observability import find_spans
 from repro.plan_cache import statement_cache_key
@@ -390,8 +390,6 @@ class TestStaleStatisticsFeedback:
     def test_config_validation(self):
         with pytest.raises(TypeError):
             DatabaseConfig(planq_consecutive_breaches=3)
-        with pytest.raises(ReproError):
-            DatabaseConfig(slow_query_log_threshold_seconds=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +487,11 @@ class TestMetricsExport:
 # ---------------------------------------------------------------------------
 
 class TestSlowQueryLog:
-    def test_jsonl_records(self, tmp_path):
+    def test_jsonl_records(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(repro.database,
+                            "SLOW_QUERY_LOG_THRESHOLD_SECONDS", 0.0)
         path = tmp_path / "slow.jsonl"
-        db = Database(DatabaseConfig(
-            slow_query_log_path=str(path),
-            slow_query_log_threshold_seconds=0.0))
+        db = Database(DatabaseConfig(slow_query_log_path=str(path)))
         db.create_table(TableSchema("t", [
             Column.of("a", MySQLType.LONGLONG, nullable=False),
         ], [Index("PRIMARY", ("a",), primary=True)]))
@@ -516,11 +514,11 @@ class TestSlowQueryLog:
             assert "ts" in record
         assert db.metrics.count("slow_query_log.records") == len(records)
 
-    def test_fast_statements_skip_the_log(self, tmp_path):
+    def test_fast_statements_skip_the_log(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(repro.database,
+                            "SLOW_QUERY_LOG_THRESHOLD_SECONDS", 10.0)
         path = tmp_path / "slow.jsonl"
-        db = Database(DatabaseConfig(
-            slow_query_log_path=str(path),
-            slow_query_log_threshold_seconds=10.0))
+        db = Database(DatabaseConfig(slow_query_log_path=str(path)))
         db.run("SELECT 1")
         assert not path.exists()
 

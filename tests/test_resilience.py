@@ -5,23 +5,30 @@ Orca detour "resorts to the usual MySQL query optimization".  These
 tests prove the promise holds for *every* failure mode — typed aborts,
 unexpected exceptions, and budget overruns, injected deterministically
 at each of the four bridge injection points — and that the telemetry
-(FallbackLog) and quarantine (CircuitBreaker) around it behave.
+(the registry's ``detour.*`` / ``fallback.*`` counters and the
+statement records, each fact recorded once by the facade) and the
+quarantine (CircuitBreaker) around it behave.
 """
 
 import pytest
 
 from repro import Database, DatabaseConfig, FallbackReason, FaultInjector
-from repro.errors import BudgetExceededError, ReproError
+from repro.bridge.router import OrcaRouter
+from repro.errors import (
+    BudgetExceededError,
+    ReproError,
+    StatementCancelledError,
+)
+from repro.governor import CancelToken, ExecutionGovernor
 from repro.mysql_optimizer.optimizer import MySQLOptimizer
+from repro.observability import MetricsRegistry
 from repro.resilience import (
     BRIDGE_INJECTION_SITES,
     CircuitBreaker,
     CompileBudget,
-    DetourGuard,
-    FallbackEvent,
-    FallbackLog,
     statement_fingerprint,
 )
+from repro.statement_log import StatementLog, StatementRecord
 
 from benchmarks.paper import run_suite, summarize
 from tests.conftest import build_mini_db
@@ -43,7 +50,7 @@ def db():
 class TestInjectedFaultsAreContained:
     """Acceptance: faults at each injection point never raise; the query
     returns MySQL-optimized rows identical to ``optimizer="mysql"`` and
-    the FallbackLog records the correct reason."""
+    the registry counts the correct reason."""
 
     @pytest.mark.parametrize("site", BRIDGE_INJECTION_SITES)
     def test_typed_abort_falls_back(self, db, site):
@@ -53,7 +60,9 @@ class TestInjectedFaultsAreContained:
         assert result.optimizer_used == "mysql"
         assert result.fallback_reason is FallbackReason.TYPED_ABORT
         assert result.rows == expected
-        assert db.fallback_log.count(FallbackReason.TYPED_ABORT) == 1
+        assert db.metrics.count("fallback.typed_abort") == 1
+        assert db.metrics.count("detour.fallbacks") == 1
+        assert db.statements.last.fallback_reason == "typed_abort"
 
     @pytest.mark.parametrize("site", BRIDGE_INJECTION_SITES)
     def test_keyerror_crash_is_contained(self, db, site):
@@ -64,9 +73,10 @@ class TestInjectedFaultsAreContained:
         assert result.fallback_reason is \
             FallbackReason.UNEXPECTED_EXCEPTION
         assert result.rows == expected
-        event = db.fallback_log.last_event
-        assert event.error_type == "KeyError"
-        assert site in event.error_message
+        record = db.statements.last
+        assert record.fallback_reason == "unexpected_exception"
+        assert record.error.startswith("KeyError: ")
+        assert site in record.error
 
     @pytest.mark.parametrize("site", BRIDGE_INJECTION_SITES)
     def test_sleep_past_budget_aborts_compile(self, db, site):
@@ -173,14 +183,14 @@ class TestCircuitBreaker:
             result = db.run(SQL, optimizer="orca")
             assert result.fallback_reason is \
                 FallbackReason.UNEXPECTED_EXCEPTION
-        entries_when_open = db.fallback_log.detours_entered
+        entries_when_open = db.metrics.count("detour.entered")
         for __ in range(3):
             result = db.run(SQL, optimizer="orca")
             assert result.fallback_reason is FallbackReason.CIRCUIT_OPEN
             assert result.optimizer_used == "mysql"
             assert result.rows == expected
-        assert db.fallback_log.detours_entered == entries_when_open
-        assert db.fallback_log.count(FallbackReason.CIRCUIT_OPEN) == 3
+        assert db.metrics.count("detour.entered") == entries_when_open
+        assert db.metrics.count("fallback.circuit_open") == 3
 
     def test_typed_aborts_do_not_trip_the_breaker(self, db):
         db.config.fault_injector = FaultInjector().arm(
@@ -262,59 +272,114 @@ class TestFallbackTelemetry:
             "optimizer", "crash", times=1)
         db.run(SQL, optimizer="orca")
         db.run(SQL, optimizer="orca")  # injector exhausted: succeeds
-        log = db.fallback_log
-        assert log.detours_entered == 2
-        assert log.detours_succeeded == 1
-        assert log.total_fallbacks == 1
-        history = log.history(statement_fingerprint(SQL))
+        assert db.metrics.count("detour.entered") == 2
+        assert db.metrics.count("detour.succeeded") == 1
+        assert db.metrics.count("detour.fallbacks") == 1
+        assert db.metrics.counters_with_prefix("fallback.") == {
+            "fallback.unexpected_exception": 1}
+        fingerprint = statement_fingerprint(SQL)
+        history = [record for record in db.statements.records()
+                   if record.fingerprint == fingerprint
+                   and record.fallback_reason is not None]
         assert len(history) == 1
-        assert history[0].reason is FallbackReason.UNEXPECTED_EXCEPTION
-        # The history is a view of the bounded event ring.
-        assert history == [event for event in log.events
-                           if event.fingerprint == statement_fingerprint(SQL)]
-        assert not hasattr(log, "per_statement")
+        assert history[0].fallback_reason == "unexpected_exception"
+        assert history[0].error.startswith("KeyError: ")
+        assert db.statements.entry(fingerprint).fallbacks == 1
 
-    def test_resilience_report_text(self, db):
+    def test_metrics_report_text(self, db):
         db.config.fault_injector = FaultInjector().arm(
             "parse_tree_converter", "crash")
         for __ in range(db.circuit_breaker.threshold + 1):
             db.run(SQL, optimizer="orca")
-        report = db.resilience_report()
-        assert "detours entered" in report
-        assert "unexpected_exception" in report
-        assert "circuit_open" in report
+        report = db.metrics_report()
+        assert "detour rate" in report
+        assert "  unexpected_exception: 3" in report
+        assert "  circuit_open: 1" in report
         assert "open circuits:     1" in report
-        assert "KeyError" in report or "circuit_open" in report
+        fingerprint = statement_fingerprint(SQL)
+        assert f"  {fingerprint}: 3 consecutive failures" in report
+        # The last statement was routed around the open circuit; the
+        # crashes before it carry their error on their own records.
+        assert (f"last fallback:     circuit_open [fingerprint "
+                f"{fingerprint}]") in report
+        assert db.statements.records()[1].error.startswith("KeyError: ")
+
+    def test_metrics_report_names_the_error(self, db):
+        db.config.fault_injector = FaultInjector().arm(
+            "optimizer", "typed", times=1)
+        db.run(SQL, optimizer="orca")
+        assert ("last fallback:     OrcaError: injected typed abort at "
+                "optimizer (typed_abort)") in db.metrics_report()
+
+    def test_idle_database_reports_no_fallback(self):
+        report = Database().metrics_report()
+        assert "fallbacks by reason: (none)" in report
+        assert "open circuits:     0" in report
+        assert "last fallback" not in report
 
     def test_successful_detour_leaves_no_fallback(self, db):
         result = db.run(SQL, optimizer="orca")
         assert result.optimizer_used == "orca"
         assert result.fallback_reason is None
-        assert db.fallback_log.total_fallbacks == 0
+        assert db.metrics.count("detour.fallbacks") == 0
+        assert db.metrics.counters_with_prefix("fallback.") == {}
+        assert db.statements.last.error is None
 
-    def test_log_is_bounded(self):
-        log = FallbackLog(max_events=4)
-        for index in range(10):
-            log.record_fallback(FallbackEvent(
-                fingerprint=f"fp{index}",
-                reason=FallbackReason.TYPED_ABORT))
-        assert len(log.events) == 4
-        assert log.total_fallbacks == 10  # counters are not bounded
+    def test_execution_abort_is_not_a_detour_fallback(self, db):
+        """``detour.fallbacks`` counts detours that fell back; an abort
+        on the MySQL path never entered one.  It keeps its own
+        ``fallback.<reason>`` and governor counts and its record."""
+        with pytest.raises(StatementCancelledError):
+            db.run(SQL, optimizer="mysql",
+                   cancel_token=CancelToken(cancel_after_checks=1))
+        assert db.metrics.count("detour.entered") == 0
+        assert db.metrics.count("detour.fallbacks") == 0
+        assert db.metrics.count("fallback.statement_cancelled") == 1
+        assert db.metrics.count("governor.cancelled") == 1
+        record = db.statements.last
+        assert record.aborted
+        assert record.abort_reason == "statement_cancelled"
+        assert record.error.startswith("StatementCancelledError: ")
+
+    def test_log_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.statement_log.RING_CAPACITY", 4)
+        db = build_mini_db(seed=71, orders=80)
+        db.config.fault_injector = FaultInjector().arm(
+            "optimizer", "typed")
+        for bound in range(10):
+            db.run(SQL + f" AND o_totalprice > {bound}", optimizer="orca")
+        assert len(db.statements.records()) == 4
+        assert all(record.fallback_reason == "typed_abort"
+                   for record in db.statements.records())
+        # Counters are not bounded.
+        assert db.metrics.count("fallback.typed_abort") == 10
+        assert db.metrics.count("detour.fallbacks") == 10
 
     def test_history_stays_bounded_under_fingerprint_churn(self):
-        log = FallbackLog(max_events=256)
+        metrics = MetricsRegistry()
+        log = StatementLog(metrics=metrics)
         for index in range(10_000):
-            log.record_fallback(FallbackEvent(
-                fingerprint=f"fp{index % 1000}",
-                reason=FallbackReason.TYPED_ABORT))
-            assert len(log) <= 256
-        assert len(log) == 256
-        assert log.total_fallbacks == 10_000
-        # The last 256 events cover fingerprints fp744..fp999 once each
-        # (event 9744 + k carries fp744 + k); older ones aged out.
-        assert log.history("fp999") == [log.events[-1]]
-        assert log.history("fp744") == [log.events[0]]
-        assert log.history("fp743") == []
+            log.append(StatementRecord(
+                fingerprint=f"fp{index % 1000}", sql="SELECT 1",
+                optimizer="mysql", executor_mode="batch", plan_hash="h",
+                root_q=1.0, max_q=1.0, fallback_reason="typed_abort",
+                error="OrcaError: x"))
+            assert len(log.records()) <= log.ring_capacity
+            assert log.fingerprints <= log.capacity
+        capacity = log.ring_capacity
+        assert len(log.records()) == capacity
+        assert log.fingerprints == log.capacity
+        assert metrics.count("flight.records") == 10_000
+        # The ring holds the last ``capacity`` records, latest first:
+        # record 9999 carries fp999, and record 10000 - capacity the
+        # oldest fingerprint still held.
+        def history(fingerprint):
+            return [record for record in log.records()
+                    if record.fingerprint == fingerprint]
+        oldest = (10_000 - capacity) % 1000
+        assert history("fp999") == [log.records()[0]]
+        assert history(f"fp{oldest}") == [log.records()[-1]]
+        assert history(f"fp{oldest - 1}") == []
 
     def test_bench_harness_reports_fallbacks(self, db):
         db.config.fault_injector = FaultInjector().arm(
@@ -432,17 +497,37 @@ class TestCostBasedFallbackLeg:
 # -- the guard itself ---------------------------------------------------------------------
 
 
-class TestDetourGuard:
-    def test_guard_classifies_and_contains(self):
-        guard = DetourGuard()
-        outcome = guard.run(lambda: (_ for _ in ()).throw(
-            RecursionError("deep")))
+class TestOptimizeGuarded:
+    """The router's one entry contains what the detour throws."""
+
+    @staticmethod
+    def router(db, detour):
+        router = OrcaRouter(db.catalog, db.config,
+                            governor=ExecutionGovernor())
+        router._optimize = lambda block, context: detour()
+        return router
+
+    def test_guard_classifies_and_contains(self, db):
+        def crash():
+            raise RecursionError("deep")
+
+        outcome = self.router(db, crash).optimize_guarded(None, None, None)
         assert outcome.skeleton is None
         assert outcome.reason is FallbackReason.UNEXPECTED_EXCEPTION
         assert outcome.error_type == "RecursionError"
+        assert outcome.error == "RecursionError: deep"
 
-    def test_guard_passes_results_through(self):
-        outcome = DetourGuard().run(lambda: "skeleton")
+    def test_guard_passes_results_through(self, db):
+        outcome = self.router(db, lambda: "skeleton") \
+            .optimize_guarded(None, None, None)
         assert outcome.ok
         assert outcome.skeleton == "skeleton"
         assert outcome.reason is None
+        assert outcome.error is None
+
+    def test_guard_lets_statement_bounds_through(self, db):
+        def cancelled():
+            raise StatementCancelledError("cancelled by client")
+
+        with pytest.raises(StatementCancelledError):
+            self.router(db, cancelled).optimize_guarded(None, None, None)

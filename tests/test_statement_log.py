@@ -37,13 +37,15 @@ PARENT_DIR = GOLDEN_DIR / "parent"
 def mixed(tmp_path_factory):
     """(db, slow-log lines) after the mix, every statement slow-logged."""
     path = tmp_path_factory.mktemp("slow") / "slow.jsonl"
+    threshold = repro.database.SLOW_QUERY_LOG_THRESHOLD_SECONDS
+    repro.database.SLOW_QUERY_LOG_THRESHOLD_SECONDS = 0.0
     try:
         db = mixed_database(DatabaseConfig(
             complex_query_threshold=3,
-            slow_query_log_path=str(path),
-            slow_query_log_threshold_seconds=0.0))
+            slow_query_log_path=str(path)))
     finally:
         repro.database.time = time
+        repro.database.SLOW_QUERY_LOG_THRESHOLD_SECONDS = threshold
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     return db, lines
 
@@ -86,9 +88,14 @@ def _entries(ring):
 
 class TestOneRecordPerStatement:
     def test_mix_covers_every_record_kind(self, db, ring):
-        fallbacks = {e.reason.value for e in db.fallback_log.events}
+        fallbacks = {r.fallback_reason or r.abort_reason for r in ring}
         assert {"circuit_open", "unexpected_exception",
                 "deadline_exceeded"} <= fallbacks
+        assert db.metrics.counters_with_prefix("fallback.") == {
+            "fallback.deadline_exceeded": 1,
+            "fallback.unexpected_exception": 3,
+            "fallback.circuit_open": 1}
+        assert db.metrics.count("detour.fallbacks") == 4
         stats = db.plan_cache.stats()
         assert stats["hits"] and stats["misses"] and stats["invalidations"]
         assert any(r.aborted for r in ring)

@@ -6,7 +6,7 @@ Covers the log's LRU eviction under fingerprint churn (with the
 monotonic column-usage aggregates surviving it), the one p95 regression
 rule (a plan flip and a same-plan slowdown alike), advisor determinism
 (the same history must produce byte-identical recommendations), the
-what-if index probe, the auto-ANALYZE hook, the export surfaces
+what-if index probe, the export surfaces
 (``workload_report``, hit-ratio gauges, ``plan_hash`` in the slow-query
 log), and the ``run_suite`` seed threading.
 """
@@ -16,9 +16,9 @@ import json
 
 import pytest
 
+import repro.database
 from repro import Database, DatabaseConfig
 from repro import statement_log
-from repro.errors import ReproError
 from repro.resilience import FaultInjector, statement_fingerprint
 from repro.statement_log import StatementLog, StatementRecord
 from repro.workload import Advisor
@@ -325,21 +325,10 @@ class TestAdvisor:
 
 
 # ---------------------------------------------------------------------------
-# Database integration: auto-analyze hook, report, export surfaces
+# Database integration: report and export surfaces
 # ---------------------------------------------------------------------------
 
 class TestDatabaseIntegration:
-    def test_auto_analyze_hook_fires_on_interval(self):
-        db = _stale_db()
-        db.config.advisor_auto_analyze = True
-        db.config.advisor_interval_statements = 4
-        for __ in range(4):
-            db.run("SELECT COUNT(*) FROM orders WHERE o_totalprice > 0",
-                   use_plan_cache=False)
-        assert db.metrics.count("advisor.applied.reanalyze") >= 1
-        stats = db.catalog.statistics("orders")
-        assert stats.row_count == db.storage.store("orders").row_count
-
     def test_workload_report_round_trip(self, db):
         report = db.workload_report()
         assert report["repository"]["stats"]["recorded"] > 0
@@ -362,20 +351,21 @@ class TestDatabaseIntegration:
         assert "repro_mdcache_hit_ratio" in prom
         assert "repro_workload_recorded_total" in prom
 
-    def test_slow_query_log_carries_plan_hash(self, tmp_path):
+    def test_slow_query_log_carries_plan_hash(self, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setattr(repro.database,
+                            "SLOW_QUERY_LOG_THRESHOLD_SECONDS", 0.0)
         log = tmp_path / "slow.jsonl"
         db = build_mini_db(seed=29, orders=50)
         db.config.slow_query_log_path = str(log)
-        db.config.slow_query_log_threshold_seconds = 0.0
         db.run("SELECT COUNT(*) FROM orders")
         record = json.loads(log.read_text().splitlines()[-1])
         assert record["plan_hash"]
         assert record["fingerprint"]
 
     def test_config_validation(self):
-        with pytest.raises(ReproError):
-            Database(DatabaseConfig(advisor_interval_statements=0))
-        # Workload tracking has no options left: its sizes and
-        # thresholds are statement_log / workload module constants.
+        # Workload tracking and the advisor have no options left: their
+        # sizes and thresholds are statement_log / workload module
+        # constants, and advice is applied only by advisor.apply().
         assert not [f.name for f in dataclasses.fields(DatabaseConfig)
-                    if f.name.startswith("workload_")]
+                    if f.name.startswith(("workload_", "advisor_"))]
