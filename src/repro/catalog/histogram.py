@@ -16,9 +16,10 @@ import bisect
 import datetime
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import methodcaller
-from typing import Collection, Dict, Iterable, List, Mapping, Optional
+from itertools import accumulate, repeat
+from operator import itemgetter, methodcaller
+from typing import (Callable, Collection, Dict, Iterable, List, Mapping,
+                    Optional, Tuple)
 
 #: Number of leading bytes folded into the 64-bit string key (Section 7:
 #: "because of the fixed length, it cannot distinguish between two strings
@@ -248,20 +249,62 @@ def _axis_points(values: Collection) -> Iterable[float]:
     return map(_to_number, values)
 
 
+#: Integers up to this magnitude are exact as floats, so distinct ones
+#: land on distinct axis points.
+_EXACT_INT = 2 ** 53
+
+
+def _runs(counts: Mapping[object, int]
+          ) -> Tuple[Callable[[int], float], List[int]]:
+    """The column's runs in axis order: ``point(i)`` is run *i*'s axis
+    point and ``ends[i]`` how many values lie at or below it.
+
+    A run is every occurrence of one point — of one value, or of several
+    the axis cannot tell apart.  Where sorting the values themselves
+    sorts their points (numbers within ±2**53 and dates, each value its
+    own run; ASCII strings, whose runs are the 7-byte prefix groups
+    with equal points merged), the distinct values are sorted natively
+    and only run starts are mapped onto the axis.  Anything else (mixed
+    types, non-ASCII strings, larger integers) places every value and
+    sorts the points.  (A NaN sorts the same either way: it compares
+    false with everything, whether as itself or as its float.)"""
+    types = set(map(type, counts))
+    values: List = []
+    if types <= {int, float, bool}:
+        values = sorted(counts)
+        if not -_EXACT_INT <= values[0] <= values[-1] <= _EXACT_INT:
+            values = []
+    elif types == {datetime.date} or (types == {str}
+                                      and all(map(str.isascii, counts))):
+        values = sorted(counts)
+    if not values:
+        runs: Dict[float, int] = {}
+        for point, count in zip(_axis_points(counts), counts.values()):
+            runs[point] = runs.get(point, 0) + count
+        points = sorted(runs)
+        return points.__getitem__, list(accumulate(map(runs.__getitem__,
+                                                       points)))
+    ends = list(accumulate(map(counts.__getitem__, values)))
+    if types == {datetime.date}:
+        return (lambda i: float(values[i].toordinal())), ends
+    if types != {str}:
+        return (lambda i: float(values[i])), ends
+    # Prefix groups are contiguous in sorted order: the dict keeps each
+    # group's last value position, and then each point's last group.
+    last = dict(zip(map(itemgetter(slice(0, _STRING_KEY_PREFIX_BYTES)),
+                        values), range(len(values))))
+    points = map(float, map(int.from_bytes, map(
+        methodcaller("ljust", _STRING_KEY_PREFIX_BYTES, b"\0"),
+        map(str.encode, last)), repeat("big")))
+    run_ends = dict(zip(points, map(ends.__getitem__, last.values())))
+    return list(run_ends).__getitem__, list(run_ends.values())
+
+
 def _build_equi_height(counts: Mapping[object, int],
                        buckets: int) -> EquiHeightHistogram:
-    """Cut equal-mass buckets over the run-length-encoded sorted points.
-
-    Only the *distinct* values are placed on the axis and sorted.  A
-    run is every occurrence of one point — of one value, or of several
-    the axis cannot tell apart — and never straddles a bucket boundary.
-    """
-    runs: Dict[float, int] = {}
-    for point, count in zip(_axis_points(counts), counts.values()):
-        runs[point] = runs.get(point, 0) + count
-    points = sorted(runs)
-    #: ends[i]: how many values lie at or below points[i].
-    ends = list(accumulate(map(runs.__getitem__, points)))
+    """Cut equal-mass buckets over the column's runs (:func:`_runs`);
+    a run never straddles a bucket boundary."""
+    point, ends = _runs(counts)
     total = ends[-1]
     per_bucket = max(1, total // buckets)
     lowers: List[float] = []
@@ -269,12 +312,12 @@ def _build_equi_height(counts: Mapping[object, int],
     cumulative: List[float] = []
     bucket_ndv: List[float] = []
     first = 0
-    while first < len(points):
+    while first < len(ends):
         start = ends[first - 1] if first else 0
         # The bucket ends with the run holding its per_bucket-th value.
         last = bisect.bisect_left(ends, min(total, start + per_bucket))
-        lowers.append(points[first])
-        uppers.append(points[last])
+        lowers.append(point(first))
+        uppers.append(point(last))
         cumulative.append(ends[last] / total)
         bucket_ndv.append(float(last - first + 1))
         first = last + 1

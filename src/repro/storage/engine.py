@@ -11,8 +11,8 @@ Write contract.  Every write goes through :meth:`StorageEngine.load_rows`
 and each keeps two structures in step: the table
 (:class:`repro.storage.columnstore.ColumnStore`, the one container that
 holds the rows) and every index of the table.  Writes are row-level —
-per index one bisect and a C-level list shift, per touched chunk one
-slot per column — so a statement costs O(rows changed * log N)
+per index a few bisects and a C-level shift of its key list and
+row-id array, per touched chunk one slot per column — so a statement costs O(rows changed * log N)
 whatever the table holds, and delete-all or a table-wide UPDATE take
 the same path as a point write.
 The one exception is an append that is large against what the indexes

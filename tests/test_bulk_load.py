@@ -134,7 +134,7 @@ class ReferenceTable:
     def state(self):
         return (self.row_count,
                 [(chunk.rows, chunk.columns) for chunk in self.chunks],
-                {name: (entries, [key for key, __ in entries])
+                {name: entries
                  for name, entries in sorted(self.entries.items())})
 
 
@@ -144,7 +144,7 @@ def engine_state(storage, table):
     indexes = storage._indexes[table.lower()]
     return (store.row_count,
             [(chunk.rows, chunk.columns) for chunk in store.chunks],
-            {name: (index._entries, index._keys)
+            {name: index.entries()
              for name, index in sorted(indexes.items())})
 
 
@@ -280,8 +280,8 @@ def test_index_on_a_loaded_table_matches():
     store = db.storage.store("t")
     for definition in store.schema.indexes:
         fresh = OrderedIndex(definition, store)
-        assert repr(fresh._entries) == repr(
-            reference.state()[2][definition.name][0])
+        assert repr(fresh.entries()) == repr(
+            reference.state()[2][definition.name])
 
 
 # -- a rejected load changes nothing -----------------------------------------------
@@ -306,7 +306,8 @@ def test_rejected_load_changes_nothing():
     assert "'t'" in str(caught.value) and "'id'" in str(caught.value)
     assert snapshot(db) == before
     assert db.storage.store("t").row_count == 2
-    assert db.storage.index("t", "PRIMARY")._keys == [(1,), (2,)]
+    assert db.storage.index("t", "PRIMARY").entries() == [((1,), 0),
+                                                          ((2,), 1)]
 
 
 def _bad_load(rng, rows, reference, incremental):
@@ -453,13 +454,15 @@ def table_digests(db):
         store = db.storage.store(name)
         digests[f"{name}/store"] = _digest(
             repr((chunk.rows, chunk.columns)) for chunk in store.chunks)
-        indexes = db.storage._indexes[name.lower()]
-        for index in indexes.values():
-            assert index._keys == [key for key, __ in index._entries]
+        indexes = {index_name: index.entries() for index_name, index
+                   in db.storage._indexes[name.lower()].items()}
+        for entries in indexes.values():
+            assert len(entries) == store.row_count
+            assert entries == sorted(entries)
         digests[f"{name}/indexes"] = _digest(
             f"{index_name} {_stable(key)} {row_id}"
-            for index_name, index in sorted(indexes.items())
-            for key, row_id in index._entries)
+            for index_name, entries in sorted(indexes.items())
+            for key, row_id in entries)
         digests[f"{name}/statistics"] = _digest(
             [repr(db.catalog.statistics(name))])
     return digests

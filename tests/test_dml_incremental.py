@@ -353,11 +353,11 @@ def assert_structures_match_rebuild(db, shadow_rows):
 
     for definition in store.schema.indexes:
         index = db.storage.index("t", definition.name)
-        for __, row_id in index._entries:
+        entries = index.entries()
+        for __, row_id in entries:
             assert store.fetch(row_id) is scanned[row_id], definition.name
-        fresh = OrderedIndex(definition, store)
-        assert index._entries == fresh._entries, definition.name
-        assert index._keys == fresh._keys, definition.name
+        assert entries == OrderedIndex(definition, store).entries(), \
+            definition.name
 
     fresh = ColumnStore(store.schema, size)
     fresh.commit(fresh.stage_rows(scanned))
